@@ -1,7 +1,10 @@
 //! Simulator hot-path microbenchmarks: per-access cost, PTE scanning and
-//! region relocation throughput of the `tiersim` substrate itself.
+//! region relocation throughput of the `tiersim` substrate itself, plus
+//! the parallel R-MAT generator that dominates graph-workload set-up.
 
 use mtm_bench::Bench;
+use mtm_workloads::graph::rmat;
+use mtm_workloads::BfsConfig;
 use tiersim::addr::{VaRange, VirtAddr, PAGE_SIZE_2M, PAGE_SIZE_4K};
 use tiersim::machine::{AccessKind, Machine, MachineConfig};
 use tiersim::tier::optane_four_tier;
@@ -36,6 +39,11 @@ fn main() {
         let r = VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M);
         tiersim::migrate::relocate_range(&mut m, r, 3, 0, 4, false)
     });
+
+    // Uncached on purpose: `cached_rmat` would time one generation and
+    // then a map lookup.
+    let graph = BfsConfig::paper(4096, 4).graph;
+    b.iter_throughput("substrate/rmat_quick", graph.edges, || rmat(graph));
 
     b.finish();
 }

@@ -4,6 +4,9 @@
 //! comparisons see identical streams; SplitMix64 is small, fast, and
 //! deterministic.
 
+/// The SplitMix64 increment (the golden-ratio "Weyl" constant).
+const GAMMA: u64 = 0x9e3779b97f4a7c15;
+
 /// A SplitMix64 generator.
 #[derive(Clone, Debug)]
 pub struct SplitMix64 {
@@ -13,7 +16,16 @@ pub struct SplitMix64 {
 impl SplitMix64 {
     /// Creates a generator from a seed.
     pub fn new(seed: u64) -> SplitMix64 {
-        SplitMix64 { state: seed.wrapping_add(0x9e3779b97f4a7c15) }
+        SplitMix64 { state: seed.wrapping_add(GAMMA) }
+    }
+
+    /// Jumps ahead: returns a generator whose next draw equals draw `k`
+    /// (0-based) of `SplitMix64::new(seed)`. SplitMix64 is counter-based —
+    /// draw `k` is `mix(seed + (k + 2)·γ)` — so any stream position is
+    /// reachable in O(1), which lets independent workers generate disjoint
+    /// slices of one stream.
+    pub fn at(seed: u64, k: u64) -> SplitMix64 {
+        SplitMix64 { state: seed.wrapping_add(k.wrapping_add(1).wrapping_mul(GAMMA)) }
     }
 
     /// Current internal state, for checkpointing mid-stream.
@@ -31,7 +43,7 @@ impl SplitMix64 {
     /// Next raw 64-bit value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e3779b97f4a7c15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
@@ -101,6 +113,25 @@ mod tests {
         let mut b = SplitMix64::from_state(a.state());
         for _ in 0..64 {
             assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn jump_ahead_matches_sequential_draws() {
+        for seed in [0, 1, 0x6EA4, u64::MAX] {
+            let mut seq = SplitMix64::new(seed);
+            let mut drawn = 0u64;
+            for k in [0, 1, 2, 1000, (1 << 20) + 7] {
+                while drawn < k {
+                    seq.next_u64();
+                    drawn += 1;
+                }
+                let mut jumped = SplitMix64::at(seed, k);
+                let mut probe = seq.clone();
+                for _ in 0..4 {
+                    assert_eq!(jumped.next_u64(), probe.next_u64(), "seed={seed} k={k}");
+                }
+            }
         }
     }
 
