@@ -1,12 +1,14 @@
-//! Simulator hot-path microbenchmarks: per-access cost, PTE scanning and
-//! region relocation throughput of the `tiersim` substrate itself, plus
-//! the parallel R-MAT generator that dominates graph-workload set-up.
+//! Simulator hot-path microbenchmarks: per-access cost (reads, writes and
+//! one whole GUPS tick), PTE scanning and region relocation throughput of
+//! the `tiersim` substrate itself, plus the parallel R-MAT generator that
+//! dominates graph-workload set-up.
 
 use mtm_bench::Bench;
 use mtm_workloads::graph::rmat;
-use mtm_workloads::BfsConfig;
+use mtm_workloads::{BfsConfig, Gups, GupsConfig};
 use tiersim::addr::{VaRange, VirtAddr, PAGE_SIZE_2M, PAGE_SIZE_4K};
 use tiersim::machine::{AccessKind, Machine, MachineConfig};
+use tiersim::sim::{FirstTouchPolicy, SimEnv, Workload};
 use tiersim::tier::optane_four_tier;
 
 fn machine() -> Machine {
@@ -26,6 +28,29 @@ fn main() {
         i = i.wrapping_mul(6364136223846793005).wrapping_add(1);
         let va = VirtAddr((i >> 33) % (64 * PAGE_SIZE_2M) & !63);
         m.access(0, va, AccessKind::Read)
+    });
+
+    // Writes also bump the frame version and charge the write-weighted
+    // line bytes, which reads never reach.
+    let mut m = machine();
+    let mut i = 0u64;
+    b.iter_throughput("substrate/access_write", 1, || {
+        i = i.wrapping_mul(6364136223846793005).wrapping_add(1);
+        let va = VirtAddr((i >> 33) % (64 * PAGE_SIZE_2M) & !63);
+        m.access(0, va, AccessKind::Write)
+    });
+
+    // One GUPS update (compute, three reads, one write) through the
+    // `MemEnv` dispatch the interval loop uses, round-robin over threads.
+    let scale = 1 << 12;
+    let mut m = Machine::new(MachineConfig::new(optane_four_tier(scale), 4));
+    let mut gups = Gups::new(GupsConfig::paper(scale, 4));
+    let mut policy = FirstTouchPolicy;
+    gups.setup(&mut SimEnv { machine: &mut m, manager: &mut policy });
+    let mut tid = 0;
+    b.iter("substrate/gups_tick", || {
+        tid = (tid + 1) % 4;
+        gups.tick(&mut SimEnv { machine: &mut m, manager: &mut policy }, tid);
     });
 
     let mut m = machine();

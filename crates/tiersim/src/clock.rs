@@ -75,6 +75,12 @@ impl Clock {
         self.link_bytes[node as usize * self.components + component as usize] += bytes;
     }
 
+    /// Charges latency to `tid` alone, moving no bytes over any link.
+    #[inline]
+    pub fn charge_thread(&mut self, tid: usize, lat_ns: f64) {
+        self.thread_ns[tid] += lat_ns;
+    }
+
     /// Wall time of the open interval so far, under the roofline model.
     pub fn open_interval_ns(&self, topo: &Topology) -> f64 {
         let lat = self.thread_ns.iter().copied().fold(0.0_f64, f64::max);

@@ -300,16 +300,64 @@ impl VersionStore {
         &mut v[i]
     }
 
-    /// Records a write to a frame, bumping its version.
+    /// Records a write to a frame, bumping its version. A frame already
+    /// inside its component's vector (every write after the first to a
+    /// frame region) skips the growth check.
     #[inline]
     pub fn bump(&mut self, frame: PhysAddr) {
+        let (c, i) = Self::frame_index(frame);
+        match self.comps.get_mut(c).and_then(|v| v.get_mut(i)) {
+            Some(v) => *v += 1,
+            None => self.bump_grow(frame),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn bump_grow(&mut self, frame: PhysAddr) {
         *self.slot(frame) += 1;
     }
 
-    /// Copies the version from `src` to `dst`, as a data copy would.
-    pub fn copy(&mut self, src: PhysAddr, dst: PhysAddr) {
+    /// Copies the version from `src` to `dst`, as a data copy would
+    /// (one frame of [`VersionStore::move_range`], kept as its oracle).
+    #[cfg(test)]
+    fn copy(&mut self, src: PhysAddr, dst: PhysAddr) {
         let v = self.get(src);
         *self.slot(dst) = v;
+    }
+
+    /// Moves the versions of `frames` consecutive 4 KB frames from `src`
+    /// to `dst` and zeroes the source, as a page migration does — the same
+    /// result as copying each frame's version and then forgetting the
+    /// source frame, but as one slice copy and one zero-fill, with one
+    /// growth check for the destination. The ranges must not overlap.
+    pub fn move_range(&mut self, src: PhysAddr, dst: PhysAddr, frames: usize) {
+        if frames == 0 {
+            return;
+        }
+        let (sc, si) = Self::frame_index(src);
+        let (dc, di) = Self::frame_index(dst);
+        debug_assert!(sc != dc || si + frames <= di || di + frames <= si, "overlapping move");
+        // Grow the destination exactly as a frame-by-frame copy would:
+        // its last frame's slot decides the final length.
+        self.slot(PhysAddr::new(dst.component(), dst.offset() + (frames as u64 - 1) * PAGE_SIZE_4K));
+        // Source frames past the end of their vector were never written.
+        let avail = self.comps.get(sc).map_or(0, |v| v.len().saturating_sub(si)).min(frames);
+        if sc == dc {
+            let v = &mut self.comps[dc];
+            v.copy_within(si..si + avail, di);
+            v[di + avail..di + frames].fill(0);
+            v[si..si + avail].fill(0);
+        } else {
+            let mut d = std::mem::take(&mut self.comps[dc]);
+            if avail > 0 {
+                let s = &mut self.comps[sc][si..si + avail];
+                d[di..di + avail].copy_from_slice(s);
+                s.fill(0);
+            }
+            d[di + avail..di + frames].fill(0);
+            self.comps[dc] = d;
+        }
     }
 
     /// Serializes all per-frame versions (dense vectors verbatim,
@@ -339,8 +387,10 @@ impl VersionStore {
         Ok(VersionStore { comps })
     }
 
-    /// Drops bookkeeping for a freed frame.
-    pub fn forget(&mut self, frame: PhysAddr) {
+    /// Drops bookkeeping for a freed frame (the source half of one frame
+    /// of [`VersionStore::move_range`], kept as its oracle).
+    #[cfg(test)]
+    fn forget(&mut self, frame: PhysAddr) {
         let (c, i) = Self::frame_index(frame);
         if let Some(slot) = self.comps.get_mut(c).and_then(|v| v.get_mut(i)) {
             *slot = 0;
@@ -416,5 +466,29 @@ mod tests {
         assert_eq!(v.get(b), 2);
         v.bump(a);
         assert_ne!(v.get(a), v.get(b), "stale copy detectable");
+    }
+
+    #[test]
+    fn move_range_matches_frame_by_frame_copy_and_forget() {
+        // Sources straddling the end of their vector, fresh and grown
+        // destinations, same- and cross-component moves.
+        let cases = [(0, 0, 1, 0x40_0000, 512), (1, 0x3000, 0, 0x200_0000, 9), (0, 0x1000, 0, 0x9000, 5)];
+        for (sc, so, dc, dof, frames) in cases {
+            let mut fast = VersionStore::new();
+            for k in 0..6u64 {
+                for _ in 0..=k {
+                    fast.bump(PhysAddr::new(sc, so + k * 2 * PAGE_SIZE_4K));
+                }
+            }
+            fast.bump(PhysAddr::new(dc, dof + PAGE_SIZE_4K));
+            let mut slow = VersionStore { comps: fast.comps.clone() };
+            fast.move_range(PhysAddr::new(sc, so), PhysAddr::new(dc, dof), frames);
+            for f in 0..frames as u64 {
+                let s = PhysAddr::new(sc, so + f * PAGE_SIZE_4K);
+                slow.copy(s, PhysAddr::new(dc, dof + f * PAGE_SIZE_4K));
+                slow.forget(s);
+            }
+            assert_eq!(fast.comps, slow.comps, "src {sc}:{so:#x} dst {dc}:{dof:#x} x{frames}");
+        }
     }
 }

@@ -214,7 +214,10 @@ pub struct MachineStats {
 /// derived from [`MachineConfig`] at construction with exactly the
 /// arithmetic the per-access path used to perform inline, so charging
 /// from the table is bit-identical to recomputing; the config must not
-/// change latency/bandwidth/`mlp` after [`Machine::new`].
+/// change latency/bandwidth/`mlp` after [`Machine::new`]. The same holds
+/// for `hmc_mode` and `track_heat`, which [`Machine::new`] folds into the
+/// cached gate that sends every access down the general path
+/// (`Machine::access` debug-asserts the gate still matches).
 #[derive(Clone, Copy, Debug)]
 struct ChargeSpec {
     /// `link.latency_ns / cfg.mlp`.
@@ -253,6 +256,9 @@ pub struct Machine {
     /// Per-(node, component) charge table, indexed
     /// `node * num_components + component` (see [`ChargeSpec`]).
     charge: Vec<ChargeSpec>,
+    /// `cfg.hmc_mode || cfg.track_heat`, cached at construction: every
+    /// access of such a machine takes the general path.
+    always_general: bool,
     /// DRAM cache per PM component id (Memory Mode only).
     hmc_caches: BTreeMap<ComponentId, HwCache>,
     /// PM component -> fronting DRAM component (Memory Mode).
@@ -323,6 +329,7 @@ impl Machine {
                 });
             }
         }
+        let always_general = cfg.hmc_mode || cfg.track_heat;
         Machine {
             cfg,
             pt: PageTable::new(),
@@ -340,6 +347,7 @@ impl Machine {
             shadow_mode: false,
             shadows: Vec::new(),
             charge,
+            always_general,
             hmc_caches,
             hmc_front,
             heat: Vec::new(),
@@ -481,11 +489,11 @@ impl Machine {
 
     /// Charges pure compute time to a thread (application think time
     /// between memory accesses — real workloads are not load-latency
-    /// machines; see DESIGN.md on access-density calibration).
+    /// machines; see DESIGN.md on access-density calibration). Compute
+    /// moves no bytes, so no link is charged.
     #[inline]
     pub fn compute(&mut self, tid: usize, ns: f64) {
-        let node = self.cfg.thread_node[tid];
-        self.clock.charge_access(tid, ns, node, 0, 0.0);
+        self.clock.charge_thread(tid, ns);
     }
 
     /// Issues one application access.
@@ -493,14 +501,59 @@ impl Machine {
     /// Returns [`AccessResult::Unmapped`] if no mapping covers `va`; the
     /// caller (normally the [`crate::sim`] driver) places the page via the
     /// active manager's policy and retries.
+    ///
+    /// This is the fast path: a mapped page with no fault flag set, on a
+    /// machine without Memory Mode or a heatmap, costs `touch`, a version
+    /// bump on writes, the counters, PEBS and one charge. Everything else
+    /// goes to the out-of-line general path (`Machine::access_general`).
+    #[inline]
     pub fn access(&mut self, tid: usize, va: VirtAddr, kind: AccessKind) -> AccessResult {
+        debug_assert_eq!(
+            self.always_general,
+            self.cfg.hmc_mode || self.cfg.track_heat,
+            "cfg.hmc_mode/cfg.track_heat changed after Machine::new"
+        );
         let is_write = kind == AccessKind::Write;
         // `touch` sets ACCESSED (and DIRTY on writes) in the PTE and the
         // packed side metadata together, and hands back the pre-access
-        // flag word the rare-path fault gate reads.
-        let Some((pre, _size)) = self.pt.touch(va, is_write) else {
+        // flag word the fault gate reads.
+        let Some((pre, size)) = self.pt.touch(va, is_write) else {
             return AccessResult::Unmapped;
         };
+        if self.always_general || pre.0 & (PTE_NUMA_POISON | PTE_PROT_NONE | PTE_WRITE_TRACK) != 0 {
+            return self.access_general(tid, va, is_write, pre, size);
+        }
+        let frame = pre.frame();
+        let component = frame.component();
+        if is_write {
+            self.versions.bump(frame_page_base(frame));
+        }
+        let node = self.cfg.thread_node[tid];
+        let t_ns = self.clock.thread_ns(tid);
+        self.counters.record(component, is_write);
+        self.pebs.observe(va, tid as u32, component, is_write, t_ns);
+        let spec = self.charge[node as usize * self.cfg.topology.num_components() + component as usize];
+        // The roofline uses a read-bandwidth denominator; writes count as
+        // more bytes where write bandwidth is lower.
+        let bytes = if is_write { spec.write_bytes } else { CACHE_LINE as f64 };
+        self.clock.charge_access(tid, spec.lat_ns, node, component, bytes);
+        AccessResult::Ok
+    }
+
+    /// The general access path, for accesses whose pre-access PTE carries
+    /// a fault flag (hint poison, protection, write tracking) and for
+    /// every access of a Memory Mode or heat-tracking machine. `pre` and
+    /// `size` are what `touch` returned.
+    #[cold]
+    #[inline(never)]
+    fn access_general(
+        &mut self,
+        tid: usize,
+        va: VirtAddr,
+        is_write: bool,
+        pre: Pte,
+        size: FrameSize,
+    ) -> AccessResult {
         let mut extra_ns = 0.0;
         let flags = pre.0;
         let frame = pre.frame();
@@ -552,7 +605,7 @@ impl Machine {
                 let dram = self.hmc_front[&component];
                 // Probe at cache-line granularity: the accessed line's
                 // physical address, not the page base.
-                let page_span = match _size {
+                let page_span = match size {
                     FrameSize::Huge2M => PAGE_SIZE_2M,
                     FrameSize::Base4K => crate::addr::PAGE_SIZE_4K,
                 };
@@ -1572,6 +1625,222 @@ fn frame_page_base(frame: crate::addr::PhysAddr) -> crate::addr::PhysAddr {
 mod tests {
     use super::*;
     use crate::tier::tiny_two_tier;
+
+    impl Machine {
+        /// `access` as a single function, before the fast/general split:
+        /// the oracle the split path must match bit for bit.
+        fn access_reference(&mut self, tid: usize, va: VirtAddr, kind: AccessKind) -> AccessResult {
+            let is_write = kind == AccessKind::Write;
+            let Some((pre, _size)) = self.pt.touch(va, is_write) else {
+                return AccessResult::Unmapped;
+            };
+            let mut extra_ns = 0.0;
+            let flags = pre.0;
+            let frame = pre.frame();
+            let component = frame.component();
+
+            if flags & (PTE_NUMA_POISON | PTE_PROT_NONE | PTE_WRITE_TRACK) != 0 {
+                if flags & PTE_NUMA_POISON != 0 {
+                    self.pt.clear_flags(va, PTE_NUMA_POISON);
+                    let node = self.cfg.thread_node[tid];
+                    let page = va.page_4k();
+                    let now = self.approx_now_ns(tid);
+                    self.hints.fault(page, tid as u32, node, now);
+                    self.stats.hint_faults += 1;
+                    extra_ns += self.cfg.costs.hint_fault_ns();
+                }
+                if flags & PTE_PROT_NONE != 0 {
+                    self.pt.clear_flags(va, PTE_PROT_NONE);
+                    self.prot_faults.push(ProtFault { page: va.page_4k(), tid: tid as u32, is_write });
+                    self.stats.prot_faults += 1;
+                    extra_ns += self.cfg.costs.prot_fault_ns;
+                }
+                if is_write && flags & PTE_WRITE_TRACK != 0 {
+                    extra_ns += self.handle_wp_fault(va);
+                }
+            }
+
+            if is_write {
+                self.versions.bump(frame_page_base(frame));
+            }
+            if self.cfg.track_heat {
+                let chunk = (va.0 >> 21) as usize;
+                if chunk >= self.heat.len() {
+                    self.heat.resize((chunk + 1).next_power_of_two(), 0);
+                }
+                self.heat[chunk] += 1;
+            }
+            let node = self.cfg.thread_node[tid];
+            let charge_base = node as usize * self.cfg.topology.num_components();
+
+            if !self.hmc_caches.is_empty() {
+                if let Some(cache) = self.hmc_caches.get_mut(&component) {
+                    let t_ns = self.clock.thread_ns(tid);
+                    let dram = self.hmc_front[&component];
+                    let page_span = match _size {
+                        FrameSize::Huge2M => PAGE_SIZE_2M,
+                        FrameSize::Base4K => crate::addr::PAGE_SIZE_4K,
+                    };
+                    let line_pa = crate::addr::PhysAddr::new(
+                        frame.component(),
+                        frame.offset() + (va.0 & (page_span - 1)),
+                    );
+                    let probe = cache.access(line_pa, is_write);
+                    if probe.hit {
+                        self.counters.record(dram, is_write);
+                        self.pebs.observe(va, tid as u32, dram, is_write, t_ns);
+                        let lat = self.charge[charge_base + dram as usize].lat_ns + extra_ns;
+                        self.clock.charge_access(tid, lat, node, dram, CACHE_LINE as f64);
+                    } else {
+                        self.counters.record(component, is_write);
+                        self.pebs.observe(va, tid as u32, component, is_write, t_ns);
+                        let spec = self.charge[charge_base + component as usize];
+                        let lat = spec.hmc_miss_lat_ns + extra_ns;
+                        let pm_bytes =
+                            probe.fill_bytes as f64 + probe.writeback_bytes as f64 * spec.wcf;
+                        self.clock.charge_access(tid, lat, node, component, pm_bytes);
+                        self.clock.charge_access(tid, 0.0, node, dram, probe.fill_bytes as f64);
+                    }
+                    return AccessResult::Ok;
+                }
+            }
+            let t_ns = self.clock.thread_ns(tid);
+            self.counters.record(component, is_write);
+            self.pebs.observe(va, tid as u32, component, is_write, t_ns);
+            let spec = self.charge[charge_base + component as usize];
+            let lat = spec.lat_ns + extra_ns;
+            let bytes = if is_write { spec.write_bytes } else { CACHE_LINE as f64 };
+            self.clock.charge_access(tid, lat, node, component, bytes);
+            AccessResult::Ok
+        }
+
+        /// `compute` before it stopped charging zero bytes to link
+        /// (node, 0).
+        fn compute_reference(&mut self, tid: usize, ns: f64) {
+            let node = self.cfg.thread_node[tid];
+            self.clock.charge_access(tid, ns, node, 0, 0.0);
+        }
+    }
+
+    /// Every piece of state an access can change, serialized: PTE and
+    /// side-metadata bits, clock accumulators as f64 bit patterns,
+    /// counter totals and windows, PEBS buffer and countdown, hint-fault
+    /// queue, frame versions, statistics, protection faults, heatmap and
+    /// Memory Mode hit ratios.
+    fn fingerprint(m: &Machine) -> Vec<u8> {
+        let mut w = obs::wire::Writer::new();
+        m.pt.save(&mut w);
+        m.clock.save(&mut w);
+        m.counters.save(&mut w);
+        m.pebs.save(&mut w);
+        m.hints.save(&mut w);
+        m.versions.save(&mut w);
+        w.str(&format!("{:?} {:?}", m.stats, m.prot_faults));
+        for (va, n) in m.heat_snapshot() {
+            w.u64(va.0);
+            w.varint(n);
+        }
+        for (c, ratio) in m.hmc_hit_ratios() {
+            w.u16(c);
+            w.f64(ratio);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn prop_split_access_matches_reference() {
+        use proptest_lite::{gen, prop_assert_eq, prop_check};
+        // Memory Mode x heatmap x THP, then a stream of
+        // (op, page, line, tid) steps over 48 pages in three 2 MB chunks,
+        // so pages repeat and the fault flags get hit.
+        prop_check!(
+            "split_access_matches_reference",
+            48,
+            (
+                gen::u8_range(0, 8),
+                gen::vec_in(
+                    (
+                        gen::u8_range(0, 14),
+                        gen::u64_range(0, 48),
+                        gen::u64_range(0, 64),
+                        gen::usize_range(0, 2),
+                    ),
+                    1,
+                    200,
+                ),
+            ),
+            |(mode, ops)| {
+                let build = || {
+                    let topo = tiny_two_tier(2 * PAGE_SIZE_2M, 16 * PAGE_SIZE_2M);
+                    let mut cfg = MachineConfig::new(topo, 2);
+                    cfg.hmc_mode = mode & 1 != 0;
+                    cfg.track_heat = mode & 2 != 0;
+                    cfg.pebs.period = 3;
+                    cfg.pebs.buffer_cap = 16;
+                    let mut m = Machine::new(cfg);
+                    m.mmap("prop", VaRange::from_len(VirtAddr(0), 3 * PAGE_SIZE_2M), mode & 4 != 0);
+                    m
+                };
+                let (mut fast, mut reference) = (build(), build());
+                let mut watches = Vec::new();
+                for (step, &(op, page, line, tid)) in ops.iter().enumerate() {
+                    let va = VirtAddr((page % 3) * PAGE_SIZE_2M + (page / 3) * 4096 + line * 64);
+                    match op {
+                        0..=7 => {
+                            let kind = if op < 5 { AccessKind::Read } else { AccessKind::Write };
+                            let a = fast.access(tid, va, kind);
+                            let b = reference.access_reference(tid, va, kind);
+                            prop_assert_eq!(a, b, "step {step}");
+                            if a == AccessResult::Unmapped {
+                                // Demand fault: place, then retry.
+                                let order: &[ComponentId] = if page % 2 == 0 { &[0, 1] } else { &[1, 0] };
+                                let ca = fast.alloc_and_map(tid, va, order);
+                                let cb = reference.alloc_and_map(tid, va, order);
+                                prop_assert_eq!(ca, cb, "step {step}");
+                                prop_assert_eq!(fast.access(tid, va, kind), AccessResult::Ok);
+                                prop_assert_eq!(reference.access_reference(tid, va, kind), AccessResult::Ok);
+                            }
+                        }
+                        8 => {
+                            let ns = (line * 7) as f64 + 0.25;
+                            fast.compute(tid, ns);
+                            reference.compute_reference(tid, ns);
+                        }
+                        9 => prop_assert_eq!(fast.poison_page(va), reference.poison_page(va)),
+                        10 => prop_assert_eq!(fast.protect_page(va), reference.protect_page(va)),
+                        11 => {
+                            let range = VaRange::from_len(va.page_2m(), PAGE_SIZE_2M);
+                            let id = fast.arm_write_watch(range);
+                            prop_assert_eq!(reference.arm_write_watch(range), id);
+                            watches.push(id);
+                        }
+                        12 => {
+                            if !watches.is_empty() {
+                                let id = watches.remove(line as usize % watches.len());
+                                prop_assert_eq!(fast.take_watch(id), reference.take_watch(id));
+                            }
+                        }
+                        _ => {
+                            prop_assert_eq!(
+                                fast.commit_interval().to_bits(),
+                                reference.commit_interval().to_bits()
+                            );
+                            fast.counters_mut().reset_window();
+                            reference.counters_mut().reset_window();
+                        }
+                    }
+                    prop_assert_eq!(fingerprint(&fast), fingerprint(&reference), "step {step} op {op}");
+                }
+                for &id in &watches {
+                    prop_assert_eq!(fast.watch_dirty(id), reference.watch_dirty(id));
+                }
+                prop_assert_eq!(fast.drain_pebs(), reference.drain_pebs());
+                prop_assert_eq!(fast.drain_hint_faults(), reference.drain_hint_faults());
+                prop_assert_eq!(fast.drain_prot_faults(), reference.drain_prot_faults());
+                prop_assert_eq!(fast.open_interval_ns().to_bits(), reference.open_interval_ns().to_bits());
+            }
+        );
+    }
 
     fn machine() -> Machine {
         let topo = tiny_two_tier(4 * PAGE_SIZE_2M, 16 * PAGE_SIZE_2M);

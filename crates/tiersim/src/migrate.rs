@@ -438,12 +438,7 @@ fn relocate_range_inner(
         // hit copies nothing over the interconnect — the retained frame
         // already holds the bytes — but the version bookkeeping still
         // follows the page so no write is ever lost.
-        for off in (0..bytes).step_by(PAGE_SIZE_4K as usize) {
-            let s = crate::addr::PhysAddr::new(old_pte.frame().component(), old_pte.frame().offset() + off);
-            let d = crate::addr::PhysAddr::new(new_frame.component(), new_frame.offset() + off);
-            m.versions.copy(s, d);
-            m.versions.forget(s);
-        }
+        m.versions.move_range(old_pte.frame(), new_frame, (bytes / PAGE_SIZE_4K) as usize);
         if shadow_frame.is_none() {
             let copy_node = best_copy_node(m, src, dst);
             out.breakdown.copy_ns += copy_cost_ns(m, copy_node, src, dst, bytes, copy_threads);
