@@ -2,7 +2,7 @@
 //! the Fig. 10 alpha sweep (all on small scenarios).
 
 use mtm_bench::{bench_opts, Bench};
-use mtm_harness::runs::run_pair;
+use mtm_harness::runs::RunSpec;
 
 fn main() {
     let mut b = Bench::new("ablation");
@@ -10,7 +10,8 @@ fn main() {
     let opts = bench_opts();
     for variant in ["MTM", "MTM:w/o-AMR", "MTM:w/o-APS", "MTM:w/o-OC", "MTM:w/o-PEBS", "MTM:w/o-async"] {
         let label = format!("fig7/{}", variant.replace(':', "_"));
-        b.iter(&label, || run_pair(variant, "VoltDB", &opts));
+        let spec = RunSpec::new(variant, "VoltDB", &opts).expect("known pair");
+        b.iter(&label, || spec.run());
     }
 
     let mut opts = bench_opts();

@@ -3,18 +3,20 @@
 //! the remaining Table 2 workloads.
 
 use mtm_bench::{bench_opts, Bench};
-use mtm_harness::runs::run_pair;
+use mtm_harness::runs::RunSpec;
 
 fn main() {
     let mut b = Bench::new("overall");
     let opts = bench_opts();
 
     for mgr in ["first-touch", "hmc", "autonuma", "autotiering", "hemem", "MTM"] {
-        b.iter(&format!("fig4_gups/{mgr}"), || run_pair(mgr, "GUPS", &opts));
+        let spec = RunSpec::new(mgr, "GUPS", &opts).expect("known pair");
+        b.iter(&format!("fig4_gups/{mgr}"), || spec.run());
     }
 
     for wl in ["VoltDB", "Cassandra", "BFS", "SSSP", "Spark"] {
-        b.iter(&format!("fig4_mtm/{wl}"), || run_pair("MTM", wl, &opts));
+        let spec = RunSpec::new("MTM", wl, &opts).expect("known pair");
+        b.iter(&format!("fig4_mtm/{wl}"), || spec.run());
     }
 
     b.finish();

@@ -25,7 +25,7 @@
 pub mod plan;
 pub mod rng;
 
-pub use plan::{BwWindow, FaultPlan, DEFAULT_SEED, ENV_FAULTS, ENV_FAULT_SEED};
+pub use plan::{BwWindow, FaultPlan, DEFAULT_SEED};
 pub use rng::{derive_seed, SplitMix64};
 
 /// Counters of what was actually injected, for reports and telemetry.

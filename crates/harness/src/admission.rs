@@ -3,21 +3,19 @@
 //! shadow copies, across the resilience fault levels.
 //!
 //! Each cell runs MTM (the only manager with an admission plane) on one
-//! workload with the policy and shadow mode set programmatically — the
-//! sweep deliberately bypasses both the `MTM_ADMIT`/`MTM_SHADOW`
-//! environment plumbing (the policies are the experiment) and the run
-//! cache (fault plans and admission settings are not part of its key).
+//! workload with the policy, shadow mode and fault plan set in its
+//! [`RunSpec`], overriding `MTM_ADMIT`/`MTM_SHADOW`/`MTM_FAULTS` (the
+//! policies and levels are the experiment).
 //! Like the resilience sweep, every cell draws its fault schedule from a
 //! label-derived stream, so the table is byte-identical for any
 //! `MTM_JOBS` value.
 
-use mtm::{AdmissionKind, MtmConfig, MtmManager};
-use tiersim::machine::{Machine, MachineConfig};
-use tiersim::sim::{run_scenario, RunReport, Workload};
-use tiersim::tier::optane_four_tier;
+use mtm::AdmissionKind;
+use tiersim::sim::RunReport;
 
 use crate::opts::Opts;
 use crate::resilience::{level_spec, LEVELS};
+use crate::runs::RunSpec;
 use crate::tablefmt::{f, TextTable};
 
 /// The four built-in policies, legacy default first (it is the slowdown
@@ -46,36 +44,26 @@ pub fn run_cell(
     opts: &Opts,
     base_seed: u64,
 ) -> RunReport {
-    let topo = optane_four_tier(opts.scale);
-    let mut mc = MachineConfig::new(topo.clone(), opts.threads);
-    mc.interval_ns = opts.interval_ns;
-    let mut machine = Machine::new(mc);
-    if let Some(spec) = level_spec(level, opts.intervals) {
+    let mut run = RunSpec::new("MTM", workload, opts)
+        .unwrap_or_else(|| panic!("unknown workload {workload:?}"));
+    let cfg = run.mtm_mut();
+    cfg.admission = policy;
+    cfg.shadow = shadow;
+    run.faults = level_spec(level, opts.intervals).map(|spec| {
         let plan = faultsim::FaultPlan::parse(&spec).expect("built-in level specs parse");
         // The label deliberately excludes the policy and shadow mode:
         // every cell of a workload/level pair replays the SAME fault
         // trace, so column differences come from admission decisions
         // alone, never from different fault dice.
         let label = format!("adm/{workload}/{level}");
-        machine.install_faults(plan, faultsim::derive_seed(base_seed, &label));
-    }
-    let mut cfg = MtmConfig::default();
-    cfg.promote_bytes = opts.promote_budget();
-    cfg.admission = policy;
-    cfg.shadow = shadow;
-    let mut mgr = MtmManager::new(cfg, topo.nodes as usize);
-    let mut wl: Box<dyn Workload> =
-        mtm_workloads::build_paper_workload(workload, opts.scale, opts.threads)
-            .unwrap_or_else(|| panic!("unknown workload {workload:?}"));
-    run_scenario(&mut machine, &mut mgr, wl.as_mut(), opts.intervals)
+        (plan, faultsim::derive_seed(base_seed, &label))
+    });
+    run.run()
 }
 
 /// Renders the admission sweep table.
 pub fn run(opts: &Opts) -> String {
-    let (base_seed, seed_warning) = faultsim::plan::seed_from_env();
-    if let Some(w) = seed_warning {
-        eprintln!("warning: {w}");
-    }
+    let base_seed = crate::runs::fault_seed();
     // Cell order (and thus table order): workload, policy, shadow, level.
     let mut cells: Vec<(usize, usize, usize, usize)> = Vec::new();
     for wi in 0..SWEEP_WORKLOADS.len() {

@@ -5,7 +5,9 @@ fn main() {
     let mgr = args.get(1).cloned().unwrap_or_else(|| "MTM".into());
     let wl = args.get(2).cloned().unwrap_or_else(|| "GUPS".into());
     let opts = mtm_harness::Opts::from_env();
-    let r = mtm_harness::runs::run_pair(&mgr, &wl, &opts);
+    let r = mtm_harness::runs::RunSpec::new(&mgr, &wl, &opts)
+        .unwrap_or_else(|| panic!("unknown manager {mgr:?} or workload {wl:?}"))
+        .run();
     println!("manager={} workload={} total={:.3}ms", r.manager, r.workload, r.total_ns / 1e6);
     println!("breakdown app={:.3}ms prof={:.3}ms mig={:.3}ms",
         r.breakdown.app_ns / 1e6, r.breakdown.profiling_ns / 1e6, r.breakdown.migration_ns / 1e6);

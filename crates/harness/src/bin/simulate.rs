@@ -11,11 +11,10 @@
 //! `MTM:w/o-{AMR,APS,OC,PEBS,async}`, `MTM:fast-first`.
 //! Workloads: `GUPS`, `VoltDB`, `Cassandra`, `BFS`, `SSSP`, `Spark`.
 
-use mtm_harness::runs::{machine_for, try_build_manager};
+use mtm_harness::runs::RunSpec;
 use mtm_harness::Opts;
 use tiersim::addr::fmt_bytes;
-use tiersim::sim::run_scenario;
-use tiersim::tier::{optane_four_tier, two_tier};
+use tiersim::tier::two_tier;
 
 fn usage() -> ! {
     eprintln!(
@@ -51,18 +50,15 @@ fn main() {
         }
     }
 
-    let topo = if use_two_tier { two_tier(opts.scale) } else { optane_four_tier(opts.scale) };
-    let mut machine = machine_for(&manager, &opts, topo.clone());
-    let Some(mut mgr) = try_build_manager(&manager, &opts, &topo) else {
-        eprintln!("unknown manager {manager:?}");
+    let Some(mut spec) = RunSpec::new(&manager, &workload, &opts) else {
+        eprintln!("unknown manager {manager:?} or workload {workload:?}");
         usage();
     };
-    let Some(mut wl) = mtm_workloads::build_paper_workload(&workload, opts.scale, opts.threads)
-    else {
-        eprintln!("unknown workload {workload:?}");
-        usage();
-    };
-    let r = run_scenario(&mut machine, mgr.as_mut(), wl.as_mut(), opts.intervals);
+    if use_two_tier {
+        spec.topology = two_tier(opts.scale);
+    }
+    let r = spec.run();
+    let topo = &spec.topology;
 
     println!("manager      : {}", r.manager);
     println!("workload     : {} ({} footprint, paper-scale {})",

@@ -77,8 +77,7 @@ fn series<M: MemoryManager>(
 /// Runs all four profilers (independent simulations, in parallel on the
 /// worker pool) and returns their series in fixed order.
 pub fn all_series(opts: &Opts) -> Vec<QualitySeries> {
-    use crate::runpool::{run_all, Job};
-    let jobs: Vec<Job<'_, QualitySeries>> = vec![
+    let jobs: Vec<Box<dyn FnOnce() -> QualitySeries + Send + '_>> = vec![
         // MTM: the adaptive profiler, no migration (budget 0).
         Box::new(move || {
             let mut cfg = MtmConfig::default();
@@ -99,7 +98,7 @@ pub fn all_series(opts: &Opts) -> Vec<QualitySeries> {
         // AutoTiering: random scan windows.
         Box::new(move || series(opts, "AutoTiering", AutoTiering::new(0), |a| a.hot_ranges())),
     ];
-    run_all(jobs)
+    crate::runpool::map_parallel(jobs, |job| job())
 }
 
 /// Renders Fig. 1.

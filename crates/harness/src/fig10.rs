@@ -1,29 +1,17 @@
 //! Fig. 10: sensitivity to the EMA weight alpha (Eq. 2), all six
 //! workloads, normalized to the default alpha = 1/2.
 
-use mtm::MtmManager;
-use tiersim::machine::{Machine, MachineConfig};
-use tiersim::sim::run_scenario;
-use tiersim::tier::optane_four_tier;
-
 use crate::opts::Opts;
-use crate::runs::{mtm_config, WORKLOADS};
+use crate::runs::{RunSpec, WORKLOADS};
 use crate::tablefmt::{f, TextTable};
 
 /// The alpha sweep of the paper.
 pub const ALPHAS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 
 fn run_one(opts: &Opts, workload: &str, alpha: f64) -> f64 {
-    let topo = optane_four_tier(opts.scale);
-    let mut mc = MachineConfig::new(topo.clone(), opts.threads);
-    mc.interval_ns = opts.interval_ns;
-    let mut machine = Machine::new(mc);
-    let mut cfg = mtm_config(opts);
-    cfg.alpha = alpha;
-    let mut mgr = MtmManager::new(cfg, topo.nodes as usize);
-    let mut wl = mtm_workloads::build_paper_workload(workload, opts.scale, opts.threads)
-        .expect("known workload");
-    run_scenario(&mut machine, &mut mgr, wl.as_mut(), opts.intervals).ns_per_op_steady()
+    let mut spec = RunSpec::new("MTM", workload, opts).expect("known workload");
+    spec.mtm_mut().alpha = alpha;
+    spec.run().ns_per_op_steady()
 }
 
 /// Renders Fig. 10 (speedup over alpha = 1/2; higher is better).

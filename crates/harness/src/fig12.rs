@@ -2,15 +2,12 @@
 //! GUPS throughput as the working set grows past the fast tier, at 16 and
 //! 24 threads.
 
-use mtm::MtmManager;
-use mtm_baselines::{hemem_pebs_config, HeMem};
 use mtm_workloads::{Gups, GupsConfig};
-use tiersim::machine::{Machine, MachineConfig};
-use tiersim::sim::{run_scenario, MemoryManager};
+use tiersim::sim::run_scenario;
 use tiersim::tier::two_tier;
 
 use crate::opts::Opts;
-use crate::runs::mtm_config;
+use crate::runs::{build_manager, healthy_machine_for};
 use crate::tablefmt::{f, TextTable};
 
 /// Working-set sizes as fractions of fast-memory capacity.
@@ -19,12 +16,8 @@ pub const RATIOS: [f64; 5] = [0.5, 0.75, 1.0, 1.25, 1.5];
 fn run_one(opts: &Opts, manager: &str, threads: usize, ratio: f64) -> f64 {
     let topo = two_tier(opts.scale);
     let fast = topo.components[0].capacity;
-    let mut mc = MachineConfig::new(topo.clone(), threads);
-    mc.interval_ns = opts.interval_ns;
-    if manager == "hemem" {
-        mc.pebs = hemem_pebs_config(&topo);
-    }
-    let mut machine = Machine::new(mc);
+    let opts = Opts { threads, ..*opts };
+    let mut machine = healthy_machine_for(manager, &opts, topo.clone());
     let mut gcfg = GupsConfig::paper(opts.scale, threads);
     gcfg.table_bytes = ((fast as f64 * ratio) as u64).max(16 << 20) & !((2 << 20) - 1);
     gcfg.rotate_every = None;
@@ -32,11 +25,7 @@ fn run_one(opts: &Opts, manager: &str, threads: usize, ratio: f64) -> f64 {
     // (write) bandwidth under thread scaling plus hot-set tracking.
     gcfg.cpu_ns_per_op = 150.0;
     let mut wl = Gups::new(gcfg);
-    let mut mgr: Box<dyn MemoryManager> = match manager {
-        "MTM" => Box::new(MtmManager::new(mtm_config(opts), 1)),
-        "hemem" => Box::new(HeMem::new(opts.promote_budget())),
-        other => panic!("unknown manager {other:?}"),
-    };
+    let mut mgr = build_manager(manager, &opts, &topo);
     let r = run_scenario(&mut machine, mgr.as_mut(), &mut wl, opts.intervals);
     // Giga-updates per second (scaled measure: updates/s / 1e9).
     r.ops_per_second_steady() / 1e9

@@ -71,8 +71,7 @@ fn heat_strip(heat: &[(tiersim::VirtAddr, u64)], table: VaRange, buckets: usize)
 pub fn run(opts: &Opts) -> String {
     // The two profiler runs are independent simulations; run them on the
     // worker pool.
-    use crate::runpool::{run_all, Job};
-    let jobs: Vec<Job<'_, (Detection, Gups)>> = vec![
+    let jobs: Vec<Box<dyn FnOnce() -> (Detection, Gups) + Send + '_>> = vec![
         Box::new(move || {
             let mut cfg = MtmConfig::default();
             cfg.promote_bytes = 0;
@@ -87,7 +86,7 @@ pub fn run(opts: &Opts) -> String {
             run_profiler(opts, Damon::new(dcfg), move |d| d.hot_ranges_above(thr.max(1)))
         }),
     ];
-    let mut out = run_all(jobs).into_iter();
+    let mut out = crate::runpool::map_parallel(jobs, |job| job()).into_iter();
     let (mtm, wl) = out.next().expect("MTM run");
     let (damon, _) = out.next().expect("DAMON run");
 

@@ -2,13 +2,8 @@
 //! (1%..10%) on VoltDB with a halved profiling interval (the paper uses
 //! 5 s there instead of 10 s).
 
-use mtm::MtmManager;
-use tiersim::machine::{Machine, MachineConfig};
-use tiersim::sim::run_scenario;
-use tiersim::tier::optane_four_tier;
-
 use crate::opts::Opts;
-use crate::runs::mtm_config;
+use crate::runs::RunSpec;
 use crate::tablefmt::{dur, TextTable};
 
 /// The sweep points of the paper.
@@ -18,17 +13,12 @@ pub const TARGETS: [f64; 5] = [0.01, 0.02, 0.03, 0.05, 0.10];
 /// on the worker pool) and returns `(target, app, profiling, migration)`
 /// rows in sweep order, each normalized to 1M transactions of work.
 pub fn measure(opts: &Opts) -> Vec<(f64, f64, f64, f64)> {
+    let mut halved = *opts;
+    halved.interval_ns /= 2.0; // The paper's 5 s interval.
     crate::runpool::map_parallel(TARGETS.to_vec(), |target| {
-        let topo = optane_four_tier(opts.scale);
-        let mut mc = MachineConfig::new(topo.clone(), opts.threads);
-        mc.interval_ns = opts.interval_ns / 2.0; // The paper's 5 s interval.
-        let mut machine = Machine::new(mc);
-        let mut cfg = mtm_config(opts);
-        cfg.overhead_target = target;
-        let mut mgr = MtmManager::new(cfg, topo.nodes as usize);
-        let mut wl = mtm_workloads::build_paper_workload("VoltDB", opts.scale, opts.threads)
-            .expect("VoltDB exists");
-        let r = run_scenario(&mut machine, &mut mgr, wl.as_mut(), opts.intervals);
+        let mut spec = RunSpec::new("MTM", "VoltDB", &halved).expect("MTM/VoltDB exists");
+        spec.mtm_mut().overhead_target = target;
+        let r = spec.run();
         let (b, ops) = r.steady();
         let k = 1e6 / ops.max(1) as f64;
         (target, b.app_ns * k, b.profiling_ns * k, b.migration_ns * k)

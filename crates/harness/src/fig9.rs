@@ -1,13 +1,8 @@
 //! Fig. 9: sensitivity to the merge/split thresholds tau_m and tau_s on
 //! VoltDB, for num_scans = 3 and 6.
 
-use mtm::MtmManager;
-use tiersim::machine::{Machine, MachineConfig};
-use tiersim::sim::run_scenario;
-use tiersim::tier::optane_four_tier;
-
 use crate::opts::Opts;
-use crate::runs::mtm_config;
+use crate::runs::RunSpec;
 use crate::tablefmt::{dur, TextTable};
 
 /// The paper's grid: `(num_scans, tau_m, tau_s)`.
@@ -30,18 +25,12 @@ pub const GRID: [(u32, f64, f64); 12] = [
 /// returns `(num_scans, tau_m, tau_s, total_ns)` in grid order.
 pub fn measure(opts: &Opts) -> Vec<(u32, f64, f64, f64)> {
     crate::runpool::map_parallel(GRID.to_vec(), |(scans, tau_m, tau_s)| {
-        let topo = optane_four_tier(opts.scale);
-        let mut mc = MachineConfig::new(topo.clone(), opts.threads);
-        mc.interval_ns = opts.interval_ns;
-        let mut machine = Machine::new(mc);
-        let mut cfg = mtm_config(opts).with_num_scans(scans);
+        let mut spec = RunSpec::new("MTM", "VoltDB", opts).expect("MTM/VoltDB exists");
+        let cfg = spec.mtm_mut();
+        cfg.num_scans = scans;
         cfg.tau_m = tau_m;
         cfg.tau_s = tau_s;
-        let mut mgr = MtmManager::new(cfg, topo.nodes as usize);
-        let mut wl = mtm_workloads::build_paper_workload("VoltDB", opts.scale, opts.threads)
-            .expect("VoltDB exists");
-        let r = run_scenario(&mut machine, &mut mgr, wl.as_mut(), opts.intervals);
-        (scans, tau_m, tau_s, r.ns_per_op_steady() * 1e6)
+        (scans, tau_m, tau_s, spec.run().ns_per_op_steady() * 1e6)
     })
 }
 

@@ -374,10 +374,7 @@ pub fn axes_unrestricted() -> bool {
 /// Renders the multi-tenant sweep over explicit axes (the env-driven
 /// entry point is [`run`]).
 pub fn render(opts: &Opts, counts: &[usize], arbiters: &[ArbiterKind]) -> String {
-    let (base_seed, seed_warning) = faultsim::plan::seed_from_env();
-    if let Some(w) = seed_warning {
-        eprintln!("warning: {w}");
-    }
+    let base_seed = crate::runs::fault_seed();
     let topo = optane_four_tier(opts.scale);
 
     // Solo references: each tenant alone on the whole machine, same

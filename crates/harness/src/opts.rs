@@ -87,11 +87,6 @@ impl Opts {
         ((200u64 << 20) * 16 / self.scale).max(4 << 21)
     }
 
-    /// A hashable cache key.
-    pub fn key(&self) -> (u64, usize, u64, u64) {
-        (self.scale, self.threads, self.intervals, self.interval_ns.to_bits())
-    }
-
     /// Formats a simulated byte count at paper scale (multiplying back).
     pub fn paper_bytes(&self, sim_bytes: u64) -> String {
         tiersim::addr::fmt_bytes(sim_bytes.saturating_mul(self.scale))
@@ -108,7 +103,7 @@ mod tests {
         let q = Opts::quick();
         assert!(q.scale > d.scale);
         assert!(q.intervals < d.intervals);
-        assert_ne!(d.key(), q.key());
+        assert_ne!(d, q);
     }
 
     #[test]

@@ -10,12 +10,11 @@
 //!
 //! Every run draws its schedule from a label-derived SplitMix64 stream
 //! seeded off `MTM_FAULT_SEED`, so the whole table is byte-identical for
-//! any `MTM_JOBS` value. The sweep deliberately bypasses both the run
-//! cache (plans are not part of its key) and the `MTM_FAULTS`
-//! environment plumbing (the levels are the experiment).
+//! any `MTM_JOBS` value. Each cell's [`RunSpec`] carries its level's
+//! plan in place of `MTM_FAULTS` (the levels are the experiment).
 
 use crate::opts::Opts;
-use crate::runs::{run_pair_with_faults, OVERALL_MANAGERS};
+use crate::runs::{RunSpec, OVERALL_MANAGERS};
 use crate::tablefmt::{f, TextTable};
 use tiersim::sim::RunReport;
 
@@ -71,11 +70,13 @@ pub fn level_spec(level: &str, intervals: u64) -> Option<String> {
 /// Runs one sweep cell. Public so tests can replay a single cell and
 /// compare against the table.
 pub fn run_cell(manager: &str, level: &str, opts: &Opts, base_seed: u64) -> RunReport {
-    let faults = level_spec(level, opts.intervals).map(|spec| {
+    let mut run = RunSpec::new(manager, WORKLOAD, opts)
+        .unwrap_or_else(|| panic!("unknown manager {manager:?}"));
+    run.faults = level_spec(level, opts.intervals).map(|spec| {
         let plan = faultsim::FaultPlan::parse(&spec).expect("built-in level specs parse");
         (plan, faultsim::derive_seed(base_seed, &format!("{manager}/{level}")))
     });
-    run_pair_with_faults(manager, WORKLOAD, opts, faults)
+    run.run()
 }
 
 /// How a run's wall time behaved after the bandwidth window closed.
@@ -111,10 +112,7 @@ fn recovery_intervals(faulty: &RunReport, healthy: &RunReport, window_end: u64) 
 
 /// Renders the robustness table.
 pub fn run(opts: &Opts) -> String {
-    let (base_seed, seed_warning) = faultsim::plan::seed_from_env();
-    if let Some(w) = seed_warning {
-        eprintln!("warning: {w}");
-    }
+    let base_seed = crate::runs::fault_seed();
     let cells: Vec<(usize, usize)> = (0..RESILIENCE_MANAGERS.len())
         .flat_map(|mi| (0..LEVELS.len()).map(move |li| (mi, li)))
         .collect();

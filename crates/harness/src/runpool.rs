@@ -3,21 +3,17 @@
 //! The evaluation matrix is embarrassingly parallel: every `(manager,
 //! workload, opts)` run owns its `Machine`, seeded RNG and manager, so
 //! runs can execute on any thread in any order and still produce
-//! bit-identical reports. This module provides the small worker pool the
-//! harness uses to exploit that: `std::thread::scope` workers pulling
-//! task indexes from a shared atomic counter, results returned in task
-//! order so callers stay deterministic.
+//! bit-identical reports. [`map_parallel`] exploits that on the same
+//! scoped-thread pool the simulator's packet engine uses
+//! ([`tiersim::engine::map_chunks`]), one item per packet, with results
+//! returned in item order so callers stay deterministic.
 //!
 //! The worker count defaults to `available_parallelism` and is overridden
 //! by the `MTM_JOBS` environment variable when set; `MTM_JOBS=1` forces
 //! the serial path (useful for timing comparisons and for
 //! byte-identical-output checks against the parallel path).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// A boxed task for [`run_all`].
-pub type Job<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
 
 /// Number of workers to use: `available_parallelism` by default, or
 /// exactly `MTM_JOBS` when that environment variable is set (an explicit
@@ -39,56 +35,29 @@ pub fn jobs() -> usize {
     }
 }
 
-/// Runs every task, using up to [`jobs`] worker threads, and returns the
-/// results in task order. With one worker (or one task) the tasks run
+/// Maps `f` over `items` on up to [`jobs`] worker threads and returns
+/// the results in item order. With one worker (or one item) the items run
 /// inline on the calling thread, in order — the exact serial behavior.
 ///
-/// A panicking task propagates its panic to the caller after all workers
-/// have stopped picking up new tasks.
-pub fn run_all<'a, T: Send>(tasks: Vec<Job<'a, T>>) -> Vec<T> {
-    let n = tasks.len();
-    let workers = jobs().min(n).max(1);
-    if workers == 1 {
-        return tasks.into_iter().map(|f| f()).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Job<'a, T>>>> =
-        tasks.into_iter().map(|f| Mutex::new(Some(f))).collect();
-    let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let task = slots[i].lock().expect("task slot poisoned").take().expect("task taken once");
-                let out = task();
-                *results[i].lock().expect("result slot poisoned") = Some(out);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| m.into_inner().expect("result slot poisoned").expect("worker filled every slot"))
-        .collect()
-}
-
-/// Maps `f` over `items` in parallel, preserving order.
+/// A panicking call propagates its panic to the caller after all workers
+/// have stopped picking up new items.
 pub fn map_parallel<I, T, F>(items: Vec<I>, f: F) -> Vec<T>
 where
     I: Send,
     T: Send,
     F: Fn(I) -> T + Sync,
 {
-    let f = &f;
-    run_all(items.into_iter().map(|it| Box::new(move || f(it)) as Job<'_, T>).collect())
+    let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|it| Mutex::new(Some(it))).collect();
+    tiersim::engine::map_chunks(jobs(), slots.len(), 1, |r| {
+        let item = slots[r.start].lock().expect("item slot poisoned").take();
+        f(item.expect("each item is taken once"))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn results_keep_task_order() {
@@ -109,14 +78,14 @@ mod tests {
     #[test]
     fn heterogeneous_boxed_jobs_run() {
         let a = 7u64;
-        let jobs: Vec<Job<'_, u64>> =
+        let jobs: Vec<Box<dyn FnOnce() -> u64 + Send>> =
             vec![Box::new(|| 1), Box::new(move || a), Box::new(|| 40 + 2)];
-        assert_eq!(run_all(jobs), vec![1, 7, 42]);
+        assert_eq!(map_parallel(jobs, |job| job()), vec![1, 7, 42]);
     }
 
     #[test]
     fn empty_task_list_is_fine() {
-        let out: Vec<u8> = run_all(Vec::new());
+        let out: Vec<u8> = map_parallel(Vec::new(), |x: u8| x);
         assert!(out.is_empty());
     }
 

@@ -326,10 +326,7 @@ pub fn run_churn_cell(
                             .unwrap_or_else(|| panic!("unknown generator {workload:?}"));
                     let mut cfg = cfg;
                     cfg.seed ^= faultsim::derive_seed(SCENARIO_SALT_BASE, name);
-                    let mut machine = healthy_machine_for(manager, opts, topo.clone());
-                    if mtm_check::enabled() {
-                        machine.set_checking(true);
-                    }
+                    let machine = healthy_machine_for(manager, opts, topo.clone());
                     live.push(ChurnTenant {
                         name: name.clone(),
                         workload_name: workload.clone(),

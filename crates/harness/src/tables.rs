@@ -1,13 +1,11 @@
 //! Tables 1, 2, 4 and 6 of the paper.
 
 use mtm::config::InitialPlacement;
-use mtm::MtmManager;
-use tiersim::machine::{Machine, MachineConfig};
-use tiersim::sim::{drive_interval, MemoryManager};
+use tiersim::sim::drive_interval;
 use tiersim::tier::optane_four_tier;
 
 use crate::opts::Opts;
-use crate::runs::mtm_config;
+use crate::runs::RunSpec;
 use crate::tablefmt::{f, TextTable};
 
 /// Table 1: the simulated hardware.
@@ -59,17 +57,11 @@ pub fn table2(opts: &Opts) -> String {
 pub fn table4(opts: &Opts) -> String {
     let milestones = 5;
     let run_one = |placement: InitialPlacement| -> (Vec<f64>, u64) {
-        let topo = optane_four_tier(opts.scale);
-        let mut mc = MachineConfig::new(topo.clone(), opts.threads);
-        mc.interval_ns = opts.interval_ns;
-        let mut machine = Machine::new(mc);
-        let mut cfg = mtm_config(opts);
-        cfg.initial_placement = placement;
-        let mut mgr = MtmManager::new(cfg, topo.nodes as usize);
-        let mut wl = mtm_workloads::build_paper_workload("GUPS", opts.scale, opts.threads)
-            .expect("GUPS exists");
+        let mut spec = RunSpec::new("MTM", "GUPS", opts).expect("MTM/GUPS exists");
+        spec.mtm_mut().initial_placement = placement;
+        let (mut machine, mut mgr, mut wl) = spec.build();
         {
-            let mut env = tiersim::sim::SimEnv { machine: &mut machine, manager: &mut mgr };
+            let mut env = tiersim::sim::SimEnv { machine: &mut machine, manager: mgr.as_mut() };
             wl.setup(&mut env);
         }
         mgr.init(&mut machine);
@@ -77,7 +69,7 @@ pub fn table4(opts: &Opts) -> String {
         // Record (ops, time) after each interval.
         let mut trace = Vec::new();
         for ivl in 0..opts.intervals {
-            drive_interval(&mut machine, &mut mgr, wl.as_mut(), ivl);
+            drive_interval(&mut machine, mgr.as_mut(), wl.as_mut(), ivl);
             mgr.on_interval(&mut machine, ivl);
             wl.end_of_interval(ivl);
             trace.push((wl.ops_completed(), machine.elapsed_ns()));

@@ -5,7 +5,8 @@
 
 use mtm_harness::opts::Opts;
 use mtm_harness::resilience::RESILIENCE_MANAGERS;
-use mtm_harness::runs::{run_pair_checked, run_pair_with_faults, WORKLOADS};
+use mtm_harness::runs::{RunSpec, WORKLOADS};
+use tiersim::sim::{run_scenario, RunReport};
 
 /// Small-but-representative options for the checked sweep: large enough
 /// that every manager actually migrates, small enough that 48 uncached
@@ -19,11 +20,23 @@ fn sweep_opts() -> Opts {
     o
 }
 
+/// Runs a pair with the shadow-state sanitizer armed for the whole run
+/// regardless of `MTM_CHECK`, plus a final consistency sweep after the
+/// last interval. Panics on any invariant violation.
+fn run_checked(manager: &str, workload: &str, opts: &Opts) -> RunReport {
+    let spec = RunSpec::new(manager, workload, opts).expect("known pair");
+    let (mut machine, mut mgr, mut wl) = spec.build();
+    machine.set_checking(true);
+    let report = run_scenario(&mut machine, mgr.as_mut(), wl.as_mut(), opts.intervals);
+    machine.verify_consistency("end of run");
+    report
+}
+
 #[test]
 fn checked_run_is_behaviourally_identical() {
     let opts = Opts::quick();
-    let checked = run_pair_checked("MTM", "GUPS", &opts, None);
-    let unchecked = run_pair_with_faults("MTM", "GUPS", &opts, None);
+    let checked = run_checked("MTM", "GUPS", &opts);
+    let unchecked = RunSpec::new("MTM", "GUPS", &opts).expect("known pair").run();
     // The sanitizer only observes: same simulation, same report, down to
     // every counter and telemetry event.
     assert_eq!(
@@ -42,7 +55,7 @@ fn checked_matrix_passes_all_managers_and_workloads() {
                 for workload in WORKLOADS {
                     // Panics (with the structured MTM_CHECK message) on
                     // any invariant violation mid-run or at the end.
-                    let report = run_pair_checked(manager, workload, &opts, None);
+                    let report = run_checked(manager, workload, &opts);
                     assert!(
                         report.ops_completed > 0,
                         "{manager} x {workload}: no work completed"

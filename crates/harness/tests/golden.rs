@@ -12,7 +12,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use mtm_harness::runs::{run_pair, run_pair_with_faults};
+use mtm_harness::runs::RunSpec;
 use mtm_harness::tablefmt::TextTable;
 use mtm_harness::Opts;
 use tiersim::sim::RunReport;
@@ -31,7 +31,11 @@ fn tiny() -> Opts {
 /// rides along with each run, so a regression in either the simulation
 /// or the instrumentation shifts a cell.
 fn render() -> String {
-    render_with(|m, w, o| run_pair(m, w, o))
+    render_with(|m, w, o| spec(m, w, o).run())
+}
+
+fn spec(manager: &str, workload: &str, opts: &Opts) -> RunSpec {
+    RunSpec::new(manager, workload, opts).expect("known pair")
 }
 
 fn render_with(run: impl Fn(&str, &str, &Opts) -> RunReport) -> String {
@@ -87,11 +91,11 @@ fn report_matches_golden_fixture() {
     );
 }
 
-/// Healthy-path guard for the fault subsystem: routing runs through the
-/// fault-aware entry point with no plan installed must reproduce the
-/// golden fixture byte for byte. A disabled fault plane that consumed
-/// RNG draws, perturbed bandwidth, or shifted telemetry would show up
-/// here as a fixture mismatch.
+/// Healthy-path guard for the fault subsystem: installing a disabled
+/// plan (with a non-default seed) must reproduce the golden fixture byte
+/// for byte. A disabled fault plane that consumed RNG draws, perturbed
+/// bandwidth, or shifted telemetry would show up here as a fixture
+/// mismatch.
 #[test]
 fn disabled_fault_plane_reproduces_the_golden_fixture() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/report.txt");
@@ -99,7 +103,11 @@ fn disabled_fault_plane_reproduces_the_golden_fixture() {
         // `report_matches_golden_fixture` owns the missing-fixture error.
         return;
     };
-    let got = render_with(|m, w, o| run_pair_with_faults(m, w, o, None));
+    let got = render_with(|m, w, o| {
+        let mut run = spec(m, w, o);
+        run.faults = Some((faultsim::FaultPlan::default(), 0xfee1_dead));
+        run.run()
+    });
     assert_eq!(got, want, "a disabled fault plane must not move a single byte of the report");
 }
 
@@ -109,10 +117,11 @@ fn disabled_fault_plane_reproduces_the_golden_fixture() {
 #[test]
 fn faulty_runs_replay_identically() {
     let opts = tiny();
-    let spec = "busy=0.3,allocfail=0.2,droppebs=0.5,drophint=0.5";
+    let plan = "busy=0.3,allocfail=0.2,droppebs=0.5,drophint=0.5";
     let run = || {
-        let plan = faultsim::FaultPlan::parse(spec).unwrap();
-        run_pair_with_faults("hemem", "GUPS", &opts, Some((plan, 0xfee1_dead)))
+        let mut run = spec("hemem", "GUPS", &opts);
+        run.faults = Some((faultsim::FaultPlan::parse(plan).unwrap(), 0xfee1_dead));
+        run.run()
     };
     let (a, b) = (run(), run());
     assert_eq!(a.ops_completed, b.ops_completed);

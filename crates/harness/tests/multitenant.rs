@@ -10,7 +10,7 @@
 use mtm::arbiter::ArbiterKind;
 use mtm_harness::multitenant::{render, run_cell, tenant_specs};
 use mtm_harness::resilience::RESILIENCE_MANAGERS;
-use mtm_harness::runs::run_pair_with_faults;
+use mtm_harness::runs::RunSpec;
 use mtm_harness::Opts;
 
 /// Tiny but real run options (same idiom as the parallel tests), with a
@@ -29,7 +29,7 @@ fn single_tenant_cell_is_identical_to_the_legacy_path() {
     let opts = tiny(3);
     let specs = tenant_specs(1);
     for manager in RESILIENCE_MANAGERS {
-        let legacy = run_pair_with_faults(manager, "GUPS", &opts, None);
+        let legacy = RunSpec::new(manager, "GUPS", &opts).expect("known pair").run();
         let mt = run_cell(
             manager,
             &specs,
@@ -60,7 +60,7 @@ fn single_tenant_cell_is_identical_to_the_legacy_path() {
 fn single_tenant_identity_holds_for_every_arbiter() {
     let opts = tiny(2);
     let specs = tenant_specs(1);
-    let legacy = run_pair_with_faults("MTM", "GUPS", &opts, None);
+    let legacy = RunSpec::new("MTM", "GUPS", &opts).expect("known pair").run();
     for arbiter in [
         ArbiterKind::StaticEqual,
         ArbiterKind::FootprintProportional,

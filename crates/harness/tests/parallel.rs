@@ -8,8 +8,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
-use mtm_harness::runpool::{self, Job};
-use mtm_harness::runs::{cached_run_traced, prewarm, run_pair};
+use mtm_harness::runpool;
+use mtm_harness::runs::{cached_run_traced, prewarm, RunSpec};
 use mtm_harness::Opts;
 
 fn force_parallel() {
@@ -27,6 +27,10 @@ fn tiny(intervals: u64) -> Opts {
     o
 }
 
+fn spec(manager: &str, workload: &str, opts: &Opts) -> RunSpec {
+    RunSpec::new(manager, workload, opts).expect("known pair")
+}
+
 #[test]
 fn same_key_runs_exactly_once_across_threads() {
     force_parallel();
@@ -39,7 +43,7 @@ fn same_key_runs_exactly_once_across_threads() {
             let start = start.clone();
             std::thread::spawn(move || {
                 start.wait(); // maximize contention on the one key
-                let (report, ran) = cached_run_traced("first-touch", "GUPS", &opts);
+                let (report, ran) = cached_run_traced(&spec("first-touch", "GUPS", &opts));
                 if ran {
                     executed.fetch_add(1, Ordering::Relaxed);
                 }
@@ -61,16 +65,16 @@ fn distinct_keys_execute_in_parallel_on_the_pool() {
     // Both tasks block until the other has started: this only terminates
     // if the pool really runs distinct tasks concurrently.
     let rendezvous = Barrier::new(2);
-    let jobs: Vec<Job<'_, usize>> = (0..2usize)
+    let jobs: Vec<Box<dyn FnOnce() -> usize + Send + '_>> = (0..2usize)
         .map(|i| {
             let rendezvous = &rendezvous;
             Box::new(move || {
                 rendezvous.wait();
                 i
-            }) as Job<'_, usize>
+            }) as Box<dyn FnOnce() -> usize + Send + '_>
         })
         .collect();
-    assert_eq!(runpool::run_all(jobs), vec![0, 1]);
+    assert_eq!(runpool::map_parallel(jobs, |job| job()), vec![0, 1]);
 }
 
 #[test]
@@ -80,11 +84,11 @@ fn parallel_prewarm_is_bit_identical_to_serial_runs() {
     let pairs = [("first-touch", "GUPS"), ("MTM", "GUPS"), ("autonuma", "BFS"), ("hemem", "SSSP")];
     // Serial ground truth: direct runs, no cache involved.
     let serial: Vec<String> =
-        pairs.iter().map(|&(m, w)| format!("{:?}", run_pair(m, w, &opts))).collect();
+        pairs.iter().map(|&(m, w)| format!("{:?}", spec(m, w, &opts).run())).collect();
     // Parallel: prewarm the matrix on the pool, then read the cache.
     prewarm(&pairs, &opts);
     for (i, &(m, w)) in pairs.iter().enumerate() {
-        let (report, ran) = cached_run_traced(m, w, &opts);
+        let (report, ran) = cached_run_traced(&spec(m, w, &opts));
         assert!(!ran, "prewarm already executed {m}/{w}");
         assert_eq!(
             serial[i],
@@ -100,14 +104,14 @@ fn telemetry_is_deterministic_and_identical_through_the_cache() {
     let opts = tiny(4);
     // Two independent executions of the same (manager, workload, opts)
     // serialize to byte-identical telemetry JSON.
-    let a = run_pair("MTM", "GUPS", &opts).telemetry.to_json();
-    let b = run_pair("MTM", "GUPS", &opts).telemetry.to_json();
+    let a = spec("MTM", "GUPS", &opts).run().telemetry.to_json();
+    let b = spec("MTM", "GUPS", &opts).run().telemetry.to_json();
     assert_eq!(a, b, "telemetry must be deterministic across runs");
     // The snapshot travels inside the cached report, so the pooled
     // prewarm path (any MTM_JOBS) serves the exact same bytes as the
     // serial direct runs above.
     prewarm(&[("MTM", "GUPS")], &opts);
-    let (report, ran) = cached_run_traced("MTM", "GUPS", &opts);
+    let (report, ran) = cached_run_traced(&spec("MTM", "GUPS", &opts));
     assert!(!ran, "prewarm already executed the run");
     assert_eq!(report.telemetry.to_json(), a, "cached telemetry differs from serial");
     // The JSON parses and carries the full schema.
@@ -130,6 +134,6 @@ fn prewarm_tolerates_duplicates_and_repeats() {
         [("first-touch", "SSSP"), ("first-touch", "SSSP"), ("first-touch", "SSSP")];
     prewarm(&pairs, &opts);
     prewarm(&pairs, &opts); // all hits, still fine
-    let (_, ran) = cached_run_traced("first-touch", "SSSP", &opts);
+    let (_, ran) = cached_run_traced(&spec("first-touch", "SSSP", &opts));
     assert!(!ran);
 }

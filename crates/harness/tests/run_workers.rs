@@ -8,10 +8,9 @@
 //! environment variable, so they cannot race with other tests in the
 //! same process.
 
-use mtm_harness::runs::{build_manager, machine_for};
+use mtm_harness::runs::RunSpec;
 use mtm_harness::Opts;
-use tiersim::sim::{run_scenario, RunReport, Workload};
-use tiersim::tier::optane_four_tier;
+use tiersim::sim::{run_scenario, RunReport};
 
 /// Tiny but real run options (same shape as the parallel-cache tests).
 fn tiny(intervals: u64) -> Opts {
@@ -33,14 +32,10 @@ fn run_with_workers(
     workers: usize,
     checked: bool,
 ) -> RunReport {
-    let topo = optane_four_tier(opts.scale);
-    let mut machine = machine_for(manager, opts, topo.clone());
+    let spec = RunSpec::new(manager, workload, opts).expect("known pair");
+    let (mut machine, mut mgr, mut wl) = spec.build();
     machine.set_run_workers(workers);
     machine.set_checking(checked);
-    let mut mgr = build_manager(manager, opts, &topo);
-    let mut wl: Box<dyn Workload> =
-        mtm_workloads::build_paper_workload(workload, opts.scale, opts.threads)
-            .unwrap_or_else(|| panic!("unknown workload {workload:?}"));
     let report = run_scenario(&mut machine, mgr.as_mut(), wl.as_mut(), opts.intervals);
     if checked {
         machine.verify_consistency("end of run");

@@ -5,8 +5,8 @@
 //! sweeps over the page table (sampling accessed bits, collecting a
 //! migration move-set, taking the sanitizer census). This module executes
 //! such sweeps as *work packets*: contiguous index chunks pulled from a
-//! shared atomic counter by a small `std::thread::scope` pool (the same
-//! dependency-free shape as the harness's `runpool`), with results
+//! shared atomic counter by a small `std::thread::scope` pool (the
+//! harness's `runpool` maps whole runs over it too), with results
 //! reduced **in packet order**. Because every packet is a pure function
 //! of shared read-only state and the reduction order is fixed, the output
 //! is byte-identical for any worker count — `MTM_RUN_WORKERS=1` and `=8`

@@ -9,7 +9,7 @@
 //! cargo run --release --example gups_tiering
 //! ```
 
-use mtm_harness::runs::run_pair;
+use mtm_harness::runs::RunSpec;
 use mtm_harness::Opts;
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
 
     let mut base = None;
     for mgr in ["first-touch", "autonuma", "hemem", "MTM"] {
-        let r = run_pair(mgr, "GUPS", &opts);
+        let r = RunSpec::new(mgr, "GUPS", &opts).expect("known pair").run();
         let steady = r.ns_per_op_steady();
         let base_v = *base.get_or_insert(steady);
         println!(

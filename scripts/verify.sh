@@ -11,6 +11,59 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+fail() {
+    echo "verify: FAIL ($*)"
+    exit 1
+}
+
+# same <a> <b> <msg>: the two files must be byte-identical.
+same() {
+    cmp -s "$1" "$2" || fail "$3"
+}
+
+# smoke <bin> <out> [ENV=value ...]: runs a harness binary in quick mode
+# with the given environment, stdout to <out>. Any `warning:` line on
+# stderr — an ignored env override, an n/a experiment row, a failed
+# result write — fails verify, as does a nonzero exit.
+smoke() {
+    local bin=$1 out=$2
+    shift 2
+    echo "==> $bin smoke (MTM_QUICK=1 $*)"
+    if ! env MTM_QUICK=1 "$@" cargo run --release -q -p mtm-harness --bin "$bin" \
+            >"$out" 2>"$tmp/err"; then
+        cat "$tmp/err" >&2
+        fail "$bin smoke run failed under $*"
+    fi
+    if grep -E '^warning:' "$tmp/err"; then
+        fail "warning lines on $bin stderr under $*, see above"
+    fi
+}
+
+# matrix <bin> <artifact> <base env> <variant env>...: smokes <bin> under
+# the base environment, then under each variant, and requires every
+# variant to reproduce the base's <artifact> byte for byte. The artifact
+# `stdout` compares standard output (for runs that leave the committed
+# results file alone).
+matrix() {
+    local bin=$1 art=$2 base=$3 out=/dev/null
+    shift 3
+    if [ "$art" = stdout ]; then
+        out="$tmp/out"
+        art="$tmp/out"
+    fi
+    # shellcheck disable=SC2086 # env lists are word-split on purpose
+    smoke "$bin" "$out" $base
+    cp "$art" "$tmp/base"
+    for variant in "$@"; do
+        # shellcheck disable=SC2086
+        smoke "$bin" "$out" $variant
+        same "$tmp/base" "$art" "$bin output under $variant differs from $base"
+    done
+}
+
 cargo build --release --workspace
 cargo test -q --workspace
 
@@ -25,308 +78,76 @@ cargo test -q --workspace
 # the seeded fixture corpus against its golden findings and the clean
 # twin against zero, and holds the semantic pass to a <10s budget.
 echo "==> workspace lint (bin/lint --json, fixture corpus, <10s budget)"
-lint_out=$(mktemp)
+lint() {
+    cargo run --release -q -p mtm-lint --bin lint -- "$@"
+}
 lint_start=$(date +%s)
-if ! cargo run --release -q -p mtm-lint --bin lint -- --json >"$lint_out"; then
-    cat "$lint_out"
-    rm -f "$lint_out"
-    echo "verify: FAIL (lint findings, see above)"
-    exit 1
-fi
+lint --json >"$tmp/lint.json" || { cat "$tmp/lint.json"; fail "lint findings, see above"; }
 lint_elapsed=$(( $(date +%s) - lint_start ))
-if ! python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$lint_out" 2>/dev/null; then
-    cat "$lint_out"
-    rm -f "$lint_out"
-    echo "verify: FAIL (lint --json emitted invalid JSON)"
-    exit 1
+python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$tmp/lint.json" 2>/dev/null \
+    || { cat "$tmp/lint.json"; fail "lint --json emitted invalid JSON"; }
+if lint crates/lint/fixtures/corpus >"$tmp/corpus" 2>/dev/null; then
+    fail "seeded fixture corpus reported no findings"
 fi
-if cargo run --release -q -p mtm-lint --bin lint -- crates/lint/fixtures/corpus \
-        >"$lint_out" 2>/dev/null; then
-    rm -f "$lint_out"
-    echo "verify: FAIL (seeded fixture corpus reported no findings)"
-    exit 1
-fi
-if ! diff -u crates/lint/fixtures/corpus/expected.txt "$lint_out"; then
-    rm -f "$lint_out"
-    echo "verify: FAIL (corpus findings drifted from golden expected.txt)"
-    exit 1
-fi
-rm -f "$lint_out"
-if ! cargo run --release -q -p mtm-lint --bin lint -- crates/lint/fixtures/clean; then
-    echo "verify: FAIL (clean fixture twin has findings)"
-    exit 1
-fi
-if [ "$lint_elapsed" -ge 10 ]; then
-    echo "verify: FAIL (semantic lint took ${lint_elapsed}s, budget is <10s)"
-    exit 1
-fi
+diff -u crates/lint/fixtures/corpus/expected.txt "$tmp/corpus" \
+    || fail "corpus findings drifted from golden expected.txt"
+lint crates/lint/fixtures/clean || fail "clean fixture twin has findings"
+[ "$lint_elapsed" -lt 10 ] || fail "semantic lint took ${lint_elapsed}s, budget is <10s"
 
 if [[ "${1:-}" != "--no-bench" ]]; then
     cargo bench -p mtm-bench -- --quick
 fi
 
-# Parallel quick-mode smoke: run the whole harness (bin/all) on 4 workers.
-# This exercises the worker pool, the single-flight run cache and the
-# stderr diagnostics end to end. Any `warning:` line — an ignored env
-# override, an n/a experiment row, a failed result write — fails verify.
-echo "==> quick harness smoke (MTM_QUICK=1 MTM_JOBS=4)"
-smoke_err=$(mktemp)
-trap 'rm -f "$smoke_err" "$smoke_err.all" "$smoke_err.adm" "$smoke_err.mt1" "$smoke_err.mt4" "$smoke_err.sc1" "$smoke_err.sc4"' EXIT
-if ! MTM_QUICK=1 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin all \
-        >/dev/null 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (bin/all smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on harness stderr, see above)"
-    exit 1
-fi
-cp results/ALL.txt "$smoke_err.all"
+# The whole harness (bin/all) on 4 workers exercises the worker pool, the
+# single-flight run cache and the stderr diagnostics end to end. Two
+# variants must leave results/ALL.txt byte-identical:
+# - MTM_CHECK=1 arms the shadow-state sanitizer. Every migration
+#   commit/abort and every interval boundary re-verifies PTE<->frame
+#   consistency, tier occupancy and the obs counter/event books; a
+#   violation panics the run. The sanitizer is read-only.
+# - MTM_RUN_WORKERS=4 fans the intra-run packet engine out. Profiling
+#   scans and census sweeps reduce in packet order, so thread scheduling
+#   cannot move a byte.
+matrix all results/ALL.txt "MTM_JOBS=4" "MTM_CHECK=1 MTM_JOBS=4" "MTM_RUN_WORKERS=4 MTM_JOBS=4"
 
-# Sanitized smoke: the same quick matrix with the MTM_CHECK shadow-state
-# sanitizer armed. Every migration commit/abort and every interval
-# boundary re-verifies PTE<->frame consistency, tier occupancy and the
-# obs counter/event books; a violation panics the run. The sanitizer is
-# read-only, so results/ALL.txt must come out byte-identical to the
-# unchecked run above.
-echo "==> sanitized harness smoke (MTM_CHECK=1 MTM_QUICK=1 MTM_JOBS=4)"
-if ! MTM_CHECK=1 MTM_QUICK=1 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin all \
-        >/dev/null 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (MTM_CHECK smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on MTM_CHECK smoke stderr, see above)"
-    exit 1
-fi
-if ! cmp -s "$smoke_err.all" results/ALL.txt; then
-    echo "verify: FAIL (MTM_CHECK=1 perturbed results/ALL.txt)"
-    exit 1
-fi
-
-# Packet-engine determinism: the same quick matrix with the intra-run
-# worker pool fanned out to 4 packet workers. The interval loop's
-# profiling scans and census sweeps reduce in packet order, so
-# results/ALL.txt must come out byte-identical to the serial
-# (MTM_RUN_WORKERS=1) run above regardless of thread scheduling.
-echo "==> packet-engine smoke (MTM_RUN_WORKERS=4 MTM_QUICK=1 MTM_JOBS=4)"
-if ! MTM_RUN_WORKERS=4 MTM_QUICK=1 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin all \
-        >/dev/null 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (MTM_RUN_WORKERS smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on MTM_RUN_WORKERS smoke stderr, see above)"
-    exit 1
-fi
-if ! cmp -s "$smoke_err.all" results/ALL.txt; then
-    echo "verify: FAIL (MTM_RUN_WORKERS=4 perturbed results/ALL.txt)"
-    exit 1
-fi
-
-# Telemetry smoke: the same quick matrix with MTM_TELEMETRY=1 must emit
-# per-run JSON under results/telemetry/ that parses and carries the
-# required top-level keys (telemetry_check validates every file). The
-# warning: gate applies here too.
-echo "==> telemetry smoke (MTM_TELEMETRY=1 MTM_QUICK=1 MTM_JOBS=4)"
+# Telemetry: MTM_TELEMETRY=1 must emit per-run JSON under
+# results/telemetry/ that parses and carries the required top-level keys
+# (telemetry_check validates every file).
 rm -rf results/telemetry
-if ! MTM_TELEMETRY=1 MTM_QUICK=1 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin all \
-        >/dev/null 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (telemetry smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on telemetry smoke stderr, see above)"
-    exit 1
-fi
-if ! cargo run --release -q -p mtm-harness --bin telemetry_check; then
-    echo "verify: FAIL (emitted telemetry is malformed)"
-    exit 1
-fi
+smoke all /dev/null MTM_TELEMETRY=1 MTM_JOBS=4
+cargo run --release -q -p mtm-harness --bin telemetry_check || fail "emitted telemetry is malformed"
 
-# Resilience smoke: the fault-injection sweep (bin/resilience) across all
-# managers in quick mode at the default seed (so the overwritten
-# results/resilience.txt matches the committed artifact byte for byte).
-# Exercises the FaultPlan parser, the retry/abort/deferral machinery and
-# the robustness table end to end, with the shadow-state sanitizer armed
-# so migration aborts are checked too; the warning: gate applies here.
-echo "==> resilience smoke (MTM_CHECK=1 MTM_QUICK=1 MTM_JOBS=4)"
-if ! MTM_CHECK=1 MTM_QUICK=1 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin resilience \
-        >/dev/null 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (resilience smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on resilience stderr, see above)"
-    exit 1
-fi
+# Resilience: the fault-injection sweep across all managers at the
+# default seed (so the overwritten results/resilience.txt matches the
+# committed artifact byte for byte). Exercises the FaultPlan parser, the
+# retry/abort/deferral machinery and the robustness table end to end,
+# with the sanitizer armed so migration aborts are checked too.
+smoke resilience /dev/null MTM_CHECK=1 MTM_JOBS=4
 
-# Admission smoke: the admission-control/shadow-copy sweep
-# (bin/admission) in quick mode. Three passes: MTM_JOBS=1 and MTM_JOBS=4
-# must produce byte-identical results/admission.txt (the sweep seeds
-# every cell from its own label, never from execution order), and a
-# MTM_CHECK=1 pass must pass the sanitizer — shadow-copy retention
-# changes the allocator books (used == mapped + shadow), so this is the
-# cell where a broken shadow ledger would surface. The warning: gate
-# applies to all three.
-echo "==> admission smoke (MTM_QUICK=1, MTM_JOBS=1 vs 4, then MTM_CHECK=1)"
-if ! MTM_QUICK=1 MTM_JOBS=1 cargo run --release -q -p mtm-harness --bin admission \
-        >/dev/null 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (admission smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on admission stderr, see above)"
-    exit 1
-fi
-cp results/admission.txt "$smoke_err.adm"
-if ! MTM_QUICK=1 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin admission \
-        >/dev/null 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (admission MTM_JOBS=4 smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on admission MTM_JOBS=4 stderr, see above)"
-    exit 1
-fi
-if ! cmp -s "$smoke_err.adm" results/admission.txt; then
-    echo "verify: FAIL (results/admission.txt differs between MTM_JOBS=1 and 4)"
-    exit 1
-fi
-if ! MTM_CHECK=1 MTM_QUICK=1 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin admission \
-        >/dev/null 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (admission MTM_CHECK smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on admission MTM_CHECK stderr, see above)"
-    exit 1
-fi
-if ! cmp -s "$smoke_err.adm" results/admission.txt; then
-    echo "verify: FAIL (MTM_CHECK=1 perturbed results/admission.txt)"
-    exit 1
-fi
+# Admission: the admission-control/shadow-copy sweep must not depend on
+# MTM_JOBS (every cell is seeded from its own label, never from execution
+# order), and must pass the sanitizer — shadow-copy retention changes the
+# allocator books (used == mapped + shadow), so this is the cell where a
+# broken shadow ledger would surface.
+matrix admission results/admission.txt "MTM_JOBS=1" "MTM_JOBS=4" "MTM_CHECK=1 MTM_JOBS=4"
 
-# Multi-tenant smoke: the global-arbitration sweep (bin/multitenant)
-# restricted to 2 tenants. The table must be byte-identical between
-# MTM_JOBS=1 and MTM_JOBS=4 (cells and solo references are seeded from
-# tenant/workload labels, never execution order), and an MTM_CHECK=1 pass
-# arms the shadow-state sanitizer plus the per-tenant quota-partition
-# census at every interval boundary without changing a byte. With
-# MTM_TENANTS set the bin does not touch the committed
-# results/multitenant.txt, so stdout is compared directly. The warning:
-# gate applies to all three passes.
-echo "==> multitenant smoke (MTM_QUICK=1 MTM_TENANTS=2, MTM_JOBS=1 vs 4, then MTM_CHECK=1)"
-if ! MTM_QUICK=1 MTM_TENANTS=2 MTM_JOBS=1 cargo run --release -q -p mtm-harness --bin multitenant \
-        >"$smoke_err.mt1" 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (multitenant smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on multitenant stderr, see above)"
-    exit 1
-fi
-if ! MTM_QUICK=1 MTM_TENANTS=2 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin multitenant \
-        >"$smoke_err.mt4" 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (multitenant MTM_JOBS=4 smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on multitenant MTM_JOBS=4 stderr, see above)"
-    exit 1
-fi
-if ! cmp -s "$smoke_err.mt1" "$smoke_err.mt4"; then
-    echo "verify: FAIL (multitenant table differs between MTM_JOBS=1 and 4)"
-    exit 1
-fi
-if ! MTM_CHECK=1 MTM_QUICK=1 MTM_TENANTS=2 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin multitenant \
-        >"$smoke_err.mt4" 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (multitenant MTM_CHECK smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on multitenant MTM_CHECK stderr, see above)"
-    exit 1
-fi
-if ! cmp -s "$smoke_err.mt1" "$smoke_err.mt4"; then
-    echo "verify: FAIL (MTM_CHECK=1 perturbed the multitenant table)"
-    exit 1
-fi
+# Multi-tenant: the global-arbitration sweep restricted to 2 tenants.
+# Cells and solo references are seeded from tenant/workload labels, never
+# execution order; MTM_CHECK=1 adds the per-tenant quota-partition census
+# at every interval boundary. With MTM_TENANTS set the bin does not touch
+# the committed results/multitenant.txt, so stdout is compared.
+mt="MTM_TENANTS=2"
+matrix multitenant stdout "$mt MTM_JOBS=1" "$mt MTM_JOBS=4" "MTM_CHECK=1 $mt MTM_JOBS=4"
 
-# Scenario smoke: the serving-generator/churn sweep (bin/scenarios) at a
-# short horizon. The table must be byte-identical between MTM_JOBS=1 and
-# MTM_JOBS=4 and between MTM_RUN_WORKERS=1 and 4 (cells are pure
-# functions of their labels; the churn cell steps tenants lock-step
-# serial), and an MTM_CHECK=1 pass arms the sanitizer without changing a
-# byte. Every full-sweep pass also exercises the checkpoint machinery:
+# Scenarios: the serving-generator/churn sweep at a short horizon. Cells
+# are pure functions of their labels and the churn cell steps tenants
+# lock-step serial. Every pass also runs the checkpoint differential:
 # the bin saves the MTM/KVDrift cell mid-run, resumes it in fresh
-# objects, and asserts the resumed report is byte-identical — a failed
-# differential panics the run. With MTM_SCENARIO_INTERVALS set the bin
-# does not touch the committed results/scenarios.txt, so stdout is
-# compared directly. The warning: gate applies to all passes.
-echo "==> scenario smoke (MTM_QUICK=1 MTM_SCENARIO_INTERVALS=12, MTM_JOBS/MTM_RUN_WORKERS 1 vs 4, then MTM_CHECK=1)"
-if ! MTM_QUICK=1 MTM_SCENARIO_INTERVALS=12 MTM_JOBS=1 cargo run --release -q -p mtm-harness --bin scenarios \
-        >"$smoke_err.sc1" 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (scenario smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on scenario stderr, see above)"
-    exit 1
-fi
-if ! MTM_QUICK=1 MTM_SCENARIO_INTERVALS=12 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin scenarios \
-        >"$smoke_err.sc4" 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (scenario MTM_JOBS=4 smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on scenario MTM_JOBS=4 stderr, see above)"
-    exit 1
-fi
-if ! cmp -s "$smoke_err.sc1" "$smoke_err.sc4"; then
-    echo "verify: FAIL (scenario table differs between MTM_JOBS=1 and 4)"
-    exit 1
-fi
-if ! MTM_QUICK=1 MTM_SCENARIO_INTERVALS=12 MTM_RUN_WORKERS=4 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin scenarios \
-        >"$smoke_err.sc4" 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (scenario MTM_RUN_WORKERS=4 smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on scenario MTM_RUN_WORKERS stderr, see above)"
-    exit 1
-fi
-if ! cmp -s "$smoke_err.sc1" "$smoke_err.sc4"; then
-    echo "verify: FAIL (MTM_RUN_WORKERS=4 perturbed the scenario table)"
-    exit 1
-fi
-if ! MTM_CHECK=1 MTM_QUICK=1 MTM_SCENARIO_INTERVALS=12 MTM_JOBS=4 cargo run --release -q -p mtm-harness --bin scenarios \
-        >"$smoke_err.sc4" 2>"$smoke_err"; then
-    cat "$smoke_err" >&2
-    echo "verify: FAIL (scenario MTM_CHECK smoke run failed)"
-    exit 1
-fi
-if grep -E '^warning:' "$smoke_err"; then
-    echo "verify: FAIL (warning lines on scenario MTM_CHECK stderr, see above)"
-    exit 1
-fi
-if ! cmp -s "$smoke_err.sc1" "$smoke_err.sc4"; then
-    echo "verify: FAIL (MTM_CHECK=1 perturbed the scenario table)"
-    exit 1
-fi
+# objects, and panics unless the resumed report is byte-identical. With
+# MTM_SCENARIO_INTERVALS set the committed results/scenarios.txt is left
+# alone, so stdout is compared.
+sc="MTM_SCENARIO_INTERVALS=12"
+matrix scenarios stdout "$sc MTM_JOBS=1" "$sc MTM_JOBS=4" "$sc MTM_RUN_WORKERS=4 MTM_JOBS=4" \
+    "MTM_CHECK=1 $sc MTM_JOBS=4"
 
 echo "verify: OK"

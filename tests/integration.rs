@@ -1,9 +1,9 @@
 //! Cross-crate integration tests: every manager on every workload at a
 //! tiny scale, with system-level invariants checked on the results.
 
-use mtm_harness::runs::{build_manager, machine_for, OVERALL_MANAGERS, WORKLOADS};
+use mtm_harness::runs::{RunSpec, OVERALL_MANAGERS, WORKLOADS};
 use mtm_harness::Opts;
-use tiersim::sim::{run_scenario, RunReport};
+use tiersim::sim::RunReport;
 use tiersim::tier::optane_four_tier;
 
 fn tiny_opts() -> Opts {
@@ -16,12 +16,7 @@ fn tiny_opts() -> Opts {
 }
 
 fn run(manager: &str, workload: &str, opts: &Opts) -> RunReport {
-    let topo = optane_four_tier(opts.scale);
-    let mut machine = machine_for(manager, opts, topo.clone());
-    let mut mgr = build_manager(manager, opts, &topo);
-    let mut wl = mtm_workloads::build_paper_workload(workload, opts.scale, opts.threads)
-        .expect("known workload");
-    run_scenario(&mut machine, mgr.as_mut(), wl.as_mut(), opts.intervals)
+    RunSpec::new(manager, workload, opts).expect("known pair").run()
 }
 
 #[test]
@@ -129,13 +124,12 @@ fn mtm_region_stats_consistent() {
 
 #[test]
 fn two_tier_machines_run_mtm_and_hemem() {
-    let opts = tiny_opts();
-    let topo = tiersim::tier::two_tier(opts.scale);
+    let mut opts = tiny_opts();
+    opts.intervals = 4;
     for mgr_name in ["MTM", "hemem"] {
-        let mut machine = machine_for(mgr_name, &opts, topo.clone());
-        let mut mgr = build_manager(mgr_name, &opts, &topo);
-        let mut wl = mtm_workloads::build_paper_workload("GUPS", opts.scale, opts.threads).unwrap();
-        let r = run_scenario(&mut machine, mgr.as_mut(), wl.as_mut(), 4);
+        let mut spec = RunSpec::new(mgr_name, "GUPS", &opts).expect("known pair");
+        spec.topology = tiersim::tier::two_tier(opts.scale);
+        let r = spec.run();
         assert!(r.ops_completed > 0, "{mgr_name} on two tiers");
     }
 }
