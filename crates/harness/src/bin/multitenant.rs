@@ -10,9 +10,9 @@
 fn main() {
     let opts = mtm_harness::Opts::from_env();
     eprintln!("running with {opts:?} on {} worker(s)", mtm_harness::runpool::jobs());
-    let out = mtm_harness::multitenant::run(&opts);
+    let (out, full_shape) = mtm_harness::multitenant::run(&opts);
     println!("{out}");
-    if mtm_harness::multitenant::axes_unrestricted() {
+    if full_shape {
         if let Err(e) = mtm_harness::save_result("multitenant", &out) {
             eprintln!("warning: could not save results/multitenant.txt: {e}");
         }

@@ -12,9 +12,9 @@
 fn main() {
     let opts = mtm_harness::Opts::from_env();
     eprintln!("running with {opts:?} on {} worker(s)", mtm_harness::runpool::jobs());
-    let out = mtm_harness::scenarios::run(&opts);
+    let (out, full_shape) = mtm_harness::scenarios::run(&opts);
     println!("{out}");
-    if mtm_harness::scenarios::axes_unrestricted() {
+    if full_shape {
         if let Err(e) = mtm_harness::save_result("scenarios", &out) {
             eprintln!("warning: could not save results/scenarios.txt: {e}");
         }

@@ -26,7 +26,7 @@ use tiersim::tenant::{jain_index, split_capacity, TenantId};
 use tiersim::tier::{optane_four_tier, Topology};
 use tiersim::Machine;
 
-use crate::opts::Opts;
+use crate::opts::{env_value, Opts};
 use crate::resilience::level_spec;
 use crate::runs::healthy_machine_for;
 use crate::tablefmt::{f, TextTable};
@@ -104,101 +104,234 @@ pub fn build_tenant_manager(
     crate::runs::build_manager(name, opts, topo)
 }
 
-/// One tenant's in-flight run state inside a cell.
-struct TenantRun {
+/// Usable bytes of component `c`: its capacity rounded down to whole
+/// 2 MB frames, the total the per-tenant quotas partition.
+fn usable_capacity(topo: &Topology, c: u16) -> u64 {
+    topo.components[c as usize].capacity & !(tiersim::PAGE_SIZE_2M - 1)
+}
+
+/// One tenant of a [`CoTenancy`] run: a full address space plus the
+/// arbitration state the driver keeps for it.
+struct Tenant {
+    /// Stable arrival id: the key of the tenant's demand row (the hotness
+    /// arbiter's EMA follows it) and the id stamped into an MTM manager's
+    /// config. Departures never renumber the survivors.
+    id: TenantId,
+    /// Externally-imposed weight multiplier (churn resize events rescale
+    /// it); applied to the arbiter's demand-derived weight driver-side,
+    /// so the arbiter API stays churn-free.
+    weight: f64,
     machine: Machine,
     manager: Box<dyn MemoryManager>,
     workload: Box<dyn Workload>,
+    /// `None` until the first interval the tenant takes part in.
     progress: Option<ScenarioProgress>,
     /// Cumulative accesses at the previous arbitration point.
     prev_accesses: u64,
 }
 
-impl TenantRun {
+impl Tenant {
     fn accesses_delta(&mut self) -> u64 {
         let total: u64 = self.machine.counters().all().iter().map(|c| c.total()).sum();
         let delta = total.saturating_sub(self.prev_accesses);
         self.prev_accesses = total;
         delta
     }
+
+    fn into_report(mut self, sanitize: bool) -> RunReport {
+        if sanitize {
+            self.machine.verify_consistency("end of run");
+        }
+        let progress = self.progress.take().expect("tenant ran at least one interval");
+        progress.finish(&mut self.machine, self.manager.as_mut(), self.workload.as_mut())
+    }
 }
 
-/// Re-splits every physical component and the promotion-budget pool
-/// across the tenants from the arbiter's weights, then installs the
-/// grants. Floors keep every tenant's current residency inside its new
-/// quota, so arbitration can deny future allocations but never strands a
-/// live frame. With one tenant every step is an exact identity (full
-/// quota, full budget, profile share 1.0).
-fn arbitrate(
-    policy: &mut dyn mtm::ArbiterPolicy,
-    runs: &mut [TenantRun],
-    topo: &Topology,
+/// The lock-step co-tenancy driver. Tenants hold a quota of every
+/// physical component; before each interval a global arbiter re-splits
+/// the components, the migration budget and the profiling share from
+/// observed demand, then every tenant runs that interval in roster
+/// order. Tenants may arrive, be reweighted and depart between steps.
+/// The multi-tenant sweep ([`run_cell`]) and the scenario churn cell
+/// both run on it.
+pub(crate) struct CoTenancy {
+    topo: Topology,
+    policy: Box<dyn mtm::ArbiterPolicy>,
     promote_pool: u64,
-    checked: bool,
-) {
-    let dram: Vec<u16> = topo.dram_components();
-    let demands: Vec<TenantDemand> = runs
-        .iter_mut()
-        .enumerate()
-        .map(|(i, r)| TenantDemand {
-            tenant: i as TenantId,
-            // Before setup the VMAs are empty and `footprint()` is zero;
-            // the declared footprint keeps the *initial* grant
-            // demand-aware (after setup the two agree, so `max` is the
-            // identity for every later round).
-            footprint: r.workload.footprint().max(r.workload.declared_footprint()),
-            fast_resident: dram.iter().map(|&c| r.machine.allocator(c).used()).sum(),
-            accesses: r.accesses_delta(),
-        })
-        .collect();
-    // Footprint floors keep a skewed arbiter from starving a tenant
-    // below its working set (a fatal placement failure); when no floor
-    // binds — always at N=1 — the policy's weights pass through
-    // untouched.
-    let total_capacity: u64 = (0..topo.num_components())
-        .map(|c| topo.components[c].capacity & !(tiersim::PAGE_SIZE_2M - 1))
-        .sum();
-    let weights =
-        mtm::arbiter::floor_shares(&policy.weights(&demands), &demands, total_capacity);
-    let shares = mtm::arbiter::shares(&weights, promote_pool);
-    for c in 0..topo.num_components() as u16 {
-        let capacity = topo.components[c as usize].capacity & !(tiersim::PAGE_SIZE_2M - 1);
-        let floors: Vec<u64> = runs.iter().map(|r| r.machine.allocator(c).used()).collect();
-        let quotas = split_capacity(capacity, &weights, &floors);
-        for (r, &q) in runs.iter_mut().zip(&quotas) {
-            r.machine.set_component_quota(c, q);
+    /// Arms every tenant machine's shadow-state sanitizer and the
+    /// quota-partition census at each arbitration and interval boundary.
+    sanitize: bool,
+    tenants: Vec<Tenant>,
+}
+
+impl CoTenancy {
+    /// An empty roster on `topo`. `checked` arms the sanitizer and the
+    /// census regardless of `MTM_CHECK`.
+    pub(crate) fn new(
+        topo: Topology,
+        policy: Box<dyn mtm::ArbiterPolicy>,
+        promote_pool: u64,
+        checked: bool,
+    ) -> CoTenancy {
+        let sanitize = checked || mtm_check::enabled();
+        CoTenancy { topo, policy, promote_pool, sanitize, tenants: Vec::new() }
+    }
+
+    /// Appends a tenant to the roster. Its set-up runs at the next
+    /// [`step`](Self::step), after arbitration granted it a quota.
+    pub(crate) fn arrive(
+        &mut self,
+        id: TenantId,
+        weight: f64,
+        mut machine: Machine,
+        manager: Box<dyn MemoryManager>,
+        workload: Box<dyn Workload>,
+    ) {
+        if self.sanitize {
+            machine.set_checking(true);
         }
-        if checked {
-            let used: Vec<u64> = runs.iter().map(|r| r.machine.allocator(c).used()).collect();
+        self.tenants.push(Tenant {
+            id,
+            weight,
+            machine,
+            manager,
+            workload,
+            progress: None,
+            prev_accesses: 0,
+        });
+    }
+
+    fn position(&self, id: TenantId) -> usize {
+        self.tenants
+            .iter()
+            .position(|t| t.id == id)
+            .unwrap_or_else(|| panic!("tenant {id} is not in the roster"))
+    }
+
+    /// Sets a tenant's weight multiplier from the next arbitration on.
+    pub(crate) fn set_weight(&mut self, id: TenantId, weight: f64) {
+        let i = self.position(id);
+        self.tenants[i].weight = weight;
+    }
+
+    /// Removes a tenant and returns its finished report. Its capacity
+    /// returns to the pool at the next arbitration.
+    pub(crate) fn depart(&mut self, id: TenantId) -> RunReport {
+        let i = self.position(id);
+        self.tenants.remove(i).into_report(self.sanitize)
+    }
+
+    /// Runs interval `ivl`: arbitrate, start every tenant not yet
+    /// started, then step each tenant one interval in roster order. An
+    /// empty roster has nothing to arbitrate (and the hotness arbiter
+    /// would forget every EMA).
+    pub(crate) fn step(&mut self, ivl: u64) {
+        if self.tenants.is_empty() {
+            return;
+        }
+        self.arbitrate();
+        for t in &mut self.tenants {
+            if t.progress.is_none() {
+                t.progress = Some(ScenarioProgress::start(
+                    &mut t.machine,
+                    t.manager.as_mut(),
+                    t.workload.as_mut(),
+                ));
+            }
+        }
+        for t in &mut self.tenants {
+            let progress = t.progress.as_mut().expect("started above");
+            progress.step_interval(&mut t.machine, t.manager.as_mut(), t.workload.as_mut(), ivl);
+        }
+        if self.sanitize {
+            self.verify_partition("multi-tenant interval boundary");
+        }
+    }
+
+    /// Finishes every remaining tenant: `(id, report)` in roster order.
+    pub(crate) fn into_reports(self) -> Vec<(TenantId, RunReport)> {
+        let sanitize = self.sanitize;
+        self.tenants.into_iter().map(|t| (t.id, t.into_report(sanitize))).collect()
+    }
+
+    fn used(&self, c: u16) -> Vec<u64> {
+        self.tenants.iter().map(|t| t.machine.allocator(c).used()).collect()
+    }
+
+    /// Re-splits every physical component and the promotion-budget pool
+    /// across the tenants from the arbiter's weights (times each tenant's
+    /// multiplier), then installs the grants. Floors keep every tenant's
+    /// current residency inside its new quota, so arbitration can deny
+    /// future allocations but never strands a live frame. With one
+    /// tenant every step is an exact identity (full quota, full budget,
+    /// profile share 1.0).
+    fn arbitrate(&mut self) {
+        let dram: Vec<u16> = self.topo.dram_components();
+        let demands: Vec<TenantDemand> = self
+            .tenants
+            .iter_mut()
+            .map(|t| TenantDemand {
+                tenant: t.id,
+                // Before setup the VMAs are empty and `footprint()` is
+                // zero; the declared footprint keeps the *initial* grant
+                // demand-aware (after setup the two agree, so `max` is
+                // the identity for every later round).
+                footprint: t.workload.footprint().max(t.workload.declared_footprint()),
+                fast_resident: dram.iter().map(|&c| t.machine.allocator(c).used()).sum(),
+                accesses: t.accesses_delta(),
+            })
+            .collect();
+        let mut weights = self.policy.weights(&demands);
+        for (w, t) in weights.iter_mut().zip(&self.tenants) {
+            *w *= t.weight;
+        }
+        // Footprint floors keep a skewed arbiter from starving a tenant
+        // below its working set (a fatal placement failure); when no
+        // floor binds — always at N=1 — the weights pass through
+        // untouched.
+        let components = self.topo.num_components() as u16;
+        let total_capacity: u64 = (0..components).map(|c| usable_capacity(&self.topo, c)).sum();
+        let weights = mtm::arbiter::floor_shares(&weights, &demands, total_capacity);
+        let shares = mtm::arbiter::shares(&weights, self.promote_pool);
+        for c in 0..components {
+            let quotas =
+                split_capacity(usable_capacity(&self.topo, c), &weights, &self.used(c));
+            for (t, &q) in self.tenants.iter_mut().zip(&quotas) {
+                t.machine.set_component_quota(c, q);
+            }
+        }
+        for (t, s) in self.tenants.iter_mut().zip(&shares) {
+            t.manager.set_share(*s);
+        }
+        if self.sanitize {
+            self.verify_partition("multi-tenant arbitration");
+        }
+    }
+
+    /// Verifies the machine-wide capacity partition and each tenant's
+    /// census: per component, the installed per-tenant quotas sum to the
+    /// usable capacity and nobody exceeds their grant.
+    fn verify_partition(&self, context: &str) {
+        for c in 0..self.topo.num_components() as u16 {
+            let quotas: Vec<u64> =
+                self.tenants.iter().map(|t| t.machine.allocator(c).capacity()).collect();
             mtm_check::assert_clean(
-                "multi-tenant arbitration",
-                mtm_check::check_quota_partition(c, &quotas, &used, capacity),
+                context,
+                mtm_check::check_quota_partition(
+                    c,
+                    &quotas,
+                    &self.used(c),
+                    usable_capacity(&self.topo, c),
+                ),
             );
         }
-    }
-    for (r, s) in runs.iter_mut().zip(&shares) {
-        r.manager.set_share(*s);
-    }
-}
-
-/// Verifies the machine-wide capacity partition and each tenant's census
-/// after an interval round: per component, the per-tenant quotas sum to
-/// the physical capacity and nobody exceeds their grant.
-fn verify_partition(runs: &[TenantRun], topo: &Topology, context: &str) {
-    for c in 0..topo.num_components() as u16 {
-        let capacity = topo.components[c as usize].capacity & !(tiersim::PAGE_SIZE_2M - 1);
-        let quotas: Vec<u64> = runs.iter().map(|r| r.machine.allocator(c).capacity()).collect();
-        let used: Vec<u64> = runs.iter().map(|r| r.machine.allocator(c).used()).collect();
-        mtm_check::assert_clean(
-            context,
-            mtm_check::check_quota_partition(c, &quotas, &used, capacity),
-        );
     }
 }
 
 /// Runs one multi-tenant cell: `specs` tenants in lock-step under
-/// `manager`, with `arbiter` re-splitting resources between intervals.
-/// Returns one report per tenant, in tenant order.
+/// `manager`, with `arbiter` re-splitting resources before every
+/// interval. Every tenant arrives at interval 0 with weight 1.0 and none
+/// departs. Returns one report per tenant, in tenant order.
 ///
 /// `workload_scale` is explicit (the sweep uses `opts.scale * n` so each
 /// tenant holds ~1/n of the aggregate footprint) so a *solo* reference —
@@ -222,68 +355,37 @@ pub fn run_cell(
     let topo = optane_four_tier(opts.scale);
     let fault_plan = level_spec(level, opts.intervals)
         .map(|spec| faultsim::FaultPlan::parse(&spec).expect("built-in level specs parse"));
-    let mut runs: Vec<TenantRun> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let mut machine = healthy_machine_for(manager, opts, topo.clone());
-            if let Some(plan) = &fault_plan {
-                // The label binds the stream to the tenant *and* its
-                // workload, never to the arbiter or the cell shape: two
-                // tenants sharing a workload name still draw distinct
-                // faults, and a tenant's stream survives axis filtering.
-                let label = format!("mt/{level}/{}/{}", spec.name, spec.workload);
-                machine.install_faults(plan.clone(), faultsim::derive_seed(base_seed, &label));
-            }
-            if let Some(w) = run_workers {
-                machine.set_run_workers(w);
-            }
-            if checked {
-                machine.set_checking(true);
-            }
-            let manager = build_tenant_manager(manager, i as TenantId, opts, &topo);
-            let workload = mtm_workloads::build_paper_workload_seeded(
-                spec.workload,
-                workload_scale,
-                opts.threads,
-                spec.salt,
-            )
-            .unwrap_or_else(|| panic!("unknown workload {:?}", spec.workload));
-            TenantRun { machine, manager, workload, progress: None, prev_accesses: 0 }
-        })
-        .collect();
-
-    let sanitize = checked || mtm_check::enabled();
-    let mut policy = arbiter.build();
-    // Initial grant, before any VMA exists: demand is the declared
-    // footprint, so setup-time placement already honors the quotas.
-    arbitrate(policy.as_mut(), &mut runs, &topo, opts.promote_budget(), sanitize);
-    for r in &mut runs {
-        r.progress =
-            Some(ScenarioProgress::start(&mut r.machine, r.manager.as_mut(), r.workload.as_mut()));
+    let mut cell = CoTenancy::new(topo.clone(), arbiter.build(), opts.promote_budget(), checked);
+    for (i, spec) in specs.iter().enumerate() {
+        let mut machine = healthy_machine_for(manager, opts, topo.clone());
+        if let Some(plan) = &fault_plan {
+            // The label binds the stream to the tenant *and* its
+            // workload, never to the arbiter or the cell shape: two
+            // tenants sharing a workload name still draw distinct
+            // faults, and a tenant's stream survives axis filtering.
+            let label = format!("mt/{level}/{}/{}", spec.name, spec.workload);
+            machine.install_faults(plan.clone(), faultsim::derive_seed(base_seed, &label));
+        }
+        if let Some(w) = run_workers {
+            machine.set_run_workers(w);
+        }
+        let id = i as TenantId;
+        let manager = build_tenant_manager(manager, id, opts, &topo);
+        let workload = mtm_workloads::build_paper_workload_seeded(
+            spec.workload,
+            workload_scale,
+            opts.threads,
+            spec.salt,
+        )
+        .unwrap_or_else(|| panic!("unknown workload {:?}", spec.workload));
+        cell.arrive(id, 1.0, machine, manager, workload);
     }
+    // The first step's grant comes before any VMA exists: demand is the
+    // declared footprint, so setup-time placement already honors quotas.
     for ivl in 0..opts.intervals {
-        for r in &mut runs {
-            let mut progress = r.progress.take().expect("progress live during the run");
-            progress.step_interval(&mut r.machine, r.manager.as_mut(), r.workload.as_mut(), ivl);
-            r.progress = Some(progress);
-        }
-        if sanitize {
-            verify_partition(&runs, &topo, "multi-tenant interval boundary");
-        }
-        if ivl + 1 < opts.intervals {
-            arbitrate(policy.as_mut(), &mut runs, &topo, opts.promote_budget(), sanitize);
-        }
+        cell.step(ivl);
     }
-    runs.into_iter()
-        .map(|mut r| {
-            if checked {
-                r.machine.verify_consistency("end of run");
-            }
-            let progress = r.progress.take().expect("progress live at finish");
-            progress.finish(&mut r.machine, r.manager.as_mut(), r.workload.as_mut())
-        })
-        .collect()
+    cell.into_reports().into_iter().map(|(_, report)| report).collect()
 }
 
 /// Per-interval virtual nanoseconds per completed operation, the series
@@ -301,14 +403,15 @@ pub(crate) fn interval_ns_per_op(r: &RunReport) -> Vec<f64> {
     out
 }
 
-/// Nearest-rank p99 of the finite entries; infinity when none are.
-pub(crate) fn p99(mut xs: Vec<f64>) -> f64 {
+/// Nearest-rank `q`-quantile of the finite entries (the smallest entry
+/// with at least `q` of them at or below it); infinity when none are.
+pub(crate) fn nearest_rank(mut xs: Vec<f64>, q: f64) -> f64 {
     xs.retain(|x| x.is_finite());
     if xs.is_empty() {
         return f64::INFINITY;
     }
     xs.sort_by(|a, b| a.partial_cmp(b).expect("finite entries compare"));
-    let rank = ((0.99 * xs.len() as f64).ceil() as usize).clamp(1, xs.len());
+    let rank = ((q * xs.len() as f64).ceil() as usize).clamp(1, xs.len());
     xs[rank - 1]
 }
 
@@ -317,7 +420,7 @@ pub(crate) fn p99(mut xs: Vec<f64>) -> f64 {
 fn p99_slowdown(shared: &RunReport, solo: &RunReport) -> f64 {
     let s = interval_ns_per_op(shared);
     let b = interval_ns_per_op(solo);
-    p99(s.iter().zip(&b).map(|(&a, &c)| a / c).collect())
+    nearest_rank(s.iter().zip(&b).map(|(&a, &c)| a / c).collect(), 0.99)
 }
 
 /// Fraction of the machine's fast-tier (DRAM) bytes this tenant holds.
@@ -331,44 +434,34 @@ fn fast_share(r: &RunReport, topo: &Topology) -> f64 {
     held as f64 / cap as f64
 }
 
-/// The tenant counts and arbiters this invocation sweeps, from
-/// `MTM_TENANTS` / `MTM_ARBITER`. Unset (or empty) keeps the full axes;
-/// malformed values print a `warning:` line and keep the full axes
-/// rather than silently running something else.
-pub fn env_axes() -> (Vec<usize>, Vec<ArbiterKind>) {
-    let counts = match std::env::var("MTM_TENANTS") {
-        Ok(s) if !s.is_empty() => match s.parse::<usize>() {
-            Ok(n) if n >= 1 => vec![n],
-            _ => {
-                eprintln!(
-                    "warning: ignoring MTM_TENANTS={s:?} (expected a tenant count >= 1)"
-                );
-                TENANT_COUNTS.to_vec()
-            }
-        },
-        _ => TENANT_COUNTS.to_vec(),
-    };
-    let arbiters = match std::env::var("MTM_ARBITER") {
-        Ok(s) if !s.is_empty() => match ArbiterKind::parse(&s) {
-            Some(k) => vec![k],
-            None => {
-                eprintln!(
-                    "warning: MTM_ARBITER={s:?} is not an arbiter \
-                     (static-equal|footprint-proportional|hotness-weighted); sweeping all"
-                );
-                ARBITERS.to_vec()
-            }
-        },
-        _ => ARBITERS.to_vec(),
-    };
-    (counts, arbiters)
+/// The `MTM_TENANTS` axis: the one count it names, or all of
+/// [`TENANT_COUNTS`] when unset. A malformed value prints a `warning:`
+/// line and keeps the full axis rather than silently running something
+/// else.
+fn tenant_counts(raw: Option<&str>) -> Vec<usize> {
+    let Some(s) = raw else { return TENANT_COUNTS.to_vec() };
+    match s.parse::<usize>() {
+        Ok(n) if n >= 1 => vec![n],
+        _ => {
+            eprintln!("warning: ignoring MTM_TENANTS={s:?} (expected a tenant count >= 1)");
+            TENANT_COUNTS.to_vec()
+        }
+    }
 }
 
-/// True when both sweep axes are unrestricted (the full-table shape the
-/// committed `results/multitenant.txt` is generated with).
-pub fn axes_unrestricted() -> bool {
-    std::env::var("MTM_TENANTS").map_or(true, |s| s.is_empty())
-        && std::env::var("MTM_ARBITER").map_or(true, |s| s.is_empty())
+/// The `MTM_ARBITER` axis, like [`tenant_counts`] over [`ARBITERS`].
+fn arbiter_axis(raw: Option<&str>) -> Vec<ArbiterKind> {
+    let Some(s) = raw else { return ARBITERS.to_vec() };
+    match ArbiterKind::parse(s) {
+        Some(k) => vec![k],
+        None => {
+            eprintln!(
+                "warning: MTM_ARBITER={s:?} is not an arbiter \
+                 (static-equal|footprint-proportional|hotness-weighted); sweeping all"
+            );
+            ARBITERS.to_vec()
+        }
+    }
 }
 
 /// Renders the multi-tenant sweep over explicit axes (the env-driven
@@ -523,14 +616,22 @@ pub fn render(opts: &Opts, counts: &[usize], arbiters: &[ArbiterKind]) -> String
 }
 
 /// Renders the sweep with the env-selected axes (`MTM_TENANTS`,
-/// `MTM_ARBITER`).
-pub fn run(opts: &Opts) -> String {
-    let (counts, arbiters) = env_axes();
-    render(opts, &counts, &arbiters)
+/// `MTM_ARBITER`, each read once). The flag is true when neither is set:
+/// the full-table shape the committed `results/multitenant.txt` is
+/// generated with. A set but malformed value still counts as set, so a
+/// typo never rewrites the committed table.
+pub fn run(opts: &Opts) -> (String, bool) {
+    let tenants = env_value("MTM_TENANTS");
+    let arbiter = env_value("MTM_ARBITER");
+    let out = render(opts, &tenant_counts(tenants.as_deref()), &arbiter_axis(arbiter.as_deref()));
+    (out, tenants.is_none() && arbiter.is_none())
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
 
     #[test]
@@ -551,12 +652,103 @@ mod tests {
     }
 
     #[test]
-    fn p99_is_nearest_rank_over_finite_entries() {
-        let xs: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(p99(xs), 99.0);
-        assert_eq!(p99(vec![f64::INFINITY, 2.0]), 2.0);
-        assert_eq!(p99(vec![]), f64::INFINITY);
-        assert_eq!(p99(vec![f64::INFINITY]), f64::INFINITY);
+    fn nearest_rank_is_over_finite_entries() {
+        let inf = f64::INFINITY;
+        let cases: [(Vec<f64>, f64, f64); 8] = [
+            ((1..=100).map(|i| i as f64).collect(), 0.99, 99.0),
+            (vec![inf, 2.0], 0.99, 2.0),
+            (vec![], 0.99, inf),
+            (vec![inf], 0.99, inf),
+            (vec![3.0, 1.0, 2.0], 0.5, 2.0),
+            (vec![4.0, 1.0, 2.0, 3.0], 0.5, 2.0),
+            (vec![inf, 5.0], 0.5, 5.0),
+            (vec![], 0.5, inf),
+        ];
+        for (xs, q, want) in cases {
+            assert_eq!(nearest_rank(xs.clone(), q), want, "q={q} over {xs:?}");
+        }
+    }
+
+    #[test]
+    fn axes_parse_or_keep_the_full_sweep() {
+        assert_eq!(tenant_counts(None), TENANT_COUNTS.to_vec());
+        assert_eq!(tenant_counts(Some("8")), vec![8]);
+        assert_eq!(tenant_counts(Some("0")), TENANT_COUNTS.to_vec());
+        assert_eq!(arbiter_axis(None), ARBITERS.to_vec());
+        assert_eq!(arbiter_axis(Some("hotness-weighted")), vec![ArbiterKind::HotnessWeighted]);
+        assert_eq!(arbiter_axis(Some("fifo")), ARBITERS.to_vec());
+    }
+
+    /// Every arbitration's demand rows and the weights returned for them.
+    type Log = Rc<RefCell<Vec<(Vec<TenantDemand>, Vec<f64>)>>>;
+
+    /// Passes every call through to `inner`, logging it.
+    struct Recording {
+        inner: Box<dyn mtm::ArbiterPolicy>,
+        log: Log,
+    }
+
+    impl mtm::ArbiterPolicy for Recording {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn weights(&mut self, demands: &[TenantDemand]) -> Vec<f64> {
+            let w = self.inner.weights(demands);
+            self.log.borrow_mut().push((demands.to_vec(), w.clone()));
+            w
+        }
+    }
+
+    #[test]
+    fn departures_keep_survivor_ids_and_hotness_history() {
+        let mut opts = Opts::quick();
+        opts.scale = 1 << 14;
+        opts.threads = 2;
+        let topo = optane_four_tier(opts.scale);
+        let log = Log::default();
+        let policy = Recording { inner: ArbiterKind::HotnessWeighted.build(), log: log.clone() };
+        let mut cell = CoTenancy::new(topo.clone(), Box::new(policy), opts.promote_budget(), false);
+        for (i, spec) in tenant_specs(3).iter().enumerate() {
+            let id = i as TenantId;
+            let workload = mtm_workloads::build_paper_workload_seeded(
+                spec.workload,
+                opts.scale * 3,
+                opts.threads,
+                spec.salt,
+            )
+            .unwrap();
+            cell.arrive(
+                id,
+                1.0,
+                healthy_machine_for("MTM", &opts, topo.clone()),
+                build_tenant_manager("MTM", id, &opts, &topo),
+                workload,
+            );
+        }
+        cell.step(0);
+        cell.step(1);
+        assert!(cell.depart(0).ops_completed > 0);
+        cell.step(2);
+
+        let log = log.borrow();
+        let ids = |round: usize| log[round].0.iter().map(|d| d.tenant).collect::<Vec<_>>();
+        assert_eq!(ids(1), vec![0, 1, 2]);
+        assert_eq!(ids(2), vec![1, 2], "the first tenant's departure renumbered the rest");
+        // Round 1 weights are each tenant's EMA after one interval (all
+        // well above the 1.0 floor) and they differ, so a survivor fed a
+        // neighbour's history would show.
+        let (before, after) = (&log[1], &log[2]);
+        assert!(before.1.iter().all(|&w| w > 1.0), "{:?}", before.1);
+        assert_ne!(before.1[0], before.1[1]);
+        assert_ne!(before.1[1], before.1[2]);
+        // The survivors are the second and third arrivals, in that order.
+        for (k, (d, &w)) in after.0.iter().zip(&after.1).enumerate() {
+            let own = before.1[k + 1];
+            assert_eq!(w, 0.5 * d.accesses as f64 + 0.5 * own, "arrival {} lost its EMA", k + 1);
+        }
+        let finished: Vec<TenantId> = cell.into_reports().into_iter().map(|(id, _)| id).collect();
+        assert_eq!(finished, vec![1, 2]);
     }
 
     #[test]

@@ -25,6 +25,11 @@ fn apply_override<T: std::str::FromStr>(
     }
 }
 
+/// The value of env var `name`, or `None` when it is unset or empty.
+pub(crate) fn env_value(name: &str) -> Option<String> {
+    std::env::var(name).ok().filter(|s| !s.is_empty())
+}
+
 /// Options shared by every experiment.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Opts {

@@ -11,9 +11,11 @@
 //! A second cell drives the multi-tenant machinery through a
 //! [`ChurnSchedule`]: tenants arrive mid-run, are resized, and depart,
 //! with the global arbiter re-splitting capacity at every boundary. The
-//! driver mirrors `multitenant::run_cell` (lock-step serial stepping,
-//! arbitration between intervals), so the table is byte-identical for
-//! any `MTM_JOBS` / `MTM_RUN_WORKERS` / `MTM_CHECK` setting. Scenario
+//! churn cell runs on the multi-tenant sweep's co-tenancy driver
+//! (lock-step serial stepping, arbitration before every interval, the
+//! quota-partition census under `MTM_CHECK`), so the table is
+//! byte-identical for any `MTM_JOBS` / `MTM_RUN_WORKERS` / `MTM_CHECK`
+//! setting. Scenario
 //! machines are always healthy — phase transitions, not faults, are the
 //! subject — so the table is also independent of `MTM_FAULTS`.
 //!
@@ -22,17 +24,16 @@
 //! and the resumed report must match the straight-through run
 //! byte-for-byte (DESIGN.md §5h).
 
-use mtm::arbiter::{ArbiterKind, TenantDemand};
+use mtm::arbiter::ArbiterKind;
 use mtm_scenario::{
     restore_checkpoint, save_checkpoint, ChurnEvent, ChurnSchedule, Serving, ServingConfig,
 };
-use tiersim::sim::{run_scenario, MemoryManager, RunReport, ScenarioProgress, Workload};
-use tiersim::tenant::{split_capacity, TenantId};
-use tiersim::tier::{optane_four_tier, Topology};
-use tiersim::Machine;
+use tiersim::sim::{run_scenario, RunReport, ScenarioProgress};
+use tiersim::tenant::TenantId;
+use tiersim::tier::optane_four_tier;
 
-use crate::multitenant::{build_tenant_manager, interval_ns_per_op, p99};
-use crate::opts::Opts;
+use crate::multitenant::{build_tenant_manager, interval_ns_per_op, nearest_rank, CoTenancy};
+use crate::opts::{env_value, Opts};
 use crate::runs::{build_manager, healthy_machine_for};
 use crate::tablefmt::{f, TextTable};
 
@@ -128,16 +129,6 @@ struct PhaseMetrics {
     transient_p99: f64,
 }
 
-/// Nearest-rank median of the finite entries; infinity when none are.
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.retain(|x| x.is_finite());
-    if xs.is_empty() {
-        return f64::INFINITY;
-    }
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite entries compare"));
-    xs[(xs.len() - 1) / 2]
-}
-
 fn phase_metrics(r: &RunReport, boundaries: &[u64], intervals: u64) -> PhaseMetrics {
     let migrated = &r.telemetry.series.migrated_bytes;
     let n = migrated.len().min(intervals as usize);
@@ -178,9 +169,12 @@ fn phase_metrics(r: &RunReport, boundaries: &[u64], intervals: u64) -> PhaseMetr
             calm.push(v);
         }
     }
-    let steady = median(calm);
-    let transient_p99 =
-        if settles.is_empty() || !steady.is_finite() { f64::NAN } else { p99(hot) / steady };
+    let steady = nearest_rank(calm, 0.5);
+    let transient_p99 = if settles.is_empty() || !steady.is_finite() {
+        f64::NAN
+    } else {
+        nearest_rank(hot, 0.99) / steady
+    };
 
     PhaseMetrics {
         resettle: if settles.is_empty() {
@@ -208,31 +202,6 @@ pub fn run_serving(generator: &str, manager: &str, opts: &Opts, intervals: u64) 
     run_scenario(&mut machine, mgr.as_mut(), &mut wl, intervals)
 }
 
-/// One live tenant of the churn cell.
-struct ChurnTenant {
-    name: String,
-    workload_name: String,
-    /// Externally-imposed weight multiplier (resize events rescale it);
-    /// applied to the arbiter's demand-derived weight driver-side, so
-    /// the arbiter API stays churn-free.
-    weight: f64,
-    arrived: u64,
-    machine: Machine,
-    manager: Box<dyn MemoryManager>,
-    workload: Box<dyn Workload>,
-    progress: Option<ScenarioProgress>,
-    prev_accesses: u64,
-}
-
-impl ChurnTenant {
-    fn accesses_delta(&mut self) -> u64 {
-        let total: u64 = self.machine.counters().all().iter().map(|c| c.total()).sum();
-        let delta = total.saturating_sub(self.prev_accesses);
-        self.prev_accesses = total;
-        delta
-    }
-}
-
 /// One finished churn tenant: its lifetime and report.
 pub struct ChurnOutcome {
     /// Stable tenant name.
@@ -247,54 +216,6 @@ pub struct ChurnOutcome {
     pub report: RunReport,
 }
 
-/// Re-splits capacity, migration budget and profiling share across the
-/// live tenants (the `multitenant::arbitrate` logic, plus the schedule's
-/// per-tenant weight multipliers).
-fn arbitrate_churn(
-    policy: &mut dyn mtm::ArbiterPolicy,
-    runs: &mut [ChurnTenant],
-    topo: &Topology,
-    promote_pool: u64,
-) {
-    if runs.is_empty() {
-        return;
-    }
-    let dram: Vec<u16> = topo.dram_components();
-    let demands: Vec<TenantDemand> = runs
-        .iter_mut()
-        .enumerate()
-        .map(|(i, r)| TenantDemand {
-            tenant: i as TenantId,
-            // As in the multi-tenant driver: a just-arrived tenant has no
-            // VMAs yet, so the declared footprint stands in for its first
-            // grant (the two agree once setup ran).
-            footprint: r.workload.footprint().max(r.workload.declared_footprint()),
-            fast_resident: dram.iter().map(|&c| r.machine.allocator(c).used()).sum(),
-            accesses: r.accesses_delta(),
-        })
-        .collect();
-    let mut weights = policy.weights(&demands);
-    for (w, r) in weights.iter_mut().zip(runs.iter()) {
-        *w *= r.weight;
-    }
-    let total_capacity: u64 = (0..topo.num_components())
-        .map(|c| topo.components[c].capacity & !(tiersim::PAGE_SIZE_2M - 1))
-        .sum();
-    let weights = mtm::arbiter::floor_shares(&weights, &demands, total_capacity);
-    let shares = mtm::arbiter::shares(&weights, promote_pool);
-    for c in 0..topo.num_components() as u16 {
-        let capacity = topo.components[c as usize].capacity & !(tiersim::PAGE_SIZE_2M - 1);
-        let floors: Vec<u64> = runs.iter().map(|r| r.machine.allocator(c).used()).collect();
-        let quotas = split_capacity(capacity, &weights, &floors);
-        for (r, &q) in runs.iter_mut().zip(&quotas) {
-            r.machine.set_component_quota(c, q);
-        }
-    }
-    for (r, s) in runs.iter_mut().zip(&shares) {
-        r.manager.set_share(*s);
-    }
-}
-
 /// Runs the churn cell: the schedule's tenants under `manager` and
 /// [`CHURN_ARBITER`], arriving, resizing and departing at interval
 /// boundaries. Events apply *before* arbitration, so an arriving
@@ -307,99 +228,74 @@ pub fn run_churn_cell(
     opts: &Opts,
     intervals: u64,
 ) -> Vec<ChurnOutcome> {
+    churn_cell(manager, schedule, opts, intervals, false)
+}
+
+/// [`run_churn_cell`]; `checked` arms the sanitizer and the
+/// quota-partition census regardless of `MTM_CHECK`.
+fn churn_cell(
+    manager: &str,
+    schedule: &ChurnSchedule,
+    opts: &Opts,
+    intervals: u64,
+    checked: bool,
+) -> Vec<ChurnOutcome> {
     let topo = optane_four_tier(opts.scale);
     // Half-footprint tenants: two residents fill the machine like one
     // solo run, leaving headroom the mid-run arrival competes for.
     let workload_scale = opts.scale * 2;
-    let mut policy = CHURN_ARBITER.build();
-    let mut live: Vec<ChurnTenant> = Vec::new();
-    let mut done: Vec<ChurnOutcome> = Vec::new();
-    let mut next_tenant: TenantId = 0;
+    let mut cell =
+        CoTenancy::new(topo.clone(), CHURN_ARBITER.build(), opts.promote_budget(), checked);
+    // (name, workload, arrival interval) of every arrival, indexed by the
+    // tenant id it was given.
+    let mut arrivals: Vec<(String, String, u64)> = Vec::new();
+    let id_of = |arrivals: &[(String, String, u64)], name: &str| {
+        arrivals
+            .iter()
+            .rposition(|a| a.0 == name)
+            .unwrap_or_else(|| panic!("event for unknown tenant {name:?}")) as TenantId
+    };
+    // (id, first interval not run, report) of every finished tenant.
+    let mut ended: Vec<(TenantId, u64, RunReport)> = Vec::new();
 
     for ivl in 0..intervals {
-        let mut arrived_now: Vec<usize> = Vec::new();
         for event in schedule.at(ivl) {
             match event {
                 ChurnEvent::Arrive { name, workload, weight } => {
-                    let cfg =
+                    let mut cfg =
                         generator_config(workload, workload_scale, opts.threads, intervals)
                             .unwrap_or_else(|| panic!("unknown generator {workload:?}"));
-                    let mut cfg = cfg;
                     cfg.seed ^= faultsim::derive_seed(SCENARIO_SALT_BASE, name);
-                    let machine = healthy_machine_for(manager, opts, topo.clone());
-                    live.push(ChurnTenant {
-                        name: name.clone(),
-                        workload_name: workload.clone(),
-                        weight: *weight,
-                        arrived: ivl,
-                        machine,
-                        manager: build_tenant_manager(manager, next_tenant, opts, &topo),
-                        workload: Box::new(Serving::new(cfg)),
-                        progress: None,
-                        prev_accesses: 0,
-                    });
-                    next_tenant += 1;
-                    arrived_now.push(live.len() - 1);
+                    let id = arrivals.len() as TenantId;
+                    cell.arrive(
+                        id,
+                        *weight,
+                        healthy_machine_for(manager, opts, topo.clone()),
+                        build_tenant_manager(manager, id, opts, &topo),
+                        Box::new(Serving::new(cfg)),
+                    );
+                    arrivals.push((name.clone(), workload.clone(), ivl));
                 }
                 ChurnEvent::Depart { name } => {
-                    let i = live
-                        .iter()
-                        .position(|r| &r.name == name)
-                        .unwrap_or_else(|| panic!("depart of unknown tenant {name:?}"));
-                    let mut r = live.remove(i);
-                    let progress = r.progress.take().expect("departing tenant was started");
-                    let report =
-                        progress.finish(&mut r.machine, r.manager.as_mut(), r.workload.as_mut());
-                    done.push(ChurnOutcome {
-                        name: r.name,
-                        workload: r.workload_name,
-                        arrived: r.arrived,
-                        departed: ivl,
-                        report,
-                    });
-                    arrived_now = Vec::new();
-                    for (k, t) in live.iter().enumerate() {
-                        if t.progress.is_none() {
-                            arrived_now.push(k);
-                        }
-                    }
+                    let id = id_of(&arrivals, name);
+                    ended.push((id, ivl, cell.depart(id)));
                 }
                 ChurnEvent::Resize { name, weight } => {
-                    let r = live
-                        .iter_mut()
-                        .find(|r| &r.name == name)
-                        .unwrap_or_else(|| panic!("resize of unknown tenant {name:?}"));
-                    r.weight = *weight;
+                    cell.set_weight(id_of(&arrivals, name), *weight);
                 }
             }
         }
-        arbitrate_churn(policy.as_mut(), &mut live, &topo, opts.promote_budget());
-        for &i in &arrived_now {
-            let r = &mut live[i];
-            r.progress = Some(ScenarioProgress::start(
-                &mut r.machine,
-                r.manager.as_mut(),
-                r.workload.as_mut(),
-            ));
-        }
-        for r in &mut live {
-            let mut progress = r.progress.take().expect("live tenants are started");
-            progress.step_interval(&mut r.machine, r.manager.as_mut(), r.workload.as_mut(), ivl);
-            r.progress = Some(progress);
-        }
+        cell.step(ivl);
     }
-    for mut r in live {
-        let progress = r.progress.take().expect("live tenants are started");
-        let report = progress.finish(&mut r.machine, r.manager.as_mut(), r.workload.as_mut());
-        done.push(ChurnOutcome {
-            name: r.name,
-            workload: r.workload_name,
-            arrived: r.arrived,
-            departed: intervals,
-            report,
-        });
-    }
-    done.sort_by(|a, b| (a.arrived, a.name.clone()).cmp(&(b.arrived, b.name.clone())));
+    ended.extend(cell.into_reports().into_iter().map(|(id, report)| (id, intervals, report)));
+    let mut done: Vec<ChurnOutcome> = ended
+        .into_iter()
+        .map(|(id, departed, report)| {
+            let (name, workload, arrived) = arrivals[id as usize].clone();
+            ChurnOutcome { name, workload, arrived, departed, report }
+        })
+        .collect();
+    done.sort_by(|a, b| (a.arrived, &a.name).cmp(&(b.arrived, &b.name)));
     done
 }
 
@@ -443,53 +339,42 @@ fn checkpoint_differential(straight: &RunReport, opts: &Opts, intervals: u64) ->
     )
 }
 
-/// The run length, from `MTM_SCENARIO_INTERVALS` (default: the shared
-/// `MTM_INTERVALS`/quick-mode length). Malformed values print a
-/// `warning:` line and keep the default.
-pub fn scenario_intervals(opts: &Opts) -> u64 {
-    match std::env::var("MTM_SCENARIO_INTERVALS") {
-        Ok(s) if !s.is_empty() => match s.parse::<u64>() {
-            Ok(n) if n >= 4 => n,
-            _ => {
-                eprintln!(
-                    "warning: ignoring MTM_SCENARIO_INTERVALS={s:?} \
-                     (expected an interval count >= 4)"
-                );
-                opts.intervals
-            }
-        },
-        _ => opts.intervals,
+/// The run length `MTM_SCENARIO_INTERVALS` names (default: the shared
+/// `MTM_INTERVALS`/quick-mode length). A malformed value prints a
+/// `warning:` line and keeps the default.
+fn scenario_intervals(raw: Option<&str>, opts: &Opts) -> u64 {
+    let Some(s) = raw else { return opts.intervals };
+    match s.parse::<u64>() {
+        Ok(n) if n >= 4 => n,
+        _ => {
+            eprintln!(
+                "warning: ignoring MTM_SCENARIO_INTERVALS={s:?} \
+                 (expected an interval count >= 4)"
+            );
+            opts.intervals
+        }
     }
 }
 
-/// The generators this invocation sweeps and whether the churn cell
-/// runs, from `MTM_SCENARIO_SET` (a generator name, or `churn`). Unset
-/// keeps everything; malformed values print a `warning:` line and keep
-/// everything rather than silently running something else.
-pub fn env_axes() -> (Vec<&'static str>, bool) {
-    match std::env::var("MTM_SCENARIO_SET") {
-        Ok(s) if !s.is_empty() => {
-            if s == "churn" {
-                (Vec::new(), true)
-            } else if let Some(g) = SCENARIO_GENERATORS.iter().find(|&&g| g == s) {
-                (vec![*g], false)
-            } else {
+/// The generators `MTM_SCENARIO_SET` selects (a generator name, or
+/// `churn`) and whether the churn cell runs. Unset keeps everything; a
+/// malformed value prints a `warning:` line and keeps everything rather
+/// than silently running something else.
+fn scenario_set(raw: Option<&str>) -> (Vec<&'static str>, bool) {
+    match raw {
+        None => (SCENARIO_GENERATORS.to_vec(), true),
+        Some("churn") => (Vec::new(), true),
+        Some(s) => match SCENARIO_GENERATORS.iter().find(|&&g| g == s) {
+            Some(g) => (vec![*g], false),
+            None => {
                 eprintln!(
                     "warning: MTM_SCENARIO_SET={s:?} is not a scenario \
                      (KVDrift|Diurnal|FlashCrowd|churn); sweeping all"
                 );
                 (SCENARIO_GENERATORS.to_vec(), true)
             }
-        }
-        _ => (SCENARIO_GENERATORS.to_vec(), true),
+        },
     }
-}
-
-/// True when the sweep shape is unrestricted (the full-table shape the
-/// committed `results/scenarios.txt` is generated with).
-pub fn axes_unrestricted() -> bool {
-    std::env::var("MTM_SCENARIO_SET").map_or(true, |s| s.is_empty())
-        && std::env::var("MTM_SCENARIO_INTERVALS").map_or(true, |s| s.is_empty())
 }
 
 /// Renders the scenario sweep over explicit axes (the env-driven entry
@@ -574,10 +459,16 @@ pub fn render(opts: &Opts, generators: &[&str], churn: bool, intervals: u64) -> 
 }
 
 /// Renders the sweep with the env-selected shape (`MTM_SCENARIO_SET`,
-/// `MTM_SCENARIO_INTERVALS`).
-pub fn run(opts: &Opts) -> String {
-    let (generators, churn) = env_axes();
-    render(opts, &generators, churn, scenario_intervals(opts))
+/// `MTM_SCENARIO_INTERVALS`, each read once). The flag is true when
+/// neither is set: the full-table shape the committed
+/// `results/scenarios.txt` is generated with. A set but malformed value
+/// still counts as set, so a typo never rewrites the committed table.
+pub fn run(opts: &Opts) -> (String, bool) {
+    let set = env_value("MTM_SCENARIO_SET");
+    let len = env_value("MTM_SCENARIO_INTERVALS");
+    let (generators, churn) = scenario_set(set.as_deref());
+    let out = render(opts, &generators, churn, scenario_intervals(len.as_deref(), opts));
+    (out, set.is_none() && len.is_none())
 }
 
 #[cfg(test)]
@@ -604,11 +495,15 @@ mod tests {
     }
 
     #[test]
-    fn median_is_nearest_rank_over_finite_entries() {
-        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(vec![4.0, 1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(median(vec![f64::INFINITY, 5.0]), 5.0);
-        assert_eq!(median(vec![]), f64::INFINITY);
+    fn shape_parses_or_keeps_the_full_sweep() {
+        let opts = Opts::quick();
+        assert_eq!(scenario_intervals(None, &opts), opts.intervals);
+        assert_eq!(scenario_intervals(Some("24"), &opts), 24);
+        assert_eq!(scenario_intervals(Some("3"), &opts), opts.intervals);
+        assert_eq!(scenario_set(None), (SCENARIO_GENERATORS.to_vec(), true));
+        assert_eq!(scenario_set(Some("churn")), (Vec::new(), true));
+        assert_eq!(scenario_set(Some("Diurnal")), (vec!["Diurnal"], false));
+        assert_eq!(scenario_set(Some("Batch")), (SCENARIO_GENERATORS.to_vec(), true));
     }
 
     #[test]
@@ -641,6 +536,26 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(format!("{:?}", x.report), format!("{:?}", y.report));
             assert_eq!(x.report.telemetry.to_json(), y.report.telemetry.to_json());
+        }
+    }
+
+    #[test]
+    fn checked_churn_cell_passes_the_census_and_matches_unchecked() {
+        let mut opts = Opts::quick();
+        opts.scale = 1 << 14;
+        opts.threads = 2;
+        let intervals = 8;
+        let schedule = ChurnSchedule::serving_default(intervals);
+        // `checked` arms every tenant's shadow-state sanitizer and the
+        // quota-partition census at each arbitration and interval
+        // boundary; any violation panics inside the cell.
+        let plain = churn_cell("MTM", &schedule, &opts, intervals, false);
+        let checked = churn_cell("MTM", &schedule, &opts, intervals, true);
+        assert_eq!(plain.len(), checked.len());
+        for (x, y) in plain.iter().zip(&checked) {
+            assert_eq!(x.name, y.name);
+            assert_eq!(format!("{:?}", x.report), format!("{:?}", y.report), "{}", x.name);
+            assert_eq!(x.report.telemetry.to_json(), y.report.telemetry.to_json(), "{}", x.name);
         }
     }
 }

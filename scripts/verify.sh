@@ -150,4 +150,16 @@ sc="MTM_SCENARIO_INTERVALS=12"
 matrix scenarios stdout "$sc MTM_JOBS=1" "$sc MTM_JOBS=4" "$sc MTM_RUN_WORKERS=4 MTM_JOBS=4" \
     "MTM_CHECK=1 $sc MTM_JOBS=4"
 
+# Committed sweep tables: regenerating each in its committed shape must
+# reproduce the file byte for byte. The multi-tenant table is the
+# unrestricted quick sweep; the scenario table is the default
+# 120-interval run, so MTM_QUICK=0 overrides smoke's quick mode.
+for table in multitenant scenarios; do
+    cp "results/$table.txt" "$tmp/$table.txt"
+done
+smoke multitenant /dev/null
+same "$tmp/multitenant.txt" results/multitenant.txt "results/multitenant.txt drifted on regeneration"
+smoke scenarios /dev/null MTM_QUICK=0
+same "$tmp/scenarios.txt" results/scenarios.txt "results/scenarios.txt drifted on regeneration"
+
 echo "verify: OK"
