@@ -1,11 +1,11 @@
 //! Simulator hot-path microbenchmarks: per-access cost (reads, writes and
-//! one whole GUPS tick), PTE scanning and region relocation throughput of
-//! the `tiersim` substrate itself, plus the parallel R-MAT generator that
-//! dominates graph-workload set-up.
+//! one whole GUPS, BFS or SSSP tick), PTE scanning and region relocation
+//! throughput of the `tiersim` substrate itself, plus the parallel R-MAT
+//! generator that dominates graph-workload set-up.
 
 use mtm_bench::Bench;
 use mtm_workloads::graph::rmat;
-use mtm_workloads::{BfsConfig, Gups, GupsConfig};
+use mtm_workloads::{Bfs, BfsConfig, Gups, GupsConfig, Sssp, SsspConfig};
 use tiersim::addr::{VaRange, VirtAddr, PAGE_SIZE_2M, PAGE_SIZE_4K};
 use tiersim::machine::{AccessKind, Machine, MachineConfig};
 use tiersim::sim::{FirstTouchPolicy, SimEnv, Workload};
@@ -17,6 +17,21 @@ fn machine() -> Machine {
     m.mmap("bench", r, true);
     m.prefault_range(r, &[0, 1, 2, 3]).unwrap();
     m
+}
+
+/// Times one `tick` of `workload` at a time, round-robin over four
+/// threads, through the `MemEnv` dispatch the interval loop uses, on a
+/// first-touch machine at the quick scale.
+fn tick_bench(b: &mut Bench, name: &str, mut workload: impl Workload) {
+    let scale = 1 << 12;
+    let mut m = Machine::new(MachineConfig::new(optane_four_tier(scale), 4));
+    let mut policy = FirstTouchPolicy;
+    workload.setup(&mut SimEnv { machine: &mut m, manager: &mut policy });
+    let mut tid = 0;
+    b.iter(name, || {
+        tid = (tid + 1) % 4;
+        workload.tick(&mut SimEnv { machine: &mut m, manager: &mut policy }, tid);
+    });
 }
 
 fn main() {
@@ -40,18 +55,26 @@ fn main() {
         m.access(0, va, AccessKind::Write)
     });
 
-    // One GUPS update (compute, three reads, one write) through the
-    // `MemEnv` dispatch the interval loop uses, round-robin over threads.
-    let scale = 1 << 12;
-    let mut m = Machine::new(MachineConfig::new(optane_four_tier(scale), 4));
-    let mut gups = Gups::new(GupsConfig::paper(scale, 4));
-    let mut policy = FirstTouchPolicy;
-    gups.setup(&mut SimEnv { machine: &mut m, manager: &mut policy });
-    let mut tid = 0;
-    b.iter("substrate/gups_tick", || {
-        tid = (tid + 1) % 4;
-        gups.tick(&mut SimEnv { machine: &mut m, manager: &mut policy }, tid);
+    // Writes spread over 1024 huge pages. Each bumps its page's head frame
+    // version; `access_write`'s 64 pages never reach the host cache
+    // aliasing that many head versions 4 KB apart would cause.
+    let spread = 1024 * PAGE_SIZE_2M;
+    let mut m = Machine::new(MachineConfig::new(optane_four_tier(1 << 8), 4));
+    let r = VaRange::from_len(VirtAddr(0), spread);
+    m.mmap("bench", r, true);
+    m.prefault_range(r, &[0, 1, 2, 3]).unwrap();
+    let mut i = 0u64;
+    b.iter_throughput("substrate/access_write_huge_spread", 1, || {
+        i = i.wrapping_mul(6364136223846793005).wrapping_add(1);
+        let va = VirtAddr(((i >> 33) % spread) & !63);
+        m.access(0, va, AccessKind::Write)
     });
+
+    // One GUPS update (compute, three reads, one write), one BFS and one
+    // SSSP tick (a bounded slice of one vertex's edges).
+    tick_bench(&mut b, "substrate/gups_tick", Gups::new(GupsConfig::paper(1 << 12, 4)));
+    tick_bench(&mut b, "substrate/bfs_tick", Bfs::new(BfsConfig::paper(1 << 12, 4)));
+    tick_bench(&mut b, "substrate/sssp_tick", Sssp::new(SsspConfig::paper(1 << 12, 4)));
 
     let mut m = machine();
     let mut i = 0u64;

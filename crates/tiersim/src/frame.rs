@@ -260,13 +260,66 @@ impl FrameAllocator {
 /// stale and the mechanism must re-copy (or have switched to a synchronous
 /// copy). Tests assert the committed destination version equals the final
 /// source version.
+///
 /// Versions live in dense per-component vectors indexed by frame number
 /// (`offset >> 12`): physical offsets are allocator-bounded and contiguous
-/// from zero, so a vector with lazy power-of-two growth replaces the old
-/// hash map on the simulated-write hot path (one bump per write).
+/// from zero, so a vector with lazy power-of-two growth replaces a hash
+/// map on the simulated-write hot path (one bump per write). Every write
+/// to a huge page bumps its 2 MB-aligned *head* frame, and in one flat
+/// vector those heads sit 4 KB apart — a stride that folds a huge-page
+/// working set into a few host cache sets. So head versions live in a
+/// second, dense vector indexed by `frame >> 9`, and their flat slots
+/// stay zero. The split is a storage permutation only: `get`, `move_range`
+/// and `save` see one logical vector per component.
 #[derive(Default, Debug)]
 pub struct VersionStore {
-    comps: Vec<Vec<u64>>,
+    comps: Vec<CompVersions>,
+}
+
+/// Frames per 2 MB block; every `HEAD_STRIDE`-th frame number is a head.
+const HEAD_STRIDE: usize = (PAGE_SIZE_2M / PAGE_SIZE_4K) as usize;
+
+/// One component's versions: `flat` by frame number (its logical length
+/// is `flat.len()`; head slots unused and zero), `heads` by block number,
+/// one per started block of `flat`.
+#[derive(Default, Debug)]
+struct CompVersions {
+    flat: Vec<u64>,
+    heads: Vec<u64>,
+}
+
+impl CompVersions {
+    #[inline]
+    fn get(&self, i: usize) -> u64 {
+        if i.is_multiple_of(HEAD_STRIDE) {
+            self.heads.get(i / HEAD_STRIDE).copied().unwrap_or(0)
+        } else {
+            self.flat.get(i).copied().unwrap_or(0)
+        }
+    }
+
+    /// The slot of frame `i`, which must be below the logical length.
+    #[inline]
+    fn slot(&mut self, i: usize) -> &mut u64 {
+        if i.is_multiple_of(HEAD_STRIDE) {
+            &mut self.heads[i / HEAD_STRIDE]
+        } else {
+            &mut self.flat[i]
+        }
+    }
+
+    /// Grows the logical length to cover frame `i`, by power-of-two steps.
+    fn grow_to(&mut self, i: usize) {
+        if i >= self.flat.len() {
+            self.flat.resize((i + 1).next_power_of_two(), 0);
+            self.heads.resize(self.flat.len().div_ceil(HEAD_STRIDE), 0);
+        }
+    }
+}
+
+/// Offsets `k < frames` for which `base + k` is a head frame.
+fn heads_in(base: usize, frames: usize) -> impl Iterator<Item = usize> {
+    (base.next_multiple_of(HEAD_STRIDE) - base..frames).step_by(HEAD_STRIDE)
 }
 
 impl VersionStore {
@@ -284,20 +337,18 @@ impl VersionStore {
     #[inline]
     pub fn get(&self, frame: PhysAddr) -> u64 {
         let (c, i) = Self::frame_index(frame);
-        self.comps.get(c).and_then(|v| v.get(i)).copied().unwrap_or(0)
+        self.comps.get(c).map_or(0, |v| v.get(i))
     }
 
-    #[inline]
-    fn slot(&mut self, frame: PhysAddr) -> &mut u64 {
+    /// The slot of `frame`, growing its component to cover it.
+    fn grown_slot(&mut self, frame: PhysAddr) -> &mut u64 {
         let (c, i) = Self::frame_index(frame);
         if c >= self.comps.len() {
-            self.comps.resize_with(c + 1, Vec::new);
+            self.comps.resize_with(c + 1, CompVersions::default);
         }
         let v = &mut self.comps[c];
-        if i >= v.len() {
-            v.resize((i + 1).next_power_of_two(), 0);
-        }
-        &mut v[i]
+        v.grow_to(i);
+        v.slot(i)
     }
 
     /// Records a write to a frame, bumping its version. A frame already
@@ -306,24 +357,16 @@ impl VersionStore {
     #[inline]
     pub fn bump(&mut self, frame: PhysAddr) {
         let (c, i) = Self::frame_index(frame);
-        match self.comps.get_mut(c).and_then(|v| v.get_mut(i)) {
-            Some(v) => *v += 1,
-            None => self.bump_grow(frame),
+        match self.comps.get_mut(c) {
+            Some(v) if i < v.flat.len() => *v.slot(i) += 1,
+            _ => self.bump_grow(frame),
         }
     }
 
     #[cold]
     #[inline(never)]
     fn bump_grow(&mut self, frame: PhysAddr) {
-        *self.slot(frame) += 1;
-    }
-
-    /// Copies the version from `src` to `dst`, as a data copy would
-    /// (one frame of [`VersionStore::move_range`], kept as its oracle).
-    #[cfg(test)]
-    fn copy(&mut self, src: PhysAddr, dst: PhysAddr) {
-        let v = self.get(src);
-        *self.slot(dst) = v;
+        *self.grown_slot(frame) += 1;
     }
 
     /// Moves the versions of `frames` consecutive 4 KB frames from `src`
@@ -340,61 +383,90 @@ impl VersionStore {
         debug_assert!(sc != dc || si + frames <= di || di + frames <= si, "overlapping move");
         // Grow the destination exactly as a frame-by-frame copy would:
         // its last frame's slot decides the final length.
-        self.slot(PhysAddr::new(dst.component(), dst.offset() + (frames as u64 - 1) * PAGE_SIZE_4K));
-        // Source frames past the end of their vector were never written.
-        let avail = self.comps.get(sc).map_or(0, |v| v.len().saturating_sub(si)).min(frames);
+        self.grown_slot(PhysAddr::new(dst.component(), dst.offset() + (frames as u64 - 1) * PAGE_SIZE_4K));
+        // Flat slots first. Source frames past the end of their vector
+        // were never written.
+        let avail = self.comps.get(sc).map_or(0, |v| v.flat.len().saturating_sub(si)).min(frames);
         if sc == dc {
-            let v = &mut self.comps[dc];
-            v.copy_within(si..si + avail, di);
-            v[di + avail..di + frames].fill(0);
-            v[si..si + avail].fill(0);
-        } else {
-            let mut d = std::mem::take(&mut self.comps[dc]);
+            let v = &mut self.comps[dc].flat;
             if avail > 0 {
-                let s = &mut self.comps[sc][si..si + avail];
+                v.copy_within(si..si + avail, di);
+                v[si..si + avail].fill(0);
+            }
+            v[di + avail..di + frames].fill(0);
+        } else {
+            let mut d = std::mem::take(&mut self.comps[dc].flat);
+            if avail > 0 {
+                let s = &mut self.comps[sc].flat[si..si + avail];
                 d[di..di + avail].copy_from_slice(s);
                 s.fill(0);
             }
             d[di + avail..di + frames].fill(0);
-            self.comps[dc] = d;
+            self.comps[dc].flat = d;
+        }
+        // A source head's version goes to its destination frame, head or
+        // not; its zero flat slot was copied there above.
+        for k in heads_in(si, frames) {
+            let v = self
+                .comps
+                .get_mut(sc)
+                .and_then(|v| v.heads.get_mut((si + k) / HEAD_STRIDE))
+                .map_or(0, std::mem::take);
+            *self.comps[dc].slot(di + k) = v;
+        }
+        // A destination head fed by a non-head frame got that version in
+        // its flat slot above; lift it into the head.
+        let d = &mut self.comps[dc];
+        for k in heads_in(di, frames) {
+            if !(si + k).is_multiple_of(HEAD_STRIDE) {
+                d.heads[(di + k) / HEAD_STRIDE] = std::mem::take(&mut d.flat[di + k]);
+            }
         }
     }
 
-    /// Serializes all per-frame versions (dense vectors verbatim,
-    /// including any trailing zeros from power-of-two growth — load
-    /// reproduces the exact growth state).
+    /// Serializes all per-frame versions as one logical vector per
+    /// component, including any trailing zeros from power-of-two growth —
+    /// load reproduces the exact growth state.
     pub fn save(&self, w: &mut obs::wire::Writer) {
         w.varint(self.comps.len() as u64);
         for comp in &self.comps {
-            w.varint(comp.len() as u64);
-            for &v in comp {
-                w.varint(v);
+            w.varint(comp.flat.len() as u64);
+            for (&head, block) in comp.heads.iter().zip(comp.flat.chunks(HEAD_STRIDE)) {
+                w.varint(head);
+                for &v in &block[1..] {
+                    w.varint(v);
+                }
             }
         }
     }
 
-    /// Restores a store saved with [`VersionStore::save`].
+    /// Restores a store saved with [`VersionStore::save`]. A frame count
+    /// the rest of the input cannot hold (every version takes at least
+    /// one byte) is an error, not an allocation.
     pub fn load(r: &mut obs::wire::Reader) -> Result<VersionStore, String> {
         let mut comps = Vec::new();
         for _ in 0..r.varint()? {
-            let n = r.varint()? as usize;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.varint()?);
+            let n = r.varint()?;
+            if n > r.remaining() as u64 {
+                return Err(format!("version store: {n} frames but {} bytes left", r.remaining()));
             }
-            comps.push(v);
+            let n = n as usize;
+            let mut comp = CompVersions {
+                flat: Vec::with_capacity(n),
+                heads: Vec::with_capacity(n.div_ceil(HEAD_STRIDE)),
+            };
+            for i in 0..n {
+                let v = r.varint()?;
+                if i.is_multiple_of(HEAD_STRIDE) {
+                    comp.heads.push(v);
+                    comp.flat.push(0);
+                } else {
+                    comp.flat.push(v);
+                }
+            }
+            comps.push(comp);
         }
         Ok(VersionStore { comps })
-    }
-
-    /// Drops bookkeeping for a freed frame (the source half of one frame
-    /// of [`VersionStore::move_range`], kept as its oracle).
-    #[cfg(test)]
-    fn forget(&mut self, frame: PhysAddr) {
-        let (c, i) = Self::frame_index(frame);
-        if let Some(slot) = self.comps.get_mut(c).and_then(|v| v.get_mut(i)) {
-            *slot = 0;
-        }
     }
 }
 
@@ -454,6 +526,76 @@ mod tests {
         assert_eq!(a.capacity(), PAGE_SIZE_2M);
     }
 
+    /// The flat layout `VersionStore` had before head frames moved to a
+    /// dense vector: one vector per component indexed by frame number.
+    /// Kept as the oracle for the dense layout.
+    #[derive(Clone, Default, Debug, PartialEq)]
+    struct FlatVersions {
+        comps: Vec<Vec<u64>>,
+    }
+
+    impl FlatVersions {
+        fn get(&self, frame: PhysAddr) -> u64 {
+            let (c, i) = VersionStore::frame_index(frame);
+            self.comps.get(c).and_then(|v| v.get(i)).copied().unwrap_or(0)
+        }
+
+        fn slot(&mut self, frame: PhysAddr) -> &mut u64 {
+            let (c, i) = VersionStore::frame_index(frame);
+            if c >= self.comps.len() {
+                self.comps.resize_with(c + 1, Vec::new);
+            }
+            let v = &mut self.comps[c];
+            if i >= v.len() {
+                v.resize((i + 1).next_power_of_two(), 0);
+            }
+            &mut v[i]
+        }
+
+        fn bump(&mut self, frame: PhysAddr) {
+            *self.slot(frame) += 1;
+        }
+
+        /// Copies the version from `src` to `dst`, as a data copy would.
+        fn copy(&mut self, src: PhysAddr, dst: PhysAddr) {
+            let v = self.get(src);
+            *self.slot(dst) = v;
+        }
+
+        /// Drops bookkeeping for a freed frame.
+        fn forget(&mut self, frame: PhysAddr) {
+            let (c, i) = VersionStore::frame_index(frame);
+            if let Some(slot) = self.comps.get_mut(c).and_then(|v| v.get_mut(i)) {
+                *slot = 0;
+            }
+        }
+
+        /// One copy and one forget per frame.
+        fn move_range(&mut self, src: PhysAddr, dst: PhysAddr, frames: usize) {
+            for f in 0..frames as u64 {
+                let s = PhysAddr::new(src.component(), src.offset() + f * PAGE_SIZE_4K);
+                self.copy(s, PhysAddr::new(dst.component(), dst.offset() + f * PAGE_SIZE_4K));
+                self.forget(s);
+            }
+        }
+
+        fn save(&self, w: &mut obs::wire::Writer) {
+            w.varint(self.comps.len() as u64);
+            for comp in &self.comps {
+                w.varint(comp.len() as u64);
+                for &v in comp {
+                    w.varint(v);
+                }
+            }
+        }
+    }
+
+    fn saved(save: impl FnOnce(&mut obs::wire::Writer)) -> Vec<u8> {
+        let mut w = obs::wire::Writer::new();
+        save(&mut w);
+        w.into_bytes()
+    }
+
     #[test]
     fn version_store_tracks_writes() {
         let mut v = VersionStore::new();
@@ -462,8 +604,8 @@ mod tests {
         assert_eq!(v.get(a), 0);
         v.bump(a);
         v.bump(a);
-        v.copy(a, b);
-        assert_eq!(v.get(b), 2);
+        v.move_range(a, b, 1);
+        assert_eq!((v.get(a), v.get(b)), (0, 2));
         v.bump(a);
         assert_ne!(v.get(a), v.get(b), "stale copy detectable");
     }
@@ -471,24 +613,116 @@ mod tests {
     #[test]
     fn move_range_matches_frame_by_frame_copy_and_forget() {
         // Sources straddling the end of their vector, fresh and grown
-        // destinations, same- and cross-component moves.
-        let cases = [(0, 0, 1, 0x40_0000, 512), (1, 0x3000, 0, 0x200_0000, 9), (0, 0x1000, 0, 0x9000, 5)];
+        // destinations, same- and cross-component moves, and head frames
+        // landing on non-head frames and back.
+        let cases = [
+            (0, 0, 1, 0x40_0000, 512),
+            (1, 0x3000, 0, 0x200_0000, 9),
+            (0, 0x1000, 0, 0x9000, 5),
+            (0, 0x1ff000, 1, 0x5000, 1030),
+            (1, 0, 1, 0x60_0000 - 0x3000, 700),
+        ];
         for (sc, so, dc, dof, frames) in cases {
             let mut fast = VersionStore::new();
+            let mut slow = FlatVersions::default();
+            let mut bump = |f: PhysAddr| {
+                fast.bump(f);
+                slow.bump(f);
+            };
             for k in 0..6u64 {
                 for _ in 0..=k {
-                    fast.bump(PhysAddr::new(sc, so + k * 2 * PAGE_SIZE_4K));
+                    bump(PhysAddr::new(sc, so + k * 2 * PAGE_SIZE_4K));
                 }
             }
-            fast.bump(PhysAddr::new(dc, dof + PAGE_SIZE_4K));
-            let mut slow = VersionStore { comps: fast.comps.clone() };
+            bump(PhysAddr::new(sc, so.next_multiple_of(PAGE_SIZE_2M)));
+            bump(PhysAddr::new(dc, dof + PAGE_SIZE_4K));
+            bump(PhysAddr::new(dc, dof.next_multiple_of(PAGE_SIZE_2M)));
             fast.move_range(PhysAddr::new(sc, so), PhysAddr::new(dc, dof), frames);
-            for f in 0..frames as u64 {
-                let s = PhysAddr::new(sc, so + f * PAGE_SIZE_4K);
-                slow.copy(s, PhysAddr::new(dc, dof + f * PAGE_SIZE_4K));
-                slow.forget(s);
-            }
-            assert_eq!(fast.comps, slow.comps, "src {sc}:{so:#x} dst {dc}:{dof:#x} x{frames}");
+            slow.move_range(PhysAddr::new(sc, so), PhysAddr::new(dc, dof), frames);
+            assert_eq!(saved(|w| fast.save(w)), saved(|w| slow.save(w)), "src {sc}:{so:#x} dst {dc}:{dof:#x} x{frames}");
         }
+    }
+
+    #[test]
+    fn prop_dense_heads_match_flat_layout() {
+        use proptest_lite::{gen, prop_assert_eq, prop_check};
+        // Frames live in two components, up to six 2 MB blocks each; a
+        // third of the generated frames are forced onto block heads.
+        const SPAN: u64 = 6 * HEAD_STRIDE as u64;
+        fn frame(comp: u64, pick: u64, seed: u64) -> PhysAddr {
+            let f = if seed.is_multiple_of(3) { (pick % 6) * HEAD_STRIDE as u64 } else { pick % SPAN };
+            PhysAddr::new((comp % 2) as u16, f * PAGE_SIZE_4K)
+        }
+        prop_check!(
+            "dense_heads_match_flat_layout",
+            64,
+            gen::vec_in(
+                (gen::u8_range(0, 7), gen::u64_range(0, 1 << 20), gen::u64_range(0, 1 << 20), gen::u64_range(0, 1 << 20)),
+                1,
+                120,
+            ),
+            |ops| {
+                let mut dense = VersionStore::new();
+                let mut flat = FlatVersions::default();
+                for (step, &(op, a, b, c)) in ops.iter().enumerate() {
+                    let mut touched = Vec::new();
+                    match op {
+                        0..=2 => {
+                            let f = frame(a, b, c);
+                            dense.bump(f);
+                            flat.bump(f);
+                            touched.push((f, 1));
+                        }
+                        3..=5 => {
+                            // 4 KB, whole 2 MB and arbitrary-length moves;
+                            // sources may lie past the end of their vector.
+                            let (src, dst, frames) = match op {
+                                3 => (frame(a, b, c), frame(b, c, a), 1),
+                                4 => {
+                                    let block = |x: u64| PhysAddr::new((x % 2) as u16, (x / 2 % 7) * PAGE_SIZE_2M);
+                                    (block(a), block(b), HEAD_STRIDE)
+                                }
+                                _ => (frame(a, b, c), frame(b, c, a), 1 + (c % 1100) as usize),
+                            };
+                            let (s, d) = (src.offset() / PAGE_SIZE_4K, dst.offset() / PAGE_SIZE_4K);
+                            let len = frames as u64;
+                            if src.component() == dst.component() && s < d + len && d < s + len {
+                                continue;
+                            }
+                            dense.move_range(src, dst, frames);
+                            flat.move_range(src, dst, frames);
+                            touched.extend([(src, frames), (dst, frames)]);
+                        }
+                        _ => {
+                            let bytes = saved(|w| dense.save(w));
+                            prop_assert_eq!(&bytes, &saved(|w| flat.save(w)), "step {step}: save");
+                            let mut r = obs::wire::Reader::new(&bytes);
+                            dense = VersionStore::load(&mut r).expect("saved store loads");
+                            prop_assert_eq!(r.remaining(), 0);
+                        }
+                    }
+                    for (start, frames) in touched {
+                        for k in 0..frames as u64 {
+                            let f = PhysAddr::new(start.component(), start.offset() + k * PAGE_SIZE_4K);
+                            prop_assert_eq!(dense.get(f), flat.get(f), "step {step}: frame {f:?}");
+                        }
+                    }
+                }
+                prop_assert_eq!(saved(|w| dense.save(w)), saved(|w| flat.save(w)), "final save");
+            }
+        );
+    }
+
+    #[test]
+    fn version_store_load_rejects_impossible_frame_count() {
+        // One component claiming 2^40 frames in a 7-byte body: the count
+        // must be refused before anything is reserved for it.
+        let bytes = saved(|w| {
+            w.varint(1);
+            w.varint(1 << 40);
+        });
+        assert_eq!(bytes.len(), 7);
+        let err = VersionStore::load(&mut obs::wire::Reader::new(&bytes)).unwrap_err();
+        assert!(err.contains("frames"), "{err}");
     }
 }

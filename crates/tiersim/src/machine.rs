@@ -506,7 +506,10 @@ impl Machine {
     /// machine without Memory Mode or a heatmap, costs `touch`, a version
     /// bump on writes, the counters, PEBS and one charge. Everything else
     /// goes to the out-of-line general path (`Machine::access_general`).
-    #[inline]
+    /// Forced inline: with a plain `#[inline]` the compiler left it an
+    /// out-of-line call from `SimEnv::do_access`, which cost ~12 % of
+    /// `sim_maccess_per_s` on both GUPS benchmark workloads.
+    #[inline(always)]
     pub fn access(&mut self, tid: usize, va: VirtAddr, kind: AccessKind) -> AccessResult {
         debug_assert_eq!(
             self.always_general,

@@ -165,6 +165,7 @@ impl Workload for Bfs {
                     elem_addr(self.frontier_vma, self.frontier_head % slots, FRONTIER_BYTES),
                 );
                 self.frontier_head += 1;
+                self.graph.prefetch_ahead(&self.frontier);
                 // Offset lookups (two 8-byte entries, usually one line).
                 env.read(tid, elem_addr(self.offsets, u as u64, OFFSET_BYTES));
                 env.read(tid, elem_addr(self.offsets, u as u64 + 1, OFFSET_BYTES));
@@ -175,6 +176,11 @@ impl Workload for Bfs {
         // cache line, plus a visited probe per edge.
         let slots = self.frontier_vma.len() / FRONTIER_BYTES;
         let stop = (lo + EDGE_BATCH).min(hi);
+        // The slice's stamp probes are random host loads; start them all
+        // before the loop so they overlap instead of stalling one by one.
+        for &v in &self.graph.neighbors[lo as usize..stop as usize] {
+            crate::prefetch_read(self.stamps.as_ptr().wrapping_add(v as usize));
+        }
         let mut line = u64::MAX;
         for pos in lo..stop {
             let byte = pos * NEIGHBOR_BYTES;

@@ -7,7 +7,7 @@
 //! graphs are cached per-process because several experiments traverse the
 //! same graph under different managers.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use tiersim::engine::map_chunks;
@@ -41,6 +41,23 @@ impl Csr {
     /// Out-degree of `v`.
     pub fn degree(&self, v: u32) -> u64 {
         self.offsets[v as usize + 1] - self.offsets[v as usize]
+    }
+
+    /// Pipelines the host loads of the next two vertices a traversal
+    /// will expand, `queue[0]` and `queue[1]`. The offsets of `queue[0]`
+    /// were requested one pop earlier, so reading them is usually a hit
+    /// and locates its adjacency list, whose first line is requested
+    /// now, together with the offsets of `queue[1]`.
+    #[inline]
+    pub(crate) fn prefetch_ahead(&self, queue: &VecDeque<u32>) {
+        let mut ahead = queue.iter();
+        if let Some(&next) = ahead.next() {
+            let start = self.offsets[next as usize] as usize;
+            crate::prefetch_read(self.neighbors.as_ptr().wrapping_add(start));
+        }
+        if let Some(&after) = ahead.next() {
+            crate::prefetch_read(self.offsets.as_ptr().wrapping_add(after as usize));
+        }
     }
 
     /// Deterministic pseudo-weight of the edge at position `pos` in

@@ -28,6 +28,23 @@ pub use ycsb::{Ycsb, YcsbConfig};
 
 use tiersim::sim::Workload;
 
+/// Asks the host CPU to start loading the cache line at `p`, so a later
+/// random read of it overlaps with other work instead of stalling. A pure
+/// hint: nothing reads the loaded value, so it cannot change what a
+/// workload computes or accesses. `p` may dangle; a prefetch never faults.
+#[inline(always)]
+pub(crate) fn prefetch_read<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` only hints the cache hierarchy. It reads no
+    // memory the program can observe and does not fault on any address,
+    // valid or not, and SSE is part of the x86_64 baseline.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
 /// A catalog entry describing one evaluation workload (Table 2).
 #[derive(Clone, Debug)]
 pub struct CatalogEntry {

@@ -176,6 +176,7 @@ impl Workload for Sssp {
                 let slots = self.queue_vma.len() / QUEUE_BYTES;
                 env.read(tid, elem_addr(self.queue_vma, self.queue_head % slots, QUEUE_BYTES));
                 self.queue_head += 1;
+                self.graph.prefetch_ahead(&self.queue);
                 env.read(tid, elem_addr(self.offsets, u as u64, OFFSET_BYTES));
                 env.read(tid, elem_addr(self.offsets, u as u64 + 1, OFFSET_BYTES));
                 let du = self.dist_of(u);
@@ -188,6 +189,14 @@ impl Workload for Sssp {
         };
         let slots = self.queue_vma.len() / QUEUE_BYTES;
         let stop = (lo + EDGE_BATCH).min(hi);
+        // The slice's per-vertex probes are random host loads; start them
+        // all before the loop so they overlap instead of stalling one by one.
+        for &v in &self.graph.neighbors[lo as usize..stop as usize] {
+            let v = v as usize;
+            crate::prefetch_read(self.epoch_of.as_ptr().wrapping_add(v));
+            crate::prefetch_read(self.dist.as_ptr().wrapping_add(v));
+            crate::prefetch_read(self.in_queue.as_ptr().wrapping_add(v));
+        }
         let mut line = u64::MAX;
         for pos in lo..stop {
             let byte = pos * NEIGHBOR_BYTES;
