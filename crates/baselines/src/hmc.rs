@@ -3,24 +3,19 @@
 //! In Memory Mode only the PM capacity is visible to software; the DRAM in
 //! front of each socket acts as a hardware-managed cache (modelled by
 //! [`tiersim::cache::HwCache`] inside the machine). The manager therefore
-//! just places every page in PM and lets the hardware do the rest — build
-//! the machine with [`hmc_machine_config`] so the caches exist.
+//! just places every page in PM and lets the hardware do the rest. The
+//! machine needs `MachineConfig::hmc_mode` set so the caches exist; the
+//! harness's machine builder (`mtm_harness::runs::healthy_machine_for`)
+//! sets it for `hmc` runs.
 
-use tiersim::machine::{Machine, MachineConfig};
+use tiersim::machine::Machine;
 use tiersim::sim::MemoryManager;
-use tiersim::tier::{ComponentId, Topology};
+use tiersim::tier::ComponentId;
 use tiersim::VirtAddr;
 
 /// The Memory-Mode baseline ("HMC" in Fig. 4).
 #[derive(Default)]
 pub struct MemoryMode;
-
-/// Builds a machine configuration with the hardware caches enabled.
-pub fn hmc_machine_config(topology: Topology, threads: usize) -> MachineConfig {
-    let mut cfg = MachineConfig::new(topology, threads);
-    cfg.hmc_mode = true;
-    cfg
-}
 
 impl MemoryManager for MemoryMode {
     fn name(&self) -> String {
@@ -43,12 +38,13 @@ impl MemoryManager for MemoryMode {
 mod tests {
     use super::*;
     use tiersim::addr::{VaRange, PAGE_SIZE_2M};
-    use tiersim::machine::AccessKind;
+    use tiersim::machine::{AccessKind, MachineConfig};
     use tiersim::tier::optane_four_tier;
 
     #[test]
     fn pages_land_in_pm_and_cache_serves_hits() {
-        let cfg = hmc_machine_config(optane_four_tier(1 << 12), 2);
+        let mut cfg = MachineConfig::new(optane_four_tier(1 << 12), 2);
+        cfg.hmc_mode = true;
         let mut m = Machine::new(cfg);
         m.mmap("a", VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M), false);
         let mut mm = MemoryMode;

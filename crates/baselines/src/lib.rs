@@ -19,7 +19,7 @@ pub use autotiering::AutoTiering;
 pub use damon::{Damon, DamonConfig};
 pub use first_touch::FirstTouch;
 pub use hemem::{hemem_pebs_config, HeMem};
-pub use hmc::{hmc_machine_config, MemoryMode};
+pub use hmc::MemoryMode;
 pub use thermostat::Thermostat;
 
 use tiersim::sim::MemoryManager;

@@ -17,25 +17,11 @@
 //!
 //! `tiersim::Machine` owns the hooks (see `Machine::verify_consistency`);
 //! this crate holds the model and the verdicts so the logic stays testable
-//! without a machine.
+//! without a machine. Nothing here reads the environment: a machine is
+//! armed with `Machine::set_checking`, which the harness calls under
+//! `MTM_CHECK=1`.
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
-
-/// True when the process was started with `MTM_CHECK=1` (or `true`/`on`).
-/// Read once; tests that need the sanitizer regardless of the environment
-/// use `Machine::set_checking` instead of mutating the environment.
-pub fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        std::env::var("MTM_CHECK")
-            .map(|v| {
-                let v = v.trim().to_ascii_lowercase();
-                v == "1" || v == "true" || v == "on"
-            })
-            .unwrap_or(false)
-    })
-}
 
 /// Shadow record of one mapped page: where the page table says it lives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -1,7 +1,6 @@
 //! Diagnostic: run MTM on a workload and dump internal policy state.
 
-use tiersim::machine::{Machine, MachineConfig};
-use tiersim::sim::drive_interval;
+use tiersim::sim::ScenarioProgress;
 use tiersim::tier::optane_four_tier;
 
 fn main() {
@@ -9,25 +8,13 @@ fn main() {
     let wl_name = args.get(1).cloned().unwrap_or_else(|| "GUPS".into());
     let opts = mtm_harness::Opts::from_env();
     let topo = optane_four_tier(opts.scale);
-    let mut mc = MachineConfig::new(topo.clone(), opts.threads);
-    mc.interval_ns = opts.interval_ns;
-    let mut machine = Machine::new(mc);
+    let mut machine = mtm_harness::runs::healthy_machine_for("MTM", &opts, topo.clone());
     let mut mgr = mtm::MtmManager::new(mtm_harness::runs::mtm_config(&opts), topo.nodes as usize);
     let mut wl = mtm_workloads::build_paper_workload(&wl_name, opts.scale, opts.threads).unwrap();
-    {
-        use tiersim::sim::MemoryManager;
-        let mut env = tiersim::sim::SimEnv { machine: &mut machine, manager: &mut mgr };
-        wl.setup(&mut env);
-        drop(env);
-        mgr.init(&mut machine);
-    }
-    machine.reset_measurement();
-    use tiersim::sim::MemoryManager;
+    let mut progress = ScenarioProgress::start(&mut machine, &mut mgr, wl.as_mut());
     let mut last_mig = 0.0;
     for ivl in 0..opts.intervals {
-        drive_interval(&mut machine, &mut mgr, wl.as_mut(), ivl);
-        mgr.on_interval(&mut machine, ivl);
-        wl.end_of_interval(ivl);
+        progress.step_interval(&mut machine, &mut mgr, wl.as_mut(), ivl);
         let mig = machine.breakdown().migration_ns;
         if ivl % 8 == 0 { println!("   mig this ivl: {:.3}ms (cum {:.1}ms)", (mig-last_mig)/1e6, mig/1e6); }
         last_mig = mig;

@@ -6,12 +6,13 @@ use mtm::{MtmConfig, MtmManager};
 use mtm_baselines::{AutoTiering, Damon, DamonConfig, Thermostat};
 use mtm_workloads::{Gups, GupsConfig};
 use tiersim::addr::VaRange;
-use tiersim::machine::{Machine, MachineConfig};
-use tiersim::sim::{drive_interval, MemoryManager, SimEnv};
+use tiersim::machine::Machine;
+use tiersim::sim::{MemoryManager, ScenarioProgress, Workload};
 use tiersim::tier::optane_four_tier;
 
 use crate::metrics::{quality, Quality};
 use crate::opts::Opts;
+use crate::runs::healthy_machine_for;
 use crate::tablefmt::{f, TextTable};
 
 /// One profiler's quality trajectory.
@@ -40,37 +41,52 @@ fn gups(opts: &Opts) -> Gups {
     Gups::new(cfg)
 }
 
-fn machine(opts: &Opts) -> Machine {
-    let mut cfg = MachineConfig::new(optane_four_tier(opts.scale), opts.threads);
-    cfg.interval_ns = opts.interval_ns;
-    Machine::new(cfg)
+/// MTM's adaptive profiler with migration off (budget 0), and its
+/// detected-hot set: regions hot in at least half of its scans.
+pub(crate) fn mtm_profiler() -> (MtmManager, impl Fn(&MtmManager) -> Vec<VaRange>) {
+    let cfg = MtmConfig { promote_bytes: 0, ..MtmConfig::default() };
+    let scans = cfg.num_scans as f64;
+    (MtmManager::new(cfg, 2), move |m: &MtmManager| m.profiler().hot_ranges_above(scans * 0.5))
+}
+
+/// DAMON's region profiler, and its detected-hot set: regions seen
+/// accessed in at least 30 % of its checks.
+pub(crate) fn damon_profiler() -> (Damon, impl Fn(&Damon) -> Vec<VaRange>) {
+    let dcfg = DamonConfig::default();
+    let thr = ((dcfg.checks_per_interval as f64 * 0.3) as u32).max(1);
+    (Damon::new(dcfg), move |d: &Damon| d.hot_ranges_above(thr))
+}
+
+/// Steps `mgr` over `wl` on `m` for `opts.intervals` intervals and calls
+/// `each` after every one with the hot set `wl` had during it (the band
+/// rotates at the end of a step, so the truth is taken before it).
+pub(crate) fn profile<M: MemoryManager>(
+    opts: &Opts,
+    m: &mut Machine,
+    mgr: &mut M,
+    wl: &mut Gups,
+    mut each: impl FnMut(&Machine, &M, Vec<VaRange>),
+) {
+    let mut progress = ScenarioProgress::start(m, mgr, wl);
+    for ivl in 0..opts.intervals {
+        let truth = wl.true_hot_ranges();
+        progress.step_interval(m, mgr, wl, ivl);
+        each(m, mgr, truth);
+    }
 }
 
 /// Runs one profiler (as a manager with migration effectively disabled)
-/// and probes its detected-hot set after each interval.
+/// and scores its detected-hot set after each interval.
 fn series<M: MemoryManager>(
     opts: &Opts,
     name: &str,
-    mut mgr: M,
-    probe: impl Fn(&M) -> Vec<VaRange>,
+    (mut mgr, probe): (M, impl Fn(&M) -> Vec<VaRange>),
 ) -> QualitySeries {
-    let mut m = machine(opts);
-    let mut wl = gups(opts);
-    {
-        let mut env = SimEnv { machine: &mut m, manager: &mut mgr };
-        tiersim::sim::Workload::setup(&mut wl, &mut env);
-    }
-    mgr.init(&mut m);
-    m.reset_measurement();
+    let mut m = healthy_machine_for(name, opts, optane_four_tier(opts.scale));
     let mut points = Vec::new();
-    for ivl in 0..opts.intervals {
-        drive_interval(&mut m, &mut mgr, &mut wl, ivl);
-        mgr.on_interval(&mut m, ivl);
-        let truth = tiersim::sim::Workload::true_hot_ranges(&wl);
-        let q = quality(&probe(&mgr), &truth);
-        points.push((m.elapsed_ns() / 1e9, q));
-        tiersim::sim::Workload::end_of_interval(&mut wl, ivl);
-    }
+    profile(opts, &mut m, &mut mgr, &mut gups(opts), |m, mgr, truth| {
+        points.push((m.elapsed_ns() / 1e9, quality(&probe(mgr), &truth)));
+    });
     QualitySeries { name: name.into(), points }
 }
 
@@ -78,25 +94,16 @@ fn series<M: MemoryManager>(
 /// worker pool) and returns their series in fixed order.
 pub fn all_series(opts: &Opts) -> Vec<QualitySeries> {
     let jobs: Vec<Box<dyn FnOnce() -> QualitySeries + Send + '_>> = vec![
-        // MTM: the adaptive profiler, no migration (budget 0).
-        Box::new(move || {
-            let mut cfg = MtmConfig::default();
-            cfg.promote_bytes = 0;
-            let scans = cfg.num_scans as f64;
-            series(opts, "MTM", MtmManager::new(cfg, 2), move |mgr| {
-                mgr.profiler().hot_ranges_above(scans * 0.5)
-            })
-        }),
-        // DAMON: region profiler, threshold at 30 % of checks.
-        Box::new(move || {
-            let dcfg = DamonConfig::default();
-            let thr = (dcfg.checks_per_interval as f64 * 0.3) as u32;
-            series(opts, "DAMON", Damon::new(dcfg), move |d| d.hot_ranges_above(thr.max(1)))
-        }),
+        Box::new(move || series(opts, "MTM", mtm_profiler())),
+        Box::new(move || series(opts, "DAMON", damon_profiler())),
         // Thermostat: protection-fault profiler.
-        Box::new(move || series(opts, "Thermostat", Thermostat::new(0), |t| t.hot_ranges())),
+        Box::new(move || {
+            series(opts, "Thermostat", (Thermostat::new(0), |t: &Thermostat| t.hot_ranges()))
+        }),
         // AutoTiering: random scan windows.
-        Box::new(move || series(opts, "AutoTiering", AutoTiering::new(0), |a| a.hot_ranges())),
+        Box::new(move || {
+            series(opts, "AutoTiering", (AutoTiering::new(0), |a: &AutoTiering| a.hot_ranges()))
+        }),
     ];
     crate::runpool::map_parallel(jobs, |job| job())
 }

@@ -5,10 +5,8 @@
 //! MTM's `move_memory_regions()`.
 
 use mtm::migration::{move_memory_regions_once, nimble_move};
-use tiersim::addr::{VaRange, VirtAddr, PAGE_SIZE_2M};
-use tiersim::machine::{Machine, MachineConfig};
+use tiersim::addr::{VaRange, PAGE_SIZE_2M};
 use tiersim::migrate::move_pages_linux;
-use tiersim::tier::optane_four_tier;
 
 use crate::opts::Opts;
 use crate::tablefmt::{dur, TextTable};
@@ -47,19 +45,9 @@ fn array_bytes(opts: &Opts) -> u64 {
     ((1u64 << 30) * 16 / opts.scale).max(4 * PAGE_SIZE_2M)
 }
 
-fn fresh(opts: &Opts) -> (Machine, VaRange) {
-    let mut cfg = MachineConfig::new(optane_four_tier(opts.scale), 1);
-    cfg.interval_ns = opts.interval_ns;
-    let mut m = Machine::new(cfg);
-    let range = VaRange::from_len(VirtAddr(0), array_bytes(opts));
-    m.mmap("array", range, false);
-    m.prefault_range(range, &[0]).unwrap();
-    (m, range)
-}
-
 /// One measurement: critical-path time of migrating the array.
 pub fn measure_one(opts: &Opts, mechanism: &str, dst: u16, pattern: Pattern) -> f64 {
-    let (mut m, range) = fresh(opts);
+    let (mut m, range) = crate::fig3::prefaulted(opts, array_bytes(opts));
     let regions: Vec<VaRange> = range.iter_pages_2m().map(|b| VaRange::from_len(b, PAGE_SIZE_2M)).collect();
     let mut total = 0.0;
     for (i, region) in regions.iter().enumerate() {

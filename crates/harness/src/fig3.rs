@@ -4,21 +4,23 @@
 
 use mtm::migration::move_memory_regions_once;
 use tiersim::addr::{VaRange, VirtAddr, PAGE_SIZE_2M};
-use tiersim::machine::{Machine, MachineConfig};
+use tiersim::machine::Machine;
 use tiersim::migrate::{move_pages_linux, StepBreakdown};
 use tiersim::tier::optane_four_tier;
 
 use crate::opts::Opts;
+use crate::runs::healthy_machine_for;
 use crate::tablefmt::{dur, TextTable};
 
-fn fresh_machine(opts: &Opts) -> Machine {
-    let mut cfg = MachineConfig::new(optane_four_tier(opts.scale), 1);
-    cfg.interval_ns = opts.interval_ns;
-    let mut m = Machine::new(cfg);
-    let r = VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M);
-    m.mmap("region", r, false);
-    m.prefault_range(r, &[0]).unwrap();
-    m
+/// A one-thread plain machine (no manager runs on it) with `bytes` at VA
+/// 0 prefaulted in tier 1: the start of every migration microbenchmark.
+pub(crate) fn prefaulted(opts: &Opts, bytes: u64) -> (Machine, VaRange) {
+    let one = Opts { threads: 1, ..*opts };
+    let mut m = healthy_machine_for("first-touch", &one, optane_four_tier(opts.scale));
+    let range = VaRange::from_len(VirtAddr(0), bytes);
+    m.mmap("region", range, false);
+    m.prefault_range(range, &[0]).unwrap();
+    (m, range)
 }
 
 /// Measured breakdowns for the two mechanisms.
@@ -33,11 +35,10 @@ pub struct Fig3Data {
 
 /// Runs the microbenchmark.
 pub fn measure(opts: &Opts) -> Fig3Data {
-    let range = VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M);
     // Tier 1 (DRAM0) -> tier 4 (PM1) from node 0's view.
-    let mut m = fresh_machine(opts);
+    let (mut m, range) = prefaulted(opts, PAGE_SIZE_2M);
     let mp = move_pages_linux(&mut m, range, 3, 0).expect("move_pages succeeds");
-    let mut m = fresh_machine(opts);
+    let (mut m, range) = prefaulted(opts, PAGE_SIZE_2M);
     let (mmr, critical) =
         move_memory_regions_once(&mut m, range, 3, 0, 4, false).expect("mmr succeeds");
     Fig3Data { move_pages: mp.breakdown, mmr: mmr.breakdown, mmr_critical: critical }

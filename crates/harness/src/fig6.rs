@@ -2,16 +2,15 @@
 //! (A: indexes, B: hot-set info, C: the hot set) each profiler detects,
 //! DAMON vs MTM, under the same profiling overhead.
 
-use mtm::{MtmConfig, MtmManager};
-use mtm_baselines::{Damon, DamonConfig};
 use mtm_workloads::{Gups, GupsConfig};
 use tiersim::addr::VaRange;
-use tiersim::machine::{Machine, MachineConfig};
-use tiersim::sim::{drive_interval, MemoryManager, SimEnv};
+use tiersim::sim::MemoryManager;
 use tiersim::tier::optane_four_tier;
 
+use crate::fig1::{damon_profiler, mtm_profiler, profile};
 use crate::metrics::intersection_bytes;
 use crate::opts::Opts;
+use crate::runs::{build_machine, machine_config};
 use crate::tablefmt::TextTable;
 
 struct Detection {
@@ -21,26 +20,15 @@ struct Detection {
 
 fn run_profiler<M: MemoryManager>(
     opts: &Opts,
-    mut mgr: M,
-    probe: impl Fn(&M) -> Vec<VaRange>,
+    (mut mgr, probe): (M, impl Fn(&M) -> Vec<VaRange>),
 ) -> (Detection, Gups) {
-    let mut cfg = MachineConfig::new(optane_four_tier(opts.scale), opts.threads);
-    cfg.interval_ns = opts.interval_ns;
+    let mut cfg = machine_config(&mgr.name(), opts, optane_four_tier(opts.scale));
     cfg.track_heat = true;
-    let mut m = Machine::new(cfg);
+    let mut m = build_machine(cfg);
     let mut gcfg = GupsConfig::paper(opts.scale, opts.threads);
     gcfg.rotate_every = None; // Fig. 6 studies a stable hot set.
     let mut wl = Gups::new(gcfg);
-    {
-        let mut env = SimEnv { machine: &mut m, manager: &mut mgr };
-        tiersim::sim::Workload::setup(&mut wl, &mut env);
-    }
-    mgr.init(&mut m);
-    m.reset_measurement();
-    for ivl in 0..opts.intervals {
-        drive_interval(&mut m, &mut mgr, &mut wl, ivl);
-        mgr.on_interval(&mut m, ivl);
-    }
+    profile(opts, &mut m, &mut mgr, &mut wl, |_, _, _| {});
     (Detection { detected: probe(&mgr), heat: m.heat_snapshot() }, wl)
 }
 
@@ -72,19 +60,8 @@ pub fn run(opts: &Opts) -> String {
     // The two profiler runs are independent simulations; run them on the
     // worker pool.
     let jobs: Vec<Box<dyn FnOnce() -> (Detection, Gups) + Send + '_>> = vec![
-        Box::new(move || {
-            let mut cfg = MtmConfig::default();
-            cfg.promote_bytes = 0;
-            let scans = cfg.num_scans as f64;
-            run_profiler(opts, MtmManager::new(cfg, 2), move |m| {
-                m.profiler().hot_ranges_above(scans * 0.5)
-            })
-        }),
-        Box::new(move || {
-            let dcfg = DamonConfig::default();
-            let thr = ((dcfg.checks_per_interval as f64) * 0.3) as u32;
-            run_profiler(opts, Damon::new(dcfg), move |d| d.hot_ranges_above(thr.max(1)))
-        }),
+        Box::new(move || run_profiler(opts, mtm_profiler())),
+        Box::new(move || run_profiler(opts, damon_profiler())),
     ];
     let mut out = crate::runpool::map_parallel(jobs, |job| job()).into_iter();
     let (mtm, wl) = out.next().expect("MTM run");

@@ -15,11 +15,6 @@ use std::path::{Path, PathBuf};
 
 use tiersim::addr::VaRange;
 
-/// Whether telemetry export is enabled (`MTM_TELEMETRY=1`).
-pub fn telemetry_enabled() -> bool {
-    std::env::var("MTM_TELEMETRY").map(|v| v == "1").unwrap_or(false)
-}
-
 /// Default directory telemetry JSON is written under.
 pub const TELEMETRY_DIR: &str = "results/telemetry";
 

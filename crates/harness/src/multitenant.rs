@@ -173,7 +173,7 @@ impl CoTenancy {
         promote_pool: u64,
         checked: bool,
     ) -> CoTenancy {
-        let sanitize = checked || mtm_check::enabled();
+        let sanitize = checked || crate::runs::env_knobs().check;
         CoTenancy { topo, policy, promote_pool, sanitize, tenants: Vec::new() }
     }
 
@@ -525,7 +525,7 @@ pub fn render(opts: &Opts, counts: &[usize], arbiters: &[ArbiterKind]) -> String
 
     // Per-tenant telemetry export, serial and in cell order so the final
     // file set is deterministic for any worker count.
-    if crate::metrics::telemetry_enabled() {
+    if crate::runs::env_knobs().telemetry {
         let dir = std::path::Path::new(crate::metrics::TELEMETRY_DIR);
         for (ci, &(ni, _, _)) in cells.iter().enumerate() {
             let specs = tenant_specs(counts[ni]);

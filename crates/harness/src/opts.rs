@@ -1,29 +1,8 @@
 //! Experiment options: simulation scale and run length.
 //!
 //! The defaults reproduce the paper's setup scaled down by `scale` (see
-//! `DESIGN.md` for the mapping). Environment variables override them:
-//! `MTM_QUICK=1` (small, fast runs), `MTM_SCALE`, `MTM_THREADS`,
-//! `MTM_INTERVALS`, `MTM_INTERVAL_NS`.
-
-/// Applies one `NAME=value` override to `dst`; on a parse failure leaves
-/// `dst` untouched and returns the warning line to print.
-fn apply_override<T: std::str::FromStr>(
-    name: &str,
-    raw: Option<String>,
-    dst: &mut T,
-) -> Option<String> {
-    let raw = raw?;
-    match raw.parse() {
-        Ok(v) => {
-            *dst = v;
-            None
-        }
-        Err(_) => Some(format!(
-            "warning: ignoring {name}={raw:?} (not a valid {})",
-            std::any::type_name::<T>()
-        )),
-    }
-}
+//! `DESIGN.md` for the mapping). Environment variables override them
+//! (see [`Opts::from_env`]).
 
 /// The value of env var `name`, or `None` when it is unset or empty.
 pub(crate) fn env_value(name: &str) -> Option<String> {
@@ -58,32 +37,15 @@ impl Opts {
         Opts { scale: 4096, threads: 4, intervals: 12, interval_ns: 1.0e6, quick: true }
     }
 
-    /// Reads options from the environment. Unparsable overrides are
-    /// **not** silently ignored: each one prints a `warning:` line on
-    /// stderr (and `scripts/verify.sh` fails the smoke run on any such
-    /// line), so a typo'd `MTM_SCALE` can't quietly run the wrong
-    /// experiment.
+    /// The options the environment asks for: `MTM_QUICK=1` picks
+    /// [`Opts::quick`], then `MTM_SCALE`, `MTM_THREADS`, `MTM_INTERVALS`
+    /// and `MTM_INTERVAL_NS` override single fields. They are read once
+    /// per process with the other run knobs, and an unparsable value is
+    /// **not** silently ignored: it prints a `warning:` line on stderr
+    /// (which `scripts/verify.sh` fails the smoke run on), so a typo'd
+    /// `MTM_SCALE` can't quietly run the wrong experiment.
     pub fn from_env() -> Opts {
-        let mut o = match std::env::var("MTM_QUICK").ok().as_deref() {
-            Some("1") => Opts::quick(),
-            Some("0") | Some("") | None => Opts::default(),
-            Some(other) => {
-                eprintln!("warning: ignoring MTM_QUICK={other:?} (expected 0 or 1)");
-                Opts::default()
-            }
-        };
-        for w in [
-            apply_override("MTM_SCALE", std::env::var("MTM_SCALE").ok(), &mut o.scale),
-            apply_override("MTM_THREADS", std::env::var("MTM_THREADS").ok(), &mut o.threads),
-            apply_override("MTM_INTERVALS", std::env::var("MTM_INTERVALS").ok(), &mut o.intervals),
-            apply_override("MTM_INTERVAL_NS", std::env::var("MTM_INTERVAL_NS").ok(), &mut o.interval_ns),
-        ]
-        .into_iter()
-        .flatten()
-        {
-            eprintln!("{w}");
-        }
-        o
+        crate::runs::env_knobs().opts
     }
 
     /// The per-interval migration budget every system shares (the paper's
@@ -109,28 +71,6 @@ mod tests {
         assert!(q.scale > d.scale);
         assert!(q.intervals < d.intervals);
         assert_ne!(d, q);
-    }
-
-    #[test]
-    fn override_parses_or_warns() {
-        let mut scale = 256u64;
-        // Unset: untouched, no warning.
-        assert_eq!(apply_override("MTM_SCALE", None, &mut scale), None);
-        assert_eq!(scale, 256);
-        // Valid: applied, no warning.
-        assert_eq!(apply_override("MTM_SCALE", Some("64".into()), &mut scale), None);
-        assert_eq!(scale, 64);
-        // Typo: untouched, loud.
-        let w = apply_override("MTM_SCALE", Some("6 4".into()), &mut scale)
-            .expect("unparsable override warns");
-        assert!(w.starts_with("warning: ignoring MTM_SCALE=\"6 4\""), "{w}");
-        assert_eq!(scale, 64);
-        // Same machinery for floats.
-        let mut ns = 2.0e6f64;
-        assert_eq!(apply_override("MTM_INTERVAL_NS", Some("1e6".into()), &mut ns), None);
-        assert_eq!(ns, 1.0e6);
-        assert!(apply_override("MTM_INTERVAL_NS", Some("fast".into()), &mut ns).is_some());
-        assert_eq!(ns, 1.0e6);
     }
 
     #[test]

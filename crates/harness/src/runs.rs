@@ -2,9 +2,13 @@
 //!
 //! A [`RunSpec`] is the one description of a run: the resolved manager,
 //! the workload, the options, the topology and the fault plan. Every
-//! experiment builds its runs from one, and [`RunSpec::new`] is the only
-//! place the `MTM_ADMIT` / `MTM_SHADOW` / `MTM_FAULTS` / `MTM_FAULT_SEED`
-//! knobs are read.
+//! experiment builds its runs from one, and every harness machine comes
+//! from `build_machine`. `env_knobs` reads the run knobs once per process:
+//! `MTM_QUICK` / `MTM_SCALE` / `MTM_THREADS` / `MTM_INTERVALS` /
+//! `MTM_INTERVAL_NS` are [`Opts::from_env`], `MTM_ADMIT` / `MTM_SHADOW` /
+//! `MTM_FAULTS` / `MTM_FAULT_SEED` shape the spec, `MTM_CHECK` /
+//! `MTM_RUN_WORKERS` arm each machine, `MTM_TELEMETRY` turns on telemetry
+//! export. The simulator itself reads no environment.
 //!
 //! Runs are memoized in a process-wide **single-flight** cache keyed by
 //! the whole spec: the first caller of a spec executes the run while any
@@ -23,6 +27,7 @@ use std::time::Instant;
 use faultsim::FaultPlan;
 use mtm::{AdmissionKind, MtmConfig, MtmManager};
 use mtm_baselines::{build_baseline, hemem_pebs_config};
+use tiersim::engine::parse_workers;
 use tiersim::machine::{Machine, MachineConfig};
 use tiersim::sim::{run_scenario, MemoryManager, RunReport, Workload};
 use tiersim::tier::{optane_four_tier, Topology};
@@ -37,58 +42,101 @@ pub const OVERALL_MANAGERS: [&str; 7] =
 pub const WORKLOADS: [&str; 6] = ["GUPS", "VoltDB", "Cassandra", "BFS", "SSSP", "Spark"];
 
 /// The run knobs that come from the environment.
-struct EnvKnobs {
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct EnvKnobs {
+    pub(crate) opts: Opts,
     admission: AdmissionKind,
     shadow: bool,
     faults: Option<FaultPlan>,
     fault_seed: u64,
+    pub(crate) check: bool,
+    run_workers: usize,
+    pub(crate) telemetry: bool,
 }
 
-/// Reads `MTM_ADMIT`, `MTM_SHADOW`, `MTM_FAULTS` and `MTM_FAULT_SEED`
-/// once per process. A malformed value prints a `warning:` line — once —
-/// and falls back to the default (`always`, shadow off, no faults, the
-/// default seed) instead of silently running something the user did not
-/// ask for. With all four unset every result is identical to a build
-/// without the admission and fault planes.
-fn env_knobs() -> &'static EnvKnobs {
+impl EnvKnobs {
+    /// Parses the knobs from `lookup` (a variable's value, `None` when
+    /// unset). A malformed value is never silently run: it falls back to
+    /// its default (`always`, flags off, no faults, the default seed, one
+    /// run worker, the default options) and adds one `warning:` line to
+    /// the returned list.
+    fn parse(lookup: impl Fn(&str) -> Option<String>) -> (EnvKnobs, Vec<String>) {
+        let mut env = Reader { lookup, warnings: Vec::new() };
+        let admission = env.get("MTM_ADMIT", AdmissionKind::Always, |_, s| match s {
+            "" => Ok(AdmissionKind::Always),
+            _ => AdmissionKind::parse(s).ok_or(format!(
+                "warning: MTM_ADMIT={s:?} is not a policy \
+                 (always|pingpong|ratelimit|hotness-delta); using always"
+            )),
+        });
+        let faults = env.get("MTM_FAULTS", None, |_, spec| match FaultPlan::parse(spec) {
+            Ok(plan) => Ok((!plan.is_disabled()).then_some(plan)),
+            Err(e) => Err(format!("warning: ignoring MTM_FAULTS={spec:?}: {e}")),
+        });
+        let fault_seed = env.get("MTM_FAULT_SEED", faultsim::DEFAULT_SEED, number);
+        let run_workers = env.get("MTM_RUN_WORKERS", 1, |_, raw| parse_workers(raw));
+        let flags = ["MTM_QUICK", "MTM_SHADOW", "MTM_CHECK", "MTM_TELEMETRY"];
+        let [quick, shadow, check, telemetry] = flags.map(|name| env.get(name, false, flag));
+        let mut opts = if quick { Opts::quick() } else { Opts::default() };
+        opts.scale = env.get("MTM_SCALE", opts.scale, number);
+        opts.threads = env.get("MTM_THREADS", opts.threads, number);
+        opts.intervals = env.get("MTM_INTERVALS", opts.intervals, number);
+        opts.interval_ns = env.get("MTM_INTERVAL_NS", opts.interval_ns, number);
+        let knobs =
+            EnvKnobs { opts, admission, shadow, faults, fault_seed, check, run_workers, telemetry };
+        (knobs, env.warnings)
+    }
+}
+
+/// The environment being read: a variable lookup and the warnings so far.
+struct Reader<F> {
+    lookup: F,
+    warnings: Vec<String>,
+}
+
+impl<F: Fn(&str) -> Option<String>> Reader<F> {
+    /// Knob `name`: unset is `default`; a value `parse` rejects is
+    /// `default` plus the `warning:` line `parse` returned.
+    fn get<T>(&mut self, name: &str, default: T, parse: Parse<T>) -> T {
+        let Some(raw) = (self.lookup)(name) else { return default };
+        parse(name, &raw).unwrap_or_else(|warning| {
+            self.warnings.push(warning);
+            default
+        })
+    }
+}
+
+/// A knob's parser: the variable's name and value to the value, or to the
+/// `warning:` line that rejects it.
+type Parse<T> = fn(&str, &str) -> Result<T, String>;
+
+/// A number knob; the warning names the type it expected.
+fn number<T: std::str::FromStr>(name: &str, raw: &str) -> Result<T, String> {
+    let expected = std::any::type_name::<T>();
+    raw.parse().map_err(|_| format!("warning: ignoring {name}={raw:?} (not a valid {expected})"))
+}
+
+/// An on/off knob: `1`/`true`/`on` or `0`/`false`/`off`/empty, trimmed
+/// and case-insensitive.
+fn flag(name: &str, raw: &str) -> Result<bool, String> {
+    match raw.trim().to_ascii_lowercase().as_str() {
+        "1" | "true" | "on" => Ok(true),
+        "" | "0" | "false" | "off" => Ok(false),
+        _ => Err(format!(
+            "warning: ignoring {name}={raw:?} (expected 1/true/on or 0/false/off); staying off"
+        )),
+    }
+}
+
+/// The environment's knobs, read and warned about once per process.
+pub(crate) fn env_knobs() -> &'static EnvKnobs {
     static KNOBS: OnceLock<EnvKnobs> = OnceLock::new();
     KNOBS.get_or_init(|| {
-        let admission = match std::env::var("MTM_ADMIT") {
-            Ok(s) if !s.is_empty() => AdmissionKind::parse(&s).unwrap_or_else(|| {
-                eprintln!(
-                    "warning: MTM_ADMIT={s:?} is not a policy \
-                     (always|pingpong|ratelimit|hotness-delta); using always"
-                );
-                AdmissionKind::Always
-            }),
-            _ => AdmissionKind::Always,
-        };
-        let shadow = match std::env::var("MTM_SHADOW").as_deref() {
-            Ok("1") => true,
-            Ok("") | Ok("0") | Err(_) => false,
-            Ok(s) => {
-                eprintln!("warning: MTM_SHADOW={s:?} is not 0 or 1; shadow mode stays off");
-                false
-            }
-        };
-        let faults = match std::env::var("MTM_FAULTS") {
-            Ok(spec) if !spec.trim().is_empty() => match FaultPlan::parse(&spec) {
-                Ok(plan) => (!plan.is_disabled()).then_some(plan),
-                Err(e) => {
-                    eprintln!("warning: ignoring MTM_FAULTS={spec:?}: {e}");
-                    None
-                }
-            },
-            _ => None,
-        };
-        let fault_seed = match std::env::var("MTM_FAULT_SEED") {
-            Ok(raw) => raw.parse().unwrap_or_else(|_| {
-                eprintln!("warning: ignoring MTM_FAULT_SEED={raw:?} (not a u64); using default");
-                faultsim::DEFAULT_SEED
-            }),
-            Err(_) => faultsim::DEFAULT_SEED,
-        };
-        EnvKnobs { admission, shadow, faults, fault_seed }
+        let (knobs, warnings) = EnvKnobs::parse(|name| std::env::var(name).ok());
+        for w in warnings {
+            eprintln!("{w}");
+        }
+        knobs
     })
 }
 
@@ -176,18 +224,34 @@ pub fn build_manager(name: &str, opts: &Opts, topo: &Topology) -> Box<dyn Memory
     try_build_manager(name, opts, topo).unwrap_or_else(|| panic!("unknown manager {name:?}"))
 }
 
+/// The machine configuration a manager runs on: `opts`' threads and
+/// interval length, Memory Mode caches for `hmc`, all-component PEBS for
+/// `hemem`.
+pub(crate) fn machine_config(manager: &str, opts: &Opts, topo: Topology) -> MachineConfig {
+    let mut cfg = MachineConfig::new(topo, opts.threads);
+    cfg.interval_ns = opts.interval_ns;
+    cfg.hmc_mode = manager == "hmc";
+    if manager == "hemem" {
+        cfg.pebs = hemem_pebs_config(&cfg.topology);
+    }
+    cfg
+}
+
+/// Builds a machine armed with the environment's `MTM_CHECK` and
+/// `MTM_RUN_WORKERS`. This is the harness's only `Machine::new`, so every
+/// run a harness binary makes honours both knobs.
+pub(crate) fn build_machine(cfg: MachineConfig) -> Machine {
+    let knobs = env_knobs();
+    let mut machine = Machine::new(cfg);
+    machine.set_checking(knobs.check);
+    machine.set_run_workers(knobs.run_workers);
+    machine
+}
+
 /// Builds the machine a manager runs on, without faults: Memory Mode
 /// caches for `hmc`, all-component PEBS for `hemem`.
 pub fn healthy_machine_for(manager: &str, opts: &Opts, topo: Topology) -> Machine {
-    let mut cfg = MachineConfig::new(topo.clone(), opts.threads);
-    cfg.interval_ns = opts.interval_ns;
-    if manager == "hmc" {
-        cfg.hmc_mode = true;
-    }
-    if manager == "hemem" {
-        cfg.pebs = hemem_pebs_config(&topo);
-    }
-    Machine::new(cfg)
+    build_machine(machine_config(manager, opts, topo))
 }
 
 /// One run, described by plain values. Two specs that render the same
@@ -374,7 +438,7 @@ pub fn cached_run_traced(spec: &RunSpec) -> (Arc<RunReport>, bool) {
             // inside the Arc'd report, so coalesced waiters and later
             // cache hits observe the identical telemetry; only the owner
             // writes the file, once per key.
-            if crate::metrics::telemetry_enabled() {
+            if env_knobs().telemetry {
                 if let Err(e) = crate::metrics::emit_telemetry(&report.telemetry) {
                     eprintln!("warning: could not write telemetry for {label}: {e}");
                 }
@@ -468,6 +532,80 @@ mod tests {
             assert!(RunSpec::new("MTM", workload, &opts).is_some(), "{workload:?}");
         }
         assert!(RunSpec::new("MTM", "bogus", &opts).is_none());
+    }
+
+    #[test]
+    fn env_knobs_parse_every_spelling_and_warn_on_malformed_values() {
+        // Every knob unset: the defaults, silently.
+        let (default, warnings) = EnvKnobs::parse(|_| None);
+        assert!(warnings.is_empty(), "{warnings:?}");
+        let want = EnvKnobs {
+            opts: Opts::default(),
+            admission: AdmissionKind::Always,
+            shadow: false,
+            faults: None,
+            fault_seed: faultsim::DEFAULT_SEED,
+            check: false,
+            run_workers: 1,
+            telemetry: false,
+        };
+        assert_eq!(default, want);
+        type Edit = fn(&mut EnvKnobs);
+        let keep: Edit = |_| {};
+        let warn = |line: &str| Some(format!("warning: ignoring {line}"));
+        let bad_plan = FaultPlan::parse("busy=-1").expect_err("negative probability");
+        let bad_admit = "warning: MTM_ADMIT=\"greedy\" is not a policy \
+                         (always|pingpong|ratelimit|hotness-delta); using always";
+        // (variable, value, expected change from the default, warning)
+        let mut cases: Vec<(&str, &str, Edit, Option<String>)> = vec![
+            ("MTM_ADMIT", "always", keep, None),
+            ("MTM_ADMIT", "pingpong", |k| k.admission = AdmissionKind::PingPong, None),
+            ("MTM_ADMIT", "ratelimit", |k| k.admission = AdmissionKind::RateLimit, None),
+            ("MTM_ADMIT", "hotness-delta", |k| k.admission = AdmissionKind::HotnessDelta, None),
+            ("MTM_ADMIT", "", keep, None),
+            ("MTM_ADMIT", "greedy", keep, Some(bad_admit.into())),
+            ("MTM_FAULTS", "busy=0.5", |k| k.faults = FaultPlan::parse("busy=0.5").ok(), None),
+            ("MTM_FAULTS", "busy=0", keep, None),
+            ("MTM_FAULTS", "  ", keep, None),
+            ("MTM_FAULTS", "busy=-1", keep, warn(&format!("MTM_FAULTS=\"busy=-1\": {bad_plan}"))),
+            ("MTM_FAULT_SEED", "42", |k| k.fault_seed = 42, None),
+            ("MTM_FAULT_SEED", "-3", keep, warn("MTM_FAULT_SEED=\"-3\" (not a valid u64)")),
+            ("MTM_RUN_WORKERS", "4", |k| k.run_workers = 4, None),
+            ("MTM_RUN_WORKERS", "1", keep, None),
+            ("MTM_RUN_WORKERS", "0", keep, warn("MTM_RUN_WORKERS=\"0\" (expected a positive integer)")),
+            ("MTM_RUN_WORKERS", "four", keep, warn("MTM_RUN_WORKERS=\"four\" (expected a positive integer)")),
+            ("MTM_SCALE", "64", |k| k.opts.scale = 64, None),
+            ("MTM_SCALE", "6 4", keep, warn("MTM_SCALE=\"6 4\" (not a valid u64)")),
+            ("MTM_THREADS", "2", |k| k.opts.threads = 2, None),
+            ("MTM_THREADS", "-2", keep, warn("MTM_THREADS=\"-2\" (not a valid usize)")),
+            ("MTM_INTERVALS", "7", |k| k.opts.intervals = 7, None),
+            ("MTM_INTERVALS", "", keep, warn("MTM_INTERVALS=\"\" (not a valid u64)")),
+            ("MTM_INTERVAL_NS", "1e6", |k| k.opts.interval_ns = 1e6, None),
+            ("MTM_INTERVAL_NS", "fast", keep, warn("MTM_INTERVAL_NS=\"fast\" (not a valid f64)")),
+        ];
+        let flags: [(&str, Edit); 4] = [
+            ("MTM_QUICK", |k| k.opts = Opts::quick()),
+            ("MTM_CHECK", |k| k.check = true),
+            ("MTM_SHADOW", |k| k.shadow = true),
+            ("MTM_TELEMETRY", |k| k.telemetry = true),
+        ];
+        for (var, set) in flags {
+            for on in ["1", "true", "on", " TRUE ", "On"] {
+                cases.push((var, on, set, None));
+            }
+            for off in ["", "0", "false", "off", " OFF "] {
+                cases.push((var, off, keep, None));
+            }
+            let expected = "(expected 1/true/on or 0/false/off); staying off";
+            cases.push((var, "yes", keep, warn(&format!("{var}=\"yes\" {expected}"))));
+        }
+        for (var, value, edit, warning) in cases {
+            let (knobs, warnings) = EnvKnobs::parse(|name| (name == var).then(|| value.to_string()));
+            let mut want = default.clone();
+            edit(&mut want);
+            assert_eq!(knobs, want, "{var}={value:?}");
+            assert_eq!(warnings, Vec::from_iter(warning), "{var}={value:?}");
+        }
     }
 
     #[test]

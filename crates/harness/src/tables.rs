@@ -1,11 +1,11 @@
 //! Tables 1, 2, 4 and 6 of the paper.
 
 use mtm::config::InitialPlacement;
-use tiersim::sim::drive_interval;
+use tiersim::sim::ScenarioProgress;
 use tiersim::tier::optane_four_tier;
 
 use crate::opts::Opts;
-use crate::runs::RunSpec;
+use crate::runs::{build_machine, build_manager, machine_config, RunSpec};
 use crate::tablefmt::{f, TextTable};
 
 /// Table 1: the simulated hardware.
@@ -60,18 +60,11 @@ pub fn table4(opts: &Opts) -> String {
         let mut spec = RunSpec::new("MTM", "GUPS", opts).expect("MTM/GUPS exists");
         spec.mtm_mut().initial_placement = placement;
         let (mut machine, mut mgr, mut wl) = spec.build();
-        {
-            let mut env = tiersim::sim::SimEnv { machine: &mut machine, manager: mgr.as_mut() };
-            wl.setup(&mut env);
-        }
-        mgr.init(&mut machine);
-        machine.reset_measurement();
+        let mut progress = ScenarioProgress::start(&mut machine, mgr.as_mut(), wl.as_mut());
         // Record (ops, time) after each interval.
         let mut trace = Vec::new();
         for ivl in 0..opts.intervals {
-            drive_interval(&mut machine, mgr.as_mut(), wl.as_mut(), ivl);
-            mgr.on_interval(&mut machine, ivl);
-            wl.end_of_interval(ivl);
+            progress.step_interval(&mut machine, mgr.as_mut(), wl.as_mut(), ivl);
             trace.push((wl.ops_completed(), machine.elapsed_ns()));
         }
         let total_ops = trace.last().map(|&(o, _)| o).unwrap_or(0);
@@ -121,11 +114,8 @@ pub fn table6(opts: &Opts) -> String {
     // The paper pins all eight VoltDB clients to one processor; the tier
     // view below is that processor's. The three managers run in parallel.
     let reports = crate::runpool::map_parallel(MANAGERS.to_vec(), |mgr| {
-        let mut machine_cfg =
-            tiersim::machine::MachineConfig::new(topo.clone(), opts.threads).pin_all_to(0);
-        machine_cfg.interval_ns = opts.interval_ns;
-        let mut machine = tiersim::machine::Machine::new(machine_cfg);
-        let mut mgr_box = crate::runs::build_manager(mgr, opts, &topo);
+        let mut machine = build_machine(machine_config(mgr, opts, topo.clone()).pin_all_to(0));
+        let mut mgr_box = build_manager(mgr, opts, &topo);
         let mut wl = mtm_workloads::build_paper_workload("VoltDB", opts.scale, opts.threads)
             .expect("VoltDB exists");
         tiersim::sim::run_scenario(&mut machine, mgr_box.as_mut(), wl.as_mut(), opts.intervals)

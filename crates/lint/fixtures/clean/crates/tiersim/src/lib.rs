@@ -2,3 +2,8 @@
 
 pub mod engine;
 pub mod machine;
+
+/// Takes its worker count as a value; the harness reads the environment.
+pub fn workers(raw: Option<&str>) -> usize {
+    raw.map_or(1, str::len)
+}

@@ -2,3 +2,8 @@
 
 pub mod engine;
 pub mod machine;
+
+/// Reads its worker count straight from the environment: a D9 finding.
+pub fn workers() -> usize {
+    std::env::var("CORPUS_WORKERS").map_or(1, |v| v.len())
+}

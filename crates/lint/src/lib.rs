@@ -22,6 +22,8 @@
 //!   `#[non_exhaustive]`.
 //! - **D5 no-unwrap** — `.unwrap()`/`.expect(` in the transactional
 //!   migration paths (`tiersim::migrate`, `mtm::migration`).
+//! - **D9 env-read** — `std::env::var`/`var_os`/`vars`/`vars_os` in the
+//!   `src/` of any crate but the harness and the bench/test/lint tooling.
 //! - **H1 hermetic-dep** — every manifest dependency must resolve
 //!   inside the workspace (see [`hermetic`]).
 //!
@@ -74,6 +76,8 @@ pub enum Rule {
     NonExhaustiveError,
     /// D5: panicking shortcuts in transactional migration paths.
     NoUnwrap,
+    /// D9: environment reads below the harness binaries.
+    EnvRead,
     /// H1: non-hermetic manifest dependency.
     HermeticDep,
     /// D6: D1/D2/D3 source reachable from a decision/report entry point.
@@ -97,6 +101,7 @@ impl Rule {
         Rule::Entropy,
         Rule::NonExhaustiveError,
         Rule::NoUnwrap,
+        Rule::EnvRead,
         Rule::HermeticDep,
         Rule::DeterminismTaint,
         Rule::LockOrder,
@@ -105,7 +110,7 @@ impl Rule {
         Rule::BadAllow,
     ];
 
-    /// Short rule code (`D1`..`D8`, `H1`, `O1`, `L1`).
+    /// Short rule code (`D1`..`D9`, `H1`, `O1`, `L1`).
     pub fn code(self) -> &'static str {
         match self {
             Rule::WallClock => "D1",
@@ -113,6 +118,7 @@ impl Rule {
             Rule::Entropy => "D3",
             Rule::NonExhaustiveError => "D4",
             Rule::NoUnwrap => "D5",
+            Rule::EnvRead => "D9",
             Rule::HermeticDep => "H1",
             Rule::DeterminismTaint => "D6",
             Rule::LockOrder => "D7",
@@ -130,6 +136,7 @@ impl Rule {
             Rule::Entropy => "entropy",
             Rule::NonExhaustiveError => "non-exhaustive-error",
             Rule::NoUnwrap => "no-unwrap",
+            Rule::EnvRead => "env-read",
             Rule::HermeticDep => "hermetic-dep",
             Rule::DeterminismTaint => "determinism-taint",
             Rule::LockOrder => "lock-order",
@@ -491,6 +498,11 @@ pub(crate) const ORDERED_CRATES: &[&str] = &[
 pub(crate) const ENTROPY_IDENTS: &[&str] =
     &["thread_rng", "OsRng", "getrandom", "from_entropy", "StdRng", "SmallRng", "RandomState"];
 
+/// `std::env` readers (D9), and the crates free to call them.
+const ENV_READS: &[&str] = &["env::var", "env::var_os", "env::vars", "env::vars_os"];
+const ENV_READ_EXEMPT: &[&str] =
+    &["crates/harness/", "crates/bench/", "crates/proptest-lite/", "crates/lint/", "mtmbench/"];
+
 /// Files holding the transactional migration paths (D5 scope).
 const NO_UNWRAP_FILES: &[&str] = &["crates/tiersim/src/migrate.rs", "crates/mtm/src/migration.rs"];
 
@@ -517,6 +529,8 @@ pub fn scan_source(rel: &str, src: &str) -> Vec<Finding> {
     let d1_scope = !rel.starts_with("crates/bench/");
     let d2_scope = ORDERED_CRATES.iter().any(|p| rel.starts_with(p));
     let d5_scope = NO_UNWRAP_FILES.iter().any(|f| rel == *f || rel.ends_with(f));
+    let d9_scope = (rel.starts_with("src/") || rel.contains("/src/"))
+        && !ENV_READ_EXEMPT.iter().any(|p| rel.starts_with(p));
 
     let emit = |line_idx: usize, rule: Rule, message: String, findings: &mut Vec<Finding>| {
         match annotation_reason(&raw_lines, line_idx, rule.slug()) {
@@ -603,6 +617,11 @@ pub fn scan_source(rel: &str, src: &str) -> Vec<Finding> {
                     );
                 }
             }
+        }
+
+        if let Some(read) = ENV_READS.iter().find(|r| d9_scope && has_ident(line, r)) {
+            let message = format!("`{read}` below the binaries; take the value as a parameter");
+            emit(idx, Rule::EnvRead, message, &mut findings);
         }
 
         if d5_scope && (collapsed.contains(".unwrap()") || collapsed.contains(".expect(")) {

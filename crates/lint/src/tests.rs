@@ -215,6 +215,23 @@ fn d5_does_not_match_unwrap_or_family_or_test_code() {
     assert!(scan_source("crates/tiersim/src/migrate.rs", test_src).is_empty());
 }
 
+// ------------------------------------------------------------------- D9
+
+#[test]
+fn d9_catches_env_reads_below_the_harness_only() {
+    let read = "let v = std::env::var(\"X\");\nlet o = env::var_os(\"X\");\nfor _ in std::env::vars() {}\nfor _ in env::vars_os() {}\n";
+    for path in ["crates/tiersim/src/engine.rs", "crates/check/src/lib.rs", "src/lib.rs"] {
+        assert_eq!(rules_of(&scan_source(path, read)), vec![Rule::EnvRead; 4], "{path}");
+    }
+    for path in ["crates/harness/src/runs.rs", "crates/bench/src/runner.rs", "crates/proptest-lite/src/runner.rs",
+        "crates/lint/src/bin/lint.rs", "mtmbench/src/runner.rs", "examples/quickstart.rs", "crates/tiersim/tests/t.rs"]
+    {
+        assert!(scan_source(path, read).is_empty(), "{path}");
+    }
+    let fine = "// lint:allow(env-read): reports the knob\nlet v = std::env::var(\"W\");\n/// `std::env::var(\"X\")`\nlet s = \"env::var(\";\nlet a = std::env::args();\n#[cfg(test)]\nmod t {\n    fn f() { std::env::var(\"X\"); }\n}\n";
+    assert!(scan_source("crates/tiersim/src/engine.rs", fine).is_empty());
+}
+
 // ------------------------------------------------------------------- H1
 
 #[test]

@@ -238,7 +238,7 @@ mod tests {
     use super::*;
     use tiersim::addr::{VaRange, PAGE_SIZE_2M};
     use tiersim::machine::MachineConfig;
-    use tiersim::sim::{drive_interval, run_scenario, MemEnv, ScenarioProgress, Workload};
+    use tiersim::sim::{run_scenario, MemEnv, ScenarioProgress, Workload};
     use tiersim::tier::tiny_two_tier;
 
     /// A workload hammering the first quarter of its footprint.
@@ -546,18 +546,27 @@ mod tests {
 
     #[test]
     fn manager_checkpoint_round_trips_and_resumes_identically() {
-        // Run a scenario mid-way, checkpoint manager + machine, restore
-        // into fresh objects, then continue both sides in lockstep: every
-        // interval and the final serialized states must agree bit-for-bit.
+        // Run a scenario mid-way, checkpoint manager + machine + progress,
+        // restore into fresh objects, then continue both sides in
+        // lockstep: every interval's wall time (carried in the progress
+        // bytes) and the final serialized states must agree bit-for-bit.
         let mut m_a = machine();
         let mut mgr_a = MtmManager::new(MtmConfig::default(), 1);
         let mut wl_a = workload();
-        let mut prog = ScenarioProgress::start(&mut m_a, &mut mgr_a, &mut wl_a);
+        let mut prog_a = ScenarioProgress::start(&mut m_a, &mut mgr_a, &mut wl_a);
         for ivl in 0..8 {
-            prog.step_interval(&mut m_a, &mut mgr_a, &mut wl_a, ivl);
+            prog_a.step_interval(&mut m_a, &mut mgr_a, &mut wl_a, ivl);
         }
         let mgr_blob = mgr_a.save_state().expect("default MTM config is checkpointable");
         let machine_blob = m_a.save_state().expect("machine is checkpointable");
+        let progress_bytes = |p: &ScenarioProgress| {
+            let mut w = obs::wire::Writer::new();
+            p.save(&mut w);
+            w.into_bytes()
+        };
+        let prog_blob = progress_bytes(&prog_a);
+        let mut prog_b = ScenarioProgress::load(&mut obs::wire::Reader::new(&prog_blob))
+            .expect("progress restores");
 
         let mut m_b = machine();
         m_b.load_state(&machine_blob).expect("machine restores");
@@ -571,11 +580,9 @@ mod tests {
         };
 
         for ivl in 8..16 {
-            let wall_a = drive_interval(&mut m_a, &mut mgr_a, &mut wl_a, ivl);
-            let wall_b = drive_interval(&mut m_b, &mut mgr_b, &mut wl_b, ivl);
-            mgr_a.on_interval(&mut m_a, ivl);
-            mgr_b.on_interval(&mut m_b, ivl);
-            assert_eq!(wall_a.to_bits(), wall_b.to_bits(), "interval {ivl} wall time");
+            prog_a.step_interval(&mut m_a, &mut mgr_a, &mut wl_a, ivl);
+            prog_b.step_interval(&mut m_b, &mut mgr_b, &mut wl_b, ivl);
+            assert_eq!(progress_bytes(&prog_a), progress_bytes(&prog_b), "interval {ivl}");
         }
         assert_eq!(wl_a.ops, wl_b.ops);
         assert_eq!(mgr_a.save_state().unwrap(), mgr_b.save_state().unwrap());

@@ -111,12 +111,6 @@ impl MigrationEngine {
         }
     }
 
-    /// Replaces the retry/backoff policy (tests and sweeps).
-    pub fn with_retry_policy(mut self, policy: RetryPolicy) -> MigrationEngine {
-        self.retry = policy;
-        self
-    }
-
     /// Advances the engine's interval clock and expires old history.
     pub fn note_interval(&mut self, interval: u64) {
         self.now_interval = interval;

@@ -3,10 +3,10 @@
 //! [`TraceRecorder`] wraps any [`Workload`] and records every access its
 //! ticks issue; [`TraceReplayer`] is itself a [`Workload`] that replays
 //! the stream. Because the driver's tick order is deterministic (fixed
-//! round-robin inside [`tiersim::sim::drive_interval`]) the trace stores
-//! one flat record per tick — no thread ids, no timestamps — and the
-//! replayed run is bit-identical to the recorded one: same machine
-//! config, same manager, byte-identical reports.
+//! round-robin inside [`tiersim::sim::ScenarioProgress::step_interval`])
+//! the trace stores one flat record per tick — no thread ids, no
+//! timestamps — and the replayed run is bit-identical to the recorded
+//! one: same machine config, same manager, byte-identical reports.
 //!
 //! ## Format (`MTMTRACE`, version 1)
 //!

@@ -12,33 +12,37 @@
 //! is byte-identical for any worker count — `MTM_RUN_WORKERS=1` and `=8`
 //! must (and do) produce the same `results/ALL.txt`.
 //!
-//! The worker count comes from `MTM_RUN_WORKERS` (default 1: packets are
-//! fine-grained and the harness's outer `MTM_JOBS` pool already owns the
-//! cores; raising it helps single-run workflows like `bin/simulate` on
-//! big machines). [`crate::machine::Machine`] snapshots the value at
-//! construction and exposes `set_run_workers` so tests can pin a count
-//! programmatically without racing on the process environment.
+//! A machine reads no environment: it runs packets on one worker until
+//! [`crate::machine::Machine::set_run_workers`] says otherwise. Harness
+//! binaries apply `MTM_RUN_WORKERS` through that setter when they build a
+//! machine (default 1: packets are fine-grained and the harness's outer
+//! `MTM_JOBS` pool already owns the cores; raising it helps single-run
+//! workflows like `bin/simulate` on big machines). Examples and library
+//! users call the setter themselves; [`workers`] only reports the value.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
-/// Worker count from `MTM_RUN_WORKERS`, read once per process. Always at
-/// least 1; an unparsable value is ignored with a `warning:` line on
-/// stderr (the verify gates grep for exactly that prefix).
+/// Parses an `MTM_RUN_WORKERS` value: a positive integer, or the
+/// `warning:` line to print before falling back to 1 worker.
+pub fn parse_workers(raw: &str) -> Result<usize, String> {
+    match raw.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!(
+            "warning: ignoring MTM_RUN_WORKERS={raw:?} (expected a positive integer)"
+        )),
+    }
+}
+
+/// The worker count `MTM_RUN_WORKERS` asks for (1 when unset or
+/// malformed), for tools that report the value harness machines get.
 pub fn workers() -> usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("MTM_RUN_WORKERS") {
-        Ok(raw) => match raw.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!(
-                    "warning: ignoring MTM_RUN_WORKERS={raw:?} (expected a positive integer)"
-                );
-                1
-            }
-        },
-        Err(_) => 1,
+    // lint:allow(env-read): reports the harness's worker knob to benchmark tooling; no machine reads it
+    let Ok(raw) = std::env::var("MTM_RUN_WORKERS") else { return 1 };
+    parse_workers(&raw).unwrap_or_else(|warning| {
+        eprintln!("{warning}");
+        1
     })
 }
 

@@ -266,8 +266,8 @@ pub struct Machine {
     /// Access heatmap, dense-indexed by 2 MB chunk (`va >> 21`); zero
     /// entries mean "never touched" and are skipped on snapshot.
     heat: Vec<u64>,
-    /// Worker count for packetized intra-run sweeps, snapshotted from
-    /// `MTM_RUN_WORKERS` at construction (see [`crate::engine`]).
+    /// Worker count for packetized intra-run sweeps (see
+    /// [`crate::engine`]); 1 until [`Machine::set_run_workers`].
     run_workers: usize,
     /// Per-run observability recorder. Recording never touches the clock
     /// or any RNG, so instrumentation cannot perturb simulated results.
@@ -276,10 +276,10 @@ pub struct Machine {
     /// "no fault" without consuming randomness, so a healthy run is
     /// byte-identical to one built before this field existed.
     pub(crate) faults: faultsim::FaultState,
-    /// Whether the `MTM_CHECK` shadow-state sanitizer is armed. The
-    /// sanitizer only reads state and panics on violation — it never
-    /// touches the clock, counters or any RNG, so a checked run is
-    /// byte-identical to an unchecked one.
+    /// Whether the shadow-state sanitizer is armed; off until
+    /// [`Machine::set_checking`]. The sanitizer only reads state and
+    /// panics on violation — it never touches the clock, counters or any
+    /// RNG, so a checked run is byte-identical to an unchecked one.
     checking: bool,
 }
 
@@ -351,10 +351,10 @@ impl Machine {
             hmc_caches,
             hmc_front,
             heat: Vec::new(),
-            run_workers: crate::engine::workers(),
+            run_workers: 1,
             recorder: obs::Recorder::new(),
             faults: faultsim::FaultState::disabled(),
-            checking: mtm_check::enabled(),
+            checking: false,
         }
     }
 
@@ -369,11 +369,6 @@ impl Machine {
     #[inline]
     pub fn faults(&self) -> &faultsim::FaultState {
         &self.faults
-    }
-
-    /// Injection counters accumulated so far.
-    pub fn fault_stats(&self) -> faultsim::FaultStats {
-        self.faults.stats()
     }
 
     /// The machine topology.
@@ -991,8 +986,8 @@ impl Machine {
         self.run_workers
     }
 
-    /// Overrides the packet worker count for this machine (tests pin it
-    /// programmatically instead of racing on `MTM_RUN_WORKERS`).
+    /// Sets the packet worker count for this machine. The harness applies
+    /// `MTM_RUN_WORKERS` through this; every other caller sets it here.
     pub fn set_run_workers(&mut self, workers: usize) {
         self.run_workers = workers.max(1);
     }
@@ -1170,7 +1165,7 @@ impl Machine {
     // derived structures (the charge table, PEBS programming, packed
     // side metadata) re-derive from config + restored state instead of
     // being stored. `run_workers` and `checking` are deliberately *not*
-    // part of the state: they are environment-derived execution knobs
+    // part of the state: they are caller-set execution knobs
     // that must not alter simulated results, and a checkpoint written
     // under one knob setting must restore under any other.
 
@@ -1432,10 +1427,9 @@ impl Machine {
     // §5d). Everything below is read-only with respect to simulated
     // state: it can panic, never perturb.
 
-    /// True when the shadow-state sanitizer is armed for this machine.
-    /// Initialized from `MTM_CHECK=1` in the process environment; tests
-    /// toggle it programmatically with [`Machine::set_checking`] so they
-    /// never race on environment variables.
+    /// True when the shadow-state sanitizer is armed for this machine:
+    /// off at construction, armed with [`Machine::set_checking`] (the
+    /// harness does so under `MTM_CHECK=1`).
     #[inline]
     pub fn checking(&self) -> bool {
         self.checking

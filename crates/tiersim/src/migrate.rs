@@ -242,7 +242,7 @@ fn alloc_dst_frame(
 /// to the buckets their mechanism exposes on the critical path. Frame
 /// versions are copied so tests can verify no update is lost.
 ///
-/// Under `MTM_CHECK=1` (or [`Machine::set_checking`]) every call is
+/// With the sanitizer armed ([`Machine::set_checking`]) every call is
 /// bracketed by shadow snapshots: a success must have moved exactly
 /// `out.bytes` onto `dst` without creating or losing pages; a transient
 /// abort must leave the range structurally untouched; a non-transient

@@ -301,11 +301,6 @@ impl RunReport {
         self.component_counts[c as usize].total()
     }
 
-    /// Runtime in virtual seconds.
-    pub fn total_seconds(&self) -> f64 {
-        self.total_ns / 1e9
-    }
-
     /// Throughput in operations per virtual second.
     pub fn ops_per_second(&self) -> f64 {
         if self.total_ns <= 0.0 {
@@ -323,11 +318,6 @@ impl RunReport {
             return f64::INFINITY;
         }
         self.total_ns / self.ops_completed as f64
-    }
-
-    /// Time this run would need for `ops` operations, extrapolated.
-    pub fn ns_for_ops(&self, ops: u64) -> f64 {
-        self.ns_per_op() * ops as f64
     }
 
     /// Steady-state window: the time breakdown and work completed in the
@@ -384,11 +374,11 @@ impl RunReport {
     }
 }
 
-/// Drives one profiling interval: generates accesses until the interval's
-/// virtual wall time elapses (invoking the manager's sub-interval hooks on
-/// the way), commits the interval and returns its wall time. The caller
-/// is responsible for invoking `manager.on_interval` afterwards — which
-/// lets experiment harnesses probe manager state between intervals.
+/// Drives one profiling interval's access phase: generates accesses until
+/// the interval's virtual wall time elapses (invoking the manager's
+/// sub-interval hooks on the way), commits the interval and returns its
+/// wall time. [`ScenarioProgress::step_interval`] wraps it with the
+/// interval hooks; drivers that probe state between intervals step that.
 ///
 /// # Phase structure and parallelism
 ///
@@ -397,11 +387,11 @@ impl RunReport {
 /// PEBS and PTE state, and the access order *is* the simulated workload.
 /// **Profiling scans** and **migration batches** (inside the manager
 /// hooks) contain read-only page-table sweeps; those run as work packets
-/// on [`crate::engine`]'s pool (`MTM_RUN_WORKERS`) with their results
-/// reduced in packet order, then apply their effects serially in the
+/// on [`crate::engine`]'s pool ([`Machine::set_run_workers`]) with their
+/// results reduced in packet order, then apply their effects serially in the
 /// original order — so the interval's outcome is byte-identical for any
 /// worker count.
-pub fn drive_interval(
+fn drive_interval(
     machine: &mut Machine,
     manager: &mut dyn MemoryManager,
     workload: &mut dyn Workload,
