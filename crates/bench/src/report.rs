@@ -45,13 +45,15 @@ pub fn write_json(
         writeln!(
             out,
             "    {{\"name\": {}, \"batch\": {}, \"samples\": {}, \
-             \"mean_ns\": {}, \"p50_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \
-             \"stddev_ns\": {}{}}}{comma}",
+             \"mean_ns\": {}, \"p50_ns\": {}, \"q1_ns\": {}, \"q3_ns\": {}, \
+             \"min_ns\": {}, \"max_ns\": {}, \"stddev_ns\": {}{}}}{comma}",
             json_str(&r.name),
             r.batch,
             s.samples,
             json_num(s.mean_ns),
             json_num(s.p50_ns),
+            json_num(s.q1_ns),
+            json_num(s.q3_ns),
             json_num(s.min_ns),
             json_num(s.max_ns),
             json_num(s.stddev_ns),
@@ -129,6 +131,7 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"suite\": \"selftest\""));
         assert!(text.contains("\"name\": \"fast\""));
+        assert!(text.contains("\"q1_ns\": 10.000, \"q3_ns\": 12.000"));
         assert!(text.contains("\"elems_per_sec\""));
         assert!(text.contains("\"name\": \"slow/variant\""));
         // Balanced braces/brackets as a cheap well-formedness check.

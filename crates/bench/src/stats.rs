@@ -9,6 +9,10 @@ pub struct Stats {
     pub mean_ns: f64,
     /// Median (lower-middle for even counts, so it is a real sample).
     pub p50_ns: f64,
+    /// First quartile, nearest rank: a real sample.
+    pub q1_ns: f64,
+    /// Third quartile, nearest rank: a real sample.
+    pub q3_ns: f64,
     /// Fastest sample — the least-noise estimate on a busy machine.
     pub min_ns: f64,
     /// Slowest sample.
@@ -18,12 +22,17 @@ pub struct Stats {
 }
 
 impl Stats {
-    /// Computes statistics from raw per-iteration times.
+    /// Computes statistics from raw per-iteration times. Sorting uses
+    /// the IEEE total order, so a NaN sample sorts to one end instead of
+    /// panicking.
     pub fn from_ns(samples: &[f64]) -> Stats {
         assert!(!samples.is_empty(), "stats need at least one sample");
         let n = samples.len();
         let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("sample times are finite"));
+        sorted.sort_by(f64::total_cmp);
+        // Nearest rank: quartile `q` is the sample at 1-based rank
+        // ceil(q·n/4).
+        let quartile = |q: usize| sorted[(q * n).div_ceil(4) - 1];
         let mean = sorted.iter().sum::<f64>() / n as f64;
         let stddev = if n > 1 {
             let var = sorted.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / (n - 1) as f64;
@@ -35,6 +44,8 @@ impl Stats {
             samples: n,
             mean_ns: mean,
             p50_ns: sorted[(n - 1) / 2],
+            q1_ns: quartile(1),
+            q3_ns: quartile(3),
             min_ns: sorted[0],
             max_ns: sorted[n - 1],
             stddev_ns: stddev,
@@ -75,7 +86,27 @@ mod tests {
         let s = Stats::from_ns(&[7.5]);
         assert_eq!(s.mean_ns, 7.5);
         assert_eq!(s.p50_ns, 7.5);
+        assert_eq!((s.q1_ns, s.q3_ns), (7.5, 7.5));
         assert_eq!(s.stddev_ns, 0.0);
+    }
+
+    #[test]
+    fn quartiles_are_nearest_rank_samples() {
+        // Ranks ceil(n/4) and ceil(3n/4), 1-based.
+        let s = Stats::from_ns(&[4.0, 1.0, 3.0, 2.0]);
+        assert_eq!((s.q1_ns, s.q3_ns), (1.0, 3.0));
+        let s = Stats::from_ns(&[50.0, 10.0, 40.0, 30.0, 20.0]);
+        assert_eq!((s.q1_ns, s.p50_ns, s.q3_ns), (20.0, 30.0, 40.0));
+        let ten: Vec<f64> = (1..=10).rev().map(f64::from).collect();
+        let s = Stats::from_ns(&ten);
+        assert_eq!((s.q1_ns, s.p50_ns, s.q3_ns), (3.0, 5.0, 8.0));
+    }
+
+    #[test]
+    fn a_nan_sample_sorts_last_instead_of_panicking() {
+        let s = Stats::from_ns(&[3.0, f64::NAN, 1.0, 2.0]);
+        assert_eq!((s.min_ns, s.q1_ns, s.p50_ns, s.q3_ns), (1.0, 1.0, 2.0, 3.0));
+        assert!(s.max_ns.is_nan());
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //! one without it.
 //!
 //! The crate is intentionally dependency-free: it sits below `tiersim`
-//! in the workspace graph so the machine itself can own a `FaultState`.
+//! in the workspace graph so the machine itself can own a `FaultState`,
+//! and so it holds the workspace's one [`SplitMix64`], which
+//! `tiersim::rng` re-exports.
 
 pub mod plan;
 pub mod rng;

@@ -8,3 +8,12 @@ pub fn jitter(seed: u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
 }
+
+/// Reads the first byte without a bounds check, saying why that is sound.
+pub fn first_byte(b: &[u8]) -> u8 {
+    if b.is_empty() {
+        return 0;
+    }
+    // SAFETY: `b` is non-empty, so index 0 is in bounds.
+    unsafe { *b.get_unchecked(0) }
+}

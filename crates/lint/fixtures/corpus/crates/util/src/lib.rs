@@ -13,3 +13,12 @@ pub fn jitter() -> u64 {
 pub fn quiet() -> u64 {
     7 // lint:allow(wall-clok): misspelled slug for the L1 fixture
 }
+
+/// Reads the first byte without a bounds check and without saying why
+/// that is sound, which U1 must flag.
+pub fn first_byte(b: &[u8]) -> u8 {
+    if b.is_empty() {
+        return 0;
+    }
+    unsafe { *b.get_unchecked(0) }
+}

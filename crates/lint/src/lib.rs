@@ -24,6 +24,8 @@
 //!   migration paths (`tiersim::migrate`, `mtm::migration`).
 //! - **D9 env-read** — `std::env::var`/`var_os`/`vars`/`vars_os` in the
 //!   `src/` of any crate but the harness and the bench/test/lint tooling.
+//! - **U1 unsafe-safety** — an `unsafe` block, fn or impl in non-test
+//!   `src/` code without a `// SAFETY:` comment directly above it.
 //! - **H1 hermetic-dep** — every manifest dependency must resolve
 //!   inside the workspace (see [`hermetic`]).
 //!
@@ -78,6 +80,8 @@ pub enum Rule {
     NoUnwrap,
     /// D9: environment reads below the harness binaries.
     EnvRead,
+    /// U1: `unsafe` without a `// SAFETY:` comment directly above.
+    UnsafeSafety,
     /// H1: non-hermetic manifest dependency.
     HermeticDep,
     /// D6: D1/D2/D3 source reachable from a decision/report entry point.
@@ -102,6 +106,7 @@ impl Rule {
         Rule::NonExhaustiveError,
         Rule::NoUnwrap,
         Rule::EnvRead,
+        Rule::UnsafeSafety,
         Rule::HermeticDep,
         Rule::DeterminismTaint,
         Rule::LockOrder,
@@ -110,7 +115,7 @@ impl Rule {
         Rule::BadAllow,
     ];
 
-    /// Short rule code (`D1`..`D9`, `H1`, `O1`, `L1`).
+    /// Short rule code (`D1`..`D9`, `U1`, `H1`, `O1`, `L1`).
     pub fn code(self) -> &'static str {
         match self {
             Rule::WallClock => "D1",
@@ -119,6 +124,7 @@ impl Rule {
             Rule::NonExhaustiveError => "D4",
             Rule::NoUnwrap => "D5",
             Rule::EnvRead => "D9",
+            Rule::UnsafeSafety => "U1",
             Rule::HermeticDep => "H1",
             Rule::DeterminismTaint => "D6",
             Rule::LockOrder => "D7",
@@ -137,6 +143,7 @@ impl Rule {
             Rule::NonExhaustiveError => "non-exhaustive-error",
             Rule::NoUnwrap => "no-unwrap",
             Rule::EnvRead => "env-read",
+            Rule::UnsafeSafety => "unsafe-safety",
             Rule::HermeticDep => "hermetic-dep",
             Rule::DeterminismTaint => "determinism-taint",
             Rule::LockOrder => "lock-order",
@@ -506,6 +513,17 @@ const ENV_READ_EXEMPT: &[&str] =
 /// Files holding the transactional migration paths (D5 scope).
 const NO_UNWRAP_FILES: &[&str] = &["crates/tiersim/src/migrate.rs", "crates/mtm/src/migration.rs"];
 
+/// True when the comment-and-attribute block directly above line `idx`
+/// carries a `SAFETY:` comment (U1).
+fn has_safety_comment(raw_lines: &[&str], idx: usize) -> bool {
+    raw_lines[..idx]
+        .iter()
+        .rev()
+        .map(|l| l.trim_start())
+        .take_while(|l| l.starts_with("//") || l.starts_with("#["))
+        .any(|l| l.starts_with("//") && l.contains("SAFETY:"))
+}
+
 /// True when the path is wholly test code (integration tests, benches).
 pub(crate) fn is_test_path(rel: &str) -> bool {
     rel.starts_with("tests/")
@@ -529,8 +547,8 @@ pub fn scan_source(rel: &str, src: &str) -> Vec<Finding> {
     let d1_scope = !rel.starts_with("crates/bench/");
     let d2_scope = ORDERED_CRATES.iter().any(|p| rel.starts_with(p));
     let d5_scope = NO_UNWRAP_FILES.iter().any(|f| rel == *f || rel.ends_with(f));
-    let d9_scope = (rel.starts_with("src/") || rel.contains("/src/"))
-        && !ENV_READ_EXEMPT.iter().any(|p| rel.starts_with(p));
+    let in_src = rel.starts_with("src/") || rel.contains("/src/");
+    let d9_scope = in_src && !ENV_READ_EXEMPT.iter().any(|p| rel.starts_with(p));
 
     let emit = |line_idx: usize, rule: Rule, message: String, findings: &mut Vec<Finding>| {
         match annotation_reason(&raw_lines, line_idx, rule.slug()) {
@@ -622,6 +640,11 @@ pub fn scan_source(rel: &str, src: &str) -> Vec<Finding> {
         if let Some(read) = ENV_READS.iter().find(|r| d9_scope && has_ident(line, r)) {
             let message = format!("`{read}` below the binaries; take the value as a parameter");
             emit(idx, Rule::EnvRead, message, &mut findings);
+        }
+
+        if in_src && has_ident(line, "unsafe") && !has_safety_comment(&raw_lines, idx) {
+            let message = "`unsafe` without a `// SAFETY:` comment directly above it saying why it is sound";
+            emit(idx, Rule::UnsafeSafety, message.to_string(), &mut findings);
         }
 
         if d5_scope && (collapsed.contains(".unwrap()") || collapsed.contains(".expect(")) {

@@ -232,6 +232,37 @@ fn d9_catches_env_reads_below_the_harness_only() {
     assert!(scan_source("crates/tiersim/src/engine.rs", fine).is_empty());
 }
 
+// ------------------------------------------------------------------- U1
+
+#[test]
+fn u1_catches_unsafe_without_a_safety_comment() {
+    let src = "fn f(b: &[u8]) -> u8 {\n    unsafe { *b.get_unchecked(0) }\n}\nunsafe fn g() {}\n\
+               // Sound, really.\nunsafe impl Send for X {}\n";
+    let f = scan_source("crates/workloads/src/lib.rs", src);
+    assert_eq!(rules_of(&f), vec![Rule::UnsafeSafety; 3]);
+    assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), vec![2, 4, 6]);
+}
+
+#[test]
+fn u1_accepts_safety_comments_above_and_ignores_non_code() {
+    let fine = "fn f(b: &[u8]) -> u8 {\n    // SAFETY: `b` is non-empty.\n    unsafe { *b.get_unchecked(0) }\n}\n\
+                #[cfg(target_arch = \"x86_64\")]\n// SAFETY: a hint; it reads nothing the program sees\n\
+                // and never faults.\nunsafe { hint() }\n\
+                // SAFETY: the caller checked the features.\n#[inline]\nunsafe fn g() {}\n\
+                #![deny(unsafe_code)]\nlet s = \"unsafe {\";\n/// `unsafe` in prose\n\
+                #[cfg(test)]\nmod t {\n    fn h() { unsafe { x() } }\n}\n";
+    assert!(scan_source("crates/workloads/src/lib.rs", fine).is_empty());
+    // A SAFETY comment separated from the block by code does not count,
+    // and neither does one below it.
+    let far = "// SAFETY: stale\nlet x = 1;\nunsafe { y() }\n// SAFETY: too late\n";
+    assert_eq!(rules_of(&scan_source("crates/obs/src/json.rs", far)), vec![Rule::UnsafeSafety]);
+    // Only `src/`: integration tests and benches are test code.
+    let bare = "unsafe { y() }\n";
+    for path in ["tests/hermetic.rs", "crates/bench/benches/overall.rs", "build.rs"] {
+        assert!(scan_source(path, bare).is_empty(), "{path}");
+    }
+}
+
 // ------------------------------------------------------------------- H1
 
 #[test]

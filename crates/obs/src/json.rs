@@ -90,24 +90,25 @@ impl Json {
 
 /// Parses a complete JSON document (trailing whitespace allowed).
 pub fn parse(s: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { src: s, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != s.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
+    /// Byte offset into `src`.
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.src.as_bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -117,7 +118,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -130,7 +131,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_lit(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -174,14 +175,11 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
+                                .ok_or("truncated or split \\u escape")?;
+                            let code =
+                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.pos += 4;
                         }
@@ -190,11 +188,13 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar (the input is a &str, so byte
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("nonempty");
+                    // Copy one UTF-8 scalar; a position off a char
+                    // boundary is an error, not undefined behaviour.
+                    let c = self
+                        .src
+                        .get(self.pos..)
+                        .and_then(|s| s.chars().next())
+                        .ok_or_else(|| format!("not on a char boundary at byte {}", self.pos))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -210,7 +210,7 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = self.src.get(start..self.pos).ok_or("bad number")?;
         text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number {text:?}"))
     }
 
@@ -308,5 +308,20 @@ mod tests {
         let mut out = String::new();
         write_str("τm → 2.5 \"quoted\"", &mut out);
         assert_eq!(parse(&out).unwrap().as_str(), Some("τm → 2.5 \"quoted\""));
+    }
+
+    #[test]
+    fn parses_multibyte_strings_and_escapes() {
+        let doc = r#"{"τm": "→ 2.5\t\"ok\" 日本\u00e9\n", "k": ["ß", "\\", "𝄞x"]}"#;
+        let v = parse(doc).unwrap();
+        assert_eq!(v.get("τm").unwrap().as_str(), Some("→ 2.5\t\"ok\" 日本é\n"));
+        let k = v.get("k").unwrap().as_arr().unwrap();
+        assert_eq!(k.iter().map(|j| j.as_str().unwrap()).collect::<Vec<_>>(), ["ß", "\\", "𝄞x"]);
+        // `\u` escapes with non-hex multi-byte digits or whose four bytes
+        // end inside a char, and strings cut short after a multi-byte
+        // char: `Err`, never a panic.
+        for bad in ["\"\\u00é\"", "\"\\uéé\"", "\"\\u000é\"", "\"日本", "[\"→"] {
+            assert!(parse(bad).is_err(), "{bad:?} should not parse");
+        }
     }
 }

@@ -8,6 +8,7 @@
 //! same graph under different managers.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use tiersim::engine::map_chunks;
@@ -91,6 +92,19 @@ const C: f64 = 0.19;
 /// per-packet allocation.
 const CHUNK_EDGES: usize = 1 << 16;
 
+/// Edges one call of the lane kernel generates: eight independent
+/// SplitMix64 streams, one 512-bit register of states.
+const LANES: usize = 8;
+
+/// The CSR build splits sources into `2^BUCKET_SPLIT_BITS` buckets by
+/// their top bits, so one bucket's cursors and the lines it is writing
+/// stay cache-resident and the skewed first bucket (≈0.76⁶ of the edges)
+/// is small enough to balance across workers.
+const BUCKET_SPLIT_BITS: u32 = 6;
+
+/// Widest source bucket, in bits: a bucket-local source is a `u16`.
+const MAX_BUCKET_BITS: u32 = 16;
+
 /// The integer cut `ceil(t · 2⁵³)`. `unit_f64()` is exactly `m · 2⁻⁵³`
 /// with `m = next_u64() >> 11`, so `unit_f64() < t` holds exactly when
 /// `m < cut(t)`: the float compare becomes an integer one.
@@ -99,7 +113,10 @@ fn cut(t: f64) -> u64 {
 }
 
 /// The three quadrant cuts of one R-MAT level, from the same f64
-/// expressions (`A`, `A + B`, `A + B + C`) a float compare would use.
+/// expressions (`A`, `A + B`, `A + B + C`) a float compare would use,
+/// shifted left by 11 so they compare against the raw draw `z`:
+/// `m = z >> 11 ≥ K` exactly when `z ≥ K << 11`, because every cut is
+/// below `2⁵³`.
 #[derive(Clone, Copy)]
 struct Cuts {
     a: u64,
@@ -109,31 +126,279 @@ struct Cuts {
 
 impl Cuts {
     fn new() -> Cuts {
-        Cuts { a: cut(A), ab: cut(A + B), abc: cut(A + B + C) }
+        let raw = |t: f64| {
+            let k = cut(t);
+            debug_assert!(k < 1 << 53, "cut {k} of {t} does not fit a draw");
+            k << 11
+        };
+        Cuts { a: raw(A), ab: raw(A + B), abc: raw(A + B + C) }
     }
 }
 
-/// Draws one edge's raw coordinates on the `2^levels` grid, consuming
-/// exactly `levels` draws, top bit first. Branchless: per level the
-/// `src` bit is `m ≥ K_{A+B}` and the `dst` bit is
-/// `K_A ≤ m < K_{A+B}` or `m ≥ K_{A+B+C}`.
-#[inline]
-fn raw_edge(rng: &mut SplitMix64, levels: u32, cuts: Cuts) -> (u32, u32) {
-    let (mut src, mut dst) = (0u32, 0u32);
-    for _ in 0..levels {
-        let m = rng.next_u64() >> 11;
-        let src_bit = m >= cuts.ab;
-        src = src << 1 | src_bit as u32;
-        dst = dst << 1 | ((m >= cuts.a) & !src_bit | (m >= cuts.abc)) as u32;
+/// Everything that fixes one graph's edges: edge `i` is a pure function
+/// of `(grid, i)`.
+#[derive(Clone, Copy)]
+struct Grid {
+    seed: u64,
+    /// Vertex count, at least 2.
+    n: u32,
+    /// `ceil(log2 n)`: draws per edge.
+    levels: u32,
+    cuts: Cuts,
+}
+
+impl Grid {
+    fn new(params: RmatParams) -> Grid {
+        let n = params.vertices.max(2);
+        Grid { seed: params.seed, n, levels: 32 - (n - 1).leading_zeros(), cuts: Cuts::new() }
     }
-    (src, dst)
+}
+
+/// The lane kernel: edges `first .. first + LANES`, each from its own
+/// `levels` draws, top level first. Per level the quadrant index
+/// `q = [z ≥ K_A] + [z ≥ K_{A+B}] + [z ≥ K_{A+B+C}]` (A, B, C, D = 0..3)
+/// holds the `src` bit as `q >> 1` and the `dst` bit as `q & 1`; it is
+/// appended to one accumulator per lane, so lane `l`'s result carries
+/// the raw `src` coordinate in its odd bits and `dst` in its even bits
+/// (see [`raw_src_dst`]). One accumulator rather than a `src` and a
+/// `dst` one: with two, the portable compilation's eight lanes spill
+/// registers and run slower than a one-edge-at-a-time loop. Plain loops
+/// over the lanes, which the compiler vectorizes; always inlined so each
+/// compilation of [`fill`] gets its own copy.
+#[inline(always)]
+fn lane_kernel(grid: Grid, first: u64) -> [u64; LANES] {
+    let levels = grid.levels as u64;
+    let mut lanes: [SplitMix64; LANES] =
+        std::array::from_fn(|l| SplitMix64::at(grid.seed, (first + l as u64) * levels));
+    let mut quadrants = [0u64; LANES];
+    for _ in 0..grid.levels {
+        for l in 0..LANES {
+            let z = lanes[l].next_u64();
+            let q = (z >= grid.cuts.a) as u64
+                + (z >= grid.cuts.ab) as u64
+                + (z >= grid.cuts.abc) as u64;
+            quadrants[l] = quadrants[l] << 2 | q;
+        }
+    }
+    quadrants
+}
+
+/// Gathers the even bits of `x` into a u32.
+#[inline(always)]
+fn even_bits(x: u64) -> u32 {
+    let mut x = x & 0x5555_5555_5555_5555;
+    x = (x | x >> 1) & 0x3333_3333_3333_3333;
+    x = (x | x >> 2) & 0x0f0f_0f0f_0f0f_0f0f;
+    x = (x | x >> 4) & 0x00ff_00ff_00ff_00ff;
+    x = (x | x >> 8) & 0x0000_ffff_0000_ffff;
+    (x | x >> 16) as u32
+}
+
+/// Splits a lane's interleaved quadrant digits into the raw `(src, dst)`
+/// coordinates on the `2^levels` grid.
+#[inline(always)]
+fn raw_src_dst(quadrants: u64) -> (u32, u32) {
+    (even_bits(quadrants >> 1), even_bits(quadrants))
 }
 
 /// Folds a raw coordinate on the `2^levels` grid onto `[0, n)`:
 /// `raw · n / 2^levels`, computed in u64 so `levels == 32` (any
 /// `n > 2³¹`) needs no `1u32 << 32`.
+#[inline(always)]
 fn fold(raw: u32, n: u32, levels: u32) -> u32 {
     ((raw as u64 * n as u64) >> levels) as u32
+}
+
+/// The folded endpoints of edges `first .. first + LANES`. Explicit
+/// loops, not `array::map`, so nothing leaves the calling compilation.
+#[inline(always)]
+fn block(grid: Grid, first: u64) -> ([u32; LANES], [u32; LANES]) {
+    let quadrants = lane_kernel(grid, first);
+    let (mut src, mut dst) = ([0u32; LANES], [0u32; LANES]);
+    for l in 0..LANES {
+        let (s, d) = raw_src_dst(quadrants[l]);
+        src[l] = fold(s, grid.n, grid.levels);
+        dst[l] = fold(d, grid.n, grid.levels);
+    }
+    (src, dst)
+}
+
+/// Writes the endpoints of edges `first .. first + src.len()` into `src`
+/// and `dst`, a block of [`LANES`] at a time. The last partial block
+/// runs the kernel on a padded block and drops the extra lanes.
+#[inline(always)]
+fn fill(grid: Grid, first: u64, src: &mut [u32], dst: &mut [u32]) {
+    let mut src_blocks = src.chunks_exact_mut(LANES);
+    let mut dst_blocks = dst.chunks_exact_mut(LANES);
+    let mut next = first;
+    for (src, dst) in (&mut src_blocks).zip(&mut dst_blocks) {
+        let (s, d) = block(grid, next);
+        src.copy_from_slice(&s);
+        dst.copy_from_slice(&d);
+        next += LANES as u64;
+    }
+    let (src, dst) = (src_blocks.into_remainder(), dst_blocks.into_remainder());
+    if !src.is_empty() {
+        let (s, d) = block(grid, next);
+        src.copy_from_slice(&s[..src.len()]);
+        dst.copy_from_slice(&d[..dst.len()]);
+    }
+}
+
+/// [`fill`] with AVX-512, where the lanes' 64-bit multiplies become
+/// `vpmullq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn fill_avx512(grid: Grid, first: u64, src: &mut [u32], dst: &mut [u32]) {
+    fill(grid, first, src, dst)
+}
+
+/// Whether this host runs [`fill_avx512`].
+#[cfg(target_arch = "x86_64")]
+fn avx512_detected() -> bool {
+    is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512dq")
+        && is_x86_feature_detected!("avx512vl")
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn avx512_detected() -> bool {
+    false
+}
+
+/// Which compilation of the lane kernel generates the edges. The edges
+/// are the same under both; only the speed differs, so the host's
+/// features pick it, not a setting.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    Portable,
+    Avx512,
+}
+
+impl Kernel {
+    /// The fastest compilation this host runs.
+    fn detect() -> Kernel {
+        if avx512_detected() {
+            Kernel::Avx512
+        } else {
+            Kernel::Portable
+        }
+    }
+
+    /// [`fill`] in this compilation (the portable one when the host
+    /// lacks AVX-512).
+    fn fill(self, grid: Grid, first: u64, src: &mut [u32], dst: &mut [u32]) {
+        #[cfg(target_arch = "x86_64")]
+        if self == Kernel::Avx512 && avx512_detected() {
+            // SAFETY: `fill_avx512` needs exactly the features just
+            // detected on this host; its body is safe code.
+            return unsafe { fill_avx512(grid, first, src, dst) };
+        }
+        fill(grid, first, src, dst)
+    }
+}
+
+/// Source buckets of the CSR build: bucket `b` holds sources
+/// `b << shift .. (b + 1) << shift`, at most `2^16` of them.
+#[derive(Clone, Copy)]
+struct Buckets {
+    shift: u32,
+    count: usize,
+}
+
+impl Buckets {
+    fn new(grid: Grid) -> Buckets {
+        let shift = grid.levels.saturating_sub(BUCKET_SPLIT_BITS).min(MAX_BUCKET_BITS);
+        Buckets { shift, count: ((grid.n - 1) >> shift) as usize + 1 }
+    }
+
+    fn of(self, src: u32) -> usize {
+        (src >> self.shift) as usize
+    }
+
+    /// The sources of bucket `b`, clipped to `[0, n)`.
+    fn sources(self, b: usize, n: u32) -> Range<usize> {
+        (b << self.shift)..((b + 1) << self.shift).min(n as usize)
+    }
+}
+
+/// One generation packet, its edges stably split by source bucket:
+/// bucket `b`'s edges are `starts[b]..starts[b + 1]`, in edge order,
+/// stored as a bucket-local source and a destination (6 B per edge).
+struct Packet {
+    dst: Vec<u32>,
+    local_src: Vec<u16>,
+    starts: Vec<u32>,
+}
+
+impl Packet {
+    /// Generates `edges` and splits them by source bucket.
+    fn generate(kernel: Kernel, grid: Grid, buckets: Buckets, edges: Range<usize>) -> Packet {
+        let len = edges.len();
+        let (mut src, mut dst) = (vec![0u32; len], vec![0u32; len]);
+        kernel.fill(grid, edges.start as u64, &mut src, &mut dst);
+        let mut starts = vec![0u32; buckets.count + 1];
+        for &s in &src {
+            starts[buckets.of(s) + 1] += 1;
+        }
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        let mut cursor = starts.clone();
+        let mut packet = Packet { dst: vec![0; len], local_src: vec![0; len], starts };
+        let local = (1u32 << buckets.shift) - 1;
+        for (&s, &d) in src.iter().zip(&dst) {
+            let at = &mut cursor[buckets.of(s)];
+            packet.dst[*at as usize] = d;
+            packet.local_src[*at as usize] = (s & local) as u16;
+            *at += 1;
+        }
+        packet
+    }
+
+    /// Bucket `b`'s edges as parallel (local source, destination) slices.
+    fn bucket(&self, b: usize) -> (&[u16], &[u32]) {
+        let r = self.starts[b] as usize..self.starts[b + 1] as usize;
+        (&self.local_src[r.clone()], &self.dst[r])
+    }
+}
+
+/// One bucket's share of the CSR: `offsets` are the ends of its sources'
+/// lists (global `offsets[lo + 1 ..= hi]`), `neighbors` its lists, whose
+/// first edge is global edge `base`.
+struct BucketOut<'a> {
+    base: u64,
+    offsets: &'a mut [u64],
+    neighbors: &'a mut [u32],
+}
+
+impl BucketOut<'_> {
+    /// Counts bucket `b`'s degrees, takes their prefix sum and scatters
+    /// its edges, walking the packets in order so each source keeps its
+    /// neighbors in edge order.
+    fn build(self, packets: &[Packet], b: usize) {
+        let mut cursor = vec![0usize; self.offsets.len()];
+        for p in packets {
+            for &s in p.bucket(b).0 {
+                cursor[s as usize] += 1;
+            }
+        }
+        let mut end = 0;
+        for (at, offset) in cursor.iter_mut().zip(self.offsets.iter_mut()) {
+            let degree = *at;
+            *at = end;
+            end += degree;
+            *offset = self.base + end as u64;
+        }
+        for p in packets {
+            let (srcs, dsts) = p.bucket(b);
+            for (&s, &d) in srcs.iter().zip(dsts) {
+                let at = &mut cursor[s as usize];
+                self.neighbors[*at] = d;
+                *at += 1;
+            }
+        }
+    }
 }
 
 /// Generates an R-MAT graph with the canonical (0.57, 0.19, 0.19, 0.05)
@@ -143,49 +408,49 @@ fn fold(raw: u32, n: u32, levels: u32) -> u32 {
 /// Edge `i` is a pure function of `(seed, i)`: it consumes draws
 /// `i·levels .. (i+1)·levels` of `SplitMix64::new(seed)`, reached
 /// directly with [`SplitMix64::at`]. Edges are generated in packets on
-/// all host cores and scattered into CSR in edge order, so the graph is
-/// identical for any core count — the worker count is deliberately not a
-/// knob.
+/// all host cores, eight at a time by a kernel compiled for the host's
+/// vector width, and each source bucket is then built on its own, so the
+/// graph is identical for any core count or host — the worker count is
+/// deliberately not a knob.
 pub fn rmat(params: RmatParams) -> Csr {
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    rmat_on(params, workers, CHUNK_EDGES)
+    rmat_on(params, workers, CHUNK_EDGES, Kernel::detect())
 }
 
-/// [`rmat`] on `workers` threads with `chunk`-edge packets; the result
-/// does not depend on either.
-fn rmat_on(params: RmatParams, workers: usize, chunk: usize) -> Csr {
-    let n = params.vertices.max(2);
-    let levels = 32 - (n - 1).leading_zeros();
-    let cuts = Cuts::new();
+/// [`rmat`] on `workers` threads with `chunk`-edge packets and the
+/// `kernel` compilation; the result depends on none of them.
+fn rmat_on(params: RmatParams, workers: usize, chunk: usize, kernel: Kernel) -> Csr {
+    debug_assert!(chunk <= u32::MAX as usize, "packet edge counts are u32");
+    let grid = Grid::new(params);
+    let buckets = Buckets::new(grid);
     let packets = map_chunks(workers, params.edges as usize, chunk, |r| {
-        let mut rng = SplitMix64::at(params.seed, r.start as u64 * levels as u64);
-        r.map(|_| {
-            let (src, dst) = raw_edge(&mut rng, levels, cuts);
-            (fold(src, n, levels), fold(dst, n, levels))
-        })
-        .collect::<Vec<(u32, u32)>>()
+        Packet::generate(kernel, grid, buckets, r)
     });
-    // Prefix sum of degrees, then scatter into CSR without sorting. The
-    // scatter walks packets in edge order (each source's neighbors keep
-    // generation order) and frees each packet once scattered instead of
-    // concatenating them, so peak memory holds one edge list, not two.
-    let mut offsets = vec![0u64; n as usize + 1];
-    for &(src, _) in packets.iter().flatten() {
-        offsets[src as usize + 1] += 1;
-    }
-    for i in 1..offsets.len() {
-        offsets[i] += offsets[i - 1];
-    }
-    let mut cursor = offsets.clone();
+    // Both arrays are sized up front from the bucket totals; each bucket
+    // then fills only its own disjoint slices of them.
+    let mut offsets = vec![0u64; grid.n as usize + 1];
     let mut neighbors = vec![0u32; params.edges as usize];
-    for packet in packets {
-        for (src, dst) in packet {
-            let at = &mut cursor[src as usize];
-            neighbors[*at as usize] = dst;
-            *at += 1;
-        }
+    let mut slots = Vec::with_capacity(buckets.count);
+    let (mut offsets_rest, mut neighbors_rest) = (&mut offsets[1..], &mut neighbors[..]);
+    let mut base = 0u64;
+    for b in 0..buckets.count {
+        let total: usize = packets.iter().map(|p| p.bucket(b).0.len()).sum();
+        let (offsets, rest) =
+            std::mem::take(&mut offsets_rest).split_at_mut(buckets.sources(b, grid.n).len());
+        offsets_rest = rest;
+        let (neighbors, rest) = std::mem::take(&mut neighbors_rest).split_at_mut(total);
+        neighbors_rest = rest;
+        slots.push(Mutex::new(Some(BucketOut { base, offsets, neighbors })));
+        base += total as u64;
     }
-    Csr { vertices: n, offsets, neighbors }
+    map_chunks(workers, buckets.count, 1, |r| {
+        for b in r {
+            let out = slots[b].lock().expect("bucket slot poisoned").take();
+            out.expect("each bucket is built once").build(&packets, b);
+        }
+    });
+    drop(slots);
+    Csr { vertices: grid.n, offsets, neighbors }
 }
 
 /// Returns a process-wide cached graph for the given parameters.
@@ -283,6 +548,17 @@ mod tests {
         Err(format!("CSR digest {:016x} != reference {:016x}", digest(got), digest(want)))
     }
 
+    /// Every compilation of the lane kernel this host runs, portable
+    /// first; prints which ones a test is about to check.
+    fn kernels(test: &str) -> Vec<Kernel> {
+        let mut out = vec![Kernel::Portable];
+        if Kernel::detect() == Kernel::Avx512 {
+            out.push(Kernel::Avx512);
+        }
+        println!("{test}: checking kernels {out:?}");
+        out
+    }
+
     #[test]
     fn paper_seed_graph_digest_is_pinned() {
         // Digest of the serial float-and-branch generator's output, taken
@@ -290,11 +566,16 @@ mod tests {
         let p = RmatParams { vertices: 65_536, edges: 1 << 20, seed: 0x6EA4 };
         assert_eq!(digest(&rmat(p)), 0xeee01878d82c7879);
         assert_eq!(digest(&rmat_reference(p)), 0xeee01878d82c7879);
+        for kernel in kernels("paper_seed_graph_digest_is_pinned") {
+            let g = rmat_on(p, 2, CHUNK_EDGES, kernel);
+            assert_eq!(digest(&g), 0xeee01878d82c7879, "{kernel:?}");
+        }
     }
 
     #[test]
     fn prop_matches_reference_at_any_worker_count() {
         use proptest_lite::{gen, prop_check};
+        let kernels = kernels("prop_matches_reference_at_any_worker_count");
         // Small packets so even a few thousand edges span many packets
         // and the multi-worker runs really interleave.
         prop_check!(
@@ -309,9 +590,11 @@ mod tests {
             |&(vertices, edges, seed, chunk)| {
                 let p = RmatParams { vertices, edges, seed };
                 let want = rmat_reference(p);
-                for workers in [1, 2, 3, 7] {
-                    if let Err(e) = same_csr(&rmat_on(p, workers, chunk), &want) {
-                        return Err(format!("workers={workers} chunk={chunk}: {e}"));
+                for &kernel in &kernels {
+                    for workers in [1, 2, 3, 7] {
+                        if let Err(e) = same_csr(&rmat_on(p, workers, chunk, kernel), &want) {
+                            return Err(format!("{kernel:?} workers={workers} chunk={chunk}: {e}"));
+                        }
                     }
                 }
             }
@@ -321,13 +604,99 @@ mod tests {
     #[test]
     fn matches_reference_at_boundary_vertex_counts() {
         // Powers of two, their neighbors and the minimum (2; 0 and 1 clamp
-        // to it), which a uniform draw over 2..=100_000 rarely hits.
-        for vertices in [0, 1, 2, 3, 4, 5, 1023, 1024, 1025, 65_536, 65_537, 100_000] {
+        // to it), which a uniform draw over 2..=100_000 rarely hits. A
+        // count of 2^k ± 1 leaves the last source bucket one vertex long
+        // or one short.
+        let kernels = kernels("matches_reference_at_boundary_vertex_counts");
+        let counts = [0, 1, 2, 3, 4, 5, 1023, 1024, 1025, 65_535, 65_536, 65_537, 100_000, 131_073];
+        for vertices in counts {
             let p = RmatParams { vertices, edges: 5_000, seed: vertices as u64 ^ 0x5EED };
             let want = rmat_reference(p);
-            for workers in [1, 2, 3, 7] {
-                let got = rmat_on(p, workers, 333);
-                assert_eq!(same_csr(&got, &want), Ok(()), "vertices={vertices} workers={workers}");
+            for &kernel in &kernels {
+                for workers in [1, 2, 3, 7] {
+                    let got = rmat_on(p, workers, 333, kernel);
+                    let at = format!("vertices={vertices} {kernel:?} workers={workers}");
+                    assert_eq!(same_csr(&got, &want), Ok(()), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn padded_tail_blocks_match_reference() {
+        // Packet sizes that are not a multiple of the lane count, so
+        // every packet ends in a padded kernel block, and edge counts
+        // that leave the last packet short.
+        for kernel in kernels("padded_tail_blocks_match_reference") {
+            for (chunk, edges) in [(1, 37), (7, 200), (9, 1_001), (15, 4_099), (333, 8_001)] {
+                let p = RmatParams { vertices: 3_000, edges, seed: chunk as u64 };
+                let got = rmat_on(p, 2, chunk, kernel);
+                let at = format!("{kernel:?} chunk={chunk} edges={edges}");
+                assert_eq!(same_csr(&got, &rmat_reference(p)), Ok(()), "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_source_buckets_match_reference() {
+        // 40 edges over 64 buckets: most buckets get no edge at all, so
+        // their offset runs are flat and their neighbor slices empty.
+        let p = RmatParams { vertices: 100_000, edges: 40, seed: 11 };
+        let want = rmat_reference(p);
+        let buckets = Buckets::new(Grid::new(p));
+        let empty = (0..buckets.count)
+            .filter(|&b| {
+                let r = buckets.sources(b, want.vertices);
+                want.offsets[r.start] == want.offsets[r.end]
+            })
+            .count();
+        assert!(empty > 0, "no empty bucket among {}", buckets.count);
+        for kernel in kernels("empty_source_buckets_match_reference") {
+            for workers in [1, 3] {
+                let got = rmat_on(p, workers, 16, kernel);
+                assert_eq!(same_csr(&got, &want), Ok(()), "{kernel:?} workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn buckets_are_at_most_u16_wide_and_cover_every_source() {
+        for n in [2u32, 3, 64, 65, 65_537, 439_453, 900_000_000, u32::MAX] {
+            let grid = Grid::new(RmatParams { vertices: n, edges: 0, seed: 0 });
+            let buckets = Buckets::new(grid);
+            assert!(buckets.shift <= MAX_BUCKET_BITS, "n={n}");
+            assert_eq!(buckets.sources(0, n).start, 0);
+            assert_eq!(buckets.sources(buckets.count - 1, n).end, n as usize);
+            assert_eq!(buckets.of(n - 1), buckets.count - 1, "n={n}");
+            for b in 1..buckets.count.min(70) {
+                assert_eq!(buckets.sources(b - 1, n).end, buckets.sources(b, n).start);
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_match_float_compares_at_every_depth() {
+        // Up to 32 levels, where the interleaved quadrant digits fill all
+        // 64 accumulator bits: deeper than any graph the oracle can build.
+        for kernel in kernels("kernels_match_float_compares_at_every_depth") {
+            for n in [2u32, 3, 1 << 20, (1 << 31) + 1, u32::MAX] {
+                let grid = Grid::new(RmatParams { vertices: n, edges: 0, seed: n as u64 });
+                for first in [0u64, 8, 1_000_003] {
+                    let (mut src, mut dst) = ([0u32; 13], [0u32; 13]);
+                    kernel.fill(grid, first, &mut src, &mut dst);
+                    for (i, (&s, &d)) in src.iter().zip(&dst).enumerate() {
+                        let k = (first + i as u64) * grid.levels as u64;
+                        let mut rng = SplitMix64::at(grid.seed, k);
+                        let (mut want_s, mut want_d) = (0u32, 0u32);
+                        for _ in 0..grid.levels {
+                            let r = rng.unit_f64();
+                            want_s = want_s << 1 | (r >= A + B) as u32;
+                            want_d = want_d << 1 | ((A..A + B).contains(&r) || r >= A + B + C) as u32;
+                        }
+                        let want = (fold(want_s, n, grid.levels), fold(want_d, n, grid.levels));
+                        assert_eq!((s, d), want, "{kernel:?} n={n} edge={}", first + i as u64);
+                    }
+                }
             }
         }
     }
@@ -365,11 +734,14 @@ mod tests {
     fn zero_edges_gives_an_empty_well_formed_csr() {
         // No packets at all: map_chunks returns inline on the calling
         // thread, whatever the worker count.
-        let g = rmat_on(RmatParams { vertices: 1000, edges: 0, seed: 3 }, 7, CHUNK_EDGES);
-        assert_eq!(g.vertices, 1000);
-        assert_eq!(g.offsets, vec![0u64; 1001]);
-        assert!(g.neighbors.is_empty());
-        assert_eq!(g.edges(), 0);
+        for kernel in kernels("zero_edges_gives_an_empty_well_formed_csr") {
+            let p = RmatParams { vertices: 1000, edges: 0, seed: 3 };
+            let g = rmat_on(p, 7, CHUNK_EDGES, kernel);
+            assert_eq!(g.vertices, 1000);
+            assert_eq!(g.offsets, vec![0u64; 1001]);
+            assert!(g.neighbors.is_empty());
+            assert_eq!(g.edges(), 0);
+        }
     }
 
     #[test]
