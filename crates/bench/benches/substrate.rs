@@ -1,5 +1,5 @@
 //! Simulator hot-path microbenchmarks: per-access cost (reads, writes and
-//! one whole GUPS, BFS or SSSP tick), PTE scanning and region relocation
+//! one whole round of GUPS, BFS or SSSP ticks), PTE scanning and region relocation
 //! throughput of the `tiersim` substrate itself, plus the parallel R-MAT
 //! generator that dominates graph-workload set-up.
 
@@ -8,7 +8,7 @@ use mtm_workloads::graph::rmat;
 use mtm_workloads::{Bfs, BfsConfig, Gups, GupsConfig, Sssp, SsspConfig};
 use tiersim::addr::{VaRange, VirtAddr, PAGE_SIZE_2M, PAGE_SIZE_4K};
 use tiersim::machine::{AccessKind, Machine, MachineConfig};
-use tiersim::sim::{FirstTouchPolicy, SimEnv, Workload};
+use tiersim::sim::{FirstTouchPolicy, SimEnv, Workload, ROUND_TICKS};
 use tiersim::tier::optane_four_tier;
 
 fn machine() -> Machine {
@@ -19,18 +19,17 @@ fn machine() -> Machine {
     m
 }
 
-/// Times one `tick` of `workload` at a time, round-robin over four
-/// threads, through the `MemEnv` dispatch the interval loop uses, on a
-/// first-touch machine at the quick scale.
-fn tick_bench(b: &mut Bench, name: &str, mut workload: impl Workload) {
+/// Times one `round` of `workload` per iteration, the unit the interval
+/// loop calls (`ROUND_TICKS` ticks on each of four threads, so the
+/// throughput is ticks per second), on a first-touch machine at the
+/// quick scale.
+fn round_bench(b: &mut Bench, name: &str, mut workload: impl Workload) {
     let scale = 1 << 12;
     let mut m = Machine::new(MachineConfig::new(optane_four_tier(scale), 4));
     let mut policy = FirstTouchPolicy;
     workload.setup(&mut SimEnv { machine: &mut m, manager: &mut policy });
-    let mut tid = 0;
-    b.iter(name, || {
-        tid = (tid + 1) % 4;
-        workload.tick(&mut SimEnv { machine: &mut m, manager: &mut policy }, tid);
+    b.iter_throughput(name, (ROUND_TICKS * 4) as u64, || {
+        workload.round(&mut SimEnv { machine: &mut m, manager: &mut policy }, 4);
     });
 }
 
@@ -70,11 +69,11 @@ fn main() {
         m.access(0, va, AccessKind::Write)
     });
 
-    // One GUPS update (compute, three reads, one write), one BFS and one
-    // SSSP tick (a bounded slice of one vertex's edges).
-    tick_bench(&mut b, "substrate/gups_tick", Gups::new(GupsConfig::paper(1 << 12, 4)));
-    tick_bench(&mut b, "substrate/bfs_tick", Bfs::new(BfsConfig::paper(1 << 12, 4)));
-    tick_bench(&mut b, "substrate/sssp_tick", Sssp::new(SsspConfig::paper(1 << 12, 4)));
+    // 32 ticks each: GUPS updates (compute, three reads, one write), BFS
+    // and SSSP ticks (a bounded slice of one vertex's edges).
+    round_bench(&mut b, "substrate/gups_round", Gups::new(GupsConfig::paper(1 << 12, 4)));
+    round_bench(&mut b, "substrate/bfs_round", Bfs::new(BfsConfig::paper(1 << 12, 4)));
+    round_bench(&mut b, "substrate/sssp_round", Sssp::new(SsspConfig::paper(1 << 12, 4)));
 
     let mut m = machine();
     let mut i = 0u64;

@@ -184,8 +184,7 @@ impl MigrationEngine {
     pub fn save(&self, w: &mut obs::wire::Writer) {
         w.varint(self.pending.len() as u64);
         for p in &self.pending {
-            w.u64(p.range.start.0);
-            w.u64(p.range.end.0);
+            p.range.save(w);
             match p.src {
                 Some(c) => {
                     w.bool(true);
@@ -223,8 +222,7 @@ impl MigrationEngine {
         w.varint(self.history.len() as u64);
         for &(at, range) in &self.history {
             w.varint(at);
-            w.u64(range.start.0);
-            w.u64(range.end.0);
+            range.save(w);
         }
         w.varint(self.now_interval);
     }
@@ -232,11 +230,10 @@ impl MigrationEngine {
     /// Restores the dynamic state saved with [`MigrationEngine::save`]
     /// into an engine freshly built from the same configuration.
     pub fn load(&mut self, r: &mut obs::wire::Reader) -> Result<(), String> {
-        use tiersim::addr::VirtAddr;
         let count = r.varint()? as usize;
         let mut pending = Vec::with_capacity(count.min(1 << 16));
         for _ in 0..count {
-            let range = VaRange::new(VirtAddr(r.u64()?), VirtAddr(r.u64()?));
+            let range = VaRange::load(r)?;
             let src = if r.bool()? { Some(r.u16()?) } else { None };
             pending.push(PendingAsync {
                 range,
@@ -270,7 +267,7 @@ impl MigrationEngine {
         self.history.clear();
         for _ in 0..r.varint()? {
             let at = r.varint()?;
-            let range = VaRange::new(VirtAddr(r.u64()?), VirtAddr(r.u64()?));
+            let range = VaRange::load(r)?;
             self.history.push_back((at, range));
         }
         self.now_interval = r.varint()?;

@@ -380,8 +380,7 @@ impl RegionList {
         w.varint(self.stats.split);
         w.varint(self.regions.len() as u64);
         for r in &self.regions {
-            w.u64(r.range.start.0);
-            w.u64(r.range.end.0);
+            r.range.save(w);
             w.u32(r.quota);
             w.f64(r.hi);
             w.f64(r.prev_hi);
@@ -413,7 +412,7 @@ impl RegionList {
         let count = r.varint()? as usize;
         let mut regions = Vec::with_capacity(count.min(1 << 20));
         for _ in 0..count {
-            let range = VaRange::new(VirtAddr(r.u64()?), VirtAddr(r.u64()?));
+            let range = VaRange::load(r)?;
             let quota = r.u32()?;
             let hi = r.f64()?;
             let prev_hi = r.f64()?;

@@ -12,7 +12,7 @@ use mtm_workloads::layout::{Layout, LAYOUT_BASE};
 use mtm_workloads::rng::{scatter, SplitMix64, Zipfian};
 use obs::wire::{Reader, Writer};
 use tiersim::addr::{VaRange, VirtAddr, PAGE_SIZE_2M};
-use tiersim::sim::{MemEnv, Workload};
+use tiersim::sim::{round_ticks, MemEnv, SimEnv, Workload};
 
 /// Bytes per stored value (one cache-line-ish record per key, padded).
 const VAL_BYTES: u64 = 256;
@@ -138,6 +138,29 @@ impl Serving {
         let len = (self.cfg.keys * VAL_BYTES).next_multiple_of(PAGE_SIZE_2M);
         VaRange::from_len(VirtAddr(LAYOUT_BASE), len)
     }
+
+    /// One request on thread `tid` (see [`Workload::tick`]), generic over
+    /// the environment so [`Workload::round`] issues its accesses as
+    /// static calls.
+    fn step<E: MemEnv + ?Sized>(&mut self, env: &mut E, tid: usize) {
+        let base = self.vma().start.0;
+        let rng = &mut self.rngs[tid];
+        let rank = self.zipf.sample(rng);
+        // The rotation shifts which stored key each popularity rank maps
+        // to: after a drift step the hottest ranks land on fresh, cold
+        // pages — exactly the phase transition the sweep measures.
+        let key = scatter(rank.wrapping_add(self.rotation), self.cfg.keys, self.cfg.seed);
+        let va = VirtAddr(base + key * VAL_BYTES);
+        if rng.unit_f64() < self.cfg.read_frac {
+            env.read(tid, va);
+        } else {
+            env.write(tid, va);
+        }
+        if self.cfg.cpu_ns_per_op > 0.0 {
+            env.compute(tid, self.cfg.cpu_ns_per_op * self.think_mul);
+        }
+        self.ops += 1;
+    }
 }
 
 /// Piecewise-linear think-time multiplier at `interval`: a triangle
@@ -179,23 +202,11 @@ impl Workload for Serving {
     }
 
     fn tick(&mut self, env: &mut dyn MemEnv, tid: usize) {
-        let base = self.vma().start.0;
-        let rng = &mut self.rngs[tid];
-        let rank = self.zipf.sample(rng);
-        // The rotation shifts which stored key each popularity rank maps
-        // to: after a drift step the hottest ranks land on fresh, cold
-        // pages — exactly the phase transition the sweep measures.
-        let key = scatter(rank.wrapping_add(self.rotation), self.cfg.keys, self.cfg.seed);
-        let va = VirtAddr(base + key * VAL_BYTES);
-        if rng.unit_f64() < self.cfg.read_frac {
-            env.read(tid, va);
-        } else {
-            env.write(tid, va);
-        }
-        if self.cfg.cpu_ns_per_op > 0.0 {
-            env.compute(tid, self.cfg.cpu_ns_per_op * self.think_mul);
-        }
-        self.ops += 1;
+        self.step(env, tid);
+    }
+
+    fn round(&mut self, env: &mut SimEnv<'_>, threads: usize) {
+        round_ticks(threads, |tid| self.step(env, tid));
     }
 
     fn footprint(&self) -> u64 {

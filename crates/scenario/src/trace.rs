@@ -24,7 +24,7 @@
 use obs::wire::{Reader, Writer};
 use tiersim::addr::VirtAddr;
 use tiersim::machine::Machine;
-use tiersim::sim::{run_scenario, MemEnv, MemoryManager, RunReport, Workload};
+use tiersim::sim::{round_ticks, run_scenario, MemEnv, MemoryManager, RunReport, SimEnv, Workload};
 
 /// Magic bytes opening every trace file.
 pub const TRACE_MAGIC: &[u8; 8] = b"MTMTRACE";
@@ -42,6 +42,18 @@ const TAG_RUN: u8 = 3;
 enum TraceOp {
     Read(u64),
     Write(u64),
+    Compute(f64),
+}
+
+/// One decoded trace operation, as [`TraceReplayer`] holds it. A
+/// recorded run stays compressed, so decoding takes memory in proportion
+/// to the trace's bytes, not to the accesses its runs expand into.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum ReplayOp {
+    /// `count` accesses of one kind: the first at `va`, each next one
+    /// `stride` bytes (wrapping) past the previous. A single access has
+    /// `count` 1.
+    Access { write: bool, va: u64, stride: u64, count: u64 },
     Compute(f64),
 }
 
@@ -194,6 +206,9 @@ impl<W: Workload> TraceRecorder<W> {
     }
 }
 
+/// Keeps the provided `round`, which calls `tick` per tick: the trace
+/// stores one record per tick, so every tick must pass through the
+/// recording environment.
 impl<W: Workload> Workload for TraceRecorder<W> {
     fn name(&self) -> String {
         self.inner.name()
@@ -239,7 +254,7 @@ pub struct TraceReplayer {
     name: String,
     footprint: u64,
     snapshot: Vec<u8>,
-    ticks: Vec<(Vec<TraceOp>, u64)>,
+    ticks: Vec<(Vec<ReplayOp>, u64)>,
     cursor: usize,
     ops: u64,
 }
@@ -261,40 +276,40 @@ impl TraceReplayer {
         let footprint = r.varint()?;
         let snapshot = r.bytes()?.to_vec();
         let tick_count = r.varint()? as usize;
-        let body = r.bytes()?.to_vec();
+        let body = r.bytes()?;
         r.finish()?;
 
-        let mut b = Reader::new(&body);
-        let mut ticks = Vec::with_capacity(tick_count.min(1 << 20));
+        // Every tick and every record takes at least two bytes, which
+        // bounds the up-front reservations by the input's size.
+        let mut b = Reader::new(body);
+        let mut ticks = Vec::with_capacity(tick_count.min(body.len() / 2));
         let mut va_cursor = 0u64;
+        let access = |write, va| ReplayOp::Access { write, va, stride: 0, count: 1 };
         for _ in 0..tick_count {
             let records = b.varint()? as usize;
-            let mut ops = Vec::with_capacity(records.min(1 << 16));
+            let mut ops = Vec::with_capacity(records.min(b.remaining() / 2));
             for _ in 0..records {
                 match b.u8()? {
                     TAG_READ => {
                         va_cursor = va_cursor.wrapping_add(b.zigzag()? as u64);
-                        ops.push(TraceOp::Read(va_cursor));
+                        ops.push(access(false, va_cursor));
                     }
                     TAG_WRITE => {
                         va_cursor = va_cursor.wrapping_add(b.zigzag()? as u64);
-                        ops.push(TraceOp::Write(va_cursor));
+                        ops.push(access(true, va_cursor));
                     }
-                    TAG_COMPUTE => ops.push(TraceOp::Compute(b.f64()?)),
+                    TAG_COMPUTE => ops.push(ReplayOp::Compute(b.f64()?)),
                     TAG_RUN => {
-                        let kind = b.u8()?;
-                        let delta = b.zigzag()? as u64;
+                        let write = match b.u8()? {
+                            TAG_READ => false,
+                            TAG_WRITE => true,
+                            other => return Err(format!("bad run kind {other} in trace")),
+                        };
+                        let stride = b.zigzag()? as u64;
                         let count = b.varint()?;
-                        for _ in 0..count {
-                            va_cursor = va_cursor.wrapping_add(delta);
-                            ops.push(match kind {
-                                TAG_READ => TraceOp::Read(va_cursor),
-                                TAG_WRITE => TraceOp::Write(va_cursor),
-                                other => {
-                                    return Err(format!("bad run kind {other} in trace"))
-                                }
-                            });
-                        }
+                        let va = va_cursor.wrapping_add(stride);
+                        va_cursor = va_cursor.wrapping_add(stride.wrapping_mul(count));
+                        ops.push(ReplayOp::Access { write, va, stride, count });
                     }
                     other => return Err(format!("bad record tag {other} in trace")),
                 }
@@ -309,6 +324,35 @@ impl TraceReplayer {
     /// Number of recorded ticks.
     pub fn tick_count(&self) -> usize {
         self.ticks.len()
+    }
+
+    /// Re-issues recorded tick `self.cursor` on thread `tid` (see
+    /// [`Workload::tick`]), generic over the environment so
+    /// [`Workload::round`] issues its accesses as static calls.
+    fn step<E: MemEnv + ?Sized>(&mut self, env: &mut E, tid: usize) {
+        let Some((ops, delta)) = self.ticks.get(self.cursor) else {
+            panic!(
+                "trace exhausted after {} ticks: replay ran longer than the recorded run",
+                self.ticks.len()
+            );
+        };
+        for op in ops {
+            match *op {
+                ReplayOp::Access { write, mut va, stride, count } => {
+                    for _ in 0..count {
+                        if write {
+                            env.write(tid, VirtAddr(va));
+                        } else {
+                            env.read(tid, VirtAddr(va));
+                        }
+                        va = va.wrapping_add(stride);
+                    }
+                }
+                ReplayOp::Compute(ns) => env.compute(tid, ns),
+            }
+        }
+        self.ops += delta;
+        self.cursor += 1;
     }
 }
 
@@ -326,21 +370,11 @@ impl Workload for TraceReplayer {
     }
 
     fn tick(&mut self, env: &mut dyn MemEnv, tid: usize) {
-        let Some((ops, delta)) = self.ticks.get(self.cursor) else {
-            panic!(
-                "trace exhausted after {} ticks: replay ran longer than the recorded run",
-                self.ticks.len()
-            );
-        };
-        for op in ops {
-            match *op {
-                TraceOp::Read(va) => env.read(tid, VirtAddr(va)),
-                TraceOp::Write(va) => env.write(tid, VirtAddr(va)),
-                TraceOp::Compute(ns) => env.compute(tid, ns),
-            }
-        }
-        self.ops += delta;
-        self.cursor += 1;
+        self.step(env, tid);
+    }
+
+    fn round(&mut self, env: &mut SimEnv<'_>, threads: usize) {
+        round_ticks(threads, |tid| self.step(env, tid));
     }
 
     fn footprint(&self) -> u64 {
@@ -384,4 +418,54 @@ pub fn record_run<W: Workload>(
     let mut recorder = TraceRecorder::new(workload);
     let report = run_scenario(machine, manager, &mut recorder, intervals);
     Ok((report, recorder.into_trace()?))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A trace whose one tick is a single read run of `count` accesses,
+    /// 64 bytes apart. `claimed_ticks` is the header's tick count.
+    fn run_trace(count: u64, claimed_ticks: u64) -> Vec<u8> {
+        let mut body = Writer::new();
+        body.varint(1);
+        body.u8(TAG_RUN);
+        body.u8(TAG_READ);
+        body.zigzag(64);
+        body.varint(count);
+        body.varint(0);
+        let mut w = Writer::new();
+        w.u64(u64::from_le_bytes(*TRACE_MAGIC));
+        w.u32(TRACE_VERSION);
+        w.str("x");
+        w.varint(0);
+        w.bytes(&[]);
+        w.varint(claimed_ticks);
+        w.bytes(&body.into_bytes());
+        w.into_bytes()
+    }
+
+    #[test]
+    fn an_amplified_run_is_rejected_without_expanding_it() {
+        // 28 bytes claiming two ticks but holding one, whose run expands
+        // to 4,194,304 accesses: an eager decoder builds all of them
+        // before it finds the missing tick.
+        let bytes = run_trace(1 << 22, 2);
+        assert_eq!(bytes.len(), 28);
+        let Err(err) = TraceReplayer::from_bytes(&bytes) else { panic!("truncated trace accepted") };
+        assert!(err.contains("truncated"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn runs_decode_in_memory_proportional_to_the_input() {
+        // A count of 2^40 would abort an eager decoder on allocation.
+        for count in [1 << 22, 1 << 40] {
+            let replayer = TraceReplayer::from_bytes(&run_trace(count, 1)).expect("well-formed trace");
+            assert_eq!(replayer.tick_count(), 1);
+            assert_eq!(
+                replayer.ticks[0].0,
+                vec![ReplayOp::Access { write: false, va: 64, stride: 64, count }]
+            );
+        }
+    }
 }

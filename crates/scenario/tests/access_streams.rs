@@ -1,13 +1,16 @@
-//! Pins the access streams of the graph workloads. BFS and SSSP run on a
-//! small R-MAT graph through `record_run`, and the FNV-1a digest of the
-//! MTMTRACE bytes must match the value committed here. Host-side
-//! optimisations of `tick` (prefetching, storage layout) must leave the
-//! simulated stream untouched; an edit that changes it fails this test,
-//! and the new digest is then a deliberate, reviewed change.
+//! Pins the access streams of the workloads. Each runs small through
+//! `record_run`, and the FNV-1a digest of the MTMTRACE bytes must match
+//! the value committed here. Host-side optimisations of a workload's
+//! tick (prefetching, storage layout, branch-free selection) must leave
+//! the simulated stream untouched; an edit that changes it fails this
+//! test, and the new digest is then a deliberate, reviewed change.
 
 use mtm_scenario::trace::record_run;
 use mtm_workloads::graph::RmatParams;
-use mtm_workloads::{Bfs, BfsConfig, Sssp, SsspConfig};
+use mtm_workloads::{
+    Bfs, BfsConfig, Gups, GupsConfig, HotsetMode, Sssp, SsspConfig, Terasort, TerasortConfig, Tpcc,
+    TpccConfig, Ycsb, YcsbConfig,
+};
 use tiersim::machine::{Machine, MachineConfig};
 use tiersim::sim::{FirstTouchPolicy, Workload};
 use tiersim::tier::tiny_two_tier;
@@ -26,6 +29,19 @@ fn trace_digest(workload: impl Workload) -> (u64, usize) {
     (obs::wire::fnv1a(&trace), trace.len())
 }
 
+fn gups(mode: HotsetMode, rotate_every: Option<u64>) -> Gups {
+    Gups::new(GupsConfig {
+        table_bytes: 8 * PAGE_SIZE_2M,
+        hot_frac: 0.2,
+        hot_access_frac: 0.8,
+        rotate_every,
+        mode,
+        threads: THREADS,
+        cpu_ns_per_op: 200.0,
+        seed: 7,
+    })
+}
+
 #[test]
 fn bfs_access_stream_is_pinned() {
     let bfs = Bfs::new(BfsConfig { graph: GRAPH, threads: THREADS, cpu_ns_per_op: 200.0, seed: 7 });
@@ -36,4 +52,42 @@ fn bfs_access_stream_is_pinned() {
 fn sssp_access_stream_is_pinned() {
     let sssp = Sssp::new(SsspConfig { graph: GRAPH, threads: THREADS, cpu_ns_per_op: 200.0, seed: 7 });
     assert_eq!(trace_digest(sssp), (0x9731_5551_06db_cb85, 176_526));
+}
+
+#[test]
+fn gups_band_with_rotation_access_stream_is_pinned() {
+    assert_eq!(trace_digest(gups(HotsetMode::Band, Some(1))), (0xe0f4_022a_6022_70d3, 196_845));
+}
+
+#[test]
+fn gups_gaussian_access_stream_is_pinned() {
+    assert_eq!(trace_digest(gups(HotsetMode::Gaussian, None)), (0x780e_43ec_1391_e842, 196_845));
+}
+
+#[test]
+fn ycsb_access_stream_is_pinned() {
+    let mut cfg = YcsbConfig::paper(1 << 14, THREADS);
+    cfg.cpu_ns_per_op = 200.0;
+    assert_eq!(trace_digest(Ycsb::new(cfg)), (0x5795_ea1e_d132_4044, 196_717));
+}
+
+#[test]
+fn tpcc_access_stream_is_pinned() {
+    let mut cfg = TpccConfig::paper(1 << 12, THREADS);
+    cfg.cpu_ns_per_op = 200.0;
+    assert_eq!(trace_digest(Tpcc::new(cfg)), (0xfc28_8f04_c871_fd36, 126_858));
+}
+
+#[test]
+fn terasort_access_stream_is_pinned() {
+    // 2048 records in 8 partitions: the four intervals finish one job
+    // (sample, partition, sort, merge) and start partitioning the next.
+    let cfg = TerasortConfig {
+        input_bytes: 2048 * 100,
+        partitions: 8,
+        threads: THREADS,
+        cpu_ns_per_op: 100.0,
+        seed: 0x7E4A,
+    };
+    assert_eq!(trace_digest(Terasort::new(cfg)), (0x3bd7_789d_d125_9c0e, 167_155));
 }

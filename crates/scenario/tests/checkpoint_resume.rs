@@ -147,3 +147,36 @@ fn restore_rejects_mismatched_workload_and_manager() {
     };
     assert!(err.contains("manager"), "unexpected error: {err}");
 }
+
+#[test]
+fn corrupted_checkpoints_are_rejected_without_panicking() {
+    let mut m = machine();
+    let mut mgr = manager();
+    let mut wl = workload();
+    let mut progress = ScenarioProgress::start(&mut m, &mut mgr, &mut wl);
+    for ivl in 0..4 {
+        progress.step_interval(&mut m, &mut mgr, &mut wl, ivl);
+    }
+    let blob = save_checkpoint(&m, &mgr, &wl, &progress, 4).expect("checkpointable stack");
+    // Flip bits 0, 3 and 7 of every byte in turn. A restore may accept a
+    // flip it cannot tell from real state (a counter, a float), but it
+    // must never panic. Machine and manager are rebuilt for every
+    // restore. The workload is built once, because its zipfian set-up
+    // dominates the sweep; that is sound because `Serving::load_state`
+    // overwrites its state without reading it.
+    let mut panics = Vec::new();
+    let mut wl = workload();
+    for at in 0..blob.len() {
+        for bit in [0, 3, 7] {
+            let mut bad = blob.clone();
+            bad[at] ^= 1 << bit;
+            let restored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                restore_checkpoint(&bad, &mut machine(), &mut manager(), &mut wl).map(|_| ())
+            }));
+            if restored.is_err() {
+                panics.push((at, bit));
+            }
+        }
+    }
+    assert!(panics.is_empty(), "{} of {} flips panicked: {panics:?}", panics.len(), 3 * blob.len());
+}

@@ -144,6 +144,22 @@ impl VaRange {
         VaRange { start, end }
     }
 
+    /// Writes the range as two `u64` bounds (checkpoint support).
+    pub fn save(self, w: &mut obs::wire::Writer) {
+        w.u64(self.start.0);
+        w.u64(self.end.0);
+    }
+
+    /// Reads a range written by [`VaRange::save`]. Errors on an inverted
+    /// range, where [`VaRange::new`] would panic.
+    pub fn load(r: &mut obs::wire::Reader) -> Result<VaRange, String> {
+        let (start, end) = (r.u64()?, r.u64()?);
+        if end < start {
+            return Err(format!("inverted range {start:#x}..{end:#x}"));
+        }
+        Ok(VaRange { start: VirtAddr(start), end: VirtAddr(end) })
+    }
+
     /// Builds a range from a start address and a length in bytes.
     pub fn from_len(start: VirtAddr, len: u64) -> VaRange {
         VaRange { start, end: start + len }

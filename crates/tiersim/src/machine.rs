@@ -1280,16 +1280,14 @@ impl Machine {
         }
         w.varint(self.watches.len() as u64);
         for watch in &self.watches {
-            w.u64(watch.range.start.0);
-            w.u64(watch.range.end.0);
+            watch.range.save(&mut w);
             w.bool(watch.dirty);
             w.u64(watch.id);
         }
         match self.watch_bounds {
             Some(b) => {
                 w.bool(true);
-                w.u64(b.start.0);
-                w.u64(b.end.0);
+                b.save(&mut w);
             }
             None => w.bool(false),
         }
@@ -1297,8 +1295,7 @@ impl Machine {
         w.bool(self.shadow_mode);
         w.varint(self.shadows.len() as u64);
         for e in &self.shadows {
-            w.u64(e.range.start.0);
-            w.u64(e.range.end.0);
+            e.range.save(&mut w);
             w.u16(e.component);
             w.u64(e.watch_id);
             w.varint(e.pages.len() as u64);
@@ -1371,13 +1368,13 @@ impl Machine {
         self.watches.clear();
         for _ in 0..r.varint()? {
             self.watches.push(WatchEntry {
-                range: VaRange::new(VirtAddr(r.u64()?), VirtAddr(r.u64()?)),
+                range: VaRange::load(&mut r)?,
                 dirty: r.bool()?,
                 id: r.u64()?,
             });
         }
         self.watch_bounds = if r.bool()? {
-            Some(VaRange::new(VirtAddr(r.u64()?), VirtAddr(r.u64()?)))
+            Some(VaRange::load(&mut r)?)
         } else {
             None
         };
@@ -1385,7 +1382,7 @@ impl Machine {
         self.shadow_mode = r.bool()?;
         self.shadows.clear();
         for _ in 0..r.varint()? {
-            let range = VaRange::new(VirtAddr(r.u64()?), VirtAddr(r.u64()?));
+            let range = VaRange::load(&mut r)?;
             let component = r.u16()?;
             let watch_id = r.u64()?;
             let mut pages = Vec::new();

@@ -657,8 +657,7 @@ impl PageTable {
         w.varint(self.vmas.len() as u64);
         for vma in &self.vmas {
             w.str(&vma.name);
-            w.u64(vma.range.start.0);
-            w.u64(vma.range.end.0);
+            vma.range.save(w);
             w.bool(vma.thp);
         }
         let mut pages = 0u64;
@@ -674,6 +673,20 @@ impl PageTable {
         });
     }
 
+    /// Errors unless a mapping of the given size can be installed at `va`
+    /// (the conditions `map_2m` and `map_4k` assert), so restore rejects
+    /// a corrupted page list instead of panicking.
+    fn check_vacant(&self, va: VirtAddr, huge: bool) -> Result<(), String> {
+        if huge && !va.is_2m_aligned() {
+            return Err(format!("page table: huge mapping at unaligned {va:?}"));
+        }
+        match self.entry(va.pde_index()) {
+            None => Ok(()),
+            Some(PdEntry::Table(leaf)) if !huge && !test_bit(&leaf.present, va.pte_index()) => Ok(()),
+            Some(_) => Err(format!("page table: double map at {va:?}")),
+        }
+    }
+
     /// Restores a table saved with [`PageTable::save`]. Mapped bytes,
     /// PDE occupancy and the packed side metadata are re-derived from the
     /// installed PTEs (the source of truth), so the result passes
@@ -682,22 +695,28 @@ impl PageTable {
         let mut pt = PageTable::new();
         for _ in 0..r.varint()? {
             let name = r.str()?;
-            let start = r.u64()?;
-            let end = r.u64()?;
+            let range = VaRange::load(r)?;
             let thp = r.bool()?;
-            if start > end || end > VA_LIMIT || start & (PAGE_SIZE_4K - 1) != 0 {
-                return Err(format!("page table: invalid VMA range {start:#x}..{end:#x}"));
+            if range.end.0 > VA_LIMIT || !range.start.is_4k_aligned() || !range.end.is_4k_aligned() {
+                return Err(format!("page table: invalid VMA range {range:?}"));
             }
-            pt.mmap(&name, VaRange::new(VirtAddr(start), VirtAddr(end)), thp);
+            if pt.vmas.iter().any(|v| v.range.overlaps(range)) {
+                return Err(format!("page table: VMA {range:?} overlaps another"));
+            }
+            pt.mmap(&name, range, thp);
         }
         let pages = r.varint()?;
         let mut prev = 0u64;
         for _ in 0..pages {
-            let pn = prev + r.varint()?;
+            let pn = prev
+                .checked_add(r.varint()?)
+                .filter(|&pn| pn < VA_LIMIT >> 12)
+                .ok_or("page table: page number beyond 47-bit user space")?;
             prev = pn;
             let huge = r.bool()?;
             let pte = Pte(r.u64()?);
             let va = VirtAddr(pn << 12);
+            pt.check_vacant(va, huge)?;
             if huge {
                 if !pte.present() || !pte.huge() {
                     return Err(format!("page table: bad huge PTE {:#x} at {va:?}", pte.0));

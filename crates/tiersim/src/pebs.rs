@@ -83,12 +83,16 @@ impl Pebs {
     }
 
     /// Offers one access to the sampler; records it if the countdown fires.
+    ///
+    /// Which component an access hits is data-dependent, so the monitored
+    /// test is arithmetic, not a branch: an unmonitored access subtracts
+    /// 0 from the countdown. That is exact because the countdown is never
+    /// 0 between calls (it restarts at `period >= 1` when it fires, and
+    /// [`Pebs::load`] rejects 0), so an unmonitored access never fires.
+    /// The one branch left is taken once per `period` monitored accesses.
     #[inline]
     pub fn observe(&mut self, va: VirtAddr, tid: u32, component: ComponentId, is_write: bool, t_ns: f64) {
-        if self.monitored_mask & (1 << component) == 0 {
-            return;
-        }
-        self.countdown -= 1;
+        self.countdown -= (self.monitored_mask >> component) & 1;
         if self.countdown > 0 {
             return;
         }
@@ -145,6 +149,9 @@ impl Pebs {
     /// sampler.
     pub fn load(&mut self, r: &mut obs::wire::Reader) -> Result<(), String> {
         self.countdown = r.u64()?;
+        if self.countdown == 0 || self.countdown > self.period {
+            return Err(format!("pebs: countdown {} outside 1..={}", self.countdown, self.period));
+        }
         let n = r.varint()? as usize;
         self.buffer = Vec::with_capacity(n.min(self.buffer_cap));
         for _ in 0..n {
@@ -214,6 +221,67 @@ mod tests {
         assert_eq!(p.pending(), 8);
         assert_eq!(p.dropped(), 12);
         assert_eq!(p.taken(), 20);
+    }
+
+    /// Branch-free `observe` takes exactly the samples the branching
+    /// form does, over streams mixing monitored and unmonitored
+    /// components.
+    #[test]
+    fn prop_branch_free_observe_matches_branching_reference() {
+        use proptest_lite::{gen, prop_assert_eq, prop_check};
+        /// The sampler as it was written with a branch on the component.
+        struct Reference {
+            period: u64,
+            mask: u64,
+            countdown: u64,
+            samples: Vec<PebsSample>,
+        }
+        impl Reference {
+            fn observe(&mut self, va: VirtAddr, tid: u32, component: ComponentId, is_write: bool, t_ns: f64) {
+                if self.mask & (1 << component) == 0 {
+                    return;
+                }
+                self.countdown -= 1;
+                if self.countdown > 0 {
+                    return;
+                }
+                self.countdown = self.period;
+                self.samples.push(PebsSample { va, tid, component, is_write, t_ns });
+            }
+        }
+        for period in [1, 3, 200] {
+            prop_check!(
+                "branch_free_observe_matches_branching_reference",
+                32,
+                (gen::u64_range(0, 1 << 8), gen::vec_in((gen::u16_range(0, 8), gen::u64_range(0, 1 << 30)), 0, 2000)),
+                |(mask_bits, accesses)| {
+                    let monitored: Vec<ComponentId> = (0..8).filter(|c| mask_bits >> c & 1 == 1).collect();
+                    let mut fast = Pebs::new(&PebsConfig { period, monitored, buffer_cap: usize::MAX });
+                    let mut slow = Reference { period, mask: *mask_bits, countdown: period, samples: Vec::new() };
+                    for (i, &(c, va)) in accesses.iter().enumerate() {
+                        let (tid, is_write, t) = ((i % 3) as u32, i % 4 == 0, i as f64);
+                        fast.observe(VirtAddr(va), tid, c, is_write, t);
+                        slow.observe(VirtAddr(va), tid, c, is_write, t);
+                    }
+                    prop_assert_eq!(fast.countdown, slow.countdown, "period {period}");
+                    prop_assert_eq!(fast.taken(), slow.samples.len() as u64, "period {period}");
+                    prop_assert_eq!(fast.drain(), slow.samples, "period {period}");
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn load_rejects_a_countdown_outside_the_period() {
+        for bad in [0, 5] {
+            let mut w = obs::wire::Writer::new();
+            let mut p = sampler(4);
+            p.countdown = bad;
+            p.save(&mut w);
+            let bytes = w.into_bytes();
+            let mut fresh = sampler(4);
+            assert!(fresh.load(&mut obs::wire::Reader::new(&bytes)).is_err(), "countdown {bad}");
+        }
     }
 
     #[test]

@@ -116,6 +116,17 @@ pub trait Workload {
     /// update or one transaction step), issuing its accesses.
     fn tick(&mut self, env: &mut dyn MemEnv, tid: usize);
 
+    /// Runs one round of the access loop: [`ROUND_TICKS`] passes over
+    /// threads `0..threads`, one [`Workload::tick`] each (see
+    /// [`round_ticks`]). `drive_interval` makes one call per round. Workloads
+    /// whose tick body is generic over the environment override this to
+    /// run it against `env` directly, so every access is a static call;
+    /// an override must issue exactly the accesses of the ticks it
+    /// replaces, in the same order.
+    fn round(&mut self, env: &mut SimEnv<'_>, threads: usize) {
+        round_ticks(threads, |tid| self.tick(env, tid));
+    }
+
     /// Total memory footprint in bytes (simulated scale).
     fn footprint(&self) -> u64;
 
@@ -176,6 +187,10 @@ impl Workload for Box<dyn Workload> {
         (**self).tick(env, tid);
     }
 
+    fn round(&mut self, env: &mut SimEnv<'_>, threads: usize) {
+        (**self).round(env, threads);
+    }
+
     fn footprint(&self) -> u64 {
         (**self).footprint()
     }
@@ -205,6 +220,22 @@ impl Workload for Box<dyn Workload> {
     }
 }
 
+/// Ticks each thread runs per round of the access loop. `drive_interval`
+/// checks the interval's end only between rounds.
+pub const ROUND_TICKS: usize = 8;
+
+/// Calls `tick(tid)` in the access loop's round order: [`ROUND_TICKS`]
+/// passes over threads `0..threads`. Every [`Workload::round`] runs its
+/// ticks through this, so all of them share one order.
+#[inline(always)]
+pub fn round_ticks(threads: usize, mut tick: impl FnMut(usize)) {
+    for _ in 0..ROUND_TICKS {
+        for tid in 0..threads {
+            tick(tid);
+        }
+    }
+}
+
 /// A [`MemEnv`] over a machine and a manager: faults are resolved through
 /// the manager's placement policy.
 pub struct SimEnv<'a> {
@@ -215,11 +246,21 @@ pub struct SimEnv<'a> {
 }
 
 impl<'a> SimEnv<'a> {
-    #[inline]
+    /// One access. Forced inline, so a workload's generic `step` gets its
+    /// own copy of `Machine::access` at each `read`/`write` with the kind
+    /// fixed, and no call; the demand-fault path stays out of line.
+    #[inline(always)]
     fn do_access(&mut self, tid: usize, va: VirtAddr, kind: AccessKind) {
-        if self.machine.access(tid, va, kind) == AccessResult::Ok {
-            return;
+        if self.machine.access(tid, va, kind) != AccessResult::Ok {
+            self.fault_in(tid, va, kind);
         }
+    }
+
+    /// Maps the page behind `va` where the manager places it, then
+    /// retries the access.
+    #[cold]
+    #[inline(never)]
+    fn fault_in(&mut self, tid: usize, va: VirtAddr, kind: AccessKind) {
         let order = self.manager.placement(self.machine, tid, va);
         self.machine
             .alloc_and_map(tid, va, &order)
@@ -403,12 +444,7 @@ fn drive_interval(
     for k in 1..=subs {
         let target = interval_len * k as f64 / subs as f64;
         while machine.open_interval_ns() < target {
-            let mut env = SimEnv { machine, manager };
-            for _ in 0..8 {
-                for tid in 0..threads {
-                    workload.tick(&mut env, tid);
-                }
-            }
+            workload.round(&mut SimEnv { machine, manager }, threads);
         }
         manager.on_subinterval(machine, interval, k);
     }
@@ -760,6 +796,53 @@ mod tests {
         for &w in &report.interval_ns {
             assert!(w >= 50_000.0);
         }
+    }
+
+    /// A strider that counts its `round` calls.
+    struct Rounds(Strider, std::rc::Rc<std::cell::Cell<u64>>);
+
+    impl Workload for Rounds {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+
+        fn setup(&mut self, env: &mut dyn MemEnv) {
+            self.0.setup(env);
+        }
+
+        fn tick(&mut self, env: &mut dyn MemEnv, tid: usize) {
+            self.0.tick(env, tid);
+        }
+
+        fn round(&mut self, env: &mut SimEnv<'_>, threads: usize) {
+            self.1.set(self.1.get() + 1);
+            round_ticks(threads, |tid| self.0.tick(env, tid));
+        }
+
+        fn footprint(&self) -> u64 {
+            self.0.footprint()
+        }
+
+        fn ops_completed(&self) -> u64 {
+            self.0.ops_completed()
+        }
+    }
+
+    #[test]
+    fn a_boxed_workload_runs_its_own_round() {
+        let topo = tiny_two_tier(2 * PAGE_SIZE_2M, 8 * PAGE_SIZE_2M);
+        let mut cfg = MachineConfig::new(topo, 2);
+        cfg.interval_ns = 20_000.0;
+        let mut machine = Machine::new(cfg);
+        let rounds = std::rc::Rc::new(std::cell::Cell::new(0));
+        let strider = Strider { range: VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M), cursor: 0, ops: 0 };
+        let mut wl: Box<dyn Workload> = Box::new(Rounds(strider, rounds.clone()));
+        let report = run_scenario(&mut machine, &mut FirstTouchPolicy, &mut wl, 3);
+        // Every tick ran inside a counted round. A box that did not
+        // forward `round` would run the provided per-tick loop instead
+        // and count none.
+        assert!(rounds.get() > 0);
+        assert_eq!(report.ops_completed, rounds.get() * (ROUND_TICKS * 2) as u64);
     }
 
     fn bd(ns: f64) -> crate::clock::TimeBreakdown {

@@ -12,6 +12,11 @@
 /// terms: CPU-attached DRAM or a CPU-less PM node).
 pub type ComponentId = u16;
 
+/// Most memory components a topology may have. Per-component sets are
+/// `u64` bitmasks indexed by [`ComponentId`] (the PEBS monitored set),
+/// so a component id must stay below 64.
+pub const MAX_COMPONENTS: usize = 64;
+
 /// Index of a CPU node (socket).
 pub type NodeId = u16;
 
@@ -87,8 +92,14 @@ pub struct Topology {
 
 impl Topology {
     /// Builds a topology from components and a link matrix, deriving the
-    /// per-node tier views by sorting components by latency.
+    /// per-node tier views by sorting components by latency. Panics on
+    /// more than [`MAX_COMPONENTS`] components.
     pub fn new(components: Vec<Component>, nodes: u16, links: Vec<Vec<LinkSpec>>) -> Topology {
+        assert!(
+            components.len() <= MAX_COMPONENTS,
+            "{} memory components; at most {MAX_COMPONENTS} fit a component mask",
+            components.len()
+        );
         assert_eq!(links.len(), nodes as usize, "one link row per node");
         for row in &links {
             assert_eq!(row.len(), components.len(), "one link per component");
@@ -247,6 +258,27 @@ pub fn tiny_two_tier(fast_capacity: u64, slow_capacity: u64) -> Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn flat_topology(n: usize) -> Topology {
+        let components = (0..n)
+            .map(|i| Component { name: format!("c{i}"), kind: MemKind::Pm, home_node: 0, capacity: 1 << 30 })
+            .collect();
+        let links = vec![(0..n).map(|i| LinkSpec::symmetric(100.0 + i as f64, 10.0)).collect()];
+        Topology::new(components, 1, links)
+    }
+
+    #[test]
+    fn topology_holds_up_to_max_components() {
+        let t = flat_topology(MAX_COMPONENTS);
+        assert_eq!(t.num_components(), MAX_COMPONENTS);
+        assert_eq!(t.view(0)[MAX_COMPONENTS - 1] as usize, MAX_COMPONENTS - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 fit a component mask")]
+    fn topology_rejects_more_than_max_components() {
+        flat_topology(MAX_COMPONENTS + 1);
+    }
 
     #[test]
     fn optane_views_match_table1() {

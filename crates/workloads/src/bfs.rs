@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use tiersim::addr::{VaRange, VirtAddr};
-use tiersim::sim::{MemEnv, Workload};
+use tiersim::sim::{round_ticks, MemEnv, SimEnv, Workload};
 
 use crate::graph::{cached_rmat, Csr, RmatParams};
 use crate::layout::{elem_addr, Layout};
@@ -128,28 +128,11 @@ impl Bfs {
     fn visit_addr(&self, v: u32) -> VirtAddr {
         elem_addr(self.visited, v as u64, VISITED_BYTES)
     }
-}
 
-impl Workload for Bfs {
-    fn name(&self) -> String {
-        "BFS".into()
-    }
-
-    fn setup(&mut self, env: &mut dyn MemEnv) {
-        let v = self.graph.vertices as u64;
-        let e = self.graph.edges();
-        let mut layout = Layout::new();
-        self.offsets = layout.add(env, "bfs.offsets", (v + 1) * OFFSET_BYTES, true);
-        self.neighbors = layout.add(env, "bfs.neighbors", e * NEIGHBOR_BYTES, true);
-        self.visited = layout.add(env, "bfs.visited", v * VISITED_BYTES, true);
-        self.frontier_vma = layout.add(env, "bfs.frontier", (v * FRONTIER_BYTES).min(64 << 20), true);
-        let threads = self.cfg.threads.max(1);
-        crate::layout::populate_interleaved(env, &[self.offsets, self.neighbors, self.visited, self.frontier_vma], threads);
-        self.start_traversal();
-        self.traversals = 0; // Setup's kick-off does not count.
-    }
-
-    fn tick(&mut self, env: &mut dyn MemEnv, tid: usize) {
+    /// One tick on thread `tid` (see [`Workload::tick`]), generic over
+    /// the environment so [`Workload::round`] issues its accesses as
+    /// static calls.
+    fn step<E: MemEnv + ?Sized>(&mut self, env: &mut E, tid: usize) {
         let (u, lo, hi) = match self.current.take() {
             Some(cur) => cur,
             None => {
@@ -204,6 +187,34 @@ impl Workload for Bfs {
         } else {
             self.settled += 1;
         }
+    }
+}
+
+impl Workload for Bfs {
+    fn name(&self) -> String {
+        "BFS".into()
+    }
+
+    fn setup(&mut self, env: &mut dyn MemEnv) {
+        let v = self.graph.vertices as u64;
+        let e = self.graph.edges();
+        let mut layout = Layout::new();
+        self.offsets = layout.add(env, "bfs.offsets", (v + 1) * OFFSET_BYTES, true);
+        self.neighbors = layout.add(env, "bfs.neighbors", e * NEIGHBOR_BYTES, true);
+        self.visited = layout.add(env, "bfs.visited", v * VISITED_BYTES, true);
+        self.frontier_vma = layout.add(env, "bfs.frontier", (v * FRONTIER_BYTES).min(64 << 20), true);
+        let threads = self.cfg.threads.max(1);
+        crate::layout::populate_interleaved(env, &[self.offsets, self.neighbors, self.visited, self.frontier_vma], threads);
+        self.start_traversal();
+        self.traversals = 0; // Setup's kick-off does not count.
+    }
+
+    fn tick(&mut self, env: &mut dyn MemEnv, tid: usize) {
+        self.step(env, tid);
+    }
+
+    fn round(&mut self, env: &mut SimEnv<'_>, threads: usize) {
+        round_ticks(threads, |tid| self.step(env, tid));
     }
 
     fn footprint(&self) -> u64 {

@@ -10,7 +10,7 @@
 //! judged on, or per-page hotness can follow a Gaussian (Sec. 3).
 
 use tiersim::addr::{VaRange, VirtAddr, PAGE_SIZE_4K};
-use tiersim::sim::{MemEnv, Workload};
+use tiersim::sim::{round_ticks, MemEnv, SimEnv, Workload};
 
 use crate::layout::{elem_addr, Layout};
 use crate::rng::SplitMix64;
@@ -123,23 +123,25 @@ impl Gups {
         self.table
     }
 
+    /// Byte offset of the next update's target within the table.
     fn pick_target(&mut self, tid: usize) -> u64 {
         let rng = &mut self.rngs[tid];
         let len = self.table.len();
         match self.cfg.mode {
             HotsetMode::Band => {
-                if rng.unit_f64() < self.cfg.hot_access_frac {
-                    self.band_start + rng.below(self.band_len)
-                } else {
-                    // Uniform over the cold remainder.
-                    let cold = len - self.band_len;
-                    let r = rng.below(cold.max(1));
-                    if r >= self.band_start {
-                        r + self.band_len
-                    } else {
-                        r
-                    }
-                }
+                // A hot update is `band_start + r` with `r` below
+                // `band_len`; a cold one is uniform over the cold
+                // remainder, `r` below `len - band_len`, shifted past the
+                // band when it lands at or after its start. The 80/20
+                // coin is random, so a branch on it would mispredict
+                // about one update in five: `hot` is an all-ones or
+                // all-zeros mask that selects the bound and the offset
+                // instead.
+                let hot = 0u64.wrapping_sub((rng.unit_f64() < self.cfg.hot_access_frac) as u64);
+                let cold_len = (len - self.band_len).max(1);
+                let r = rng.below(self.band_len & hot | cold_len & !hot);
+                let past_band = 0u64.wrapping_sub((r >= self.band_start) as u64);
+                r + (self.band_start & hot | self.band_len & past_band & !hot)
             }
             HotsetMode::Gaussian => {
                 let pages = len / PAGE_SIZE_4K;
@@ -161,6 +163,26 @@ impl Gups {
         self.band_start = (self.band_start + step + self.band_rng.below(step)) % max_start.max(1);
         // Align the band to pages so ground truth is page-granular.
         self.band_start &= !(PAGE_SIZE_4K - 1);
+    }
+
+    /// One tick on thread `tid` (see [`Workload::tick`]), generic over
+    /// the environment so [`Workload::round`] issues its accesses as
+    /// static calls.
+    fn step<E: MemEnv + ?Sized>(&mut self, env: &mut E, tid: usize) {
+        env.compute(tid, self.cfg.cpu_ns_per_op);
+        let target_off = self.pick_target(tid);
+        let rng = &mut self.rngs[tid];
+        // Object A: read the index slot for this update.
+        let slots = self.index.len() / 8;
+        let a = elem_addr(self.index, rng.below(slots), 8);
+        env.read(tid, a);
+        // Object B: consult hot-set information.
+        env.read(tid, VirtAddr(self.hotinfo.start.0 + rng.below(self.hotinfo.len() / 8) * 8));
+        // Object C / table: read-modify-write the target element.
+        let t = VirtAddr(self.table.start.0 + (target_off & !7));
+        env.read(tid, t);
+        env.write(tid, t);
+        self.ops += 1;
     }
 }
 
@@ -191,20 +213,11 @@ impl Workload for Gups {
     }
 
     fn tick(&mut self, env: &mut dyn MemEnv, tid: usize) {
-        env.compute(tid, self.cfg.cpu_ns_per_op);
-        let target_off = self.pick_target(tid);
-        let rng = &mut self.rngs[tid];
-        // Object A: read the index slot for this update.
-        let slots = self.index.len() / 8;
-        let a = elem_addr(self.index, rng.below(slots), 8);
-        env.read(tid, a);
-        // Object B: consult hot-set information.
-        env.read(tid, VirtAddr(self.hotinfo.start.0 + rng.below(self.hotinfo.len() / 8) * 8));
-        // Object C / table: read-modify-write the target element.
-        let t = VirtAddr(self.table.start.0 + (target_off & !7));
-        env.read(tid, t);
-        env.write(tid, t);
-        self.ops += 1;
+        self.step(env, tid);
+    }
+
+    fn round(&mut self, env: &mut SimEnv<'_>, threads: usize) {
+        round_ticks(threads, |tid| self.step(env, tid));
     }
 
     fn footprint(&self) -> u64 {

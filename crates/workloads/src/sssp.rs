@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use tiersim::addr::{VaRange, VirtAddr};
-use tiersim::sim::{MemEnv, Workload};
+use tiersim::sim::{round_ticks, MemEnv, SimEnv, Workload};
 
 use crate::graph::{cached_rmat, Csr, RmatParams};
 use crate::layout::{elem_addr, Layout};
@@ -141,29 +141,11 @@ impl Sssp {
     fn dist_addr(&self, v: u32) -> VirtAddr {
         elem_addr(self.dist_vma, v as u64, DIST_BYTES)
     }
-}
 
-impl Workload for Sssp {
-    fn name(&self) -> String {
-        "SSSP".into()
-    }
-
-    fn setup(&mut self, env: &mut dyn MemEnv) {
-        let v = self.graph.vertices as u64;
-        let e = self.graph.edges();
-        let mut layout = Layout::new();
-        self.offsets = layout.add(env, "sssp.offsets", (v + 1) * OFFSET_BYTES, true);
-        self.neighbors = layout.add(env, "sssp.neighbors", e * NEIGHBOR_BYTES, true);
-        self.weights = layout.add(env, "sssp.weights", e * WEIGHT_BYTES, true);
-        self.dist_vma = layout.add(env, "sssp.dist", v * DIST_BYTES, true);
-        self.queue_vma = layout.add(env, "sssp.queue", (v * QUEUE_BYTES).min(64 << 20), true);
-        let threads = self.cfg.threads.max(1);
-        crate::layout::populate_interleaved(env, &[self.offsets, self.neighbors, self.weights, self.dist_vma, self.queue_vma], threads);
-        self.start_run();
-        self.runs = 0; // Setup's kick-off does not count.
-    }
-
-    fn tick(&mut self, env: &mut dyn MemEnv, tid: usize) {
+    /// One tick on thread `tid` (see [`Workload::tick`]), generic over
+    /// the environment so [`Workload::round`] issues its accesses as
+    /// static calls.
+    fn step<E: MemEnv + ?Sized>(&mut self, env: &mut E, tid: usize) {
         let (u, du, lo, hi) = match self.current.take() {
             Some(cur) => cur,
             None => {
@@ -224,6 +206,35 @@ impl Workload for Sssp {
         if stop < hi {
             self.current = Some((u, du, stop, hi));
         }
+    }
+}
+
+impl Workload for Sssp {
+    fn name(&self) -> String {
+        "SSSP".into()
+    }
+
+    fn setup(&mut self, env: &mut dyn MemEnv) {
+        let v = self.graph.vertices as u64;
+        let e = self.graph.edges();
+        let mut layout = Layout::new();
+        self.offsets = layout.add(env, "sssp.offsets", (v + 1) * OFFSET_BYTES, true);
+        self.neighbors = layout.add(env, "sssp.neighbors", e * NEIGHBOR_BYTES, true);
+        self.weights = layout.add(env, "sssp.weights", e * WEIGHT_BYTES, true);
+        self.dist_vma = layout.add(env, "sssp.dist", v * DIST_BYTES, true);
+        self.queue_vma = layout.add(env, "sssp.queue", (v * QUEUE_BYTES).min(64 << 20), true);
+        let threads = self.cfg.threads.max(1);
+        crate::layout::populate_interleaved(env, &[self.offsets, self.neighbors, self.weights, self.dist_vma, self.queue_vma], threads);
+        self.start_run();
+        self.runs = 0; // Setup's kick-off does not count.
+    }
+
+    fn tick(&mut self, env: &mut dyn MemEnv, tid: usize) {
+        self.step(env, tid);
+    }
+
+    fn round(&mut self, env: &mut SimEnv<'_>, threads: usize) {
+        round_ticks(threads, |tid| self.step(env, tid));
     }
 
     fn footprint(&self) -> u64 {

@@ -8,7 +8,7 @@
 //! pattern that stresses profiling responsiveness.
 
 use tiersim::addr::{VaRange, VirtAddr};
-use tiersim::sim::{MemEnv, Workload};
+use tiersim::sim::{round_ticks, MemEnv, SimEnv, Workload};
 
 use crate::layout::Layout;
 use crate::rng::SplitMix64;
@@ -115,7 +115,7 @@ impl Terasort {
         VirtAddr(range.start.0 + (record % self.records) * RECORD_BYTES)
     }
 
-    fn touch_record(&self, env: &mut dyn MemEnv, tid: usize, range: VaRange, record: u64, write: bool) {
+    fn touch_record<E: MemEnv + ?Sized>(&self, env: &mut E, tid: usize, range: VaRange, record: u64, write: bool) {
         let base = self.record_addr(range, record);
         for line in 0..LINES_PER_RECORD {
             let a = VirtAddr(base.0 + line * 64);
@@ -152,25 +152,11 @@ impl Terasort {
             }
         };
     }
-}
 
-impl Workload for Terasort {
-    fn name(&self) -> String {
-        "Spark".into()
-    }
-
-    fn setup(&mut self, env: &mut dyn MemEnv) {
-        let mut layout = Layout::new();
-        self.input = layout.add(env, "tera.input", self.cfg.input_bytes, true);
-        self.shuffle = layout.add(env, "tera.shuffle", self.cfg.input_bytes, true);
-        self.output = layout.add(env, "tera.output", self.cfg.input_bytes, true);
-        self.records = self.cfg.input_bytes / RECORD_BYTES;
-        assert!(self.records >= self.cfg.partitions * 16, "too few records");
-        let threads = self.cfg.threads.max(1);
-        crate::layout::populate_interleaved(env, &[self.input, self.shuffle, self.output], threads);
-    }
-
-    fn tick(&mut self, env: &mut dyn MemEnv, tid: usize) {
+    /// One tick on thread `tid` (see [`Workload::tick`]), generic over
+    /// the environment so [`Workload::round`] issues its accesses as
+    /// static calls.
+    fn step<E: MemEnv + ?Sized>(&mut self, env: &mut E, tid: usize) {
         env.compute(tid, self.cfg.cpu_ns_per_op);
         match self.phase {
             Phase::Sample => {
@@ -232,6 +218,31 @@ impl Workload for Terasort {
                 }
             }
         }
+    }
+}
+
+impl Workload for Terasort {
+    fn name(&self) -> String {
+        "Spark".into()
+    }
+
+    fn setup(&mut self, env: &mut dyn MemEnv) {
+        let mut layout = Layout::new();
+        self.input = layout.add(env, "tera.input", self.cfg.input_bytes, true);
+        self.shuffle = layout.add(env, "tera.shuffle", self.cfg.input_bytes, true);
+        self.output = layout.add(env, "tera.output", self.cfg.input_bytes, true);
+        self.records = self.cfg.input_bytes / RECORD_BYTES;
+        assert!(self.records >= self.cfg.partitions * 16, "too few records");
+        let threads = self.cfg.threads.max(1);
+        crate::layout::populate_interleaved(env, &[self.input, self.shuffle, self.output], threads);
+    }
+
+    fn tick(&mut self, env: &mut dyn MemEnv, tid: usize) {
+        self.step(env, tid);
+    }
+
+    fn round(&mut self, env: &mut SimEnv<'_>, threads: usize) {
+        round_ticks(threads, |tid| self.step(env, tid));
     }
 
     fn footprint(&self) -> u64 {

@@ -9,7 +9,7 @@
 //! transactions.
 
 use tiersim::addr::{VaRange, VirtAddr};
-use tiersim::sim::{MemEnv, Workload};
+use tiersim::sim::{round_ticks, MemEnv, SimEnv, Workload};
 
 use crate::layout::{elem_addr, Layout};
 use crate::rng::{SplitMix64, Zipfian};
@@ -142,7 +142,7 @@ impl Tpcc {
         elem_addr(self.stock, wh * self.cfg.stock_per_wh + item, STOCK_ROW)
     }
 
-    fn new_order(&mut self, env: &mut dyn MemEnv, tid: usize) {
+    fn new_order<E: MemEnv + ?Sized>(&mut self, env: &mut E, tid: usize) {
         let wh = self.pick_warehouse(tid);
         let district = self.rngs[tid].below(DISTRICTS_PER_WH);
         // Warehouse row read; district row read + D_NEXT_O_ID update.
@@ -168,7 +168,7 @@ impl Tpcc {
         }
     }
 
-    fn payment(&mut self, env: &mut dyn MemEnv, tid: usize) {
+    fn payment<E: MemEnv + ?Sized>(&mut self, env: &mut E, tid: usize) {
         let wh = self.pick_warehouse(tid);
         let district = self.rngs[tid].below(DISTRICTS_PER_WH);
         let w = elem_addr(self.warehouse, wh, WAREHOUSE_ROW);
@@ -183,7 +183,7 @@ impl Tpcc {
         env.write(tid, c);
     }
 
-    fn order_status(&mut self, env: &mut dyn MemEnv, tid: usize) {
+    fn order_status<E: MemEnv + ?Sized>(&mut self, env: &mut E, tid: usize) {
         // Read a handful of recent order lines near the log head.
         let slots = self.orderlog.len() / ORDER_LINE;
         let rng = &mut self.rngs[tid];
@@ -192,6 +192,22 @@ impl Tpcc {
         for k in 0..5 {
             env.read(tid, elem_addr(self.orderlog, (base + k) % slots, ORDER_LINE));
         }
+    }
+
+    /// One tick on thread `tid` (see [`Workload::tick`]), generic over
+    /// the environment so [`Workload::round`] issues its accesses as
+    /// static calls.
+    fn step<E: MemEnv + ?Sized>(&mut self, env: &mut E, tid: usize) {
+        env.compute(tid, self.cfg.cpu_ns_per_op);
+        let dice = self.rngs[tid].unit_f64();
+        if dice < 0.45 {
+            self.new_order(env, tid);
+        } else if dice < 0.88 {
+            self.payment(env, tid);
+        } else {
+            self.order_status(env, tid);
+        }
+        self.ops += 1;
     }
 }
 
@@ -221,16 +237,11 @@ impl Workload for Tpcc {
     }
 
     fn tick(&mut self, env: &mut dyn MemEnv, tid: usize) {
-        env.compute(tid, self.cfg.cpu_ns_per_op);
-        let dice = self.rngs[tid].unit_f64();
-        if dice < 0.45 {
-            self.new_order(env, tid);
-        } else if dice < 0.88 {
-            self.payment(env, tid);
-        } else {
-            self.order_status(env, tid);
-        }
-        self.ops += 1;
+        self.step(env, tid);
+    }
+
+    fn round(&mut self, env: &mut SimEnv<'_>, threads: usize) {
+        round_ticks(threads, |tid| self.step(env, tid));
     }
 
     fn footprint(&self) -> u64 {

@@ -9,7 +9,7 @@
 //! trivially contiguous.
 
 use tiersim::addr::{VaRange, VirtAddr};
-use tiersim::sim::{MemEnv, Workload};
+use tiersim::sim::{round_ticks, MemEnv, SimEnv, Workload};
 
 use crate::layout::{elem_addr, Layout};
 use crate::rng::{scatter, SplitMix64, Zipfian};
@@ -107,22 +107,11 @@ impl Ycsb {
         blocks.dedup();
         blocks
     }
-}
 
-impl Workload for Ycsb {
-    fn name(&self) -> String {
-        "Cassandra".into()
-    }
-
-    fn setup(&mut self, env: &mut dyn MemEnv) {
-        let mut layout = Layout::new();
-        self.index = layout.add(env, "ycsb.index", self.cfg.rows * INDEX_ENTRY, true);
-        self.rows = layout.add(env, "ycsb.rows", self.cfg.rows * ROW_BYTES, true);
-        let threads = self.cfg.threads.max(1);
-        crate::layout::populate_interleaved(env, &[self.index, self.rows], threads);
-    }
-
-    fn tick(&mut self, env: &mut dyn MemEnv, tid: usize) {
+    /// One tick on thread `tid` (see [`Workload::tick`]), generic over
+    /// the environment so [`Workload::round`] issues its accesses as
+    /// static calls.
+    fn step<E: MemEnv + ?Sized>(&mut self, env: &mut E, tid: usize) {
         env.compute(tid, self.cfg.cpu_ns_per_op);
         let rank = self.zipf.sample(&mut self.rngs[tid]);
         let row = self.row_of_rank(rank);
@@ -140,6 +129,28 @@ impl Workload for Ycsb {
             env.read(tid, VirtAddr(addr.0 + 512));
         }
         self.ops += 1;
+    }
+}
+
+impl Workload for Ycsb {
+    fn name(&self) -> String {
+        "Cassandra".into()
+    }
+
+    fn setup(&mut self, env: &mut dyn MemEnv) {
+        let mut layout = Layout::new();
+        self.index = layout.add(env, "ycsb.index", self.cfg.rows * INDEX_ENTRY, true);
+        self.rows = layout.add(env, "ycsb.rows", self.cfg.rows * ROW_BYTES, true);
+        let threads = self.cfg.threads.max(1);
+        crate::layout::populate_interleaved(env, &[self.index, self.rows], threads);
+    }
+
+    fn tick(&mut self, env: &mut dyn MemEnv, tid: usize) {
+        self.step(env, tid);
+    }
+
+    fn round(&mut self, env: &mut SimEnv<'_>, threads: usize) {
+        round_ticks(threads, |tid| self.step(env, tid));
     }
 
     fn footprint(&self) -> u64 {
