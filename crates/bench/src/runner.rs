@@ -5,13 +5,12 @@
 //! `samples` timed batches on `std::time::Instant`, where the batch
 //! size is auto-calibrated so one batch runs long enough to be timeable
 //! (cheap simulator hot-paths get large batches, multi-second figure
-//! reproductions run one iteration per sample). `finish()` prints a
-//! summary table and writes `results/bench_<suite>.json`.
+//! reproductions run one iteration per sample). Each bench prints one
+//! summary line as it finishes; `finish()` prints the suite footer.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use crate::report;
 use crate::stats::{fmt_ns, Stats};
 
 /// A batch must run at least this long for `Instant` noise to vanish.
@@ -20,7 +19,7 @@ const TARGET_BATCH_NS: f64 = 2.0e6;
 /// Cap on auto-calibrated batch size.
 const MAX_BATCH: u64 = 1 << 24;
 
-/// Runner configuration, derived from the environment and argv.
+/// Runner configuration, derived from argv.
 #[derive(Clone, Copy, Debug)]
 pub struct BenchConfig {
     /// Untimed warmup batches per bench.
@@ -33,20 +32,16 @@ pub struct BenchConfig {
 }
 
 impl BenchConfig {
-    /// Reads configuration from argv and the environment.
-    ///
-    /// `--quick` (after `cargo bench -p mtm-bench --`) or
-    /// `MTM_BENCH_QUICK=1` selects quick mode; `MTM_BENCH_SAMPLES=<n>`
-    /// overrides the sample count either way. Unknown arguments (such
-    /// as the filters cargo forwards) are ignored.
-    pub fn from_env() -> BenchConfig {
-        let quick = std::env::args().any(|a| a == "--quick")
-            || std::env::var("MTM_BENCH_QUICK").map(|v| v == "1").unwrap_or(false);
-        let samples = std::env::var("MTM_BENCH_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(if quick { 1 } else { 10 });
-        BenchConfig { warmup: if quick { 0 } else { 2 }, samples: samples.max(1), quick }
+    /// Reads configuration from argv: `--quick` (after
+    /// `cargo bench -p mtm-bench --`) takes one sample and no warmup,
+    /// otherwise ten samples after two warmup batches. Other arguments
+    /// (such as the filters cargo forwards) are ignored.
+    pub fn from_args() -> BenchConfig {
+        if std::env::args().any(|a| a == "--quick") {
+            BenchConfig { warmup: 0, samples: 1, quick: true }
+        } else {
+            BenchConfig { warmup: 2, samples: 10, quick: false }
+        }
     }
 }
 
@@ -70,7 +65,7 @@ impl BenchResult {
     }
 }
 
-/// A bench suite: accumulates results and writes one JSON report.
+/// A bench suite: accumulates and prints results.
 pub struct Bench {
     suite: String,
     config: BenchConfig,
@@ -78,9 +73,9 @@ pub struct Bench {
 }
 
 impl Bench {
-    /// Starts a suite named after the bench target (e.g. `"profiling"`).
+    /// Starts a suite named after the bench target (e.g. `"substrate"`).
     pub fn new(suite: &str) -> Bench {
-        Bench::with_config(suite, BenchConfig::from_env())
+        Bench::with_config(suite, BenchConfig::from_args())
     }
 
     /// Starts a suite with an explicit configuration (used by tests).
@@ -190,11 +185,9 @@ impl Bench {
         &self.results
     }
 
-    /// Prints the suite footer and writes `results/bench_<suite>.json`.
+    /// Prints the suite footer.
     pub fn finish(self) {
-        let path = report::write_json(&self.suite, &self.config, &self.results)
-            .expect("bench report is writable");
-        println!("bench suite '{}': {} benches -> {}", self.suite, self.results.len(), path.display());
+        println!("bench suite '{}': {} benches", self.suite, self.results.len());
     }
 }
 

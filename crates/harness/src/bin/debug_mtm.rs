@@ -1,11 +1,15 @@
 //! Diagnostic: run MTM on a workload and dump internal policy state.
+//!
+//! Usage: `debug_mtm [workload] [--all]` (default `GUPS`); `--all` also
+//! dumps every region with its residency at the end.
 
 use tiersim::sim::ScenarioProgress;
 use tiersim::tier::optane_four_tier;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let wl_name = args.get(1).cloned().unwrap_or_else(|| "GUPS".into());
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let dump_all = args.iter().any(|a| a == "--all");
+    let wl_name = args.iter().find(|a| *a != "--all").cloned().unwrap_or_else(|| "GUPS".into());
     let opts = mtm_harness::Opts::from_env();
     let topo = optane_four_tier(opts.scale);
     let mut machine = mtm_harness::runs::healthy_machine_for("MTM", &opts, topo.clone());
@@ -18,16 +22,6 @@ fn main() {
         let mig = machine.breakdown().migration_ns;
         if ivl % 8 == 0 { println!("   mig this ivl: {:.3}ms (cum {:.1}ms)", (mig-last_mig)/1e6, mig/1e6); }
         last_mig = mig;
-        if std::env::var("MTM_WATCH").is_ok() && ivl < 30 {
-            let watch = tiersim::VirtAddr(0x61000000);
-            if let Some(r) = mgr.profiler().regions().iter().find(|r| r.range.contains(watch)) {
-                println!(
-                    "watch ivl {ivl}: {:?} hi={:.2} whi={:.2} quota={} active={} page={:?} ev={} comp={:?} home={}",
-                    r.range, r.hi, r.whi, r.quota, r.pebs_active, r.pebs_page, r.evidence,
-                    mtm::residency::majority_component(&machine, r.range), r.home_node
-                );
-            }
-        }
         if ivl % 8 == 0 || ivl == opts.intervals - 1 {
             let p = mgr.policy_totals();
             let ms = mgr.migration_stats();
@@ -42,7 +36,7 @@ fn main() {
         }
     }
     // Dump every region with residency at the end.
-    if std::env::var("MTM_DUMP_ALL").is_ok() {
+    if dump_all {
         for r in mgr.profiler().regions() {
             let comp = mtm::residency::majority_component(&machine, r.range);
             println!(

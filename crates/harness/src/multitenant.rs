@@ -26,7 +26,7 @@ use tiersim::tenant::{jain_index, split_capacity, TenantId};
 use tiersim::tier::{optane_four_tier, Topology};
 use tiersim::Machine;
 
-use crate::opts::{env_value, Opts};
+use crate::opts::Opts;
 use crate::resilience::level_spec;
 use crate::runs::healthy_machine_for;
 use crate::tablefmt::{f, TextTable};
@@ -434,36 +434,6 @@ fn fast_share(r: &RunReport, topo: &Topology) -> f64 {
     held as f64 / cap as f64
 }
 
-/// The `MTM_TENANTS` axis: the one count it names, or all of
-/// [`TENANT_COUNTS`] when unset. A malformed value prints a `warning:`
-/// line and keeps the full axis rather than silently running something
-/// else.
-fn tenant_counts(raw: Option<&str>) -> Vec<usize> {
-    let Some(s) = raw else { return TENANT_COUNTS.to_vec() };
-    match s.parse::<usize>() {
-        Ok(n) if n >= 1 => vec![n],
-        _ => {
-            eprintln!("warning: ignoring MTM_TENANTS={s:?} (expected a tenant count >= 1)");
-            TENANT_COUNTS.to_vec()
-        }
-    }
-}
-
-/// The `MTM_ARBITER` axis, like [`tenant_counts`] over [`ARBITERS`].
-fn arbiter_axis(raw: Option<&str>) -> Vec<ArbiterKind> {
-    let Some(s) = raw else { return ARBITERS.to_vec() };
-    match ArbiterKind::parse(s) {
-        Some(k) => vec![k],
-        None => {
-            eprintln!(
-                "warning: MTM_ARBITER={s:?} is not an arbiter \
-                 (static-equal|footprint-proportional|hotness-weighted); sweeping all"
-            );
-            ARBITERS.to_vec()
-        }
-    }
-}
-
 /// Renders the multi-tenant sweep over explicit axes (the env-driven
 /// entry point is [`run`]).
 pub fn render(opts: &Opts, counts: &[usize], arbiters: &[ArbiterKind]) -> String {
@@ -615,16 +585,12 @@ pub fn render(opts: &Opts, counts: &[usize], arbiters: &[ArbiterKind]) -> String
     out
 }
 
-/// Renders the sweep with the env-selected axes (`MTM_TENANTS`,
-/// `MTM_ARBITER`, each read once). The flag is true when neither is set:
-/// the full-table shape the committed `results/multitenant.txt` is
-/// generated with. A set but malformed value still counts as set, so a
-/// typo never rewrites the committed table.
+/// Renders the sweep over the axes `MTM_TENANTS` and `MTM_ARBITER`
+/// select. The flag is true when neither is set: the full-table shape the
+/// committed `results/multitenant.txt` is generated with.
 pub fn run(opts: &Opts) -> (String, bool) {
-    let tenants = env_value("MTM_TENANTS");
-    let arbiter = env_value("MTM_ARBITER");
-    let out = render(opts, &tenant_counts(tenants.as_deref()), &arbiter_axis(arbiter.as_deref()));
-    (out, tenants.is_none() && arbiter.is_none())
+    let crate::runs::EnvKnobs { tenants, arbiters, .. } = crate::runs::env_knobs();
+    (render(opts, &tenants.values, &arbiters.values), !tenants.set && !arbiters.set)
 }
 
 #[cfg(test)]
@@ -667,16 +633,6 @@ mod tests {
         for (xs, q, want) in cases {
             assert_eq!(nearest_rank(xs.clone(), q), want, "q={q} over {xs:?}");
         }
-    }
-
-    #[test]
-    fn axes_parse_or_keep_the_full_sweep() {
-        assert_eq!(tenant_counts(None), TENANT_COUNTS.to_vec());
-        assert_eq!(tenant_counts(Some("8")), vec![8]);
-        assert_eq!(tenant_counts(Some("0")), TENANT_COUNTS.to_vec());
-        assert_eq!(arbiter_axis(None), ARBITERS.to_vec());
-        assert_eq!(arbiter_axis(Some("hotness-weighted")), vec![ArbiterKind::HotnessWeighted]);
-        assert_eq!(arbiter_axis(Some("fifo")), ARBITERS.to_vec());
     }
 
     /// Every arbitration's demand rows and the weights returned for them.

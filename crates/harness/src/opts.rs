@@ -4,11 +4,6 @@
 //! `DESIGN.md` for the mapping). Environment variables override them
 //! (see [`Opts::from_env`]).
 
-/// The value of env var `name`, or `None` when it is unset or empty.
-pub(crate) fn env_value(name: &str) -> Option<String> {
-    std::env::var(name).ok().filter(|s| !s.is_empty())
-}
-
 /// Options shared by every experiment.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Opts {

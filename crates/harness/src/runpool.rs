@@ -8,31 +8,36 @@
 //! ([`tiersim::engine::map_chunks`]), one item per packet, with results
 //! returned in item order so callers stay deterministic.
 //!
-//! The worker count defaults to `available_parallelism` and is overridden
-//! by the `MTM_JOBS` environment variable when set; `MTM_JOBS=1` forces
-//! the serial path (useful for timing comparisons and for
-//! byte-identical-output checks against the parallel path).
+//! The worker count defaults to `available_parallelism`; `MTM_JOBS`
+//! (read with the other settings in `runs::env_knobs`) sets it, and
+//! `MTM_JOBS=1` forces the serial path (useful for timing comparisons
+//! and for byte-identical-output checks against the parallel path).
+//! Tests pick a count with [`override_jobs`] instead.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Number of workers to use: `available_parallelism` by default, or
-/// exactly `MTM_JOBS` when that environment variable is set (an explicit
-/// job count wins even above the core count — the runs are simulation
-/// work, so oversubscription is harmless and this keeps the parallel
-/// code path testable on small machines). Always at least 1. An
-/// unparsable `MTM_JOBS` is ignored with a `warning:` line on stderr.
+/// The [`override_jobs`] count, or 0 for none.
+static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
+/// Number of workers to use: the [`override_jobs`] count when one is
+/// set, else `MTM_JOBS`, else `available_parallelism`. An explicit count
+/// wins even above the core count — the runs are simulation work, so
+/// oversubscription is harmless and this keeps the parallel code path
+/// testable on small machines. Always at least 1.
 pub fn jobs() -> usize {
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    match std::env::var("MTM_JOBS") {
-        Ok(raw) => match raw.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("warning: ignoring MTM_JOBS={raw:?} (expected a positive integer)");
-                hw
-            }
-        },
-        Err(_) => hw,
+    match JOBS_OVERRIDE.load(Ordering::Relaxed) {
+        0 => crate::runs::env_knobs().jobs.unwrap_or_else(|| {
+            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        }),
+        n => n,
     }
+}
+
+/// Sets the worker count for the whole process (at least 1), ahead of
+/// `MTM_JOBS`; `None` clears it.
+pub fn override_jobs(n: Option<usize>) {
+    JOBS_OVERRIDE.store(n.map_or(0, |n| n.max(1)), Ordering::Relaxed);
 }
 
 /// Maps `f` over `items` on up to [`jobs`] worker threads and returns
@@ -57,7 +62,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn results_keep_task_order() {
@@ -92,5 +97,16 @@ mod tests {
     #[test]
     fn jobs_is_at_least_one() {
         assert!(jobs() >= 1);
+    }
+
+    #[test]
+    fn the_override_sets_jobs_until_cleared() {
+        let table = jobs();
+        override_jobs(Some(table + 3));
+        assert_eq!(jobs(), table + 3);
+        override_jobs(Some(0));
+        assert_eq!(jobs(), 1);
+        override_jobs(None);
+        assert_eq!(jobs(), table);
     }
 }

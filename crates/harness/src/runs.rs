@@ -3,12 +3,15 @@
 //! A [`RunSpec`] is the one description of a run: the resolved manager,
 //! the workload, the options, the topology and the fault plan. Every
 //! experiment builds its runs from one, and every harness machine comes
-//! from `build_machine`. `env_knobs` reads the run knobs once per process:
-//! `MTM_QUICK` / `MTM_SCALE` / `MTM_THREADS` / `MTM_INTERVALS` /
-//! `MTM_INTERVAL_NS` are [`Opts::from_env`], `MTM_ADMIT` / `MTM_SHADOW` /
-//! `MTM_FAULTS` / `MTM_FAULT_SEED` shape the spec, `MTM_CHECK` /
-//! `MTM_RUN_WORKERS` arm each machine, `MTM_TELEMETRY` turns on telemetry
-//! export. The simulator itself reads no environment.
+//! from `build_machine`. `env_knobs` is the one reader of every `MTM_*`
+//! setting, once per process: `MTM_QUICK` / `MTM_SCALE` / `MTM_THREADS` /
+//! `MTM_INTERVALS` / `MTM_INTERVAL_NS` are [`Opts::from_env`],
+//! `MTM_ADMIT` / `MTM_SHADOW` / `MTM_FAULTS` / `MTM_FAULT_SEED` shape the
+//! spec, `MTM_CHECK` / `MTM_RUN_WORKERS` arm each machine,
+//! `MTM_TELEMETRY` turns on telemetry export, `MTM_JOBS` sizes the
+//! [`crate::runpool`], and `MTM_TENANTS` / `MTM_ARBITER` /
+//! `MTM_SCENARIO_SET` / `MTM_SCENARIO_INTERVALS` narrow the multi-tenant
+//! and scenario sweeps. The simulator itself reads no environment.
 //!
 //! Runs are memoized in a process-wide **single-flight** cache keyed by
 //! the whole spec: the first caller of a spec executes the run while any
@@ -25,6 +28,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 use faultsim::FaultPlan;
+use mtm::arbiter::ArbiterKind;
 use mtm::{AdmissionKind, MtmConfig, MtmManager};
 use mtm_baselines::{build_baseline, hemem_pebs_config};
 use tiersim::engine::parse_workers;
@@ -32,7 +36,9 @@ use tiersim::machine::{Machine, MachineConfig};
 use tiersim::sim::{run_scenario, MemoryManager, RunReport, Workload};
 use tiersim::tier::{optane_four_tier, Topology};
 
+use crate::multitenant::{ARBITERS, TENANT_COUNTS};
 use crate::opts::Opts;
+use crate::scenarios::SCENARIO_GENERATORS;
 
 /// Managers of the overall evaluation (Fig. 4 plus HeMem from the text).
 pub const OVERALL_MANAGERS: [&str; 7] =
@@ -52,14 +58,32 @@ pub(crate) struct EnvKnobs {
     pub(crate) check: bool,
     run_workers: usize,
     pub(crate) telemetry: bool,
+    /// `MTM_JOBS`, or `None` for one worker per core.
+    pub(crate) jobs: Option<usize>,
+    pub(crate) tenants: Axis<Vec<usize>>,
+    pub(crate) arbiters: Axis<Vec<ArbiterKind>>,
+    /// The serving generators to sweep, and whether the churn cell runs.
+    pub(crate) scenario_set: Axis<(Vec<&'static str>, bool)>,
+    /// The scenario run length, or `None` for the options' intervals.
+    pub(crate) scenario_intervals: Axis<Option<u64>>,
+}
+
+/// A sweep axis a knob can narrow: the values to sweep, and whether the
+/// knob was set (non-empty). A malformed value sweeps the full axis but
+/// still counts as set, so a typo never rewrites a committed full-sweep
+/// table.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct Axis<T> {
+    pub(crate) values: T,
+    pub(crate) set: bool,
 }
 
 impl EnvKnobs {
     /// Parses the knobs from `lookup` (a variable's value, `None` when
     /// unset). A malformed value is never silently run: it falls back to
     /// its default (`always`, flags off, no faults, the default seed, one
-    /// run worker, the default options) and adds one `warning:` line to
-    /// the returned list.
+    /// run worker, one job per core, the full sweeps, the default options)
+    /// and adds one `warning:` line to the returned list.
     fn parse(lookup: impl Fn(&str) -> Option<String>) -> (EnvKnobs, Vec<String>) {
         let mut env = Reader { lookup, warnings: Vec::new() };
         let admission = env.get("MTM_ADMIT", AdmissionKind::Always, |_, s| match s {
@@ -82,8 +106,48 @@ impl EnvKnobs {
         opts.threads = env.get("MTM_THREADS", opts.threads, number);
         opts.intervals = env.get("MTM_INTERVALS", opts.intervals, number);
         opts.interval_ns = env.get("MTM_INTERVAL_NS", opts.interval_ns, number);
-        let knobs =
-            EnvKnobs { opts, admission, shadow, faults, fault_seed, check, run_workers, telemetry };
+        let jobs = env.get("MTM_JOBS", None, |name, raw| {
+            at_least(name, raw, 1, "a positive integer").map(Some)
+        });
+        let tenants = env.axis("MTM_TENANTS", TENANT_COUNTS.to_vec(), |name, raw| {
+            at_least(name, raw, 1, "a tenant count >= 1").map(|n| vec![n])
+        });
+        let arbiters = env.axis("MTM_ARBITER", ARBITERS.to_vec(), |name, raw| {
+            ArbiterKind::parse(raw).map(|k| vec![k]).ok_or(format!(
+                "warning: {name}={raw:?} is not an arbiter \
+                 (static-equal|footprint-proportional|hotness-weighted); sweeping all"
+            ))
+        });
+        let all_scenarios = (SCENARIO_GENERATORS.to_vec(), true);
+        let scenario_set = env.axis("MTM_SCENARIO_SET", all_scenarios, |name, raw| match raw {
+            "churn" => Ok((Vec::new(), true)),
+            _ => SCENARIO_GENERATORS
+                .iter()
+                .find(|&&g| g == raw)
+                .map(|&g| (vec![g], false))
+                .ok_or(format!(
+                    "warning: {name}={raw:?} is not a scenario \
+                     (KVDrift|Diurnal|FlashCrowd|churn); sweeping all"
+                )),
+        });
+        let scenario_intervals = env.axis("MTM_SCENARIO_INTERVALS", None, |name, raw| {
+            at_least(name, raw, 4, "an interval count >= 4").map(Some)
+        });
+        let knobs = EnvKnobs {
+            opts,
+            admission,
+            shadow,
+            faults,
+            fault_seed,
+            check,
+            run_workers,
+            telemetry,
+            jobs,
+            tenants,
+            arbiters,
+            scenario_set,
+            scenario_intervals,
+        };
         (knobs, env.warnings)
     }
 }
@@ -104,6 +168,14 @@ impl<F: Fn(&str) -> Option<String>> Reader<F> {
             default
         })
     }
+
+    /// Knob `name` narrowing a sweep axis: like [`Reader::get`], except
+    /// that an empty value counts as unset.
+    fn axis<T>(&mut self, name: &str, full: T, parse: Parse<T>) -> Axis<T> {
+        let set = (self.lookup)(name).is_some_and(|raw| !raw.is_empty());
+        let values = if set { self.get(name, full, parse) } else { full };
+        Axis { values, set }
+    }
 }
 
 /// A knob's parser: the variable's name and value to the value, or to the
@@ -114,6 +186,20 @@ type Parse<T> = fn(&str, &str) -> Result<T, String>;
 fn number<T: std::str::FromStr>(name: &str, raw: &str) -> Result<T, String> {
     let expected = std::any::type_name::<T>();
     raw.parse().map_err(|_| format!("warning: ignoring {name}={raw:?} (not a valid {expected})"))
+}
+
+/// A count knob: an integer of at least `min`; the warning names what it
+/// expected.
+fn at_least<T: std::str::FromStr + PartialOrd>(
+    name: &str,
+    raw: &str,
+    min: T,
+    expected: &str,
+) -> Result<T, String> {
+    match raw.parse() {
+        Ok(n) if n >= min => Ok(n),
+        _ => Err(format!("warning: ignoring {name}={raw:?} (expected {expected})")),
+    }
 }
 
 /// An on/off knob: `1`/`true`/`on` or `0`/`false`/`off`/empty, trimmed
@@ -548,14 +634,27 @@ mod tests {
             check: false,
             run_workers: 1,
             telemetry: false,
+            jobs: None,
+            tenants: Axis { values: TENANT_COUNTS.to_vec(), set: false },
+            arbiters: Axis { values: ARBITERS.to_vec(), set: false },
+            scenario_set: Axis { values: (SCENARIO_GENERATORS.to_vec(), true), set: false },
+            scenario_intervals: Axis { values: None, set: false },
         };
         assert_eq!(default, want);
         type Edit = fn(&mut EnvKnobs);
+        fn narrowed<T>(values: T) -> Axis<T> {
+            Axis { values, set: true }
+        }
         let keep: Edit = |_| {};
         let warn = |line: &str| Some(format!("warning: ignoring {line}"));
         let bad_plan = FaultPlan::parse("busy=-1").expect_err("negative probability");
         let bad_admit = "warning: MTM_ADMIT=\"greedy\" is not a policy \
                          (always|pingpong|ratelimit|hotness-delta); using always";
+        let bad_arbiter = "warning: MTM_ARBITER=\"fifo\" is not an arbiter \
+                           (static-equal|footprint-proportional|hotness-weighted); sweeping all";
+        let bad_scenario = "warning: MTM_SCENARIO_SET=\"Batch\" is not a scenario \
+                            (KVDrift|Diurnal|FlashCrowd|churn); sweeping all";
+        let at_least_4 = "(expected an interval count >= 4)";
         // (variable, value, expected change from the default, warning)
         let mut cases: Vec<(&str, &str, Edit, Option<String>)> = vec![
             ("MTM_ADMIT", "always", keep, None),
@@ -582,6 +681,27 @@ mod tests {
             ("MTM_INTERVALS", "", keep, warn("MTM_INTERVALS=\"\" (not a valid u64)")),
             ("MTM_INTERVAL_NS", "1e6", |k| k.opts.interval_ns = 1e6, None),
             ("MTM_INTERVAL_NS", "fast", keep, warn("MTM_INTERVAL_NS=\"fast\" (not a valid f64)")),
+            ("MTM_JOBS", "4", |k| k.jobs = Some(4), None),
+            ("MTM_JOBS", "1", |k| k.jobs = Some(1), None),
+            ("MTM_JOBS", "0", keep, warn("MTM_JOBS=\"0\" (expected a positive integer)")),
+            ("MTM_JOBS", "four", keep, warn("MTM_JOBS=\"four\" (expected a positive integer)")),
+            ("MTM_JOBS", "", keep, warn("MTM_JOBS=\"\" (expected a positive integer)")),
+            ("MTM_TENANTS", "2", |k| k.tenants = narrowed(vec![2]), None),
+            ("MTM_TENANTS", "", keep, None),
+            ("MTM_TENANTS", "0", |k| k.tenants.set = true, warn("MTM_TENANTS=\"0\" (expected a tenant count >= 1)")),
+            ("MTM_TENANTS", "x", |k| k.tenants.set = true, warn("MTM_TENANTS=\"x\" (expected a tenant count >= 1)")),
+            ("MTM_ARBITER", "static-equal", |k| k.arbiters = narrowed(vec![ArbiterKind::StaticEqual]), None),
+            ("MTM_ARBITER", "footprint-proportional", |k| k.arbiters = narrowed(vec![ArbiterKind::FootprintProportional]), None),
+            ("MTM_ARBITER", "hotness-weighted", |k| k.arbiters = narrowed(vec![ArbiterKind::HotnessWeighted]), None),
+            ("MTM_ARBITER", "fifo", |k| k.arbiters.set = true, Some(bad_arbiter.into())),
+            ("MTM_SCENARIO_SET", "KVDrift", |k| k.scenario_set = narrowed((vec!["KVDrift"], false)), None),
+            ("MTM_SCENARIO_SET", "Diurnal", |k| k.scenario_set = narrowed((vec!["Diurnal"], false)), None),
+            ("MTM_SCENARIO_SET", "FlashCrowd", |k| k.scenario_set = narrowed((vec!["FlashCrowd"], false)), None),
+            ("MTM_SCENARIO_SET", "churn", |k| k.scenario_set = narrowed((vec![], true)), None),
+            ("MTM_SCENARIO_SET", "Batch", |k| k.scenario_set.set = true, Some(bad_scenario.into())),
+            ("MTM_SCENARIO_INTERVALS", "12", |k| k.scenario_intervals = narrowed(Some(12)), None),
+            ("MTM_SCENARIO_INTERVALS", "3", |k| k.scenario_intervals.set = true, warn(&format!("MTM_SCENARIO_INTERVALS=\"3\" {at_least_4}"))),
+            ("MTM_SCENARIO_INTERVALS", "x", |k| k.scenario_intervals.set = true, warn(&format!("MTM_SCENARIO_INTERVALS=\"x\" {at_least_4}"))),
         ];
         let flags: [(&str, Edit); 4] = [
             ("MTM_QUICK", |k| k.opts = Opts::quick()),

@@ -33,7 +33,7 @@ use tiersim::tenant::TenantId;
 use tiersim::tier::optane_four_tier;
 
 use crate::multitenant::{build_tenant_manager, interval_ns_per_op, nearest_rank, CoTenancy};
-use crate::opts::{env_value, Opts};
+use crate::opts::Opts;
 use crate::runs::{build_manager, healthy_machine_for};
 use crate::tablefmt::{f, TextTable};
 
@@ -339,44 +339,6 @@ fn checkpoint_differential(straight: &RunReport, opts: &Opts, intervals: u64) ->
     )
 }
 
-/// The run length `MTM_SCENARIO_INTERVALS` names (default: the shared
-/// `MTM_INTERVALS`/quick-mode length). A malformed value prints a
-/// `warning:` line and keeps the default.
-fn scenario_intervals(raw: Option<&str>, opts: &Opts) -> u64 {
-    let Some(s) = raw else { return opts.intervals };
-    match s.parse::<u64>() {
-        Ok(n) if n >= 4 => n,
-        _ => {
-            eprintln!(
-                "warning: ignoring MTM_SCENARIO_INTERVALS={s:?} \
-                 (expected an interval count >= 4)"
-            );
-            opts.intervals
-        }
-    }
-}
-
-/// The generators `MTM_SCENARIO_SET` selects (a generator name, or
-/// `churn`) and whether the churn cell runs. Unset keeps everything; a
-/// malformed value prints a `warning:` line and keeps everything rather
-/// than silently running something else.
-fn scenario_set(raw: Option<&str>) -> (Vec<&'static str>, bool) {
-    match raw {
-        None => (SCENARIO_GENERATORS.to_vec(), true),
-        Some("churn") => (Vec::new(), true),
-        Some(s) => match SCENARIO_GENERATORS.iter().find(|&&g| g == s) {
-            Some(g) => (vec![*g], false),
-            None => {
-                eprintln!(
-                    "warning: MTM_SCENARIO_SET={s:?} is not a scenario \
-                     (KVDrift|Diurnal|FlashCrowd|churn); sweeping all"
-                );
-                (SCENARIO_GENERATORS.to_vec(), true)
-            }
-        },
-    }
-}
-
 /// Renders the scenario sweep over explicit axes (the env-driven entry
 /// point is [`run`]).
 pub fn render(opts: &Opts, generators: &[&str], churn: bool, intervals: u64) -> String {
@@ -458,17 +420,16 @@ pub fn render(opts: &Opts, generators: &[&str], churn: bool, intervals: u64) -> 
     out
 }
 
-/// Renders the sweep with the env-selected shape (`MTM_SCENARIO_SET`,
-/// `MTM_SCENARIO_INTERVALS`, each read once). The flag is true when
-/// neither is set: the full-table shape the committed
-/// `results/scenarios.txt` is generated with. A set but malformed value
-/// still counts as set, so a typo never rewrites the committed table.
+/// Renders the sweep in the shape `MTM_SCENARIO_SET` and
+/// `MTM_SCENARIO_INTERVALS` select. The flag is true when neither is set:
+/// the full-table shape the committed `results/scenarios.txt` is
+/// generated with.
 pub fn run(opts: &Opts) -> (String, bool) {
-    let set = env_value("MTM_SCENARIO_SET");
-    let len = env_value("MTM_SCENARIO_INTERVALS");
-    let (generators, churn) = scenario_set(set.as_deref());
-    let out = render(opts, &generators, churn, scenario_intervals(len.as_deref(), opts));
-    (out, set.is_none() && len.is_none())
+    let crate::runs::EnvKnobs { scenario_set: set, scenario_intervals: len, .. } =
+        crate::runs::env_knobs();
+    let (generators, churn) = &set.values;
+    let out = render(opts, generators, *churn, len.values.unwrap_or(opts.intervals));
+    (out, !set.set && !len.set)
 }
 
 #[cfg(test)]
@@ -492,18 +453,6 @@ mod tests {
         assert_eq!(settle_time(&m, 1, 5, 4), 2, "first value at/below threshold");
         assert_eq!(settle_time(&m, 5, 8, 4), 3, "never settles: full phase");
         assert_eq!(settle_time(&m, 0, 5, 4), 0, "already settled");
-    }
-
-    #[test]
-    fn shape_parses_or_keeps_the_full_sweep() {
-        let opts = Opts::quick();
-        assert_eq!(scenario_intervals(None, &opts), opts.intervals);
-        assert_eq!(scenario_intervals(Some("24"), &opts), 24);
-        assert_eq!(scenario_intervals(Some("3"), &opts), opts.intervals);
-        assert_eq!(scenario_set(None), (SCENARIO_GENERATORS.to_vec(), true));
-        assert_eq!(scenario_set(Some("churn")), (Vec::new(), true));
-        assert_eq!(scenario_set(Some("Diurnal")), (vec!["Diurnal"], false));
-        assert_eq!(scenario_set(Some("Batch")), (SCENARIO_GENERATORS.to_vec(), true));
     }
 
     #[test]

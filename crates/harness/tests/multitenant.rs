@@ -10,6 +10,7 @@
 use mtm::arbiter::ArbiterKind;
 use mtm_harness::multitenant::{render, run_cell, tenant_specs};
 use mtm_harness::resilience::RESILIENCE_MANAGERS;
+use mtm_harness::runpool;
 use mtm_harness::runs::RunSpec;
 use mtm_harness::Opts;
 
@@ -80,16 +81,16 @@ fn single_tenant_identity_holds_for_every_arbiter() {
 
 #[test]
 fn multitenant_table_is_identical_for_any_jobs_count() {
-    // Sequential on purpose: MTM_JOBS is process-global, and this is the
-    // only test in this binary that touches it.
+    // Sequential on purpose: the worker count is process-global, and this
+    // is the only test in this binary that sets it.
     let opts = tiny(2);
     let counts = [2usize];
     let arbiters = [ArbiterKind::HotnessWeighted];
-    std::env::set_var("MTM_JOBS", "1");
+    runpool::override_jobs(Some(1));
     let serial = render(&opts, &counts, &arbiters);
-    std::env::set_var("MTM_JOBS", "4");
+    runpool::override_jobs(Some(4));
     let parallel = render(&opts, &counts, &arbiters);
-    std::env::remove_var("MTM_JOBS");
+    runpool::override_jobs(None);
     assert_eq!(serial, parallel, "multitenant table depends on the worker count");
     assert!(serial.contains("hotness-weighted"));
 }

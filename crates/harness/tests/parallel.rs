@@ -1,8 +1,8 @@
 //! Concurrency and determinism tests for the parallel evaluation-matrix
 //! runner: the single-flight run cache and the worker pool.
 //!
-//! `MTM_JOBS=4` is set (same value) by every test that needs the parallel
-//! path, because the test host may expose a single core and the pool
+//! Every test that needs the parallel path sets the same four-worker
+//! override, because the test host may expose a single core and the pool
 //! would otherwise fall back to serial inline execution.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -13,7 +13,7 @@ use mtm_harness::runs::{cached_run_traced, prewarm, RunSpec};
 use mtm_harness::Opts;
 
 fn force_parallel() {
-    std::env::set_var("MTM_JOBS", "4");
+    runpool::override_jobs(Some(4));
 }
 
 /// Tiny but real run options with a distinctive key so these tests never

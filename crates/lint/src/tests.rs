@@ -18,6 +18,11 @@ fn strip_blanks_comments_and_strings_preserving_lines() {
     assert!(!out.contains("HashMap"));
     assert!(!out.contains("Instant"));
     assert!(out.contains("let a = 1;"));
+    // A line continuation inside a string keeps its newline.
+    let src = "let s = \"a \\\n   b\";\nlet b = b\"c \\\n d\";\nlet t = 1;\n";
+    let out = strip_code(src);
+    assert_eq!(out.lines().count(), 5, "{out:?}");
+    assert_eq!(out.lines().nth(4), Some("let t = 1;"), "{out:?}");
 }
 
 #[test]
@@ -218,13 +223,15 @@ fn d5_does_not_match_unwrap_or_family_or_test_code() {
 // ------------------------------------------------------------------- D9
 
 #[test]
-fn d9_catches_env_reads_below_the_harness_only() {
+fn d9_catches_env_reads_outside_the_settings_reader() {
     let read = "let v = std::env::var(\"X\");\nlet o = env::var_os(\"X\");\nfor _ in std::env::vars() {}\nfor _ in env::vars_os() {}\n";
-    for path in ["crates/tiersim/src/engine.rs", "crates/check/src/lib.rs", "src/lib.rs"] {
+    for path in ["crates/tiersim/src/engine.rs", "crates/check/src/lib.rs", "src/lib.rs", "crates/bench/src/runner.rs",
+        "crates/harness/src/runpool.rs", "crates/harness/src/opts.rs", "crates/harness/src/bin/debug_mtm.rs"]
+    {
         assert_eq!(rules_of(&scan_source(path, read)), vec![Rule::EnvRead; 4], "{path}");
     }
-    for path in ["crates/harness/src/runs.rs", "crates/bench/src/runner.rs", "crates/proptest-lite/src/runner.rs",
-        "crates/lint/src/bin/lint.rs", "mtmbench/src/runner.rs", "examples/quickstart.rs", "crates/tiersim/tests/t.rs"]
+    for path in ["crates/harness/src/runs.rs", "crates/proptest-lite/src/runner.rs", "crates/lint/src/bin/lint.rs",
+        "mtmbench/src/runner.rs", "examples/quickstart.rs", "crates/tiersim/tests/t.rs", "crates/harness/tests/golden.rs"]
     {
         assert!(scan_source(path, read).is_empty(), "{path}");
     }
