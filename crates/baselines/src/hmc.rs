@@ -5,7 +5,7 @@
 //! [`tiersim::cache::HwCache`] inside the machine). The manager therefore
 //! just places every page in PM and lets the hardware do the rest. The
 //! machine needs `MachineConfig::hmc_mode` set so the caches exist; the
-//! harness's machine builder (`mtm_harness::runs::healthy_machine_for`)
+//! harness's machine configuration (`mtm_harness::runs::machine_config`)
 //! sets it for `hmc` runs.
 
 use tiersim::machine::Machine;
@@ -32,6 +32,16 @@ impl MemoryManager for MemoryMode {
     }
 
     fn on_interval(&mut self, _m: &mut Machine, _interval: u64) {}
+
+    /// The manager is stateless (the cache state lives in the machine's
+    /// checkpoint), so its blob is empty.
+    fn save_state(&self) -> Option<Vec<u8>> {
+        Some(Vec::new())
+    }
+
+    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
+        obs::wire::Reader::new(bytes).finish()
+    }
 }
 
 #[cfg(test)]

@@ -187,36 +187,22 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Finding {
     /// One JSON object per finding, with a stable field order
     /// (`path`, `line`, `code`, `slug`, `message`) so downstream tooling
     /// can diff outputs byte-for-byte.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"path\":\"{}\",\"line\":{},\"code\":\"{}\",\"slug\":\"{}\",\"message\":\"{}\"}}",
-            json_escape(&self.path),
+        let mut out = String::from("{\"path\":");
+        obs::json::write_str(&self.path, &mut out);
+        out.push_str(&format!(
+            ",\"line\":{},\"code\":\"{}\",\"slug\":\"{}\",\"message\":",
             self.line,
             self.rule.code(),
-            self.rule.slug(),
-            json_escape(&self.message)
-        )
+            self.rule.slug()
+        ));
+        obs::json::write_str(&self.message, &mut out);
+        out.push('}');
+        out
     }
 }
 

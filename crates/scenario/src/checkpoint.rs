@@ -19,9 +19,9 @@ use tiersim::sim::{MemoryManager, ScenarioProgress, Workload};
 pub const CKPT_MAGIC: &[u8; 8] = b"MTMCKPT1";
 
 /// Serializes a paused run. `next_interval` is the first interval the
-/// resumed run will execute. Fails when any layer refuses: machine in
-/// Memory Mode or with an active fault plan, manager or workload without
-/// checkpoint support.
+/// resumed run will execute. Fails when any layer refuses: machine with
+/// an active fault plan, manager or workload without checkpoint support.
+/// A Memory Mode machine checkpoints its DRAM-cache tags with the rest.
 pub fn save_checkpoint(
     machine: &Machine,
     manager: &dyn MemoryManager,

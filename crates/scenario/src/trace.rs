@@ -119,8 +119,7 @@ impl<W: Workload> TraceRecorder<W> {
     }
 
     /// Serializes the recorded trace. Fails when the machine was not
-    /// snapshottable at setup (Memory Mode, active fault plan) or setup
-    /// never ran.
+    /// snapshottable at setup (an active fault plan) or setup never ran.
     pub fn into_trace(self) -> Result<Vec<u8>, String> {
         let snapshot = self.snapshot.ok_or("nothing recorded: setup never ran")??;
         let mut w = Writer::new();

@@ -8,8 +8,6 @@
 //! charges virtual time — the same signal surface the paper's profilers
 //! consume on real hardware.
 
-use std::collections::BTreeMap;
-
 use crate::addr::{VaRange, VirtAddr, CACHE_LINE, PAGE_SIZE_2M};
 use crate::cache::HwCache;
 use crate::clock::{Clock, TimeBreakdown};
@@ -216,21 +214,56 @@ pub struct MachineStats {
 /// from the table is bit-identical to recomputing; the config must not
 /// change latency/bandwidth/`mlp` after [`Machine::new`]. The same holds
 /// for `hmc_mode` and `track_heat`, which [`Machine::new`] folds into the
-/// cached gate that sends every access down the general path
-/// (`Machine::access` debug-asserts the gate still matches).
+/// machine's [`AccessMode`] (`Machine::access` debug-asserts that the
+/// mode still matches).
 #[derive(Clone, Copy, Debug)]
 struct ChargeSpec {
     /// `link.latency_ns / cfg.mlp`.
     lat_ns: f64,
     /// `CACHE_LINE as f64 * link.write_cost_factor()` — the roofline
-    /// byte charge of one written line on this link.
+    /// byte charge of one written line on this link, and of one dirty
+    /// line a Memory Mode miss writes back to this PM component.
     write_bytes: f64,
-    /// `link.write_cost_factor()` (Memory Mode writeback charging).
-    wcf: f64,
+    /// `dram latency / cfg.mlp` for the PM component's Memory Mode hit
+    /// path (served by the fronting DRAM); 0.0 outside Memory Mode.
+    hmc_hit_lat_ns: f64,
     /// `(dram latency + this link's latency) / cfg.mlp` for the PM
     /// component's Memory Mode miss path (tag check in the fronting
     /// DRAM serializes before the PM access); 0.0 outside Memory Mode.
     hmc_miss_lat_ns: f64,
+}
+
+/// Which path [`Machine::access`] sends an access down when its PTE
+/// carries no fault flag. Fixed at [`Machine::new`] from `hmc_mode` and
+/// `track_heat`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum AccessMode {
+    /// The inlined fast path: charge the mapped component directly.
+    Direct,
+    /// The fast path charging through the Memory Mode cache
+    /// (`Machine::charge_cached`).
+    MemoryMode,
+    /// The out-of-line general path, which keeps the fig6 heatmap (with
+    /// or without Memory Mode).
+    General,
+}
+
+impl AccessMode {
+    fn of(cfg: &MachineConfig) -> AccessMode {
+        match (cfg.track_heat, cfg.hmc_mode) {
+            (true, _) => AccessMode::General,
+            (false, true) => AccessMode::MemoryMode,
+            (false, false) => AccessMode::Direct,
+        }
+    }
+}
+
+/// A PM component's Memory Mode DRAM cache and the DRAM component that
+/// holds it.
+#[derive(Debug)]
+struct CachedPm {
+    cache: HwCache,
+    dram: ComponentId,
 }
 
 /// The simulated machine.
@@ -256,13 +289,12 @@ pub struct Machine {
     /// Per-(node, component) charge table, indexed
     /// `node * num_components + component` (see [`ChargeSpec`]).
     charge: Vec<ChargeSpec>,
-    /// `cfg.hmc_mode || cfg.track_heat`, cached at construction: every
-    /// access of such a machine takes the general path.
-    always_general: bool,
-    /// DRAM cache per PM component id (Memory Mode only).
-    hmc_caches: BTreeMap<ComponentId, HwCache>,
-    /// PM component -> fronting DRAM component (Memory Mode).
-    hmc_front: BTreeMap<ComponentId, ComponentId>,
+    /// `AccessMode::of(&cfg)`, fixed at construction.
+    mode: AccessMode,
+    /// Memory Mode cache per component id: `Some` for each PM component
+    /// of a Memory Mode machine, `None` otherwise (empty outside Memory
+    /// Mode).
+    hmc: Vec<Option<CachedPm>>,
     /// Access heatmap, dense-indexed by 2 MB chunk (`va >> 21`); zero
     /// entries mean "never touched" and are skipped on snapshot.
     heat: Vec<u64>,
@@ -293,9 +325,10 @@ impl Machine {
         let clock = Clock::new(cfg.threads, &cfg.topology);
         let counters = Counters::new(cfg.topology.num_components());
         let pebs = Pebs::new(&cfg.pebs);
-        let mut hmc_caches = BTreeMap::new();
-        let mut hmc_front = BTreeMap::new();
+        let components = cfg.topology.num_components();
+        let mut hmc: Vec<Option<CachedPm>> = Vec::new();
         if cfg.hmc_mode {
+            hmc.resize_with(components, || None);
             for pm in cfg.topology.pm_components() {
                 let home = cfg.topology.components[pm as usize].home_node;
                 let dram = cfg
@@ -304,32 +337,36 @@ impl Machine {
                     .into_iter()
                     .find(|&d| cfg.topology.components[d as usize].home_node == home)
                     .expect("each PM has a same-socket DRAM to act as its cache");
-                let cap = cfg.topology.components[dram as usize].capacity;
-                hmc_caches.insert(pm, HwCache::new(cap));
-                hmc_front.insert(pm, dram);
+                let cache = HwCache::new(
+                    cfg.topology.components[dram as usize].capacity,
+                    cfg.topology.components[pm as usize].capacity,
+                );
+                hmc[pm as usize] = Some(CachedPm { cache, dram });
             }
         }
-        let components = cfg.topology.num_components();
         let mut charge = Vec::with_capacity(cfg.topology.nodes as usize * components);
         for node in 0..cfg.topology.nodes {
             for comp in 0..components as u16 {
                 let link = cfg.topology.link(node, comp);
-                let hmc_miss_lat_ns = match hmc_front.get(&comp) {
-                    Some(&dram) => {
-                        let dram_link = cfg.topology.link(node, dram);
-                        (dram_link.latency_ns + link.latency_ns) / cfg.mlp
+                let (hmc_hit_lat_ns, hmc_miss_lat_ns) = match hmc.get(comp as usize) {
+                    Some(Some(c)) => {
+                        let dram_link = cfg.topology.link(node, c.dram);
+                        (
+                            dram_link.latency_ns / cfg.mlp,
+                            (dram_link.latency_ns + link.latency_ns) / cfg.mlp,
+                        )
                     }
-                    None => 0.0,
+                    _ => (0.0, 0.0),
                 };
                 charge.push(ChargeSpec {
                     lat_ns: link.latency_ns / cfg.mlp,
                     write_bytes: CACHE_LINE as f64 * link.write_cost_factor(),
-                    wcf: link.write_cost_factor(),
+                    hmc_hit_lat_ns,
                     hmc_miss_lat_ns,
                 });
             }
         }
-        let always_general = cfg.hmc_mode || cfg.track_heat;
+        let mode = AccessMode::of(&cfg);
         Machine {
             cfg,
             pt: PageTable::new(),
@@ -347,9 +384,8 @@ impl Machine {
             shadow_mode: false,
             shadows: Vec::new(),
             charge,
-            always_general,
-            hmc_caches,
-            hmc_front,
+            mode,
+            hmc,
             heat: Vec::new(),
             run_workers: 1,
             recorder: obs::Recorder::new(),
@@ -499,16 +535,18 @@ impl Machine {
     ///
     /// This is the fast path: a mapped page with no fault flag set, on a
     /// machine without Memory Mode or a heatmap, costs `touch`, a version
-    /// bump on writes, the counters, PEBS and one charge. Everything else
-    /// goes to the out-of-line general path (`Machine::access_general`).
+    /// bump on writes, the counters, PEBS and one charge. A Memory Mode
+    /// machine charges through its DRAM cache (`Machine::charge_cached`)
+    /// instead; a fault flag or a heatmap sends the access to the
+    /// out-of-line general path (`Machine::access_general`).
     /// Forced inline: with a plain `#[inline]` the compiler left it an
     /// out-of-line call from `SimEnv::do_access`, which cost ~12 % of
     /// `sim_maccess_per_s` on both GUPS benchmark workloads.
     #[inline(always)]
     pub fn access(&mut self, tid: usize, va: VirtAddr, kind: AccessKind) -> AccessResult {
         debug_assert_eq!(
-            self.always_general,
-            self.cfg.hmc_mode || self.cfg.track_heat,
+            self.mode,
+            AccessMode::of(&self.cfg),
             "cfg.hmc_mode/cfg.track_heat changed after Machine::new"
         );
         let is_write = kind == AccessKind::Write;
@@ -518,30 +556,104 @@ impl Machine {
         let Some((pre, size)) = self.pt.touch(va, is_write) else {
             return AccessResult::Unmapped;
         };
-        if self.always_general || pre.0 & (PTE_NUMA_POISON | PTE_PROT_NONE | PTE_WRITE_TRACK) != 0 {
+        let faults = pre.0 & (PTE_NUMA_POISON | PTE_PROT_NONE | PTE_WRITE_TRACK);
+        if self.mode == AccessMode::General || faults != 0 {
+            std::hint::cold_path();
             return self.access_general(tid, va, is_write, pre, size);
         }
         let frame = pre.frame();
-        let component = frame.component();
         if is_write {
             self.versions.bump(frame_page_base(frame));
         }
+        if self.mode == AccessMode::MemoryMode {
+            // Unlikely on a machine without Memory Mode: the direct
+            // charge stays the fall-through.
+            std::hint::cold_path();
+            self.charge_cached(tid, va, is_write, frame, size, 0.0);
+        } else {
+            self.charge_direct(tid, va, is_write, frame.component(), 0.0);
+        }
+        AccessResult::Ok
+    }
+
+    /// Charges one access of a Memory Mode machine, `extra_ns` of fault
+    /// handling included: through the PM component's DRAM cache, or
+    /// straight to a component that has none.
+    #[inline]
+    fn charge_cached(
+        &mut self,
+        tid: usize,
+        va: VirtAddr,
+        is_write: bool,
+        frame: crate::addr::PhysAddr,
+        size: FrameSize,
+        extra_ns: f64,
+    ) {
+        let component = frame.component();
+        let Some(Some(cached)) = self.hmc.get_mut(component as usize) else {
+            self.charge_direct(tid, va, is_write, component, extra_ns);
+            return;
+        };
+        // Probe at cache-line granularity: the accessed line's physical
+        // address, not the page base.
+        let page_mask = match size {
+            FrameSize::Huge2M => PAGE_SIZE_2M - 1,
+            FrameSize::Base4K => crate::addr::PAGE_SIZE_4K - 1,
+        };
+        let line_pa =
+            crate::addr::PhysAddr::new(component, frame.offset() + (va.0 & page_mask));
+        let probe = cached.cache.access(line_pa, is_write);
+        let dram = cached.dram;
+        let node = self.cfg.thread_node[tid];
+        let t_ns = self.clock.thread_ns(tid);
+        let spec = self.charge[node as usize * self.cfg.topology.num_components() + component as usize];
+        if probe.hit {
+            // A cache hit is served by (and counted against) DRAM.
+            self.counters.record(dram, is_write);
+            self.pebs.observe(va, tid as u32, dram, is_write, t_ns);
+            let lat = spec.hmc_hit_lat_ns + extra_ns;
+            self.clock.charge_access(tid, lat, node, dram, CACHE_LINE as f64);
+        } else {
+            self.counters.record(component, is_write);
+            self.pebs.observe(va, tid as u32, component, is_write, t_ns);
+            // Memory Mode misses are serial: the tag check in DRAM happens
+            // before the PM access can start.
+            let lat = spec.hmc_miss_lat_ns + extra_ns;
+            let writeback = if probe.writeback_bytes != 0 { spec.write_bytes } else { 0.0 };
+            self.clock.charge_access(tid, lat, node, component, CACHE_LINE as f64 + writeback);
+            self.clock.charge_access(tid, 0.0, node, dram, CACHE_LINE as f64);
+        }
+    }
+
+    /// Charges one access straight to `component`, `extra_ns` of fault
+    /// handling included. The fast path passes `0.0`, and
+    /// `spec.lat_ns + 0.0 == spec.lat_ns`.
+    #[inline(always)]
+    fn charge_direct(
+        &mut self,
+        tid: usize,
+        va: VirtAddr,
+        is_write: bool,
+        component: ComponentId,
+        extra_ns: f64,
+    ) {
         let node = self.cfg.thread_node[tid];
         let t_ns = self.clock.thread_ns(tid);
         self.counters.record(component, is_write);
         self.pebs.observe(va, tid as u32, component, is_write, t_ns);
         let spec = self.charge[node as usize * self.cfg.topology.num_components() + component as usize];
+        let lat = spec.lat_ns + extra_ns;
         // The roofline uses a read-bandwidth denominator; writes count as
         // more bytes where write bandwidth is lower.
         let bytes = if is_write { spec.write_bytes } else { CACHE_LINE as f64 };
-        self.clock.charge_access(tid, spec.lat_ns, node, component, bytes);
-        AccessResult::Ok
+        self.clock.charge_access(tid, lat, node, component, bytes);
     }
 
     /// The general access path, for accesses whose pre-access PTE carries
     /// a fault flag (hint poison, protection, write tracking) and for
-    /// every access of a Memory Mode or heat-tracking machine. `pre` and
-    /// `size` are what `touch` returned.
+    /// every access of a heat-tracking machine. `pre` and `size` are what
+    /// `touch` returned. It handles the fault flags and the heatmap, then
+    /// charges as the machine's mode does.
     #[cold]
     #[inline(never)]
     fn access_general(
@@ -555,7 +667,6 @@ impl Machine {
         let mut extra_ns = 0.0;
         let flags = pre.0;
         let frame = pre.frame();
-        let component = frame.component();
 
         // Rare-path fault handling, gated on the pre-access flag word.
         if flags & (PTE_NUMA_POISON | PTE_PROT_NONE | PTE_WRITE_TRACK) != 0 {
@@ -591,57 +702,10 @@ impl Machine {
             }
             self.heat[chunk] += 1;
         }
-        let node = self.cfg.thread_node[tid];
-        let charge_base = node as usize * self.cfg.topology.num_components();
-
-        // Cost: either through the hardware cache (Memory Mode) or direct.
         // All latency/byte constants come from the precomputed charge
-        // table — no division on the per-access path.
-        if !self.hmc_caches.is_empty() {
-            if let Some(cache) = self.hmc_caches.get_mut(&component) {
-                let t_ns = self.clock.thread_ns(tid);
-                let dram = self.hmc_front[&component];
-                // Probe at cache-line granularity: the accessed line's
-                // physical address, not the page base.
-                let page_span = match size {
-                    FrameSize::Huge2M => PAGE_SIZE_2M,
-                    FrameSize::Base4K => crate::addr::PAGE_SIZE_4K,
-                };
-                let line_pa = crate::addr::PhysAddr::new(
-                    frame.component(),
-                    frame.offset() + (va.0 & (page_span - 1)),
-                );
-                let probe = cache.access(line_pa, is_write);
-                if probe.hit {
-                    // A cache hit is served by (and counted against) DRAM.
-                    self.counters.record(dram, is_write);
-                    self.pebs.observe(va, tid as u32, dram, is_write, t_ns);
-                    let lat = self.charge[charge_base + dram as usize].lat_ns + extra_ns;
-                    self.clock.charge_access(tid, lat, node, dram, CACHE_LINE as f64);
-                } else {
-                    self.counters.record(component, is_write);
-                    self.pebs.observe(va, tid as u32, component, is_write, t_ns);
-                    // Memory Mode misses are serial: the tag check in DRAM
-                    // happens before the PM access can start.
-                    let spec = self.charge[charge_base + component as usize];
-                    let lat = spec.hmc_miss_lat_ns + extra_ns;
-                    let pm_bytes =
-                        probe.fill_bytes as f64 + probe.writeback_bytes as f64 * spec.wcf;
-                    self.clock.charge_access(tid, lat, node, component, pm_bytes);
-                    self.clock.charge_access(tid, 0.0, node, dram, probe.fill_bytes as f64);
-                }
-                return AccessResult::Ok;
-            }
-        }
-        let t_ns = self.clock.thread_ns(tid);
-        self.counters.record(component, is_write);
-        self.pebs.observe(va, tid as u32, component, is_write, t_ns);
-        let spec = self.charge[charge_base + component as usize];
-        let lat = spec.lat_ns + extra_ns;
-        // The roofline uses a read-bandwidth denominator; writes count as
-        // more bytes where write bandwidth is lower.
-        let bytes = if is_write { spec.write_bytes } else { CACHE_LINE as f64 };
-        self.clock.charge_access(tid, lat, node, component, bytes);
+        // table — no division on the per-access path. Outside Memory Mode
+        // no component has a cache and this charges directly.
+        self.charge_cached(tid, va, is_write, frame, size, extra_ns);
         AccessResult::Ok
     }
 
@@ -1232,16 +1296,13 @@ impl Machine {
     /// statistics and the observability recorder) into a self-describing
     /// blob restorable with [`Machine::load_state`].
     ///
-    /// Returns an error in Memory Mode (hardware-cache tag state is not
-    /// checkpointable) and while a fault-injection plan is active (the
+    /// A Memory Mode machine also writes each PM component's DRAM-cache
+    /// lines and counters; other machines' blobs do not change.
+    ///
+    /// Returns an error while a fault-injection plan is active (the
     /// injection stream's position is owned by the plan, not the
     /// machine).
     pub fn save_state(&self) -> Result<Vec<u8>, String> {
-        if self.cfg.hmc_mode {
-            return Err("checkpoint: Memory Mode (hmc_mode) machines are not checkpointable \
-                        (hardware DRAM-cache tag state is opaque)"
-                .to_string());
-        }
         if self.faults.is_active() {
             return Err("checkpoint: machines with an active fault-injection plan are not \
                         checkpointable (the injection stream is owned by the plan)"
@@ -1310,6 +1371,9 @@ impl Machine {
         for &h in &self.heat {
             w.varint(h);
         }
+        for cached in self.hmc.iter().flatten() {
+            cached.cache.save(&mut w);
+        }
         self.recorder.save(&mut w);
         Ok(w.into_bytes())
     }
@@ -1319,9 +1383,6 @@ impl Machine {
     /// configuration whose [`Machine::config_digest`] matches the one
     /// embedded in the blob.
     pub fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        if self.cfg.hmc_mode {
-            return Err("checkpoint: cannot restore into a Memory Mode machine".to_string());
-        }
         let mut r = obs::wire::Reader::new(bytes);
         let digest = r.u64()?;
         if digest != self.config_digest() {
@@ -1402,6 +1463,11 @@ impl Machine {
         for _ in 0..heat_len {
             self.heat.push(r.varint()?);
         }
+        // The digest pinned `hmc_mode` and the topology, so the caches
+        // `Machine::new` built are the ones that were saved.
+        for cached in self.hmc.iter_mut().flatten() {
+            cached.cache.load(&mut r)?;
+        }
         self.recorder = obs::Recorder::load(&mut r)?;
         self.faults = faultsim::FaultState::disabled();
         r.finish()?;
@@ -1413,10 +1479,11 @@ impl Machine {
 
     /// Hardware-cache hit ratio per PM component (Memory Mode only).
     pub fn hmc_hit_ratios(&self) -> Vec<(ComponentId, f64)> {
-        let mut v: Vec<(ComponentId, f64)> =
-            self.hmc_caches.iter().map(|(&c, cache)| (c, cache.hit_ratio())).collect();
-        v.sort_by_key(|&(c, _)| c);
-        v
+        self.hmc
+            .iter()
+            .enumerate()
+            .filter_map(|(c, cached)| Some((c as ComponentId, cached.as_ref()?.cache.hit_ratio())))
+            .collect()
     }
 
     // ---------------------------------------------------------------
@@ -1618,12 +1685,22 @@ fn frame_page_base(frame: crate::addr::PhysAddr) -> crate::addr::PhysAddr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::reference::WordTagCache;
     use crate::tier::tiny_two_tier;
 
     impl Machine {
-        /// `access` as a single function, before the fast/general split:
-        /// the oracle the split path must match bit for bit.
-        fn access_reference(&mut self, tid: usize, va: VirtAddr, kind: AccessKind) -> AccessResult {
+        /// `access` as a single function, before the fast/general split
+        /// and the one-byte Memory Mode tags: the oracle the split path
+        /// must match bit for bit. Memory Mode probes go to `oracle`, one
+        /// word-tag cache per component (`None` where the machine has
+        /// none), instead of the machine's own caches.
+        fn access_reference(
+            &mut self,
+            oracle: &mut [Option<WordTagCache>],
+            tid: usize,
+            va: VirtAddr,
+            kind: AccessKind,
+        ) -> AccessResult {
             let is_write = kind == AccessKind::Write;
             let Some((pre, _size)) = self.pt.touch(va, is_write) else {
                 return AccessResult::Unmapped;
@@ -1667,36 +1744,35 @@ mod tests {
             let node = self.cfg.thread_node[tid];
             let charge_base = node as usize * self.cfg.topology.num_components();
 
-            if !self.hmc_caches.is_empty() {
-                if let Some(cache) = self.hmc_caches.get_mut(&component) {
-                    let t_ns = self.clock.thread_ns(tid);
-                    let dram = self.hmc_front[&component];
-                    let page_span = match _size {
-                        FrameSize::Huge2M => PAGE_SIZE_2M,
-                        FrameSize::Base4K => crate::addr::PAGE_SIZE_4K,
-                    };
-                    let line_pa = crate::addr::PhysAddr::new(
-                        frame.component(),
-                        frame.offset() + (va.0 & (page_span - 1)),
-                    );
-                    let probe = cache.access(line_pa, is_write);
-                    if probe.hit {
-                        self.counters.record(dram, is_write);
-                        self.pebs.observe(va, tid as u32, dram, is_write, t_ns);
-                        let lat = self.charge[charge_base + dram as usize].lat_ns + extra_ns;
-                        self.clock.charge_access(tid, lat, node, dram, CACHE_LINE as f64);
-                    } else {
-                        self.counters.record(component, is_write);
-                        self.pebs.observe(va, tid as u32, component, is_write, t_ns);
-                        let spec = self.charge[charge_base + component as usize];
-                        let lat = spec.hmc_miss_lat_ns + extra_ns;
-                        let pm_bytes =
-                            probe.fill_bytes as f64 + probe.writeback_bytes as f64 * spec.wcf;
-                        self.clock.charge_access(tid, lat, node, component, pm_bytes);
-                        self.clock.charge_access(tid, 0.0, node, dram, probe.fill_bytes as f64);
-                    }
-                    return AccessResult::Ok;
+            if let Some(Some(cache)) = oracle.get_mut(component as usize) {
+                let t_ns = self.clock.thread_ns(tid);
+                let dram = self.hmc[component as usize].as_ref().expect("cached PM").dram;
+                let link = self.cfg.topology.link(node, component);
+                let dram_link = self.cfg.topology.link(node, dram);
+                let page_span = match _size {
+                    FrameSize::Huge2M => PAGE_SIZE_2M,
+                    FrameSize::Base4K => crate::addr::PAGE_SIZE_4K,
+                };
+                let line_pa = crate::addr::PhysAddr::new(
+                    frame.component(),
+                    frame.offset() + (va.0 & (page_span - 1)),
+                );
+                let probe = cache.access(line_pa, is_write);
+                if probe.hit {
+                    self.counters.record(dram, is_write);
+                    self.pebs.observe(va, tid as u32, dram, is_write, t_ns);
+                    let lat = self.charge[charge_base + dram as usize].lat_ns + extra_ns;
+                    self.clock.charge_access(tid, lat, node, dram, CACHE_LINE as f64);
+                } else {
+                    self.counters.record(component, is_write);
+                    self.pebs.observe(va, tid as u32, component, is_write, t_ns);
+                    let lat = (dram_link.latency_ns + link.latency_ns) / self.cfg.mlp + extra_ns;
+                    let pm_bytes = probe.fill_bytes as f64
+                        + probe.writeback_bytes as f64 * link.write_cost_factor();
+                    self.clock.charge_access(tid, lat, node, component, pm_bytes);
+                    self.clock.charge_access(tid, 0.0, node, dram, probe.fill_bytes as f64);
                 }
+                return AccessResult::Ok;
             }
             let t_ns = self.clock.thread_ns(tid);
             self.counters.record(component, is_write);
@@ -1716,12 +1792,41 @@ mod tests {
         }
     }
 
+    /// The oracle caches of a reference machine: a word-tag cache for
+    /// each component the machine caches.
+    fn oracle_caches(m: &Machine) -> Vec<Option<WordTagCache>> {
+        let oracle = |c: &CachedPm| WordTagCache::new(c.cache.sets() as u64 * CACHE_LINE);
+        m.hmc.iter().map(|c| c.as_ref().map(oracle)).collect()
+    }
+
+    /// Per-cache `(component, hits, misses, writebacks)` of a machine.
+    fn cache_counters(m: &Machine) -> Vec<(usize, u64, u64, u64)> {
+        m.hmc
+            .iter()
+            .enumerate()
+            .filter_map(|(i, c)| {
+                let c = &c.as_ref()?.cache;
+                Some((i, c.hits(), c.misses(), c.writebacks()))
+            })
+            .collect()
+    }
+
+    /// [`cache_counters`] of a reference machine's oracle caches.
+    fn oracle_counters(oracle: &[Option<WordTagCache>]) -> Vec<(usize, u64, u64, u64)> {
+        oracle
+            .iter()
+            .enumerate()
+            .filter_map(|(i, c)| c.as_ref().map(|c| (i, c.hits, c.misses, c.writebacks)))
+            .collect()
+    }
+
     /// Every piece of state an access can change, serialized: PTE and
     /// side-metadata bits, clock accumulators as f64 bit patterns,
     /// counter totals and windows, PEBS buffer and countdown, hint-fault
     /// queue, frame versions, statistics, protection faults, heatmap and
-    /// Memory Mode hit ratios.
-    fn fingerprint(m: &Machine) -> Vec<u8> {
+    /// each Memory Mode cache's hits, misses and writebacks (`caches`,
+    /// from [`cache_counters`] or [`oracle_counters`]).
+    fn fingerprint(m: &Machine, caches: &[(usize, u64, u64, u64)]) -> Vec<u8> {
         let mut w = obs::wire::Writer::new();
         m.pt.save(&mut w);
         m.clock.save(&mut w);
@@ -1734,9 +1839,11 @@ mod tests {
             w.u64(va.0);
             w.varint(n);
         }
-        for (c, ratio) in m.hmc_hit_ratios() {
-            w.u16(c);
-            w.f64(ratio);
+        for &(c, hits, misses, writebacks) in caches {
+            w.varint(c as u64);
+            w.varint(hits);
+            w.varint(misses);
+            w.varint(writebacks);
         }
         w.into_bytes()
     }
@@ -1776,6 +1883,7 @@ mod tests {
                     m
                 };
                 let (mut fast, mut reference) = (build(), build());
+                let mut oracle = oracle_caches(&reference);
                 let mut watches = Vec::new();
                 for (step, &(op, page, line, tid)) in ops.iter().enumerate() {
                     let va = VirtAddr((page % 3) * PAGE_SIZE_2M + (page / 3) * 4096 + line * 64);
@@ -1783,7 +1891,7 @@ mod tests {
                         0..=7 => {
                             let kind = if op < 5 { AccessKind::Read } else { AccessKind::Write };
                             let a = fast.access(tid, va, kind);
-                            let b = reference.access_reference(tid, va, kind);
+                            let b = reference.access_reference(&mut oracle, tid, va, kind);
                             prop_assert_eq!(a, b, "step {step}");
                             if a == AccessResult::Unmapped {
                                 // Demand fault: place, then retry.
@@ -1792,7 +1900,10 @@ mod tests {
                                 let cb = reference.alloc_and_map(tid, va, order);
                                 prop_assert_eq!(ca, cb, "step {step}");
                                 prop_assert_eq!(fast.access(tid, va, kind), AccessResult::Ok);
-                                prop_assert_eq!(reference.access_reference(tid, va, kind), AccessResult::Ok);
+                                prop_assert_eq!(
+                                    reference.access_reference(&mut oracle, tid, va, kind),
+                                    AccessResult::Ok
+                                );
                             }
                         }
                         8 => {
@@ -1823,7 +1934,11 @@ mod tests {
                             reference.counters_mut().reset_window();
                         }
                     }
-                    prop_assert_eq!(fingerprint(&fast), fingerprint(&reference), "step {step} op {op}");
+                    prop_assert_eq!(
+                        fingerprint(&fast, &cache_counters(&fast)),
+                        fingerprint(&reference, &oracle_counters(&oracle)),
+                        "step {step} op {op}"
+                    );
                 }
                 for &id in &watches {
                     prop_assert_eq!(fast.watch_dirty(id), reference.watch_dirty(id));
@@ -2024,13 +2139,83 @@ mod tests {
         assert!(err.contains("digest mismatch"), "{err}");
     }
 
-    #[test]
-    fn save_state_refuses_memory_mode() {
+    /// A fresh Memory Mode machine on the two-tier topology (8 PM blocks
+    /// per DRAM line).
+    fn memory_mode_machine() -> Machine {
         let topo = tiny_two_tier(2 * PAGE_SIZE_2M, 16 * PAGE_SIZE_2M);
-        let mut cfg = MachineConfig::new(topo, 1);
+        let mut cfg = MachineConfig::new(topo, 2);
+        cfg.hmc_mode = true;
+        Machine::new(cfg)
+    }
+
+    /// Issues steps `from..from + n` of a read/write stream that hits,
+    /// misses and writes back, mapping pages into PM on demand.
+    fn drive_memory_mode(m: &mut Machine, from: u64, n: u64) {
+        for i in from..from + n {
+            // Six huge pages (three pairs aliasing in the 4 MB cache),
+            // 1024 lines each.
+            let x = i.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407) >> 40;
+            let va = VirtAddr((x % 6) * PAGE_SIZE_2M + (x >> 8) % 1024 * 64);
+            let kind = if i % 3 == 0 { AccessKind::Write } else { AccessKind::Read };
+            if m.access((i % 2) as usize, va, kind) == AccessResult::Unmapped {
+                m.alloc_and_map((i % 2) as usize, va, &[1]).unwrap();
+                m.access((i % 2) as usize, va, kind);
+            }
+        }
+    }
+
+    #[test]
+    fn memory_mode_save_state_resumes_identically() {
+        let mut m = memory_mode_machine();
+        m.mmap("a", VaRange::from_len(VirtAddr(0), 6 * PAGE_SIZE_2M), true);
+        drive_memory_mode(&mut m, 0, 4000);
+        let blob = m.save_state().unwrap();
+        let wb = cache_counters(&m);
+        assert!(wb.iter().all(|&(_, h, mi, w)| h > 0 && mi > 0 && w > 0), "{wb:?}");
+
+        let mut n = memory_mode_machine();
+        n.load_state(&blob).unwrap();
+        assert_eq!(n.save_state().unwrap(), blob, "restored state re-saves byte-identically");
+        assert_eq!(cache_counters(&n), cache_counters(&m));
+        drive_memory_mode(&mut m, 4000, 4000);
+        drive_memory_mode(&mut n, 4000, 4000);
+        assert_eq!(m.commit_interval().to_bits(), n.commit_interval().to_bits());
+        assert_eq!(cache_counters(&n), cache_counters(&m));
+        assert_eq!(m.save_state().unwrap(), n.save_state().unwrap());
+    }
+
+    #[test]
+    fn memory_mode_load_state_rejects_short_and_foreign_blobs() {
+        let mut m = memory_mode_machine();
+        m.mmap("a", VaRange::from_len(VirtAddr(0), 6 * PAGE_SIZE_2M), true);
+        drive_memory_mode(&mut m, 0, 500);
+        let blob = m.save_state().unwrap();
+        // Cut anywhere, including inside the cache lines: always `Err`.
+        for cut in (0..blob.len()).step_by(97).chain([blob.len() - 1]) {
+            assert!(memory_mode_machine().load_state(&blob[..cut]).is_err(), "cut at {cut}");
+        }
+        // A plain machine's blob does not restore into Memory Mode:
+        // `hmc_mode` is part of the config digest.
+        let topo = tiny_two_tier(2 * PAGE_SIZE_2M, 16 * PAGE_SIZE_2M);
+        let plain = Machine::new(MachineConfig::new(topo, 2));
+        let err = memory_mode_machine().load_state(&plain.save_state().unwrap()).unwrap_err();
+        assert!(err.contains("digest mismatch"), "{err}");
+    }
+
+    #[test]
+    fn memory_mode_tags_are_one_byte_per_dram_line() {
+        // The default scale: 1/256 of the paper machine, 768 MB of DRAM
+        // in front of 6 GB of PM. `vec![0; n]` leaves the pages untouched,
+        // so building it costs no resident memory until probes land.
+        let topo = crate::tier::optane_four_tier(256);
+        let dram: u64 =
+            topo.dram_components().iter().map(|&d| topo.components[d as usize].capacity).sum();
+        let mut cfg = MachineConfig::new(topo, 8);
         cfg.hmc_mode = true;
         let m = Machine::new(cfg);
-        assert!(m.save_state().unwrap_err().contains("Memory Mode"));
+        let tags: usize = m.hmc.iter().flatten().map(|c| c.cache.tag_bytes()).sum();
+        assert_eq!(tags as u64, dram / CACHE_LINE, "one tag byte per 64 B DRAM line");
+        assert!(tags <= 13 << 20, "{tags} B of Memory Mode tags at the default scale");
     }
 
     #[test]
