@@ -14,8 +14,7 @@
 //! — so slowdowns measure contention and arbitration, never workload
 //! noise. Like the resilience and admission sweeps, every cell draws
 //! label-derived fault streams and runs lock-step serial inside the
-//! cell, so the table is byte-identical for any `MTM_JOBS` /
-//! `MTM_RUN_WORKERS` setting.
+//! cell, so the table is byte-identical for any `MTM_JOBS` setting.
 
 use std::collections::BTreeMap;
 
@@ -336,10 +335,8 @@ impl CoTenancy {
 /// `workload_scale` is explicit (the sweep uses `opts.scale * n` so each
 /// tenant holds ~1/n of the aggregate footprint) so a *solo* reference —
 /// one tenant, whole machine — runs the **same** workload through the
-/// same code path. `run_workers` overrides the packet-engine worker
-/// count (`None` keeps the `MTM_RUN_WORKERS` default); `checked` arms
-/// the shadow-state sanitizer and the quota-partition census regardless
-/// of `MTM_CHECK`.
+/// same code path. `checked` arms the shadow-state sanitizer and the
+/// quota-partition census regardless of `MTM_CHECK`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_cell(
     manager: &str,
@@ -349,7 +346,6 @@ pub fn run_cell(
     level: &str,
     opts: &Opts,
     base_seed: u64,
-    run_workers: Option<usize>,
     checked: bool,
 ) -> Vec<RunReport> {
     let topo = optane_four_tier(opts.scale);
@@ -365,9 +361,6 @@ pub fn run_cell(
             // faults, and a tenant's stream survives axis filtering.
             let label = format!("mt/{level}/{}/{}", spec.name, spec.workload);
             machine.install_faults(plan.clone(), faultsim::derive_seed(base_seed, &label));
-        }
-        if let Some(w) = run_workers {
-            machine.set_run_workers(w);
         }
         let id = i as TenantId;
         let manager = build_tenant_manager(manager, id, opts, &topo);
@@ -461,7 +454,6 @@ pub fn render(opts: &Opts, counts: &[usize], arbiters: &[ArbiterKind]) -> String
             MT_LEVELS[li],
             opts,
             base_seed,
-            None,
             false,
         )
         .pop()
@@ -488,7 +480,6 @@ pub fn render(opts: &Opts, counts: &[usize], arbiters: &[ArbiterKind]) -> String
             MT_LEVELS[li],
             opts,
             base_seed,
-            None,
             false,
         )
     });
@@ -730,7 +721,6 @@ mod tests {
             "healthy",
             &opts,
             0,
-            None,
             false,
         )
         .pop()

@@ -3,8 +3,8 @@
 //! The evaluation matrix is embarrassingly parallel: every `(manager,
 //! workload, opts)` run owns its `Machine`, seeded RNG and manager, so
 //! runs can execute on any thread in any order and still produce
-//! bit-identical reports. [`map_parallel`] exploits that on the same
-//! scoped-thread pool the simulator's packet engine uses
+//! bit-identical reports. [`map_parallel`] exploits that on the
+//! simulator's scoped-thread packet executor
 //! ([`tiersim::engine::map_chunks`]), one item per packet, with results
 //! returned in item order so callers stay deterministic.
 //!

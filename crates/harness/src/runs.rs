@@ -7,7 +7,7 @@
 //! setting, once per process: `MTM_QUICK` / `MTM_SCALE` / `MTM_THREADS` /
 //! `MTM_INTERVALS` / `MTM_INTERVAL_NS` are [`Opts::from_env`],
 //! `MTM_ADMIT` / `MTM_SHADOW` / `MTM_FAULTS` / `MTM_FAULT_SEED` shape the
-//! spec, `MTM_CHECK` / `MTM_RUN_WORKERS` arm each machine,
+//! spec, `MTM_CHECK` arms each machine,
 //! `MTM_TELEMETRY` turns on telemetry export, `MTM_JOBS` sizes the
 //! [`crate::runpool`], and `MTM_TENANTS` / `MTM_ARBITER` /
 //! `MTM_SCENARIO_SET` / `MTM_SCENARIO_INTERVALS` narrow the multi-tenant
@@ -31,7 +31,6 @@ use faultsim::FaultPlan;
 use mtm::arbiter::ArbiterKind;
 use mtm::{AdmissionKind, MtmConfig, MtmManager};
 use mtm_baselines::{build_baseline, hemem_pebs_config};
-use tiersim::engine::parse_workers;
 use tiersim::machine::{Machine, MachineConfig};
 use tiersim::sim::{run_scenario, MemoryManager, RunReport, Workload};
 use tiersim::tier::{optane_four_tier, Topology};
@@ -56,7 +55,6 @@ pub(crate) struct EnvKnobs {
     faults: Option<FaultPlan>,
     fault_seed: u64,
     pub(crate) check: bool,
-    run_workers: usize,
     pub(crate) telemetry: bool,
     /// `MTM_JOBS`, or `None` for one worker per core.
     pub(crate) jobs: Option<usize>,
@@ -82,10 +80,12 @@ impl EnvKnobs {
     /// Parses the knobs from `lookup` (a variable's value, `None` when
     /// unset). A malformed value is never silently run: it falls back to
     /// its default (`always`, flags off, no faults, the default seed, one
-    /// run worker, one job per core, the full sweeps, the default options)
-    /// and adds one `warning:` line to the returned list.
-    fn parse(lookup: impl Fn(&str) -> Option<String>) -> (EnvKnobs, Vec<String>) {
-        let mut env = Reader { lookup, warnings: Vec::new() };
+    /// job per core, the full sweeps, the default options) and adds one
+    /// `warning:` line to the returned list. So does each `MTM_*` name in
+    /// `set` (the variables that are set) that no knob reads, so a
+    /// retired or misspelled setting is never silently ignored.
+    fn parse(set: &[String], lookup: impl Fn(&str) -> Option<String>) -> (EnvKnobs, Vec<String>) {
+        let mut env = Reader { lookup, read: Vec::new(), warnings: Vec::new() };
         let admission = env.get("MTM_ADMIT", AdmissionKind::Always, |_, s| match s {
             "" => Ok(AdmissionKind::Always),
             _ => AdmissionKind::parse(s).ok_or(format!(
@@ -98,7 +98,6 @@ impl EnvKnobs {
             Err(e) => Err(format!("warning: ignoring MTM_FAULTS={spec:?}: {e}")),
         });
         let fault_seed = env.get("MTM_FAULT_SEED", faultsim::DEFAULT_SEED, number);
-        let run_workers = env.get("MTM_RUN_WORKERS", 1, |_, raw| parse_workers(raw));
         let flags = ["MTM_QUICK", "MTM_SHADOW", "MTM_CHECK", "MTM_TELEMETRY"];
         let [quick, shadow, check, telemetry] = flags.map(|name| env.get(name, false, flag));
         let mut opts = if quick { Opts::quick() } else { Opts::default() };
@@ -140,7 +139,6 @@ impl EnvKnobs {
             faults,
             fault_seed,
             check,
-            run_workers,
             telemetry,
             jobs,
             tenants,
@@ -148,21 +146,42 @@ impl EnvKnobs {
             scenario_set,
             scenario_intervals,
         };
+        for name in set {
+            let known = env.read.contains(name) || TEST_ONLY_SETTINGS.contains(&name.as_str());
+            if name.starts_with("MTM_") && !known {
+                env.warnings.push(format!(
+                    "warning: ignoring {name} (not a setting; README.md lists every MTM_* setting)"
+                ));
+            }
+        }
         (knobs, env.warnings)
     }
 }
 
-/// The environment being read: a variable lookup and the warnings so far.
+/// `MTM_*` variables that tests read themselves, exempt from the
+/// unknown-setting warning.
+const TEST_ONLY_SETTINGS: &[&str] = &["MTM_BLESS"];
+
+/// The environment being read: a variable lookup, the names read so far
+/// and the warnings so far.
 struct Reader<F> {
     lookup: F,
+    read: Vec<String>,
     warnings: Vec<String>,
 }
 
 impl<F: Fn(&str) -> Option<String>> Reader<F> {
+    /// Variable `name`'s value, `None` when unset; records that a knob
+    /// reads `name`.
+    fn raw(&mut self, name: &str) -> Option<String> {
+        self.read.push(name.to_string());
+        (self.lookup)(name)
+    }
+
     /// Knob `name`: unset is `default`; a value `parse` rejects is
     /// `default` plus the `warning:` line `parse` returned.
     fn get<T>(&mut self, name: &str, default: T, parse: Parse<T>) -> T {
-        let Some(raw) = (self.lookup)(name) else { return default };
+        let Some(raw) = self.raw(name) else { return default };
         parse(name, &raw).unwrap_or_else(|warning| {
             self.warnings.push(warning);
             default
@@ -172,7 +191,7 @@ impl<F: Fn(&str) -> Option<String>> Reader<F> {
     /// Knob `name` narrowing a sweep axis: like [`Reader::get`], except
     /// that an empty value counts as unset.
     fn axis<T>(&mut self, name: &str, full: T, parse: Parse<T>) -> Axis<T> {
-        let set = (self.lookup)(name).is_some_and(|raw| !raw.is_empty());
+        let set = self.raw(name).is_some_and(|raw| !raw.is_empty());
         let values = if set { self.get(name, full, parse) } else { full };
         Axis { values, set }
     }
@@ -218,7 +237,9 @@ fn flag(name: &str, raw: &str) -> Result<bool, String> {
 pub(crate) fn env_knobs() -> &'static EnvKnobs {
     static KNOBS: OnceLock<EnvKnobs> = OnceLock::new();
     KNOBS.get_or_init(|| {
-        let (knobs, warnings) = EnvKnobs::parse(|name| std::env::var(name).ok());
+        let set: Vec<String> =
+            std::env::vars_os().filter_map(|(name, _)| name.into_string().ok()).collect();
+        let (knobs, warnings) = EnvKnobs::parse(&set, |name| std::env::var(name).ok());
         for w in warnings {
             eprintln!("{w}");
         }
@@ -323,14 +344,12 @@ pub(crate) fn machine_config(manager: &str, opts: &Opts, topo: Topology) -> Mach
     cfg
 }
 
-/// Builds a machine armed with the environment's `MTM_CHECK` and
-/// `MTM_RUN_WORKERS`. This is the harness's only `Machine::new`, so every
-/// run a harness binary makes honours both knobs.
+/// Builds a machine armed with the environment's `MTM_CHECK`. This is
+/// the harness's only `Machine::new`, so every run a harness binary makes
+/// honours it.
 pub(crate) fn build_machine(cfg: MachineConfig) -> Machine {
-    let knobs = env_knobs();
     let mut machine = Machine::new(cfg);
-    machine.set_checking(knobs.check);
-    machine.set_run_workers(knobs.run_workers);
+    machine.set_checking(env_knobs().check);
     machine
 }
 
@@ -623,7 +642,7 @@ mod tests {
     #[test]
     fn env_knobs_parse_every_spelling_and_warn_on_malformed_values() {
         // Every knob unset: the defaults, silently.
-        let (default, warnings) = EnvKnobs::parse(|_| None);
+        let (default, warnings) = EnvKnobs::parse(&[], |_| None);
         assert!(warnings.is_empty(), "{warnings:?}");
         let want = EnvKnobs {
             opts: Opts::default(),
@@ -632,7 +651,6 @@ mod tests {
             faults: None,
             fault_seed: faultsim::DEFAULT_SEED,
             check: false,
-            run_workers: 1,
             telemetry: false,
             jobs: None,
             tenants: Axis { values: TENANT_COUNTS.to_vec(), set: false },
@@ -647,6 +665,9 @@ mod tests {
         }
         let keep: Edit = |_| {};
         let warn = |line: &str| Some(format!("warning: ignoring {line}"));
+        let unknown = |name: &str| {
+            warn(&format!("{name} (not a setting; README.md lists every MTM_* setting)"))
+        };
         let bad_plan = FaultPlan::parse("busy=-1").expect_err("negative probability");
         let bad_admit = "warning: MTM_ADMIT=\"greedy\" is not a policy \
                          (always|pingpong|ratelimit|hotness-delta); using always";
@@ -669,10 +690,10 @@ mod tests {
             ("MTM_FAULTS", "busy=-1", keep, warn(&format!("MTM_FAULTS=\"busy=-1\": {bad_plan}"))),
             ("MTM_FAULT_SEED", "42", |k| k.fault_seed = 42, None),
             ("MTM_FAULT_SEED", "-3", keep, warn("MTM_FAULT_SEED=\"-3\" (not a valid u64)")),
-            ("MTM_RUN_WORKERS", "4", |k| k.run_workers = 4, None),
-            ("MTM_RUN_WORKERS", "1", keep, None),
-            ("MTM_RUN_WORKERS", "0", keep, warn("MTM_RUN_WORKERS=\"0\" (expected a positive integer)")),
-            ("MTM_RUN_WORKERS", "four", keep, warn("MTM_RUN_WORKERS=\"four\" (expected a positive integer)")),
+            ("MTM_RUN_WORKERS", "4", keep, unknown("MTM_RUN_WORKERS")),
+            ("MTM_QUIK", "1", keep, unknown("MTM_QUIK")),
+            ("MTM_BLESS", "1", keep, None),
+            ("CARGO_TARGET_DIR", "target", keep, None),
             ("MTM_SCALE", "64", |k| k.opts.scale = 64, None),
             ("MTM_SCALE", "6 4", keep, warn("MTM_SCALE=\"6 4\" (not a valid u64)")),
             ("MTM_THREADS", "2", |k| k.opts.threads = 2, None),
@@ -720,7 +741,9 @@ mod tests {
             cases.push((var, "yes", keep, warn(&format!("{var}=\"yes\" {expected}"))));
         }
         for (var, value, edit, warning) in cases {
-            let (knobs, warnings) = EnvKnobs::parse(|name| (name == var).then(|| value.to_string()));
+            let set = [var.to_string()];
+            let (knobs, warnings) =
+                EnvKnobs::parse(&set, |name| (name == var).then(|| value.to_string()));
             let mut want = default.clone();
             edit(&mut want);
             assert_eq!(knobs, want, "{var}={value:?}");

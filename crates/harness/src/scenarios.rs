@@ -14,8 +14,7 @@
 //! churn cell runs on the multi-tenant sweep's co-tenancy driver
 //! (lock-step serial stepping, arbitration before every interval, the
 //! quota-partition census under `MTM_CHECK`), so the table is
-//! byte-identical for any `MTM_JOBS` / `MTM_RUN_WORKERS` / `MTM_CHECK`
-//! setting. Scenario
+//! byte-identical for any `MTM_JOBS` / `MTM_CHECK` setting. Scenario
 //! machines are always healthy — phase transitions, not faults, are the
 //! subject — so the table is also independent of `MTM_FAULTS`.
 //!

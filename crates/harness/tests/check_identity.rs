@@ -34,16 +34,26 @@ fn run_checked(manager: &str, workload: &str, opts: &Opts) -> RunReport {
 
 #[test]
 fn checked_run_is_behaviourally_identical() {
-    let opts = Opts::quick();
-    let checked = run_checked("MTM", "GUPS", &opts);
-    let unchecked = RunSpec::new("MTM", "GUPS", &opts).expect("known pair").run();
-    // The sanitizer only observes: same simulation, same report, down to
-    // every counter and telemetry event.
-    assert_eq!(
-        format!("{checked:?}"),
-        format!("{unchecked:?}"),
-        "MTM_CHECK perturbed the simulation"
-    );
+    let mut small = Opts::quick();
+    small.scale = 1 << 13;
+    small.threads = 2;
+    small.intervals = 3;
+    let runs = [
+        ("MTM", "GUPS", Opts::quick()),
+        ("hemem", "BFS", small.clone()),
+        ("autonuma", "SSSP", small),
+    ];
+    for (manager, workload, opts) in runs {
+        let checked = run_checked(manager, workload, &opts);
+        let unchecked = RunSpec::new(manager, workload, &opts).expect("known pair").run();
+        // The sanitizer only observes: same simulation, same report, down
+        // to every counter and telemetry event.
+        assert_eq!(
+            format!("{checked:?}"),
+            format!("{unchecked:?}"),
+            "{manager}/{workload}: MTM_CHECK perturbed the simulation"
+        );
+    }
 }
 
 #[test]

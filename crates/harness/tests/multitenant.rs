@@ -4,7 +4,7 @@
 //! the legacy single-tenant path — arbitration at N=1 grants the full
 //! machine, the full migration budget and a profile share of exactly
 //! 1.0, all bit-exact identities. The tests here pin that, plus the
-//! determinism contract (`MTM_JOBS` / `MTM_RUN_WORKERS` never change a
+//! determinism contract (`MTM_JOBS` and `MTM_CHECK` never change a
 //! byte) and tenant-stream independence for same-named workloads.
 
 use mtm::arbiter::ArbiterKind;
@@ -39,7 +39,6 @@ fn single_tenant_cell_is_identical_to_the_legacy_path() {
             "healthy",
             &opts,
             0,
-            None,
             false,
         )
         .pop()
@@ -67,7 +66,7 @@ fn single_tenant_identity_holds_for_every_arbiter() {
         ArbiterKind::FootprintProportional,
         ArbiterKind::HotnessWeighted,
     ] {
-        let mt = run_cell("MTM", &specs, opts.scale, arbiter, "healthy", &opts, 0, None, false)
+        let mt = run_cell("MTM", &specs, opts.scale, arbiter, "healthy", &opts, 0, false)
             .pop()
             .unwrap();
         assert_eq!(
@@ -96,67 +95,25 @@ fn multitenant_table_is_identical_for_any_jobs_count() {
 }
 
 #[test]
-fn multitenant_cell_is_identical_for_any_run_worker_count() {
-    let opts = tiny(2);
-    let specs = tenant_specs(2);
-    let one = run_cell(
-        "MTM",
-        &specs,
-        opts.scale * 2,
-        ArbiterKind::FootprintProportional,
-        "heavy",
-        &opts,
-        7,
-        Some(1),
-        false,
-    );
-    let four = run_cell(
-        "MTM",
-        &specs,
-        opts.scale * 2,
-        ArbiterKind::FootprintProportional,
-        "heavy",
-        &opts,
-        7,
-        Some(4),
-        false,
-    );
-    assert_eq!(
-        format!("{one:?}"),
-        format!("{four:?}"),
-        "cell reports depend on MTM_RUN_WORKERS"
-    );
-}
-
-#[test]
 fn checked_cell_matches_unchecked_and_passes_census() {
     let opts = tiny(2);
     let specs = tenant_specs(2);
-    let plain = run_cell(
-        "MTM",
-        &specs,
-        opts.scale * 2,
-        ArbiterKind::HotnessWeighted,
-        "heavy",
-        &opts,
-        3,
-        None,
-        false,
-    );
-    // `checked` arms the shadow-state sanitizer and the per-tenant
-    // quota-partition census; any violation panics inside run_cell.
-    let checked = run_cell(
-        "MTM",
-        &specs,
-        opts.scale * 2,
-        ArbiterKind::HotnessWeighted,
-        "heavy",
-        &opts,
-        3,
-        None,
-        true,
-    );
-    assert_eq!(format!("{plain:?}"), format!("{checked:?}"), "the sanitizer is read-only");
+    let cell = |arbiter, seed, checked| {
+        run_cell("MTM", &specs, opts.scale * 2, arbiter, "heavy", &opts, seed, checked)
+    };
+    let configs = [(ArbiterKind::HotnessWeighted, 3), (ArbiterKind::FootprintProportional, 7)];
+    for (arbiter, seed) in configs {
+        let plain = cell(arbiter, seed, false);
+        // `checked` arms the shadow-state sanitizer and the per-tenant
+        // quota-partition census; any violation panics inside run_cell.
+        let checked = cell(arbiter, seed, true);
+        assert_eq!(
+            format!("{plain:?}"),
+            format!("{checked:?}"),
+            "{}: the sanitizer is not read-only",
+            arbiter.label()
+        );
+    }
 }
 
 #[test]
@@ -176,7 +133,6 @@ fn same_named_workloads_draw_distinct_streams() {
         "heavy",
         &opts,
         11,
-        None,
         false,
     );
     assert_eq!(reports[0].workload, reports[1].workload);

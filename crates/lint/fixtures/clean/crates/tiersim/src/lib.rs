@@ -2,6 +2,7 @@
 
 pub mod engine;
 pub mod machine;
+pub mod migrate;
 
 /// Takes its worker count as a value; the harness reads the environment.
 pub fn workers(raw: Option<&str>) -> usize {

@@ -6,7 +6,7 @@ pub fn relocate_range(n: u64) -> u64 {
 }
 
 /// One hop below the root, hiding an unwrap from the textual rules
-/// (this file is outside the D5 scope).
+/// (this file is not a D8 root file).
 fn copy_step(n: u64) -> u64 {
     n.checked_add(1).unwrap()
 }

@@ -2,6 +2,7 @@
 
 pub mod engine;
 pub mod machine;
+pub mod migrate;
 
 /// Reads its worker count straight from the environment: a D9 finding.
 pub fn workers() -> usize {

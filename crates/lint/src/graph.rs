@@ -45,9 +45,14 @@ const STD_VOCAB_METHODS: &[&str] = &[
     "trim", "write", "zip",
 ];
 
-/// Roots of the D8 panic-free closure: the transactional relocation
-/// primitives, the async-migration commit/abort engine, and checkpoint
-/// save/restore. `owner` narrows a common name to one impl.
+/// Files whose every non-test fn is a D8 root: the transactional
+/// migration paths.
+const PANIC_ROOT_FILES: &[&str] =
+    &["crates/tiersim/src/migrate.rs", "crates/mtm/src/migration.rs"];
+
+/// Further roots of the D8 panic-free closure: the transactional
+/// relocation primitives, the async-migration commit/abort engine, and
+/// checkpoint save/restore. `owner` narrows a common name to one impl.
 const PANIC_ROOTS: &[(&str, Option<&str>)] = &[
     ("relocate_range", None),
     ("relocate_with_retry", None),
@@ -364,7 +369,7 @@ fn extract_facts(ctx: &FileCtx<'_>, f: &parse::FnItem, node: &mut FnNode) {
             && toks[k - 1].is_punct('.')
             && toks.get(k + 1).is_some_and(|tt| tt.is_punct('('))
         {
-            if !ctx.line_allowed(t.line, &["no-unwrap", "panic-path"]) {
+            if !ctx.line_allowed(t.line, &["panic-path"]) {
                 node.panics.push(PanicFact { line: t.line, what: format!(".{}(", t.text) });
             }
             k += 1;
@@ -374,7 +379,7 @@ fn extract_facts(ctx: &FileCtx<'_>, f: &parse::FnItem, node: &mut FnNode) {
             && matches!(t.text.as_str(), "panic" | "unreachable" | "todo" | "unimplemented")
             && toks.get(k + 1).is_some_and(|tt| tt.is_punct('!'))
         {
-            if !ctx.line_allowed(t.line, &["no-unwrap", "panic-path"]) {
+            if !ctx.line_allowed(t.line, &["panic-path"]) {
                 node.panics.push(PanicFact { line: t.line, what: format!("{}!", t.text) });
             }
             k += 1;
@@ -756,13 +761,16 @@ impl Workspace {
 
     /// D8: the transitive closure of the migration/checkpoint roots must
     /// be free of panicking shortcuts.
-    pub fn check_panic_paths(&self, base: &BTreeSet<(String, usize, Rule)>) -> Vec<Finding> {
+    pub fn check_panic_paths(&self) -> Vec<Finding> {
         let roots: Vec<usize> = (0..self.fns.len())
             .filter(|&i| {
                 let f = &self.fns[i];
-                PANIC_ROOTS.iter().any(|(n, o)| {
-                    f.name == *n && o.map_or(true, |o| f.owner.as_deref() == Some(o))
-                })
+                let in_root_file =
+                    PANIC_ROOT_FILES.iter().any(|p| f.rel == *p || f.rel.ends_with(p));
+                in_root_file
+                    || PANIC_ROOTS.iter().any(|(n, o)| {
+                        f.name == *n && o.map_or(true, |o| f.owner.as_deref() == Some(o))
+                    })
             })
             .collect();
         let parent = self.bfs(&roots);
@@ -771,9 +779,6 @@ impl Workspace {
         for (&i, _) in &parent {
             let f = &self.fns[i];
             for p in &f.panics {
-                if base.contains(&(f.rel.clone(), p.line as usize, Rule::NoUnwrap)) {
-                    continue;
-                }
                 if !seen.insert((f.rel.clone(), p.line)) {
                     continue;
                 }

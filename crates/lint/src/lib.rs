@@ -20,8 +20,6 @@
 //! - **D3 entropy** — `rand`-style entropy sources anywhere.
 //! - **D4 non-exhaustive-error** — public `*Error` enums must carry
 //!   `#[non_exhaustive]`.
-//! - **D5 no-unwrap** — `.unwrap()`/`.expect(` in the transactional
-//!   migration paths (`tiersim::migrate`, `mtm::migration`).
 //! - **D9 env-read** — `std::env::var`/`var_os`/`vars`/`vars_os` in any
 //!   `src/` file but the harness's one settings reader (`runs.rs`) and
 //!   the test/lint tooling.
@@ -38,8 +36,9 @@
 //! - **D7 lock-order** — the lock-acquisition order graph must be
 //!   acyclic (a real deadlock detector for the worker-pool code).
 //! - **D8 panic-path** — the transitive closure of the migration /
-//!   checkpoint roots must be unwrap-free (D5 generalized to the call
-//!   tree).
+//!   checkpoint roots (every non-test fn of `tiersim::migrate` and
+//!   `mtm::migration`, plus the named roots in [`graph`]) must be free of
+//!   `.unwrap()`, `.expect(` and `panic!`-family macros.
 //! - **O1 obs-name** — metric names are declared once in `obs::names`,
 //!   unique, `[a-z0-9_]+`, booked via the consts, and never dead
 //!   (see [`obsnames`]).
@@ -77,8 +76,6 @@ pub enum Rule {
     Entropy,
     /// D4: public error enums must be `#[non_exhaustive]`.
     NonExhaustiveError,
-    /// D5: panicking shortcuts in transactional migration paths.
-    NoUnwrap,
     /// D9: environment reads outside the harness's settings reader.
     EnvRead,
     /// U1: `unsafe` without a `// SAFETY:` comment directly above.
@@ -105,7 +102,6 @@ impl Rule {
         Rule::UnorderedMap,
         Rule::Entropy,
         Rule::NonExhaustiveError,
-        Rule::NoUnwrap,
         Rule::EnvRead,
         Rule::UnsafeSafety,
         Rule::HermeticDep,
@@ -123,7 +119,6 @@ impl Rule {
             Rule::UnorderedMap => "D2",
             Rule::Entropy => "D3",
             Rule::NonExhaustiveError => "D4",
-            Rule::NoUnwrap => "D5",
             Rule::EnvRead => "D9",
             Rule::UnsafeSafety => "U1",
             Rule::HermeticDep => "H1",
@@ -142,7 +137,6 @@ impl Rule {
             Rule::UnorderedMap => "unordered-map",
             Rule::Entropy => "entropy",
             Rule::NonExhaustiveError => "non-exhaustive-error",
-            Rule::NoUnwrap => "no-unwrap",
             Rule::EnvRead => "env-read",
             Rule::UnsafeSafety => "unsafe-safety",
             Rule::HermeticDep => "hermetic-dep",
@@ -501,9 +495,6 @@ const ENV_READS: &[&str] = &["env::var", "env::var_os", "env::vars", "env::vars_
 const ENV_READ_EXEMPT: &[&str] =
     &["crates/harness/src/runs.rs", "crates/proptest-lite/", "crates/lint/", "mtmbench/"];
 
-/// Files holding the transactional migration paths (D5 scope).
-const NO_UNWRAP_FILES: &[&str] = &["crates/tiersim/src/migrate.rs", "crates/mtm/src/migration.rs"];
-
 /// True when the comment-and-attribute block directly above line `idx`
 /// carries a `SAFETY:` comment (U1).
 fn has_safety_comment(raw_lines: &[&str], idx: usize) -> bool {
@@ -537,7 +528,6 @@ pub fn scan_source(rel: &str, src: &str) -> Vec<Finding> {
 
     let d1_scope = !rel.starts_with("crates/bench/");
     let d2_scope = ORDERED_CRATES.iter().any(|p| rel.starts_with(p));
-    let d5_scope = NO_UNWRAP_FILES.iter().any(|f| rel == *f || rel.ends_with(f));
     let in_src = rel.starts_with("src/") || rel.contains("/src/");
     let d9_scope = in_src && !ENV_READ_EXEMPT.iter().any(|p| rel.starts_with(p));
 
@@ -637,16 +627,6 @@ pub fn scan_source(rel: &str, src: &str) -> Vec<Finding> {
         if in_src && has_ident(line, "unsafe") && !has_safety_comment(&raw_lines, idx) {
             let message = "`unsafe` without a `// SAFETY:` comment directly above it saying why it is sound";
             emit(idx, Rule::UnsafeSafety, message.to_string(), &mut findings);
-        }
-
-        if d5_scope && (collapsed.contains(".unwrap()") || collapsed.contains(".expect(")) {
-            emit(
-                idx,
-                Rule::NoUnwrap,
-                "panicking shortcut in a transactional migration path; handle the None/Err arm"
-                    .to_string(),
-                &mut findings,
-            );
         }
     }
     findings
@@ -804,7 +784,7 @@ pub fn run_on_files(
 
     // The semantic passes dedup against textual findings that *survived*
     // the allowlist: a base finding still on the report means the site
-    // is already visible, so D6/D8 stay quiet there; a base finding
+    // is already visible, so D6 stays quiet there; a base finding
     // suppressed only by a path-level `lint.toml` entry leaves the site
     // auditable from its callers (the laundering catch).
     let base: BTreeSet<(String, usize, Rule)> =
@@ -812,7 +792,7 @@ pub fn run_on_files(
     let ws = graph::Workspace::build(files);
     let mut semantic = ws.check_taint(&base);
     semantic.extend(ws.check_lock_order());
-    semantic.extend(ws.check_panic_paths(&base));
+    semantic.extend(ws.check_panic_paths());
     semantic.extend(obsnames::audit(files));
     findings.extend(apply_allowlist(semantic, allows));
     findings.sort();

@@ -199,27 +199,6 @@ fn d4_allows_attributed_private_and_non_error_enums() {
     assert!(scan_source("crates/tiersim/src/lib.rs", "pub enum Tier { Fast, Slow }\n").is_empty());
 }
 
-// ------------------------------------------------------------------- D5
-
-#[test]
-fn d5_catches_unwrap_and_expect_in_migration_paths_only() {
-    let src = "let x = m.pt.unmap(va).expect(\"page mapped\");\nlet y = q.pop().unwrap();\n";
-    let f = scan_source("crates/tiersim/src/migrate.rs", src);
-    assert_eq!(rules_of(&f), vec![Rule::NoUnwrap, Rule::NoUnwrap]);
-    let f = scan_source("crates/mtm/src/migration.rs", src);
-    assert_eq!(f.len(), 2);
-    // The same tokens anywhere else are fine.
-    assert!(scan_source("crates/tiersim/src/machine.rs", src).is_empty());
-}
-
-#[test]
-fn d5_does_not_match_unwrap_or_family_or_test_code() {
-    let src = "let x = opt.unwrap_or(0);\nlet y = opt.unwrap_or_else(|| 1);\nlet z = r.expect_err(\"must fail\");\n";
-    assert!(scan_source("crates/tiersim/src/migrate.rs", src).is_empty());
-    let test_src = "#[cfg(test)]\nmod tests {\n    fn f() { Some(1).unwrap(); }\n}\n";
-    assert!(scan_source("crates/tiersim/src/migrate.rs", test_src).is_empty());
-}
-
 // ------------------------------------------------------------------- D9
 
 #[test]
@@ -477,13 +456,47 @@ fn d7_accepts_a_consistent_order_and_dropped_guards() {
 
 #[test]
 fn d8_closes_over_the_relocation_root() {
-    // The unwrap hides one hop below the root, in a file the textual D5
-    // rule does not cover.
+    // The unwrap hides one hop below the root, in a file that is not a
+    // root file.
     let src = "pub fn relocate_range(n: u64) -> u64 { helper(n) }\n\
                fn helper(n: u64) -> u64 { n.checked_add(1).unwrap() }\n";
     let f = semantic(&[("crates/tiersim/src/engine.rs", src)], "");
     assert_eq!(rules_of(&f), vec![Rule::PanicPath], "{f:?}");
     assert!(f[0].message.contains("relocate_range -> helper"), "{}", f[0].message);
+}
+
+#[test]
+fn d8_roots_every_fn_of_the_migration_files() {
+    // Each non-test fn of the migration files is a root whatever its
+    // name, so every site the retired textual D5 rule flagged there is a
+    // D8 finding.
+    let src = "fn unmap_one(m: &mut M, va: u64) -> u64 {\n\
+                   let x = m.pt.unmap(va).expect(\"page mapped\");\n\
+                   let y = m.q.pop().unwrap();\n\
+                   x + y\n\
+               }\n\
+               #[cfg(test)]\n\
+               mod tests {\n\
+                   fn t() { None::<u8>.unwrap(); }\n\
+               }\n";
+    for rel in ["crates/tiersim/src/migrate.rs", "crates/mtm/src/migration.rs"] {
+        let f = semantic(&[(rel, src)], "");
+        assert_eq!(rules_of(&f), vec![Rule::PanicPath, Rule::PanicPath], "{rel}: {f:?}");
+        assert_eq!(f.iter().map(|x| x.line).collect::<Vec<_>>(), vec![2, 3], "{rel}");
+    }
+    // The same tokens anywhere else are fine.
+    assert!(semantic(&[("crates/tiersim/src/machine.rs", src)], "").is_empty());
+}
+
+#[test]
+fn d8_does_not_match_the_unwrap_or_family() {
+    let src = "fn f(opt: Option<u64>, r: Result<u64, u64>) -> u64 {\n\
+                   let x = opt.unwrap_or(0);\n\
+                   let y = opt.unwrap_or_else(|| 1);\n\
+                   let z = r.expect_err(\"must fail\");\n\
+                   x + y + z\n\
+               }\n";
+    assert!(semantic(&[("crates/tiersim/src/migrate.rs", src)], "").is_empty());
 }
 
 #[test]

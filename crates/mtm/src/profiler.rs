@@ -154,14 +154,11 @@ impl AdaptiveProfiler {
     /// Performs one counted scan pass over the planned samples (one of
     /// the `num_scans` checks per interval).
     ///
-    /// Split into a parallel read phase and a serial apply phase. The
-    /// read phase samples each planned slot's accessed bit from the page
-    /// table's packed side metadata — pure reads, fanned out as work
-    /// packets ([`tiersim::engine`]) and reduced in plan order. The apply
-    /// phase then walks the plan serially in its original order, clearing
-    /// bits, bumping counts, and charging scan costs — so clock charges
-    /// accumulate in exactly the serial order and the result is
-    /// byte-identical for any `MTM_RUN_WORKERS`.
+    /// Split into a read phase and an apply phase. The read phase
+    /// samples each planned slot's accessed bit from the page table's
+    /// packed side metadata, in plan order, before anything is cleared.
+    /// The apply phase then walks the plan in the same order, clearing
+    /// bits, bumping counts, and charging scan costs.
     ///
     /// Two plan slots can alias one mapping (samples land in the same
     /// huge page, or a region boundary repeats a page): serially, the
@@ -170,10 +167,8 @@ impl AdaptiveProfiler {
     /// with a seen-set keyed by mapping identity.
     pub fn scan_pass(&mut self, m: &mut Machine) {
         let every = self.cfg.hint_fault_every.max(1) as u64;
-        let pre = {
-            let pt = m.page_table();
-            tiersim::engine::map_items(m.run_workers(), &self.plan, 256, |s| pt.accessed_at(s.page))
-        };
+        let pt = m.page_table();
+        let pre: Vec<_> = self.plan.iter().map(|s| pt.accessed_at(s.page)).collect();
         let mut seen = std::collections::BTreeSet::new();
         for (s, pre) in self.plan.iter_mut().zip(pre) {
             if let Some((accessed, size)) = pre {

@@ -19,9 +19,9 @@ use tiersim::sim::{MemoryManager, ScenarioProgress, Workload};
 pub const CKPT_MAGIC: &[u8; 8] = b"MTMCKPT1";
 
 /// Serializes a paused run. `next_interval` is the first interval the
-/// resumed run will execute. Fails when any layer refuses: machine with
-/// an active fault plan, manager or workload without checkpoint support.
-/// A Memory Mode machine checkpoints its DRAM-cache tags with the rest.
+/// resumed run will execute. Fails when the manager or workload has no
+/// checkpoint support. A Memory Mode machine checkpoints its DRAM-cache
+/// tags with the rest, and a machine with a fault plan its fault stream.
 pub fn save_checkpoint(
     machine: &Machine,
     manager: &dyn MemoryManager,
@@ -40,7 +40,7 @@ pub fn save_checkpoint(
     w.str(&manager.name());
     w.str(&workload.name());
     w.varint(next_interval);
-    w.bytes(&machine.save_state()?);
+    w.bytes(&machine.save_state());
     w.bytes(&manager_blob);
     w.bytes(&workload_blob);
     progress.save(&mut w);

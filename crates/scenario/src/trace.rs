@@ -96,7 +96,7 @@ impl<'a> MemEnv for RecordingEnv<'a> {
 /// run to serialize the trace.
 pub struct TraceRecorder<W: Workload> {
     inner: W,
-    snapshot: Option<Result<Vec<u8>, String>>,
+    snapshot: Option<Vec<u8>>,
     body: Writer,
     ticks: u64,
     last_va: u64,
@@ -118,10 +118,9 @@ impl<W: Workload> TraceRecorder<W> {
         }
     }
 
-    /// Serializes the recorded trace. Fails when the machine was not
-    /// snapshottable at setup (an active fault plan) or setup never ran.
+    /// Serializes the recorded trace. Fails when setup never ran.
     pub fn into_trace(self) -> Result<Vec<u8>, String> {
-        let snapshot = self.snapshot.ok_or("nothing recorded: setup never ran")??;
+        let snapshot = self.snapshot.ok_or("nothing recorded: setup never ran")?;
         let mut w = Writer::new();
         w.u64(u64::from_le_bytes(*TRACE_MAGIC));
         w.u32(TRACE_VERSION);

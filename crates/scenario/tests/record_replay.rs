@@ -1,6 +1,6 @@
 //! Record → replay differential tests: a trace replayed through the same
 //! machine/manager configuration reproduces the live run's report and
-//! telemetry byte-for-byte, for any packet-engine worker count.
+//! telemetry byte-for-byte.
 
 use mtm::{MtmConfig, MtmManager};
 use mtm_scenario::trace::{record_run, TraceReplayer};
@@ -12,15 +12,11 @@ use tiersim::PAGE_SIZE_2M;
 
 const INTERVALS: u64 = 6;
 
-fn machine(run_workers: Option<usize>) -> Machine {
+fn machine() -> Machine {
     let topo = tiny_two_tier(16 * PAGE_SIZE_2M, 96 * PAGE_SIZE_2M);
     let mut cfg = MachineConfig::new(topo, 2);
     cfg.interval_ns = 0.5e6;
-    let mut m = Machine::new(cfg);
-    if let Some(w) = run_workers {
-        m.set_run_workers(w);
-    }
-    m
+    Machine::new(cfg)
 }
 
 fn manager() -> MtmManager {
@@ -35,7 +31,7 @@ fn fingerprint(r: &RunReport) -> String {
 
 fn live_report(workload: Box<dyn Workload>) -> RunReport {
     let mut wl = workload;
-    run_scenario(&mut machine(None), &mut manager(), wl.as_mut(), INTERVALS)
+    run_scenario(&mut machine(), &mut manager(), wl.as_mut(), INTERVALS)
 }
 
 fn check_replay_matches_live(make: impl Fn() -> Box<dyn Workload>) {
@@ -43,23 +39,20 @@ fn check_replay_matches_live(make: impl Fn() -> Box<dyn Workload>) {
 
     let wl = make();
     let (recorded, trace) =
-        record_run(&mut machine(None), &mut manager(), wl, INTERVALS).expect("recordable");
+        record_run(&mut machine(), &mut manager(), wl, INTERVALS).expect("recordable");
     assert_eq!(
         fingerprint(&recorded),
         fingerprint(&live),
         "recording must not perturb the run"
     );
 
-    for workers in [None, Some(1), Some(4)] {
-        let mut replayer = TraceReplayer::from_bytes(&trace).expect("trace decodes");
-        let replayed =
-            run_scenario(&mut machine(workers), &mut manager(), &mut replayer, INTERVALS);
-        assert_eq!(
-            fingerprint(&replayed),
-            fingerprint(&live),
-            "replay with run_workers={workers:?} must match the live run byte-for-byte"
-        );
-    }
+    let mut replayer = TraceReplayer::from_bytes(&trace).expect("trace decodes");
+    let replayed = run_scenario(&mut machine(), &mut manager(), &mut replayer, INTERVALS);
+    assert_eq!(
+        fingerprint(&replayed),
+        fingerprint(&live),
+        "replay must match the live run byte-for-byte"
+    );
 }
 
 #[test]
@@ -85,7 +78,7 @@ fn serving_generator_replay_is_byte_identical() {
 fn trace_rejects_bad_magic_and_version() {
     let wl = Serving::new(ServingConfig::kv_drift(1 << 14, 2, 2));
     let (_, trace) =
-        record_run(&mut machine(None), &mut manager(), wl, 2).expect("recordable");
+        record_run(&mut machine(), &mut manager(), wl, 2).expect("recordable");
     let mut bad = trace.clone();
     bad[0] ^= 0xFF;
     let Err(e) = TraceReplayer::from_bytes(&bad) else { panic!("bad magic accepted") };
@@ -100,7 +93,7 @@ fn trace_rejects_bad_magic_and_version() {
 fn replay_on_mismatched_machine_panics_loudly() {
     let wl = Serving::new(ServingConfig::kv_drift(1 << 14, 2, 2));
     let (_, trace) =
-        record_run(&mut machine(None), &mut manager(), wl, 2).expect("recordable");
+        record_run(&mut machine(), &mut manager(), wl, 2).expect("recordable");
     let mut replayer = TraceReplayer::from_bytes(&trace).expect("trace decodes");
     let topo = tiny_two_tier(8 * PAGE_SIZE_2M, 64 * PAGE_SIZE_2M);
     let mut other = Machine::new(MachineConfig::new(topo, 2));

@@ -1,49 +1,27 @@
-//! Deterministic intra-run work-packet executor.
+//! Deterministic work-packet executor.
 //!
-//! The per-run interval loop has three phases — access simulation,
-//! profiling scan, migration batch — and the latter two contain read-only
-//! sweeps over the page table (sampling accessed bits, collecting a
-//! migration move-set, taking the sanitizer census). This module executes
-//! such sweeps as *work packets*: contiguous index chunks pulled from a
-//! shared atomic counter by a small `std::thread::scope` pool (the
-//! harness's `runpool` maps whole runs over it too), with results
-//! reduced **in packet order**. Because every packet is a pure function
-//! of shared read-only state and the reduction order is fixed, the output
-//! is byte-identical for any worker count — `MTM_RUN_WORKERS=1` and `=8`
-//! must (and do) produce the same `results/ALL.txt`.
+//! [`map_chunks`] splits an index range into contiguous packets, pulls
+//! them from a shared atomic counter on a small `std::thread::scope`
+//! pool, and returns the results **in packet order**. Because every
+//! packet is a pure function of shared read-only state and the reduction
+//! order is fixed, the output is byte-identical for any worker count.
+//! The harness's `runpool` maps whole runs over it, and R-MAT graph
+//! generation builds its edge list and CSR with it; both size the pool
+//! from `MTM_JOBS` or the host's parallelism.
 //!
-//! A machine reads no environment: it runs packets on one worker until
-//! [`crate::machine::Machine::set_run_workers`] says otherwise. Harness
-//! binaries apply `MTM_RUN_WORKERS` through that setter when they build a
-//! machine (default 1: packets are fine-grained and the harness's outer
-//! `MTM_JOBS` pool already owns the cores; raising it helps single-run
-//! workflows like `bin/simulate` on big machines). Examples and library
-//! users call the setter themselves; [`workers`] only reports the value.
+//! Nothing inside a run uses it: the profiler scan, move-set collection
+//! and sanitizer census walk the page table serially on the run's own
+//! thread (DESIGN.md §5e).
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Parses an `MTM_RUN_WORKERS` value: a positive integer, or the
-/// `warning:` line to print before falling back to 1 worker.
-pub fn parse_workers(raw: &str) -> Result<usize, String> {
-    match raw.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!(
-            "warning: ignoring MTM_RUN_WORKERS={raw:?} (expected a positive integer)"
-        )),
-    }
-}
-
-/// The worker count `MTM_RUN_WORKERS` asks for (1 when unset or
-/// malformed), for tools that report the value harness machines get.
+/// Host threads one simulated run uses: always 1, since every sweep
+/// inside a run is serial. It reads no environment and is kept because
+/// benchmark tooling prints it with each sample.
 pub fn workers() -> usize {
-    // lint:allow(env-read): reports the harness's worker knob to benchmark tooling; no machine reads it
-    let Ok(raw) = std::env::var("MTM_RUN_WORKERS") else { return 1 };
-    parse_workers(&raw).unwrap_or_else(|warning| {
-        eprintln!("{warning}");
-        1
-    })
+    1
 }
 
 /// Splits `0..len` into `chunk`-sized packets, maps each through `f` (on
@@ -88,26 +66,6 @@ where
         .collect()
 }
 
-/// Maps `f` over `items` in `chunk`-sized packets and concatenates the
-/// results in item order. Convenience wrapper over [`map_chunks`] for
-/// element-wise read phases (e.g. sampling one accessed bit per planned
-/// scan slot).
-pub fn map_items<I, T, F>(workers: usize, items: &[I], chunk: usize, f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    let parts = map_chunks(workers, items.len(), chunk, |r| {
-        items[r].iter().map(&f).collect::<Vec<T>>()
-    });
-    let mut out = Vec::with_capacity(items.len());
-    for p in parts {
-        out.extend(p);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,16 +77,6 @@ mod tests {
             let out = map_chunks(workers, 100, 7, |r| r.clone());
             let flat: Vec<usize> = out.into_iter().flatten().collect();
             assert_eq!(flat, (0..100).collect::<Vec<_>>(), "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn map_items_matches_serial_for_any_worker_count() {
-        let items: Vec<u64> = (0..1000).collect();
-        let serial: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(x)).collect();
-        for workers in [1, 2, 3, 8, 32] {
-            let par = map_items(workers, &items, 16, |&x| x.wrapping_mul(x));
-            assert_eq!(par, serial, "workers={workers}");
         }
     }
 
@@ -147,12 +95,5 @@ mod tests {
     fn empty_input_yields_no_packets() {
         let out: Vec<usize> = map_chunks(4, 0, 8, |r| r.len());
         assert!(out.is_empty());
-        let none: Vec<u8> = map_items(4, &[] as &[u8], 8, |&b| b);
-        assert!(none.is_empty());
-    }
-
-    #[test]
-    fn workers_is_at_least_one() {
-        assert!(workers() >= 1);
     }
 }

@@ -298,9 +298,6 @@ pub struct Machine {
     /// Access heatmap, dense-indexed by 2 MB chunk (`va >> 21`); zero
     /// entries mean "never touched" and are skipped on snapshot.
     heat: Vec<u64>,
-    /// Worker count for packetized intra-run sweeps (see
-    /// [`crate::engine`]); 1 until [`Machine::set_run_workers`].
-    run_workers: usize,
     /// Per-run observability recorder. Recording never touches the clock
     /// or any RNG, so instrumentation cannot perturb simulated results.
     pub(crate) recorder: obs::Recorder,
@@ -387,7 +384,6 @@ impl Machine {
             mode,
             hmc,
             heat: Vec::new(),
-            run_workers: 1,
             recorder: obs::Recorder::new(),
             faults: faultsim::FaultState::disabled(),
             checking: false,
@@ -833,7 +829,7 @@ impl Machine {
     }
 
     /// Clears the ACCESSED bit of the page covering `va` without reading
-    /// it, charging one scan — the apply half of a packetized scan pass
+    /// it, charging one scan — the apply half of a two-phase scan pass
     /// whose read half already sampled the bit from the packed side
     /// metadata ([`PageTable::accessed_at`]). Returns whether the page
     /// was mapped (unmapped pages cost nothing, as in
@@ -1044,18 +1040,6 @@ impl Machine {
             .collect()
     }
 
-    /// Worker count used by packetized intra-run sweeps.
-    #[inline]
-    pub fn run_workers(&self) -> usize {
-        self.run_workers
-    }
-
-    /// Sets the packet worker count for this machine. The harness applies
-    /// `MTM_RUN_WORKERS` through this; every other caller sets it here.
-    pub fn set_run_workers(&mut self, workers: usize) {
-        self.run_workers = workers.max(1);
-    }
-
     /// Component currently backing the page at `va`, if mapped.
     pub fn component_of(&self, va: VirtAddr) -> Option<ComponentId> {
         self.pt.translate(va).map(|t| t.pte.frame().component())
@@ -1228,10 +1212,10 @@ impl Machine {
     // and `load_state` then overwrites every piece of dynamic state, so
     // derived structures (the charge table, PEBS programming, packed
     // side metadata) re-derive from config + restored state instead of
-    // being stored. `run_workers` and `checking` are deliberately *not*
-    // part of the state: they are caller-set execution knobs
-    // that must not alter simulated results, and a checkpoint written
-    // under one knob setting must restore under any other.
+    // being stored. `checking` is deliberately *not* part of the state:
+    // it is a caller-set execution knob that must not alter simulated
+    // results, and a checkpoint written under one setting restores under
+    // the other.
 
     /// Digest of every configuration parameter that shapes simulated
     /// state. A checkpoint written under one configuration refuses to
@@ -1291,23 +1275,36 @@ impl Machine {
         obs::wire::fnv1a(&w.into_bytes())
     }
 
+    /// Digest of the fault plan and its seed. A checkpoint of a machine
+    /// with an active plan carries it, and loads only onto a machine
+    /// with the same plan and seed installed.
+    fn fault_digest(&self) -> u64 {
+        let mut w = obs::wire::Writer::new();
+        let p = self.faults.plan();
+        for v in [p.page_busy, p.alloc_fail, p.drop_pebs, p.drop_hint] {
+            w.f64(v);
+        }
+        w.varint(p.bw_windows.len() as u64);
+        for b in &p.bw_windows {
+            w.f64(b.factor);
+            w.u64(b.from);
+            w.u64(b.until);
+        }
+        w.u64(self.faults.seed());
+        obs::wire::fnv1a(&w.into_bytes())
+    }
+
     /// Serializes the machine's complete dynamic state (page table,
     /// allocators, clock, counters, samplers, watches, shadow copies,
     /// statistics and the observability recorder) into a self-describing
     /// blob restorable with [`Machine::load_state`].
     ///
     /// A Memory Mode machine also writes each PM component's DRAM-cache
-    /// lines and counters; other machines' blobs do not change.
-    ///
-    /// Returns an error while a fault-injection plan is active (the
-    /// injection stream's position is owned by the plan, not the
-    /// machine).
-    pub fn save_state(&self) -> Result<Vec<u8>, String> {
-        if self.faults.is_active() {
-            return Err("checkpoint: machines with an active fault-injection plan are not \
-                        checkpointable (the injection stream is owned by the plan)"
-                .to_string());
-        }
+    /// lines and counters, and a machine with an active fault plan
+    /// appends its fault stream (a digest of plan and seed, the stream
+    /// position and the injection counters); other machines' blobs do
+    /// not change.
+    pub fn save_state(&self) -> Vec<u8> {
         let mut w = obs::wire::Writer::new();
         w.u64(self.config_digest());
         self.pt.save(&mut w);
@@ -1375,13 +1372,22 @@ impl Machine {
             cached.cache.save(&mut w);
         }
         self.recorder.save(&mut w);
-        Ok(w.into_bytes())
+        if self.faults.is_active() {
+            w.u64(self.fault_digest());
+            w.u64(self.faults.stream_state());
+            let f = self.faults.stats();
+            for v in [f.page_busy, f.alloc_fail, f.pebs_dropped, f.hints_dropped] {
+                w.varint(v);
+            }
+        }
+        w.into_bytes()
     }
 
     /// Restores dynamic state captured by [`Machine::save_state`] into
     /// this machine, which must be freshly built (`Machine::new`) from a
     /// configuration whose [`Machine::config_digest`] matches the one
-    /// embedded in the blob.
+    /// embedded in the blob, with the saved machine's fault plan and seed
+    /// installed (or none, if it had none).
     pub fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
         let mut r = obs::wire::Reader::new(bytes);
         let digest = r.u64()?;
@@ -1469,7 +1475,28 @@ impl Machine {
             cached.cache.load(&mut r)?;
         }
         self.recorder = obs::Recorder::load(&mut r)?;
-        self.faults = faultsim::FaultState::disabled();
+        if self.faults.is_active() {
+            let digest = r.u64()?;
+            if digest != self.fault_digest() {
+                return Err(format!(
+                    "checkpoint: fault plan/seed digest mismatch (saved {digest:#018x}, \
+                     this machine {:#018x})",
+                    self.fault_digest()
+                ));
+            }
+            let state = r.u64()?;
+            let stats = faultsim::FaultStats {
+                page_busy: r.varint()?,
+                alloc_fail: r.varint()?,
+                pebs_dropped: r.varint()?,
+                hints_dropped: r.varint()?,
+            };
+            self.faults.resume_at(state, stats);
+        } else if r.remaining() > 0 {
+            return Err("checkpoint: the blob carries a fault stream but this machine has no \
+                        fault plan installed"
+                .to_string());
+        }
         r.finish()?;
         if self.checking {
             self.verify_consistency("checkpoint restore");
@@ -1539,42 +1566,19 @@ impl Machine {
         let ncomp = self.allocators.len();
         let mut mapped = vec![0u64; ncomp];
         let mut spans: Vec<(u16, u64, u64, u64)> = Vec::new();
-        // Census as work packets: one packet per 1 GB directory group,
-        // reduced in index order, so the packetized walk visits pages in
-        // exactly the ascending order `for_each_mapped_all` would.
-        let packets = crate::engine::map_chunks(
-            self.run_workers,
-            self.pt.dir_count(),
-            1,
-            |dirs| {
-                let mut mapped = vec![0u64; ncomp];
-                let mut spans: Vec<(u16, u64, u64, u64)> = Vec::new();
-                let mut violations = Vec::new();
-                for di in dirs {
-                    self.pt.for_each_mapped_in_dir(di, |va, pte, size| {
-                        let frame = pte.frame();
-                        let c = frame.component();
-                        if (c as usize) < ncomp {
-                            mapped[c as usize] += size.bytes();
-                        } else {
-                            violations.push(format!(
-                                "page {:#x} maps component {c} but the machine has {ncomp} component(s)",
-                                va.0
-                            ));
-                        }
-                        spans.push((c, frame.offset(), frame.offset() + size.bytes(), va.0));
-                    });
-                }
-                (mapped, spans, violations)
-            },
-        );
-        for (pm, ps, pv) in packets {
-            for (c, b) in pm.into_iter().enumerate() {
-                mapped[c] += b;
+        self.pt.for_each_mapped_all(|va, pte, size| {
+            let frame = pte.frame();
+            let c = frame.component();
+            if (c as usize) < ncomp {
+                mapped[c as usize] += size.bytes();
+            } else {
+                violations.push(format!(
+                    "page {:#x} maps component {c} but the machine has {ncomp} component(s)",
+                    va.0
+                ));
             }
-            spans.extend(ps);
-            violations.extend(pv);
-        }
+            spans.push((c, frame.offset(), frame.offset() + size.bytes(), va.0));
+        });
         // Cross-check the packed side metadata against the PTE bits (the
         // source of truth): any drift means a scan path bypassed the
         // touch/scan accessors.
@@ -2107,11 +2111,11 @@ mod tests {
             m.access((i % 2) as usize, VirtAddr((i % 6) * 4096), kind);
         }
         m.record_event(obs::EventKind::Promotion { bytes: 4096, src: 1, dst: 0 });
-        let blob = m.save_state().unwrap();
+        let blob = m.save_state();
 
         let mut n = build();
         n.load_state(&blob).unwrap();
-        assert_eq!(n.save_state().unwrap(), blob, "restored state re-saves byte-identically");
+        assert_eq!(n.save_state(), blob, "restored state re-saves byte-identically");
         assert_eq!(n.stats().alloc_faults, m.stats().alloc_faults);
         assert_eq!(n.elapsed_ns(), m.elapsed_ns());
         assert_eq!(n.watch_dirty(watch), m.watch_dirty(watch));
@@ -2125,14 +2129,14 @@ mod tests {
         assert_eq!(m.drain_pebs(), n.drain_pebs());
         assert_eq!(m.drain_hint_faults(), n.drain_hint_faults());
         assert_eq!(m.drain_prot_faults(), n.drain_prot_faults());
-        assert_eq!(m.save_state().unwrap(), n.save_state().unwrap());
+        assert_eq!(m.save_state(), n.save_state());
     }
 
     #[test]
     fn load_state_rejects_config_mismatch() {
         let topo = tiny_two_tier(4 * PAGE_SIZE_2M, 16 * PAGE_SIZE_2M);
         let m = Machine::new(MachineConfig::new(topo, 2));
-        let blob = m.save_state().unwrap();
+        let blob = m.save_state();
         let other = tiny_two_tier(2 * PAGE_SIZE_2M, 16 * PAGE_SIZE_2M);
         let mut n = Machine::new(MachineConfig::new(other, 2));
         let err = n.load_state(&blob).unwrap_err();
@@ -2169,19 +2173,19 @@ mod tests {
         let mut m = memory_mode_machine();
         m.mmap("a", VaRange::from_len(VirtAddr(0), 6 * PAGE_SIZE_2M), true);
         drive_memory_mode(&mut m, 0, 4000);
-        let blob = m.save_state().unwrap();
+        let blob = m.save_state();
         let wb = cache_counters(&m);
         assert!(wb.iter().all(|&(_, h, mi, w)| h > 0 && mi > 0 && w > 0), "{wb:?}");
 
         let mut n = memory_mode_machine();
         n.load_state(&blob).unwrap();
-        assert_eq!(n.save_state().unwrap(), blob, "restored state re-saves byte-identically");
+        assert_eq!(n.save_state(), blob, "restored state re-saves byte-identically");
         assert_eq!(cache_counters(&n), cache_counters(&m));
         drive_memory_mode(&mut m, 4000, 4000);
         drive_memory_mode(&mut n, 4000, 4000);
         assert_eq!(m.commit_interval().to_bits(), n.commit_interval().to_bits());
         assert_eq!(cache_counters(&n), cache_counters(&m));
-        assert_eq!(m.save_state().unwrap(), n.save_state().unwrap());
+        assert_eq!(m.save_state(), n.save_state());
     }
 
     #[test]
@@ -2189,7 +2193,7 @@ mod tests {
         let mut m = memory_mode_machine();
         m.mmap("a", VaRange::from_len(VirtAddr(0), 6 * PAGE_SIZE_2M), true);
         drive_memory_mode(&mut m, 0, 500);
-        let blob = m.save_state().unwrap();
+        let blob = m.save_state();
         // Cut anywhere, including inside the cache lines: always `Err`.
         for cut in (0..blob.len()).step_by(97).chain([blob.len() - 1]) {
             assert!(memory_mode_machine().load_state(&blob[..cut]).is_err(), "cut at {cut}");
@@ -2198,7 +2202,7 @@ mod tests {
         // `hmc_mode` is part of the config digest.
         let topo = tiny_two_tier(2 * PAGE_SIZE_2M, 16 * PAGE_SIZE_2M);
         let plain = Machine::new(MachineConfig::new(topo, 2));
-        let err = memory_mode_machine().load_state(&plain.save_state().unwrap()).unwrap_err();
+        let err = memory_mode_machine().load_state(&plain.save_state()).unwrap_err();
         assert!(err.contains("digest mismatch"), "{err}");
     }
 

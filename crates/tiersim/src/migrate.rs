@@ -165,46 +165,23 @@ pub fn alloc_cost_ns(m: &Machine, node: NodeId, dst: ComponentId, bytes: u64) ->
 
 /// One fused read-only sweep of `range`: the ordered move set (every
 /// mapped page, ascending) plus the capacity demand (pages of each size
-/// not already on `dst`). Runs as work packets of 64 last-level PDEs,
-/// reduced in packet order — sub-range boundaries are 2 MB aligned, so a
-/// huge page is visited by exactly the packet owning its base and the
-/// concatenation matches the serial walk page for page.
+/// not already on `dst`).
 fn collect_move_set(
     m: &Machine,
     range: VaRange,
     dst: ComponentId,
 ) -> (Vec<(crate::addr::VirtAddr, FrameSize)>, u64, u64) {
-    if range.is_empty() {
-        return (Vec::new(), 0, 0);
-    }
-    let first_pde = range.start.pde_index();
-    let last_pde = (range.end.0 - 1) >> 21;
-    let n_pdes = (last_pde - first_pde + 1) as usize;
-    let pt = m.page_table();
-    let packets = crate::engine::map_chunks(m.run_workers(), n_pdes, 64, |r| {
-        let lo = ((first_pde + r.start as u64) << 21).max(range.start.0);
-        let hi = ((first_pde + r.end as u64) << 21).min(range.end.0);
-        let sub = VaRange::new(crate::addr::VirtAddr(lo), crate::addr::VirtAddr(hi));
-        let mut pages = Vec::new();
-        let (mut need_4k, mut need_2m) = (0u64, 0u64);
-        pt.for_each_mapped_in(sub, |va, pte, size| {
-            pages.push((va, size));
-            if pte.frame().component() != dst {
-                match size {
-                    FrameSize::Base4K => need_4k += 1,
-                    FrameSize::Huge2M => need_2m += 1,
-                }
-            }
-        });
-        (pages, need_4k, need_2m)
-    });
     let mut pages = Vec::new();
     let (mut need_4k, mut need_2m) = (0u64, 0u64);
-    for (p, n4, n2) in packets {
-        pages.extend(p);
-        need_4k += n4;
-        need_2m += n2;
-    }
+    m.page_table().for_each_mapped_in(range, |va, pte, size| {
+        pages.push((va, size));
+        if pte.frame().component() != dst {
+            match size {
+                FrameSize::Base4K => need_4k += 1,
+                FrameSize::Huge2M => need_2m += 1,
+            }
+        }
+    });
     (pages, need_4k, need_2m)
 }
 

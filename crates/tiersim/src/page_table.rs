@@ -19,10 +19,6 @@
 //! proportional to the workload's address-space extent (16 bytes per 2 MB
 //! of virtual span), not to the 47-bit address space.
 //!
-//! A 1 GB *directory group* of 512 consecutive slots remains the unit of
-//! packetized whole-table walks: packet workers fan out over
-//! `0..dir_count()` groups and reduce in index order.
-//!
 //! # Packed side metadata
 //!
 //! Each leaf table carries three 512-bit bitmaps (`[u64; 8]`) mirroring its
@@ -44,10 +40,10 @@ use crate::addr::{VaRange, VirtAddr, PAGE_SIZE_2M, PAGE_SIZE_4K, PTES_PER_PD};
 use crate::frame::FrameSize;
 use crate::pte::{Pte, PTE_ACCESSED, PTE_DIRTY};
 
-/// PDE slots per directory group (1 GB of virtual space per group).
-const DIR_SLOTS: usize = 512;
+/// Base PTEs per leaf table (one 2 MB last-level slot).
+const LEAF_PTES: usize = 512;
 /// 64-bit words per 512-bit leaf bitmap.
-const WORDS: usize = DIR_SLOTS / 64;
+const WORDS: usize = LEAF_PTES / 64;
 
 /// Virtual addresses must fit x86-64 canonical user space.
 const VA_LIMIT: u64 = 1 << 47;
@@ -100,7 +96,7 @@ fn test_bit(words: &[u64], i: usize) -> bool {
 
 /// A leaf table of 512 base PTEs plus its packed side metadata.
 struct Leaf {
-    ptes: [Pte; DIR_SLOTS],
+    ptes: [Pte; LEAF_PTES],
     /// Bit `i` mirrors `ptes[i].present()`.
     present: [u64; WORDS],
     /// Bit `i` mirrors `ptes[i].accessed()`.
@@ -112,7 +108,7 @@ struct Leaf {
 impl Leaf {
     fn empty() -> Box<Leaf> {
         Box::new(Leaf {
-            ptes: [Pte::EMPTY; DIR_SLOTS],
+            ptes: [Pte::EMPTY; LEAF_PTES],
             present: [0; WORDS],
             accessed: [0; WORDS],
             dirty: [0; WORDS],
@@ -229,14 +225,6 @@ impl PageTable {
         self.valid_pdes
     }
 
-    /// Number of 1 GB directory groups the table spans. Packetized walks
-    /// (sanitizer census, move-set collection) fan out over `0..dir_count()`
-    /// via [`crate::engine::map_chunks`] and reduce in index order.
-    #[inline]
-    pub fn dir_count(&self) -> usize {
-        self.slots.len().div_ceil(DIR_SLOTS)
-    }
-
     #[inline]
     fn entry(&self, pde: u64) -> Option<&PdEntry> {
         self.slots.get(pde as usize)?.as_ref()
@@ -326,7 +314,7 @@ impl PageTable {
 
     /// Reads the ACCESSED bit of the page covering `va` from the packed
     /// side metadata, without clearing anything — the pure read phase of
-    /// a packetized scan pass. Returns the bit and the mapping size.
+    /// a two-phase scan pass. Returns the bit and the mapping size.
     #[inline]
     pub fn accessed_at(&self, va: VirtAddr) -> Option<(bool, FrameSize)> {
         match self.entry(va.pde_index())? {
@@ -365,7 +353,7 @@ impl PageTable {
     }
 
     /// Clears the ACCESSED bit of the page covering `va` without reading
-    /// it — the apply half of a packetized scan whose read half already
+    /// it — the apply half of a two-phase scan whose read half already
     /// captured the bit via [`PageTable::accessed_at`]. Returns the
     /// mapping size, or `None` if unmapped.
     #[inline]
@@ -488,7 +476,7 @@ impl PageTable {
                     }
                 }
                 PdEntry::Table(leaf) => {
-                    for_set_bits(&leaf.present, 0, DIR_SLOTS - 1, |i| {
+                    for_set_bits(&leaf.present, 0, LEAF_PTES - 1, |i| {
                         let va = base + (i as u64) * PAGE_SIZE_4K;
                         if range.contains(va) {
                             f(va, &mut leaf.ptes[i], FrameSize::Base4K);
@@ -501,8 +489,8 @@ impl PageTable {
 
     /// Read-only variant of [`PageTable::for_each_mapped`]: visits every
     /// mapped page in `range` without touching PTE flag bits, in ascending
-    /// address order. Used by the `MTM_CHECK` sanitizer and by packetized
-    /// read phases, which must observe without perturbing.
+    /// address order. Used by the `MTM_CHECK` sanitizer and by read-only
+    /// sweeps, which must observe without perturbing.
     pub fn for_each_mapped_in(
         &self,
         range: VaRange,
@@ -523,7 +511,7 @@ impl PageTable {
                     }
                 }
                 PdEntry::Table(leaf) => {
-                    for_set_bits(&leaf.present, 0, DIR_SLOTS - 1, |i| {
+                    for_set_bits(&leaf.present, 0, LEAF_PTES - 1, |i| {
                         let va = base + (i as u64) * PAGE_SIZE_4K;
                         if range.contains(va) {
                             f(va, leaf.ptes[i], FrameSize::Base4K);
@@ -534,18 +522,16 @@ impl PageTable {
         });
     }
 
-    /// Read-only visit of every mapped page in directory group `di`
-    /// (1 GB of virtual space), in ascending address order. The unit of
-    /// packetized whole-table walks: visiting groups `0..dir_count()` in
-    /// order reproduces [`PageTable::for_each_mapped_all`] exactly.
-    pub fn for_each_mapped_in_dir(&self, di: usize, mut f: impl FnMut(VirtAddr, Pte, FrameSize)) {
-        let lo = di * DIR_SLOTS;
-        if lo >= self.slots.len() {
+    /// Visits every mapped page in the whole table in ascending address
+    /// order, read-only. Ascending order falls out of dense index
+    /// iteration (no sorting, no hasher bucket order).
+    pub fn for_each_mapped_all(&self, mut f: impl FnMut(VirtAddr, Pte, FrameSize)) {
+        if self.slots.is_empty() {
             return;
         }
         #[cfg(debug_assertions)]
         let mut last: Option<u64> = None;
-        for_set_bits(&self.occupied, lo, lo + DIR_SLOTS - 1, |pde| {
+        for_set_bits(&self.occupied, 0, self.slots.len() - 1, |pde| {
             let base = VirtAddr((pde as u64) << 21);
             let mut visit = |va: VirtAddr, pte: Pte, size: FrameSize| {
                 #[cfg(debug_assertions)]
@@ -566,21 +552,12 @@ impl PageTable {
                     }
                 }
                 PdEntry::Table(leaf) => {
-                    for_set_bits(&leaf.present, 0, DIR_SLOTS - 1, |i| {
+                    for_set_bits(&leaf.present, 0, LEAF_PTES - 1, |i| {
                         visit(base + (i as u64) * PAGE_SIZE_4K, leaf.ptes[i], FrameSize::Base4K);
                     });
                 }
             }
         });
-    }
-
-    /// Visits every mapped page in the whole table in ascending address
-    /// order, read-only. Ascending order falls out of dense index
-    /// iteration (no sorting, no hasher bucket order).
-    pub fn for_each_mapped_all(&self, mut f: impl FnMut(VirtAddr, Pte, FrameSize)) {
-        for di in 0..self.dir_count() {
-            self.for_each_mapped_in_dir(di, &mut f);
-        }
     }
 
     /// Collects the base addresses of mapped pages in `range`, ascending.
@@ -624,7 +601,7 @@ impl PageTable {
         let huge = *huge;
         let base_frame = huge.frame();
         let mut leaf = Leaf::empty();
-        for i in 0..DIR_SLOTS {
+        for i in 0..LEAF_PTES {
             let frame = crate::addr::PhysAddr::new(
                 base_frame.component(),
                 base_frame.offset() + (i as u64) * PAGE_SIZE_4K,
@@ -929,15 +906,14 @@ mod tests {
     }
 
     #[test]
-    fn walks_cross_directory_boundaries_in_order() {
+    fn walks_cross_gigabyte_boundaries_in_order() {
         let mut pt = PageTable::new();
-        // One page in directory group 0, one in group 1 (offset 1 GB), one
-        // in group 3.
+        // One page in each of the first, second and fourth GB of virtual
+        // space.
         let gb = 1u64 << 30;
         for (i, base) in [0u64, gb, 3 * gb].iter().enumerate() {
             pt.map_4k(VirtAddr(base + PAGE_SIZE_4K), pte4k(0, (i as u64) * PAGE_SIZE_4K));
         }
-        assert_eq!(pt.dir_count(), 4);
         let mut seen = Vec::new();
         pt.for_each_mapped_all(|va, _, _| seen.push(va.0));
         assert_eq!(seen, vec![PAGE_SIZE_4K, gb + PAGE_SIZE_4K, 3 * gb + PAGE_SIZE_4K]);

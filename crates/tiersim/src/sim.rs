@@ -421,17 +421,14 @@ impl RunReport {
 /// wall time. [`ScenarioProgress::step_interval`] wraps it with the
 /// interval hooks; drivers that probe state between intervals step that.
 ///
-/// # Phase structure and parallelism
+/// # Phase structure
 ///
 /// Each interval is three phases. **Access simulation** (the tick loop
 /// below) is inherently serial: every access mutates the clock, counters,
 /// PEBS and PTE state, and the access order *is* the simulated workload.
 /// **Profiling scans** and **migration batches** (inside the manager
-/// hooks) contain read-only page-table sweeps; those run as work packets
-/// on [`crate::engine`]'s pool ([`Machine::set_run_workers`]) with their
-/// results reduced in packet order, then apply their effects serially in the
-/// original order — so the interval's outcome is byte-identical for any
-/// worker count.
+/// hooks) read the page table in one serial sweep, then apply their
+/// effects in the sweep's order, on this thread.
 fn drive_interval(
     machine: &mut Machine,
     manager: &mut dyn MemoryManager,

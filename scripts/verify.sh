@@ -105,16 +105,13 @@ if [[ "${1:-}" != "--no-bench" ]]; then
 fi
 
 # The whole harness (bin/all) on 4 workers exercises the worker pool, the
-# single-flight run cache and the stderr diagnostics end to end. Two
-# variants must leave results/ALL.txt byte-identical:
-# - MTM_CHECK=1 arms the shadow-state sanitizer. Every migration
-#   commit/abort and every interval boundary re-verifies PTE<->frame
-#   consistency, tier occupancy and the obs counter/event books; a
-#   violation panics the run. The sanitizer is read-only.
-# - MTM_RUN_WORKERS=4 fans the intra-run packet engine out. Profiling
-#   scans and census sweeps reduce in packet order, so thread scheduling
-#   cannot move a byte.
-matrix all results/ALL.txt "MTM_JOBS=4" "MTM_CHECK=1 MTM_JOBS=4" "MTM_RUN_WORKERS=4 MTM_JOBS=4"
+# single-flight run cache and the stderr diagnostics end to end. The
+# MTM_CHECK=1 variant must leave results/ALL.txt byte-identical: it arms
+# the shadow-state sanitizer, so every migration commit/abort and every
+# interval boundary re-verifies PTE<->frame consistency, tier occupancy
+# and the obs counter/event books; a violation panics the run. The
+# sanitizer is read-only.
+matrix all results/ALL.txt "MTM_JOBS=4" "MTM_CHECK=1 MTM_JOBS=4"
 
 # Telemetry: MTM_TELEMETRY=1 must emit per-run JSON under
 # results/telemetry/ that parses and carries the required top-level keys
@@ -153,8 +150,7 @@ matrix multitenant stdout "$mt MTM_JOBS=1" "$mt MTM_JOBS=4" "MTM_CHECK=1 $mt MTM
 # MTM_SCENARIO_INTERVALS set the committed results/scenarios.txt is left
 # alone, so stdout is compared.
 sc="MTM_SCENARIO_INTERVALS=12"
-matrix scenarios stdout "$sc MTM_JOBS=1" "$sc MTM_JOBS=4" "$sc MTM_RUN_WORKERS=4 MTM_JOBS=4" \
-    "MTM_CHECK=1 $sc MTM_JOBS=4"
+matrix scenarios stdout "$sc MTM_JOBS=1" "$sc MTM_JOBS=4" "MTM_CHECK=1 $sc MTM_JOBS=4"
 
 # Committed sweep tables: regenerate each in its committed shape; the
 # results/ gate below requires it to come out byte for byte. The

@@ -509,30 +509,34 @@ fn async_queue_ledger_is_conserved() {
     );
 }
 
-/// An MTM run with any admission policy and shadow mode produces a
-/// bit-identical report for any packet worker count: admission verdicts
-/// are a pure function of the deterministic machine state, never of how
-/// the interval work was scheduled.
+/// An MTM run with any admission policy and shadow mode, under a fault
+/// plan, passes the shadow-state sanitizer and reports the same bytes
+/// checked as unchecked: admission verdicts are a pure function of the
+/// deterministic machine state, and checking only observes it.
 #[test]
-fn admission_decisions_are_worker_count_invariant() {
+fn admission_decisions_pass_the_sanitizer_under_faults() {
     use mtm::{AdmissionKind, MtmConfig, MtmManager};
     use tiersim::sim::{run_scenario, Workload};
     use tiersim::tier::optane_four_tier;
 
-    let run = |kind: AdmissionKind, shadow: bool, workers: usize| {
+    let run = |kind: AdmissionKind, shadow: bool, checked: bool| {
         let scale = 1u64 << 13;
         let topo = optane_four_tier(scale);
         let mut m = Machine::new(MachineConfig::new(topo.clone(), 2));
         let plan = faultsim::FaultPlan::parse("busy=0.2,allocfail=0.1").unwrap();
         m.install_faults(plan, faultsim::derive_seed(11, kind.label()));
-        m.set_run_workers(workers);
+        m.set_checking(checked);
         let mut cfg = MtmConfig::default();
         cfg.admission = kind;
         cfg.shadow = shadow;
         let mut mgr = MtmManager::new(cfg, topo.nodes as usize);
         let mut wl: Box<dyn Workload> =
             mtm_workloads::build_paper_workload("GUPS", scale, 2).unwrap();
-        run_scenario(&mut m, &mut mgr, wl.as_mut(), 2)
+        let report = run_scenario(&mut m, &mut mgr, wl.as_mut(), 2);
+        if checked {
+            m.verify_consistency("end of run");
+        }
+        report
     };
     for kind in [
         AdmissionKind::Always,
@@ -541,12 +545,12 @@ fn admission_decisions_are_worker_count_invariant() {
         AdmissionKind::HotnessDelta,
     ] {
         for shadow in [false, true] {
-            let serial = run(kind, shadow, 1);
-            let packet = run(kind, shadow, 4);
+            let plain = run(kind, shadow, false);
+            let checked = run(kind, shadow, true);
             assert_eq!(
-                format!("{serial:?}"),
-                format!("{packet:?}"),
-                "{}/shadow={shadow}: 4-worker report differs from serial",
+                format!("{plain:?}"),
+                format!("{checked:?}"),
+                "{}/shadow={shadow}: the checked report differs from the unchecked one",
                 kind.label()
             );
         }
