@@ -1,16 +1,21 @@
 //! Simulator hot-path microbenchmarks: per-access cost (reads, writes and
 //! one whole round of GUPS, BFS or SSSP ticks, on the fast path and in
 //! Memory Mode), PTE scanning and region relocation throughput of the
-//! `tiersim` substrate itself, plus the parallel R-MAT generator that
-//! dominates graph-workload set-up.
+//! `tiersim` substrate itself, MTM's interval hooks on a running GUPS
+//! machine, plus the parallel R-MAT generator that dominates
+//! graph-workload set-up.
 
 use mtm_baselines::hmc::MemoryMode;
 use mtm_bench::Bench;
+use mtm_harness::runs::{build_manager, healthy_machine_for};
+use mtm_harness::Opts;
 use mtm_workloads::graph::rmat;
 use mtm_workloads::{Bfs, BfsConfig, Gups, GupsConfig, Sssp, SsspConfig};
 use tiersim::addr::{VaRange, VirtAddr, PAGE_SIZE_2M, PAGE_SIZE_4K};
 use tiersim::machine::{AccessKind, Machine, MachineConfig};
-use tiersim::sim::{FirstTouchPolicy, MemoryManager, SimEnv, Workload, ROUND_TICKS};
+use tiersim::sim::{
+    FirstTouchPolicy, MemoryManager, ScenarioProgress, SimEnv, Workload, ROUND_TICKS,
+};
 use tiersim::tier::optane_four_tier;
 
 fn machine() -> Machine {
@@ -50,6 +55,41 @@ fn round_bench(
 fn first_touch_round_bench(b: &mut Bench, name: &str, workload: impl Workload) {
     let m = Machine::new(MachineConfig::new(optane_four_tier(1 << 12), 4));
     round_bench(b, name, m, &mut FirstTouchPolicy, workload);
+}
+
+/// Intervals [`mtm_interval_bench`] times per sample.
+const HOOK_INTERVALS: u64 = 16;
+
+/// MTM's hooks alone: a GUPS run under MTM (rotating hot band, as in the
+/// `gups_mtm` benchmark workload, at 1/1024 of the paper's footprint) is
+/// stepped through 32 intervals untimed, so regions, sample plan, hotness
+/// and in-flight migrations are those of a running system; then each
+/// sample runs every sub-interval hook and the interval hook for
+/// [`HOOK_INTERVALS`] intervals with no accesses in between.
+fn mtm_interval_bench(b: &mut Bench) {
+    let opts = Opts { scale: 1 << 10, threads: 4, intervals: 32, interval_ns: 2.0e6, quick: false };
+    let prepared = || {
+        let topo = optane_four_tier(opts.scale);
+        let mut m = healthy_machine_for("MTM", &opts, topo.clone());
+        let mut mgr = build_manager("MTM", &opts, &topo);
+        let mut cfg = GupsConfig::paper(opts.scale, opts.threads);
+        cfg.rotate_every = Some(12);
+        let mut w = Gups::new(cfg);
+        let mut progress = ScenarioProgress::start(&mut m, mgr.as_mut(), &mut w);
+        for ivl in 0..opts.intervals {
+            progress.step_interval(&mut m, mgr.as_mut(), &mut w, ivl);
+        }
+        (m, mgr)
+    };
+    b.iter_batched("substrate/mtm_interval", prepared, |(mut m, mut mgr)| {
+        for ivl in opts.intervals..opts.intervals + HOOK_INTERVALS {
+            for k in 0..mgr.sub_intervals() {
+                mgr.on_subinterval(&mut m, ivl, k);
+            }
+            mgr.on_interval(&mut m, ivl);
+        }
+        (m, mgr)
+    });
 }
 
 fn main() {
@@ -132,6 +172,8 @@ fn main() {
         i += PAGE_SIZE_4K;
         m.scan_page(VirtAddr(i % (64 * PAGE_SIZE_2M)))
     });
+
+    mtm_interval_bench(&mut b);
 
     b.iter_batched("substrate/relocate_2mb", machine, |mut m| {
         let r = VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M);

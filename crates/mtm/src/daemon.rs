@@ -16,7 +16,7 @@ use tiersim::tier::ComponentId;
 use crate::admission::{AdmissionKind, AdmissionPolicy};
 use crate::config::{InitialPlacement, MtmConfig};
 use crate::migration::{MigrationEngine, MigrationStats};
-use crate::policy::{promote_and_demote, slow_first_order, PolicyStats};
+use crate::policy::{promote_and_demote, slow_first_order, PolicyScratch, PolicyStats};
 use crate::profiler::AdaptiveProfiler;
 
 /// The complete MTM page-management system.
@@ -26,6 +26,7 @@ pub struct MtmManager {
     engine: MigrationEngine,
     admission: Box<dyn AdmissionPolicy>,
     policy_totals: PolicyStats,
+    policy_scratch: PolicyScratch,
 }
 
 impl MtmManager {
@@ -34,7 +35,14 @@ impl MtmManager {
         let profiler = AdaptiveProfiler::new(cfg.clone(), nodes);
         let engine = MigrationEngine::new(cfg.copy_threads, cfg.async_migration);
         let admission = cfg.admission.build(&cfg);
-        MtmManager { cfg, profiler, engine, admission, policy_totals: PolicyStats::default() }
+        MtmManager {
+            cfg,
+            profiler,
+            engine,
+            admission,
+            policy_totals: PolicyStats::default(),
+            policy_scratch: PolicyScratch::default(),
+        }
     }
 
     /// The profiler (for experiment probes).
@@ -143,6 +151,7 @@ impl MemoryManager for MtmManager {
             &mut self.engine,
             self.admission.as_mut(),
             &self.cfg,
+            &mut self.policy_scratch,
         );
         self.policy_totals.promoted += stats.promoted;
         self.policy_totals.promoted_bytes += stats.promoted_bytes;

@@ -2,17 +2,25 @@
 //!
 //! MTM buckets the exponential moving average (`WHI`) of every region and
 //! promotes regions from the highest buckets / demotes from the lowest.
-//! The histogram is cheap to rebuild each interval (a few thousand
-//! regions) and keeps selection O(regions log regions).
+//! The histogram is rebuilt each interval in place (a few thousand
+//! regions at most) and keeps selection O(regions log regions).
 
 use crate::region::Region;
 
 /// A bucketed view over region hotness.
-#[derive(Debug)]
+///
+/// Buckets rise with WHI and are stored back to back, each sorted by
+/// `(WHI, index)`, so the whole list is sorted by `(WHI, index)`: the
+/// coldest-first order reads it forwards, the hottest-first order reads
+/// it backwards a run of equal WHI at a time.
+#[derive(Debug, Default)]
 pub struct HotnessHistogram {
-    /// `buckets[b]` holds region indices whose WHI falls in bucket `b`
-    /// (bucket 0 = coldest).
-    buckets: Vec<Vec<usize>>,
+    /// `(WHI, region index)` of every region, ascending.
+    sorted: Vec<(f64, usize)>,
+    /// Where each bucket starts in `sorted` (bucket `b` runs to the
+    /// start of `b + 1`, the last to the end).
+    starts: Vec<usize>,
+    n_buckets: usize,
     max_value: f64,
 }
 
@@ -21,14 +29,50 @@ impl HotnessHistogram {
     /// `[0, max_value]` (`max_value` is `num_scans`, the largest possible
     /// hotness indication).
     pub fn build(regions: &[Region], n_buckets: usize, max_value: f64) -> HotnessHistogram {
+        let mut h = HotnessHistogram::default();
+        h.rebuild(regions, n_buckets, max_value);
+        h
+    }
+
+    /// [`HotnessHistogram::build`] in place, reusing this histogram's
+    /// storage.
+    pub fn rebuild(&mut self, regions: &[Region], n_buckets: usize, max_value: f64) {
         assert!(n_buckets >= 2);
         assert!(max_value > 0.0);
-        let mut buckets = vec![Vec::new(); n_buckets];
-        for (i, r) in regions.iter().enumerate() {
-            let b = Self::bucket_for(r.whi, n_buckets, max_value);
-            buckets[b].push(i);
+        self.n_buckets = n_buckets;
+        self.max_value = max_value;
+        // Bucket first (a counting sort: `starts` holds each bucket's end,
+        // and filling a bucket walks it down to its start), then sort each
+        // bucket by `(WHI, index)`: the buckets are small where a
+        // whole-list sort would be long.
+        self.starts.clear();
+        self.starts.resize(n_buckets, 0);
+        for r in regions {
+            self.starts[Self::bucket_for(r.whi, n_buckets, max_value)] += 1;
         }
-        HotnessHistogram { buckets, max_value }
+        let mut next = 0;
+        for end in &mut self.starts {
+            next += *end;
+            *end = next;
+        }
+        self.sorted.clear();
+        self.sorted.resize(regions.len(), (0.0, 0));
+        for (i, r) in regions.iter().enumerate() {
+            let end = &mut self.starts[Self::bucket_for(r.whi, n_buckets, max_value)];
+            *end -= 1;
+            self.sorted[*end] = (r.whi, i);
+        }
+        for b in 0..n_buckets {
+            let bucket = self.bucket(b);
+            self.sorted[bucket].sort_unstable_by(|a, b| {
+                a.0.partial_cmp(&b.0).expect("whi is finite").then(a.1.cmp(&b.1))
+            });
+        }
+    }
+
+    /// The positions of bucket `b` in `sorted`.
+    fn bucket(&self, b: usize) -> std::ops::Range<usize> {
+        self.starts[b]..self.starts.get(b + 1).copied().unwrap_or(self.sorted.len())
     }
 
     fn bucket_for(whi: f64, n_buckets: usize, max_value: f64) -> usize {
@@ -38,45 +82,38 @@ impl HotnessHistogram {
 
     /// The bucket index a WHI value falls into.
     pub fn bucket_of(&self, whi: f64) -> usize {
-        Self::bucket_for(whi, self.buckets.len(), self.max_value)
+        Self::bucket_for(whi, self.n_buckets, self.max_value)
     }
 
     /// Number of buckets.
     pub fn n_buckets(&self) -> usize {
-        self.buckets.len()
+        self.n_buckets
     }
 
     /// Region count per bucket (coldest first).
     pub fn counts(&self) -> Vec<usize> {
-        self.buckets.iter().map(Vec::len).collect()
+        (0..self.n_buckets).map(|b| self.bucket(b).len()).collect()
     }
 
-    /// Region indices from the hottest bucket downwards, sorted by WHI
-    /// descending within each bucket.
-    pub fn hottest_first(&self, regions: &[Region]) -> Vec<usize> {
-        let mut out = Vec::new();
-        for bucket in self.buckets.iter().rev() {
-            let mut b = bucket.clone();
-            b.sort_by(|&a, &c| {
-                regions[c].whi.partial_cmp(&regions[a].whi).expect("whi is finite")
-            });
-            out.extend(b);
-        }
-        out
+    /// Region indices from the hottest bucket downwards, by WHI
+    /// descending within each bucket (equal WHI in index order).
+    pub fn hottest(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut end = self.sorted.len();
+        std::iter::from_fn(move || {
+            let &(whi, _) = self.sorted[..end].last()?;
+            let start = self.sorted[..end].iter().rposition(|e| e.0 != whi).map_or(0, |i| i + 1);
+            let run = &self.sorted[start..end];
+            end = start;
+            Some(run)
+        })
+        .flatten()
+        .map(|e| e.1)
     }
 
-    /// Region indices from the coldest bucket upwards, sorted by WHI
-    /// ascending within each bucket.
-    pub fn coldest_first(&self, regions: &[Region]) -> Vec<usize> {
-        let mut out = Vec::new();
-        for bucket in &self.buckets {
-            let mut b = bucket.clone();
-            b.sort_by(|&a, &c| {
-                regions[a].whi.partial_cmp(&regions[c].whi).expect("whi is finite")
-            });
-            out.extend(b);
-        }
-        out
+    /// Region indices from the coldest bucket upwards, by WHI ascending
+    /// within each bucket (equal WHI in index order).
+    pub fn coldest(&self) -> impl Iterator<Item = usize> + '_ {
+        self.sorted.iter().map(|e| e.1)
     }
 }
 
@@ -113,16 +150,23 @@ mod tests {
     fn hottest_first_orders_globally() {
         let rs = regions(&[0.1, 2.8, 1.5, 2.9, 0.2]);
         let h = HotnessHistogram::build(&rs, 4, 3.0);
-        let order = h.hottest_first(&rs);
-        assert_eq!(order, vec![3, 1, 2, 4, 0]);
-        let cold = h.coldest_first(&rs);
-        assert_eq!(cold, vec![0, 4, 2, 1, 3]);
+        assert_eq!(h.hottest().collect::<Vec<_>>(), vec![3, 1, 2, 4, 0]);
+        assert_eq!(h.coldest().collect::<Vec<_>>(), vec![0, 4, 2, 1, 3]);
+    }
+
+    #[test]
+    fn equal_hotness_keeps_index_order_both_ways() {
+        let rs = regions(&[1.0, 2.0, 1.0, 0.0, 2.0, 1.0]);
+        let mut h = HotnessHistogram::build(&[], 4, 3.0);
+        h.rebuild(&rs, 4, 3.0);
+        assert_eq!(h.hottest().collect::<Vec<_>>(), vec![1, 4, 0, 2, 5, 3]);
+        assert_eq!(h.coldest().collect::<Vec<_>>(), vec![3, 0, 2, 5, 1, 4]);
     }
 
     #[test]
     fn empty_region_set_is_fine() {
         let h = HotnessHistogram::build(&[], 4, 3.0);
-        assert!(h.hottest_first(&[]).is_empty());
+        assert!(h.hottest().next().is_none());
         assert_eq!(h.counts(), vec![0, 0, 0, 0]);
     }
 }

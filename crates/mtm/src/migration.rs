@@ -339,11 +339,12 @@ impl MigrationEngine {
         carried_ledger: Option<u64>,
     ) {
         let src = crate::residency::majority_component(m, range);
-        let inbound: u64 = crate::residency::residency_exact(m, range)
-            .into_iter()
-            .filter(|&(c, _)| c != dst)
-            .map(|(_, b)| b)
-            .sum();
+        let mut inbound = 0;
+        m.page_table().for_each_mapped_in(range, |_, pte, size| {
+            if pte.frame().component() != dst {
+                inbound += size.bytes();
+            }
+        });
         let ledger = carried_ledger.unwrap_or(inbound);
         if carried_ledger.is_none() {
             self.stats.enqueued_bytes += ledger;

@@ -41,7 +41,35 @@ struct Snapshot {
     range: VaRange,
     whi: f64,
     node: NodeId,
-    node_confidence: f64,
+}
+
+/// The policy's per-interval work buffers, kept across intervals so an
+/// interval allocates nothing in steady state. None carries state from
+/// one interval to the next.
+#[derive(Debug, Default)]
+pub struct PolicyScratch {
+    /// Every region as the interval began, by region index (the policy's
+    /// own splits do not move these).
+    snaps: Vec<Snapshot>,
+    /// The hotness order over `snaps`.
+    histogram: HotnessHistogram,
+}
+
+impl PolicyScratch {
+    /// Snapshots of the regions from the coldest upwards.
+    fn coldest(&self) -> impl Iterator<Item = &Snapshot> {
+        self.histogram.coldest().map(|i| &self.snaps[i])
+    }
+}
+
+/// The home-node confidence `cand`'s region had when the interval began.
+/// Only the candidate's own slicing can have split it since, and a split
+/// copies votes and home, so the region now covering its start still
+/// gives the same value.
+fn node_confidence(profiler: &AdaptiveProfiler, cand: &Snapshot) -> f64 {
+    let list = profiler.region_list();
+    let i = list.covering_index(cand.range.start).expect("a snapshot's region stays covered");
+    list.regions()[i].home_confidence()
 }
 
 /// Effective free bytes on a component, accounting for space already
@@ -68,7 +96,7 @@ fn make_space(
     m: &mut Machine,
     engine: &mut MigrationEngine,
     admission: &mut dyn AdmissionPolicy,
-    cold_order: &[Snapshot],
+    scratch: &PolicyScratch,
     target: ComponentId,
     node: NodeId,
     need: u64,
@@ -78,13 +106,15 @@ fn make_space(
     stats: &mut PolicyStats,
     tenant: tiersim::TenantId,
 ) -> bool {
-    if effective_free(m, engine, target) >= need {
+    // Only a demotion changes the target's effective free space.
+    let mut target_free = effective_free(m, engine, target);
+    if target_free >= need {
         return true;
     }
-    let topo = m.topology().clone();
-    let target_rank = topo.tier_rank(node, target);
-    for victim in cold_order {
-        if effective_free(m, engine, target) >= need {
+    let target_rank = m.topology().tier_rank(node, target);
+    let ranks = m.topology().view(node).len();
+    for victim in scratch.coldest() {
+        if target_free >= need {
             return true;
         }
         // Hysteresis: only demote victims clearly colder than the
@@ -96,11 +126,12 @@ fn make_space(
         if victim.range.len() > *demote_budget {
             continue; // Slow demotion: stay within the per-interval budget.
         }
-        if engine.is_pending(victim.range) || engine.recently_migrated(victim.range) {
+        // Most cold regions already live below the target: the residency
+        // probe rules them out before the queue and history are searched.
+        if majority_component(m, victim.range) != Some(target) {
             continue;
         }
-        let Some(cur) = majority_component(m, victim.range) else { continue };
-        if cur != target {
+        if engine.is_pending(victim.range) || engine.recently_migrated(victim.range) {
             continue;
         }
         // Slow demotion: one tier down, to the next lower tier with
@@ -108,9 +139,8 @@ fn make_space(
         // the same adaptive mechanism as promotions: cold pages are
         // rarely written in flight, so the copy stays off the critical
         // path.
-        let view = topo.view(node);
-        for rank in (target_rank + 1)..view.len() {
-            let down = view[rank];
+        for rank in (target_rank + 1)..ranks {
+            let down = m.topology().component_at_rank(node, rank);
             if effective_free(m, engine, down) >= victim.range.len() {
                 let verdict = admission.admit(
                     m,
@@ -130,6 +160,7 @@ fn make_space(
                     break; // Victim vetoed: leave it resident, try the next.
                 }
                 engine.migrate(m, victim.range, down, node);
+                target_free = effective_free(m, engine, target);
                 stats.demoted += 1;
                 stats.demoted_bytes += victim.range.len();
                 m.obs_mut().reg.counter_add(obs::names::DEMOTIONS, 1);
@@ -144,34 +175,35 @@ fn make_space(
             }
         }
     }
-    effective_free(m, engine, target) >= need
+    target_free >= need
 }
 
 /// Runs one interval of the promotion/demotion policy. Every candidate
 /// batch passes through `admission` before it reaches the engine; a
 /// rejected batch is skipped without charging the migration budget.
+/// `scratch` only lends its buffers.
 pub fn promote_and_demote(
     m: &mut Machine,
     profiler: &mut AdaptiveProfiler,
     engine: &mut MigrationEngine,
     admission: &mut dyn AdmissionPolicy,
     cfg: &MtmConfig,
+    scratch: &mut PolicyScratch,
 ) -> PolicyStats {
     let mut stats = PolicyStats::default();
     let regions = profiler.regions();
     if regions.is_empty() {
         return stats;
     }
-    let histogram = HotnessHistogram::build(regions, cfg.histogram_buckets, cfg.num_scans as f64);
-    let snap = |i: usize| Snapshot {
-        range: regions[i].range,
-        whi: regions[i].whi,
-        node: regions[i].home_node,
-        node_confidence: regions[i].home_confidence(),
-    };
-    let hot_order: Vec<Snapshot> = histogram.hottest_first(regions).into_iter().map(snap).collect();
-    let cold_order: Vec<Snapshot> = histogram.coldest_first(regions).into_iter().map(snap).collect();
-    let topo = m.topology().clone();
+    scratch.histogram.rebuild(regions, cfg.histogram_buckets, cfg.num_scans as f64);
+    scratch.snaps.clear();
+    scratch.snaps.extend(regions.iter().map(|r| Snapshot {
+        range: r.range,
+        whi: r.whi,
+        node: r.home_node,
+    }));
+    let scratch = &*scratch;
+    let nodes = m.topology().nodes;
     let mut budget = cfg.promote_bytes;
     let mut demote_budget = cfg.promote_bytes * 2;
     // The promotion floor is relative to the observed hotness range so
@@ -181,7 +213,7 @@ pub fn promote_and_demote(
     // Eviction hysteresis: a quarter of the observed hotness range.
     let hysteresis = 0.25 * max_whi;
 
-    for cand in hot_order {
+    for cand in scratch.histogram.hottest().map(|i| &scratch.snaps[i]) {
         if budget == 0 {
             break;
         }
@@ -192,14 +224,14 @@ pub fn promote_and_demote(
         if cand.whi <= 0.0 {
             break;
         }
-        let node = cand.node.min(topo.nodes - 1);
-        if engine.is_pending(cand.range) {
-            continue; // Already on its way; residency still shows the source.
-        }
+        let node = cand.node.min(nodes - 1);
         let Some(cur) = majority_component(m, cand.range) else { continue };
-        let cur_rank = topo.tier_rank(node, cur);
+        let cur_rank = m.topology().tier_rank(node, cur);
         if cur_rank == 0 {
             continue; // Already in the fastest tier from its users' view.
+        }
+        if engine.is_pending(cand.range) {
+            continue; // Already on its way; residency still shows the source.
         }
         // Oversized regions are split at the budget boundary and promoted
         // a slice per interval.
@@ -218,16 +250,16 @@ pub fn promote_and_demote(
         }
         // Fast promotion: the fastest tier first; fall toward the current
         // tier only if space truly cannot be made.
-        let cur_kind = topo.components[cur as usize].kind;
+        let cur_kind = m.topology().components[cur as usize].kind;
         for dest_rank in 0..cur_rank {
-            let dest = topo.component_at_rank(node, dest_rank);
+            let dest = m.topology().component_at_rank(node, dest_rank);
             // A same-kind move (e.g. remote PM -> local PM) is a NUMA
             // locality optimization, not a tier promotion: it only pays
             // off for solidly hot regions whose accessing node is known
             // with confidence — otherwise attribution noise turns it into
             // endless lateral shuffling.
-            if topo.components[dest as usize].kind == cur_kind
-                && (cand.node_confidence < 0.7 || cand.whi < 0.5 * max_whi)
+            if m.topology().components[dest as usize].kind == cur_kind
+                && (node_confidence(profiler, cand) < 0.7 || cand.whi < 0.5 * max_whi)
             {
                 continue;
             }
@@ -241,7 +273,7 @@ pub fn promote_and_demote(
             // displace residents, the coldest region's hotness is the
             // eviction bar the candidate has to clear.
             let victim_whi =
-                if free_enough { None } else { cold_order.first().map(|s| s.whi) };
+                if free_enough { None } else { scratch.coldest().next().map(|s| s.whi) };
             let verdict = admission.admit(
                 m,
                 &Candidate {
@@ -264,7 +296,7 @@ pub fn promote_and_demote(
                     m,
                     engine,
                     admission,
-                    &cold_order,
+                    scratch,
                     dest,
                     node,
                     mig_range.len(),
@@ -343,7 +375,14 @@ mod tests {
         let (mut m, mut p, mut e, cfg) = setup();
         set_whi(&mut p, 3, 2.9);
         set_whi(&mut p, 5, 2.5);
-        let stats = promote_and_demote(&mut m, &mut p, &mut e, &mut crate::admission::AlwaysAdmit, &cfg);
+        let stats = promote_and_demote(
+            &mut m,
+            &mut p,
+            &mut e,
+            &mut crate::admission::AlwaysAdmit,
+            &cfg,
+            &mut PolicyScratch::default(),
+        );
         assert_eq!(stats.promoted, 2);
         assert_eq!(stats.promoted_bytes, 2 * PAGE_SIZE_2M);
         // Regions 3 and 5 now live on the fast component.
@@ -359,14 +398,28 @@ mod tests {
         for i in 0..8 {
             set_whi(&mut p, i, 2.0 + i as f64 * 0.1);
         }
-        let stats = promote_and_demote(&mut m, &mut p, &mut e, &mut crate::admission::AlwaysAdmit, &cfg);
+        let stats = promote_and_demote(
+            &mut m,
+            &mut p,
+            &mut e,
+            &mut crate::admission::AlwaysAdmit,
+            &cfg,
+            &mut PolicyScratch::default(),
+        );
         assert_eq!(stats.promoted_bytes, cfg.promote_bytes);
     }
 
     #[test]
     fn cold_everything_promotes_nothing() {
         let (mut m, mut p, mut e, cfg) = setup();
-        let stats = promote_and_demote(&mut m, &mut p, &mut e, &mut crate::admission::AlwaysAdmit, &cfg);
+        let stats = promote_and_demote(
+            &mut m,
+            &mut p,
+            &mut e,
+            &mut crate::admission::AlwaysAdmit,
+            &cfg,
+            &mut PolicyScratch::default(),
+        );
         assert_eq!(stats.promoted, 0);
         assert_eq!(stats.demoted, 0);
     }
@@ -388,7 +441,14 @@ mod tests {
         };
         assert_eq!(merged, 1);
         set_whi(&mut p, 0, 2.9);
-        let stats = promote_and_demote(&mut m, &mut p, &mut e, &mut crate::admission::AlwaysAdmit, &cfg);
+        let stats = promote_and_demote(
+            &mut m,
+            &mut p,
+            &mut e,
+            &mut crate::admission::AlwaysAdmit,
+            &cfg,
+            &mut PolicyScratch::default(),
+        );
         assert_eq!(stats.promoted, 1);
         assert_eq!(stats.promoted_bytes, cfg.promote_bytes, "one budget-sized slice");
         assert!(p.regions().len() >= 2, "region split at the budget boundary");
@@ -417,7 +477,14 @@ mod tests {
         p.regions_mut_for_test()[0].whi = 0.0;
         p.regions_mut_for_test()[1].whi = 2.9;
         let mut e = MigrationEngine::new(4, false);
-        let stats = promote_and_demote(&mut m, &mut p, &mut e, &mut crate::admission::AlwaysAdmit, &cfg);
+        let stats = promote_and_demote(
+            &mut m,
+            &mut p,
+            &mut e,
+            &mut crate::admission::AlwaysAdmit,
+            &cfg,
+            &mut PolicyScratch::default(),
+        );
         assert_eq!(stats.promoted, 1);
         assert_eq!(stats.demoted, 1);
         assert_eq!(m.component_of(VirtAddr(4 * PAGE_SIZE_2M)), Some(0), "hot promoted");

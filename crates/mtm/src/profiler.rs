@@ -11,9 +11,10 @@
 //! (Sec. 5.5). Every twelfth scanned page is additionally hint-poisoned so
 //! faults attribute accesses to a CPU node (multi-view, Sec. 6.2).
 
-use tiersim::addr::{VaRange, VirtAddr, PAGE_SIZE_4K};
+use tiersim::addr::{VaRange, VirtAddr, PAGE_SIZE_2M, PAGE_SIZE_4K};
 use tiersim::frame::FrameSize;
 use tiersim::machine::Machine;
+use tiersim::page_table::PageTable;
 use tiersim::rng::SplitMix64;
 
 use crate::config::MtmConfig;
@@ -25,6 +26,19 @@ use crate::residency::majority_component;
 struct PlannedSample {
     page: VirtAddr,
     count: u32,
+}
+
+/// One region's sample counts over an interval (`n == 0`: no sample).
+#[derive(Clone, Copy)]
+struct Agg {
+    sum: u64,
+    n: u32,
+    min: u32,
+    max: u32,
+}
+
+impl Agg {
+    const EMPTY: Agg = Agg { sum: 0, n: 0, min: u32::MAX, max: 0 };
 }
 
 /// Per-interval profiler statistics (feeding Tables 3, 5, 7).
@@ -55,6 +69,22 @@ pub struct AdaptiveProfiler {
     scan_tick: u64,
     rng: SplitMix64,
     stats: ProfilerStats,
+    /// Per-interval work buffers, kept so the interval hook allocates
+    /// nothing in steady state. None carries state between intervals.
+    scratch: Scratch,
+}
+
+/// The profiler's reusable work buffers.
+#[derive(Default)]
+struct Scratch {
+    /// One region's picked pages (`pick_pages`).
+    picked: Vec<VirtAddr>,
+    /// Per-region sample counts (`aggregate_counts`).
+    agg: Vec<Agg>,
+    /// Per-region "measured by scans this interval" (`aggregate_counts`).
+    observed: Vec<bool>,
+    /// Region indices in quota-trim order (`rebalance_quotas`).
+    order: Vec<usize>,
 }
 
 impl AdaptiveProfiler {
@@ -70,6 +100,7 @@ impl AdaptiveProfiler {
             scan_tick: 0,
             rng: SplitMix64::new(seed),
             stats: ProfilerStats::default(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -125,7 +156,7 @@ impl AdaptiveProfiler {
     /// Bootstraps regions from the page table (call once VMAs exist) and
     /// plans the first interval's samples.
     pub fn init(&mut self, m: &mut Machine) {
-        self.regions.sync_pde_bases(&m.page_table().valid_pde_bases());
+        self.regions.sync_valid_pdes(m.page_table());
         self.seed_initial_quotas();
         self.rebalance_quotas(self.num_ps(m));
         self.plan_next(m);
@@ -152,41 +183,28 @@ impl AdaptiveProfiler {
     }
 
     /// Performs one counted scan pass over the planned samples (one of
-    /// the `num_scans` checks per interval).
-    ///
-    /// Split into a read phase and an apply phase. The read phase
-    /// samples each planned slot's accessed bit from the page table's
-    /// packed side metadata, in plan order, before anything is cleared.
-    /// The apply phase then walks the plan in the same order, clearing
-    /// bits, bumping counts, and charging scan costs.
+    /// the `num_scans` checks per interval): in plan order, each slot's
+    /// accessed bit is read and cleared in one page-table lookup, and the
+    /// slot of every `hint_fault_every`-th scan (counted across passes)
+    /// is hint-poisoned.
     ///
     /// Two plan slots can alias one mapping (samples land in the same
-    /// huge page, or a region boundary repeats a page): serially, the
-    /// first scan of a mapping takes the accessed bit and later scans of
-    /// the same mapping read it cleared. The apply phase reproduces that
-    /// with a seen-set keyed by mapping identity.
+    /// huge page, or a region boundary repeats a page). The first scan of
+    /// a mapping takes its accessed bit; later scans of it in the same
+    /// pass read the bit already cleared, so an alias never counts twice.
+    /// Poisoning leaves the accessed bit alone.
     pub fn scan_pass(&mut self, m: &mut Machine) {
         let every = self.cfg.hint_fault_every.max(1) as u64;
-        let pt = m.page_table();
-        let pre: Vec<_> = self.plan.iter().map(|s| pt.accessed_at(s.page)).collect();
-        let mut seen = std::collections::BTreeSet::new();
-        for (s, pre) in self.plan.iter_mut().zip(pre) {
-            if let Some((accessed, size)) = pre {
-                if m.scan_page_clear(s.page) {
-                    let key = match size {
-                        FrameSize::Huge2M => s.page.page_2m().0,
-                        FrameSize::Base4K => s.page.page_4k().0,
-                    };
-                    // `insert` must run unconditionally: even a
-                    // not-accessed first scan claims the mapping.
-                    if seen.insert(key) && accessed {
-                        s.count += 1;
-                    }
-                }
+        // The next multiple of `every` the scan tick reaches.
+        let mut poison_at = (self.scan_tick / every + 1) * every;
+        for s in &mut self.plan {
+            if let Some((true, _)) = m.scan_page(s.page) {
+                s.count += 1;
             }
             self.scan_tick += 1;
-            if self.scan_tick % every == 0 {
+            if self.scan_tick == poison_at {
                 m.poison_page(s.page);
+                poison_at += every;
             }
         }
     }
@@ -277,8 +295,8 @@ impl AdaptiveProfiler {
         self.stats.intervals += 1;
         self.attribute_hint_faults(m);
         self.mark_pebs_activity(m);
-        let observed = self.aggregate_counts();
-        self.classify_inactive_slowest(m, &observed);
+        self.aggregate_counts();
+        self.classify_inactive_slowest(m);
         let zoom_splits = self.zoom_on_counter_hits();
         if zoom_splits > 0 {
             m.obs_mut().reg.counter_add(obs::names::PEBS_ZOOM_SPLITS, zoom_splits);
@@ -296,11 +314,21 @@ impl AdaptiveProfiler {
             // under interleaved placement) may merge freely — migration
             // moves pages from any source.
             let topo = m.topology();
-            let kind_of = |range: tiersim::addr::VaRange| {
+            let kind_of = |range: VaRange| {
                 majority_component(m, range).map(|c| topo.components[c as usize].kind)
             };
+            // A pair that does not merge hands its right region on as the
+            // next pair's left, so the right region's kind is remembered;
+            // only a region grown by a merge is probed again.
+            let mut last = None;
             let freed = self.regions.merge_pass(self.tau_m_now, num_scans, |a, b| {
-                kind_of(a.range) == kind_of(b.range)
+                let ka = match last {
+                    Some((range, kind)) if range == a.range => kind,
+                    _ => kind_of(a.range),
+                };
+                let kb = kind_of(b.range);
+                last = Some((b.range, kb));
+                ka == kb
             });
             let merged = self.regions.stats().merged - formation_before.merged;
             if merged > 0 {
@@ -323,7 +351,7 @@ impl AdaptiveProfiler {
                 m.record_event(obs::EventKind::RegionSplit { split });
             }
         }
-        self.regions.sync_pde_bases(&m.page_table().valid_pde_bases());
+        self.regions.sync_valid_pdes(m.page_table());
         // Escalate tau_m while the region count exceeds the budget.
         if self.cfg.overhead_control && self.cfg.adaptive_regions {
             if self.regions.len() as u64 > num_ps {
@@ -353,8 +381,10 @@ impl AdaptiveProfiler {
     }
 
     fn attribute_hint_faults(&mut self, m: &mut Machine) {
+        let mut hint = 0;
         for fault in m.drain_hint_faults() {
-            if let Some(i) = self.regions.covering_index(fault.page) {
+            if let Some(i) = self.regions.covering_index_near(fault.page, hint) {
+                hint = i;
                 let votes = &mut self.regions.regions_mut()[i].node_votes;
                 let n = fault.node as usize;
                 if n < votes.len() {
@@ -374,11 +404,13 @@ impl AdaptiveProfiler {
         }
         // Counters run for the first 10 % of the interval (Sec. 5.5).
         let window = 0.1 * m.cfg.interval_ns;
+        let mut hint = 0;
         for s in samples {
             if s.t_ns > window {
                 continue;
             }
-            if let Some(i) = self.regions.covering_index(s.va) {
+            if let Some(i) = self.regions.covering_index_near(s.va, hint) {
+                hint = i;
                 let r = &mut self.regions.regions_mut()[i];
                 r.pebs_active = true;
                 r.pebs_page = Some(s.va.page_4k());
@@ -420,11 +452,12 @@ impl AdaptiveProfiler {
 
     /// Event-driven cold classification (Sec. 5.5): a slowest-tier region
     /// the counters saw no access to during the whole interval is cold.
-    fn classify_inactive_slowest(&mut self, m: &Machine, observed: &[bool]) {
+    fn classify_inactive_slowest(&mut self, m: &Machine) {
         if !self.cfg.pebs_assist {
             return;
         }
-        let topo = m.topology().clone();
+        let topo = m.topology();
+        let observed = &self.scratch.observed;
         let alpha = self.cfg.alpha;
         for i in 0..self.regions.len() {
             let (range, node, active) = {
@@ -450,30 +483,31 @@ impl AdaptiveProfiler {
         }
     }
 
-    /// Aggregates the interval's sample counts into per-region hotness.
-    /// Returns, per region index, whether it was observed by scans.
-    fn aggregate_counts(&mut self) -> Vec<bool> {
-        // Group planned samples by covering region.
-        #[derive(Clone, Copy)]
-        struct Agg {
-            sum: u64,
-            n: u32,
-            min: u32,
-            max: u32,
-        }
-        let mut agg: Vec<Option<Agg>> = vec![None; self.regions.len()];
+    /// Aggregates the interval's sample counts into per-region hotness,
+    /// noting in `scratch.observed` which regions the scans measured.
+    fn aggregate_counts(&mut self) {
+        // Group planned samples by covering region. The plan was laid out
+        // region by region, so consecutive samples mostly share a region.
+        let n = self.regions.len();
+        let agg = &mut self.scratch.agg;
+        agg.clear();
+        agg.resize(n, Agg::EMPTY);
+        let mut hint = 0;
         for s in &self.plan {
-            let Some(i) = self.regions.covering_index(s.page) else { continue };
-            let e = agg[i].get_or_insert(Agg { sum: 0, n: 0, min: u32::MAX, max: 0 });
+            let Some(i) = self.regions.covering_index_near(s.page, hint) else { continue };
+            hint = i;
+            let e = &mut agg[i];
             e.sum += s.count as u64;
             e.n += 1;
             e.min = e.min.min(s.count);
             e.max = e.max.max(s.count);
         }
         let alpha = self.cfg.alpha;
-        let mut observed = vec![false; self.regions.len()];
-        for (i, a) in agg.into_iter().enumerate() {
-            if let Some(a) = a {
+        let observed = &mut self.scratch.observed;
+        observed.clear();
+        observed.resize(n, false);
+        for (i, a) in agg.iter().enumerate() {
+            if a.n > 0 {
                 let hi = a.sum as f64 / a.n as f64;
                 let r = &mut self.regions.regions_mut()[i];
                 r.observe(hi, alpha);
@@ -484,7 +518,6 @@ impl AdaptiveProfiler {
             }
         }
         self.plan.clear();
-        observed
     }
 
     fn redistribute(&mut self, freed: u64) {
@@ -495,16 +528,28 @@ impl AdaptiveProfiler {
             // Give the freed quota to the regions with the largest hotness
             // variance over the last two intervals (top five, Sec. 5.2).
             let slots = self.cfg.top_variance_slots.max(1);
-            let mut idx: Vec<usize> = (0..self.regions.len()).collect();
-            idx.sort_by(|&a, &b| {
-                let ra = &self.regions.regions()[a];
-                let rb = &self.regions.regions()[b];
-                rb.variance.partial_cmp(&ra.variance).expect("variance is finite")
-            });
-            let top = &idx[..slots.min(idx.len())];
+            // The first `slots` regions by variance, descending, ties in
+            // address order: the prefix a stable sort would give.
+            let regions = self.regions.regions();
+            let top = &mut self.scratch.order;
+            top.clear();
+            for (i, r) in regions.iter().enumerate() {
+                let at_least = |t: &usize| {
+                    let v = regions[*t].variance;
+                    v.partial_cmp(&r.variance).expect("variance is finite").is_ge()
+                };
+                // A full list whose last entry is at least as high keeps
+                // this region out (ties keep the earlier region).
+                if top.len() == slots && top.last().is_some_and(at_least) {
+                    continue;
+                }
+                let at = top.partition_point(at_least);
+                top.insert(at, i);
+                top.truncate(slots);
+            }
             let share = (freed / top.len() as u64).max(1);
             let mut left = freed;
-            for &i in top {
+            for &i in top.iter() {
                 let take = share.min(left);
                 self.regions.regions_mut()[i].quota += take as u32;
                 left -= take;
@@ -538,24 +583,26 @@ impl AdaptiveProfiler {
         let target = num_ps.max(n);
         let total = self.regions.total_quota();
         if total > target {
-            // Trim from the lowest-variance regions first.
-            let mut idx: Vec<usize> = (0..self.regions.len()).collect();
-            idx.sort_by(|&a, &b| {
-                let ra = &self.regions.regions()[a];
-                let rb = &self.regions.regions()[b];
-                ra.variance.partial_cmp(&rb.variance).expect("variance is finite")
+            // Trim from the lowest-variance regions first (ties in address
+            // order, as a stable sort gives). Only regions above the
+            // one-sample floor can give any.
+            let regions = self.regions.regions();
+            let idx = &mut self.scratch.order;
+            idx.clear();
+            idx.extend((0..regions.len()).filter(|&i| regions[i].quota > 1));
+            idx.sort_unstable_by(|&a, &b| {
+                let ord = regions[a].variance.partial_cmp(&regions[b].variance);
+                ord.expect("variance is finite").then(a.cmp(&b))
             });
             let mut excess = total - target;
-            for &i in &idx {
+            for &i in idx.iter() {
                 if excess == 0 {
                     break;
                 }
                 let q = self.regions.regions()[i].quota;
-                if q > 1 {
-                    let take = (q as u64 - 1).min(excess);
-                    self.regions.regions_mut()[i].quota = q - take as u32;
-                    excess -= take;
-                }
+                let take = (q as u64 - 1).min(excess);
+                self.regions.regions_mut()[i].quota = q - take as u32;
+                excess -= take;
             }
         } else if total < target {
             self.redistribute(target - total);
@@ -563,20 +610,23 @@ impl AdaptiveProfiler {
     }
 
     /// Chooses the sampled pages for the next interval.
-    fn plan_next(&mut self, m: &mut Machine) {
-        let topo = m.topology().clone();
+    fn plan_next(&mut self, m: &Machine) {
+        let topo = m.topology();
+        let pt = m.page_table();
         let pebs_assist = self.cfg.pebs_assist;
-        let mut plan = Vec::new();
+        let picked = &mut self.scratch.picked;
+        self.plan.clear();
         for i in 0..self.regions.len() {
             let (range, quota, node, active, pebs_page) = {
                 let r = &self.regions.regions()[i];
                 (r.range, r.quota, r.home_node, r.pebs_active, r.pebs_page)
             };
-            let comp = majority_component(m, range);
-            let is_slowest = comp
-                .map(|c| topo.tier_rank(node.min(topo.nodes - 1), c) == topo.num_components() - 1)
-                .unwrap_or(false);
-            if pebs_assist && is_slowest {
+            // Without counter gating the tier does not matter.
+            let is_slowest = pebs_assist
+                && majority_component(m, range).is_some_and(|c| {
+                    topo.tier_rank(node.min(topo.nodes - 1), c) == topo.num_components() - 1
+                });
+            if is_slowest {
                 // Counter-gated: regions the counters saw accesses in are
                 // "subject to high-quality profiling" (Sec. 5.5) — the
                 // captured page plus the region's quota of samples; silent
@@ -584,56 +634,28 @@ impl AdaptiveProfiler {
                 if active {
                     // Normalize the captured address to its mapping base
                     // so a huge PTE is scanned once, not twice.
-                    let captured = pebs_page.map(|p| match m.page_table().translate(p) {
+                    let captured = pebs_page.map(|p| match pt.translate(p) {
                         Some(t) if t.size == FrameSize::Huge2M => p.page_2m(),
                         _ => p.page_4k(),
                     });
                     if let Some(page) = captured {
-                        plan.push(PlannedSample { page, count: 0 });
+                        self.plan.push(PlannedSample { page, count: 0 });
                     }
-                    for page in self.pick_pages(m, range, quota) {
+                    pick_pages(&mut self.rng, pt, range, quota, picked);
+                    for &page in picked.iter() {
                         if Some(page) != captured {
-                            plan.push(PlannedSample { page, count: 0 });
+                            self.plan.push(PlannedSample { page, count: 0 });
                         }
                     }
                 }
             } else {
-                for page in self.pick_pages(m, range, quota) {
-                    plan.push(PlannedSample { page, count: 0 });
-                }
+                pick_pages(&mut self.rng, pt, range, quota, picked);
+                self.plan.extend(picked.iter().map(|&page| PlannedSample { page, count: 0 }));
             }
             let r = &mut self.regions.regions_mut()[i];
             r.pebs_active = false;
         }
-        self.stats.samples_planned += plan.len() as u64;
-        self.plan = plan;
-    }
-
-    /// Picks up to `quota` distinct mapped page bases within `range` by
-    /// random probing; a probe landing in a huge mapping samples the huge
-    /// page itself (Sec. 5.4).
-    fn pick_pages(&mut self, m: &Machine, range: VaRange, quota: u32) -> Vec<VirtAddr> {
-        let pages_in_range = range.len() / PAGE_SIZE_4K;
-        if pages_in_range == 0 || quota == 0 {
-            return Vec::new();
-        }
-        let want = quota.min(pages_in_range as u32) as usize;
-        let mut out: Vec<VirtAddr> = Vec::with_capacity(want);
-        let mut attempts = 0;
-        while out.len() < want && attempts < want * 4 {
-            attempts += 1;
-            let off = self.rng.below(pages_in_range) * PAGE_SIZE_4K;
-            let va = VirtAddr(range.start.0 + off);
-            let Some(t) = m.page_table().translate(va) else { continue };
-            let page = match t.size {
-                FrameSize::Huge2M => va.page_2m(),
-                FrameSize::Base4K => va.page_4k(),
-            };
-            if !out.contains(&page) {
-                out.push(page);
-            }
-        }
-        out
+        self.stats.samples_planned += self.plan.len() as u64;
     }
 
     /// Bytes covered by regions currently classified hot (EMA at or above
@@ -693,10 +715,71 @@ impl AdaptiveProfiler {
     }
 }
 
+/// Picks up to `quota` distinct mapped page bases within `range` into
+/// `out` by random probing; a probe landing in a huge mapping samples the
+/// huge page itself (Sec. 5.4).
+fn pick_pages(
+    rng: &mut SplitMix64,
+    pt: &PageTable,
+    range: VaRange,
+    quota: u32,
+    out: &mut Vec<VirtAddr>,
+) {
+    out.clear();
+    let pages_in_range = range.len() / PAGE_SIZE_4K;
+    if pages_in_range == 0 || quota == 0 {
+        return;
+    }
+    let want = quota.min(pages_in_range as u32) as usize;
+    let pdes = (range.end.0 - 1) / PAGE_SIZE_2M - range.start.0 / PAGE_SIZE_2M + 1;
+    let mut all_huge = true;
+    let mut attempts = 0;
+    // Probes into a small region mostly land in the huge page the last
+    // probe found, which needs no second lookup.
+    let mut last_huge = None;
+    while out.len() < want && attempts < want * 4 {
+        if all_huge && out.len() as u64 == pdes {
+            // Every PDE the range touches is a huge page already picked:
+            // the remaining probes cannot find a new page, so only their
+            // draws are taken.
+            skip_draws(rng, (want * 4 - attempts) as u64);
+            break;
+        }
+        attempts += 1;
+        let off = rng.below(pages_in_range) * PAGE_SIZE_4K;
+        let va = VirtAddr(range.start.0 + off);
+        let page = if last_huge == Some(va.page_2m()) {
+            va.page_2m()
+        } else {
+            match pt.translate(va) {
+                Some(t) if t.size == FrameSize::Huge2M => {
+                    last_huge = Some(va.page_2m());
+                    va.page_2m()
+                }
+                Some(_) => {
+                    all_huge = false;
+                    va.page_4k()
+                }
+                None => continue,
+            }
+        };
+        if !out.contains(&page) {
+            out.push(page);
+        }
+    }
+}
+
+/// Advances `rng` past `n` draws without making them: SplitMix64's state
+/// moves by one fixed step per draw, so the jump is exact.
+fn skip_draws(rng: &mut SplitMix64, n: u64) {
+    if n > 0 {
+        *rng = SplitMix64::at(rng.state(), n - 1);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tiersim::addr::PAGE_SIZE_2M;
     use tiersim::machine::{AccessKind, MachineConfig};
     use tiersim::tier::tiny_two_tier;
 
@@ -861,6 +944,111 @@ mod tests {
         let p = profiler(&mut m);
         // 16 regions of metadata against 32 MB mapped: well under 0.1 %.
         assert!(p.metadata_bytes() < 16 * 1024);
+    }
+
+    #[test]
+    fn skipping_draws_equals_drawing() {
+        for n in [0, 1, 2, 7, 1000] {
+            let mut drawn = SplitMix64::new(42);
+            drawn.next_u64();
+            let mut skipped = drawn.clone();
+            for _ in 0..n {
+                drawn.next_u64();
+            }
+            skip_draws(&mut skipped, n);
+            assert_eq!(skipped.next_u64(), drawn.next_u64(), "after {n} draws");
+        }
+    }
+
+    /// The scan pass as it was before it became a single pass: every
+    /// slot's accessed bit is read first, then clears, counts, charges and
+    /// poisoning are applied in plan order, with a seen-set keyed by
+    /// mapping so two slots aliasing one mapping count it once.
+    fn two_phase_scan(p: &mut AdaptiveProfiler, m: &mut Machine) {
+        let every = p.cfg.hint_fault_every.max(1) as u64;
+        let pt = m.page_table();
+        let pre: Vec<_> = p.plan.iter().map(|s| pt.accessed_at(s.page)).collect();
+        let mut seen = std::collections::BTreeSet::new();
+        for (s, pre) in p.plan.iter_mut().zip(pre) {
+            if let Some((accessed, size)) = pre {
+                if m.scan_page_clear(s.page) {
+                    let key = match size {
+                        FrameSize::Huge2M => s.page.page_2m().0,
+                        FrameSize::Base4K => s.page.page_4k().0,
+                    };
+                    if seen.insert(key) && accessed {
+                        s.count += 1;
+                    }
+                }
+            }
+            p.scan_tick += 1;
+            if p.scan_tick.is_multiple_of(every) {
+                m.poison_page(s.page);
+            }
+        }
+    }
+
+    #[test]
+    fn single_pass_scan_matches_the_two_phase_reference() {
+        use proptest_lite::{gen, prop_assert_eq, prop_check};
+        // Slots name pages of a 4 MB THP area and a 4 MB base-page area
+        // with holes: a small page pool, so plans repeat pages, sample one
+        // huge page at several offsets, and hit unmapped slots.
+        let page_of = |i: u64| {
+            let (area, page) = (i % 2, i / 2 % 12);
+            VirtAddr(area * 4 * PAGE_SIZE_2M + page * 85 * PAGE_SIZE_4K)
+        };
+        prop_check!(
+            "single_pass_scan_matches_the_two_phase_reference",
+            64,
+            (
+                gen::vec_in(gen::u64_range(0, 48), 1, 40),
+                gen::vec_in(gen::u64_range(0, 48), 0, 40),
+                gen::u32_range(1, 13),
+                gen::u64_range(0, 40),
+                gen::u64_range(1, 4),
+            ),
+            |(slots, touches, every, tick, passes)| {
+                let run = |single: bool| {
+                    let topo = tiny_two_tier(64 * PAGE_SIZE_2M, 64 * PAGE_SIZE_2M);
+                    let mut m = Machine::new(MachineConfig::new(topo, 1));
+                    let thp = VaRange::from_len(VirtAddr(0), 2 * PAGE_SIZE_2M);
+                    let base = VaRange::from_len(VirtAddr(4 * PAGE_SIZE_2M), 2 * PAGE_SIZE_2M);
+                    m.mmap("thp", thp, true);
+                    m.mmap("base", base, false);
+                    m.prefault_range(thp, &[0]).unwrap();
+                    // Every third base page stays unmapped.
+                    for page in base.iter_pages_4k().step_by(3) {
+                        m.prefault_range(VaRange::from_len(page, PAGE_SIZE_4K), &[1]).unwrap();
+                    }
+                    let cfg = MtmConfig { hint_fault_every: *every, ..MtmConfig::default() };
+                    let mut p = AdaptiveProfiler::new(cfg, 1);
+                    p.scan_tick = *tick;
+                    let sample = |&i: &u64| PlannedSample { page: page_of(i), count: 0 };
+                    p.plan = slots.iter().map(sample).collect();
+                    for pass in 0..*passes {
+                        // Accesses between passes set bits again and take
+                        // the hint faults earlier passes armed.
+                        for &i in touches.iter().skip(pass as usize) {
+                            m.access(0, page_of(i), AccessKind::Read);
+                        }
+                        if single {
+                            p.scan_pass(&mut m);
+                        } else {
+                            two_phase_scan(&mut p, &mut m);
+                        }
+                    }
+                    let counts: Vec<u32> = p.plan.iter().map(|s| s.count).collect();
+                    let pt = m.page_table();
+                    let ptes: Vec<_> = (0..48).map(|i| pt.translate(page_of(i))).collect();
+                    let faults: Vec<_> =
+                        m.drain_hint_faults().iter().map(|f| (f.page, f.tid)).collect();
+                    let profiling = m.breakdown().profiling_ns.to_bits();
+                    (counts, p.scan_tick, m.stats().pte_scans, profiling, ptes, faults)
+                };
+                prop_assert_eq!(run(true), run(false));
+            }
+        );
     }
 
     impl AdaptiveProfiler {

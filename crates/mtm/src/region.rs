@@ -8,6 +8,7 @@
 //! the huge-page boundary so one huge page is never profiled by two regions.
 
 use tiersim::addr::{VaRange, VirtAddr, PAGE_SIZE_2M, PAGE_SIZE_4K};
+use tiersim::page_table::PageTable;
 
 /// One profiled memory region.
 #[derive(Clone, Debug)]
@@ -133,12 +134,20 @@ pub struct RegionList {
     regions: Vec<Region>,
     stats: FormationStats,
     nodes: usize,
+    /// The split pass's output buffer, kept between passes so a pass
+    /// allocates nothing; always empty outside a pass.
+    spare: Vec<Region>,
 }
 
 impl RegionList {
     /// Creates an empty list for a machine with `nodes` CPU nodes.
     pub fn new(nodes: usize) -> RegionList {
-        RegionList { regions: Vec::new(), stats: FormationStats::default(), nodes: nodes.max(1) }
+        RegionList {
+            regions: Vec::new(),
+            stats: FormationStats::default(),
+            nodes: nodes.max(1),
+            spare: Vec::new(),
+        }
     }
 
     /// The regions in address order.
@@ -189,10 +198,46 @@ impl RegionList {
         added
     }
 
+    /// [`RegionList::sync_pde_bases`] over the page table's valid PDEs.
+    /// A valid PDE lacks a region only if its base falls in a gap between
+    /// regions, so one walk over the gaps, asking the page table for the
+    /// first valid PDE at or above each, confirms coverage without
+    /// collecting the bases; only an uncovered PDE pays for the full sync.
+    pub fn sync_valid_pdes(&mut self, pt: &PageTable) -> usize {
+        let mut gap_start = VirtAddr(0);
+        let mut uncovered = false;
+        for r in &self.regions {
+            if r.range.start > gap_start
+                && pt.valid_pdes_from(gap_start).next().is_some_and(|base| base < r.range.start)
+            {
+                uncovered = true;
+                break;
+            }
+            gap_start = r.range.end;
+        }
+        if uncovered || pt.valid_pdes_from(gap_start).next().is_some() {
+            self.sync_pde_bases(&pt.valid_pde_bases())
+        } else {
+            0
+        }
+    }
+
     /// Index of the region containing `va`, if any.
     pub fn covering_index(&self, va: VirtAddr) -> Option<usize> {
         let idx = self.regions.partition_point(|r| r.range.end.0 <= va.0);
         (idx < self.regions.len() && self.regions[idx].range.contains(va)).then_some(idx)
+    }
+
+    /// [`RegionList::covering_index`] for lookups that tend to ascend:
+    /// tries the region at `hint` and its successor before the binary
+    /// search.
+    pub fn covering_index_near(&self, va: VirtAddr, hint: usize) -> Option<usize> {
+        for i in [hint, hint + 1] {
+            if self.regions.get(i).is_some_and(|r| r.range.contains(va)) {
+                return Some(i);
+            }
+        }
+        self.covering_index(va)
     }
 
     /// Merges adjacent region pairs whose most-recent hotness differs by
@@ -213,17 +258,22 @@ impl RegionList {
         mut can_merge: impl FnMut(&Region, &Region) -> bool,
     ) -> u64 {
         let mut freed = 0u64;
-        let mut out: Vec<Region> = Vec::with_capacity(self.regions.len());
-        for region in self.regions.drain(..) {
-            match out.last_mut() {
-                Some(prev)
-                    if prev.range.end == region.range.start
-                        && prev.evidence > 0
-                        && region.evidence > 0
-                        && (prev.hi - region.hi).abs()
-                            < (tau_m * prev.hi.max(region.hi) / num_scans.max(1) as f64)
-                                .max(0.15 * tau_m)
-                        && can_merge(prev, &region) =>
+        let mut merged = 0u64;
+        // Compacts in place: `regions[..kept]` is the output so far, and
+        // the merged-away regions collect behind it until the truncate.
+        let mut kept = 0;
+        for i in 0..self.regions.len() {
+            if kept > 0 {
+                let (out, rest) = self.regions.split_at_mut(i);
+                let prev = &mut out[kept - 1];
+                let region = &rest[0];
+                if prev.range.end == region.range.start
+                    && prev.evidence > 0
+                    && region.evidence > 0
+                    && (prev.hi - region.hi).abs()
+                        < (tau_m * prev.hi.max(region.hi) / num_scans.max(1) as f64)
+                            .max(0.15 * tau_m)
+                    && can_merge(prev, region)
                 {
                     // Merge `region` into `prev`.
                     let a_len = prev.len() as f64;
@@ -249,16 +299,21 @@ impl RegionList {
                     // is halved, under the constraint that the new region
                     // has at least one sample."
                     let combined = prev.quota + region.quota;
-                    let kept = (combined / 2).max(1);
-                    freed += (combined - kept) as u64;
-                    prev.quota = kept;
+                    let kept_quota = (combined / 2).max(1);
+                    freed += (combined - kept_quota) as u64;
+                    prev.quota = kept_quota;
                     prev.range = VaRange::new(prev.range.start, region.range.end);
-                    self.stats.merged += 1;
+                    merged += 1;
+                    continue;
                 }
-                _ => out.push(region),
             }
+            if kept != i {
+                self.regions.swap(kept, i);
+            }
+            kept += 1;
         }
-        self.regions = out;
+        self.regions.truncate(kept);
+        self.stats.merged += merged;
         debug_assert!(self.is_well_formed());
         freed
     }
@@ -275,7 +330,8 @@ impl RegionList {
         mut is_huge_at: impl FnMut(VirtAddr) -> bool,
     ) -> u64 {
         let mut added_quota = 0u64;
-        let mut out: Vec<Region> = Vec::with_capacity(self.regions.len());
+        let mut out = std::mem::take(&mut self.spare);
+        out.reserve(self.regions.len());
         for region in self.regions.drain(..) {
             let tau_s_eff = (tau_s * region.sample_max / num_scans.max(1) as f64).max(0.15 * tau_s);
             if region.spread <= tau_s_eff || region.len() < 2 * PAGE_SIZE_4K {
@@ -307,7 +363,7 @@ impl RegionList {
             out.push(right);
             self.stats.split += 1;
         }
-        self.regions = out;
+        self.spare = std::mem::replace(&mut self.regions, out);
         debug_assert!(self.is_well_formed());
         added_quota
     }
@@ -445,7 +501,7 @@ impl RegionList {
                 evidence,
             });
         }
-        let list = RegionList { regions, stats, nodes };
+        let list = RegionList { regions, stats, nodes, spare: Vec::new() };
         if !list.is_well_formed() {
             return Err("restored region list is malformed".to_string());
         }
@@ -456,6 +512,7 @@ impl RegionList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tiersim::frame::FrameSize;
 
     fn bases(chunks: &[u64]) -> Vec<VirtAddr> {
         chunks.iter().map(|&c| VirtAddr(c * PAGE_SIZE_2M)).collect()
@@ -475,6 +532,68 @@ mod tests {
         assert_eq!(list.sync_pde_bases(&bases(&[0, 1, 5])), 0, "idempotent");
         assert_eq!(list.sync_pde_bases(&bases(&[2])), 1);
         assert!(list.is_well_formed());
+    }
+
+    #[test]
+    fn coverage_walk_matches_the_full_sync() {
+        use proptest_lite::{gen, prop_assert_eq, prop_check};
+        use tiersim::addr::PhysAddr;
+        use tiersim::pte::Pte;
+        // Ops over 160 PDE slots (crossing bitmap words): 0 maps a huge
+        // page, 1 maps a base page, 2 unmaps what is there, 3 syncs both
+        // lists and compares, 4 merges every adjacent pair, 5 splits every
+        // region (off the 2 MB grid for base-page areas).
+        prop_check!(
+            "coverage_walk_matches_the_full_sync",
+            128,
+            gen::vec_in((gen::u8_range(0, 6), gen::u64_range(0, 160)), 1, 64),
+            |ops| {
+                let mut pt = PageTable::new();
+                let mut walk = RegionList::new(1);
+                let mut full = RegionList::new(1);
+                for &(op, pde) in ops.iter().chain([(3, 0)].iter()) {
+                    let base = VirtAddr(pde * PAGE_SIZE_2M);
+                    let off = (pde * 7 % 512) * PAGE_SIZE_4K;
+                    let slot_empty = pt.valid_pdes_from(base).next() != Some(base);
+                    let huge = matches!(pt.translate(base), Some(t) if t.size == FrameSize::Huge2M);
+                    match op {
+                        0 if slot_empty => {
+                            pt.map_2m(base, Pte::map(PhysAddr::new(0, 0), true));
+                        }
+                        1 if !huge && pt.translate(base + off).is_none() => {
+                            pt.map_4k(base + off, Pte::map(PhysAddr::new(0, off), false));
+                        }
+                        2 => {
+                            let _ = pt.unmap(base);
+                            let _ = pt.unmap(base + off);
+                        }
+                        3 => {
+                            let added = walk.sync_valid_pdes(&pt);
+                            prop_assert_eq!(added, full.sync_pde_bases(&pt.valid_pde_bases()));
+                            let ranges = |l: &RegionList| {
+                                l.regions().iter().map(|r| r.range).collect::<Vec<_>>()
+                            };
+                            prop_assert_eq!(ranges(&walk), ranges(&full));
+                        }
+                        4 => {
+                            for list in [&mut walk, &mut full] {
+                                evidence_all(list);
+                                list.merge_pass(f64::INFINITY, 3, |_, _| true);
+                            }
+                        }
+                        5 => {
+                            for list in [&mut walk, &mut full] {
+                                for r in list.regions_mut() {
+                                    r.spread = 3.0;
+                                }
+                                list.split_pass(1.0, 3, |_| false);
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        );
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! pool, and returns the results **in packet order**. Because every
 //! packet is a pure function of shared read-only state and the reduction
 //! order is fixed, the output is byte-identical for any worker count.
-//! The harness's `runpool` maps whole runs over it, and R-MAT graph
-//! generation builds its edge list and CSR with it; both size the pool
-//! from `MTM_JOBS` or the host's parallelism.
+//! The harness's `runpool` maps whole runs over it, on a pool sized by
+//! `MTM_JOBS` or the host's parallelism. R-MAT graph generation builds
+//! its edge list and CSR with it on the host's parallelism alone
+//! (`available_parallelism`; deliberately no knob, since the graph does
+//! not depend on the worker count).
 //!
 //! Nothing inside a run uses it: the profiler scan, move-set collection
 //! and sanitizer census walk the page table serially on the run's own

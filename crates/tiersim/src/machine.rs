@@ -829,9 +829,7 @@ impl Machine {
     }
 
     /// Clears the ACCESSED bit of the page covering `va` without reading
-    /// it, charging one scan — the apply half of a two-phase scan pass
-    /// whose read half already sampled the bit from the packed side
-    /// metadata ([`PageTable::accessed_at`]). Returns whether the page
+    /// it, charging one scan (a priming clear). Returns whether the page
     /// was mapped (unmapped pages cost nothing, as in
     /// [`Machine::scan_page`]).
     pub fn scan_page_clear(&mut self, va: VirtAddr) -> bool {

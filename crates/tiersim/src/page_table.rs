@@ -313,8 +313,8 @@ impl PageTable {
     }
 
     /// Reads the ACCESSED bit of the page covering `va` from the packed
-    /// side metadata, without clearing anything — the pure read phase of
-    /// a two-phase scan pass. Returns the bit and the mapping size.
+    /// side metadata, without clearing anything. Returns the bit and the
+    /// mapping size.
     #[inline]
     pub fn accessed_at(&self, va: VirtAddr) -> Option<(bool, FrameSize)> {
         match self.entry(va.pde_index())? {
@@ -353,9 +353,7 @@ impl PageTable {
     }
 
     /// Clears the ACCESSED bit of the page covering `va` without reading
-    /// it — the apply half of a two-phase scan whose read half already
-    /// captured the bit via [`PageTable::accessed_at`]. Returns the
-    /// mapping size, or `None` if unmapped.
+    /// it. Returns the mapping size, or `None` if unmapped.
     #[inline]
     pub fn clear_accessed_at(&mut self, va: VirtAddr) -> Option<FrameSize> {
         self.scan_page_at(va).map(|(_, size)| size)
@@ -571,14 +569,28 @@ impl PageTable {
     ///
     /// These are the default memory regions profilers start from.
     pub fn valid_pde_bases(&self) -> Vec<VirtAddr> {
-        let mut v = Vec::with_capacity(self.valid_pdes);
-        if !self.slots.is_empty() {
-            for_set_bits(&self.occupied, 0, self.slots.len() - 1, |pde| {
-                v.push(VirtAddr((pde as u64) << 21));
-            });
-        }
+        let v: Vec<VirtAddr> = self.valid_pdes_from(VirtAddr(0)).collect();
         debug_assert!(v.windows(2).all(|w| w[0] < w[1]), "PDE bases ascend by construction");
         v
+    }
+
+    /// The walk behind [`PageTable::valid_pde_bases`], without collecting,
+    /// from `from` on: yields the base address of each valid last-level
+    /// PDE at or above `from`, ascending, straight from the occupancy
+    /// bitmap.
+    pub fn valid_pdes_from(&self, from: VirtAddr) -> impl Iterator<Item = VirtAddr> + '_ {
+        let first = from.0.div_ceil(PAGE_SIZE_2M) as usize;
+        let first_word = first >> 6;
+        self.occupied.iter().enumerate().skip(first_word).flat_map(move |(w, &word)| {
+            let mut word = if w == first_word { word & !0u64 << (first & 63) } else { word };
+            std::iter::from_fn(move || {
+                (word != 0).then(|| {
+                    let pde = ((w as u64) << 6) | word.trailing_zeros() as u64;
+                    word &= word - 1;
+                    VirtAddr(pde << 21)
+                })
+            })
+        })
     }
 
     /// Number of mapped pages (of either size) in `range`.
@@ -870,6 +882,20 @@ mod tests {
         pt.map_4k(VirtAddr(PAGE_SIZE_2M), pte4k(0, 0x1000));
         let bases = pt.valid_pde_bases();
         assert_eq!(bases, vec![VirtAddr(PAGE_SIZE_2M), VirtAddr(6 * PAGE_SIZE_2M)]);
+        // Bases past the first bitmap word, and a pruned slot, walk too.
+        pt.map_4k(VirtAddr(130 * PAGE_SIZE_2M), pte4k(0, 0x2000));
+        pt.unmap(VirtAddr(PAGE_SIZE_2M)).unwrap();
+        let bases = pt.valid_pde_bases();
+        assert_eq!(bases, vec![VirtAddr(6 * PAGE_SIZE_2M), VirtAddr(130 * PAGE_SIZE_2M)]);
+        // A walk from inside or at a PDE starts at the first base at or
+        // above that address.
+        let from = |va: u64| pt.valid_pdes_from(VirtAddr(va)).collect::<Vec<_>>();
+        assert_eq!(from(0), bases);
+        assert_eq!(from(6 * PAGE_SIZE_2M), bases);
+        assert_eq!(from(6 * PAGE_SIZE_2M + 1), vec![VirtAddr(130 * PAGE_SIZE_2M)]);
+        assert_eq!(from(129 * PAGE_SIZE_2M + PAGE_SIZE_4K), vec![VirtAddr(130 * PAGE_SIZE_2M)]);
+        assert!(from(131 * PAGE_SIZE_2M).is_empty());
+        assert!(from(1 << 46).is_empty(), "past the table's end");
     }
 
     #[test]
