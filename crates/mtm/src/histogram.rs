@@ -9,17 +9,13 @@ use crate::region::Region;
 
 /// A bucketed view over region hotness.
 ///
-/// Buckets rise with WHI and are stored back to back, each sorted by
-/// `(WHI, index)`, so the whole list is sorted by `(WHI, index)`: the
-/// coldest-first order reads it forwards, the hottest-first order reads
-/// it backwards a run of equal WHI at a time.
+/// Buckets rise with WHI, so one list sorted by `(WHI, index)` holds
+/// them back to back: the coldest-first order reads it forwards, the
+/// hottest-first order reads it backwards a run of equal WHI at a time.
 #[derive(Debug, Default)]
 pub struct HotnessHistogram {
     /// `(WHI, region index)` of every region, ascending.
     sorted: Vec<(f64, usize)>,
-    /// Where each bucket starts in `sorted` (bucket `b` runs to the
-    /// start of `b + 1`, the last to the end).
-    starts: Vec<usize>,
     n_buckets: usize,
     max_value: f64,
 }
@@ -41,48 +37,17 @@ impl HotnessHistogram {
         assert!(max_value > 0.0);
         self.n_buckets = n_buckets;
         self.max_value = max_value;
-        // Bucket first (a counting sort: `starts` holds each bucket's end,
-        // and filling a bucket walks it down to its start), then sort each
-        // bucket by `(WHI, index)`: the buckets are small where a
-        // whole-list sort would be long.
-        self.starts.clear();
-        self.starts.resize(n_buckets, 0);
-        for r in regions {
-            self.starts[Self::bucket_for(r.whi, n_buckets, max_value)] += 1;
-        }
-        let mut next = 0;
-        for end in &mut self.starts {
-            next += *end;
-            *end = next;
-        }
         self.sorted.clear();
-        self.sorted.resize(regions.len(), (0.0, 0));
-        for (i, r) in regions.iter().enumerate() {
-            let end = &mut self.starts[Self::bucket_for(r.whi, n_buckets, max_value)];
-            *end -= 1;
-            self.sorted[*end] = (r.whi, i);
-        }
-        for b in 0..n_buckets {
-            let bucket = self.bucket(b);
-            self.sorted[bucket].sort_unstable_by(|a, b| {
-                a.0.partial_cmp(&b.0).expect("whi is finite").then(a.1.cmp(&b.1))
-            });
-        }
-    }
-
-    /// The positions of bucket `b` in `sorted`.
-    fn bucket(&self, b: usize) -> std::ops::Range<usize> {
-        self.starts[b]..self.starts.get(b + 1).copied().unwrap_or(self.sorted.len())
-    }
-
-    fn bucket_for(whi: f64, n_buckets: usize, max_value: f64) -> usize {
-        let frac = (whi / max_value).clamp(0.0, 1.0);
-        ((frac * n_buckets as f64) as usize).min(n_buckets - 1)
+        self.sorted.extend(regions.iter().enumerate().map(|(i, r)| (r.whi, i)));
+        self.sorted.sort_unstable_by(|a, b| {
+            a.0.partial_cmp(&b.0).expect("whi is finite").then(a.1.cmp(&b.1))
+        });
     }
 
     /// The bucket index a WHI value falls into.
     pub fn bucket_of(&self, whi: f64) -> usize {
-        Self::bucket_for(whi, self.n_buckets, self.max_value)
+        let frac = (whi / self.max_value).clamp(0.0, 1.0);
+        ((frac * self.n_buckets as f64) as usize).min(self.n_buckets - 1)
     }
 
     /// Number of buckets.
@@ -92,7 +57,11 @@ impl HotnessHistogram {
 
     /// Region count per bucket (coldest first).
     pub fn counts(&self) -> Vec<usize> {
-        (0..self.n_buckets).map(|b| self.bucket(b).len()).collect()
+        let mut counts = vec![0; self.n_buckets];
+        for &(whi, _) in &self.sorted {
+            counts[self.bucket_of(whi)] += 1;
+        }
+        counts
     }
 
     /// Region indices from the hottest bucket downwards, by WHI

@@ -126,12 +126,10 @@ fn make_space(
         if victim.range.len() > *demote_budget {
             continue; // Slow demotion: stay within the per-interval budget.
         }
-        // Most cold regions already live below the target: the residency
-        // probe rules them out before the queue and history are searched.
-        if majority_component(m, victim.range) != Some(target) {
+        if engine.is_pending(victim.range) || engine.recently_migrated(victim.range) {
             continue;
         }
-        if engine.is_pending(victim.range) || engine.recently_migrated(victim.range) {
+        if majority_component(m, victim.range) != Some(target) {
             continue;
         }
         // Slow demotion: one tier down, to the next lower tier with
@@ -225,13 +223,13 @@ pub fn promote_and_demote(
             break;
         }
         let node = cand.node.min(nodes - 1);
+        if engine.is_pending(cand.range) {
+            continue; // Already on its way; residency still shows the source.
+        }
         let Some(cur) = majority_component(m, cand.range) else { continue };
         let cur_rank = m.topology().tier_rank(node, cur);
         if cur_rank == 0 {
             continue; // Already in the fastest tier from its users' view.
-        }
-        if engine.is_pending(cand.range) {
-            continue; // Already on its way; residency still shows the source.
         }
         // Oversized regions are split at the budget boundary and promoted
         // a slice per interval.

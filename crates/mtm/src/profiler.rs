@@ -11,7 +11,7 @@
 //! (Sec. 5.5). Every twelfth scanned page is additionally hint-poisoned so
 //! faults attribute accesses to a CPU node (multi-view, Sec. 6.2).
 
-use tiersim::addr::{VaRange, VirtAddr, PAGE_SIZE_2M, PAGE_SIZE_4K};
+use tiersim::addr::{VaRange, VirtAddr, PAGE_SIZE_4K};
 use tiersim::frame::FrameSize;
 use tiersim::machine::Machine;
 use tiersim::page_table::PageTable;
@@ -381,10 +381,8 @@ impl AdaptiveProfiler {
     }
 
     fn attribute_hint_faults(&mut self, m: &mut Machine) {
-        let mut hint = 0;
         for fault in m.drain_hint_faults() {
-            if let Some(i) = self.regions.covering_index_near(fault.page, hint) {
-                hint = i;
+            if let Some(i) = self.regions.covering_index(fault.page) {
                 let votes = &mut self.regions.regions_mut()[i].node_votes;
                 let n = fault.node as usize;
                 if n < votes.len() {
@@ -404,13 +402,11 @@ impl AdaptiveProfiler {
         }
         // Counters run for the first 10 % of the interval (Sec. 5.5).
         let window = 0.1 * m.cfg.interval_ns;
-        let mut hint = 0;
         for s in samples {
             if s.t_ns > window {
                 continue;
             }
-            if let Some(i) = self.regions.covering_index_near(s.va, hint) {
-                hint = i;
+            if let Some(i) = self.regions.covering_index(s.va) {
                 let r = &mut self.regions.regions_mut()[i];
                 r.pebs_active = true;
                 r.pebs_page = Some(s.va.page_4k());
@@ -486,16 +482,13 @@ impl AdaptiveProfiler {
     /// Aggregates the interval's sample counts into per-region hotness,
     /// noting in `scratch.observed` which regions the scans measured.
     fn aggregate_counts(&mut self) {
-        // Group planned samples by covering region. The plan was laid out
-        // region by region, so consecutive samples mostly share a region.
+        // Group planned samples by covering region.
         let n = self.regions.len();
         let agg = &mut self.scratch.agg;
         agg.clear();
         agg.resize(n, Agg::EMPTY);
-        let mut hint = 0;
         for s in &self.plan {
-            let Some(i) = self.regions.covering_index_near(s.page, hint) else { continue };
-            hint = i;
+            let Some(i) = self.regions.covering_index(s.page) else { continue };
             let e = &mut agg[i];
             e.sum += s.count as u64;
             e.n += 1;
@@ -731,37 +724,15 @@ fn pick_pages(
         return;
     }
     let want = quota.min(pages_in_range as u32) as usize;
-    let pdes = (range.end.0 - 1) / PAGE_SIZE_2M - range.start.0 / PAGE_SIZE_2M + 1;
-    let mut all_huge = true;
     let mut attempts = 0;
-    // Probes into a small region mostly land in the huge page the last
-    // probe found, which needs no second lookup.
-    let mut last_huge = None;
     while out.len() < want && attempts < want * 4 {
-        if all_huge && out.len() as u64 == pdes {
-            // Every PDE the range touches is a huge page already picked:
-            // the remaining probes cannot find a new page, so only their
-            // draws are taken.
-            skip_draws(rng, (want * 4 - attempts) as u64);
-            break;
-        }
         attempts += 1;
         let off = rng.below(pages_in_range) * PAGE_SIZE_4K;
         let va = VirtAddr(range.start.0 + off);
-        let page = if last_huge == Some(va.page_2m()) {
-            va.page_2m()
-        } else {
-            match pt.translate(va) {
-                Some(t) if t.size == FrameSize::Huge2M => {
-                    last_huge = Some(va.page_2m());
-                    va.page_2m()
-                }
-                Some(_) => {
-                    all_huge = false;
-                    va.page_4k()
-                }
-                None => continue,
-            }
+        let page = match pt.translate(va) {
+            Some(t) if t.size == FrameSize::Huge2M => va.page_2m(),
+            Some(_) => va.page_4k(),
+            None => continue,
         };
         if !out.contains(&page) {
             out.push(page);
@@ -769,17 +740,10 @@ fn pick_pages(
     }
 }
 
-/// Advances `rng` past `n` draws without making them: SplitMix64's state
-/// moves by one fixed step per draw, so the jump is exact.
-fn skip_draws(rng: &mut SplitMix64, n: u64) {
-    if n > 0 {
-        *rng = SplitMix64::at(rng.state(), n - 1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tiersim::addr::PAGE_SIZE_2M;
     use tiersim::machine::{AccessKind, MachineConfig};
     use tiersim::tier::tiny_two_tier;
 
@@ -946,28 +910,15 @@ mod tests {
         assert!(p.metadata_bytes() < 16 * 1024);
     }
 
-    #[test]
-    fn skipping_draws_equals_drawing() {
-        for n in [0, 1, 2, 7, 1000] {
-            let mut drawn = SplitMix64::new(42);
-            drawn.next_u64();
-            let mut skipped = drawn.clone();
-            for _ in 0..n {
-                drawn.next_u64();
-            }
-            skip_draws(&mut skipped, n);
-            assert_eq!(skipped.next_u64(), drawn.next_u64(), "after {n} draws");
-        }
-    }
-
-    /// The scan pass as it was before it became a single pass: every
-    /// slot's accessed bit is read first, then clears, counts, charges and
-    /// poisoning are applied in plan order, with a seen-set keyed by
-    /// mapping so two slots aliasing one mapping count it once.
+    /// A two-phase reference for the scan pass: every slot's accessed bit
+    /// is read first, then clears, counts, charges and poisoning are
+    /// applied in plan order, with a seen-set keyed by mapping so two
+    /// slots aliasing one mapping count it once.
     fn two_phase_scan(p: &mut AdaptiveProfiler, m: &mut Machine) {
         let every = p.cfg.hint_fault_every.max(1) as u64;
         let pt = m.page_table();
-        let pre: Vec<_> = p.plan.iter().map(|s| pt.accessed_at(s.page)).collect();
+        let pre: Vec<_> =
+            p.plan.iter().map(|s| pt.translate(s.page).map(|t| (t.pte.accessed(), t.size))).collect();
         let mut seen = std::collections::BTreeSet::new();
         for (s, pre) in p.plan.iter_mut().zip(pre) {
             if let Some((accessed, size)) = pre {

@@ -228,18 +228,6 @@ impl RegionList {
         (idx < self.regions.len() && self.regions[idx].range.contains(va)).then_some(idx)
     }
 
-    /// [`RegionList::covering_index`] for lookups that tend to ascend:
-    /// tries the region at `hint` and its successor before the binary
-    /// search.
-    pub fn covering_index_near(&self, va: VirtAddr, hint: usize) -> Option<usize> {
-        for i in [hint, hint + 1] {
-            if self.regions.get(i).is_some_and(|r| r.range.contains(va)) {
-                return Some(i);
-            }
-        }
-        self.covering_index(va)
-    }
-
     /// Merges adjacent region pairs whose most-recent hotness differs by
     /// less than the effective merge threshold. Returns the freed sample
     /// quota (to be redistributed by the caller).

@@ -312,26 +312,6 @@ impl PageTable {
         }
     }
 
-    /// Reads the ACCESSED bit of the page covering `va` from the packed
-    /// side metadata, without clearing anything. Returns the bit and the
-    /// mapping size.
-    #[inline]
-    pub fn accessed_at(&self, va: VirtAddr) -> Option<(bool, FrameSize)> {
-        match self.entry(va.pde_index())? {
-            PdEntry::Huge(pte) if pte.present() => Some((pte.accessed(), FrameSize::Huge2M)),
-            PdEntry::Table(leaf) => {
-                let i = va.pte_index();
-                if !test_bit(&leaf.present, i) {
-                    return None;
-                }
-                let bit = test_bit(&leaf.accessed, i);
-                debug_assert_eq!(bit, leaf.ptes[i].accessed(), "side metadata drift at {va:?}");
-                Some((bit, FrameSize::Base4K))
-            }
-            _ => None,
-        }
-    }
-
     /// Reads **and clears** the ACCESSED bit of the page covering `va`
     /// (PTE and side metadata together). Returns the old bit and the
     /// mapping size.
@@ -898,21 +878,26 @@ mod tests {
         assert!(from(1 << 46).is_empty(), "past the table's end");
     }
 
+    /// The ACCESSED bit and size of the page covering `va`, from its PTE.
+    fn accessed(pt: &PageTable, va: VirtAddr) -> Option<(bool, FrameSize)> {
+        pt.translate(va).map(|t| (t.pte.accessed(), t.size))
+    }
+
     #[test]
     fn touch_and_scan_keep_side_metadata_in_sync() {
         let mut pt = PageTable::new();
         let va = VirtAddr(3 * PAGE_SIZE_4K);
         pt.map_4k(va, pte4k(0, 0x4000));
-        assert_eq!(pt.accessed_at(va), Some((false, FrameSize::Base4K)));
+        assert_eq!(accessed(&pt, va), Some((false, FrameSize::Base4K)));
         let (pre, size) = pt.touch(va, true).unwrap();
         assert!(!pre.accessed(), "touch returns the pre-access PTE");
         assert_eq!(size, FrameSize::Base4K);
-        assert_eq!(pt.accessed_at(va), Some((true, FrameSize::Base4K)));
+        assert_eq!(accessed(&pt, va), Some((true, FrameSize::Base4K)));
         assert!(pt.translate(va).unwrap().pte.dirty());
         assert!(pt.check_side_metadata().is_empty());
         let (was, _) = pt.scan_page_at(va).unwrap();
         assert!(was);
-        assert_eq!(pt.accessed_at(va), Some((false, FrameSize::Base4K)));
+        assert_eq!(accessed(&pt, va), Some((false, FrameSize::Base4K)));
         assert!(!pt.translate(va).unwrap().pte.accessed(), "scan clears the PTE bit too");
         assert!(pt.check_side_metadata().is_empty());
     }
@@ -925,7 +910,7 @@ mod tests {
         let mut pte = pte4k(0, 0);
         pte.set(PTE_ACCESSED | PTE_DIRTY);
         pt.map_4k(va, pte);
-        assert_eq!(pt.accessed_at(va), Some((true, FrameSize::Base4K)));
+        assert_eq!(accessed(&pt, va), Some((true, FrameSize::Base4K)));
         assert!(pt.check_side_metadata().is_empty());
         pt.unmap(va).unwrap();
         assert!(pt.check_side_metadata().is_empty());
