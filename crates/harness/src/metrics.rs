@@ -29,47 +29,28 @@ pub fn sanitize_name(name: &str) -> String {
         .collect()
 }
 
-/// The file a run's telemetry lands in under `dir`.
-pub fn telemetry_path(dir: &Path, manager: &str, workload: &str) -> PathBuf {
-    dir.join(format!("{}_{}.json", sanitize_name(manager), sanitize_name(workload)))
-}
-
-/// Serializes one run's telemetry as JSON under `dir`, creating the
-/// directory as needed. Returns the path written.
-pub fn emit_telemetry_into(dir: &Path, t: &obs::RunTelemetry) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = telemetry_path(dir, &t.manager, &t.workload);
-    std::fs::write(&path, t.to_json())?;
-    Ok(path)
-}
-
-/// Serializes one run's telemetry under [`TELEMETRY_DIR`].
-pub fn emit_telemetry(t: &obs::RunTelemetry) -> std::io::Result<PathBuf> {
-    emit_telemetry_into(Path::new(TELEMETRY_DIR), t)
-}
-
-/// The file a *tenant's* run telemetry lands in under `dir`:
-/// `<tenant>_<manager>_<workload>.json`. The tenant prefix keeps two
+/// The file a run's telemetry lands in under `dir`:
+/// `<manager>_<workload>.json`, or `<tenant>_<manager>_<workload>.json`
+/// for one tenant of a shared machine. The tenant prefix keeps two
 /// tenants running the same named workload from clobbering each other's
-/// snapshot — the single-tenant path keeps its historical two-part name.
-pub fn tenant_telemetry_path(dir: &Path, tenant: &str, manager: &str, workload: &str) -> PathBuf {
-    dir.join(format!(
-        "{}_{}_{}.json",
-        sanitize_name(tenant),
-        sanitize_name(manager),
-        sanitize_name(workload)
-    ))
+/// snapshot.
+pub fn telemetry_path(dir: &Path, tenant: Option<&str>, manager: &str, workload: &str) -> PathBuf {
+    let run = format!("{}_{}.json", sanitize_name(manager), sanitize_name(workload));
+    dir.join(match tenant {
+        Some(tenant) => format!("{}_{run}", sanitize_name(tenant)),
+        None => run,
+    })
 }
 
-/// Serializes one tenant's run telemetry as JSON under `dir`, creating
-/// the directory as needed. Returns the path written.
-pub fn emit_tenant_telemetry_into(
+/// Serializes one run's (or one tenant's) telemetry as JSON under `dir`,
+/// creating the directory as needed. Returns the path written.
+pub fn emit_telemetry_into(
     dir: &Path,
-    tenant: &str,
+    tenant: Option<&str>,
     t: &obs::RunTelemetry,
 ) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let path = tenant_telemetry_path(dir, tenant, &t.manager, &t.workload);
+    let path = telemetry_path(dir, tenant, &t.manager, &t.workload);
     std::fs::write(&path, t.to_json())?;
     Ok(path)
 }
@@ -185,7 +166,7 @@ mod tests {
         t.registry.counter_add(obs::names::PROMOTIONS, 3);
         let dir = std::env::temp_dir()
             .join(format!("mtm-telemetry-test-{}-emit", std::process::id()));
-        let path = emit_telemetry_into(&dir, &t).unwrap();
+        let path = emit_telemetry_into(&dir, None, &t).unwrap();
         assert_eq!(path.file_name().unwrap().to_str().unwrap(), "MTM-w-o-OC_GUPS.json");
         let text = std::fs::read_to_string(&path).unwrap();
         let json = obs::json::parse(&text).unwrap();
@@ -202,12 +183,13 @@ mod tests {
     #[test]
     fn tenant_telemetry_files_are_disjoint_per_tenant() {
         let dir = Path::new("results/telemetry");
-        let a = tenant_telemetry_path(dir, "t00", "MTM", "GUPS");
-        let b = tenant_telemetry_path(dir, "t01", "MTM", "GUPS");
+        let a = telemetry_path(dir, Some("t00"), "MTM", "GUPS");
+        let b = telemetry_path(dir, Some("t01"), "MTM", "GUPS");
         assert_ne!(a, b, "same workload, different tenants, different files");
         assert_eq!(a.file_name().unwrap().to_str().unwrap(), "t00_MTM_GUPS.json");
         // The legacy two-part name never collides with a tenant name.
-        let legacy = telemetry_path(dir, "MTM", "GUPS");
+        let legacy = telemetry_path(dir, None, "MTM", "GUPS");
+        assert_eq!(legacy.file_name().unwrap().to_str().unwrap(), "MTM_GUPS.json");
         assert_ne!(a, legacy);
     }
 

@@ -492,7 +492,7 @@ pub fn render(opts: &Opts, counts: &[usize], arbiters: &[ArbiterKind]) -> String
             let specs = tenant_specs(counts[ni]);
             for (spec, report) in specs.iter().zip(&cell_reports[ci]) {
                 if let Err(e) =
-                    crate::metrics::emit_tenant_telemetry_into(dir, &spec.name, &report.telemetry)
+                    crate::metrics::emit_telemetry_into(dir, Some(&spec.name), &report.telemetry)
                 {
                     eprintln!(
                         "warning: could not write telemetry for {}/{}: {e}",

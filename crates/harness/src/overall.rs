@@ -3,19 +3,11 @@
 //! (hot volume / fast-tier accesses), Table 5 (MTM memory overhead) and
 //! Table 7 (region statistics) all read from these shared, cached runs.
 
-use std::sync::Arc;
-
-use tiersim::sim::RunReport;
 use tiersim::tier::optane_four_tier;
 
 use crate::opts::Opts;
 use crate::runs::{cached_run, prewarm, OVERALL_MANAGERS, WORKLOADS};
 use crate::tablefmt::{dur, f, TextTable};
-
-/// Returns the report of one pair from the shared cache.
-pub fn report(manager: &str, workload: &str, opts: &Opts) -> Arc<RunReport> {
-    cached_run(manager, workload, opts)
-}
 
 /// The cross product of managers and workloads, for [`prewarm`].
 pub fn matrix(managers: &[&'static str], workloads: &[&'static str]) -> Vec<(&'static str, &'static str)> {
@@ -36,10 +28,10 @@ pub fn fig4(opts: &Opts) -> String {
     let mut table = TextTable::new(&headers);
     let mut ln_sums = vec![0.0f64; OVERALL_MANAGERS.len()];
     for wl in WORKLOADS {
-        let base = report("first-touch", wl, opts).ns_per_op_steady();
+        let base = cached_run("first-touch", wl, opts).ns_per_op_steady();
         let mut row = vec![wl.to_string()];
         for (i, mgr) in OVERALL_MANAGERS.iter().enumerate() {
-            let t = report(mgr, wl, opts).ns_per_op_steady();
+            let t = cached_run(mgr, wl, opts).ns_per_op_steady();
             let norm = t / base;
             ln_sums[i] += norm.ln();
             row.push(f(norm));
@@ -67,7 +59,7 @@ pub fn fig5(opts: &Opts) -> String {
     for wl in WORKLOADS {
         // Normalize every system to the same amount of work (1M ops).
         for mgr in MANAGERS {
-            let r = report(mgr, wl, opts);
+            let r = cached_run(mgr, wl, opts);
             let (b, ops) = r.steady();
             if ops == 0 {
                 // A zero-op steady window would make the per-1M-op scale
@@ -116,7 +108,7 @@ pub fn table3(opts: &Opts) -> String {
     ]);
     for wl in WORKLOADS {
         for mgr in MANAGERS {
-            let r = report(mgr, wl, opts);
+            let r = cached_run(mgr, wl, opts);
             let fast = r.accesses_at_rank(&topo, 0, 0);
             table.row(vec![
                 wl.to_string(),
@@ -143,7 +135,7 @@ pub fn table5(opts: &Opts) -> String {
         "overhead %",
     ]);
     for wl in WORKLOADS {
-        let r = report("MTM", wl, opts);
+        let r = cached_run("MTM", wl, opts);
         let pct = 100.0 * r.metadata_bytes as f64 / r.footprint.max(1) as f64;
         table.row(vec![
             wl.to_string(),
@@ -167,7 +159,7 @@ pub fn table7(opts: &Opts) -> String {
         "avg # MR in a PI",
     ]);
     for wl in WORKLOADS {
-        let r = report("MTM", wl, opts);
+        let r = cached_run("MTM", wl, opts);
         let rs = r.region_stats.expect("MTM reports region stats");
         table.row(vec![
             wl.to_string(),

@@ -4,9 +4,8 @@
 //! workload, opts)` run owns its `Machine`, seeded RNG and manager, so
 //! runs can execute on any thread in any order and still produce
 //! bit-identical reports. [`map_parallel`] exploits that on the
-//! simulator's scoped-thread packet executor
-//! ([`tiersim::engine::map_chunks`]), one item per packet, with results
-//! returned in item order so callers stay deterministic.
+//! simulator's ordered parallel map ([`tiersim::engine::map_items`]),
+//! with results returned in item order so callers stay deterministic.
 //!
 //! The worker count defaults to `available_parallelism`; `MTM_JOBS`
 //! (read with the other settings in `runs::env_knobs`) sets it, and
@@ -15,7 +14,6 @@
 //! Tests pick a count with [`override_jobs`] instead.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The [`override_jobs`] count, or 0 for none.
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -44,19 +42,15 @@ pub fn override_jobs(n: Option<usize>) {
 /// the results in item order. With one worker (or one item) the items run
 /// inline on the calling thread, in order — the exact serial behavior.
 ///
-/// A panicking call propagates its panic to the caller after all workers
-/// have stopped picking up new items.
+/// A panicking call propagates its panic to the caller once every worker
+/// has stopped.
 pub fn map_parallel<I, T, F>(items: Vec<I>, f: F) -> Vec<T>
 where
     I: Send,
     T: Send,
     F: Fn(I) -> T + Sync,
 {
-    let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|it| Mutex::new(Some(it))).collect();
-    tiersim::engine::map_chunks(jobs(), slots.len(), 1, |r| {
-        let item = slots[r.start].lock().expect("item slot poisoned").take();
-        f(item.expect("each item is taken once"))
-    })
+    tiersim::engine::map_items(jobs(), items, f)
 }
 
 #[cfg(test)]

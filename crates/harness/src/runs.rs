@@ -14,17 +14,17 @@
 //! and scenario sweeps. The simulator itself reads no environment.
 //!
 //! Runs are memoized in a process-wide **single-flight** cache keyed by
-//! the whole spec: the first caller of a spec executes the run while any
-//! concurrent caller of the same spec blocks on a `Condvar` until that one
-//! execution publishes its report. Distinct specs execute fully in
-//! parallel. [`prewarm`] schedules a whole matrix of pairs onto the
+//! the whole spec: each key owns a `OnceLock`, so the first caller of a
+//! spec executes the run in `get_or_init` while any concurrent caller of
+//! the same spec blocks there until that one execution publishes its
+//! report. Distinct specs execute fully in parallel. [`prewarm`] schedules a whole matrix of pairs onto the
 //! [`crate::runpool`] worker pool up front, so experiments that later read
 //! the same runs (Fig. 4/5, Tables 3/5/7, Fig. 7, ...) render from warm
 //! cache hits.
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use faultsim::FaultPlan;
@@ -430,32 +430,10 @@ impl RunSpec {
     }
 }
 
-/// One cache entry. `Pending` while the owning caller executes the run,
-/// `Ready` once the report is published, `Abandoned` if the owner
-/// panicked (waiters then retry and one of them becomes the new owner).
-enum SlotState {
-    Pending,
-    Ready(Arc<RunReport>),
-    Abandoned,
-}
-
-struct Slot {
-    state: Mutex<SlotState>,
-    cv: Condvar,
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot { state: Mutex::new(SlotState::Pending), cv: Condvar::new() }
-    }
-}
-
-type Cache = Mutex<BTreeMap<String, Arc<Slot>>>;
-
-fn cache() -> &'static Cache {
-    static CACHE: OnceLock<Cache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
+// The [`RunCacheStats`] counters.
+static MISSES: AtomicU64 = AtomicU64::new(0);
+static HITS: AtomicU64 = AtomicU64::new(0);
+static COALESCED: AtomicU64 = AtomicU64::new(0);
 
 /// Cache-effectiveness counters for the single-flight run cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -469,33 +447,12 @@ pub struct RunCacheStats {
     pub coalesced: u64,
 }
 
-/// A snapshot of the process-wide run-cache counters (kept in the shared
-/// observability registry, [`obs::shared`]).
+/// A snapshot of the process-wide run-cache counters.
 pub fn run_cache_stats() -> RunCacheStats {
-    let shared = obs::shared();
     RunCacheStats {
-        misses: shared.get(obs::names::RUN_CACHE_MISSES),
-        hits: shared.get(obs::names::RUN_CACHE_HITS),
-        coalesced: shared.get(obs::names::RUN_CACHE_COALESCED),
-    }
-}
-
-/// Marks the slot abandoned (and evicts it) if the owner unwinds before
-/// publishing a report, so waiters wake up and retry instead of hanging.
-struct OwnerGuard<'a> {
-    key: &'a str,
-    slot: &'a Arc<Slot>,
-    published: bool,
-}
-
-impl Drop for OwnerGuard<'_> {
-    fn drop(&mut self) {
-        if self.published {
-            return;
-        }
-        cache().lock().expect("run cache poisoned").remove(self.key);
-        *self.slot.state.lock().expect("run slot poisoned") = SlotState::Abandoned;
-        self.slot.cv.notify_all();
+        misses: MISSES.load(Ordering::Relaxed),
+        hits: HITS.load(Ordering::Relaxed),
+        coalesced: COALESCED.load(Ordering::Relaxed),
     }
 }
 
@@ -516,67 +473,51 @@ pub fn cached_run(manager: &str, workload: &str, opts: &Opts) -> Arc<RunReport> 
 /// The cache is keyed by the spec's whole `Debug` rendering, so no field
 /// can be left out of the key. It is single-flight: concurrent callers of
 /// the same spec block until the one execution finishes, so a spec is
-/// never run twice no matter how many threads ask for it.
+/// never run twice no matter how many threads ask for it. A run that
+/// panics publishes nothing, so the next caller executes it afresh.
 pub fn cached_run_traced(spec: &RunSpec) -> (Arc<RunReport>, bool) {
+    type Slot = Arc<OnceLock<Arc<RunReport>>>;
+    static CACHE: Mutex<BTreeMap<String, Slot>> = Mutex::new(BTreeMap::new());
+    // The map lock is held only long enough to fetch the key's slot,
+    // never across a run.
     let key = format!("{spec:?}");
-    loop {
-        let (slot, owner) = {
-            let mut map = cache().lock().expect("run cache poisoned");
-            match map.entry(key.clone()) {
-                Entry::Occupied(e) => (e.get().clone(), false),
-                Entry::Vacant(v) => {
-                    let slot = Arc::new(Slot::new());
-                    v.insert(slot.clone());
-                    (slot, true)
-                }
-            }
-        };
-        if owner {
-            obs::shared().add(obs::names::RUN_CACHE_MISSES, 1);
-            let label = format!("{}/{}", spec.manager.name(), spec.workload);
-            eprintln!("[run] {label}: started");
-            // lint:allow(wall-clock): stderr progress timing only; never reaches reports
-            let t0 = Instant::now();
-            let mut guard = OwnerGuard { key: &key, slot: &slot, published: false };
-            let report = Arc::new(spec.run());
-            // Export telemetry before publishing: the snapshot travels
-            // inside the Arc'd report, so coalesced waiters and later
-            // cache hits observe the identical telemetry; only the owner
-            // writes the file, once per key.
-            if env_knobs().telemetry {
-                if let Err(e) = crate::metrics::emit_telemetry(&report.telemetry) {
-                    eprintln!("warning: could not write telemetry for {label}: {e}");
-                }
-            }
-            *slot.state.lock().expect("run slot poisoned") = SlotState::Ready(report.clone());
-            guard.published = true;
-            slot.cv.notify_all();
-            eprintln!(
-                "[run] {}/{}: finished in {:.2}s",
-                report.manager,
-                spec.workload,
-                t0.elapsed().as_secs_f64()
-            );
-            return (report, true);
-        }
-        let mut state = slot.state.lock().expect("run slot poisoned");
-        if let SlotState::Ready(r) = &*state {
-            obs::shared().add(obs::names::RUN_CACHE_HITS, 1);
-            return (r.clone(), false);
-        }
-        if matches!(*state, SlotState::Pending) {
-            obs::shared().add(obs::names::RUN_CACHE_COALESCED, 1);
-        }
-        loop {
-            match &*state {
-                SlotState::Ready(r) => return (r.clone(), false),
-                SlotState::Abandoned => break, // owner panicked; retry from the top
-                SlotState::Pending => {
-                    state = slot.cv.wait(state).expect("run slot poisoned");
-                }
-            }
-        }
+    let slot = CACHE.lock().expect("run cache poisoned").entry(key).or_default().clone();
+    if let Some(report) = slot.get() {
+        HITS.fetch_add(1, Ordering::Relaxed);
+        return (report.clone(), false);
     }
+    let mut ran = false;
+    let report = slot.get_or_init(|| {
+        ran = true;
+        MISSES.fetch_add(1, Ordering::Relaxed);
+        let label = format!("{}/{}", spec.manager.name(), spec.workload);
+        eprintln!("[run] {label}: started");
+        // lint:allow(wall-clock): stderr progress timing only; never reaches reports
+        let t0 = Instant::now();
+        let report = Arc::new(spec.run());
+        // Export telemetry before returning, which publishes the report:
+        // the snapshot travels inside the Arc'd report, so coalesced
+        // waiters and later cache hits observe the identical telemetry;
+        // only the caller that runs the closure writes the file, once
+        // per key.
+        if env_knobs().telemetry {
+            let dir = std::path::Path::new(crate::metrics::TELEMETRY_DIR);
+            if let Err(e) = crate::metrics::emit_telemetry_into(dir, None, &report.telemetry) {
+                eprintln!("warning: could not write telemetry for {label}: {e}");
+            }
+        }
+        eprintln!(
+            "[run] {}/{}: finished in {:.2}s",
+            report.manager,
+            spec.workload,
+            t0.elapsed().as_secs_f64()
+        );
+        report
+    });
+    if !ran {
+        COALESCED.fetch_add(1, Ordering::Relaxed);
+    }
+    (report.clone(), ran)
 }
 
 /// Schedules every `(manager, workload)` pair onto the worker pool and

@@ -9,8 +9,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 use mtm_harness::runpool;
-use mtm_harness::runs::{cached_run_traced, prewarm, RunSpec};
+use mtm_harness::runs::{cached_run_traced, prewarm, run_cache_stats, RunSpec};
 use mtm_harness::Opts;
+use tiersim::tier::tiny_two_tier;
 
 fn force_parallel() {
     runpool::override_jobs(Some(4));
@@ -57,6 +58,37 @@ fn same_key_runs_exactly_once_across_threads() {
         assert!(Arc::ptr_eq(&reports[0], r), "every caller gets the same report instance");
     }
     assert!(reports[0].total_ns > 0.0);
+}
+
+#[test]
+fn a_panicking_run_reaches_every_caller_and_runs_again_later() {
+    // Two 4 KiB tiers cannot hold a GUPS table, so the run panics in
+    // placement, every time it is executed.
+    let mut doomed = spec("first-touch", "GUPS", &tiny(5));
+    doomed.topology = tiny_two_tier(4096, 4096);
+    let doomed = Arc::new(doomed);
+    let start = Arc::new(Barrier::new(4));
+    let handles: Vec<_> = (0..4)
+        .map(|_| {
+            let (doomed, start) = (doomed.clone(), start.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                cached_run_traced(&doomed)
+            })
+        })
+        .collect();
+    let placement_failed = |payload: Box<dyn std::any::Any + Send>| {
+        payload.downcast_ref::<String>().is_some_and(|m| m.starts_with("placement failed"))
+    };
+    for h in handles {
+        let panic = h.join().expect_err("every concurrent caller sees the panic instead of hanging");
+        assert!(placement_failed(panic), "the caller sees the run's own panic");
+    }
+    // Nothing was published, so a later call executes the run again.
+    let misses = run_cache_stats().misses;
+    let later = std::panic::catch_unwind(|| cached_run_traced(&doomed));
+    assert!(placement_failed(later.expect_err("the later call re-executes the run")));
+    assert!(run_cache_stats().misses > misses, "the re-execution counts as a miss");
 }
 
 #[test]

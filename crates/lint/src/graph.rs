@@ -30,7 +30,7 @@ const EXCLUDED_CRATES: &[&str] = &["bench", "lint", "proptest-lite"];
 /// happen to share the name (e.g. `PageTable::entry`, `EventRing::push`)
 /// manufactures cross-crate paths that do not exist. These names are
 /// treated as external at *method* call sites only — qualified calls
-/// (`SharedRegistry::get`) still resolve, and the sources/panics inside
+/// (`EventRing::push`) still resolve, and the sources/panics inside
 /// such workspace methods are still audited from their own crate's
 /// entry points (every ordered-crate fn is a D6 root) and from callers
 /// that use distinctive names.

@@ -2,8 +2,8 @@
 //!
 //! Every counter/gauge/histogram name must be declared exactly once in
 //! `obs::names` (`crates/obs/src/metrics.rs`), be unique, and match
-//! `[a-z0-9_]+`; every booking call (`counter_add`, `gauge_set`,
-//! `observe`, and `shared().add`) must go through a declared const, not
+//! `[a-z0-9_]+`; every booking call (`counter_add`, `gauge_set` and
+//! `observe`) must go through a declared const, not
 //! a raw string literal — a typo'd literal silently forks a new series —
 //! and every declared const must actually be booked somewhere, or the
 //! dashboardable surface drifts from the code.
@@ -17,9 +17,9 @@ const NAMES_FILE: &str = "crates/obs/src/metrics.rs";
 /// One `pub const NAME: &str = "value";` declaration in `obs::names`.
 #[derive(Clone, Debug)]
 pub struct NameDecl {
-    /// Const identifier (`RUN_CACHE_MISSES`).
+    /// Const identifier (`PAGES_MIGRATED`).
     pub ident: String,
-    /// The metric name string (`run_cache_misses`).
+    /// The metric name string (`pages_migrated`).
     pub value: String,
     /// 1-based declaration line.
     pub line: usize,
@@ -146,13 +146,6 @@ pub fn audit(files: &[(String, String)]) -> Vec<Finding> {
                 while let Some(p) = line[start..].find(pat) {
                     sites.push(start + p + pat.len());
                     start += p + pat.len();
-                }
-            }
-            if line.contains("shared") {
-                let mut start = 0;
-                while let Some(p) = line[start..].find(".add(") {
-                    sites.push(start + p + ".add(".len());
-                    start += p + ".add(".len();
                 }
             }
             for at in sites {

@@ -22,8 +22,7 @@
 //! Recording is deliberately *per run*: a [`Recorder`] lives inside each
 //! simulated machine, so telemetry flows through the harness's
 //! single-flight run cache unchanged and is byte-identical for any
-//! `MTM_JOBS` value. Only the handful of process-wide harness counters
-//! (run-cache hits/misses) live in the [`metrics::shared`] registry.
+//! `MTM_JOBS` value. The crate holds no process-wide state.
 
 pub mod json;
 pub mod metrics;
@@ -31,7 +30,7 @@ pub mod ring;
 pub mod snapshot;
 pub mod wire;
 
-pub use metrics::{names, shared, LogHistogram, Registry, SharedRegistry, SpanTimer};
+pub use metrics::{names, LogHistogram, Registry, SpanTimer};
 pub use ring::{Event, EventKind, EventRing};
 pub use snapshot::{IntervalSeries, RunTelemetry};
 

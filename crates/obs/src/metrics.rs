@@ -5,22 +5,12 @@
 //! so the set of metrics is closed at compile time and every emitter and
 //! consumer agrees on spelling. Values live in a per-run [`Registry`]
 //! (deterministic, keyed by a `BTreeMap` so snapshots serialize in a
-//! stable order); the only process-wide state is the tiny [`shared`]
-//! registry used for harness run-cache accounting.
+//! stable order); nothing here is process-wide.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// Every metric name used across the workspace, in one place.
 pub mod names {
-    // -- process-wide (shared registry): harness run cache --------------
-    /// Runs actually executed by the single-flight cache.
-    pub const RUN_CACHE_MISSES: &str = "run_cache_misses";
-    /// Runs answered from a completed cache entry.
-    pub const RUN_CACHE_HITS: &str = "run_cache_hits";
-    /// Callers that waited on an in-flight run instead of re-executing.
-    pub const RUN_CACHE_COALESCED: &str = "run_cache_coalesced";
-
     // -- per-run counters: simulated machine ----------------------------
     /// First-touch allocation faults.
     pub const ALLOC_FAULTS: &str = "alloc_faults";
@@ -401,47 +391,6 @@ impl SpanTimer {
     }
 }
 
-/// The process-wide shared registry: thread-safe monotonic counters.
-///
-/// Deliberately tiny — only cross-run bookkeeping (the harness's
-/// single-flight run cache) belongs here. Everything tied to a simulated
-/// run must go in the per-run [`Registry`] instead, or telemetry would
-/// depend on what else ran in the process.
-#[derive(Debug)]
-pub struct SharedRegistry {
-    counters: Mutex<BTreeMap<&'static str, u64>>,
-}
-
-static SHARED: SharedRegistry = SharedRegistry { counters: Mutex::new(BTreeMap::new()) };
-
-/// The process-wide shared registry.
-pub fn shared() -> &'static SharedRegistry {
-    &SHARED
-}
-
-impl SharedRegistry {
-    /// Adds `v` to the shared counter `name`.
-    pub fn add(&self, name: &'static str, v: u64) {
-        let mut c = self.counters.lock().expect("shared registry lock");
-        *c.entry(name).or_insert(0) += v;
-    }
-
-    /// Current value of shared counter `name` (0 if never touched).
-    pub fn get(&self, name: &str) -> u64 {
-        self.counters.lock().expect("shared registry lock").get(name).copied().unwrap_or(0)
-    }
-
-    /// All shared counters in name order.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        self.counters
-            .lock()
-            .expect("shared registry lock")
-            .iter()
-            .map(|(&k, &v)| (k, v))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,19 +475,5 @@ mod tests {
         // A span can never go backwards even if the clock reading does.
         let t = SpanTimer::start(1000.0);
         assert_eq!(t.stop(&mut reg, names::SPAN_PROFILE_NS, 900.0), 0.0);
-    }
-
-    #[test]
-    fn shared_registry_counts_across_threads() {
-        // Use a name no other test touches to stay order-independent.
-        const NAME: &str = "test_shared_counter";
-        let before = shared().get(NAME);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| shared().add(NAME, 5));
-            }
-        });
-        assert_eq!(shared().get(NAME) - before, 20);
-        assert!(shared().snapshot().iter().any(|&(k, _)| k == NAME));
     }
 }

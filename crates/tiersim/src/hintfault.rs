@@ -92,11 +92,6 @@ impl HintFaultUnit {
         self.poisoned_peak = self.poisoned_at.len();
     }
 
-    /// Forgets a poisoned page without a fault (e.g. the page was unmapped).
-    pub fn forget(&mut self, page: VirtAddr) {
-        self.poisoned_at.remove(&page.0);
-    }
-
     /// Serializes the unit's full state (poison map, undrained faults and
     /// lifetime statistics).
     pub fn save(&self, w: &mut obs::wire::Writer) {
@@ -160,13 +155,5 @@ mod tests {
         let mut u = HintFaultUnit::new();
         u.fault(VirtAddr(0x2000), 0, 0, 500.0);
         assert_eq!(u.drain()[0].latency_ns, 0.0);
-    }
-
-    #[test]
-    fn forget_clears_poison() {
-        let mut u = HintFaultUnit::new();
-        u.poison(VirtAddr(0x1000), 0.0);
-        u.forget(VirtAddr(0x1000));
-        assert_eq!(u.poisoned_count(), 0);
     }
 }

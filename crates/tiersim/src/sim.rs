@@ -525,11 +525,6 @@ impl ScenarioProgress {
         self.prev_migrated = migrated;
     }
 
-    /// Number of intervals stepped so far.
-    pub fn intervals_done(&self) -> u64 {
-        self.interval_ns.len() as u64
-    }
-
     /// Serializes the accumulated per-interval traces (checkpoint
     /// support). Together with [`Machine::save_state`] and the manager's
     /// and workload's state blobs this captures everything a resumed run

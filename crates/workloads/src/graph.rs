@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use tiersim::engine::map_chunks;
+use tiersim::engine::map_items;
 
 use crate::rng::SplitMix64;
 
@@ -30,13 +30,6 @@ impl Csr {
     /// Number of directed edges.
     pub fn edges(&self) -> u64 {
         self.neighbors.len() as u64
-    }
-
-    /// The adjacency list of `v`.
-    pub fn neighbors_of(&self, v: u32) -> &[u32] {
-        let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize;
-        &self.neighbors[lo..hi]
     }
 
     /// Out-degree of `v`.
@@ -363,10 +356,11 @@ impl Packet {
     }
 }
 
-/// One bucket's share of the CSR: `offsets` are the ends of its sources'
+/// Bucket `b`'s share of the CSR: `offsets` are the ends of its sources'
 /// lists (global `offsets[lo + 1 ..= hi]`), `neighbors` its lists, whose
 /// first edge is global edge `base`.
 struct BucketOut<'a> {
+    b: usize,
     base: u64,
     offsets: &'a mut [u64],
     neighbors: &'a mut [u32],
@@ -376,7 +370,8 @@ impl BucketOut<'_> {
     /// Counts bucket `b`'s degrees, takes their prefix sum and scatters
     /// its edges, walking the packets in order so each source keeps its
     /// neighbors in edge order.
-    fn build(self, packets: &[Packet], b: usize) {
+    fn build(self, packets: &[Packet]) {
+        let b = self.b;
         let mut cursor = vec![0usize; self.offsets.len()];
         for p in packets {
             for &s in p.bucket(b).0 {
@@ -423,14 +418,14 @@ fn rmat_on(params: RmatParams, workers: usize, chunk: usize, kernel: Kernel) -> 
     debug_assert!(chunk <= u32::MAX as usize, "packet edge counts are u32");
     let grid = Grid::new(params);
     let buckets = Buckets::new(grid);
-    let packets = map_chunks(workers, params.edges as usize, chunk, |r| {
-        Packet::generate(kernel, grid, buckets, r)
-    });
+    let edges = params.edges as usize;
+    let ranges = (0..edges).step_by(chunk).map(|lo| lo..(lo + chunk).min(edges)).collect();
+    let packets = map_items(workers, ranges, |r| Packet::generate(kernel, grid, buckets, r));
     // Both arrays are sized up front from the bucket totals; each bucket
     // then fills only its own disjoint slices of them.
     let mut offsets = vec![0u64; grid.n as usize + 1];
-    let mut neighbors = vec![0u32; params.edges as usize];
-    let mut slots = Vec::with_capacity(buckets.count);
+    let mut neighbors = vec![0u32; edges];
+    let mut outs = Vec::with_capacity(buckets.count);
     let (mut offsets_rest, mut neighbors_rest) = (&mut offsets[1..], &mut neighbors[..]);
     let mut base = 0u64;
     for b in 0..buckets.count {
@@ -440,16 +435,10 @@ fn rmat_on(params: RmatParams, workers: usize, chunk: usize, kernel: Kernel) -> 
         offsets_rest = rest;
         let (neighbors, rest) = std::mem::take(&mut neighbors_rest).split_at_mut(total);
         neighbors_rest = rest;
-        slots.push(Mutex::new(Some(BucketOut { base, offsets, neighbors })));
+        outs.push(BucketOut { b, base, offsets, neighbors });
         base += total as u64;
     }
-    map_chunks(workers, buckets.count, 1, |r| {
-        for b in r {
-            let out = slots[b].lock().expect("bucket slot poisoned").take();
-            out.expect("each bucket is built once").build(&packets, b);
-        }
-    });
-    drop(slots);
+    map_items(workers, outs, |out| out.build(&packets));
     Csr { vertices: grid.n, offsets, neighbors }
 }
 
@@ -463,13 +452,9 @@ fn rmat_on(params: RmatParams, workers: usize, chunk: usize, kernel: Kernel) -> 
 /// it. Callers get their own `Arc` clone; no lock is held across a run.
 pub fn cached_rmat(params: RmatParams) -> Arc<Csr> {
     type Slot = Arc<OnceLock<Arc<Csr>>>;
-    static CACHE: OnceLock<Mutex<BTreeMap<(u32, u64, u64), Slot>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new()));
+    static CACHE: Mutex<BTreeMap<(u32, u64, u64), Slot>> = Mutex::new(BTreeMap::new());
     let key = (params.vertices, params.edges, params.seed);
-    let slot: Slot = {
-        let mut guard = cache.lock().expect("graph cache poisoned");
-        guard.entry(key).or_default().clone()
-    };
+    let slot = CACHE.lock().expect("graph cache poisoned").entry(key).or_default().clone();
     slot.get_or_init(|| Arc::new(rmat(params))).clone()
 }
 
@@ -732,7 +717,7 @@ mod tests {
 
     #[test]
     fn zero_edges_gives_an_empty_well_formed_csr() {
-        // No packets at all: map_chunks returns inline on the calling
+        // No packets at all: map_items returns inline on the calling
         // thread, whatever the worker count.
         for kernel in kernels("zero_edges_gives_an_empty_well_formed_csr") {
             let p = RmatParams { vertices: 1000, edges: 0, seed: 3 };

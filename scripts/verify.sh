@@ -74,8 +74,8 @@ cargo build --release --workspace
 cargo test -q --workspace
 
 # Static analysis gate: the workspace lint (crates/lint) must report zero
-# findings. Textual rules D1-D5 (wall-clock, unordered maps, entropy,
-# non-exhaustive error enums, unwrap in migration code), D9 (env reads),
+# findings. Textual rules D1-D4 (wall-clock, unordered maps, entropy,
+# non-exhaustive error enums), D9 (env reads),
 # U1 (`unsafe` without a SAFETY comment) and H1 (hermetic manifests), plus the semantic rules over the workspace call graph: D6
 # determinism-taint reachability, D7 lock-order cycles, D8 panic-path
 # closure, O1 obs-name audit and L1 bad-allow validation. The allowlist
