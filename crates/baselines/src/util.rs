@@ -18,11 +18,6 @@ pub fn vma_chunks(m: &Machine) -> Vec<VaRange> {
     out
 }
 
-/// Total bytes covered by the registered VMAs.
-pub fn vma_bytes(m: &Machine) -> u64 {
-    m.page_table().vmas().iter().map(|v| v.range.len()).sum()
-}
-
 /// The same-socket DRAM component fronting `component` (promotion target
 /// for one-step tier-by-tier policies), or the node-local DRAM when the
 /// page is already in a DRAM.
@@ -119,7 +114,6 @@ mod tests {
         assert_eq!(chunks.len(), 4);
         assert_eq!(chunks[0].len(), PAGE_SIZE_2M);
         assert_eq!(chunks[3].len(), PAGE_SIZE_2M / 2, "partial tail chunk");
-        assert_eq!(vma_bytes(&m), 3 * PAGE_SIZE_2M + PAGE_SIZE_2M / 2);
     }
 
     #[test]

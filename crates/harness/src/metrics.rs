@@ -55,16 +55,6 @@ pub fn emit_telemetry_into(
     Ok(path)
 }
 
-/// Merges the registries of several runs (counters and histograms sum,
-/// gauges keep their maxima) into one matrix-wide summary registry.
-pub fn merge_registries<'a>(runs: impl IntoIterator<Item = &'a obs::RunTelemetry>) -> obs::Registry {
-    let mut merged = obs::Registry::default();
-    for t in runs {
-        merged.merge_from(&t.registry);
-    }
-    merged
-}
-
 /// Normalizes a range set: sorted, merged, no overlaps.
 pub fn normalize(mut ranges: Vec<VaRange>) -> Vec<VaRange> {
     ranges.retain(|r| !r.is_empty());
@@ -191,19 +181,6 @@ mod tests {
         let legacy = telemetry_path(dir, None, "MTM", "GUPS");
         assert_eq!(legacy.file_name().unwrap().to_str().unwrap(), "MTM_GUPS.json");
         assert_ne!(a, legacy);
-    }
-
-    #[test]
-    fn merge_registries_sums_counters() {
-        let mut a = obs::RunTelemetry::default();
-        a.registry.counter_add(obs::names::PROMOTIONS, 2);
-        a.registry.gauge_set(obs::names::REGION_COUNT, 5.0);
-        let mut b = obs::RunTelemetry::default();
-        b.registry.counter_add(obs::names::PROMOTIONS, 3);
-        b.registry.gauge_set(obs::names::REGION_COUNT, 9.0);
-        let merged = merge_registries([&a, &b]);
-        assert_eq!(merged.counter(obs::names::PROMOTIONS), 5);
-        assert_eq!(merged.gauge(obs::names::REGION_COUNT), Some(9.0));
     }
 
     #[test]

@@ -60,25 +60,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Renders the table as CSV.
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(&self.headers.iter().map(|h| esc(h)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats a float with limited precision for reports.
@@ -122,13 +103,6 @@ mod tests {
         assert!(lines[0].starts_with("name"));
         assert!(lines[2].starts_with("a"));
         assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let mut t = TextTable::new(&["a", "b"]);
-        t.row(vec!["x,y".into(), "z".into()]);
-        assert_eq!(t.to_csv(), "a,b\n\"x,y\",z\n");
     }
 
     #[test]

@@ -29,8 +29,6 @@ pub struct MtmConfig {
     /// Bytes promoted per migration interval (paper: 200 MB; scale it
     /// with the footprint scale).
     pub promote_bytes: u64,
-    /// Number of histogram buckets over the EMA range.
-    pub histogram_buckets: usize,
     /// Number of highest-variance regions receiving freed sample quota
     /// (paper: 5).
     pub top_variance_slots: usize,
@@ -85,7 +83,6 @@ impl Default for MtmConfig {
             tau_s: 2.0 * num_scans as f64 / 3.0,
             alpha: 0.5,
             promote_bytes: 16 << 20,
-            histogram_buckets: 16,
             top_variance_slots: 5,
             hint_fault_every: 12,
             copy_threads: 4,
@@ -105,14 +102,6 @@ impl Default for MtmConfig {
 }
 
 impl MtmConfig {
-    /// Sets `num_scans` and rederives the default `tau_m`/`tau_s`.
-    pub fn with_num_scans(mut self, num_scans: u32) -> MtmConfig {
-        self.num_scans = num_scans;
-        self.tau_m = num_scans as f64 / 3.0;
-        self.tau_s = 2.0 * num_scans as f64 / 3.0;
-        self
-    }
-
     /// Scales the paper's 200 MB/interval promotion budget by `scale`.
     ///
     /// The budget is additionally inflated 16x because simulated runs
@@ -141,13 +130,6 @@ mod tests {
         assert_eq!(c.hint_fault_every, 12);
         assert_eq!(c.initial_placement, InitialPlacement::SlowLocalFirst);
         assert!(c.adaptive_regions && c.adaptive_sampling && c.overhead_control);
-    }
-
-    #[test]
-    fn num_scans_rederives_thresholds() {
-        let c = MtmConfig::default().with_num_scans(6);
-        assert!((c.tau_m - 2.0).abs() < 1e-9);
-        assert!((c.tau_s - 4.0).abs() < 1e-9);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!    the overhead constraint of Eq. 1, variance-guided sample-quota
 //!    redistribution, huge-page-aware region merge/split, and
 //!    performance-counter-assisted scanning of the slowest tier.
-//! 2. **Fast promotion / slow demotion** (Sec. 6): a global EMA histogram
-//!    over all regions in all tiers promotes the hottest regions directly
+//! 2. **Fast promotion / slow demotion** (Sec. 6): a global EMA hotness
+//!    order over all regions in all tiers promotes the hottest regions directly
 //!    to the fastest tier and demotes step-by-step, with multi-view-aware
 //!    destinations.
 //! 3. **Adaptive migration** (Sec. 7): `move_memory_regions()`, an
@@ -36,7 +36,6 @@ pub mod admission;
 pub mod arbiter;
 pub mod config;
 pub mod daemon;
-pub mod histogram;
 pub mod migration;
 pub mod policy;
 pub mod profiler;
@@ -47,7 +46,6 @@ pub use admission::{AdmissionKind, AdmissionPolicy, Candidate, MigrationKind, Ve
 pub use arbiter::{ArbiterKind, ArbiterPolicy, TenantDemand};
 pub use config::{InitialPlacement, MtmConfig};
 pub use daemon::MtmManager;
-pub use histogram::HotnessHistogram;
 pub use migration::{move_memory_regions_once, nimble_move, MigrationEngine};
 pub use profiler::AdaptiveProfiler;
 pub use region::{Region, RegionList};

@@ -1,9 +1,15 @@
 //! The "fast promotion, slow demotion" migration policy (Sec. 6).
 //!
 //! Using the global view the profiler builds over *all* regions in *all*
-//! tiers, the policy promotes the hottest regions (highest EMA-histogram
-//! buckets) directly to the fastest tier — no tier-by-tier stepping — up
-//! to a fixed byte budget per interval. When the destination lacks space,
+//! tiers, the policy promotes the hottest regions directly to the fastest
+//! tier — no tier-by-tier stepping — up to a fixed byte budget per
+//! interval. Sec. 6.1 promotes from the highest buckets of a histogram
+//! over the regions' EMA hotness (`WHI`) and demotes from the lowest; the
+//! policy instead sorts every region by `(WHI, region index)` once per
+//! interval. That order refines any bucketing of the WHI range: buckets
+//! rise with WHI, so reading the list forwards visits the buckets
+//! coldest-first, and reading it backwards, one run of equal WHI at a
+//! time, visits them hottest-first. When the destination lacks space,
 //! the coldest regions resident there are demoted one tier down (to the
 //! next lower tier with capacity), and never past a region hotter than
 //! the newcomer. The destination tier is chosen from the view of the node
@@ -17,9 +23,9 @@ use tiersim::tier::{ComponentId, NodeId};
 
 use crate::admission::{AdmissionPolicy, Candidate, MigrationKind, Verdict};
 use crate::config::MtmConfig;
-use crate::histogram::HotnessHistogram;
 use crate::migration::MigrationEngine;
 use crate::profiler::AdaptiveProfiler;
+use crate::region::Region;
 use crate::residency::majority_component;
 
 /// Per-interval policy outcome.
@@ -51,14 +57,47 @@ pub struct PolicyScratch {
     /// Every region as the interval began, by region index (the policy's
     /// own splits do not move these).
     snaps: Vec<Snapshot>,
-    /// The hotness order over `snaps`.
-    histogram: HotnessHistogram,
+    /// `(WHI, region index)` of every snapshot, ascending: the hotness
+    /// order over `snaps`.
+    order: Vec<(f64, usize)>,
 }
 
 impl PolicyScratch {
-    /// Snapshots of the regions from the coldest upwards.
-    fn coldest(&self) -> impl Iterator<Item = &Snapshot> {
-        self.histogram.coldest().map(|i| &self.snaps[i])
+    /// Snapshots `regions` and sorts them by `(WHI, index)`, reusing the
+    /// buffers.
+    pub fn rank(&mut self, regions: &[Region]) {
+        self.snaps.clear();
+        self.snaps.extend(regions.iter().map(|r| Snapshot {
+            range: r.range,
+            whi: r.whi,
+            node: r.home_node,
+        }));
+        self.order.clear();
+        self.order.extend(regions.iter().enumerate().map(|(i, r)| (r.whi, i)));
+        self.order.sort_unstable_by(|a, b| {
+            a.0.partial_cmp(&b.0).expect("whi is finite").then(a.1.cmp(&b.1))
+        });
+    }
+
+    /// Indices of the ranked regions hottest first: WHI descending, equal
+    /// WHI in index order.
+    pub fn hottest(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut end = self.order.len();
+        std::iter::from_fn(move || {
+            let &(whi, _) = self.order[..end].last()?;
+            let start = self.order[..end].iter().rposition(|e| e.0 != whi).map_or(0, |i| i + 1);
+            let run = &self.order[start..end];
+            end = start;
+            Some(run)
+        })
+        .flatten()
+        .map(|e| e.1)
+    }
+
+    /// Indices of the ranked regions coldest first: WHI ascending, equal
+    /// WHI in index order.
+    pub fn coldest(&self) -> impl Iterator<Item = usize> + '_ {
+        self.order.iter().map(|e| e.1)
     }
 }
 
@@ -113,7 +152,7 @@ fn make_space(
     }
     let target_rank = m.topology().tier_rank(node, target);
     let ranks = m.topology().view(node).len();
-    for victim in scratch.coldest() {
+    for victim in scratch.coldest().map(|i| &scratch.snaps[i]) {
         if target_free >= need {
             return true;
         }
@@ -193,13 +232,7 @@ pub fn promote_and_demote(
     if regions.is_empty() {
         return stats;
     }
-    scratch.histogram.rebuild(regions, cfg.histogram_buckets, cfg.num_scans as f64);
-    scratch.snaps.clear();
-    scratch.snaps.extend(regions.iter().map(|r| Snapshot {
-        range: r.range,
-        whi: r.whi,
-        node: r.home_node,
-    }));
+    scratch.rank(regions);
     let scratch = &*scratch;
     let nodes = m.topology().nodes;
     let mut budget = cfg.promote_bytes;
@@ -211,7 +244,7 @@ pub fn promote_and_demote(
     // Eviction hysteresis: a quarter of the observed hotness range.
     let hysteresis = 0.25 * max_whi;
 
-    for cand in scratch.histogram.hottest().map(|i| &scratch.snaps[i]) {
+    for cand in scratch.hottest().map(|i| &scratch.snaps[i]) {
         if budget == 0 {
             break;
         }
@@ -271,7 +304,7 @@ pub fn promote_and_demote(
             // displace residents, the coldest region's hotness is the
             // eviction bar the candidate has to clear.
             let victim_whi =
-                if free_enough { None } else { scratch.coldest().next().map(|s| s.whi) };
+                if free_enough { None } else { scratch.order.first().map(|&(whi, _)| whi) };
             let verdict = admission.admit(
                 m,
                 &Candidate {
@@ -488,6 +521,55 @@ mod tests {
         assert_eq!(m.component_of(VirtAddr(4 * PAGE_SIZE_2M)), Some(0), "hot promoted");
         assert_eq!(m.component_of(VirtAddr(PAGE_SIZE_2M)), Some(0), "hotter resident kept");
         assert_eq!(m.component_of(VirtAddr(0)), Some(1), "cold resident demoted");
+    }
+
+    fn ranked(whis: &[f64]) -> PolicyScratch {
+        let regions: Vec<Region> = whis
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| {
+                let range = VaRange::from_len(VirtAddr(i as u64 * PAGE_SIZE_2M), PAGE_SIZE_2M);
+                let mut r = Region::new(range, 1);
+                r.whi = w;
+                r
+            })
+            .collect();
+        let mut scratch = PolicyScratch::default();
+        scratch.rank(&regions);
+        scratch
+    }
+
+    #[test]
+    fn hotness_order_is_global_with_ties_in_index_order() {
+        let s = ranked(&[0.1, 2.8, 1.5, 2.9, 0.2]);
+        assert_eq!(s.hottest().collect::<Vec<_>>(), vec![3, 1, 2, 4, 0]);
+        assert_eq!(s.coldest().collect::<Vec<_>>(), vec![0, 4, 2, 1, 3]);
+        let s = ranked(&[1.0, 2.0, 1.0, 0.0, 2.0, 1.0]);
+        assert_eq!(s.hottest().collect::<Vec<_>>(), vec![1, 4, 0, 2, 5, 3]);
+        assert_eq!(s.coldest().collect::<Vec<_>>(), vec![3, 0, 2, 5, 1, 4]);
+        assert!(ranked(&[]).hottest().next().is_none());
+    }
+
+    #[test]
+    fn hotness_order_matches_a_reference_sort() {
+        use proptest_lite::{gen, prop_assert_eq, prop_check};
+        // Four WHI values over up to 64 regions, so ties are common.
+        const WHIS: [f64; 4] = [0.0, 0.5, 1.5, 3.0];
+        prop_check!(
+            "hotness_order_matches_a_reference_sort",
+            128,
+            gen::vec_in(gen::usize_range(0, WHIS.len()), 0, 65),
+            |picks| {
+                let whis: Vec<f64> = picks.iter().map(|&k| WHIS[k]).collect();
+                let s = ranked(&whis);
+                let mut hot: Vec<usize> = (0..whis.len()).collect();
+                hot.sort_by(|&a, &b| whis[b].partial_cmp(&whis[a]).unwrap().then(a.cmp(&b)));
+                let mut cold: Vec<usize> = (0..whis.len()).collect();
+                cold.sort_by(|&a, &b| whis[a].partial_cmp(&whis[b]).unwrap().then(a.cmp(&b)));
+                prop_assert_eq!(s.hottest().collect::<Vec<_>>(), hot);
+                prop_assert_eq!(s.coldest().collect::<Vec<_>>(), cold);
+            }
+        );
     }
 
     #[test]

@@ -178,7 +178,7 @@ impl AdaptiveProfiler {
     pub fn prime_pass(&mut self, m: &mut Machine) {
         for s in &self.plan {
             // Priming only needs the clear; the accessed bit is not read.
-            let _ = m.scan_page_clear(s.page);
+            let _ = m.scan_page(s.page);
         }
     }
 
@@ -674,30 +674,6 @@ impl AdaptiveProfiler {
             .collect()
     }
 
-    /// The hottest regions adding up to at most `bytes` (ties broken by
-    /// address order).
-    pub fn top_ranges_by_bytes(&self, bytes: u64) -> Vec<VaRange> {
-        let mut idx: Vec<usize> = (0..self.regions.len()).collect();
-        idx.sort_by(|&a, &b| {
-            let ra = &self.regions.regions()[a];
-            let rb = &self.regions.regions()[b];
-            rb.whi.partial_cmp(&ra.whi).expect("whi is finite")
-        });
-        let mut out = Vec::new();
-        let mut acc = 0;
-        for i in idx {
-            let r = &self.regions.regions()[i];
-            if acc + r.len() > bytes && !out.is_empty() {
-                break;
-            }
-            acc += r.len();
-            out.push(r.range);
-            if acc >= bytes {
-                break;
-            }
-        }
-        out
-    }
 
     /// Metadata footprint estimate in bytes (Table 5): region records plus
     /// the sample plan and histogram bookkeeping.
@@ -897,9 +873,6 @@ mod tests {
         p.regions.regions_mut()[1].whi = 0.1;
         assert_eq!(p.hot_ranges_above(1.5).len(), 1);
         assert_eq!(p.hot_bytes(), PAGE_SIZE_2M);
-        let top = p.top_ranges_by_bytes(PAGE_SIZE_2M);
-        assert_eq!(top.len(), 1);
-        assert_eq!(top[0], p.regions()[0].range);
     }
 
     #[test]
@@ -922,7 +895,7 @@ mod tests {
         let mut seen = std::collections::BTreeSet::new();
         for (s, pre) in p.plan.iter_mut().zip(pre) {
             if let Some((accessed, size)) = pre {
-                if m.scan_page_clear(s.page) {
+                if m.scan_page(s.page).is_some() {
                     let key = match size {
                         FrameSize::Huge2M => s.page.page_2m().0,
                         FrameSize::Base4K => s.page.page_4k().0,

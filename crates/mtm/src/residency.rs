@@ -29,11 +29,9 @@ pub fn majority_component(m: &Machine, range: VaRange) -> Option<ComponentId> {
 /// not by the interval hooks of the default configuration.
 pub fn residency_exact(m: &Machine, range: VaRange) -> Vec<(ComponentId, u64)> {
     let mut map = std::collections::BTreeMap::new();
-    for (va, size) in m.page_table().mapped_pages(range) {
-        // lint:allow(panic-path): mapped_pages only yields mapped VAs; skipping a miss would silently under-report residency
-        let c = m.component_of(va).expect("page mapped");
-        *map.entry(c).or_insert(0u64) += size.bytes();
-    }
+    m.page_table().for_each_mapped_in(range, |_, pte, size| {
+        *map.entry(pte.frame().component()).or_insert(0u64) += size.bytes();
+    });
     map.into_iter().collect()
 }
 

@@ -225,17 +225,6 @@ impl LogHistogram {
         h.max = r.u64()?;
         Ok(h)
     }
-
-    /// Accumulates another histogram into this one.
-    pub fn merge_from(&mut self, other: &LogHistogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// A deterministic per-run metrics registry.
@@ -299,22 +288,6 @@ impl Registry {
     /// Histograms in name order.
     pub fn hists(&self) -> impl Iterator<Item = (&'static str, &LogHistogram)> + '_ {
         self.hists.iter().map(|(&k, v)| (k, v))
-    }
-
-    /// Accumulates another registry: counters and histograms sum, gauges
-    /// keep the maximum (the only cross-run reduction that is
-    /// order-insensitive for a last-value metric).
-    pub fn merge_from(&mut self, other: &Registry) {
-        for (&k, &v) in &other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
-        }
-        for (&k, &v) in &other.gauges {
-            let e = self.gauges.entry(k).or_insert(f64::NEG_INFINITY);
-            *e = e.max(v);
-        }
-        for (&k, h) in &other.hists {
-            self.hists.entry(k).or_default().merge_from(h);
-        }
     }
 
     /// True if nothing has ever been recorded.
@@ -421,20 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_accumulates() {
-        let mut a = LogHistogram::new();
-        a.observe(8);
-        let mut b = LogHistogram::new();
-        b.observe(1);
-        b.observe(9);
-        a.merge_from(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.min(), 1);
-        assert_eq!(a.max(), 9);
-        assert_eq!(a.sum(), 18);
-    }
-
-    #[test]
     fn registry_is_insertion_order_independent() {
         let mut a = Registry::new();
         a.counter_add(names::MIGRATIONS, 1);
@@ -445,22 +404,6 @@ mod tests {
         assert_eq!(a, b);
         let keys: Vec<_> = a.counters().map(|(k, _)| k).collect();
         assert_eq!(keys, vec![names::ALLOC_FAULTS, names::MIGRATIONS]);
-    }
-
-    #[test]
-    fn registry_merge_sums_counters_and_maxes_gauges() {
-        let mut a = Registry::new();
-        a.counter_add(names::PROMOTIONS, 3);
-        a.gauge_set(names::TAU_M_NOW, 1.0);
-        a.observe(names::MIGRATION_BYTES, 4096);
-        let mut b = Registry::new();
-        b.counter_add(names::PROMOTIONS, 4);
-        b.gauge_set(names::TAU_M_NOW, 2.5);
-        b.observe(names::MIGRATION_BYTES, 8192);
-        a.merge_from(&b);
-        assert_eq!(a.counter(names::PROMOTIONS), 7);
-        assert_eq!(a.gauge(names::TAU_M_NOW), Some(2.5));
-        assert_eq!(a.hist(names::MIGRATION_BYTES).unwrap().count(), 2);
     }
 
     #[test]

@@ -546,9 +546,8 @@ impl Machine {
             "cfg.hmc_mode/cfg.track_heat changed after Machine::new"
         );
         let is_write = kind == AccessKind::Write;
-        // `touch` sets ACCESSED (and DIRTY on writes) in the PTE and the
-        // packed side metadata together, and hands back the pre-access
-        // flag word the fault gate reads.
+        // `touch` sets ACCESSED (and DIRTY on writes) in the PTE and hands
+        // back the pre-access flag word the fault gate reads.
         let Some((pre, size)) = self.pt.touch(va, is_write) else {
             return AccessResult::Unmapped;
         };
@@ -666,8 +665,13 @@ impl Machine {
 
         // Rare-path fault handling, gated on the pre-access flag word.
         if flags & (PTE_NUMA_POISON | PTE_PROT_NONE | PTE_WRITE_TRACK) != 0 {
+            // A hint fault and a protection fault each count once: disarm
+            // both traps (Thermostat clears the trap after the first hit
+            // of the interval).
+            if let Some((pte, _)) = self.pt.pte_mut(va) {
+                pte.clear(PTE_NUMA_POISON | PTE_PROT_NONE);
+            }
             if flags & PTE_NUMA_POISON != 0 {
-                self.pt.clear_flags(va, PTE_NUMA_POISON);
                 let node = self.cfg.thread_node[tid];
                 let page = va.page_4k();
                 let now = self.approx_now_ns(tid);
@@ -676,9 +680,6 @@ impl Machine {
                 extra_ns += self.cfg.costs.hint_fault_ns();
             }
             if flags & PTE_PROT_NONE != 0 {
-                // Count once, then restore protection (Thermostat clears the
-                // trap after the first hit of the interval).
-                self.pt.clear_flags(va, PTE_PROT_NONE);
                 self.prot_faults.push(ProtFault { page: va.page_4k(), tid: tid as u32, is_write });
                 self.stats.prot_faults += 1;
                 extra_ns += self.cfg.costs.prot_fault_ns;
@@ -765,8 +766,7 @@ impl Machine {
                 vma.thp
                     && vma.range.contains(huge_base)
                     && vma.range.contains(VirtAddr(huge_base.0 + PAGE_SIZE_2M - 1))
-                    && self.pt.translate(huge_base).is_none()
-                    && self.pt.mapped_page_count(VaRange::from_len(huge_base, PAGE_SIZE_2M)) == 0
+                    && self.pt.pde_vacant(huge_base)
             }
             None => false,
         };
@@ -826,24 +826,6 @@ impl Machine {
         self.stats.pte_scans += 1;
         self.clock.charge_profiling(self.cfg.costs.one_scan_ns);
         Some((accessed, huge))
-    }
-
-    /// Clears the ACCESSED bit of the page covering `va` without reading
-    /// it, charging one scan (a priming clear). Returns whether the page
-    /// was mapped (unmapped pages cost nothing, as in
-    /// [`Machine::scan_page`]).
-    pub fn scan_page_clear(&mut self, va: VirtAddr) -> bool {
-        if self.pt.clear_accessed_at(va).is_none() {
-            return false;
-        }
-        self.stats.pte_scans += 1;
-        self.clock.charge_profiling(self.cfg.costs.one_scan_ns);
-        true
-    }
-
-    /// Reads the ACCESSED bit without clearing or charging (test helper).
-    pub fn peek_accessed(&self, va: VirtAddr) -> Option<bool> {
-        self.pt.translate(va).map(|t| t.pte.accessed())
     }
 
     /// Poisons the page covering `va` for a NUMA hint fault, charging one
@@ -1564,7 +1546,7 @@ impl Machine {
         let ncomp = self.allocators.len();
         let mut mapped = vec![0u64; ncomp];
         let mut spans: Vec<(u16, u64, u64, u64)> = Vec::new();
-        self.pt.for_each_mapped_all(|va, pte, size| {
+        self.pt.for_each_mapped_in(crate::page_table::USER_SPACE, |va, pte, size| {
             let frame = pte.frame();
             let c = frame.component();
             if (c as usize) < ncomp {
@@ -1577,9 +1559,9 @@ impl Machine {
             }
             spans.push((c, frame.offset(), frame.offset() + size.bytes(), va.0));
         });
-        // Cross-check the packed side metadata against the PTE bits (the
-        // source of truth): any drift means a scan path bypassed the
-        // touch/scan accessors.
+        // Cross-check the packed side metadata against the PTEs and slots
+        // (the source of truth): any drift means a path changed PRESENT or
+        // a slot without its bitmap.
         violations.extend(self.pt.check_side_metadata());
         // Shadow copies occupy allocator space without backing a mapping:
         // census them separately, and feed their frame spans into the
@@ -1714,7 +1696,9 @@ mod tests {
 
             if flags & (PTE_NUMA_POISON | PTE_PROT_NONE | PTE_WRITE_TRACK) != 0 {
                 if flags & PTE_NUMA_POISON != 0 {
-                    self.pt.clear_flags(va, PTE_NUMA_POISON);
+                    if let Some((pte, _)) = self.pt.pte_mut(va) {
+                        pte.clear(PTE_NUMA_POISON);
+                    }
                     let node = self.cfg.thread_node[tid];
                     let page = va.page_4k();
                     let now = self.approx_now_ns(tid);
@@ -1723,7 +1707,9 @@ mod tests {
                     extra_ns += self.cfg.costs.hint_fault_ns();
                 }
                 if flags & PTE_PROT_NONE != 0 {
-                    self.pt.clear_flags(va, PTE_PROT_NONE);
+                    if let Some((pte, _)) = self.pt.pte_mut(va) {
+                        pte.clear(PTE_PROT_NONE);
+                    }
                     self.prot_faults.push(ProtFault { page: va.page_4k(), tid: tid as u32, is_write });
                     self.stats.prot_faults += 1;
                     extra_ns += self.cfg.costs.prot_fault_ns;
@@ -1822,8 +1808,8 @@ mod tests {
             .collect()
     }
 
-    /// Every piece of state an access can change, serialized: PTE and
-    /// side-metadata bits, clock accumulators as f64 bit patterns,
+    /// Every piece of state an access can change, serialized: PTE bits,
+    /// clock accumulators as f64 bit patterns,
     /// counter totals and windows, PEBS buffer and countdown, hint-fault
     /// queue, frame versions, statistics, protection faults, heatmap and
     /// each Memory Mode cache's hits, misses and writebacks (`caches`,
@@ -1977,11 +1963,12 @@ mod tests {
         let va = VirtAddr(0x3000);
         m.alloc_and_map(0, va, &[0]).unwrap();
         m.access(0, va, AccessKind::Write);
-        assert!(m.peek_accessed(va).unwrap());
+        let accessed = |m: &Machine| m.page_table().translate(va).unwrap().pte.accessed();
+        assert!(accessed(&m));
         assert_eq!(m.counters().component(0).stores, 1);
-        let (accessed, huge) = m.scan_page(va).unwrap();
-        assert!(accessed && !huge);
-        assert!(!m.peek_accessed(va).unwrap(), "scan clears the bit");
+        let (was, huge) = m.scan_page(va).unwrap();
+        assert!(was && !huge);
+        assert!(!accessed(&m), "scan clears the bit");
         assert_eq!(m.stats().pte_scans, 1);
     }
 

@@ -361,7 +361,7 @@ fn relocate_range_inner(
     > = std::collections::BTreeMap::new();
     let mut queue: std::collections::VecDeque<(crate::addr::VirtAddr, FrameSize)> = pages.into();
     while let Some((va, size)) = queue.pop_front() {
-        // `mapped_pages` ran moments ago, but a defensive miss here must
+        // `collect_move_set` ran moments ago, but a defensive miss here must
         // not panic mid-transaction: skipping the page leaves it exactly
         // where it was, which every caller already handles.
         let Some(src) = m.component_of(va) else {

@@ -21,20 +21,16 @@
 //!
 //! # Packed side metadata
 //!
-//! Each leaf table carries three 512-bit bitmaps (`[u64; 8]`) mirroring its
-//! PTEs' PRESENT, ACCESSED and DIRTY bits, and the table keeps the global
-//! occupancy bitmap over its slots. Scans and walks sweep these words with
-//! `trailing_zeros` instead of probing 512 PTEs; profiling reads the
-//! accessed bit from the bitmap without touching the PTE array. The **PTE
-//! bits remain the source of truth**: the `MTM_CHECK` sanitizer re-derives
-//! every bitmap word from the PTEs ([`PageTable::check_side_metadata`]) and
-//! panics on drift. Huge-page entries keep their A/D state in the PTE alone
-//! (one page per slot needs no bitmap). To keep PTE and bitmap in sync,
-//! ACCESSED/DIRTY must only be mutated through [`PageTable::touch`],
-//! [`PageTable::scan_page_at`], [`PageTable::clear_accessed_at`] and the
-//! map/unmap/split operations — never through [`PageTable::pte_mut`] or a
-//! [`PageTable::for_each_mapped`] callback (those remain for the
-//! POISON/PROT_NONE/WRITE_TRACK software bits).
+//! Each leaf table carries one 512-bit bitmap (`[u64; 8]`) mirroring its
+//! PTEs' PRESENT bits, and the table keeps a global occupancy bitmap over
+//! its slots. Walks sweep these words with `trailing_zeros` instead of
+//! probing 512 PTEs, and [`PageTable::translate`] tests one bit. Every
+//! other flag, ACCESSED and DIRTY included, lives in the PTE alone, so
+//! [`PageTable::pte_mut`] and a [`PageTable::for_each_mapped`] callback may
+//! change any of them; only PRESENT is reserved to the map/unmap/split
+//! operations, which keep the bitmaps in step. The `MTM_CHECK` sanitizer
+//! re-derives both bitmaps from the PTEs and the slots
+//! ([`PageTable::check_side_metadata`]) and panics on drift.
 
 use crate::addr::{VaRange, VirtAddr, PAGE_SIZE_2M, PAGE_SIZE_4K, PTES_PER_PD};
 use crate::frame::FrameSize;
@@ -47,6 +43,9 @@ const WORDS: usize = LEAF_PTES / 64;
 
 /// Virtual addresses must fit x86-64 canonical user space.
 const VA_LIMIT: u64 = 1 << 47;
+
+/// The whole user address space: the range of a whole-table walk.
+pub const USER_SPACE: VaRange = VaRange { start: VirtAddr(0), end: VirtAddr(VA_LIMIT) };
 
 /// Calls `f` for every set bit index in `words` within `[lo, hi]`
 /// (inclusive), ascending — the word-at-a-time sweep behind every walker.
@@ -99,20 +98,11 @@ struct Leaf {
     ptes: [Pte; LEAF_PTES],
     /// Bit `i` mirrors `ptes[i].present()`.
     present: [u64; WORDS],
-    /// Bit `i` mirrors `ptes[i].accessed()`.
-    accessed: [u64; WORDS],
-    /// Bit `i` mirrors `ptes[i].dirty()`.
-    dirty: [u64; WORDS],
 }
 
 impl Leaf {
     fn empty() -> Box<Leaf> {
-        Box::new(Leaf {
-            ptes: [Pte::EMPTY; LEAF_PTES],
-            present: [0; WORDS],
-            accessed: [0; WORDS],
-            dirty: [0; WORDS],
-        })
+        Box::new(Leaf { ptes: [Pte::EMPTY; LEAF_PTES], present: [0; WORDS] })
     }
 
     /// True when no PTE is present (prune check; 8 word ORs, not 512 probes).
@@ -121,27 +111,18 @@ impl Leaf {
         self.present.iter().all(|&w| w == 0)
     }
 
-    /// Installs `pte` at `i`, syncing the metadata bits from its flags
-    /// (a remapped migration PTE carries its A/D history).
+    /// Installs `pte` at `i` and marks it present.
     #[inline]
     fn install(&mut self, i: usize, pte: Pte) {
         self.ptes[i] = pte;
         set_bit(&mut self.present, i);
-        if pte.accessed() {
-            set_bit(&mut self.accessed, i);
-        }
-        if pte.dirty() {
-            set_bit(&mut self.dirty, i);
-        }
     }
 
-    /// Removes the PTE at `i`, clearing its metadata bits.
+    /// Removes the PTE at `i` and marks it absent.
     #[inline]
     fn remove(&mut self, i: usize) {
         self.ptes[i] = Pte::EMPTY;
         clear_bit(&mut self.present, i);
-        clear_bit(&mut self.accessed, i);
-        clear_bit(&mut self.dirty, i);
     }
 }
 
@@ -173,7 +154,6 @@ pub struct PageTable {
     occupied: Vec<u64>,
     vmas: Vec<Vma>,
     mapped_bytes: u64,
-    valid_pdes: usize,
 }
 
 /// Result of translating a virtual address.
@@ -220,9 +200,12 @@ impl PageTable {
         self.mapped_bytes
     }
 
-    /// Number of valid last-level PDEs.
-    pub fn valid_pde_count(&self) -> usize {
-        self.valid_pdes
+    /// True when no mapping of either size covers any part of the 2 MB
+    /// span holding `va` (an empty leaf table is pruned, so a vacant
+    /// slot is exactly an unmapped span).
+    #[inline]
+    pub fn pde_vacant(&self, va: VirtAddr) -> bool {
+        self.entry(va.pde_index()).is_none()
     }
 
     #[inline]
@@ -247,7 +230,6 @@ impl PageTable {
         debug_assert!(self.slots[i].is_none(), "slot must be vacant");
         self.slots[i] = Some(entry);
         set_bit(&mut self.occupied, i);
-        self.valid_pdes += 1;
     }
 
     /// Removes `pde`'s slot (which must be occupied).
@@ -256,7 +238,6 @@ impl PageTable {
         debug_assert!(self.slots[i].is_some(), "slot occupied");
         self.slots[i] = None;
         clear_bit(&mut self.occupied, i);
-        self.valid_pdes -= 1;
     }
 
     /// Looks up the mapping covering `va` without touching flag bits.
@@ -276,85 +257,33 @@ impl PageTable {
     }
 
     /// Records an access to the page covering `va`: sets ACCESSED (and
-    /// DIRTY on a write) in the PTE and the packed side metadata, and
-    /// returns the **pre-access** PTE (whose POISON/PROT/TRACK flags the
-    /// machine's rare-path fault handling gates on) with the mapping size.
+    /// DIRTY on a write) in its PTE, and returns the **pre-access** PTE
+    /// (whose POISON/PROT/TRACK flags the machine's rare-path fault
+    /// handling gates on) with the mapping size.
     #[inline]
     pub fn touch(&mut self, va: VirtAddr, is_write: bool) -> Option<(Pte, FrameSize)> {
-        match self.slots.get_mut(va.pde_index() as usize)?.as_mut()? {
-            PdEntry::Huge(pte) if pte.present() => {
-                let pre = *pte;
-                let want = PTE_ACCESSED | if is_write { PTE_DIRTY } else { 0 };
-                // Skip the read-modify-write when the bits already stick
-                // (the common case for a hot page between scan passes).
-                if pre.0 & want != want {
-                    pte.set(want);
-                }
-                Some((pre, FrameSize::Huge2M))
-            }
-            PdEntry::Table(leaf) => {
-                let i = va.pte_index();
-                if !test_bit(&leaf.present, i) {
-                    return None;
-                }
-                let pre = leaf.ptes[i];
-                if pre.0 & PTE_ACCESSED == 0 {
-                    leaf.ptes[i].set(PTE_ACCESSED);
-                    set_bit(&mut leaf.accessed, i);
-                }
-                if is_write && pre.0 & PTE_DIRTY == 0 {
-                    leaf.ptes[i].set(PTE_DIRTY);
-                    set_bit(&mut leaf.dirty, i);
-                }
-                Some((pre, FrameSize::Base4K))
-            }
-            _ => None,
+        let (pte, size) = self.pte_mut(va)?;
+        let pre = *pte;
+        let want = PTE_ACCESSED | if is_write { PTE_DIRTY } else { 0 };
+        // Skip the read-modify-write when the bits already stick (the
+        // common case for a hot page between scan passes).
+        if pre.0 & want != want {
+            pte.set(want);
         }
+        Some((pre, size))
     }
 
-    /// Reads **and clears** the ACCESSED bit of the page covering `va`
-    /// (PTE and side metadata together). Returns the old bit and the
-    /// mapping size.
+    /// Reads **and clears** the ACCESSED bit of the page covering `va`.
+    /// Returns the old bit and the mapping size.
     #[inline]
     pub fn scan_page_at(&mut self, va: VirtAddr) -> Option<(bool, FrameSize)> {
-        match self.slots.get_mut(va.pde_index() as usize)?.as_mut()? {
-            PdEntry::Huge(pte) if pte.present() => Some((pte.take_accessed(), FrameSize::Huge2M)),
-            PdEntry::Table(leaf) => {
-                let i = va.pte_index();
-                if !test_bit(&leaf.present, i) {
-                    return None;
-                }
-                let was = leaf.ptes[i].take_accessed();
-                clear_bit(&mut leaf.accessed, i);
-                Some((was, FrameSize::Base4K))
-            }
-            _ => None,
-        }
-    }
-
-    /// Clears the ACCESSED bit of the page covering `va` without reading
-    /// it. Returns the mapping size, or `None` if unmapped.
-    #[inline]
-    pub fn clear_accessed_at(&mut self, va: VirtAddr) -> Option<FrameSize> {
-        self.scan_page_at(va).map(|(_, size)| size)
-    }
-
-    /// Clears software flag bits (POISON / PROT_NONE / WRITE_TRACK) on the
-    /// PTE covering `va`. Must not be used for ACCESSED/DIRTY — those are
-    /// mirrored in the side metadata.
-    #[inline]
-    pub fn clear_flags(&mut self, va: VirtAddr, bits: u64) {
-        debug_assert_eq!(bits & (PTE_ACCESSED | PTE_DIRTY), 0, "A/D bits go through touch/scan");
-        if let Some((pte, _)) = self.pte_mut(va) {
-            pte.clear(bits);
-        }
+        let (pte, size) = self.pte_mut(va)?;
+        Some((pte.take_accessed(), size))
     }
 
     /// Mutable access to the PTE covering `va`, with its mapping size.
-    ///
-    /// For the software bits (POISON / PROT_NONE / WRITE_TRACK) only:
-    /// mutating ACCESSED/DIRTY here would desync the packed side metadata
-    /// (the sanitizer cross-check catches exactly that).
+    /// Any flag but PRESENT may change through it (see the module docs
+    /// on side metadata).
     #[inline]
     pub fn pte_mut(&mut self, va: VirtAddr) -> Option<(&mut Pte, FrameSize)> {
         match self.slots.get_mut(va.pde_index() as usize)?.as_mut()? {
@@ -431,8 +360,8 @@ impl PageTable {
     /// The callback receives the page base address, a mutable PTE reference
     /// and the mapping size. Huge pages are visited once (at their 2 MB
     /// base) if that base is inside the range. Pages are visited in
-    /// ascending address order. The callback must not toggle
-    /// ACCESSED/DIRTY (see the module docs on side metadata).
+    /// ascending address order. The callback must not clear PRESENT (see
+    /// the module docs on side metadata).
     pub fn for_each_mapped(
         &mut self,
         range: VaRange,
@@ -466,9 +395,11 @@ impl PageTable {
     }
 
     /// Read-only variant of [`PageTable::for_each_mapped`]: visits every
-    /// mapped page in `range` without touching PTE flag bits, in ascending
-    /// address order. Used by the `MTM_CHECK` sanitizer and by read-only
-    /// sweeps, which must observe without perturbing.
+    /// mapped page in `range` without touching PTE flag bits, in strictly
+    /// ascending address order, which falls out of dense index iteration
+    /// (no sorting, no hasher bucket order). [`USER_SPACE`] walks the
+    /// whole table. Used by the `MTM_CHECK` sanitizer, checkpoints and
+    /// read-only sweeps, which must observe without perturbing.
     pub fn for_each_mapped_in(
         &self,
         range: VaRange,
@@ -479,70 +410,38 @@ impl PageTable {
         }
         let first_pde = range.start.pde_index() as usize;
         let last_pde = ((range.end.0 - 1) >> 21) as usize;
+        #[cfg(debug_assertions)]
+        let mut last: Option<u64> = None;
+        let mut visit = |va: VirtAddr, pte: Pte, size: FrameSize| {
+            #[cfg(debug_assertions)]
+            {
+                debug_assert!(
+                    last.map_or(true, |l| l < va.0),
+                    "page-table walk must yield strictly ascending VAs"
+                );
+                last = Some(va.0);
+            }
+            f(va, pte, size);
+        };
         for_set_bits(&self.occupied, first_pde, last_pde, |pde| {
             let base = VirtAddr((pde as u64) << 21);
             // lint:allow(panic-path): occupied-bitmap/slot coherence is a structural invariant of every mutation path
             match self.slots[pde].as_ref().expect("occupied bit implies slot") {
                 PdEntry::Huge(pte) => {
                     if pte.present() && range.contains(base) {
-                        f(base, *pte, FrameSize::Huge2M);
+                        visit(base, *pte, FrameSize::Huge2M);
                     }
                 }
                 PdEntry::Table(leaf) => {
                     for_set_bits(&leaf.present, 0, LEAF_PTES - 1, |i| {
                         let va = base + (i as u64) * PAGE_SIZE_4K;
                         if range.contains(va) {
-                            f(va, leaf.ptes[i], FrameSize::Base4K);
+                            visit(va, leaf.ptes[i], FrameSize::Base4K);
                         }
                     });
                 }
             }
         });
-    }
-
-    /// Visits every mapped page in the whole table in ascending address
-    /// order, read-only. Ascending order falls out of dense index
-    /// iteration (no sorting, no hasher bucket order).
-    pub fn for_each_mapped_all(&self, mut f: impl FnMut(VirtAddr, Pte, FrameSize)) {
-        if self.slots.is_empty() {
-            return;
-        }
-        #[cfg(debug_assertions)]
-        let mut last: Option<u64> = None;
-        for_set_bits(&self.occupied, 0, self.slots.len() - 1, |pde| {
-            let base = VirtAddr((pde as u64) << 21);
-            let mut visit = |va: VirtAddr, pte: Pte, size: FrameSize| {
-                #[cfg(debug_assertions)]
-                {
-                    debug_assert!(
-                        last.map_or(true, |l| l < va.0),
-                        "scan walk must yield strictly ascending VAs"
-                    );
-                    last = Some(va.0);
-                }
-                f(va, pte, size);
-            };
-            // lint:allow(panic-path): occupied-bitmap/slot coherence is a structural invariant of every mutation path
-            match self.slots[pde].as_ref().expect("occupied bit implies slot") {
-                PdEntry::Huge(pte) => {
-                    if pte.present() {
-                        visit(base, *pte, FrameSize::Huge2M);
-                    }
-                }
-                PdEntry::Table(leaf) => {
-                    for_set_bits(&leaf.present, 0, LEAF_PTES - 1, |i| {
-                        visit(base + (i as u64) * PAGE_SIZE_4K, leaf.ptes[i], FrameSize::Base4K);
-                    });
-                }
-            }
-        });
-    }
-
-    /// Collects the base addresses of mapped pages in `range`, ascending.
-    pub fn mapped_pages(&self, range: VaRange) -> Vec<(VirtAddr, FrameSize)> {
-        let mut out = Vec::new();
-        self.for_each_mapped_in(range, |va, _, size| out.push((va, size)));
-        out
     }
 
     /// Base virtual addresses of all valid last-level PDEs, sorted.
@@ -573,13 +472,6 @@ impl PageTable {
         })
     }
 
-    /// Number of mapped pages (of either size) in `range`.
-    pub fn mapped_page_count(&self, range: VaRange) -> usize {
-        let mut n = 0;
-        self.for_each_mapped_in(range, |_, _, _| n += 1);
-        n
-    }
-
     /// Splits the huge mapping covering `va` into 512 base mappings that all
     /// point into the same (now logically fragmented) huge frame.
     ///
@@ -604,12 +496,6 @@ impl PageTable {
             leaf.ptes[i] = p;
         }
         leaf.present = [!0u64; WORDS];
-        if huge.accessed() {
-            leaf.accessed = [!0u64; WORDS];
-        }
-        if huge.dirty() {
-            leaf.dirty = [!0u64; WORDS];
-        }
         // lint:allow(panic-path): the same pde matched Huge above; a miss here is table corruption
         *self.entry_mut(pde).expect("entry just matched") = PdEntry::Table(leaf);
         // 2 MB was mapped before and after; `mapped_bytes` is unchanged
@@ -630,10 +516,10 @@ impl PageTable {
             w.bool(vma.thp);
         }
         let mut pages = 0u64;
-        self.for_each_mapped_all(|_, _, _| pages += 1);
+        self.for_each_mapped_in(USER_SPACE, |_, _, _| pages += 1);
         w.varint(pages);
         let mut prev = 0u64;
-        self.for_each_mapped_all(|va, pte, size| {
+        self.for_each_mapped_in(USER_SPACE, |va, pte, size| {
             let pn = va.0 >> 12;
             w.varint(pn - prev);
             prev = pn;
@@ -657,7 +543,7 @@ impl PageTable {
     }
 
     /// Restores a table saved with [`PageTable::save`]. Mapped bytes,
-    /// PDE occupancy and the packed side metadata are re-derived from the
+    /// PDE occupancy and the present bitmaps are re-derived from the
     /// installed PTEs (the source of truth), so the result passes
     /// [`PageTable::check_side_metadata`] by construction.
     pub fn load(r: &mut obs::wire::Reader) -> Result<PageTable, String> {
@@ -701,11 +587,11 @@ impl PageTable {
         Ok(pt)
     }
 
-    /// Re-derives every packed-metadata word from the PTEs (the source of
-    /// truth) and reports mismatches — the `MTM_CHECK` sanitizer's
-    /// side-metadata cross-check. Returns human-readable violations;
-    /// empty means every bitmap word, occupancy bit and the valid-PDE
-    /// counter are consistent.
+    /// Re-derives every packed-metadata word from the PTEs and the slots
+    /// (the source of truth) and reports mismatches — the `MTM_CHECK`
+    /// sanitizer's side-metadata cross-check. Returns human-readable
+    /// violations; empty means every `present` word and occupancy bit is
+    /// consistent and no occupancy bit lies past the slot vector.
     pub fn check_side_metadata(&self) -> Vec<String> {
         let mut v = Vec::new();
         if self.occupied.len() != self.slots.len().div_ceil(64) {
@@ -728,30 +614,17 @@ impl PageTable {
             pdes += slot.is_some() as usize;
             let base = (pde as u64) << 21;
             let Some(PdEntry::Table(leaf)) = slot.as_ref() else { continue };
-            let (mut present, mut accessed, mut dirty) =
-                ([0u64; WORDS], [0u64; WORDS], [0u64; WORDS]);
+            let mut present = [0u64; WORDS];
             for (i, pte) in leaf.ptes.iter().enumerate() {
                 if pte.present() {
                     set_bit(&mut present, i);
-                    if pte.accessed() {
-                        set_bit(&mut accessed, i);
-                    }
-                    if pte.dirty() {
-                        set_bit(&mut dirty, i);
-                    }
                 }
             }
-            for w in 0..WORDS {
-                for (name, got, want) in [
-                    ("present", leaf.present[w], present[w]),
-                    ("accessed", leaf.accessed[w], accessed[w]),
-                    ("dirty", leaf.dirty[w], dirty[w]),
-                ] {
-                    if got != want {
-                        v.push(format!(
-                            "pde base {base:#x} {name} word {w}: metadata {got:#018x} but PTEs say {want:#018x}"
-                        ));
-                    }
+            for (w, (&got, want)) in leaf.present.iter().zip(present).enumerate() {
+                if got != want {
+                    v.push(format!(
+                        "pde base {base:#x} present word {w}: metadata {got:#018x} but PTEs say {want:#018x}"
+                    ));
                 }
             }
         }
@@ -759,12 +632,6 @@ impl PageTable {
         if pop != pdes {
             v.push(format!(
                 "occupancy bitmap has {pop} set bits but {pdes} occupied slots (stray bits past the slot vector)"
-            ));
-        }
-        if pdes != self.valid_pdes {
-            v.push(format!(
-                "valid PDE counter {} but {pdes} occupied slots across the table",
-                self.valid_pdes
             ));
         }
         v
@@ -793,7 +660,7 @@ mod tests {
         assert_eq!(size, FrameSize::Base4K);
         assert_eq!(old.frame(), PhysAddr::new(1, 0x1000));
         assert!(pt.translate(va).is_none());
-        assert_eq!(pt.valid_pde_count(), 0, "empty leaf tables are pruned");
+        assert!(pt.pde_vacant(va), "empty leaf tables are pruned");
         assert!(pt.check_side_metadata().is_empty());
     }
 
@@ -852,7 +719,7 @@ mod tests {
         assert_eq!(t.pte.frame(), PhysAddr::new(3, 0x20_0000 + 5 * PAGE_SIZE_4K));
         assert!(t.pte.accessed(), "A bit carried to subpages");
         assert_eq!(pt.mapped_bytes(), PAGE_SIZE_2M);
-        assert!(pt.check_side_metadata().is_empty(), "split syncs the bitmaps");
+        assert!(pt.check_side_metadata().is_empty(), "split marks every subpage present");
     }
 
     #[test]
@@ -925,12 +792,16 @@ mod tests {
         for (i, base) in [0u64, gb, 3 * gb].iter().enumerate() {
             pt.map_4k(VirtAddr(base + PAGE_SIZE_4K), pte4k(0, (i as u64) * PAGE_SIZE_4K));
         }
-        let mut seen = Vec::new();
-        pt.for_each_mapped_all(|va, _, _| seen.push(va.0));
-        assert_eq!(seen, vec![PAGE_SIZE_4K, gb + PAGE_SIZE_4K, 3 * gb + PAGE_SIZE_4K]);
-        let whole = VaRange::new(VirtAddr(0), VirtAddr(4 * gb));
-        assert_eq!(pt.mapped_page_count(whole), 3);
-        assert_eq!(pt.valid_pde_count(), 3);
+        let walk = |range| {
+            let mut seen = Vec::new();
+            pt.for_each_mapped_in(range, |va, _, _| seen.push(va.0));
+            seen
+        };
+        let all = vec![PAGE_SIZE_4K, gb + PAGE_SIZE_4K, 3 * gb + PAGE_SIZE_4K];
+        assert_eq!(walk(USER_SPACE), all);
+        assert_eq!(walk(VaRange::new(VirtAddr(0), VirtAddr(4 * gb))), all);
+        assert_eq!(walk(VaRange::new(VirtAddr(2 * PAGE_SIZE_4K), VirtAddr(3 * gb))), &all[1..2]);
+        assert_eq!(pt.valid_pde_bases().len(), 3);
     }
 
     #[test]
@@ -952,13 +823,13 @@ mod tests {
         r.finish().unwrap();
 
         assert_eq!(back.mapped_bytes(), pt.mapped_bytes());
-        assert_eq!(back.valid_pde_count(), pt.valid_pde_count());
+        assert_eq!(back.valid_pde_bases(), pt.valid_pde_bases());
         assert_eq!(back.vmas().len(), 1);
         assert!(back.check_side_metadata().is_empty());
         let mut orig = Vec::new();
-        pt.for_each_mapped_all(|va, pte, size| orig.push((va, pte, size)));
+        pt.for_each_mapped_in(USER_SPACE, |va, pte, size| orig.push((va, pte, size)));
         let mut loaded = Vec::new();
-        back.for_each_mapped_all(|va, pte, size| loaded.push((va, pte, size)));
+        back.for_each_mapped_in(USER_SPACE, |va, pte, size| loaded.push((va, pte, size)));
         assert_eq!(orig, loaded);
         // Canonical: re-saving reproduces identical bytes.
         let mut w2 = obs::wire::Writer::new();
@@ -967,14 +838,39 @@ mod tests {
     }
 
     #[test]
+    fn accessed_and_dirty_set_through_pte_mut_are_seen() {
+        let mut pt = PageTable::new();
+        let base_va = VirtAddr(5 * PAGE_SIZE_4K);
+        let huge_va = VirtAddr(2 * PAGE_SIZE_2M);
+        pt.map_4k(base_va, pte4k(0, 0));
+        pt.map_2m(huge_va, Pte::map(PhysAddr::new(1, 0), true));
+        for (va, size) in [(base_va, FrameSize::Base4K), (huge_va, FrameSize::Huge2M)] {
+            pt.pte_mut(va).unwrap().0.set(PTE_ACCESSED | PTE_DIRTY);
+            assert!(pt.check_side_metadata().is_empty(), "A/D live in the PTE alone");
+            assert_eq!(pt.scan_page_at(va), Some((true, size)));
+            assert_eq!(pt.scan_page_at(va), Some((false, size)), "the scan cleared it");
+            assert!(pt.translate(va).unwrap().pte.dirty());
+        }
+    }
+
+    #[test]
     fn side_metadata_check_catches_drift() {
         let mut pt = PageTable::new();
-        let va = VirtAddr(0);
+        let va = VirtAddr(PAGE_SIZE_4K);
         pt.map_4k(va, pte4k(0, 0));
-        // Violate the contract: set ACCESSED behind the metadata's back.
-        pt.pte_mut(va).unwrap().0.set(PTE_ACCESSED);
+        // Clear PRESENT behind the present bitmap's back.
+        pt.pte_mut(va).unwrap().0.clear(crate::pte::PTE_PRESENT);
         let v = pt.check_side_metadata();
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("accessed"), "{v:?}");
+        assert!(v[0].contains("present word 0"), "{v:?}");
+        pt.pte_mut(va).unwrap().0.set(crate::pte::PTE_PRESENT);
+        assert!(pt.check_side_metadata().is_empty());
+        // Drop the slot's occupancy bit: the slot and the popcount both
+        // disagree with the bitmap.
+        clear_bit(&mut pt.occupied, 0);
+        let v = pt.check_side_metadata();
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v[0].contains("pde 0: occupancy bit false"), "{v:?}");
+        assert!(v[1].contains("0 set bits but 1 occupied slots"), "{v:?}");
     }
 }

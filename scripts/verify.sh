@@ -70,7 +70,13 @@ matrix() {
     done
 }
 
-cargo build --release --workspace
+# Every target builds warning-free in release, so a deletion cannot
+# leave a dead import or helper behind. Cargo replays cached warnings, so
+# an incremental build is checked too.
+cargo build --release --workspace --all-targets 2>&1 | tee "$tmp/build"
+if grep -E '^warning' "$tmp/build"; then
+    fail "warning lines from the release build, see above"
+fi
 cargo test -q --workspace
 
 # Static analysis gate: the workspace lint (crates/lint) must report zero

@@ -61,8 +61,9 @@ fn region_list_stays_well_formed() {
 }
 
 /// The region EMA (Eq. 2) stays inside the envelope of its observations,
-/// and the hotness histogram over a set of regions does not depend on
-/// the order the regions were observed in within one interval.
+/// and the WHI sequence the policy reads hottest-first over a set of
+/// regions does not depend on the order the regions were observed in
+/// within one interval.
 #[test]
 fn ema_bounded_and_histogram_order_insensitive() {
     prop_check!(
@@ -88,9 +89,9 @@ fn ema_bounded_and_histogram_order_insensitive() {
                     "whi {whi} escaped [0, {max_seen}]"
                 );
             }
-            // Histogram order-insensitivity: each region observes one hi
+            // Hotness-order insensitivity: each region observes one hi
             // this interval; rotating which region got which observation
-            // must not change the bucket counts.
+            // must not change the WHI sequence read hottest-first.
             let n = his.len() as u64;
             let mut a = region_list(n);
             let mut b = region_list(n);
@@ -101,9 +102,16 @@ fn ema_bounded_and_histogram_order_insensitive() {
             for (i, r) in b.regions_mut().iter_mut().enumerate() {
                 r.observe(his[(i + rot) % his.len()], alpha);
             }
-            let ha = mtm::histogram::HotnessHistogram::build(a.regions(), 8, 8.0);
-            let hb = mtm::histogram::HotnessHistogram::build(b.regions(), 8, 8.0);
-            prop_assert_eq!(ha.counts(), hb.counts(), "bucket counts are order-insensitive");
+            let hottest_whis = |list: &RegionList| {
+                let mut order = mtm::policy::PolicyScratch::default();
+                order.rank(list.regions());
+                order.hottest().map(|i| list.regions()[i].whi.to_bits()).collect::<Vec<_>>()
+            };
+            prop_assert_eq!(
+                hottest_whis(&a),
+                hottest_whis(&b),
+                "hottest-first WHI sequence is order-insensitive"
+            );
         }
     );
 }
@@ -356,11 +364,12 @@ fn retry_never_exceeds_attempt_bound() {
     );
 }
 
-/// The page table's packed side metadata (per-leaf present/accessed/dirty
-/// bitmaps) always agrees with the PTE bits — the source of truth — after
-/// arbitrary interleavings of accesses, scans, huge-page splits,
-/// relocations and measurement resets. `check_side_metadata` re-derives
-/// every bitmap word from the PTEs, so an empty report IS the agreement.
+/// The page table's packed side metadata (per-leaf `present` bitmaps and
+/// the PDE occupancy bitmap) always agrees with the PTEs and slots — the
+/// source of truth — after arbitrary interleavings of accesses, scans,
+/// huge-page splits, relocations and measurement resets.
+/// `check_side_metadata` re-derives every bitmap word from the PTEs and
+/// slots, so an empty report IS the agreement.
 #[test]
 fn side_metadata_agrees_with_pte_bits() {
     prop_check!(
@@ -390,11 +399,8 @@ fn side_metadata_agrees_with_pte_bits() {
                     1 => {
                         let _ = m.access(0, va, AccessKind::Write);
                     }
-                    2 => {
+                    2 | 3 => {
                         let _ = m.scan_page(va);
-                    }
-                    3 => {
-                        let _ = m.scan_page_clear(va);
                     }
                     4 => {
                         let range = VaRange::from_len(va.page_2m(), PAGE_SIZE_2M);
@@ -405,7 +411,7 @@ fn side_metadata_agrees_with_pte_bits() {
                     _ => m.reset_measurement(),
                 }
                 let violations = m.page_table().check_side_metadata();
-                prop_assert!(violations.is_empty(), "packed side metadata drifted from PTE bits");
+                prop_assert!(violations.is_empty(), "packed side metadata drifted from the PTEs");
             }
         }
     );
