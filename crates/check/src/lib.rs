@@ -162,42 +162,6 @@ pub fn check_census(rows: &[CensusRow]) -> Vec<String> {
     out
 }
 
-/// Verifies a multi-tenant quota partition of one physical component:
-/// the per-tenant quota bytes must sum to exactly the component's
-/// capacity (arbitration may move capacity between tenants, never create
-/// or destroy it), and no tenant may hold more bytes than its quota.
-/// `quotas` and `used` are indexed by tenant.
-pub fn check_quota_partition(
-    component: u16,
-    quotas: &[u64],
-    used: &[u64],
-    capacity: u64,
-) -> Vec<String> {
-    let mut out = Vec::new();
-    if quotas.len() != used.len() {
-        out.push(format!(
-            "component {component} quota ledger shape: {} quota(s) vs {} usage row(s)",
-            quotas.len(),
-            used.len()
-        ));
-        return out;
-    }
-    let total: u64 = quotas.iter().sum();
-    if total != capacity {
-        out.push(format!(
-            "component {component} quota leak: per-tenant quotas sum to {total} B but capacity is {capacity} B"
-        ));
-    }
-    for (t, (&q, &u)) in quotas.iter().zip(used).enumerate() {
-        if u > q {
-            out.push(format!(
-                "component {component} tenant {t} over quota: {u} B used of {q} B granted"
-            ));
-        }
-    }
-    out
-}
-
 /// Verifies that no physical frame backs two live mappings: `spans` is
 /// one `(component, frame_start, frame_end, va)` entry per mapped page.
 /// Sorted sweep; overlap means a page was duplicated or a frame leaked
@@ -355,24 +319,6 @@ mod tests {
         // Same offsets on different components do not overlap.
         let mut cross = vec![(0u16, 0u64, 4096u64, 0u64), (1, 0, 4096, 0x1000)];
         assert!(check_frame_overlap(&mut cross).is_empty());
-    }
-
-    #[test]
-    fn quota_partition_is_exact_and_bounded() {
-        // Exact partition with everyone inside their grant: clean.
-        assert!(check_quota_partition(0, &[4 << 21, 4 << 21], &[1 << 21, 4 << 21], 8 << 21)
-            .is_empty());
-        // Quotas that do not sum to capacity leak (or mint) bytes.
-        let v = check_quota_partition(1, &[4 << 21, 3 << 21], &[0, 0], 8 << 21);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].contains("quota leak"), "{v:?}");
-        // A tenant above its grant is flagged by index.
-        let v = check_quota_partition(2, &[4 << 21, 4 << 21], &[5 << 21, 0], 8 << 21);
-        assert!(v.iter().any(|l| l.contains("tenant 0 over quota")), "{v:?}");
-        // Shape mismatch short-circuits with a single structural error.
-        let v = check_quota_partition(3, &[1], &[1, 2], 1);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].contains("ledger shape"), "{v:?}");
     }
 
     #[test]

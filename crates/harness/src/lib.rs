@@ -17,13 +17,11 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod metrics;
-pub mod multitenant;
 pub mod opts;
 pub mod overall;
 pub mod resilience;
 pub mod runpool;
 pub mod runs;
-pub mod scenarios;
 pub mod tablefmt;
 pub mod tables;
 

@@ -8,10 +8,8 @@
 //! `MTM_INTERVALS` / `MTM_INTERVAL_NS` are [`Opts::from_env`],
 //! `MTM_ADMIT` / `MTM_SHADOW` / `MTM_FAULTS` / `MTM_FAULT_SEED` shape the
 //! spec, `MTM_CHECK` arms each machine,
-//! `MTM_TELEMETRY` turns on telemetry export, `MTM_JOBS` sizes the
-//! [`crate::runpool`], and `MTM_TENANTS` / `MTM_ARBITER` /
-//! `MTM_SCENARIO_SET` / `MTM_SCENARIO_INTERVALS` narrow the multi-tenant
-//! and scenario sweeps. The simulator itself reads no environment.
+//! `MTM_TELEMETRY` turns on telemetry export and `MTM_JOBS` sizes the
+//! [`crate::runpool`]. The simulator itself reads no environment.
 //!
 //! Runs are memoized in a process-wide **single-flight** cache keyed by
 //! the whole spec: each key owns a `OnceLock`, so the first caller of a
@@ -28,16 +26,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use faultsim::FaultPlan;
-use mtm::arbiter::ArbiterKind;
 use mtm::{AdmissionKind, MtmConfig, MtmManager};
 use mtm_baselines::{build_baseline, hemem_pebs_config};
 use tiersim::machine::{Machine, MachineConfig};
 use tiersim::sim::{run_scenario, MemoryManager, RunReport, Workload};
 use tiersim::tier::{optane_four_tier, Topology};
 
-use crate::multitenant::{ARBITERS, TENANT_COUNTS};
 use crate::opts::Opts;
-use crate::scenarios::SCENARIO_GENERATORS;
 
 /// Managers of the overall evaluation (Fig. 4 plus HeMem from the text).
 pub const OVERALL_MANAGERS: [&str; 7] =
@@ -58,29 +53,13 @@ pub(crate) struct EnvKnobs {
     pub(crate) telemetry: bool,
     /// `MTM_JOBS`, or `None` for one worker per core.
     pub(crate) jobs: Option<usize>,
-    pub(crate) tenants: Axis<Vec<usize>>,
-    pub(crate) arbiters: Axis<Vec<ArbiterKind>>,
-    /// The serving generators to sweep, and whether the churn cell runs.
-    pub(crate) scenario_set: Axis<(Vec<&'static str>, bool)>,
-    /// The scenario run length, or `None` for the options' intervals.
-    pub(crate) scenario_intervals: Axis<Option<u64>>,
-}
-
-/// A sweep axis a knob can narrow: the values to sweep, and whether the
-/// knob was set (non-empty). A malformed value sweeps the full axis but
-/// still counts as set, so a typo never rewrites a committed full-sweep
-/// table.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct Axis<T> {
-    pub(crate) values: T,
-    pub(crate) set: bool,
 }
 
 impl EnvKnobs {
     /// Parses the knobs from `lookup` (a variable's value, `None` when
     /// unset). A malformed value is never silently run: it falls back to
     /// its default (`always`, flags off, no faults, the default seed, one
-    /// job per core, the full sweeps, the default options) and adds one
+    /// job per core, the default options) and adds one
     /// `warning:` line to the returned list. So does each `MTM_*` name in
     /// `set` (the variables that are set) that no knob reads, so a
     /// retired or misspelled setting is never silently ignored.
@@ -105,47 +84,12 @@ impl EnvKnobs {
         opts.threads = env.get("MTM_THREADS", opts.threads, number);
         opts.intervals = env.get("MTM_INTERVALS", opts.intervals, number);
         opts.interval_ns = env.get("MTM_INTERVAL_NS", opts.interval_ns, number);
-        let jobs = env.get("MTM_JOBS", None, |name, raw| {
-            at_least(name, raw, 1, "a positive integer").map(Some)
+        let jobs = env.get("MTM_JOBS", None, |name, raw| match raw.parse() {
+            Ok(n) if n >= 1 => Ok(Some(n)),
+            _ => Err(format!("warning: ignoring {name}={raw:?} (expected a positive integer)")),
         });
-        let tenants = env.axis("MTM_TENANTS", TENANT_COUNTS.to_vec(), |name, raw| {
-            at_least(name, raw, 1, "a tenant count >= 1").map(|n| vec![n])
-        });
-        let arbiters = env.axis("MTM_ARBITER", ARBITERS.to_vec(), |name, raw| {
-            ArbiterKind::parse(raw).map(|k| vec![k]).ok_or(format!(
-                "warning: {name}={raw:?} is not an arbiter \
-                 (static-equal|footprint-proportional|hotness-weighted); sweeping all"
-            ))
-        });
-        let all_scenarios = (SCENARIO_GENERATORS.to_vec(), true);
-        let scenario_set = env.axis("MTM_SCENARIO_SET", all_scenarios, |name, raw| match raw {
-            "churn" => Ok((Vec::new(), true)),
-            _ => SCENARIO_GENERATORS
-                .iter()
-                .find(|&&g| g == raw)
-                .map(|&g| (vec![g], false))
-                .ok_or(format!(
-                    "warning: {name}={raw:?} is not a scenario \
-                     (KVDrift|Diurnal|FlashCrowd|churn); sweeping all"
-                )),
-        });
-        let scenario_intervals = env.axis("MTM_SCENARIO_INTERVALS", None, |name, raw| {
-            at_least(name, raw, 4, "an interval count >= 4").map(Some)
-        });
-        let knobs = EnvKnobs {
-            opts,
-            admission,
-            shadow,
-            faults,
-            fault_seed,
-            check,
-            telemetry,
-            jobs,
-            tenants,
-            arbiters,
-            scenario_set,
-            scenario_intervals,
-        };
+        let knobs =
+            EnvKnobs { opts, admission, shadow, faults, fault_seed, check, telemetry, jobs };
         for name in set {
             let known = env.read.contains(name) || TEST_ONLY_SETTINGS.contains(&name.as_str());
             if name.starts_with("MTM_") && !known {
@@ -171,29 +115,16 @@ struct Reader<F> {
 }
 
 impl<F: Fn(&str) -> Option<String>> Reader<F> {
-    /// Variable `name`'s value, `None` when unset; records that a knob
-    /// reads `name`.
-    fn raw(&mut self, name: &str) -> Option<String> {
-        self.read.push(name.to_string());
-        (self.lookup)(name)
-    }
-
     /// Knob `name`: unset is `default`; a value `parse` rejects is
-    /// `default` plus the `warning:` line `parse` returned.
+    /// `default` plus the `warning:` line `parse` returned. Records that a
+    /// knob reads `name`.
     fn get<T>(&mut self, name: &str, default: T, parse: Parse<T>) -> T {
-        let Some(raw) = self.raw(name) else { return default };
+        self.read.push(name.to_string());
+        let Some(raw) = (self.lookup)(name) else { return default };
         parse(name, &raw).unwrap_or_else(|warning| {
             self.warnings.push(warning);
             default
         })
-    }
-
-    /// Knob `name` narrowing a sweep axis: like [`Reader::get`], except
-    /// that an empty value counts as unset.
-    fn axis<T>(&mut self, name: &str, full: T, parse: Parse<T>) -> Axis<T> {
-        let set = self.raw(name).is_some_and(|raw| !raw.is_empty());
-        let values = if set { self.get(name, full, parse) } else { full };
-        Axis { values, set }
     }
 }
 
@@ -205,20 +136,6 @@ type Parse<T> = fn(&str, &str) -> Result<T, String>;
 fn number<T: std::str::FromStr>(name: &str, raw: &str) -> Result<T, String> {
     let expected = std::any::type_name::<T>();
     raw.parse().map_err(|_| format!("warning: ignoring {name}={raw:?} (not a valid {expected})"))
-}
-
-/// A count knob: an integer of at least `min`; the warning names what it
-/// expected.
-fn at_least<T: std::str::FromStr + PartialOrd>(
-    name: &str,
-    raw: &str,
-    min: T,
-    expected: &str,
-) -> Result<T, String> {
-    match raw.parse() {
-        Ok(n) if n >= min => Ok(n),
-        _ => Err(format!("warning: ignoring {name}={raw:?} (expected {expected})")),
-    }
 }
 
 /// An on/off knob: `1`/`true`/`on` or `0`/`false`/`off`/empty, trimmed
@@ -502,7 +419,7 @@ pub fn cached_run_traced(spec: &RunSpec) -> (Arc<RunReport>, bool) {
         // per key.
         if env_knobs().telemetry {
             let dir = std::path::Path::new(crate::metrics::TELEMETRY_DIR);
-            if let Err(e) = crate::metrics::emit_telemetry_into(dir, None, &report.telemetry) {
+            if let Err(e) = crate::metrics::emit_telemetry_into(dir, &report.telemetry) {
                 eprintln!("warning: could not write telemetry for {label}: {e}");
             }
         }
@@ -594,16 +511,9 @@ mod tests {
             check: false,
             telemetry: false,
             jobs: None,
-            tenants: Axis { values: TENANT_COUNTS.to_vec(), set: false },
-            arbiters: Axis { values: ARBITERS.to_vec(), set: false },
-            scenario_set: Axis { values: (SCENARIO_GENERATORS.to_vec(), true), set: false },
-            scenario_intervals: Axis { values: None, set: false },
         };
         assert_eq!(default, want);
         type Edit = fn(&mut EnvKnobs);
-        fn narrowed<T>(values: T) -> Axis<T> {
-            Axis { values, set: true }
-        }
         let keep: Edit = |_| {};
         let warn = |line: &str| Some(format!("warning: ignoring {line}"));
         let unknown = |name: &str| {
@@ -612,11 +522,6 @@ mod tests {
         let bad_plan = FaultPlan::parse("busy=-1").expect_err("negative probability");
         let bad_admit = "warning: MTM_ADMIT=\"greedy\" is not a policy \
                          (always|pingpong|ratelimit|hotness-delta); using always";
-        let bad_arbiter = "warning: MTM_ARBITER=\"fifo\" is not an arbiter \
-                           (static-equal|footprint-proportional|hotness-weighted); sweeping all";
-        let bad_scenario = "warning: MTM_SCENARIO_SET=\"Batch\" is not a scenario \
-                            (KVDrift|Diurnal|FlashCrowd|churn); sweeping all";
-        let at_least_4 = "(expected an interval count >= 4)";
         // (variable, value, expected change from the default, warning)
         let mut cases: Vec<(&str, &str, Edit, Option<String>)> = vec![
             ("MTM_ADMIT", "always", keep, None),
@@ -632,6 +537,10 @@ mod tests {
             ("MTM_FAULT_SEED", "42", |k| k.fault_seed = 42, None),
             ("MTM_FAULT_SEED", "-3", keep, warn("MTM_FAULT_SEED=\"-3\" (not a valid u64)")),
             ("MTM_RUN_WORKERS", "4", keep, unknown("MTM_RUN_WORKERS")),
+            ("MTM_TENANTS", "2", keep, unknown("MTM_TENANTS")),
+            ("MTM_ARBITER", "static-equal", keep, unknown("MTM_ARBITER")),
+            ("MTM_SCENARIO_SET", "KVDrift", keep, unknown("MTM_SCENARIO_SET")),
+            ("MTM_SCENARIO_INTERVALS", "12", keep, unknown("MTM_SCENARIO_INTERVALS")),
             ("MTM_QUIK", "1", keep, unknown("MTM_QUIK")),
             ("MTM_BLESS", "1", keep, None),
             ("CARGO_TARGET_DIR", "target", keep, None),
@@ -648,22 +557,6 @@ mod tests {
             ("MTM_JOBS", "0", keep, warn("MTM_JOBS=\"0\" (expected a positive integer)")),
             ("MTM_JOBS", "four", keep, warn("MTM_JOBS=\"four\" (expected a positive integer)")),
             ("MTM_JOBS", "", keep, warn("MTM_JOBS=\"\" (expected a positive integer)")),
-            ("MTM_TENANTS", "2", |k| k.tenants = narrowed(vec![2]), None),
-            ("MTM_TENANTS", "", keep, None),
-            ("MTM_TENANTS", "0", |k| k.tenants.set = true, warn("MTM_TENANTS=\"0\" (expected a tenant count >= 1)")),
-            ("MTM_TENANTS", "x", |k| k.tenants.set = true, warn("MTM_TENANTS=\"x\" (expected a tenant count >= 1)")),
-            ("MTM_ARBITER", "static-equal", |k| k.arbiters = narrowed(vec![ArbiterKind::StaticEqual]), None),
-            ("MTM_ARBITER", "footprint-proportional", |k| k.arbiters = narrowed(vec![ArbiterKind::FootprintProportional]), None),
-            ("MTM_ARBITER", "hotness-weighted", |k| k.arbiters = narrowed(vec![ArbiterKind::HotnessWeighted]), None),
-            ("MTM_ARBITER", "fifo", |k| k.arbiters.set = true, Some(bad_arbiter.into())),
-            ("MTM_SCENARIO_SET", "KVDrift", |k| k.scenario_set = narrowed((vec!["KVDrift"], false)), None),
-            ("MTM_SCENARIO_SET", "Diurnal", |k| k.scenario_set = narrowed((vec!["Diurnal"], false)), None),
-            ("MTM_SCENARIO_SET", "FlashCrowd", |k| k.scenario_set = narrowed((vec!["FlashCrowd"], false)), None),
-            ("MTM_SCENARIO_SET", "churn", |k| k.scenario_set = narrowed((vec![], true)), None),
-            ("MTM_SCENARIO_SET", "Batch", |k| k.scenario_set.set = true, Some(bad_scenario.into())),
-            ("MTM_SCENARIO_INTERVALS", "12", |k| k.scenario_intervals = narrowed(Some(12)), None),
-            ("MTM_SCENARIO_INTERVALS", "3", |k| k.scenario_intervals.set = true, warn(&format!("MTM_SCENARIO_INTERVALS=\"3\" {at_least_4}"))),
-            ("MTM_SCENARIO_INTERVALS", "x", |k| k.scenario_intervals.set = true, warn(&format!("MTM_SCENARIO_INTERVALS=\"x\" {at_least_4}"))),
         ];
         let flags: [(&str, Edit); 4] = [
             ("MTM_QUICK", |k| k.opts = Opts::quick()),

@@ -162,26 +162,6 @@ fn admission_policy_module_is_in_determinism_scope() {
     assert_eq!(rules_of(&f), vec![Rule::UnorderedMap]);
 }
 
-/// The multi-tenant arbitration plane re-splits machine resources every
-/// interval, so both its policy module and the harness sweep driver must
-/// sit inside the D1–D3 determinism scopes: a `HashMap`-iterating
-/// arbiter or an entropy-drawing cell driver would break the
-/// byte-identical contract for `results/multitenant.txt`.
-#[test]
-fn arbiter_and_multitenant_modules_are_in_determinism_scope() {
-    for module in ["crates/mtm/src/arbiter.rs", "crates/harness/src/multitenant.rs"] {
-        let f = scan_source(module, "use std::collections::HashMap;\n");
-        assert_eq!(rules_of(&f), vec![Rule::UnorderedMap], "{module} escaped D2");
-        let f = scan_source(module, "let mut rng = thread_rng();\n");
-        assert_eq!(rules_of(&f), vec![Rule::Entropy], "{module} escaped D3");
-        let f = scan_source(module, "let t0 = std::time::Instant::now();\n");
-        assert_eq!(rules_of(&f), vec![Rule::WallClock], "{module} escaped D1");
-        // The BTreeMap state the hotness arbiter actually keeps is clean.
-        let good = "use std::collections::BTreeMap;\nstruct A { ema: BTreeMap<u16, f64> }\n";
-        assert!(scan_source(module, good).is_empty(), "{module} false positive");
-    }
-}
-
 // ------------------------------------------------------------------- D4
 
 #[test]

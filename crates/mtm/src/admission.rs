@@ -44,10 +44,6 @@ pub struct Candidate {
     /// space, when admission would trigger an eviction (`None` when the
     /// destination has free space).
     pub victim_whi: Option<f64>,
-    /// Tenant whose manager proposed this migration (0 = legacy single
-    /// tenant). Lets admission logs and per-tenant bandwidth ledgers
-    /// attribute traffic on a shared machine.
-    pub tenant: tiersim::TenantId,
 }
 
 /// An admission decision. A rejection carries a stable reason label used
@@ -325,7 +321,6 @@ mod tests {
             kind,
             whi: 2.0,
             victim_whi: None,
-            tenant: 0,
         }
     }
 

@@ -62,15 +62,6 @@ pub struct MtmConfig {
     pub shadow: bool,
     /// RNG seed for page sampling.
     pub seed: u64,
-    /// Fraction of the machine-wide Eq. 1 profiling budget this manager
-    /// instance holds, in `[0, 1]`. `1.0` (the single-tenant default) is
-    /// bit-exact with the pre-tenant budget: `x * 1.0 == x`. A global
-    /// arbiter lowers it when several tenants share the profiling plane.
-    pub profile_share: f64,
-    /// Tenant this manager instance serves (0 = legacy single tenant).
-    /// Stamped onto every migration [`Candidate`](crate::admission::Candidate)
-    /// so admission logs and ledgers attribute traffic per tenant.
-    pub tenant: tiersim::TenantId,
 }
 
 impl Default for MtmConfig {
@@ -95,8 +86,6 @@ impl Default for MtmConfig {
             admission: crate::admission::AdmissionKind::Always,
             shadow: false,
             seed: 0x171717,
-            profile_share: 1.0,
-            tenant: 0,
         }
     }
 }

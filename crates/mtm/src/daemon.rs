@@ -179,17 +179,6 @@ impl MemoryManager for MtmManager {
         })
     }
 
-    fn set_share(&mut self, share: tiersim::Share) {
-        // The promotion budget is the tenant's slice of the machine-wide
-        // migration bandwidth; the profile share scales the Eq. 1 budget.
-        // Fast-tier capacity is enforced through allocator quotas, not
-        // here. A solo share (the full budget, profile_share == 1.0) is
-        // bit-exact with the untouched configuration.
-        self.cfg.promote_bytes = share.promote_bytes;
-        self.cfg.profile_share = share.profile_share.clamp(0.0, 1.0);
-        self.profiler.set_profile_share(share.profile_share);
-    }
-
     fn save_state(&self) -> Option<Vec<u8>> {
         // Stateful admission policies (ping-pong filter, rate limiter)
         // hold private history that is not serialized; a manager using
@@ -200,10 +189,6 @@ impl MemoryManager for MtmManager {
         }
         let mut w = obs::wire::Writer::new();
         w.str(&self.admission.name());
-        // The two config fields mutated at runtime by tenant arbitration
-        // (`set_share`); the rest of the config is supplied at rebuild.
-        w.u64(self.cfg.promote_bytes);
-        w.f64(self.cfg.profile_share);
         self.profiler.save(&mut w);
         self.engine.save(&mut w);
         let t = &self.policy_totals;
@@ -223,8 +208,6 @@ impl MemoryManager for MtmManager {
                 self.admission.name()
             ));
         }
-        self.cfg.promote_bytes = r.u64()?;
-        self.cfg.profile_share = r.f64()?;
         self.profiler.load(&mut r)?;
         self.engine.load(&mut r)?;
         self.policy_totals = PolicyStats {

@@ -33,7 +33,6 @@
 //! ```
 
 pub mod admission;
-pub mod arbiter;
 pub mod config;
 pub mod daemon;
 pub mod migration;
@@ -43,7 +42,6 @@ pub mod region;
 pub mod residency;
 
 pub use admission::{AdmissionKind, AdmissionPolicy, Candidate, MigrationKind, Verdict};
-pub use arbiter::{ArbiterKind, ArbiterPolicy, TenantDemand};
 pub use config::{InitialPlacement, MtmConfig};
 pub use daemon::MtmManager;
 pub use migration::{move_memory_regions_once, nimble_move, MigrationEngine};

@@ -143,7 +143,6 @@ fn make_space(
     hysteresis: f64,
     demote_budget: &mut u64,
     stats: &mut PolicyStats,
-    tenant: tiersim::TenantId,
 ) -> bool {
     // Only a demotion changes the target's effective free space.
     let mut target_free = effective_free(m, engine, target);
@@ -189,7 +188,6 @@ fn make_space(
                         kind: MigrationKind::Demotion,
                         whi: victim.whi,
                         victim_whi: None,
-                        tenant,
                     },
                 );
                 if let Verdict::Reject(reason) = verdict {
@@ -315,7 +313,6 @@ pub fn promote_and_demote(
                     kind: MigrationKind::Promotion,
                     whi: cand.whi,
                     victim_whi,
-                    tenant: cfg.tenant,
                 },
             );
             if let Verdict::Reject(reason) = verdict {
@@ -335,7 +332,6 @@ pub fn promote_and_demote(
                     hysteresis,
                     &mut demote_budget,
                     &mut stats,
-                    cfg.tenant,
                 );
             if fits {
                 engine.migrate(m, mig_range, dest, node);

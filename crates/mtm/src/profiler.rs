@@ -217,27 +217,14 @@ impl AdaptiveProfiler {
         // Each counted check costs two PTE scans (priming clear + read).
         let eff_scan = 2.0 * costs.one_scan_ns
             + costs.hint_fault_ns() / self.cfg.hint_fault_every.max(1) as f64;
-        // Under multi-tenancy a global arbiter hands this instance a
-        // fraction of the machine-wide overhead budget; the solo default
-        // of 1.0 leaves the paper's Eq. 1 value bit-exact.
-        let budget = m.cfg.interval_ns * self.cfg.overhead_target * self.cfg.profile_share;
+        let budget = m.cfg.interval_ns * self.cfg.overhead_target;
         ((budget / (eff_scan * self.cfg.num_scans as f64)) as u64).max(1)
     }
 
-    /// Installs this tenant's fraction of the machine-wide profiling
-    /// budget (clamped to `[0, 1]`), effective from the next Eq. 1
-    /// evaluation.
-    pub fn set_profile_share(&mut self, share: f64) {
-        self.cfg.profile_share = share.clamp(0.0, 1.0);
-    }
-
-    /// Serializes the profiler's dynamic state (checkpoint support). Of
-    /// the configuration only `profile_share` is saved — it is the one
-    /// field mutated at runtime (tenant arbitration via
-    /// [`AdaptiveProfiler::set_profile_share`]); everything else comes
-    /// from the [`MtmConfig`] the profiler is rebuilt with.
+    /// Serializes the profiler's dynamic state (checkpoint support). No
+    /// configuration is saved: it comes from the [`MtmConfig`] the
+    /// profiler is rebuilt with.
     pub fn save(&self, w: &mut obs::wire::Writer) {
-        w.f64(self.cfg.profile_share);
         self.regions.save(w);
         w.varint(self.plan.len() as u64);
         for p in &self.plan {
@@ -264,7 +251,6 @@ impl AdaptiveProfiler {
     /// Restores the dynamic state saved with [`AdaptiveProfiler::save`]
     /// into a profiler freshly built from the same configuration.
     pub fn load(&mut self, r: &mut obs::wire::Reader) -> Result<(), String> {
-        self.cfg.profile_share = r.f64()?;
         self.regions = RegionList::load(r)?;
         let count = r.varint()? as usize;
         let mut plan = Vec::with_capacity(count.min(1 << 16));

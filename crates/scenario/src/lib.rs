@@ -1,26 +1,17 @@
-//! Traffic-trace scenario engine (DESIGN.md §5h).
+//! Trace and checkpoint engine for long-horizon runs (DESIGN.md §5h).
 //!
-//! Three pieces sharing the [`tiersim::sim::Workload`] trait:
+//! Two pieces sharing the [`tiersim::sim::Workload`] trait:
 //!
 //! - [`trace`]: record any workload's access stream to a compact,
 //!   versioned binary trace and replay it bit-identically — the recorded
 //!   run and the replayed run produce byte-identical reports.
-//! - [`serving`]: synthetic serving-style traffic generators (zipfian KV
-//!   with hot-set drift, diurnal load curves, flash crowds) exercising
-//!   phase transitions no Table 2 batch workload produces.
 //! - [`checkpoint`]: whole-simulation checkpoints (machine + manager +
 //!   workload + driver progress) so long-horizon runs stop and resume
-//!   with bit-identical continuation.
-//!
-//! [`churn`] adds tenant arrive/grow/shrink/depart schedules the
-//! multi-tenant cell driver executes between intervals.
+//!   with bit-identical continuation. A paper workload checkpoints by
+//!   being replayed from its trace ([`TraceReplayer`]).
 
 pub mod checkpoint;
-pub mod churn;
-pub mod serving;
 pub mod trace;
 
 pub use checkpoint::{restore_checkpoint, save_checkpoint};
-pub use churn::{ChurnEvent, ChurnSchedule};
-pub use serving::{Serving, ServingConfig};
 pub use trace::{record_run, TraceRecorder, TraceReplayer};

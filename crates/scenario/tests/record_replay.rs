@@ -4,7 +4,6 @@
 
 use mtm::{MtmConfig, MtmManager};
 use mtm_scenario::trace::{record_run, TraceReplayer};
-use mtm_scenario::{Serving, ServingConfig};
 use tiersim::machine::{Machine, MachineConfig};
 use tiersim::sim::{run_scenario, RunReport, Workload};
 use tiersim::tier::tiny_two_tier;
@@ -55,11 +54,13 @@ fn check_replay_matches_live(make: impl Fn() -> Box<dyn Workload>) {
     );
 }
 
+fn gups() -> Box<dyn Workload> {
+    mtm_workloads::build_paper_workload("GUPS", 1 << 13, 2).expect("GUPS exists")
+}
+
 #[test]
 fn gups_replay_is_byte_identical() {
-    check_replay_matches_live(|| {
-        mtm_workloads::build_paper_workload("GUPS", 1 << 13, 2).expect("GUPS exists")
-    });
+    check_replay_matches_live(gups);
 }
 
 #[test]
@@ -70,13 +71,15 @@ fn cassandra_replay_is_byte_identical() {
 }
 
 #[test]
-fn serving_generator_replay_is_byte_identical() {
-    check_replay_matches_live(|| Box::new(Serving::new(ServingConfig::kv_drift(1 << 14, 2, 2))));
+fn voltdb_replay_is_byte_identical() {
+    check_replay_matches_live(|| {
+        mtm_workloads::build_paper_workload("VoltDB", 1 << 13, 2).expect("VoltDB exists")
+    });
 }
 
 #[test]
 fn trace_rejects_bad_magic_and_version() {
-    let wl = Serving::new(ServingConfig::kv_drift(1 << 14, 2, 2));
+    let wl = gups();
     let (_, trace) =
         record_run(&mut machine(), &mut manager(), wl, 2).expect("recordable");
     let mut bad = trace.clone();
@@ -91,7 +94,7 @@ fn trace_rejects_bad_magic_and_version() {
 
 #[test]
 fn replay_on_mismatched_machine_panics_loudly() {
-    let wl = Serving::new(ServingConfig::kv_drift(1 << 14, 2, 2));
+    let wl = gups();
     let (_, trace) =
         record_run(&mut machine(), &mut manager(), wl, 2).expect("recordable");
     let mut replayer = TraceReplayer::from_bytes(&trace).expect("trace decodes");

@@ -7,7 +7,6 @@
 
 use mtm::{MtmConfig, MtmManager};
 use mtm_scenario::trace::{record_run, TraceReplayer};
-use mtm_scenario::{Serving, ServingConfig};
 use tiersim::addr::VaRange;
 use tiersim::machine::{Machine, MachineConfig};
 use tiersim::sim::{run_scenario, MemEnv, RunReport, Workload};
@@ -36,10 +35,6 @@ impl<W: Workload> Workload for TickOnly<W> {
 
     fn footprint(&self) -> u64 {
         self.0.footprint()
-    }
-
-    fn declared_footprint(&self) -> u64 {
-        self.0.declared_footprint()
     }
 
     fn true_hot_ranges(&self) -> Vec<VaRange> {
@@ -88,16 +83,14 @@ fn paper_workloads_round_matches_tick() {
 }
 
 #[test]
-fn serving_round_matches_tick() {
-    check_round_matches_tick(|| Box::new(Serving::new(ServingConfig::kv_drift(SCALE, 2, 2))));
-}
-
-#[test]
 fn trace_replayer_round_matches_tick() {
-    let gups = mtm_workloads::build_paper_workload("GUPS", SCALE, 2).expect("GUPS exists");
-    let mgr = &mut MtmManager::new(MtmConfig::default(), 1);
-    let (_, trace) = record_run(&mut machine(), mgr, gups, INTERVALS).expect("recordable");
-    check_round_matches_tick(|| {
-        Box::new(TraceReplayer::from_bytes(&trace).expect("trace decodes"))
-    });
+    // Traces of GUPS's rotating hot band and of Cassandra's zipfian rows.
+    for name in ["GUPS", "Cassandra"] {
+        let wl = mtm_workloads::build_paper_workload(name, SCALE, 2).expect("paper workload");
+        let mgr = &mut MtmManager::new(MtmConfig::default(), 1);
+        let (_, trace) = record_run(&mut machine(), mgr, wl, INTERVALS).expect("recordable");
+        check_round_matches_tick(|| {
+            Box::new(TraceReplayer::from_bytes(&trace).expect("trace decodes"))
+        });
+    }
 }

@@ -107,21 +107,6 @@ impl FrameAllocator {
         self.capacity - self.used
     }
 
-    /// Resizes the managed capacity — a multi-tenant *quota* carved out
-    /// of the physical component. The new capacity is rounded down to
-    /// whole 2 MB blocks and clamped so it never drops below the bytes
-    /// currently allocated (rounded up to a block): a quota change may
-    /// deny future allocations, never invalidate live frames. Shrinking
-    /// below already-carved offsets is safe — those frames keep their
-    /// addresses and recycle through the free lists; only fresh-block
-    /// carving is bounded by the new capacity. Returns the effective
-    /// capacity after rounding and clamping.
-    pub fn set_capacity(&mut self, bytes: u64) -> u64 {
-        let floor = (self.used + PAGE_SIZE_2M - 1) & !(PAGE_SIZE_2M - 1);
-        self.capacity = (bytes & !(PAGE_SIZE_2M - 1)).max(floor);
-        self.capacity
-    }
-
     /// Fraction of capacity in use, in `[0, 1]`.
     pub fn utilization(&self) -> f64 {
         if self.capacity == 0 {

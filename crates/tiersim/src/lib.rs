@@ -38,11 +38,9 @@ pub mod pebs;
 pub mod pte;
 pub mod rng;
 pub mod sim;
-pub mod tenant;
 pub mod tier;
 
 pub use addr::{VaRange, VirtAddr, PAGE_SIZE_2M, PAGE_SIZE_4K};
 pub use machine::{AccessKind, AccessResult, Machine, MachineConfig};
-pub use sim::{run_scenario, MemEnv, MemoryManager, RunReport, ScenarioProgress, Workload};
-pub use tenant::{Share, TenantId};
+pub use sim::{run_scenario, MemEnv, MemoryManager, RunReport, ScenarioProgress, Share, Workload};
 pub use tier::{optane_four_tier, two_tier, ComponentId, NodeId, Topology};

@@ -445,15 +445,6 @@ impl Machine {
         &self.allocators[component as usize]
     }
 
-    /// Resizes one component's managed capacity — a multi-tenant *quota*
-    /// carved from the physical component by a global arbiter. Rounded
-    /// down to whole 2 MB blocks and clamped so it never drops below the
-    /// bytes currently allocated (see [`FrameAllocator::set_capacity`]).
-    /// Returns the effective capacity.
-    pub fn set_component_quota(&mut self, component: ComponentId, bytes: u64) -> u64 {
-        self.allocators[component as usize].set_capacity(bytes)
-    }
-
     /// Mutable allocator access for tests that set up fragmentation.
     ///
     /// Mutating an allocator behind the page table's back (allocating

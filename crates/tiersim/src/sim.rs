@@ -24,6 +24,11 @@ pub trait MemEnv {
     fn machine(&mut self) -> &mut Machine;
 }
 
+/// The argument of [`MemoryManager::set_share`]. It carries nothing; it
+/// stays only so the out-of-workspace benchmark's delegating manager,
+/// which forwards this hook, keeps compiling.
+pub struct Share;
+
 /// A page-management system under test (MTM or a baseline).
 pub trait MemoryManager {
     /// Display name used in reports.
@@ -67,12 +72,8 @@ pub trait MemoryManager {
         None
     }
 
-    /// Installs this tenant's resource [`Share`](crate::tenant::Share)
-    /// from a global arbiter: promotion-bandwidth slice and profiling
-    /// budget fraction. Managers that ignore arbitration (all static
-    /// baselines) keep the default no-op; fast-tier capacity is enforced
-    /// separately through allocator quotas, not through the manager.
-    fn set_share(&mut self, _share: crate::tenant::Share) {}
+    /// A no-op that no caller reaches; see [`Share`].
+    fn set_share(&mut self, _share: Share) {}
 
     /// Serializes the manager's dynamic state for a checkpoint, or `None`
     /// when the manager does not support checkpointing (the default).
@@ -130,18 +131,6 @@ pub trait Workload {
     /// Total memory footprint in bytes (simulated scale).
     fn footprint(&self) -> u64;
 
-    /// Footprint the workload *will* map, known before [`Workload::setup`]
-    /// has laid any VMA out. Multi-tenant arbitration uses this for its
-    /// initial grant: setup populates eagerly, so a deeply split quota
-    /// carved blind to demand can be too small for the first touch of a
-    /// tenant whose tables span more 2 MB blocks than its equal share.
-    /// Implementations replicate the VMA rounding their setup performs,
-    /// so the declared value equals [`Workload::footprint`] once setup
-    /// ran. Defaults to `footprint()` (zero before setup).
-    fn declared_footprint(&self) -> u64 {
-        self.footprint()
-    }
-
     /// Ground-truth hot virtual ranges, when the workload knows them
     /// (GUPS does; used for profiling recall/accuracy in Fig. 1).
     fn true_hot_ranges(&self) -> Vec<VaRange> {
@@ -193,10 +182,6 @@ impl Workload for Box<dyn Workload> {
 
     fn footprint(&self) -> u64 {
         (**self).footprint()
-    }
-
-    fn declared_footprint(&self) -> u64 {
-        (**self).declared_footprint()
     }
 
     fn true_hot_ranges(&self) -> Vec<VaRange> {
@@ -449,8 +434,8 @@ fn drive_interval(
 }
 
 /// An in-flight scenario that external drivers advance one interval at a
-/// time — the mechanism behind multi-tenant lock-step execution, where a
-/// global arbiter re-splits resources between each tenant's intervals.
+/// time, e.g. to checkpoint a run between intervals or to sample its
+/// state as it goes.
 /// [`run_scenario`] is exactly `start` + `step_interval` × N + `finish`,
 /// so a single-stepped run is bit-identical to the one-shot path.
 pub struct ScenarioProgress {

@@ -221,16 +221,6 @@ impl Workload for Bfs {
         self.offsets.len() + self.neighbors.len() + self.visited.len() + self.frontier_vma.len()
     }
 
-    fn declared_footprint(&self) -> u64 {
-        use crate::layout::vma_len;
-        let v = self.graph.vertices as u64;
-        let e = self.graph.edges();
-        vma_len((v + 1) * OFFSET_BYTES)
-            + vma_len(e * NEIGHBOR_BYTES)
-            + vma_len(v * VISITED_BYTES)
-            + vma_len((v * FRONTIER_BYTES).min(64 << 20))
-    }
-
     fn true_hot_ranges(&self) -> Vec<VaRange> {
         vec![self.offsets, self.visited]
     }

@@ -224,12 +224,6 @@ impl Workload for Gups {
         self.index.len() + self.hotinfo.len() + self.table.len()
     }
 
-    fn declared_footprint(&self) -> u64 {
-        use crate::layout::vma_len;
-        let index_bytes = (self.cfg.table_bytes / 512).max(PAGE_SIZE_4K);
-        vma_len(index_bytes) + vma_len(PAGE_SIZE_4K) + vma_len(self.cfg.table_bytes)
-    }
-
     fn true_hot_ranges(&self) -> Vec<VaRange> {
         match self.cfg.mode {
             HotsetMode::Band => vec![self.index, self.hotinfo, self.hot_band()],

@@ -32,19 +32,12 @@ impl Layout {
 
     /// Reserves `bytes` (rounded up to 2 MB) and registers the VMA.
     pub fn add(&mut self, env: &mut dyn MemEnv, name: &str, bytes: u64, thp: bool) -> VaRange {
-        let len = vma_len(bytes);
+        let len = bytes.max(1).next_multiple_of(PAGE_SIZE_2M);
         let range = VaRange::from_len(VirtAddr(self.cursor), len);
         env.machine().mmap(name, range, thp);
         self.cursor += len + LAYOUT_GAP;
         range
     }
-}
-
-/// Length [`Layout::add`] will reserve for a `bytes`-byte table — the
-/// rounding workloads replicate in `Workload::declared_footprint` so the
-/// declared value matches the mapped one exactly.
-pub fn vma_len(bytes: u64) -> u64 {
-    bytes.max(1).next_multiple_of(PAGE_SIZE_2M)
 }
 
 /// Touches one cache line in every 4 KB page of `range` with writes on

@@ -105,53 +105,13 @@ pub fn catalog() -> Vec<CatalogEntry> {
 /// Names match the paper: `GUPS`, `VoltDB`, `Cassandra`, `BFS`, `SSSP`,
 /// `Spark`. Returns `None` for an unknown name.
 pub fn build_paper_workload(name: &str, scale: u64, threads: usize) -> Option<Box<dyn Workload>> {
-    build_paper_workload_seeded(name, scale, threads, 0)
-}
-
-/// [`build_paper_workload`] with the access-stream seed XORed by `salt`,
-/// so co-scheduled tenants running the *same* named workload still issue
-/// distinct deterministic access streams. A salt of `0` reproduces the
-/// unsalted builder exactly. Graph-topology seeds (the BFS/SSSP R-MAT
-/// generators) are deliberately left unsalted: tenants share the graph
-/// *shape* (and its construction cache) while traversing it from
-/// different seeds — only the access stream must differ per tenant.
-pub fn build_paper_workload_seeded(
-    name: &str,
-    scale: u64,
-    threads: usize,
-    salt: u64,
-) -> Option<Box<dyn Workload>> {
     Some(match name {
-        "GUPS" => {
-            let mut c = GupsConfig::paper(scale, threads);
-            c.seed ^= salt;
-            Box::new(Gups::new(c))
-        }
-        "VoltDB" => {
-            let mut c = TpccConfig::paper(scale, threads);
-            c.seed ^= salt;
-            Box::new(Tpcc::new(c))
-        }
-        "Cassandra" => {
-            let mut c = YcsbConfig::paper(scale, threads);
-            c.seed ^= salt;
-            Box::new(Ycsb::new(c))
-        }
-        "BFS" => {
-            let mut c = BfsConfig::paper(scale, threads);
-            c.seed ^= salt;
-            Box::new(Bfs::new(c))
-        }
-        "SSSP" => {
-            let mut c = SsspConfig::paper(scale, threads);
-            c.seed ^= salt;
-            Box::new(Sssp::new(c))
-        }
-        "Spark" => {
-            let mut c = TerasortConfig::paper(scale, threads);
-            c.seed ^= salt;
-            Box::new(Terasort::new(c))
-        }
+        "GUPS" => Box::new(Gups::new(GupsConfig::paper(scale, threads))),
+        "VoltDB" => Box::new(Tpcc::new(TpccConfig::paper(scale, threads))),
+        "Cassandra" => Box::new(Ycsb::new(YcsbConfig::paper(scale, threads))),
+        "BFS" => Box::new(Bfs::new(BfsConfig::paper(scale, threads))),
+        "SSSP" => Box::new(Sssp::new(SsspConfig::paper(scale, threads))),
+        "Spark" => Box::new(Terasort::new(TerasortConfig::paper(scale, threads))),
         _ => return None,
     })
 }
@@ -176,46 +136,5 @@ mod tests {
             assert_eq!(wl.unwrap().name(), entry.name);
         }
         assert!(build_paper_workload("nope", 1024, 2).is_none());
-    }
-
-    #[test]
-    fn seeded_builder_salts_every_workload() {
-        for entry in catalog() {
-            let wl = build_paper_workload_seeded(entry.name, 1 << 14, 2, 0xDEAD_BEEF);
-            assert!(wl.is_some(), "missing seeded builder for {}", entry.name);
-        }
-        assert!(build_paper_workload_seeded("nope", 1024, 2, 1).is_none());
-    }
-
-    #[test]
-    fn declared_footprint_matches_setup_for_every_workload() {
-        use tiersim::addr::PAGE_SIZE_2M;
-        use tiersim::machine::{Machine, MachineConfig};
-        use tiersim::sim::{FirstTouchPolicy, SimEnv};
-        use tiersim::tier::tiny_two_tier;
-
-        // Both above and below the VoltDB warehouse floor, the declared
-        // footprint (available before setup, feeding the multi-tenant
-        // initial grant) must equal the mapped footprint exactly.
-        for scale in [1 << 12, 1 << 17] {
-            for entry in catalog() {
-                let mut wl = build_paper_workload(entry.name, scale, 2).unwrap();
-                let declared = wl.declared_footprint();
-                assert!(declared > 0, "{} declares nothing at scale {scale}", entry.name);
-                let mut m = Machine::new(MachineConfig::new(
-                    tiny_two_tier(256 * PAGE_SIZE_2M, 256 * PAGE_SIZE_2M),
-                    2,
-                ));
-                let mut mgr = FirstTouchPolicy;
-                let mut env = SimEnv { machine: &mut m, manager: &mut mgr };
-                wl.setup(&mut env);
-                assert_eq!(
-                    declared,
-                    wl.footprint(),
-                    "{} declared a footprint its setup did not map at scale {scale}",
-                    entry.name
-                );
-            }
-        }
     }
 }

@@ -156,9 +156,9 @@ mod tests {
     fn prop_zipf_head_mass_is_seed_stable() {
         use proptest_lite::{gen, prop_check};
         // The sampled *distribution* is a property of (n, theta) alone:
-        // any two seed streams put the same mass on the head ranks (the
-        // serving generators lean on this — per-thread streams must see
-        // the same popularity curve), every draw is in bounds, and the
+        // any two seed streams put the same mass on the head ranks (YCSB
+        // and TPC-C lean on this — their per-thread streams must see the
+        // same popularity curve), every draw is in bounds, and the
         // head carries more than its uniform share.
         prop_check!(
             "zipf_head_mass_is_seed_stable",

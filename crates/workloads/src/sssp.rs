@@ -245,17 +245,6 @@ impl Workload for Sssp {
             + self.queue_vma.len()
     }
 
-    fn declared_footprint(&self) -> u64 {
-        use crate::layout::vma_len;
-        let v = self.graph.vertices as u64;
-        let e = self.graph.edges();
-        vma_len((v + 1) * OFFSET_BYTES)
-            + vma_len(e * NEIGHBOR_BYTES)
-            + vma_len(e * WEIGHT_BYTES)
-            + vma_len(v * DIST_BYTES)
-            + vma_len((v * QUEUE_BYTES).min(64 << 20))
-    }
-
     fn true_hot_ranges(&self) -> Vec<VaRange> {
         vec![self.offsets, self.dist_vma]
     }

@@ -249,10 +249,6 @@ impl Workload for Terasort {
         self.input.len() + self.shuffle.len() + self.output.len()
     }
 
-    fn declared_footprint(&self) -> u64 {
-        3 * crate::layout::vma_len(self.cfg.input_bytes)
-    }
-
     fn ops_completed(&self) -> u64 {
         self.ops
     }

@@ -157,11 +157,6 @@ impl Workload for Ycsb {
         self.index.len() + self.rows.len()
     }
 
-    fn declared_footprint(&self) -> u64 {
-        crate::layout::vma_len(self.cfg.rows * INDEX_ENTRY)
-            + crate::layout::vma_len(self.cfg.rows * ROW_BYTES)
-    }
-
     fn true_hot_ranges(&self) -> Vec<VaRange> {
         // The index plus the blocks holding the top ~0.4 % of ranks.
         let mut out = vec![self.index];

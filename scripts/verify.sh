@@ -140,32 +140,6 @@ smoke resilience /dev/null MTM_CHECK=1 MTM_JOBS=4
 # broken shadow ledger would surface.
 matrix admission results/admission.txt "MTM_JOBS=1" "MTM_JOBS=4" "MTM_CHECK=1 MTM_JOBS=4"
 
-# Multi-tenant: the global-arbitration sweep restricted to 2 tenants.
-# Cells and solo references are seeded from tenant/workload labels, never
-# execution order; MTM_CHECK=1 adds the per-tenant quota-partition census
-# at every interval boundary. With MTM_TENANTS set the bin does not touch
-# the committed results/multitenant.txt, so stdout is compared.
-mt="MTM_TENANTS=2"
-matrix multitenant stdout "$mt MTM_JOBS=1" "$mt MTM_JOBS=4" "MTM_CHECK=1 $mt MTM_JOBS=4"
-
-# Scenarios: the serving-generator/churn sweep at a short horizon. Cells
-# are pure functions of their labels and the churn cell steps tenants
-# lock-step serial. Every pass also runs the checkpoint differential:
-# the bin saves the MTM/KVDrift cell mid-run, resumes it in fresh
-# objects, and panics unless the resumed report is byte-identical. With
-# MTM_SCENARIO_INTERVALS set the committed results/scenarios.txt is left
-# alone, so stdout is compared.
-sc="MTM_SCENARIO_INTERVALS=12"
-matrix scenarios stdout "$sc MTM_JOBS=1" "$sc MTM_JOBS=4" "MTM_CHECK=1 $sc MTM_JOBS=4"
-
-# Committed sweep tables: regenerate each in its committed shape; the
-# results/ gate below requires it to come out byte for byte. The
-# multi-tenant table is the unrestricted quick sweep; the scenario table
-# is the default 120-interval run, so MTM_QUICK=0 overrides smoke's quick
-# mode.
-smoke multitenant /dev/null
-smoke scenarios /dev/null MTM_QUICK=0
-
 diff -r -x telemetry "$tmp/results" results || fail "results/ differs from the committed files, see above"
 
 echo "verify: OK"

@@ -586,182 +586,3 @@ fn zipfian_is_bounded_and_skewed() {
         }
     );
 }
-
-/// Global arbitration is invisible to a tenant when resources are ample:
-/// a tenant co-scheduled with two others under per-round quota re-splits
-/// behaves *bit-identically* to the same tenant alone on the whole
-/// machine — same counters, same residency, same mapping, same committed
-/// wall time. Arbitration may move the quota fences, never a tenant's
-/// pages or another tenant's accounting.
-#[test]
-fn arbitration_preserves_tenant_isolation() {
-    use tiersim::tenant::split_capacity;
-    prop_check!(
-        "arbitration_preserves_tenant_isolation",
-        24,
-        (
-            // 5 arbitration points (initial + one per round) x 3 tenants.
-            gen::vec(gen::f64_range(0.5, 2.0), 15),
-            // Access offsets, sliced 8 per (round, tenant).
-            gen::vec(gen::u64_range(0, 2048), 96),
-        ),
-        |(weights, offsets)| {
-            let fast_cap = 128 * PAGE_SIZE_2M;
-            let slow_cap = 128 * PAGE_SIZE_2M;
-            let n = 3usize;
-            let rounds = 4usize;
-            let heap = VaRange::from_len(VirtAddr(0), 4 * PAGE_SIZE_2M);
-            let spawn = || {
-                let mut m = Machine::new(MachineConfig::new(tiny_two_tier(fast_cap, slow_cap), 1));
-                m.set_checking(true);
-                m.mmap("heap", heap, false);
-                m
-            };
-            let mut shared: Vec<Machine> = (0..n).map(|_| spawn()).collect();
-            let mut solo: Vec<Machine> = (0..n).map(|_| spawn()).collect();
-            // Initial grant before any page exists; min share is
-            // 0.5/2.5 of 256M = 51M, far above the 8M footprints, so
-            // quotas never bind and identity is provable, not a fluke.
-            for c in 0..2u16 {
-                let cap = if c == 0 { fast_cap } else { slow_cap };
-                let quotas = split_capacity(cap, &weights[..n], &[0, 0, 0]);
-                for (m, &q) in shared.iter_mut().zip(&quotas) {
-                    m.set_component_quota(c, q);
-                }
-            }
-            for m in shared.iter_mut().chain(solo.iter_mut()) {
-                m.prefault_range(heap, &[0, 1]).unwrap();
-            }
-            for round in 0..rounds {
-                for i in 0..n {
-                    let slice = &offsets[(round * n + i) * 8..(round * n + i) * 8 + 8];
-                    for &off in slice {
-                        let va = VirtAddr(off * PAGE_SIZE_4K);
-                        let kind = if off % 2 == 0 { AccessKind::Read } else { AccessKind::Write };
-                        shared[i].access(0, va, kind);
-                        solo[i].access(0, va, kind);
-                    }
-                    let ws = shared[i].commit_interval();
-                    let wo = solo[i].commit_interval();
-                    prop_assert_eq!(ws, wo, "tenant {i} round {round}: wall time diverged");
-                }
-                // Re-split from this round's weights, floored at each
-                // tenant's current residency.
-                let w = &weights[(round + 1) * n..(round + 2) * n];
-                for c in 0..2u16 {
-                    let cap = if c == 0 { fast_cap } else { slow_cap };
-                    let floors: Vec<u64> =
-                        shared.iter().map(|m| m.allocator(c).used()).collect();
-                    let quotas = split_capacity(cap, w, &floors);
-                    let used: Vec<u64> = shared.iter().map(|m| m.allocator(c).used()).collect();
-                    prop_assert!(
-                        mtm_check::check_quota_partition(c, &quotas, &used, cap).is_empty(),
-                        "round {round}: quota partition violated"
-                    );
-                    for (m, &q) in shared.iter_mut().zip(&quotas) {
-                        m.set_component_quota(c, q);
-                    }
-                }
-                for i in 0..n {
-                    prop_assert_eq!(
-                        shared[i].counters().all(),
-                        solo[i].counters().all(),
-                        "tenant {i} round {round}: counters diverged from solo"
-                    );
-                    prop_assert_eq!(
-                        shared[i].residency(),
-                        solo[i].residency(),
-                        "tenant {i} round {round}: residency diverged from solo"
-                    );
-                    prop_assert_eq!(
-                        shared[i].page_table().mapped_bytes(),
-                        solo[i].page_table().mapped_bytes(),
-                        "tenant {i} round {round}: mapping diverged from solo"
-                    );
-                    shared[i].verify_consistency("isolation property");
-                }
-            }
-        }
-    );
-}
-
-/// Under arbitrary tenant arrive/depart/access churn, the per-component
-/// quotas always partition the physical capacity exactly: every tenant's
-/// residency fits its grant, and residency + free-within-quota sums to
-/// the tier capacity after every re-split.
-#[test]
-fn quota_partition_conserves_capacity_under_churn() {
-    use tiersim::tenant::split_capacity;
-    prop_check!(
-        "quota_partition_conserves_capacity_under_churn",
-        24,
-        (
-            // Op stream: 0-1 arrive, 2 depart, 3-5 access burst.
-            gen::vec(gen::u8_range(0, 6), 24),
-            gen::vec(gen::u64_range(0, 1024), 96),
-            // Weights for up to 6 live tenants at each of 24 steps.
-            gen::vec(gen::f64_range(0.5, 2.0), 24 * 6),
-        ),
-        |(ops, offsets, weights)| {
-            let fast_cap = 64 * PAGE_SIZE_2M;
-            let slow_cap = 64 * PAGE_SIZE_2M;
-            let max_tenants = 6usize;
-            let heap = VaRange::from_len(VirtAddr(0), 2 * PAGE_SIZE_2M);
-            let spawn = || {
-                let mut m = Machine::new(MachineConfig::new(tiny_two_tier(fast_cap, slow_cap), 1));
-                m.set_checking(true);
-                m.mmap("heap", heap, false);
-                m.prefault_range(heap, &[0, 1]).unwrap();
-                m
-            };
-            let mut tenants: Vec<Machine> = vec![spawn()];
-            for (step, &op) in ops.iter().enumerate() {
-                match op {
-                    0 | 1 if tenants.len() < max_tenants => tenants.push(spawn()),
-                    2 if tenants.len() > 1 => {
-                        tenants.remove(op as usize % tenants.len());
-                    }
-                    _ => {
-                        let t = op as usize % tenants.len();
-                        for &off in &offsets[(step * 4) % 92..(step * 4) % 92 + 4] {
-                            let va = VirtAddr(off * PAGE_SIZE_4K);
-                            let kind =
-                                if off % 2 == 0 { AccessKind::Read } else { AccessKind::Write };
-                            tenants[t].access(0, va, kind);
-                        }
-                        tenants[t].commit_interval();
-                    }
-                }
-                // Re-split after *every* churn event, then audit the
-                // partition: sum(quota) == capacity, used <= quota, and
-                // used + free-within-quota == capacity per component.
-                let w = &weights[step * max_tenants..step * max_tenants + tenants.len()];
-                for c in 0..2u16 {
-                    let cap = if c == 0 { fast_cap } else { slow_cap };
-                    let floors: Vec<u64> =
-                        tenants.iter().map(|m| m.allocator(c).used()).collect();
-                    let quotas = split_capacity(cap, w, &floors);
-                    for (m, &q) in tenants.iter_mut().zip(&quotas) {
-                        m.set_component_quota(c, q);
-                    }
-                    let used: Vec<u64> = tenants.iter().map(|m| m.allocator(c).used()).collect();
-                    prop_assert!(
-                        mtm_check::check_quota_partition(c, &quotas, &used, cap).is_empty(),
-                        "step {step}: quota partition violated on component {c}"
-                    );
-                    let resident: u64 = used.iter().sum();
-                    let free: u64 = quotas.iter().zip(&used).map(|(&q, &u)| q - u).sum();
-                    prop_assert_eq!(
-                        resident + free,
-                        cap,
-                        "step {step}: residency + free != capacity on component {c}"
-                    );
-                }
-                for (i, m) in tenants.iter().enumerate() {
-                    m.verify_consistency("churn property");
-                    let _ = i;
-                }
-            }
-        }
-    );
-}
