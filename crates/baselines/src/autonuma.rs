@@ -112,7 +112,7 @@ impl AutoNuma {
         }
         let Some((_, chunk)) = best else { return false };
         let Some(down) = one_step_down(m, from, node) else { return false };
-        let moved = migrate_sync(m, chunk, down, node);
+        let moved = migrate_sync(m, chunk, down);
         if moved > 0 {
             m.obs_mut().reg.counter_add(obs::names::DEMOTIONS, 1);
             m.obs_mut().reg.counter_add(obs::names::DEMOTED_BYTES, moved);
@@ -177,7 +177,7 @@ impl MemoryManager for AutoNuma {
             {
                 continue;
             }
-            let moved = migrate_sync(m, range, dest, node);
+            let moved = migrate_sync(m, range, dest);
             budget = budget.saturating_sub(moved.max(PAGE_SIZE_4K));
             promoted += moved;
             if moved > 0 {

@@ -131,7 +131,7 @@ impl MemoryManager for AutoTiering {
                     let chunk = self.chunks[(start + off) % self.chunks.len()];
                     if m.component_of(chunk.start) == Some(fast) {
                         if let Some(down) = one_step_down(m, fast, node) {
-                            migrate_sync(m, chunk, down, node);
+                            migrate_sync(m, chunk, down);
                         }
                         break;
                     }
@@ -143,7 +143,7 @@ impl MemoryManager for AutoTiering {
             if take.is_empty() {
                 break;
             }
-            let moved = migrate_sync(m, take, dest, node);
+            let moved = migrate_sync(m, take, dest);
             budget = budget.saturating_sub(moved.max(PAGE_SIZE_4K));
         }
     }

@@ -130,7 +130,7 @@ impl MemoryManager for HeMem {
                 let mut freed = 0u64;
                 for &(_, p) in coldest.iter().take(256) {
                     let moved =
-                        migrate_sync(m, VaRange::from_len(VirtAddr(p), PAGE_SIZE_4K), self.pm, 0);
+                        migrate_sync(m, VaRange::from_len(VirtAddr(p), PAGE_SIZE_4K), self.pm);
                     if moved > 0 {
                         demoted_bytes += moved;
                         demotions += 1;
@@ -144,7 +144,7 @@ impl MemoryManager for HeMem {
                     break;
                 }
             }
-            let moved = migrate_sync(m, VaRange::from_len(va, PAGE_SIZE_4K), self.dram, 0);
+            let moved = migrate_sync(m, VaRange::from_len(va, PAGE_SIZE_4K), self.dram);
             if moved > 0 {
                 promoted_bytes += moved;
                 promotions += 1;
@@ -162,7 +162,7 @@ impl MemoryManager for HeMem {
                 .collect();
             coldest.sort_unstable();
             for &(_, p) in coldest.iter().take(64) {
-                let moved = migrate_sync(m, VaRange::from_len(VirtAddr(p), PAGE_SIZE_4K), self.pm, 0);
+                let moved = migrate_sync(m, VaRange::from_len(VirtAddr(p), PAGE_SIZE_4K), self.pm);
                 if moved > 0 {
                     demoted_bytes += moved;
                     demotions += 1;

@@ -104,7 +104,7 @@ impl MemoryManager for Thermostat {
         for &base in &hot_chunks {
             let va = VirtAddr(base);
             if m.component_of(va) == Some(self.slow) && m.allocator(self.fast).free() >= tiersim::addr::PAGE_SIZE_2M {
-                migrate_sync(m, VaRange::from_len(va, tiersim::addr::PAGE_SIZE_2M), self.fast, 0);
+                migrate_sync(m, VaRange::from_len(va, tiersim::addr::PAGE_SIZE_2M), self.fast);
             }
             self.cold_streak.remove(&base);
         }
@@ -122,7 +122,7 @@ impl MemoryManager for Thermostat {
             let streak = self.cold_streak.entry(base).or_insert(0);
             *streak += 1;
             if *streak >= self.cold_patience && m.component_of(chunk.start) == Some(self.fast) {
-                let moved = migrate_sync(m, chunk, self.slow, 0);
+                let moved = migrate_sync(m, chunk, self.slow);
                 budget = budget.saturating_sub(moved);
             }
         }

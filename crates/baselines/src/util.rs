@@ -67,12 +67,11 @@ pub fn one_step_down(m: &Machine, component: ComponentId, node: NodeId) -> Optio
 /// `migrate_pages()`-based baselines do. Transient failures are retried
 /// with bounded exponential backoff, the backoff landing on the critical
 /// path exactly like the failed `migrate_pages()` calls it models.
-pub fn migrate_sync(m: &mut Machine, range: VaRange, dst: ComponentId, node: NodeId) -> u64 {
+pub fn migrate_sync(m: &mut Machine, range: VaRange, dst: ComponentId) -> u64 {
     let (res, report) = tiersim::migrate::relocate_with_retry(
         m,
         range,
         dst,
-        node,
         1,
         false,
         tiersim::migrate::RetryPolicy::default(),

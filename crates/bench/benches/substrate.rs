@@ -177,7 +177,7 @@ fn main() {
 
     b.iter_batched("substrate/relocate_2mb", machine, |mut m| {
         let r = VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M);
-        tiersim::migrate::relocate_range(&mut m, r, 3, 0, 4, false)
+        tiersim::migrate::relocate_range(&mut m, r, 3, 4, false)
     });
 
     // Uncached on purpose: `cached_rmat` would time one generation and

@@ -131,9 +131,6 @@ pub struct CensusRow {
     pub component: u16,
     /// Bytes mapped onto this component per the page-table walk.
     pub mapped_bytes: u64,
-    /// Bytes retained as shadow copies (Nomad non-exclusive mode): frames
-    /// the allocator holds that back no live mapping, by design.
-    pub shadow_bytes: u64,
     /// Bytes the component's allocator reports as allocated.
     pub allocator_used: u64,
     /// The allocator's capacity.
@@ -141,15 +138,14 @@ pub struct CensusRow {
 }
 
 /// Verifies tier occupancy: every component's allocator-used bytes must
-/// equal the frame-map census plus retained shadow bytes, and neither may
-/// exceed capacity.
+/// equal the frame-map census, and neither may exceed capacity.
 pub fn check_census(rows: &[CensusRow]) -> Vec<String> {
     let mut out = Vec::new();
     for r in rows {
-        if r.mapped_bytes + r.shadow_bytes != r.allocator_used {
+        if r.mapped_bytes != r.allocator_used {
             out.push(format!(
-                "component {} occupancy drift: page-table census maps {} B (+{} B shadow) but allocator reports {} B used ({} B capacity)",
-                r.component, r.mapped_bytes, r.shadow_bytes, r.allocator_used, r.capacity
+                "component {} occupancy drift: page-table census maps {} B but allocator reports {} B used ({} B capacity)",
+                r.component, r.mapped_bytes, r.allocator_used, r.capacity
             ));
         }
         if r.allocator_used > r.capacity {
@@ -292,20 +288,14 @@ mod tests {
 
     #[test]
     fn census_catches_drift_and_overflow() {
-        let ok = CensusRow { component: 0, mapped_bytes: 8192, shadow_bytes: 0, allocator_used: 8192, capacity: 1 << 21 };
+        let ok = CensusRow { component: 0, mapped_bytes: 8192, allocator_used: 8192, capacity: 1 << 21 };
         assert!(check_census(&[ok]).is_empty());
-        let drift = CensusRow { component: 1, mapped_bytes: 4096, shadow_bytes: 0, allocator_used: 8192, capacity: 1 << 21 };
+        let drift = CensusRow { component: 1, mapped_bytes: 4096, allocator_used: 8192, capacity: 1 << 21 };
         let v = check_census(&[drift]);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("occupancy drift"), "{v:?}");
-        let over = CensusRow { component: 2, mapped_bytes: 1 << 22, shadow_bytes: 0, allocator_used: 1 << 22, capacity: 1 << 21 };
+        let over = CensusRow { component: 2, mapped_bytes: 1 << 22, allocator_used: 1 << 22, capacity: 1 << 21 };
         assert!(check_census(&[over]).iter().any(|l| l.contains("over capacity")));
-        // Shadow bytes explain allocator/census gaps exactly: a retained
-        // shadow copy is not drift, but an unexplained remainder still is.
-        let shadowed = CensusRow { component: 3, mapped_bytes: 4096, shadow_bytes: 4096, allocator_used: 8192, capacity: 1 << 21 };
-        assert!(check_census(&[shadowed]).is_empty());
-        let leak = CensusRow { component: 4, mapped_bytes: 4096, shadow_bytes: 4096, allocator_used: 12288, capacity: 1 << 21 };
-        assert!(check_census(&[leak]).iter().any(|l| l.contains("occupancy drift")));
     }
 
     #[test]

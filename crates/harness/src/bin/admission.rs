@@ -1,5 +1,5 @@
-//! Admission-control and shadow-copy sweep: the four `MTM_ADMIT`
-//! policies × shadow mode × fault levels (see `mtm_harness::admission`).
+//! Admission-control sweep: the four `MTM_ADMIT` policies × fault
+//! levels (see `mtm_harness::admission`).
 //! Not part of `bin/all` — `results/ALL.txt` stays a legacy-pipeline
 //! artifact.
 

@@ -55,13 +55,13 @@ pub fn measure_one(opts: &Opts, mechanism: &str, dst: u16, pattern: Pattern) -> 
         let before = m.breakdown().migration_ns;
         match mechanism {
             "move_pages" => {
-                move_pages_linux(&mut m, *region, dst, 0).expect("move_pages");
+                move_pages_linux(&mut m, *region, dst).expect("move_pages");
             }
             "nimble" => {
-                nimble_move(&mut m, *region, dst, 0, 4).expect("nimble");
+                nimble_move(&mut m, *region, dst, 4).expect("nimble");
             }
             "mtm" => {
-                move_memory_regions_once(&mut m, *region, dst, 0, 4, dirty).expect("mmr");
+                move_memory_regions_once(&mut m, *region, dst, 4, dirty).expect("mmr");
             }
             other => panic!("unknown mechanism {other:?}"),
         }

@@ -37,10 +37,10 @@ pub struct Fig3Data {
 pub fn measure(opts: &Opts) -> Fig3Data {
     // Tier 1 (DRAM0) -> tier 4 (PM1) from node 0's view.
     let (mut m, range) = prefaulted(opts, PAGE_SIZE_2M);
-    let mp = move_pages_linux(&mut m, range, 3, 0).expect("move_pages succeeds");
+    let mp = move_pages_linux(&mut m, range, 3).expect("move_pages succeeds");
     let (mut m, range) = prefaulted(opts, PAGE_SIZE_2M);
     let (mmr, critical) =
-        move_memory_regions_once(&mut m, range, 3, 0, 4, false).expect("mmr succeeds");
+        move_memory_regions_once(&mut m, range, 3, 4, false).expect("mmr succeeds");
     Fig3Data { move_pages: mp.breakdown, mmr: mmr.breakdown, mmr_critical: critical }
 }
 

@@ -6,8 +6,8 @@
 //! from `build_machine`. `env_knobs` is the one reader of every `MTM_*`
 //! setting, once per process: `MTM_QUICK` / `MTM_SCALE` / `MTM_THREADS` /
 //! `MTM_INTERVALS` / `MTM_INTERVAL_NS` are [`Opts::from_env`],
-//! `MTM_ADMIT` / `MTM_SHADOW` / `MTM_FAULTS` / `MTM_FAULT_SEED` shape the
-//! spec, `MTM_CHECK` arms each machine,
+//! `MTM_ADMIT` / `MTM_FAULTS` / `MTM_FAULT_SEED` shape the spec,
+//! `MTM_CHECK` arms each machine,
 //! `MTM_TELEMETRY` turns on telemetry export and `MTM_JOBS` sizes the
 //! [`crate::runpool`]. The simulator itself reads no environment.
 //!
@@ -46,7 +46,6 @@ pub const WORKLOADS: [&str; 6] = ["GUPS", "VoltDB", "Cassandra", "BFS", "SSSP", 
 pub(crate) struct EnvKnobs {
     pub(crate) opts: Opts,
     admission: AdmissionKind,
-    shadow: bool,
     faults: Option<FaultPlan>,
     fault_seed: u64,
     pub(crate) check: bool,
@@ -77,8 +76,8 @@ impl EnvKnobs {
             Err(e) => Err(format!("warning: ignoring MTM_FAULTS={spec:?}: {e}")),
         });
         let fault_seed = env.get("MTM_FAULT_SEED", faultsim::DEFAULT_SEED, number);
-        let flags = ["MTM_QUICK", "MTM_SHADOW", "MTM_CHECK", "MTM_TELEMETRY"];
-        let [quick, shadow, check, telemetry] = flags.map(|name| env.get(name, false, flag));
+        let flags = ["MTM_QUICK", "MTM_CHECK", "MTM_TELEMETRY"];
+        let [quick, check, telemetry] = flags.map(|name| env.get(name, false, flag));
         let mut opts = if quick { Opts::quick() } else { Opts::default() };
         opts.scale = env.get("MTM_SCALE", opts.scale, number);
         opts.threads = env.get("MTM_THREADS", opts.threads, number);
@@ -88,8 +87,7 @@ impl EnvKnobs {
             Ok(n) if n >= 1 => Ok(Some(n)),
             _ => Err(format!("warning: ignoring {name}={raw:?} (expected a positive integer)")),
         });
-        let knobs =
-            EnvKnobs { opts, admission, shadow, faults, fault_seed, check, telemetry, jobs };
+        let knobs = EnvKnobs { opts, admission, faults, fault_seed, check, telemetry, jobs };
         for name in set {
             let known = env.read.contains(name) || TEST_ONLY_SETTINGS.contains(&name.as_str());
             if name.starts_with("MTM_") && !known {
@@ -171,13 +169,11 @@ pub fn fault_seed() -> u64 {
 }
 
 /// The MTM configuration for the options: the paper defaults with the
-/// scaled promotion budget and the `MTM_ADMIT` / `MTM_SHADOW` settings.
+/// scaled promotion budget and the `MTM_ADMIT` setting.
 pub fn mtm_config(opts: &Opts) -> MtmConfig {
-    let knobs = env_knobs();
     MtmConfig {
         promote_bytes: opts.promote_budget(),
-        admission: knobs.admission,
-        shadow: knobs.shadow,
+        admission: env_knobs().admission,
         ..MtmConfig::default()
     }
 }
@@ -296,7 +292,7 @@ pub struct RunSpec {
 
 impl RunSpec {
     /// The run of `manager` on `workload` on the four-tier machine, with
-    /// the environment's admission, shadow and fault settings; `None` for
+    /// the environment's admission and fault settings; `None` for
     /// an unknown manager or workload. The fault stream is derived from
     /// the requested manager name, so the schedule a run sees never
     /// depends on what else ran, or in which order.
@@ -505,7 +501,6 @@ mod tests {
         let want = EnvKnobs {
             opts: Opts::default(),
             admission: AdmissionKind::Always,
-            shadow: false,
             faults: None,
             fault_seed: faultsim::DEFAULT_SEED,
             check: false,
@@ -538,6 +533,7 @@ mod tests {
             ("MTM_FAULT_SEED", "-3", keep, warn("MTM_FAULT_SEED=\"-3\" (not a valid u64)")),
             ("MTM_RUN_WORKERS", "4", keep, unknown("MTM_RUN_WORKERS")),
             ("MTM_TENANTS", "2", keep, unknown("MTM_TENANTS")),
+            ("MTM_SHADOW", "1", keep, unknown("MTM_SHADOW")),
             ("MTM_ARBITER", "static-equal", keep, unknown("MTM_ARBITER")),
             ("MTM_SCENARIO_SET", "KVDrift", keep, unknown("MTM_SCENARIO_SET")),
             ("MTM_SCENARIO_INTERVALS", "12", keep, unknown("MTM_SCENARIO_INTERVALS")),
@@ -558,10 +554,9 @@ mod tests {
             ("MTM_JOBS", "four", keep, warn("MTM_JOBS=\"four\" (expected a positive integer)")),
             ("MTM_JOBS", "", keep, warn("MTM_JOBS=\"\" (expected a positive integer)")),
         ];
-        let flags: [(&str, Edit); 4] = [
+        let flags: [(&str, Edit); 3] = [
             ("MTM_QUICK", |k| k.opts = Opts::quick()),
             ("MTM_CHECK", |k| k.check = true),
-            ("MTM_SHADOW", |k| k.shadow = true),
             ("MTM_TELEMETRY", |k| k.telemetry = true),
         ];
         for (var, set) in flags {

@@ -56,10 +56,6 @@ pub struct MtmConfig {
     /// Admission policy consulted before every candidate migration
     /// (`MTM_ADMIT`; `Always` reproduces the legacy pipeline exactly).
     pub admission: crate::admission::AdmissionKind,
-    /// Nomad-style non-exclusive migration (`MTM_SHADOW=1`): demotions
-    /// retain a shadow copy in the fast tier's free space so a clean
-    /// rehit repromotes with zero copy bytes.
-    pub shadow: bool,
     /// RNG seed for page sampling.
     pub seed: u64,
 }
@@ -84,7 +80,6 @@ impl Default for MtmConfig {
             pebs_assist: true,
             async_migration: true,
             admission: crate::admission::AdmissionKind::Always,
-            shadow: false,
             seed: 0x171717,
         }
     }

@@ -95,9 +95,6 @@ impl MemoryManager for MtmManager {
     }
 
     fn init(&mut self, m: &mut Machine) {
-        if self.cfg.shadow {
-            m.set_shadow_mode(true);
-        }
         self.profiler.init(m);
     }
 
@@ -188,7 +185,7 @@ impl MemoryManager for MtmManager {
             AdmissionKind::PingPong | AdmissionKind::RateLimit => return None,
         }
         let mut w = obs::wire::Writer::new();
-        w.str(&self.admission.name());
+        w.u64(config_digest(&self.cfg));
         self.profiler.save(&mut w);
         self.engine.save(&mut w);
         let t = &self.policy_totals;
@@ -200,12 +197,12 @@ impl MemoryManager for MtmManager {
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
         let mut r = obs::wire::Reader::new(bytes);
-        let admission = r.str()?;
-        if admission != self.admission.name() {
+        let digest = r.u64()?;
+        let ours = config_digest(&self.cfg);
+        if digest != ours {
             return Err(format!(
-                "checkpoint admission policy {:?} does not match this manager's {:?}",
-                admission,
-                self.admission.name()
+                "checkpoint: MTM config digest mismatch (saved {digest:#018x}, this manager \
+                 {ours:#018x}): thresholds, budgets, ablations or admission policy differ"
             ));
         }
         self.profiler.load(&mut r)?;
@@ -218,6 +215,13 @@ impl MemoryManager for MtmManager {
         };
         r.finish()
     }
+}
+
+/// Digest of the whole [`MtmConfig`] (its `Debug` text, the run cache's
+/// key idiom). A manager checkpoint restores only into a manager built
+/// from the same configuration; any other would resume a different run.
+fn config_digest(cfg: &MtmConfig) -> u64 {
+    obs::wire::fnv1a(format!("{cfg:?}").as_bytes())
 }
 
 #[cfg(test)]
@@ -592,7 +596,24 @@ mod tests {
         let blob = donor.save_state().unwrap();
         let mut mgr = MtmManager::new(MtmConfig::default(), 1);
         let err = mgr.load_state(&blob).unwrap_err();
-        assert!(err.contains("admission"), "unexpected error: {err}");
+        assert!(err.contains("config digest mismatch"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn load_state_rejects_any_config_mismatch() {
+        // Same admission policy, different thresholds and budget: the
+        // resumed run would diverge, so the restore must refuse.
+        let mut m = machine();
+        let mut donor = MtmManager::new(MtmConfig::default(), 1);
+        run_scenario(&mut m, &mut donor, &mut workload(), 3);
+        let blob = donor.save_state().unwrap();
+        let mut cfg = MtmConfig::default();
+        cfg.alpha = 0.9;
+        cfg.promote_bytes /= 4;
+        let err = MtmManager::new(cfg, 1).load_state(&blob).unwrap_err();
+        assert!(err.contains("config digest mismatch"), "unexpected error: {err}");
+        // The same configuration still restores.
+        MtmManager::new(MtmConfig::default(), 1).load_state(&blob).expect("same config restores");
     }
 }
 

@@ -16,7 +16,7 @@ use tiersim::migrate::{
     best_copy_node, copy_cost_ns, relocate_range, relocate_with_retry, MigrateError,
     MigrateOutcome, RetryPolicy,
 };
-use tiersim::tier::{ComponentId, NodeId};
+use tiersim::tier::ComponentId;
 
 /// How many intervals a migrated range is left alone.
 const COOLDOWN_INTERVALS: u64 = 6;
@@ -32,7 +32,6 @@ struct PendingAsync {
     range: VaRange,
     src: Option<ComponentId>,
     dst: ComponentId,
-    node: NodeId,
     watch_id: u64,
     /// Commit attempts so far (0 for a freshly queued migration).
     attempts: u32,
@@ -193,7 +192,6 @@ impl MigrationEngine {
                 None => w.bool(false),
             }
             w.u16(p.dst);
-            w.u16(p.node);
             w.u64(p.watch_id);
             w.u32(p.attempts);
             w.varint(p.inbound);
@@ -239,7 +237,6 @@ impl MigrationEngine {
                 range,
                 src,
                 dst: r.u16()?,
-                node: r.u16()?,
                 watch_id: r.u64()?,
                 attempts: r.u32()?,
                 inbound: r.varint()?,
@@ -279,16 +276,16 @@ impl MigrationEngine {
     /// With async enabled this arms write tracking and defers the move to
     /// the next [`MigrationEngine::resolve_pending`]; otherwise the region
     /// moves immediately with the full cost on the critical path.
-    pub fn migrate(&mut self, m: &mut Machine, range: VaRange, dst: ComponentId, node: NodeId) {
+    pub fn migrate(&mut self, m: &mut Machine, range: VaRange, dst: ComponentId) {
         // Ping-pong detection must run before this request joins the
         // history, or every migration would trivially "bounce" off itself.
         let bounce = self.recently_migrated(range);
         self.history.push_back((self.now_interval, range));
         if self.async_enabled {
-            self.enqueue_async(m, range, dst, node, 0, bounce, None);
+            self.enqueue_async(m, range, dst, 0, bounce, None);
         } else {
             let (res, report) =
-                relocate_with_retry(m, range, dst, node, self.copy_threads, false, self.retry);
+                relocate_with_retry(m, range, dst, self.copy_threads, false, self.retry);
             self.stats.retried += report.retries as u64;
             match res {
                 Ok(out) => {
@@ -298,10 +295,7 @@ impl MigrationEngine {
                     m.obs_mut().reg.counter_add(obs::names::SYNC_DIRECT, 1);
                     m.record_event(obs::EventKind::SyncDirect { bytes: out.bytes, dst });
                     if bounce {
-                        m.obs_mut().reg.counter_add(
-                            obs::names::WASTED_MIGRATION_BYTES,
-                            out.bytes - out.shadow_hit_bytes,
-                        );
+                        m.obs_mut().reg.counter_add(obs::names::WASTED_MIGRATION_BYTES, out.bytes);
                     }
                 }
                 Err(e) if e.is_transient() => {
@@ -312,7 +306,7 @@ impl MigrationEngine {
                     self.stats.deferred += 1;
                     m.obs_mut().reg.counter_add(obs::names::MIGRATION_DEFERRALS, 1);
                     m.record_event(obs::EventKind::MigrationDeferred { bytes: range.len(), dst });
-                    self.enqueue_async(m, range, dst, node, 1, bounce, None);
+                    self.enqueue_async(m, range, dst, 1, bounce, None);
                 }
                 Err(e) => {
                     m.charge_migration(report.backoff_ns);
@@ -333,7 +327,6 @@ impl MigrationEngine {
         m: &mut Machine,
         range: VaRange,
         dst: ComponentId,
-        node: NodeId,
         attempts: u32,
         bounce: bool,
         carried_ledger: Option<u64>,
@@ -354,7 +347,6 @@ impl MigrationEngine {
             range,
             src,
             dst,
-            node,
             watch_id,
             attempts,
             inbound,
@@ -389,7 +381,7 @@ impl MigrationEngine {
         for p in std::mem::take(&mut self.pending) {
             let dirty = m.take_watch(p.watch_id);
             let (res, report) =
-                relocate_with_retry(m, p.range, p.dst, p.node, self.copy_threads, false, self.retry);
+                relocate_with_retry(m, p.range, p.dst, self.copy_threads, false, self.retry);
             self.stats.retried += report.retries as u64;
             m.charge_migration(report.backoff_ns);
             match res {
@@ -416,10 +408,7 @@ impl MigrationEngine {
                     self.stats.bytes += out.bytes;
                     self.stats.committed_bytes += p.ledger;
                     if p.bounce {
-                        m.obs_mut().reg.counter_add(
-                            obs::names::WASTED_MIGRATION_BYTES,
-                            out.bytes - out.shadow_hit_bytes,
-                        );
+                        m.obs_mut().reg.counter_add(obs::names::WASTED_MIGRATION_BYTES, out.bytes);
                     }
                 }
                 Err(e) if e.is_transient() && p.attempts + 1 < MAX_ASYNC_ATTEMPTS => {
@@ -436,15 +425,7 @@ impl MigrationEngine {
                         bytes: p.inbound,
                         dst: p.dst,
                     });
-                    self.enqueue_async(
-                        m,
-                        p.range,
-                        p.dst,
-                        p.node,
-                        p.attempts + 1,
-                        p.bounce,
-                        Some(p.ledger),
-                    );
+                    self.enqueue_async(m, p.range, p.dst, p.attempts + 1, p.bounce, Some(p.ledger));
                 }
                 Err(e) => self.drop_migration(m, e, p.ledger),
             }
@@ -477,13 +458,12 @@ pub fn move_memory_regions_once(
     m: &mut Machine,
     range: VaRange,
     dst: ComponentId,
-    node: NodeId,
     copy_threads: u32,
     written_during_copy: bool,
 ) -> Result<(MigrateOutcome, f64), MigrateError> {
     let watch_id = m.arm_write_watch(range);
     let src = crate::residency::majority_component(m, range);
-    let mut out = match relocate_range(m, range, dst, node, copy_threads, false) {
+    let mut out = match relocate_range(m, range, dst, copy_threads, false) {
         Ok(out) => out,
         Err(e) => {
             let _ = m.take_watch(watch_id);
@@ -511,10 +491,9 @@ pub fn nimble_move(
     m: &mut Machine,
     range: VaRange,
     dst: ComponentId,
-    node: NodeId,
     copy_threads: u32,
 ) -> Result<MigrateOutcome, MigrateError> {
-    let out = relocate_range(m, range, dst, node, copy_threads, false)?;
+    let out = relocate_range(m, range, dst, copy_threads, false)?;
     m.charge_migration(out.breakdown.total_ns());
     Ok(out)
 }
@@ -540,7 +519,7 @@ mod tests {
         let mut m = machine();
         let mut e = MigrationEngine::new(4, true);
         let range = VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M);
-        e.migrate(&mut m, range, 1, 0);
+        e.migrate(&mut m, range, 1);
         assert_eq!(e.in_flight(), 1);
         assert_eq!(e.reserved_bytes(1), PAGE_SIZE_2M);
         // Page still on the source while the copy is in flight.
@@ -561,7 +540,7 @@ mod tests {
         let mut m = machine();
         let mut e = MigrationEngine::new(4, true);
         let range = VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M);
-        e.migrate(&mut m, range, 1, 0);
+        e.migrate(&mut m, range, 1);
         // The application writes the region while the copy is in flight.
         m.access(0, VirtAddr(0x3000), AccessKind::Write);
         e.resolve_pending(&mut m);
@@ -576,7 +555,7 @@ mod tests {
         let mut m = machine();
         let mut e = MigrationEngine::new(4, false);
         let range = VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M);
-        e.migrate(&mut m, range, 1, 0);
+        e.migrate(&mut m, range, 1);
         assert_eq!(m.component_of(VirtAddr(0)), Some(1));
         assert_eq!(e.stats().sync_direct, 1);
         assert_eq!(e.in_flight(), 0);
@@ -590,9 +569,9 @@ mod tests {
         m.mmap("a", r, false);
         m.prefault_range(r, &[0]).unwrap();
         let mut e = MigrationEngine::new(4, true);
-        e.migrate(&mut m, VaRange::from_len(VirtAddr(0), 2 * PAGE_SIZE_2M), 1, 0);
-        e.migrate(&mut m, VaRange::from_len(VirtAddr(2 * PAGE_SIZE_2M), 2 * PAGE_SIZE_2M), 1, 0);
-        e.migrate(&mut m, VaRange::from_len(VirtAddr(4 * PAGE_SIZE_2M), 2 * PAGE_SIZE_2M), 1, 0);
+        e.migrate(&mut m, VaRange::from_len(VirtAddr(0), 2 * PAGE_SIZE_2M), 1);
+        e.migrate(&mut m, VaRange::from_len(VirtAddr(2 * PAGE_SIZE_2M), 2 * PAGE_SIZE_2M), 1);
+        e.migrate(&mut m, VaRange::from_len(VirtAddr(4 * PAGE_SIZE_2M), 2 * PAGE_SIZE_2M), 1);
         e.resolve_pending(&mut m);
         assert_eq!(e.stats().dropped, 1, "third region cannot fit");
         assert_eq!(e.stats().async_clean, 2);
@@ -618,7 +597,7 @@ mod tests {
         m.prefault_range(lo, &[0]).unwrap();
         m.prefault_range(hi, &[1]).unwrap();
         let mut e = MigrationEngine::new(4, true);
-        e.migrate(&mut m, VaRange { start: lo.start, end: hi.end }, 1, 0);
+        e.migrate(&mut m, VaRange { start: lo.start, end: hi.end }, 1);
         // Capacity reservation is deliberately the whole range length (a
         // conservative upper bound for admission decisions)...
         assert_eq!(e.reserved_bytes(1), 2 * PAGE_SIZE_2M);
@@ -637,7 +616,7 @@ mod tests {
         let mut m = machine();
         let mut e = MigrationEngine::new(4, true);
         let range = VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M);
-        e.migrate(&mut m, range, 1, 0);
+        e.migrate(&mut m, range, 1);
         assert_eq!(e.stats().enqueued_bytes, PAGE_SIZE_2M);
         m.install_faults(plan, 7);
         // Every commit attempt fails: abort + re-enqueue, then a final
@@ -667,7 +646,6 @@ mod tests {
             &mut m,
             VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M),
             1,
-            0,
             4,
             false,
         )
@@ -676,7 +654,6 @@ mod tests {
             &mut m,
             VaRange::from_len(VirtAddr(PAGE_SIZE_2M), PAGE_SIZE_2M),
             1,
-            0,
             4,
             true,
         )
@@ -690,7 +667,7 @@ mod tests {
     fn nimble_charges_everything() {
         let mut m = machine();
         let out =
-            nimble_move(&mut m, VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M), 1, 0, 4).unwrap();
+            nimble_move(&mut m, VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M), 1, 4).unwrap();
         assert_eq!(m.breakdown().migration_ns, out.breakdown.total_ns());
     }
 }

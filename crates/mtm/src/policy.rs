@@ -194,7 +194,7 @@ fn make_space(
                     note_rejected(m, victim.range.len(), down, reason);
                     break; // Victim vetoed: leave it resident, try the next.
                 }
-                engine.migrate(m, victim.range, down, node);
+                engine.migrate(m, victim.range, down);
                 target_free = effective_free(m, engine, target);
                 stats.demoted += 1;
                 stats.demoted_bytes += victim.range.len();
@@ -334,7 +334,7 @@ pub fn promote_and_demote(
                     &mut stats,
                 );
             if fits {
-                engine.migrate(m, mig_range, dest, node);
+                engine.migrate(m, mig_range, dest);
                 stats.promoted += 1;
                 stats.promoted_bytes += mig_range.len();
                 m.obs_mut().reg.counter_add(obs::names::PROMOTIONS, 1);

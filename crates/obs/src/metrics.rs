@@ -85,17 +85,11 @@ pub mod names {
     /// Migrations dropped after exhausting every resilience mechanism.
     pub const MIGRATIONS_DROPPED_TRANSIENT: &str = "migrations_dropped_transient";
 
-    // -- per-run counters: admission control & shadow copies --------------
+    // -- per-run counters: admission control ----------------------------
     /// Candidate batches rejected by the admission policy.
     pub const ADMIT_REJECTED: &str = "admit_rejected";
     /// Bytes in candidate batches rejected by the admission policy.
     pub const ADMIT_REJECTED_BYTES: &str = "admit_rejected_bytes";
-    /// Repromotions satisfied from a clean fast-tier shadow copy.
-    pub const SHADOW_HITS: &str = "shadow_hits";
-    /// Bytes repromoted with zero copy traffic via shadow hits.
-    pub const SHADOW_HIT_BYTES: &str = "shadow_hit_bytes";
-    /// Shadow copies invalidated (dirtied, reclaimed or discarded).
-    pub const SHADOW_INVALIDATIONS: &str = "shadow_invalidations";
     /// Bytes copied for pages that had bounced between tiers recently.
     pub const WASTED_MIGRATION_BYTES: &str = "wasted_migration_bytes";
 

@@ -56,9 +56,6 @@ pub enum EventKind {
     /// The admission policy rejected a candidate batch before it reached
     /// the migration engine (`reason` names the policy that vetoed it).
     AdmissionRejected { bytes: u64, dst: ComponentId, reason: &'static str },
-    /// A repromotion was satisfied from a clean shadow copy retained in
-    /// the fast tier — zero bytes crossed the interconnect.
-    ShadowHit { bytes: u64, dst: ComponentId },
 }
 
 impl EventKind {
@@ -80,7 +77,6 @@ impl EventKind {
             EventKind::MigrationAborted { .. } => "migration_aborted",
             EventKind::MigrationDeferred { .. } => "migration_deferred",
             EventKind::AdmissionRejected { .. } => "admission_rejected",
-            EventKind::ShadowHit { .. } => "shadow_hit",
         }
     }
 
@@ -162,11 +158,6 @@ impl EventKind {
                 w.u16(dst);
                 w.str(reason);
             }
-            EventKind::ShadowHit { bytes, dst } => {
-                w.u8(15);
-                w.varint(bytes);
-                w.u16(dst);
-            }
         }
     }
 
@@ -197,7 +188,6 @@ impl EventKind {
                 dst: r.u16()?,
                 reason: crate::wire::intern(&r.str()?),
             },
-            15 => EventKind::ShadowHit { bytes: r.varint()?, dst: r.u16()? },
             other => return Err(format!("event: unknown kind tag {other}")),
         })
     }
@@ -245,8 +235,7 @@ impl EventKind {
                 u("backoff_ns", backoff_ns);
             }
             EventKind::MigrationAborted { bytes, dst }
-            | EventKind::MigrationDeferred { bytes, dst }
-            | EventKind::ShadowHit { bytes, dst } => {
+            | EventKind::MigrationDeferred { bytes, dst } => {
                 u("bytes", bytes);
                 u("dst", dst as u64);
             }
@@ -434,11 +423,18 @@ mod tests {
             EventKind::MigrationAborted { bytes: 1, dst: 0 },
             EventKind::MigrationDeferred { bytes: 1, dst: 1 },
             EventKind::AdmissionRejected { bytes: 1, dst: 0, reason: "pingpong" },
-            EventKind::ShadowHit { bytes: 1, dst: 0 },
         ];
         let mut labels: Vec<_> = kinds.iter().map(|k| k.label()).collect();
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), kinds.len());
+    }
+
+    #[test]
+    fn unassigned_kind_tag_is_an_error() {
+        // 15 is the first tag no kind is saved under.
+        let bytes = [15u8, 1, 0, 0];
+        let err = EventKind::load(&mut crate::wire::Reader::new(&bytes)).unwrap_err();
+        assert!(err.contains("unknown kind tag 15"), "{err}");
     }
 }

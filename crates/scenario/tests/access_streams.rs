@@ -3,7 +3,10 @@
 //! the value committed here. Host-side optimisations of a workload's
 //! tick (prefetching, storage layout, branch-free selection) must leave
 //! the simulated stream untouched; an edit that changes it fails this
-//! test, and the new digest is then a deliberate, reviewed change.
+//! test, and the new digest is then a deliberate, reviewed change. A
+//! trace also embeds the machine's post-setup `save_state` blob, so a
+//! change to that format moves every digest here with the stream itself
+//! unchanged; compare the bytes after the snapshot before re-pinning.
 
 use mtm_scenario::trace::record_run;
 use mtm_workloads::graph::RmatParams;
@@ -45,37 +48,37 @@ fn gups(mode: HotsetMode, rotate_every: Option<u64>) -> Gups {
 #[test]
 fn bfs_access_stream_is_pinned() {
     let bfs = Bfs::new(BfsConfig { graph: GRAPH, threads: THREADS, cpu_ns_per_op: 200.0, seed: 7 });
-    assert_eq!(trace_digest(bfs), (0x72b7_4228_5ddf_8e85, 171_960));
+    assert_eq!(trace_digest(bfs), (0x442e_90a2_3901_1521, 171_942));
 }
 
 #[test]
 fn sssp_access_stream_is_pinned() {
     let sssp = Sssp::new(SsspConfig { graph: GRAPH, threads: THREADS, cpu_ns_per_op: 200.0, seed: 7 });
-    assert_eq!(trace_digest(sssp), (0x9731_5551_06db_cb85, 176_526));
+    assert_eq!(trace_digest(sssp), (0x4bcd_6e54_182c_6319, 176_508));
 }
 
 #[test]
 fn gups_band_with_rotation_access_stream_is_pinned() {
-    assert_eq!(trace_digest(gups(HotsetMode::Band, Some(1))), (0xe0f4_022a_6022_70d3, 196_845));
+    assert_eq!(trace_digest(gups(HotsetMode::Band, Some(1))), (0xe0df_a6f9_40b5_3efb, 196_827));
 }
 
 #[test]
 fn gups_gaussian_access_stream_is_pinned() {
-    assert_eq!(trace_digest(gups(HotsetMode::Gaussian, None)), (0x780e_43ec_1391_e842, 196_845));
+    assert_eq!(trace_digest(gups(HotsetMode::Gaussian, None)), (0x3124_0979_696b_1bba, 196_827));
 }
 
 #[test]
 fn ycsb_access_stream_is_pinned() {
     let mut cfg = YcsbConfig::paper(1 << 14, THREADS);
     cfg.cpu_ns_per_op = 200.0;
-    assert_eq!(trace_digest(Ycsb::new(cfg)), (0x5795_ea1e_d132_4044, 196_717));
+    assert_eq!(trace_digest(Ycsb::new(cfg)), (0xfec4_4e40_d349_da74, 196_699));
 }
 
 #[test]
 fn tpcc_access_stream_is_pinned() {
     let mut cfg = TpccConfig::paper(1 << 12, THREADS);
     cfg.cpu_ns_per_op = 200.0;
-    assert_eq!(trace_digest(Tpcc::new(cfg)), (0xfc28_8f04_c871_fd36, 126_858));
+    assert_eq!(trace_digest(Tpcc::new(cfg)), (0x19e6_f4c5_257c_d9ee, 126_840));
 }
 
 #[test]
@@ -89,5 +92,5 @@ fn terasort_access_stream_is_pinned() {
         cpu_ns_per_op: 100.0,
         seed: 0x7E4A,
     };
-    assert_eq!(trace_digest(Terasort::new(cfg)), (0x3bd7_789d_d125_9c0e, 167_155));
+    assert_eq!(trace_digest(Terasort::new(cfg)), (0x8caf_beb7_f3b8_6b9e, 167_137));
 }

@@ -172,10 +172,11 @@ impl FrameAllocator {
 
     /// Serializes the allocator's dynamic state. Free-list order is kept
     /// verbatim: future allocations pop from these lists, so a resumed run
-    /// hands out the same frames in the same order as the original.
+    /// hands out the same frames in the same order as the original. The
+    /// capacity is configuration, not state: the machine blob's config
+    /// digest pins it.
     pub fn save(&self, w: &mut obs::wire::Writer) {
         w.u16(self.component);
-        w.u64(self.capacity);
         w.u64(self.used);
         w.u64(self.next_fresh_block);
         w.varint(self.free_blocks.len() as u64);
@@ -197,7 +198,8 @@ impl FrameAllocator {
     }
 
     /// Restores state saved with [`FrameAllocator::save`] into this
-    /// allocator. The component id must match.
+    /// allocator, which keeps its configured capacity. The component id
+    /// must match, and the saved occupancy must fit the capacity.
     pub fn load(&mut self, r: &mut obs::wire::Reader) -> Result<(), String> {
         let component = r.u16()?;
         if component != self.component {
@@ -206,8 +208,14 @@ impl FrameAllocator {
                 self.component
             ));
         }
-        self.capacity = r.u64()?;
-        self.used = r.u64()?;
+        let used = r.u64()?;
+        if used > self.capacity {
+            return Err(format!(
+                "frame allocator: component {component} saved {used} B used, over its {} B capacity",
+                self.capacity
+            ));
+        }
+        self.used = used;
         self.next_fresh_block = r.u64()?;
         self.free_blocks = (0..r.varint()?).map(|_| r.u64()).collect::<Result<_, _>>()?;
         self.free_small = (0..r.varint()?).map(|_| r.u64()).collect::<Result<_, _>>()?;

@@ -58,25 +58,6 @@ struct WatchEntry {
     id: u64,
 }
 
-/// A retained demotion copy (Nomad-style non-exclusive migration): the
-/// source-tier frames a demoted range used to occupy, kept allocated so a
-/// clean repromotion can reuse them with zero copy traffic. A write watch
-/// over the (now slower-tier) mapping invalidates the copy on the first
-/// write, via the same machinery async migration uses.
-#[derive(Clone, Debug)]
-struct ShadowEntry {
-    /// Demoted virtual range the copy mirrors.
-    range: VaRange,
-    /// Component holding the retained frames (the demotion source).
-    component: ComponentId,
-    /// Write watch armed over the demoted range; dirty means stale.
-    watch_id: u64,
-    /// Retained frames, one record per page at demotion time.
-    pages: Vec<(VirtAddr, crate::addr::PhysAddr, FrameSize)>,
-    /// Total retained bytes (sum of page sizes).
-    bytes: u64,
-}
-
 /// Per-event and per-operation cost constants, in virtual nanoseconds.
 ///
 /// Defaults are calibrated for the default simulation scale (see
@@ -282,10 +263,6 @@ pub struct Machine {
     watches: Vec<WatchEntry>,
     watch_bounds: Option<VaRange>,
     next_watch_id: u64,
-    /// Whether demotions retain shadow copies (Nomad non-exclusive mode).
-    shadow_mode: bool,
-    /// Live shadow copies, oldest first.
-    shadows: Vec<ShadowEntry>,
     /// Per-(node, component) charge table, indexed
     /// `node * num_components + component` (see [`ChargeSpec`]).
     charge: Vec<ChargeSpec>,
@@ -378,8 +355,6 @@ impl Machine {
             watches: Vec::new(),
             watch_bounds: None,
             next_watch_id: 1,
-            shadow_mode: false,
-            shadows: Vec::new(),
             charge,
             mode,
             hmc,
@@ -699,8 +674,9 @@ impl Machine {
 
     fn handle_wp_fault(&mut self, va: VirtAddr) -> f64 {
         // Every watch covering the written page observes the write:
-        // overlapping watches (a shadow-invalidation watch under an async
-        // migration watch, say) must not mask each other.
+        // nothing keeps two armed watches disjoint (a caller may arm one
+        // over a range another still covers), and overlapping watches
+        // must not mask each other.
         let mut any = false;
         for w in self.watches.iter_mut().filter(|w| w.range.contains(va)) {
             w.dirty = true;
@@ -1022,162 +998,6 @@ impl Machine {
     }
 
     // ---------------------------------------------------------------
-    // Nomad-style non-exclusive (shadow-copy) demotion support. With the
-    // mode off (the default) no shadow state ever exists and every path
-    // below is dead, so behavior is bit-identical to a machine built
-    // before the mode existed.
-
-    /// Whether demotions retain a shadow copy in the source tier.
-    #[inline]
-    pub fn shadow_mode(&self) -> bool {
-        self.shadow_mode
-    }
-
-    /// Enables or disables shadow-copy retention on demotion.
-    pub fn set_shadow_mode(&mut self, on: bool) {
-        self.shadow_mode = on;
-    }
-
-    /// Bytes retained as shadow copies on `component`.
-    pub fn shadow_bytes(&self, component: ComponentId) -> u64 {
-        self.shadows.iter().filter(|e| e.component == component).map(|e| e.bytes).sum()
-    }
-
-    /// Total shadow bytes across all components.
-    pub fn shadow_total_bytes(&self) -> u64 {
-        self.shadows.iter().map(|e| e.bytes).sum()
-    }
-
-    /// Number of live shadow entries (test hook).
-    pub fn shadow_entries(&self) -> usize {
-        self.shadows.len()
-    }
-
-    /// Registers a shadow copy for a just-demoted `range`: the retained
-    /// source-tier frames in `pages`. The invalidation watch is armed
-    /// here — after the remap — so the tracking bits land on the new
-    /// (slower-tier) mappings.
-    pub(crate) fn register_shadow(
-        &mut self,
-        range: VaRange,
-        component: ComponentId,
-        pages: Vec<(VirtAddr, crate::addr::PhysAddr, FrameSize)>,
-    ) {
-        debug_assert!(self.shadow_mode && !pages.is_empty());
-        let bytes = pages.iter().map(|&(_, _, s)| s.bytes()).sum();
-        let watch_id = self.arm_write_watch(range);
-        self.shadows.push(ShadowEntry { range, component, watch_id, pages, bytes });
-    }
-
-    /// Clean shadow bytes that pages of `range` could repromote onto
-    /// `dst` without copying: exact `(va, granularity)` matches under a
-    /// clean watch, counting only pages that currently live elsewhere.
-    pub(crate) fn shadow_match_bytes(&self, range: VaRange, dst: ComponentId) -> u64 {
-        let mut total = 0;
-        for e in &self.shadows {
-            if e.component != dst
-                || !e.range.overlaps(range)
-                || self.watch_dirty(e.watch_id) != Some(false)
-            {
-                continue;
-            }
-            for &(va, _, size) in &e.pages {
-                if !range.contains(va) {
-                    continue;
-                }
-                if let Some(t) = self.pt.translate(va) {
-                    if t.size == size && t.pte.frame().component() != dst {
-                        total += size.bytes();
-                    }
-                }
-            }
-        }
-        total
-    }
-
-    /// Consumes the retained frame for `va` if a clean shadow copy on
-    /// `dst` holds one at exactly `size` granularity. A dirty entry found
-    /// on the way is invalidated wholesale (frames freed, watch disarmed)
-    /// instead of being reused.
-    pub(crate) fn take_shadow_page(
-        &mut self,
-        va: VirtAddr,
-        dst: ComponentId,
-        size: FrameSize,
-    ) -> Option<crate::addr::PhysAddr> {
-        let mut idx = 0;
-        while idx < self.shadows.len() {
-            let e = &self.shadows[idx];
-            if e.component != dst || !e.range.contains(va) {
-                idx += 1;
-                continue;
-            }
-            if self.watch_dirty(e.watch_id) != Some(false) {
-                // Stale copy: a write landed since the demotion.
-                self.invalidate_shadow_at(idx);
-                continue;
-            }
-            let e = &mut self.shadows[idx];
-            if let Some(p) = e.pages.iter().position(|&(pva, _, psz)| pva == va && psz == size) {
-                let (_, frame, psz) = e.pages.swap_remove(p);
-                e.bytes -= psz.bytes();
-                if e.pages.is_empty() {
-                    let watch_id = e.watch_id;
-                    self.shadows.remove(idx);
-                    self.take_watch(watch_id);
-                }
-                return Some(frame);
-            }
-            idx += 1;
-        }
-        None
-    }
-
-    /// Invalidates every shadow entry overlapping `range`, on any
-    /// component: the pages moved, so a retained copy is no longer paired
-    /// with a watched mapping and could go stale silently.
-    pub(crate) fn invalidate_shadows_overlapping(&mut self, range: VaRange) {
-        let mut idx = 0;
-        while idx < self.shadows.len() {
-            if self.shadows[idx].range.overlaps(range) {
-                self.invalidate_shadow_at(idx);
-            } else {
-                idx += 1;
-            }
-        }
-    }
-
-    /// Reclaims shadow frames on `dst` (oldest entry first) until `need`
-    /// bytes are free or no eligible entry remains. Entries overlapping
-    /// `keep` are skipped: they may be about to satisfy shadow hits for
-    /// the relocation requesting the space.
-    pub(crate) fn reclaim_shadow_space(&mut self, dst: ComponentId, need: u64, keep: VaRange) {
-        let mut idx = 0;
-        while idx < self.shadows.len() {
-            if self.allocators[dst as usize].free() >= need {
-                return;
-            }
-            let e = &self.shadows[idx];
-            if e.component == dst && !e.range.overlaps(keep) {
-                self.invalidate_shadow_at(idx);
-            } else {
-                idx += 1;
-            }
-        }
-    }
-
-    /// Frees every frame of shadow entry `idx`, disarms its watch, counts
-    /// one invalidation and removes the entry.
-    fn invalidate_shadow_at(&mut self, idx: usize) {
-        let e = self.shadows.remove(idx);
-        for &(_, frame, size) in &e.pages {
-            self.allocators[e.component as usize].free_frame(frame, size);
-        }
-        self.take_watch(e.watch_id);
-        self.recorder.reg.counter_add(obs::names::SHADOW_INVALIDATIONS, 1);
-    }
-
-    // ---------------------------------------------------------------
     // Checkpoint support: full dynamic-state serialization. The machine
     // is rebuilt from its configuration at restore time (`Machine::new`)
     // and `load_state` then overwrites every piece of dynamic state, so
@@ -1266,9 +1086,9 @@ impl Machine {
     }
 
     /// Serializes the machine's complete dynamic state (page table,
-    /// allocators, clock, counters, samplers, watches, shadow copies,
-    /// statistics and the observability recorder) into a self-describing
-    /// blob restorable with [`Machine::load_state`].
+    /// allocators, clock, counters, samplers, watches, statistics and the
+    /// observability recorder) into a self-describing blob restorable
+    /// with [`Machine::load_state`].
     ///
     /// A Memory Mode machine also writes each PM component's DRAM-cache
     /// lines and counters, and a machine with an active fault plan
@@ -1321,20 +1141,6 @@ impl Machine {
             None => w.bool(false),
         }
         w.u64(self.next_watch_id);
-        w.bool(self.shadow_mode);
-        w.varint(self.shadows.len() as u64);
-        for e in &self.shadows {
-            e.range.save(&mut w);
-            w.u16(e.component);
-            w.u64(e.watch_id);
-            w.varint(e.pages.len() as u64);
-            for &(va, frame, size) in &e.pages {
-                w.u64(va.0);
-                w.u16(frame.component());
-                w.u64(frame.offset());
-                w.bool(size == FrameSize::Huge2M);
-            }
-        }
         w.varint(self.heat.len() as u64);
         for &h in &self.heat {
             w.varint(h);
@@ -1417,23 +1223,6 @@ impl Machine {
             None
         };
         self.next_watch_id = r.u64()?;
-        self.shadow_mode = r.bool()?;
-        self.shadows.clear();
-        for _ in 0..r.varint()? {
-            let range = VaRange::load(&mut r)?;
-            let component = r.u16()?;
-            let watch_id = r.u64()?;
-            let mut pages = Vec::new();
-            for _ in 0..r.varint()? {
-                let va = VirtAddr(r.u64()?);
-                let fc = r.u16()?;
-                let off = r.u64()?;
-                let size = if r.bool()? { FrameSize::Huge2M } else { FrameSize::Base4K };
-                pages.push((va, crate::addr::PhysAddr::new(fc, off), size));
-            }
-            let bytes = pages.iter().map(|&(_, _, s)| s.bytes()).sum();
-            self.shadows.push(ShadowEntry { range, component, watch_id, pages, bytes });
-        }
         let heat_len = r.varint()? as usize;
         self.heat.clear();
         self.heat.reserve(heat_len);
@@ -1554,45 +1343,6 @@ impl Machine {
         // (the source of truth): any drift means a path changed PRESENT or
         // a slot without its bitmap.
         violations.extend(self.pt.check_side_metadata());
-        // Shadow copies occupy allocator space without backing a mapping:
-        // census them separately, and feed their frame spans into the
-        // overlap sweep — a shadow frame aliasing a live mapping (or
-        // another shadow) means a frame was reused while still retained.
-        let mut shadow = vec![0u64; ncomp];
-        for e in &self.shadows {
-            let mut entry_bytes = 0;
-            for &(va, frame, size) in &e.pages {
-                let c = frame.component();
-                if (c as usize) < ncomp {
-                    shadow[c as usize] += size.bytes();
-                } else {
-                    violations.push(format!(
-                        "shadow frame for page {:#x} names component {c} but the machine has {ncomp} component(s)",
-                        va.0
-                    ));
-                }
-                if c != e.component {
-                    violations.push(format!(
-                        "shadow entry over {:?} books component {} but holds a frame on component {c}",
-                        e.range, e.component
-                    ));
-                }
-                spans.push((c, frame.offset(), frame.offset() + size.bytes(), va.0));
-                entry_bytes += size.bytes();
-            }
-            if entry_bytes != e.bytes {
-                violations.push(format!(
-                    "shadow entry over {:?} books {} B but holds {} B of frames",
-                    e.range, e.bytes, entry_bytes
-                ));
-            }
-            if self.watch_dirty(e.watch_id).is_none() {
-                violations.push(format!(
-                    "shadow entry over {:?} has no armed invalidation watch (id {})",
-                    e.range, e.watch_id
-                ));
-            }
-        }
         let rows: Vec<mtm_check::CensusRow> = self
             .allocators
             .iter()
@@ -1600,7 +1350,6 @@ impl Machine {
             .map(|(c, a)| mtm_check::CensusRow {
                 component: c as u16,
                 mapped_bytes: mapped[c],
-                shadow_bytes: shadow[c],
                 allocator_used: a.used(),
                 capacity: a.capacity(),
             })
@@ -1618,7 +1367,6 @@ impl Machine {
             (obs::names::MIGRATIONS_DROPPED, "migration_dropped"),
             (obs::names::MIGRATION_ABORTS, "migration_aborted"),
             (obs::names::MIGRATION_DEFERRALS, "migration_deferred"),
-            (obs::names::SHADOW_HITS, "shadow_hit"),
             (obs::names::ADMIT_REJECTED, "admission_rejected"),
         ]
         .iter()
@@ -2117,6 +1865,29 @@ mod tests {
         let mut n = Machine::new(MachineConfig::new(other, 2));
         let err = n.load_state(&blob).unwrap_err();
         assert!(err.contains("digest mismatch"), "{err}");
+    }
+
+    #[test]
+    fn load_state_rejects_allocator_used_over_capacity() {
+        let build = || {
+            let topo = tiny_two_tier(4 * PAGE_SIZE_2M, 16 * PAGE_SIZE_2M);
+            Machine::new(MachineConfig::new(topo, 1))
+        };
+        let mut m = build();
+        m.mmap("a", VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M), false);
+        m.alloc_and_map(0, VirtAddr(0), &[0]).unwrap();
+        let mut blob = m.save_state();
+        // Patch component 0's `used` (a little-endian u64 inside its
+        // allocator record) to more than the component holds.
+        let mut w = obs::wire::Writer::new();
+        m.allocators[0].save(&mut w);
+        let record = w.into_bytes();
+        let used = m.allocator(0).used().to_le_bytes();
+        let at = blob.windows(record.len()).position(|win| win == record).expect("record")
+            + record.windows(8).position(|win| win == used).expect("used");
+        blob[at..at + 8].copy_from_slice(&(5 * PAGE_SIZE_2M).to_le_bytes());
+        let err = build().load_state(&blob).unwrap_err();
+        assert!(err.contains("over its"), "{err}");
     }
 
     /// A fresh Memory Mode machine on the two-tier topology (8 PM blocks

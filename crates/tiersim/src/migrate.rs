@@ -56,9 +56,6 @@ pub struct MigrateOutcome {
     pub pages: u64,
     /// Bytes moved.
     pub bytes: u64,
-    /// Bytes (of `bytes`) remapped from a clean shadow copy with zero
-    /// copy traffic (Nomad non-exclusive mode; always 0 otherwise).
-    pub shadow_hit_bytes: u64,
     /// Per-step costs (not yet charged to any clock bucket).
     pub breakdown: StepBreakdown,
 }
@@ -228,15 +225,14 @@ pub fn relocate_range(
     m: &mut Machine,
     range: VaRange,
     dst: ComponentId,
-    node: NodeId,
     copy_threads: u32,
     split_huge: bool,
 ) -> Result<MigrateOutcome, MigrateError> {
     if !m.checking() {
-        return relocate_range_inner(m, range, dst, node, copy_threads, split_huge);
+        return relocate_range_inner(m, range, dst, copy_threads, split_huge);
     }
     let pre = m.shadow_of(range);
-    let result = relocate_range_inner(m, range, dst, node, copy_threads, split_huge);
+    let result = relocate_range_inner(m, range, dst, copy_threads, split_huge);
     let post = m.shadow_of(range);
     let mut violations = Vec::new();
     match &result {
@@ -269,17 +265,16 @@ pub fn relocate_range(
         }
     }
     // Cheap global invariant on every call: total allocator occupancy
-    // must equal the page-table census plus retained shadow bytes (a
-    // leaked or double-freed frame shows up here immediately; the full
-    // per-component census runs at interval boundaries).
+    // must equal the page-table census (a leaked or double-freed frame
+    // shows up here immediately; the full per-component census runs at
+    // interval boundaries).
     let used: u64 = (0..m.topology().num_components() as u16)
         .map(|c| m.allocator(c).used())
         .sum();
     let mapped = m.page_table().mapped_bytes();
-    let shadow = m.shadow_total_bytes();
-    if used != mapped + shadow {
+    if used != mapped {
         violations.push(format!(
-            "occupancy drift: allocators hold {used} B but the page table maps {mapped} B (+{shadow} B shadow)"
+            "occupancy drift: allocators hold {used} B but the page table maps {mapped} B"
         ));
     }
     if !violations.is_empty() {
@@ -297,10 +292,6 @@ fn relocate_range_inner(
     m: &mut Machine,
     range: VaRange,
     dst: ComponentId,
-    // Requesting node: its tier view classifies promotions vs demotions
-    // for shadow-copy retention; copy threads are placed by
-    // `best_copy_node` independently of it.
-    node: NodeId,
     copy_threads: u32,
     split_huge: bool,
 ) -> Result<MigrateOutcome, MigrateError> {
@@ -328,18 +319,7 @@ fn relocate_range_inner(
     let (pages, need_4k, need_2m) = collect_move_set(m, range, dst);
     if need_4k > 0 || need_2m > 0 {
         let need_bytes = need_4k * PAGE_SIZE_4K + need_2m * crate::addr::PAGE_SIZE_2M;
-        // In shadow mode some of the demand may be met by reusing clean
-        // retained frames (no allocation), and retained frames not about
-        // to be reused are reclaimable free space.
-        let need_alloc = if m.shadow_mode() {
-            need_bytes.saturating_sub(m.shadow_match_bytes(range, dst))
-        } else {
-            need_bytes
-        };
-        if m.shadow_mode() && m.allocators[dst as usize].free() < need_alloc {
-            m.reclaim_shadow_space(dst, need_alloc, range);
-        }
-        if m.allocators[dst as usize].free() < need_alloc {
+        if m.allocators[dst as usize].free() < need_bytes {
             return Err(MigrateError::NoSpace(OutOfMemory {
                 component: dst,
                 size: if need_2m > 0 { FrameSize::Huge2M } else { FrameSize::Base4K },
@@ -349,16 +329,9 @@ fn relocate_range_inner(
     if pages.is_empty() {
         return Err(MigrateError::NothingMapped);
     }
-    let shadow_mode = m.shadow_mode();
     let costs = m.cfg.costs.clone();
     let mut out = MigrateOutcome::default();
     let mut any_moved = false;
-    // Frames retained as shadow copies on demotion, grouped by the source
-    // component they stay allocated on.
-    let mut retained: std::collections::BTreeMap<
-        ComponentId,
-        Vec<(crate::addr::VirtAddr, crate::addr::PhysAddr, FrameSize)>,
-    > = std::collections::BTreeMap::new();
     let mut queue: std::collections::VecDeque<(crate::addr::VirtAddr, FrameSize)> = pages.into();
     while let Some((va, size)) = queue.pop_front() {
         // `collect_move_set` ran moments ago, but a defensive miss here must
@@ -370,56 +343,36 @@ fn relocate_range_inner(
         if src == dst {
             continue;
         }
-        // Shadow fast path: a clean retained copy on the destination lets
-        // the page repromote by remapping alone — no allocation, no copy.
-        let shadow_frame =
-            if shadow_mode { m.take_shadow_page(va, dst, size) } else { None };
-        let (new_frame, eff_size) = match shadow_frame {
-            Some(frame) => (frame, size),
-            None => {
-                // Step 1: allocate (+ zero) the destination frame,
-                // splitting the THP when the destination lacks a
-                // contiguous huge frame.
-                let Some((new_frame, eff_size)) = alloc_dst_frame(m, va, size, dst) else {
-                    continue;
-                };
-                if eff_size != size {
-                    // The huge mapping was split: queue the sibling base
-                    // pages that fall inside the requested range (the
-                    // rest stay put).
-                    for off in
-                        (PAGE_SIZE_4K..crate::addr::PAGE_SIZE_2M).step_by(PAGE_SIZE_4K as usize)
-                    {
-                        let sibling = crate::addr::VirtAddr(va.0 + off);
-                        if range.contains(sibling) {
-                            queue.push_back((sibling, FrameSize::Base4K));
-                        }
-                    }
-                }
-                out.breakdown.alloc_ns +=
-                    alloc_cost_ns(m, best_copy_node(m, dst, dst), dst, eff_size.bytes());
-                (new_frame, eff_size)
-            }
+        // Step 1: allocate (+ zero) the destination frame, splitting the
+        // THP when the destination lacks a contiguous huge frame.
+        let Some((new_frame, eff_size)) = alloc_dst_frame(m, va, size, dst) else {
+            continue;
         };
+        if eff_size != size {
+            // The huge mapping was split: queue the sibling base pages
+            // that fall inside the requested range (the rest stay put).
+            for off in (PAGE_SIZE_4K..crate::addr::PAGE_SIZE_2M).step_by(PAGE_SIZE_4K as usize) {
+                let sibling = crate::addr::VirtAddr(va.0 + off);
+                if range.contains(sibling) {
+                    queue.push_back((sibling, FrameSize::Base4K));
+                }
+            }
+        }
+        out.breakdown.alloc_ns +=
+            alloc_cost_ns(m, best_copy_node(m, dst, dst), dst, eff_size.bytes());
         let bytes = eff_size.bytes();
         // Step 2: unmap / invalidate. A miss here would leak the frame
-        // allocated (or consumed from the shadow pool) above, so return
-        // it before skipping the page.
+        // allocated above, so return it before skipping the page.
         let Some((old_pte, old_size)) = m.pt.unmap(va) else {
             m.allocators[dst as usize].free_frame(new_frame, eff_size);
             continue;
         };
         debug_assert_eq!(old_size, eff_size, "split (if any) happened before unmap");
         out.breakdown.unmap_ns += costs.migrate_unmap_page_ns;
-        // Step 3: copy contents (versions stand in for data). A shadow
-        // hit copies nothing over the interconnect — the retained frame
-        // already holds the bytes — but the version bookkeeping still
-        // follows the page so no write is ever lost.
+        // Step 3: copy contents (versions stand in for data).
         m.versions.move_range(old_pte.frame(), new_frame, (bytes / PAGE_SIZE_4K) as usize);
-        if shadow_frame.is_none() {
-            let copy_node = best_copy_node(m, src, dst);
-            out.breakdown.copy_ns += copy_cost_ns(m, copy_node, src, dst, bytes, copy_threads);
-        }
+        let copy_node = best_copy_node(m, src, dst);
+        out.breakdown.copy_ns += copy_cost_ns(m, copy_node, src, dst, bytes, copy_threads);
         // Step 4: remap.
         let new_pte = old_pte.with_frame(new_frame);
         match eff_size {
@@ -427,41 +380,13 @@ fn relocate_range_inner(
             FrameSize::Base4K => m.pt.map_4k(va, new_pte),
         }
         out.breakdown.remap_ns += costs.migrate_remap_page_ns;
-        // On a demotion (the destination is slower than the source in the
-        // requesting node's tier view) shadow mode retains the source
-        // frame instead of freeing it, so a clean repromotion can reuse
-        // it with zero copy bytes.
-        let topo = m.topology();
-        let demotion = shadow_mode && topo.tier_rank(node, src) < topo.tier_rank(node, dst);
-        if demotion {
-            retained.entry(src).or_default().push((va, old_pte.frame(), eff_size));
-        } else {
-            m.allocators[src as usize].free_frame(old_pte.frame(), eff_size);
-        }
+        m.allocators[src as usize].free_frame(old_pte.frame(), eff_size);
         out.pages += 1;
         out.bytes += bytes;
-        if shadow_frame.is_some() {
-            out.shadow_hit_bytes += bytes;
-        }
         any_moved = true;
     }
     if !any_moved {
         return Err(MigrateError::NothingMapped);
-    }
-    if shadow_mode {
-        // Pages of this range moved: any surviving shadow entry that
-        // overlaps it is no longer paired with a watched mapping (its
-        // tracking bits died with the unmap), so drop it before
-        // registering the fresh retained copies.
-        m.invalidate_shadows_overlapping(range);
-        for (src, pages) in retained {
-            m.register_shadow(range, src, pages);
-        }
-        if out.shadow_hit_bytes > 0 {
-            m.recorder.reg.counter_add(obs::names::SHADOW_HITS, 1);
-            m.recorder.reg.counter_add(obs::names::SHADOW_HIT_BYTES, out.shadow_hit_bytes);
-            m.record_event(obs::EventKind::ShadowHit { bytes: out.shadow_hit_bytes, dst });
-        }
     }
     // Moving the page-table pages costs one unit per 2 MB region's worth
     // of pages; pro-rate for smaller moves so per-page migrators are not
@@ -559,7 +484,6 @@ pub fn relocate_with_retry(
     m: &mut Machine,
     range: VaRange,
     dst: ComponentId,
-    node: NodeId,
     copy_threads: u32,
     split_huge: bool,
     policy: RetryPolicy,
@@ -568,7 +492,7 @@ pub fn relocate_with_retry(
     let max_attempts = policy.max_attempts.max(1);
     loop {
         report.attempts += 1;
-        match relocate_range(m, range, dst, node, copy_threads, split_huge) {
+        match relocate_range(m, range, dst, copy_threads, split_huge) {
             Ok(out) => {
                 if report.retries > 0 {
                     m.recorder.reg.observe(obs::names::RETRY_BACKOFF_NS, report.backoff_ns as u64);
@@ -600,9 +524,8 @@ pub fn move_pages_linux(
     m: &mut Machine,
     range: VaRange,
     dst: ComponentId,
-    node: NodeId,
 ) -> Result<MigrateOutcome, MigrateError> {
-    let out = relocate_range(m, range, dst, node, 1, true)?;
+    let out = relocate_range(m, range, dst, 1, true)?;
     m.charge_migration(out.breakdown.total_ns());
     Ok(out)
 }
@@ -628,7 +551,7 @@ mod tests {
         m.prefault_range(range, &[0]).unwrap();
         m.access(0, VirtAddr(0x1000), AccessKind::Write);
         m.access(0, VirtAddr(0x1000), AccessKind::Write);
-        let out = relocate_range(&mut m, range, 1, 0, 1, false).unwrap();
+        let out = relocate_range(&mut m, range, 1, 1, false).unwrap();
         assert_eq!(out.pages, 512);
         assert_eq!(out.bytes, PAGE_SIZE_2M);
         assert_eq!(m.component_of(VirtAddr(0x1000)), Some(1));
@@ -646,7 +569,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::new(topo, 1));
         m.mmap("thp", VaRange::from_len(VirtAddr(0), 2 * PAGE_SIZE_2M), true);
         m.prefault_range(VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M), &[0]).unwrap();
-        let out = relocate_range(&mut m, VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M), 1, 0, 1, false).unwrap();
+        let out = relocate_range(&mut m, VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M), 1, 1, false).unwrap();
         assert_eq!(out.pages, 1, "huge page moved as one unit");
         let t = m.page_table().translate(VirtAddr(0)).unwrap();
         assert!(t.pte.huge());
@@ -659,7 +582,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::new(topo, 1));
         m.mmap("thp", VaRange::from_len(VirtAddr(0), 2 * PAGE_SIZE_2M), true);
         m.prefault_range(VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M), &[0]).unwrap();
-        let out = move_pages_linux(&mut m, VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M), 1, 0).unwrap();
+        let out = move_pages_linux(&mut m, VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M), 1).unwrap();
         assert_eq!(out.pages, 512, "THP split into base pages");
         assert!(m.breakdown().migration_ns > 0.0);
         assert_eq!(m.breakdown().migration_ns, out.breakdown.total_ns());
@@ -671,7 +594,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::new(topo, 1));
         m.mmap("a", VaRange::from_len(VirtAddr(0), 8 * PAGE_SIZE_2M), false);
         m.prefault_range(VaRange::from_len(VirtAddr(0), 4 * PAGE_SIZE_2M), &[0]).unwrap();
-        let err = relocate_range(&mut m, VaRange::from_len(VirtAddr(0), 4 * PAGE_SIZE_2M), 1, 0, 1, false);
+        let err = relocate_range(&mut m, VaRange::from_len(VirtAddr(0), 4 * PAGE_SIZE_2M), 1, 1, false);
         assert!(matches!(err, Err(MigrateError::NoSpace(_))));
         // Nothing was moved.
         assert_eq!(m.allocator(1).used(), 0);
@@ -683,7 +606,7 @@ mod tests {
         let mut m = machine();
         let range = VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M);
         m.prefault_range(range, &[1]).unwrap();
-        let err = relocate_range(&mut m, range, 1, 0, 1, false);
+        let err = relocate_range(&mut m, range, 1, 1, false);
         assert!(matches!(err, Err(MigrateError::NothingMapped)), "no page needed moving");
     }
 
@@ -701,7 +624,7 @@ mod tests {
         m.allocators_mut_for_test(1).free_frame(a, FrameSize::Base4K);
         // No huge frame is available (one block is carved, one is taken),
         // but 4 KB frames are: the huge mapping must split and move.
-        let out = relocate_range(&mut m, VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M), 1, 0, 1, false)
+        let out = relocate_range(&mut m, VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M), 1, 1, false)
             .unwrap();
         assert_eq!(out.pages, 512, "moved as base pages after the split");
         let t = m.page_table().translate(VirtAddr(0)).unwrap();
@@ -778,7 +701,7 @@ mod tests {
         m.prefault_range(range, &[0]).unwrap();
         m.install_faults(plan, seed);
         let policy = RetryPolicy::default();
-        let (res, report) = relocate_with_retry(&mut m, range, 1, 0, 1, false, policy);
+        let (res, report) = relocate_with_retry(&mut m, range, 1, 1, false, policy);
         let out = res.expect("second attempt succeeds");
         assert_eq!(out.pages, 512);
         assert_eq!(report.attempts, 2);
@@ -800,7 +723,7 @@ mod tests {
         m.prefault_range(range, &[0]).unwrap();
         m.install_faults(plan, 7);
         let policy = RetryPolicy::default();
-        let (res, report) = relocate_with_retry(&mut m, range, 1, 0, 1, false, policy);
+        let (res, report) = relocate_with_retry(&mut m, range, 1, 1, false, policy);
         assert!(matches!(res, Err(MigrateError::PageBusy)));
         assert_eq!(report.attempts, policy.max_attempts);
         assert_eq!(report.retries, policy.max_attempts - 1);
@@ -820,7 +743,6 @@ mod tests {
             &mut m,
             VaRange::from_len(VirtAddr(0), 4 * PAGE_SIZE_2M),
             1,
-            0,
             1,
             false,
             RetryPolicy::default(),
@@ -850,7 +772,6 @@ mod tests {
             &mut m,
             VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M),
             1,
-            0,
             1,
             false,
             RetryPolicy::default(),
@@ -861,105 +782,5 @@ mod tests {
         let t = m.page_table().translate(VirtAddr(0)).unwrap();
         assert_eq!(t.size, FrameSize::Base4K);
         assert_eq!(t.pte.frame().component(), 1);
-    }
-
-    #[test]
-    fn shadow_demotion_retains_and_clean_rehit_copies_nothing() {
-        let mut m = machine();
-        m.set_checking(true);
-        m.set_shadow_mode(true);
-        let range = VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M);
-        m.prefault_range(range, &[0]).unwrap();
-        // Demote: the source frames stay allocated as a shadow copy.
-        let out = relocate_range(&mut m, range, 1, 0, 1, false).unwrap();
-        assert_eq!(out.bytes, PAGE_SIZE_2M);
-        assert_eq!(out.shadow_hit_bytes, 0);
-        assert_eq!(m.component_of(VirtAddr(0)), Some(1));
-        assert_eq!(m.shadow_bytes(0), PAGE_SIZE_2M, "demoted frames retained on fast tier");
-        assert_eq!(m.allocator(0).used(), PAGE_SIZE_2M);
-        assert_eq!(m.shadow_entries(), 1);
-        // Repromote without any intervening write: the clean shadow copy
-        // is remapped with zero allocation and zero copy traffic.
-        let back = relocate_range(&mut m, range, 0, 0, 1, false).unwrap();
-        assert_eq!(back.bytes, PAGE_SIZE_2M);
-        assert_eq!(back.shadow_hit_bytes, PAGE_SIZE_2M);
-        assert_eq!(back.breakdown.copy_ns, 0.0, "no bytes crossed the interconnect");
-        assert_eq!(back.breakdown.alloc_ns, 0.0, "no frame was allocated");
-        assert!(back.breakdown.remap_ns > 0.0, "remapping is still charged");
-        assert_eq!(m.component_of(VirtAddr(0)), Some(0));
-        assert_eq!(m.shadow_total_bytes(), 0, "consumed entry is gone");
-        assert_eq!(m.allocator(1).used(), 0, "slow-tier copy was freed");
-        assert_eq!(m.recorder.reg.counter(obs::names::SHADOW_HITS), 1);
-        assert_eq!(m.recorder.reg.counter(obs::names::SHADOW_HIT_BYTES), PAGE_SIZE_2M);
-    }
-
-    #[test]
-    fn shadow_write_after_demotion_invalidates_the_copy() {
-        let mut m = machine();
-        m.set_checking(true);
-        m.set_shadow_mode(true);
-        let range = VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M);
-        m.prefault_range(range, &[0]).unwrap();
-        relocate_range(&mut m, range, 1, 0, 1, false).unwrap();
-        // A write to the demoted page makes the retained copy stale.
-        m.access(0, VirtAddr(0x1000), AccessKind::Write);
-        let back = relocate_range(&mut m, range, 0, 0, 1, false).unwrap();
-        assert_eq!(back.shadow_hit_bytes, 0, "stale copy must not be reused");
-        assert!(back.breakdown.copy_ns > 0.0, "a real copy was paid for");
-        assert_eq!(m.shadow_total_bytes(), 0, "stale entry was dropped");
-        assert_eq!(m.component_of(VirtAddr(0x1000)), Some(0));
-        // The write that landed while demoted travelled with the page.
-        let t = m.page_table().translate(VirtAddr(0x1000)).unwrap();
-        assert_eq!(m.versions.get(t.pte.frame()), 1);
-        assert_eq!(m.recorder.reg.counter(obs::names::SHADOW_INVALIDATIONS), 1);
-        assert_eq!(m.allocator(1).used(), 0);
-        assert_eq!(m.allocator(0).used(), PAGE_SIZE_2M);
-    }
-
-    #[test]
-    fn shadow_space_is_reclaimed_under_allocation_pressure() {
-        let topo = tiny_two_tier(2 * PAGE_SIZE_2M, 8 * PAGE_SIZE_2M);
-        let mut m = Machine::new(MachineConfig::new(topo, 1));
-        m.set_checking(true);
-        m.set_shadow_mode(true);
-        m.mmap("a", VaRange::from_len(VirtAddr(0), 8 * PAGE_SIZE_2M), false);
-        let a = VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M);
-        let b = VaRange::from_len(VirtAddr(PAGE_SIZE_2M), PAGE_SIZE_2M);
-        let c = VaRange::from_len(VirtAddr(2 * PAGE_SIZE_2M), PAGE_SIZE_2M);
-        m.prefault_range(a, &[0]).unwrap();
-        m.prefault_range(b, &[1]).unwrap();
-        m.prefault_range(c, &[1]).unwrap();
-        // Demote `a`: its fast-tier frames linger as a shadow copy.
-        relocate_range(&mut m, a, 1, 0, 1, false).unwrap();
-        assert_eq!(m.shadow_bytes(0), PAGE_SIZE_2M);
-        // Promote `b`: fits in the remaining free space, shadow survives.
-        relocate_range(&mut m, b, 0, 0, 1, false).unwrap();
-        assert_eq!(m.shadow_bytes(0), PAGE_SIZE_2M);
-        assert_eq!(m.allocator(0).free(), 0);
-        // Promote `c`: the fast tier is exhausted, so shadow space is
-        // reclaimed to make room instead of failing with NoSpace.
-        relocate_range(&mut m, c, 0, 0, 1, false).unwrap();
-        assert_eq!(m.shadow_total_bytes(), 0, "shadow yielded to live data");
-        assert_eq!(m.component_of(VirtAddr(2 * PAGE_SIZE_2M)), Some(0));
-        assert_eq!(m.allocator(0).used(), 2 * PAGE_SIZE_2M);
-    }
-
-    #[test]
-    fn shadow_huge_page_roundtrip_reuses_the_retained_frame() {
-        let topo = tiny_two_tier(8 * PAGE_SIZE_2M, 8 * PAGE_SIZE_2M);
-        let mut m = Machine::new(MachineConfig::new(topo, 1));
-        m.set_checking(true);
-        m.set_shadow_mode(true);
-        m.mmap("thp", VaRange::from_len(VirtAddr(0), 2 * PAGE_SIZE_2M), true);
-        let range = VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M);
-        m.prefault_range(range, &[0]).unwrap();
-        relocate_range(&mut m, range, 1, 0, 1, false).unwrap();
-        assert_eq!(m.shadow_bytes(0), PAGE_SIZE_2M);
-        let back = relocate_range(&mut m, range, 0, 0, 1, false).unwrap();
-        assert_eq!(back.pages, 1, "huge page rehit as one unit");
-        assert_eq!(back.shadow_hit_bytes, PAGE_SIZE_2M);
-        let t = m.page_table().translate(VirtAddr(0)).unwrap();
-        assert!(t.pte.huge());
-        assert_eq!(t.pte.frame().component(), 0);
     }
 }

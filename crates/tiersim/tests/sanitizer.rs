@@ -92,7 +92,7 @@ fn checked_relocate_passes_and_machine_stays_consistent() {
     }
     m.set_checking(true);
     let range = VaRange::from_len(VirtAddr(0), 32 * PAGE_SIZE_4K);
-    let out = relocate_range(&mut m, range, 1, 0, 4, true).unwrap();
+    let out = relocate_range(&mut m, range, 1, 4, true).unwrap();
     assert_eq!(out.bytes, 32 * PAGE_SIZE_4K);
     assert_eq!(m.allocator(1).used(), 32 * PAGE_SIZE_4K);
     m.verify_consistency("after checked relocate");

@@ -133,11 +133,11 @@ cargo run --release -q -p mtm-harness --bin telemetry_check || fail "emitted tel
 # with the sanitizer armed so migration aborts are checked too.
 smoke resilience /dev/null MTM_CHECK=1 MTM_JOBS=4
 
-# Admission: the admission-control/shadow-copy sweep must not depend on
-# MTM_JOBS (every cell is seeded from its own label, never from execution
-# order), and must pass the sanitizer — shadow-copy retention changes the
-# allocator books (used == mapped + shadow), so this is the cell where a
-# broken shadow ledger would surface.
+# Admission: the admission-control sweep must not depend on MTM_JOBS
+# (every cell is seeded from its own label, never from execution order),
+# and must pass the sanitizer — it is the only gate where vetoed batches
+# meet injected faults, so the admit_rejected counter/event books and the
+# aborted, deferred and dropped migrations around them are checked here.
 matrix admission results/admission.txt "MTM_JOBS=1" "MTM_JOBS=4" "MTM_CHECK=1 MTM_JOBS=4"
 
 diff -r -x telemetry "$tmp/results" results || fail "results/ differs from the committed files, see above"

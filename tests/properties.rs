@@ -261,7 +261,7 @@ fn migration_preserves_data_and_accounting() {
             }
             let mapped_before = m.page_table().mapped_bytes();
             let used_before: u64 = m.residency().iter().sum();
-            let _ = tiersim::migrate::relocate_range(&mut m, range, dst, 0, 2, false).unwrap();
+            let _ = tiersim::migrate::relocate_range(&mut m, range, dst, 2, false).unwrap();
             prop_assert_eq!(m.page_table().mapped_bytes(), mapped_before);
             prop_assert_eq!(m.residency().iter().sum::<u64>(), used_before);
             for (va, count) in counts {
@@ -337,7 +337,7 @@ fn retry_never_exceeds_attempt_bound() {
             m.install_faults(plan, *seed);
             let policy =
                 RetryPolicy { max_attempts: *max_attempts as u32, ..RetryPolicy::default() };
-            let (res, report) = relocate_with_retry(&mut m, range, 1, 0, 1, false, policy);
+            let (res, report) = relocate_with_retry(&mut m, range, 1, 1, false, policy);
             prop_assert!(report.attempts >= 1 && report.attempts <= policy.max_attempts);
             prop_assert_eq!(report.retries, report.attempts - 1);
             prop_assert!(report.backoff_ns <= policy.max_total_backoff_ns() + 1e-9);
@@ -406,7 +406,7 @@ fn side_metadata_agrees_with_pte_bits() {
                         let range = VaRange::from_len(va.page_2m(), PAGE_SIZE_2M);
                         let dst = (rng.below(2)) as u16;
                         let split = rng.below(2) == 0;
-                        let _ = tiersim::migrate::relocate_range(&mut m, range, dst, 0, 1, split);
+                        let _ = tiersim::migrate::relocate_range(&mut m, range, dst, 1, split);
                     }
                     _ => m.reset_measurement(),
                 }
@@ -480,8 +480,8 @@ fn async_queue_ledger_is_conserved() {
             for &(op, page) in ops {
                 let range = VaRange::from_len(VirtAddr(page * PAGE_SIZE_2M), PAGE_SIZE_2M);
                 match op {
-                    0 => e.migrate(&mut m, range, 1, 0),
-                    1 => e.migrate(&mut m, range, 0, 0),
+                    0 => e.migrate(&mut m, range, 1),
+                    1 => e.migrate(&mut m, range, 0),
                     2 => {
                         m.access(0, range.start, AccessKind::Write);
                     }
@@ -515,17 +515,17 @@ fn async_queue_ledger_is_conserved() {
     );
 }
 
-/// An MTM run with any admission policy and shadow mode, under a fault
-/// plan, passes the shadow-state sanitizer and reports the same bytes
-/// checked as unchecked: admission verdicts are a pure function of the
-/// deterministic machine state, and checking only observes it.
+/// An MTM run with any admission policy, under a fault plan, passes the
+/// shadow-state sanitizer and reports the same bytes checked as
+/// unchecked: admission verdicts are a pure function of the deterministic
+/// machine state, and checking only observes it.
 #[test]
 fn admission_decisions_pass_the_sanitizer_under_faults() {
     use mtm::{AdmissionKind, MtmConfig, MtmManager};
     use tiersim::sim::{run_scenario, Workload};
     use tiersim::tier::optane_four_tier;
 
-    let run = |kind: AdmissionKind, shadow: bool, checked: bool| {
+    let run = |kind: AdmissionKind, checked: bool| {
         let scale = 1u64 << 13;
         let topo = optane_four_tier(scale);
         let mut m = Machine::new(MachineConfig::new(topo.clone(), 2));
@@ -534,7 +534,6 @@ fn admission_decisions_pass_the_sanitizer_under_faults() {
         m.set_checking(checked);
         let mut cfg = MtmConfig::default();
         cfg.admission = kind;
-        cfg.shadow = shadow;
         let mut mgr = MtmManager::new(cfg, topo.nodes as usize);
         let mut wl: Box<dyn Workload> =
             mtm_workloads::build_paper_workload("GUPS", scale, 2).unwrap();
@@ -550,16 +549,14 @@ fn admission_decisions_pass_the_sanitizer_under_faults() {
         AdmissionKind::RateLimit,
         AdmissionKind::HotnessDelta,
     ] {
-        for shadow in [false, true] {
-            let plain = run(kind, shadow, false);
-            let checked = run(kind, shadow, true);
-            assert_eq!(
-                format!("{plain:?}"),
-                format!("{checked:?}"),
-                "{}/shadow={shadow}: the checked report differs from the unchecked one",
-                kind.label()
-            );
-        }
+        let plain = run(kind, false);
+        let checked = run(kind, true);
+        assert_eq!(
+            format!("{plain:?}"),
+            format!("{checked:?}"),
+            "{}: the checked report differs from the unchecked one",
+            kind.label()
+        );
     }
 }
 
