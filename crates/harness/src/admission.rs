@@ -31,9 +31,8 @@ pub const POLICIES: [AdmissionKind; 4] = [
 /// migration-heavy) and BFS (skewed, bursty frontier).
 pub const SWEEP_WORKLOADS: [&str; 2] = ["GUPS", "BFS"];
 
-/// Runs one sweep cell. Public so tests and the verify smoke can replay a
-/// single cell and compare against the table.
-pub fn run_cell(
+/// Runs one sweep cell; `run` maps it over the sweep.
+fn run_cell(
     workload: &str,
     policy: AdmissionKind,
     level: &str,

@@ -67,9 +67,8 @@ pub fn level_spec(level: &str, intervals: u64) -> Option<String> {
     }
 }
 
-/// Runs one sweep cell. Public so tests can replay a single cell and
-/// compare against the table.
-pub fn run_cell(manager: &str, level: &str, opts: &Opts, base_seed: u64) -> RunReport {
+/// Runs one sweep cell; `run` maps it over the sweep.
+fn run_cell(manager: &str, level: &str, opts: &Opts, base_seed: u64) -> RunReport {
     let mut run = RunSpec::new(manager, WORKLOAD, opts)
         .unwrap_or_else(|| panic!("unknown manager {manager:?}"));
     run.faults = level_spec(level, opts.intervals).map(|spec| {

@@ -3,13 +3,15 @@
 //! their generic tick body against the simulator directly. A wrapper that
 //! forwards only `tick` falls back to the provided `round`, which makes
 //! one `dyn MemEnv` tick at a time. Both must produce the same run, down
-//! to every report field and the telemetry JSON.
+//! to every report field and the telemetry JSON, on a plain machine, a
+//! Memory Mode machine and a heat-tracking machine alike.
 
 use mtm::{MtmConfig, MtmManager};
+use mtm_baselines::hmc::MemoryMode;
 use mtm_scenario::trace::{record_run, TraceReplayer};
 use tiersim::addr::VaRange;
 use tiersim::machine::{Machine, MachineConfig};
-use tiersim::sim::{run_scenario, MemEnv, RunReport, Workload};
+use tiersim::sim::{run_scenario, MemEnv, MemoryManager, RunReport, Workload};
 use tiersim::tier::tiny_two_tier;
 use tiersim::PAGE_SIZE_2M;
 
@@ -50,36 +52,76 @@ impl<W: Workload> Workload for TickOnly<W> {
     }
 }
 
-fn machine() -> Machine {
+/// The machine kinds `Machine::access` tells apart: a plain machine
+/// (the inlined fast path), a Memory Mode machine and a heat-tracking
+/// machine (both on the out-of-line general path).
+#[derive(Clone, Copy, Debug)]
+enum Kind {
+    Plain,
+    MemoryMode,
+    Heat,
+}
+
+fn machine(kind: Kind) -> Machine {
     let mut cfg = MachineConfig::new(tiny_two_tier(16 * PAGE_SIZE_2M, 96 * PAGE_SIZE_2M), 2);
     cfg.interval_ns = 0.5e6;
+    cfg.hmc_mode = matches!(kind, Kind::MemoryMode);
+    cfg.track_heat = matches!(kind, Kind::Heat);
     Machine::new(cfg)
 }
 
-/// Reports carry floats; Debug formatting is exact, so string equality
-/// is bit equality across every field.
-fn fingerprint(mut workload: impl Workload) -> String {
-    let mgr = &mut MtmManager::new(MtmConfig::default(), 1);
-    let r: RunReport = run_scenario(&mut machine(), mgr, &mut workload, INTERVALS);
-    format!("{r:?}\n{}", r.telemetry.to_json())
+/// A Memory Mode machine runs under the Memory Mode baseline, the others
+/// under MTM.
+fn manager(kind: Kind) -> Box<dyn MemoryManager> {
+    match kind {
+        Kind::MemoryMode => Box::new(MemoryMode),
+        Kind::Plain | Kind::Heat => Box::new(MtmManager::new(MtmConfig::default(), 1)),
+    }
 }
 
-fn check_round_matches_tick(make: impl Fn() -> Box<dyn Workload>) {
+/// Reports carry floats; Debug formatting is exact, so string equality
+/// is bit equality across every field. The heatmap and the Memory Mode
+/// hit ratios are not in the report, so they are appended; each must be
+/// there on the machine kind that keeps it.
+fn fingerprint(kind: Kind, mut workload: impl Workload) -> String {
+    let m = &mut machine(kind);
+    let r: RunReport = run_scenario(m, &mut *manager(kind), &mut workload, INTERVALS);
+    let (heat, hmc) = (m.heat_snapshot(), m.hmc_hit_ratios());
+    assert_eq!(!heat.is_empty(), matches!(kind, Kind::Heat), "{kind:?}: heatmap");
+    assert_eq!(!hmc.is_empty(), matches!(kind, Kind::MemoryMode), "{kind:?}: Memory Mode caches");
+    format!("{r:?}\n{}\n{heat:?}\n{hmc:?}", r.telemetry.to_json())
+}
+
+fn check_round_matches_tick(kind: Kind, make: impl Fn() -> Box<dyn Workload>) {
     let name = make().name();
     assert_eq!(
-        fingerprint(make()),
-        fingerprint(TickOnly(make())),
-        "{name}: round diverged from tick"
+        fingerprint(kind, make()),
+        fingerprint(kind, TickOnly(make())),
+        "{name} on a {kind:?} machine: round diverged from tick"
     );
+}
+
+fn paper_workloads_round_matches_tick_on(kind: Kind) {
+    for name in ["GUPS", "VoltDB", "Cassandra", "BFS", "SSSP", "Spark"] {
+        check_round_matches_tick(kind, || {
+            mtm_workloads::build_paper_workload(name, SCALE, 2).expect("paper workload")
+        });
+    }
 }
 
 #[test]
 fn paper_workloads_round_matches_tick() {
-    for name in ["GUPS", "VoltDB", "Cassandra", "BFS", "SSSP", "Spark"] {
-        check_round_matches_tick(|| {
-            mtm_workloads::build_paper_workload(name, SCALE, 2).expect("paper workload")
-        });
-    }
+    paper_workloads_round_matches_tick_on(Kind::Plain);
+}
+
+#[test]
+fn paper_workloads_round_matches_tick_under_memory_mode() {
+    paper_workloads_round_matches_tick_on(Kind::MemoryMode);
+}
+
+#[test]
+fn paper_workloads_round_matches_tick_with_a_heatmap() {
+    paper_workloads_round_matches_tick_on(Kind::Heat);
 }
 
 #[test]
@@ -88,8 +130,9 @@ fn trace_replayer_round_matches_tick() {
     for name in ["GUPS", "Cassandra"] {
         let wl = mtm_workloads::build_paper_workload(name, SCALE, 2).expect("paper workload");
         let mgr = &mut MtmManager::new(MtmConfig::default(), 1);
-        let (_, trace) = record_run(&mut machine(), mgr, wl, INTERVALS).expect("recordable");
-        check_round_matches_tick(|| {
+        let (_, trace) =
+            record_run(&mut machine(Kind::Plain), mgr, wl, INTERVALS).expect("recordable");
+        check_round_matches_tick(Kind::Plain, || {
             Box::new(TraceReplayer::from_bytes(&trace).expect("trace decodes"))
         });
     }

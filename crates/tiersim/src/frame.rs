@@ -199,7 +199,10 @@ impl FrameAllocator {
 
     /// Restores state saved with [`FrameAllocator::save`] into this
     /// allocator, which keeps its configured capacity. The component id
-    /// must match, and the saved occupancy must fit the capacity.
+    /// must match, and the saved occupancy must fit the capacity. The
+    /// carved range (`0..next_fresh_block`) must be whole blocks within
+    /// the capacity, and every free block, free 4 KB frame and the
+    /// cursor must be an aligned offset inside it.
     pub fn load(&mut self, r: &mut obs::wire::Reader) -> Result<(), String> {
         let component = r.u16()?;
         if component != self.component {
@@ -215,11 +218,48 @@ impl FrameAllocator {
                 self.capacity
             ));
         }
+        let next_fresh_block = r.u64()?;
+        if next_fresh_block > self.capacity || next_fresh_block % PAGE_SIZE_2M != 0 {
+            return Err(format!(
+                "frame allocator: component {component} saved next fresh block {next_fresh_block:#x}, \
+                 not a 2 MB block within its {} B capacity",
+                self.capacity
+            ));
+        }
+        let carved = |what: &str, offset: u64, align: u64| {
+            if offset < next_fresh_block && offset % align == 0 {
+                Ok(offset)
+            } else {
+                Err(format!(
+                    "frame allocator: component {component} saved {what} {offset:#x}, \
+                     misaligned or beyond the carved {next_fresh_block:#x} B"
+                ))
+            }
+        };
+        let free_blocks = (0..r.varint()?)
+            .map(|_| carved("free block", r.u64()?, PAGE_SIZE_2M))
+            .collect::<Result<_, _>>()?;
+        let free_small = (0..r.varint()?)
+            .map(|_| carved("free 4 KB frame", r.u64()?, PAGE_SIZE_4K))
+            .collect::<Result<_, _>>()?;
+        let small_cursor = if r.bool()? {
+            let base = carved("cursor block", r.u64()?, PAGE_SIZE_2M)?;
+            let off = r.u64()?;
+            if off >= PAGE_SIZE_2M || off % PAGE_SIZE_4K != 0 {
+                return Err(format!(
+                    "frame allocator: component {component} saved cursor offset {off:#x}, \
+                     misaligned or beyond its 2 MB block"
+                ));
+            }
+            Some((base, off))
+        } else {
+            None
+        };
         self.used = used;
-        self.next_fresh_block = r.u64()?;
-        self.free_blocks = (0..r.varint()?).map(|_| r.u64()).collect::<Result<_, _>>()?;
-        self.free_small = (0..r.varint()?).map(|_| r.u64()).collect::<Result<_, _>>()?;
-        self.small_cursor = if r.bool()? { Some((r.u64()?, r.u64()?)) } else { None };
+        self.next_fresh_block = next_fresh_block;
+        self.free_blocks = free_blocks;
+        self.free_small = free_small;
+        self.small_cursor = small_cursor;
         Ok(())
     }
 
@@ -704,6 +744,73 @@ mod tests {
                 prop_assert_eq!(saved(|w| dense.save(w)), saved(|w| flat.save(w)), "final save");
             }
         );
+    }
+
+    /// An allocator record for component 0 of a 4-block allocator, with
+    /// nothing in use.
+    fn allocator_record(
+        next_fresh: u64,
+        blocks: &[u64],
+        small: &[u64],
+        cursor: Option<(u64, u64)>,
+    ) -> Vec<u8> {
+        saved(|w| {
+            w.u16(0);
+            w.u64(0);
+            w.u64(next_fresh);
+            w.varint(blocks.len() as u64);
+            blocks.iter().for_each(|&b| w.u64(b));
+            w.varint(small.len() as u64);
+            small.iter().for_each(|&f| w.u64(f));
+            w.bool(cursor.is_some());
+            if let Some((base, off)) = cursor {
+                w.u64(base);
+                w.u64(off);
+            }
+        })
+    }
+
+    fn load_record(bytes: &[u8]) -> Result<FrameAllocator, String> {
+        let mut a = FrameAllocator::new(0, 4 * PAGE_SIZE_2M);
+        a.load(&mut obs::wire::Reader::new(bytes))?;
+        Ok(a)
+    }
+
+    #[test]
+    fn allocator_load_round_trips_a_mixed_state() {
+        let mut a = FrameAllocator::new(0, 4 * PAGE_SIZE_2M);
+        let huge = a.alloc(FrameSize::Huge2M).unwrap();
+        let small: Vec<PhysAddr> = (0..3).map(|_| a.alloc(FrameSize::Base4K).unwrap()).collect();
+        a.alloc(FrameSize::Huge2M).unwrap();
+        a.free_frame(huge, FrameSize::Huge2M);
+        a.free_frame(small[1], FrameSize::Base4K);
+        let bytes = saved(|w| a.save(w));
+        let b = load_record(&bytes).expect("a saved state loads");
+        assert_eq!(saved(|w| b.save(w)), bytes);
+        // A full component: the carved range is the whole capacity.
+        let full = allocator_record(4 * PAGE_SIZE_2M, &[3 * PAGE_SIZE_2M], &[0x1000], None);
+        assert!(load_record(&full).is_ok());
+    }
+
+    #[test]
+    fn allocator_load_rejects_impossible_offsets() {
+        let block = PAGE_SIZE_2M;
+        let cases = [
+            ("next fresh block beyond capacity", allocator_record(100 * block, &[], &[], None)),
+            ("next fresh block misaligned", allocator_record(block + PAGE_SIZE_4K, &[], &[], None)),
+            ("free block misaligned", allocator_record(2 * block, &[PAGE_SIZE_4K], &[], None)),
+            ("free block never carved", allocator_record(2 * block, &[2 * block], &[], None)),
+            ("free 4 KB frame misaligned", allocator_record(block, &[], &[0x800], None)),
+            ("free 4 KB frame never carved", allocator_record(block, &[], &[block], None)),
+            ("cursor block misaligned", allocator_record(block, &[], &[], Some((0x1000, 0x1000)))),
+            ("cursor block never carved", allocator_record(block, &[], &[], Some((block, 0x1000)))),
+            ("cursor offset misaligned", allocator_record(block, &[], &[], Some((0, 0x10)))),
+            ("cursor offset beyond its block", allocator_record(block, &[], &[], Some((0, block)))),
+        ];
+        for (what, bytes) in cases {
+            let err = load_record(&bytes).map(|_| ()).expect_err(what);
+            assert!(err.contains("component 0"), "{what}: {err}");
+        }
     }
 
     #[test]

@@ -194,9 +194,9 @@ pub struct MachineStats {
 /// arithmetic the per-access path used to perform inline, so charging
 /// from the table is bit-identical to recomputing; the config must not
 /// change latency/bandwidth/`mlp` after [`Machine::new`]. The same holds
-/// for `hmc_mode` and `track_heat`, which [`Machine::new`] folds into the
-/// machine's [`AccessMode`] (`Machine::access` debug-asserts that the
-/// mode still matches).
+/// for `hmc_mode` and `track_heat`, which [`Machine::new`] folds into
+/// `Machine::direct` (`Machine::access` debug-asserts that it still
+/// matches).
 #[derive(Clone, Copy, Debug)]
 struct ChargeSpec {
     /// `link.latency_ns / cfg.mlp`.
@@ -214,29 +214,11 @@ struct ChargeSpec {
     hmc_miss_lat_ns: f64,
 }
 
-/// Which path [`Machine::access`] sends an access down when its PTE
-/// carries no fault flag. Fixed at [`Machine::new`] from `hmc_mode` and
-/// `track_heat`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum AccessMode {
-    /// The inlined fast path: charge the mapped component directly.
-    Direct,
-    /// The fast path charging through the Memory Mode cache
-    /// (`Machine::charge_cached`).
-    MemoryMode,
-    /// The out-of-line general path, which keeps the fig6 heatmap (with
-    /// or without Memory Mode).
-    General,
-}
-
-impl AccessMode {
-    fn of(cfg: &MachineConfig) -> AccessMode {
-        match (cfg.track_heat, cfg.hmc_mode) {
-            (true, _) => AccessMode::General,
-            (false, true) => AccessMode::MemoryMode,
-            (false, false) => AccessMode::Direct,
-        }
-    }
+/// True if [`Machine::access`] may charge an access on its inlined fast
+/// path, i.e. the machine has neither Memory Mode nor a heatmap. Fixed at
+/// [`Machine::new`] as `Machine::direct`.
+fn direct_access(cfg: &MachineConfig) -> bool {
+    !cfg.hmc_mode && !cfg.track_heat
 }
 
 /// A PM component's Memory Mode DRAM cache and the DRAM component that
@@ -266,8 +248,8 @@ pub struct Machine {
     /// Per-(node, component) charge table, indexed
     /// `node * num_components + component` (see [`ChargeSpec`]).
     charge: Vec<ChargeSpec>,
-    /// `AccessMode::of(&cfg)`, fixed at construction.
-    mode: AccessMode,
+    /// `direct_access(&cfg)`, fixed at construction.
+    direct: bool,
     /// Memory Mode cache per component id: `Some` for each PM component
     /// of a Memory Mode machine, `None` otherwise (empty outside Memory
     /// Mode).
@@ -340,7 +322,7 @@ impl Machine {
                 });
             }
         }
-        let mode = AccessMode::of(&cfg);
+        let direct = direct_access(&cfg);
         Machine {
             cfg,
             pt: PageTable::new(),
@@ -356,7 +338,7 @@ impl Machine {
             watch_bounds: None,
             next_watch_id: 1,
             charge,
-            mode,
+            direct,
             hmc,
             heat: Vec::new(),
             recorder: obs::Recorder::new(),
@@ -497,18 +479,19 @@ impl Machine {
     ///
     /// This is the fast path: a mapped page with no fault flag set, on a
     /// machine without Memory Mode or a heatmap, costs `touch`, a version
-    /// bump on writes, the counters, PEBS and one charge. A Memory Mode
-    /// machine charges through its DRAM cache (`Machine::charge_cached`)
-    /// instead; a fault flag or a heatmap sends the access to the
+    /// bump on writes, the counters, PEBS and one charge. One test sends
+    /// everything else (a fault flag, Memory Mode, a heatmap) to the
     /// out-of-line general path (`Machine::access_general`).
     /// Forced inline: with a plain `#[inline]` the compiler left it an
     /// out-of-line call from `SimEnv::do_access`, which cost ~12 % of
-    /// `sim_maccess_per_s` on both GUPS benchmark workloads.
+    /// `sim_maccess_per_s` on both GUPS benchmark workloads. It is
+    /// inlined at every simulated access of every workload, so it is
+    /// kept small.
     #[inline(always)]
     pub fn access(&mut self, tid: usize, va: VirtAddr, kind: AccessKind) -> AccessResult {
         debug_assert_eq!(
-            self.mode,
-            AccessMode::of(&self.cfg),
+            self.direct,
+            direct_access(&self.cfg),
             "cfg.hmc_mode/cfg.track_heat changed after Machine::new"
         );
         let is_write = kind == AccessKind::Write;
@@ -518,7 +501,7 @@ impl Machine {
             return AccessResult::Unmapped;
         };
         let faults = pre.0 & (PTE_NUMA_POISON | PTE_PROT_NONE | PTE_WRITE_TRACK);
-        if self.mode == AccessMode::General || faults != 0 {
+        if !self.direct || faults != 0 {
             std::hint::cold_path();
             return self.access_general(tid, va, is_write, pre, size);
         }
@@ -526,14 +509,7 @@ impl Machine {
         if is_write {
             self.versions.bump(frame_page_base(frame));
         }
-        if self.mode == AccessMode::MemoryMode {
-            // Unlikely on a machine without Memory Mode: the direct
-            // charge stays the fall-through.
-            std::hint::cold_path();
-            self.charge_cached(tid, va, is_write, frame, size, 0.0);
-        } else {
-            self.charge_direct(tid, va, is_write, frame.component(), 0.0);
-        }
+        self.charge_direct(tid, va, is_write, frame.component(), 0.0);
         AccessResult::Ok
     }
 
@@ -612,9 +588,9 @@ impl Machine {
 
     /// The general access path, for accesses whose pre-access PTE carries
     /// a fault flag (hint poison, protection, write tracking) and for
-    /// every access of a heat-tracking machine. `pre` and `size` are what
-    /// `touch` returned. It handles the fault flags and the heatmap, then
-    /// charges as the machine's mode does.
+    /// every access of a Memory Mode or heat-tracking machine. `pre` and
+    /// `size` are what `touch` returned. It handles the fault flags and
+    /// the heatmap, then charges as the machine's mode does.
     #[cold]
     #[inline(never)]
     fn access_general(
@@ -1888,6 +1864,28 @@ mod tests {
         blob[at..at + 8].copy_from_slice(&(5 * PAGE_SIZE_2M).to_le_bytes());
         let err = build().load_state(&blob).unwrap_err();
         assert!(err.contains("over its"), "{err}");
+    }
+
+    #[test]
+    fn load_state_rejects_next_fresh_block_beyond_capacity() {
+        let build = || {
+            let topo = tiny_two_tier(4 * PAGE_SIZE_2M, 16 * PAGE_SIZE_2M);
+            Machine::new(MachineConfig::new(topo, 1))
+        };
+        let mut m = build();
+        m.mmap("a", VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M), true);
+        m.alloc_and_map(0, VirtAddr(0), &[0]).unwrap();
+        let mut blob = m.save_state();
+        // Component 0's record is its id (u16), `used` (u64), then
+        // `next_fresh_block` (u64): patch the last to 100 blocks.
+        let mut w = obs::wire::Writer::new();
+        m.allocators[0].save(&mut w);
+        let record = w.into_bytes();
+        let at = blob.windows(record.len()).position(|win| win == record).expect("record") + 2 + 8;
+        assert_eq!(blob[at..at + 8], PAGE_SIZE_2M.to_le_bytes(), "one block carved");
+        blob[at..at + 8].copy_from_slice(&(100 * PAGE_SIZE_2M).to_le_bytes());
+        let err = build().load_state(&blob).unwrap_err();
+        assert!(err.contains("next fresh block"), "{err}");
     }
 
     /// A fresh Memory Mode machine on the two-tier topology (8 PM blocks

@@ -77,6 +77,39 @@ cargo build --release --workspace --all-targets 2>&1 | tee "$tmp/build"
 if grep -E '^warning' "$tmp/build"; then
     fail "warning lines from the release build, see above"
 fi
+
+# Codegen gate: every simulated access of a workload's `round` is an
+# inlined copy of the fast path, with no call (DESIGN.md §5e, "A static
+# access loop"). The release `all` must not call `SimEnv`'s
+# `MemEnv::read` or `::write`, directly or through the GOT (how a crate
+# calls another crate's function it cannot inline); the vtable copy
+# behind the `dyn MemEnv` `tick` path is reached through a register and
+# stays allowed.
+echo "==> codegen gate (no call to SimEnv::read/write in release all but through the vtable)"
+command -v objdump >/dev/null \
+    || fail "objdump not found: the codegen gate needs it (binutils) to disassemble the release all"
+all_bin="${CARGO_TARGET_DIR:-target}/release/all"
+{ objdump -d -C "$all_bin" >"$tmp/all.asm" && objdump -R "$all_bin" >"$tmp/all.rel"; } \
+    || fail "objdump could not read $all_bin"
+calls=$(python3 - "$tmp/all.asm" "$tmp/all.rel" <<'PY'
+import re, sys
+asm, rel = (open(p).read() for p in sys.argv[1:3])
+copies = {int(a, 16) for a in re.findall(
+    r"^([0-9a-f]+) <<tiersim::sim::SimEnv as tiersim::sim::MemEnv>::(?:read|write)>:$", asm, re.M)}
+if len(copies) < 2:
+    print("no <SimEnv as MemEnv>::read/write symbols in the release all; update the gate's pattern")
+    sys.exit(1)
+# A GOT slot reaches a copy when its dynamic relocation names the copy's address.
+slots = {int(slot, 16) for slot, to in re.findall(
+    r"^([0-9a-f]+) R_X86_64_RELATIVE +\*ABS\*\+0x([0-9a-f]+)$", rel, re.M) if int(to, 16) in copies}
+direct = sum(int(to, 16) in copies for to in re.findall(r"\t(?:call|jmp) +([0-9a-f]+) <", asm))
+via_got = sum(int(slot, 16) in slots for slot in re.findall(r"\tcall +\*0x[0-9a-f]+\(%rip\) +# ([0-9a-f]+)", asm))
+print(direct + via_got)
+PY
+) || fail "codegen gate: $calls"
+[ "$calls" -eq 0 ] \
+    || fail "$calls calls to <SimEnv as MemEnv>::read/write in release all: the static access loop is no longer inlined"
+
 cargo test -q --workspace
 
 # Static analysis gate: the workspace lint (crates/lint) must report zero
