@@ -4,13 +4,17 @@
 //! forwards only `tick` falls back to the provided `round`, which makes
 //! one `dyn MemEnv` tick at a time. Both must produce the same run, down
 //! to every report field and the telemetry JSON, on a plain machine, a
-//! Memory Mode machine and a heat-tracking machine alike.
+//! Memory Mode machine, a heat-tracking machine and a sanitizer-armed
+//! machine (which keeps frame versions) alike. GUPS issues its table
+//! read-modify-write as one `MemEnv::update`; it must also match a tick
+//! path that splits every update into a `read` and a `write`.
 
 use mtm::{MtmConfig, MtmManager};
 use mtm_baselines::hmc::MemoryMode;
 use mtm_scenario::trace::{record_run, TraceReplayer};
-use tiersim::addr::VaRange;
+use tiersim::addr::{VaRange, VirtAddr};
 use tiersim::machine::{Machine, MachineConfig};
+use tiersim::PAGE_SIZE_4K;
 use tiersim::sim::{run_scenario, MemEnv, MemoryManager, RunReport, Workload};
 use tiersim::tier::tiny_two_tier;
 use tiersim::PAGE_SIZE_2M;
@@ -52,14 +56,70 @@ impl<W: Workload> Workload for TickOnly<W> {
     }
 }
 
+/// A `MemEnv` that forwards everything but `update`, which it leaves to
+/// the trait's default: a `read` and then a `write`.
+struct SplitUpdates<'a>(&'a mut dyn MemEnv);
+
+impl MemEnv for SplitUpdates<'_> {
+    fn read(&mut self, tid: usize, va: VirtAddr) {
+        self.0.read(tid, va);
+    }
+
+    fn write(&mut self, tid: usize, va: VirtAddr) {
+        self.0.write(tid, va);
+    }
+
+    fn compute(&mut self, tid: usize, ns: f64) {
+        self.0.compute(tid, ns);
+    }
+
+    fn machine(&mut self) -> &mut Machine {
+        self.0.machine()
+    }
+}
+
+/// [`TickOnly`] with every tick on a [`SplitUpdates`] environment.
+struct SplitTicks<W: Workload>(TickOnly<W>);
+
+impl<W: Workload> Workload for SplitTicks<W> {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn setup(&mut self, env: &mut dyn MemEnv) {
+        self.0.setup(env);
+    }
+
+    fn tick(&mut self, env: &mut dyn MemEnv, tid: usize) {
+        self.0.tick(&mut SplitUpdates(env), tid);
+    }
+
+    fn footprint(&self) -> u64 {
+        self.0.footprint()
+    }
+
+    fn true_hot_ranges(&self) -> Vec<VaRange> {
+        self.0.true_hot_ranges()
+    }
+
+    fn end_of_interval(&mut self, interval: u64) {
+        self.0.end_of_interval(interval);
+    }
+
+    fn ops_completed(&self) -> u64 {
+        self.0.ops_completed()
+    }
+}
+
 /// The machine kinds `Machine::access` tells apart: a plain machine
-/// (the inlined fast path), a Memory Mode machine and a heat-tracking
-/// machine (both on the out-of-line general path).
+/// (the inlined fast path), and a Memory Mode, a heat-tracking and a
+/// sanitizer-armed machine (all on the out-of-line general path).
 #[derive(Clone, Copy, Debug)]
 enum Kind {
     Plain,
     MemoryMode,
     Heat,
+    Checked,
 }
 
 fn machine(kind: Kind) -> Machine {
@@ -67,7 +127,9 @@ fn machine(kind: Kind) -> Machine {
     cfg.interval_ns = 0.5e6;
     cfg.hmc_mode = matches!(kind, Kind::MemoryMode);
     cfg.track_heat = matches!(kind, Kind::Heat);
-    Machine::new(cfg)
+    let mut m = Machine::new(cfg);
+    m.set_checking(matches!(kind, Kind::Checked));
+    m
 }
 
 /// A Memory Mode machine runs under the Memory Mode baseline, the others
@@ -75,21 +137,28 @@ fn machine(kind: Kind) -> Machine {
 fn manager(kind: Kind) -> Box<dyn MemoryManager> {
     match kind {
         Kind::MemoryMode => Box::new(MemoryMode),
-        Kind::Plain | Kind::Heat => Box::new(MtmManager::new(MtmConfig::default(), 1)),
+        Kind::Plain | Kind::Heat | Kind::Checked => Box::new(MtmManager::new(MtmConfig::default(), 1)),
     }
 }
 
 /// Reports carry floats; Debug formatting is exact, so string equality
-/// is bit equality across every field. The heatmap and the Memory Mode
-/// hit ratios are not in the report, so they are appended; each must be
-/// there on the machine kind that keeps it.
+/// is bit equality across every field. The heatmap, the Memory Mode
+/// hit ratios and the frame versions are not in the report, so they are
+/// appended (the versions as the machine's whole checkpoint); each must
+/// be there on the machine kind that keeps it.
 fn fingerprint(kind: Kind, mut workload: impl Workload) -> String {
     let m = &mut machine(kind);
     let r: RunReport = run_scenario(m, &mut *manager(kind), &mut workload, INTERVALS);
     let (heat, hmc) = (m.heat_snapshot(), m.hmc_hit_ratios());
     assert_eq!(!heat.is_empty(), matches!(kind, Kind::Heat), "{kind:?}: heatmap");
     assert_eq!(!hmc.is_empty(), matches!(kind, Kind::MemoryMode), "{kind:?}: Memory Mode caches");
-    format!("{r:?}\n{}\n{heat:?}\n{hmc:?}", r.telemetry.to_json())
+    let written = (0..m.topology().num_components() as u16).any(|c| {
+        (0..m.allocator(c).capacity() / PAGE_SIZE_4K)
+            .any(|f| m.frame_version(tiersim::addr::PhysAddr::new(c, f * PAGE_SIZE_4K)) > 0)
+    });
+    assert_eq!(written, matches!(kind, Kind::Checked), "{kind:?}: frame versions");
+    let state = obs::wire::fnv1a(&m.save_state());
+    format!("{r:?}\n{}\n{heat:?}\n{hmc:?}\n{state:#x}", r.telemetry.to_json())
 }
 
 fn check_round_matches_tick(kind: Kind, make: impl Fn() -> Box<dyn Workload>) {
@@ -122,6 +191,23 @@ fn paper_workloads_round_matches_tick_under_memory_mode() {
 #[test]
 fn paper_workloads_round_matches_tick_with_a_heatmap() {
     paper_workloads_round_matches_tick_on(Kind::Heat);
+}
+
+#[test]
+fn paper_workloads_round_matches_tick_with_the_sanitizer_armed() {
+    paper_workloads_round_matches_tick_on(Kind::Checked);
+}
+
+#[test]
+fn gups_updates_match_a_read_and_a_write() {
+    for kind in [Kind::Plain, Kind::Checked] {
+        let make = || mtm_workloads::build_paper_workload("GUPS", SCALE, 2).expect("paper workload");
+        assert_eq!(
+            fingerprint(kind, make()),
+            fingerprint(kind, SplitTicks(TickOnly(make()))),
+            "GUPS on a {kind:?} machine: update diverged from read + write"
+        );
+    }
 }
 
 #[test]

@@ -36,6 +36,37 @@ impl TimeBreakdown {
     }
 }
 
+/// Precomputed access-charge constants of one (node, component) link —
+/// the division-free fast path of the roofline cost model. The machine
+/// derives every entry from its configuration at construction with
+/// exactly the arithmetic the per-access path used to perform inline, so
+/// charging from the table is bit-identical to recomputing; the config
+/// must not change latency/bandwidth/`mlp` after `Machine::new`.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct ChargeSpec {
+    /// `link.latency_ns / cfg.mlp`.
+    pub(crate) lat_ns: f64,
+    /// `CACHE_LINE as f64 * link.write_cost_factor()` — the roofline
+    /// byte charge of one written line on this link, and of one dirty
+    /// line a Memory Mode miss writes back to this PM component.
+    pub(crate) write_bytes: f64,
+    /// `dram latency / cfg.mlp` for the PM component's Memory Mode hit
+    /// path (served by the fronting DRAM); 0.0 outside Memory Mode.
+    pub(crate) hmc_hit_lat_ns: f64,
+    /// `(dram latency + this link's latency) / cfg.mlp` for the PM
+    /// component's Memory Mode miss path (tag check in the fronting
+    /// DRAM serializes before the PM access); 0.0 outside Memory Mode.
+    pub(crate) hmc_miss_lat_ns: f64,
+}
+
+/// One (node, component) link: its charge constants next to the bytes it
+/// moved in the open interval, so an access finds both with one index.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Link {
+    pub(crate) charge: ChargeSpec,
+    pub(crate) bytes: f64,
+}
+
 /// The machine clock: per-interval accumulators plus committed totals.
 #[derive(Debug)]
 pub struct Clock {
@@ -43,28 +74,38 @@ pub struct Clock {
     nodes: usize,
     components: usize,
     /// Latency cost accumulated by each thread in the open interval.
-    thread_ns: Vec<f64>,
-    /// Bytes moved per (node, component) link in the open interval.
-    link_bytes: Vec<f64>,
+    pub(crate) thread_ns: Vec<f64>,
+    /// Every link, indexed `node * components + component`.
+    pub(crate) links: Vec<Link>,
     /// Committed virtual time.
     breakdown: TimeBreakdown,
     intervals_committed: u64,
 }
 
 impl Clock {
-    /// Creates a clock for `threads` application threads on a topology.
-    pub fn new(threads: usize, topo: &Topology) -> Clock {
+    /// Creates a clock for `threads` application threads on a topology,
+    /// with one charge spec per link.
+    pub(crate) fn new(threads: usize, topo: &Topology, charges: Vec<ChargeSpec>) -> Clock {
         let nodes = topo.nodes as usize;
         let components = topo.num_components();
+        assert_eq!(charges.len(), nodes * components, "one charge spec per link");
         Clock {
             threads,
             nodes,
             components,
             thread_ns: vec![0.0; threads],
-            link_bytes: vec![0.0; nodes * components],
+            links: charges.into_iter().map(|charge| Link { charge, bytes: 0.0 }).collect(),
             breakdown: TimeBreakdown::default(),
             intervals_committed: 0,
         }
+    }
+
+    /// Zeroes the accumulators and committed totals.
+    pub(crate) fn reset(&mut self) {
+        self.thread_ns.fill(0.0);
+        self.links.iter_mut().for_each(|l| l.bytes = 0.0);
+        self.breakdown = TimeBreakdown::default();
+        self.intervals_committed = 0;
     }
 
     /// Charges one access: `lat_ns` of latency to `tid`, `bytes` across the
@@ -72,7 +113,7 @@ impl Clock {
     #[inline]
     pub fn charge_access(&mut self, tid: usize, lat_ns: f64, node: u16, component: u16, bytes: f64) {
         self.thread_ns[tid] += lat_ns;
-        self.link_bytes[node as usize * self.components + component as usize] += bytes;
+        self.links[node as usize * self.components + component as usize].bytes += bytes;
     }
 
     /// Charges latency to `tid` alone, moving no bytes over any link.
@@ -87,7 +128,7 @@ impl Clock {
         let mut bw = 0.0_f64;
         for node in 0..self.nodes {
             for comp in 0..self.components {
-                let bytes = self.link_bytes[node * self.components + comp];
+                let bytes = self.links[node * self.components + comp].bytes;
                 if bytes > 0.0 {
                     let spec = topo.link(node as u16, comp as u16);
                     bw = bw.max(bytes / spec.bytes_per_ns());
@@ -102,8 +143,8 @@ impl Clock {
     pub fn commit_interval(&mut self, topo: &Topology) -> f64 {
         let elapsed = self.open_interval_ns(topo);
         self.breakdown.app_ns += elapsed;
-        self.thread_ns.iter_mut().for_each(|t| *t = 0.0);
-        self.link_bytes.iter_mut().for_each(|b| *b = 0.0);
+        self.thread_ns.fill(0.0);
+        self.links.iter_mut().for_each(|l| l.bytes = 0.0);
         self.intervals_committed += 1;
         elapsed
     }
@@ -153,9 +194,9 @@ impl Clock {
         for &t in &self.thread_ns {
             w.f64(t);
         }
-        w.varint(self.link_bytes.len() as u64);
-        for &b in &self.link_bytes {
-            w.f64(b);
+        w.varint(self.links.len() as u64);
+        for l in &self.links {
+            w.f64(l.bytes);
         }
         w.f64(self.breakdown.app_ns);
         w.f64(self.breakdown.profiling_ns);
@@ -177,14 +218,14 @@ impl Clock {
             *t = r.f64()?;
         }
         let links = r.varint()? as usize;
-        if links != self.link_bytes.len() {
+        if links != self.links.len() {
             return Err(format!(
                 "clock: link count mismatch (saved {links}, have {})",
-                self.link_bytes.len()
+                self.links.len()
             ));
         }
-        for b in self.link_bytes.iter_mut() {
-            *b = r.f64()?;
+        for l in self.links.iter_mut() {
+            l.bytes = r.f64()?;
         }
         self.breakdown.app_ns = r.f64()?;
         self.breakdown.profiling_ns = r.f64()?;
@@ -197,12 +238,19 @@ impl Clock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tier::tiny_two_tier;
+    use crate::tier::{tiny_two_tier, Topology};
+
+    /// A clock whose charge specs are all zero (the tests charge
+    /// explicit amounts).
+    fn clock(threads: usize, topo: &Topology) -> Clock {
+        let links = topo.nodes as usize * topo.num_components();
+        Clock::new(threads, topo, vec![ChargeSpec::default(); links])
+    }
 
     #[test]
     fn latency_bound_interval() {
         let topo = tiny_two_tier(1 << 21, 1 << 21);
-        let mut clock = Clock::new(2, &topo);
+        let mut clock = clock(2, &topo);
         clock.charge_access(0, 100.0, 0, 0, 64.0);
         clock.charge_access(0, 100.0, 0, 0, 64.0);
         clock.charge_access(1, 50.0, 0, 0, 64.0);
@@ -214,7 +262,7 @@ mod tests {
     #[test]
     fn bandwidth_bound_interval() {
         let topo = tiny_two_tier(1 << 21, 1 << 21);
-        let mut clock = Clock::new(4, &topo);
+        let mut clock = clock(4, &topo);
         // Slow tier: 5 GB/s => 5 bytes/ns. 1 MB across it = 209715.2 ns.
         for tid in 0..4 {
             clock.charge_access(tid, 10.0, 0, 1, 262144.0);
@@ -226,7 +274,7 @@ mod tests {
     #[test]
     fn commit_resets_accumulators() {
         let topo = tiny_two_tier(1 << 21, 1 << 21);
-        let mut clock = Clock::new(1, &topo);
+        let mut clock = clock(1, &topo);
         clock.charge_access(0, 500.0, 0, 0, 64.0);
         let e = clock.commit_interval(&topo);
         assert_eq!(e, 500.0);
@@ -238,7 +286,7 @@ mod tests {
     #[test]
     fn buckets_accumulate_independently() {
         let topo = tiny_two_tier(1 << 21, 1 << 21);
-        let mut clock = Clock::new(1, &topo);
+        let mut clock = clock(1, &topo);
         clock.charge_profiling(10.0);
         clock.charge_migration(20.0);
         clock.charge_access(0, 30.0, 0, 0, 64.0);

@@ -10,13 +10,15 @@
 
 use crate::addr::{VaRange, VirtAddr, CACHE_LINE, PAGE_SIZE_2M};
 use crate::cache::HwCache;
-use crate::clock::{Clock, TimeBreakdown};
+use crate::clock::{ChargeSpec, Clock, TimeBreakdown};
 use crate::counters::Counters;
 use crate::frame::{FrameAllocator, FrameSize, OutOfMemory, VersionStore};
 use crate::hintfault::HintFaultUnit;
 use crate::page_table::PageTable;
 use crate::pebs::{Pebs, PebsConfig};
-use crate::pte::{Pte, PTE_NUMA_POISON, PTE_PROT_NONE, PTE_WRITE_TRACK};
+use crate::pte::{
+    Pte, PTE_ACCESSED, PTE_DIRTY, PTE_NUMA_POISON, PTE_PRESENT, PTE_PROT_NONE, PTE_WRITE_TRACK,
+};
 use crate::tier::{ComponentId, NodeId, Topology};
 
 /// Whether an access reads or writes.
@@ -188,37 +190,19 @@ pub struct MachineStats {
     pub bytes_migrated: u64,
 }
 
-/// Precomputed per-(node, component) access-charge constants — the
-/// division-free fast path of the roofline cost model. Every entry is
-/// derived from [`MachineConfig`] at construction with exactly the
-/// arithmetic the per-access path used to perform inline, so charging
-/// from the table is bit-identical to recomputing; the config must not
-/// change latency/bandwidth/`mlp` after [`Machine::new`]. The same holds
-/// for `hmc_mode` and `track_heat`, which [`Machine::new`] folds into
-/// `Machine::direct` (`Machine::access` debug-asserts that it still
-/// matches).
-#[derive(Clone, Copy, Debug)]
-struct ChargeSpec {
-    /// `link.latency_ns / cfg.mlp`.
-    lat_ns: f64,
-    /// `CACHE_LINE as f64 * link.write_cost_factor()` — the roofline
-    /// byte charge of one written line on this link, and of one dirty
-    /// line a Memory Mode miss writes back to this PM component.
-    write_bytes: f64,
-    /// `dram latency / cfg.mlp` for the PM component's Memory Mode hit
-    /// path (served by the fronting DRAM); 0.0 outside Memory Mode.
-    hmc_hit_lat_ns: f64,
-    /// `(dram latency + this link's latency) / cfg.mlp` for the PM
-    /// component's Memory Mode miss path (tag check in the fronting
-    /// DRAM serializes before the PM access); 0.0 outside Memory Mode.
-    hmc_miss_lat_ns: f64,
-}
+/// The PTE flags whose access takes a fault (hint poison, protection,
+/// write tracking).
+const FAULT_BITS: u64 = PTE_NUMA_POISON | PTE_PROT_NONE | PTE_WRITE_TRACK;
 
-/// True if [`Machine::access`] may charge an access on its inlined fast
-/// path, i.e. the machine has neither Memory Mode nor a heatmap. Fixed at
-/// [`Machine::new`] as `Machine::direct`.
-fn direct_access(cfg: &MachineConfig) -> bool {
-    !cfg.hmc_mode && !cfg.track_heat
+/// One thread's state for a tick, held in locals: its row of the link
+/// table and its open-interval latency clock. [`Machine::lane`] opens it
+/// from the clock and [`Machine::park`] writes the clock back.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Lane {
+    pub(crate) tid: usize,
+    /// `node * components` for the thread's node.
+    row: usize,
+    pub(crate) t_ns: f64,
 }
 
 /// A PM component's Memory Mode DRAM cache and the DRAM component that
@@ -245,11 +229,9 @@ pub struct Machine {
     watches: Vec<WatchEntry>,
     watch_bounds: Option<VaRange>,
     next_watch_id: u64,
-    /// Per-(node, component) charge table, indexed
-    /// `node * num_components + component` (see [`ChargeSpec`]).
-    charge: Vec<ChargeSpec>,
-    /// `direct_access(&cfg)`, fixed at construction.
-    direct: bool,
+    /// `slow_mask(&cfg, checking)`: the PTE flags that send an access
+    /// off the inlined fast path.
+    slow: u64,
     /// Memory Mode cache per component id: `Some` for each PM component
     /// of a Memory Mode machine, `None` otherwise (empty outside Memory
     /// Mode).
@@ -278,7 +260,6 @@ impl Machine {
         let allocators = (0..cfg.topology.num_components() as u16)
             .map(|c| FrameAllocator::new(c, cfg.topology.components[c as usize].capacity))
             .collect();
-        let clock = Clock::new(cfg.threads, &cfg.topology);
         let counters = Counters::new(cfg.topology.num_components());
         let pebs = Pebs::new(&cfg.pebs);
         let components = cfg.topology.num_components();
@@ -322,7 +303,8 @@ impl Machine {
                 });
             }
         }
-        let direct = direct_access(&cfg);
+        let clock = Clock::new(cfg.threads, &cfg.topology, charge);
+        let slow = slow_mask(&cfg, false);
         Machine {
             cfg,
             pt: PageTable::new(),
@@ -337,8 +319,7 @@ impl Machine {
             watches: Vec::new(),
             watch_bounds: None,
             next_watch_id: 1,
-            charge,
-            direct,
+            slow,
             hmc,
             heat: Vec::new(),
             recorder: obs::Recorder::new(),
@@ -410,7 +391,7 @@ impl Machine {
     /// for the rest of the machine's life.
     #[doc(hidden)]
     pub fn allocators_mut_for_test(&mut self, component: ComponentId) -> &mut FrameAllocator {
-        self.checking = false;
+        self.set_checking(false);
         &mut self.allocators[component as usize]
     }
 
@@ -476,41 +457,107 @@ impl Machine {
     /// Returns [`AccessResult::Unmapped`] if no mapping covers `va`; the
     /// caller (normally the [`crate::sim`] driver) places the page via the
     /// active manager's policy and retries.
+    #[inline]
+    pub fn access(&mut self, tid: usize, va: VirtAddr, kind: AccessKind) -> AccessResult {
+        let mut lane = self.lane(tid);
+        let r = self.lane_access(&mut lane, va, kind);
+        self.park(&lane);
+        r
+    }
+
+    /// Opens thread `tid`'s [`Lane`] from the clock.
+    #[inline(always)]
+    pub(crate) fn lane(&self, tid: usize) -> Lane {
+        let row = self.cfg.thread_node[tid] as usize * self.cfg.topology.num_components();
+        Lane { tid, row, t_ns: self.clock.thread_ns[tid] }
+    }
+
+    /// Writes a lane's clock back to the machine clock.
+    #[inline(always)]
+    pub(crate) fn park(&mut self, lane: &Lane) {
+        self.clock.thread_ns[lane.tid] = lane.t_ns;
+    }
+
+    /// Re-reads a lane's clock after something else charged it.
+    #[inline(always)]
+    pub(crate) fn resume(&self, lane: &mut Lane) {
+        lane.t_ns = self.clock.thread_ns[lane.tid];
+    }
+
+    /// One access on an open lane: the simulator's fast path.
     ///
-    /// This is the fast path: a mapped page with no fault flag set, on a
-    /// machine without Memory Mode or a heatmap, costs `touch`, a version
-    /// bump on writes, the counters, PEBS and one charge. One test sends
-    /// everything else (a fault flag, Memory Mode, a heatmap) to the
-    /// out-of-line general path (`Machine::access_general`).
-    /// Forced inline: with a plain `#[inline]` the compiler left it an
-    /// out-of-line call from `SimEnv::do_access`, which cost ~12 % of
-    /// `sim_maccess_per_s` on both GUPS benchmark workloads. It is
-    /// inlined at every simulated access of every workload, so it is
+    /// A mapped page none of whose flags is in the slow mask costs
+    /// `touch`, the counters, PEBS and one charge. One test of the
+    /// pre-access flag word against the mask sends everything else (a
+    /// fault flag, Memory Mode, a heatmap, the armed sanitizer) to the
+    /// out-of-line `access_general`, with the lane parked around it. It
+    /// is inlined at every simulated access of every workload, so it is
     /// kept small.
     #[inline(always)]
-    pub fn access(&mut self, tid: usize, va: VirtAddr, kind: AccessKind) -> AccessResult {
-        debug_assert_eq!(
-            self.direct,
-            direct_access(&self.cfg),
-            "cfg.hmc_mode/cfg.track_heat changed after Machine::new"
-        );
+    pub(crate) fn lane_access(&mut self, lane: &mut Lane, va: VirtAddr, kind: AccessKind) -> AccessResult {
+        debug_assert_eq!(self.slow, slow_mask(&self.cfg, self.checking), "cfg changed after Machine::new");
         let is_write = kind == AccessKind::Write;
-        // `touch` sets ACCESSED (and DIRTY on writes) in the PTE and hands
-        // back the pre-access flag word the fault gate reads.
+        // `touch` sets ACCESSED (and DIRTY on writes) and hands back the
+        // pre-access flag word.
         let Some((pre, size)) = self.pt.touch(va, is_write) else {
             return AccessResult::Unmapped;
         };
-        let faults = pre.0 & (PTE_NUMA_POISON | PTE_PROT_NONE | PTE_WRITE_TRACK);
-        if !self.direct || faults != 0 {
+        if pre.0 & self.slow != 0 {
             std::hint::cold_path();
-            return self.access_general(tid, va, is_write, pre, size);
+            self.park(lane);
+            self.access_general(lane.tid, va, is_write, pre, size);
+            self.resume(lane);
+            return AccessResult::Ok;
         }
-        let frame = pre.frame();
-        if is_write {
-            self.versions.bump(frame_page_base(frame));
-        }
-        self.charge_direct(tid, va, is_write, frame.component(), 0.0);
+        self.charge_lane(lane, va, is_write, pre.frame().component());
         AccessResult::Ok
+    }
+
+    /// A read of `va` and then a write of it on an open lane, with one
+    /// page walk: the same state as `lane_access` with `Read` and then
+    /// `Write`. An entry with a slow-mask flag takes the two accesses
+    /// through [`Machine::access`], out of line.
+    #[inline(always)]
+    pub(crate) fn lane_update(&mut self, lane: &mut Lane, va: VirtAddr) -> AccessResult {
+        let Some((pte, _)) = self.pt.pte_mut(va) else {
+            return AccessResult::Unmapped;
+        };
+        let pre = *pte;
+        if pre.0 & self.slow != 0 {
+            std::hint::cold_path();
+            self.park(lane);
+            self.update_general(lane.tid, va);
+            self.resume(lane);
+            return AccessResult::Ok;
+        }
+        if pre.0 & (PTE_ACCESSED | PTE_DIRTY) != PTE_ACCESSED | PTE_DIRTY {
+            pte.set(PTE_ACCESSED | PTE_DIRTY);
+        }
+        let component = pre.frame().component();
+        self.charge_lane(lane, va, false, component);
+        self.charge_lane(lane, va, true, component);
+        AccessResult::Ok
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn update_general(&mut self, tid: usize, va: VirtAddr) {
+        self.access(tid, va, AccessKind::Read);
+        self.access(tid, va, AccessKind::Write);
+    }
+
+    /// Charges one fast-path access: the counters, PEBS (stamped with the
+    /// lane's clock before the charge), then the link's latency to the
+    /// lane and its bytes to the link, through one index.
+    #[inline(always)]
+    fn charge_lane(&mut self, lane: &mut Lane, va: VirtAddr, is_write: bool, component: ComponentId) {
+        self.counters.record(component, is_write);
+        self.pebs.observe(va, lane.tid as u32, component, is_write, lane.t_ns);
+        let link = &mut self.clock.links[lane.row + component as usize];
+        lane.t_ns += link.charge.lat_ns;
+        // The roofline uses a read-bandwidth denominator; writes count as
+        // more bytes where write bandwidth is lower.
+        link.bytes += if is_write { link.charge.write_bytes } else { CACHE_LINE as f64 };
     }
 
     /// Charges one access of a Memory Mode machine, `extra_ns` of fault
@@ -543,7 +590,7 @@ impl Machine {
         let dram = cached.dram;
         let node = self.cfg.thread_node[tid];
         let t_ns = self.clock.thread_ns(tid);
-        let spec = self.charge[node as usize * self.cfg.topology.num_components() + component as usize];
+        let spec = self.clock.links[node as usize * self.cfg.topology.num_components() + component as usize].charge;
         if probe.hit {
             // A cache hit is served by (and counted against) DRAM.
             self.counters.record(dram, is_write);
@@ -563,9 +610,8 @@ impl Machine {
     }
 
     /// Charges one access straight to `component`, `extra_ns` of fault
-    /// handling included. The fast path passes `0.0`, and
-    /// `spec.lat_ns + 0.0 == spec.lat_ns`.
-    #[inline(always)]
+    /// handling included: the general path's copy of `charge_lane`, and
+    /// bit-identical to it at `extra_ns == 0.0` (`x + 0.0 == x`).
     fn charge_direct(
         &mut self,
         tid: usize,
@@ -578,7 +624,7 @@ impl Machine {
         let t_ns = self.clock.thread_ns(tid);
         self.counters.record(component, is_write);
         self.pebs.observe(va, tid as u32, component, is_write, t_ns);
-        let spec = self.charge[node as usize * self.cfg.topology.num_components() + component as usize];
+        let spec = self.clock.links[node as usize * self.cfg.topology.num_components() + component as usize].charge;
         let lat = spec.lat_ns + extra_ns;
         // The roofline uses a read-bandwidth denominator; writes count as
         // more bytes where write bandwidth is lower.
@@ -588,9 +634,10 @@ impl Machine {
 
     /// The general access path, for accesses whose pre-access PTE carries
     /// a fault flag (hint poison, protection, write tracking) and for
-    /// every access of a Memory Mode or heat-tracking machine. `pre` and
-    /// `size` are what `touch` returned. It handles the fault flags and
-    /// the heatmap, then charges as the machine's mode does.
+    /// every access of a Memory Mode, heat-tracking or sanitizer-armed
+    /// machine. `pre` and `size` are what `touch` returned. It handles the
+    /// fault flags, the frame versions of an armed machine and the
+    /// heatmap, then charges as the machine's mode does.
     #[cold]
     #[inline(never)]
     fn access_general(
@@ -606,7 +653,7 @@ impl Machine {
         let frame = pre.frame();
 
         // Rare-path fault handling, gated on the pre-access flag word.
-        if flags & (PTE_NUMA_POISON | PTE_PROT_NONE | PTE_WRITE_TRACK) != 0 {
+        if flags & FAULT_BITS != 0 {
             // A hint fault and a protection fault each count once: disarm
             // both traps (Thermostat clears the trap after the first hit
             // of the interval).
@@ -631,7 +678,7 @@ impl Machine {
             }
         }
 
-        if is_write {
+        if is_write && self.checking {
             self.versions.bump(frame_page_base(frame));
         }
         if self.cfg.track_heat {
@@ -815,8 +862,11 @@ impl Machine {
         faults
     }
 
-    /// Version counter of a physical frame (bumped on every simulated
-    /// write; copied by migration). Lets tests prove no write is lost.
+    /// Version counter of a physical frame: the number of simulated
+    /// writes to it, carried along by migration, so tests can prove no
+    /// write is lost. It counts only while the sanitizer is armed
+    /// ([`Machine::set_checking`]): an unarmed machine keeps no versions,
+    /// and this reads 0 for every frame it wrote.
     pub fn frame_version(&self, frame: crate::addr::PhysAddr) -> u64 {
         self.versions.get(frame)
     }
@@ -939,7 +989,7 @@ impl Machine {
     /// Zeroes all time, counters and event statistics (used after
     /// workload setup so reports exclude initialization).
     pub fn reset_measurement(&mut self) {
-        self.clock = Clock::new(self.cfg.threads, &self.cfg.topology);
+        self.clock.reset();
         self.counters = Counters::new(self.cfg.topology.num_components());
         self.heat.clear();
         self.stats = MachineStats::default();
@@ -1262,9 +1312,16 @@ impl Machine {
         self.checking
     }
 
-    /// Arms or disarms the shadow-state sanitizer.
+    /// Arms or disarms the shadow-state sanitizer. An armed machine takes
+    /// every access through the general path, which also keeps the frame
+    /// versions ([`Machine::frame_version`]); disarming drops them, since
+    /// writes and migrations after it would leave them stale.
     pub fn set_checking(&mut self, on: bool) {
         self.checking = on;
+        self.slow = slow_mask(&self.cfg, on);
+        if !on {
+            self.versions = VersionStore::new();
+        }
     }
 
     /// Shadow snapshot of the mapped state of `range`: virtual page base
@@ -1376,6 +1433,15 @@ impl Machine {
     }
 }
 
+/// The PTE flags that send an access off the inlined fast path:
+/// [`FAULT_BITS`], plus `PTE_PRESENT`, which every mapped entry has, on a
+/// machine with Memory Mode, a heatmap or the sanitizer armed, all of
+/// whose accesses take the general path.
+fn slow_mask(cfg: &MachineConfig, checking: bool) -> u64 {
+    let general = cfg.hmc_mode || cfg.track_heat || checking;
+    FAULT_BITS | if general { PTE_PRESENT } else { 0 }
+}
+
 /// Rounds a frame address down to its 4 KB base for version bookkeeping.
 fn frame_page_base(frame: crate::addr::PhysAddr) -> crate::addr::PhysAddr {
     crate::addr::PhysAddr::new(frame.component(), frame.offset() & !(crate::addr::PAGE_SIZE_4K - 1))
@@ -1388,9 +1454,9 @@ mod tests {
     use crate::tier::tiny_two_tier;
 
     impl Machine {
-        /// `access` as a single function, before the fast/general split
-        /// and the one-byte Memory Mode tags: the oracle the split path
-        /// must match bit for bit. Memory Mode probes go to `oracle`, one
+        /// `access` as a single function, before the fast/general split,
+        /// the lanes and the one-byte Memory Mode tags: the oracle the
+        /// split path must match bit for bit. Memory Mode probes go to `oracle`, one
         /// word-tag cache per component (`None` where the machine has
         /// none), instead of the machine's own caches.
         fn access_reference(
@@ -1434,7 +1500,7 @@ mod tests {
                 }
             }
 
-            if is_write {
+            if is_write && self.checking {
                 self.versions.bump(frame_page_base(frame));
             }
             if self.cfg.track_heat {
@@ -1464,7 +1530,7 @@ mod tests {
                 if probe.hit {
                     self.counters.record(dram, is_write);
                     self.pebs.observe(va, tid as u32, dram, is_write, t_ns);
-                    let lat = self.charge[charge_base + dram as usize].lat_ns + extra_ns;
+                    let lat = self.clock.links[charge_base + dram as usize].charge.lat_ns + extra_ns;
                     self.clock.charge_access(tid, lat, node, dram, CACHE_LINE as f64);
                 } else {
                     self.counters.record(component, is_write);
@@ -1480,11 +1546,20 @@ mod tests {
             let t_ns = self.clock.thread_ns(tid);
             self.counters.record(component, is_write);
             self.pebs.observe(va, tid as u32, component, is_write, t_ns);
-            let spec = self.charge[charge_base + component as usize];
+            let spec = self.clock.links[charge_base + component as usize].charge;
             let lat = spec.lat_ns + extra_ns;
             let bytes = if is_write { spec.write_bytes } else { CACHE_LINE as f64 };
             self.clock.charge_access(tid, lat, node, component, bytes);
             AccessResult::Ok
+        }
+
+        /// A read and then a write of `va` with one page walk, as
+        /// `TickEnv::update` issues them.
+        pub(crate) fn update(&mut self, tid: usize, va: VirtAddr) -> AccessResult {
+            let mut lane = self.lane(tid);
+            let r = self.lane_update(&mut lane, va);
+            self.park(&lane);
+            r
         }
 
         /// `compute` before it stopped charging zero bytes to link
@@ -1554,17 +1629,18 @@ mod tests {
     #[test]
     fn prop_split_access_matches_reference() {
         use proptest_lite::{gen, prop_assert_eq, prop_check};
-        // Memory Mode x heatmap x THP, then a stream of
+        // Memory Mode x heatmap x THP x armed sanitizer, then a stream of
         // (op, page, line, tid) steps over 48 pages in three 2 MB chunks,
-        // so pages repeat and the fault flags get hit.
+        // so pages repeat and the fault flags get hit. An update must
+        // match the reference's read and then write.
         prop_check!(
             "split_access_matches_reference",
             48,
             (
-                gen::u8_range(0, 8),
+                gen::u8_range(0, 16),
                 gen::vec_in(
                     (
-                        gen::u8_range(0, 14),
+                        gen::u8_range(0, 16),
                         gen::u64_range(0, 48),
                         gen::u64_range(0, 64),
                         gen::usize_range(0, 2),
@@ -1583,6 +1659,7 @@ mod tests {
                     cfg.pebs.buffer_cap = 16;
                     let mut m = Machine::new(cfg);
                     m.mmap("prop", VaRange::from_len(VirtAddr(0), 3 * PAGE_SIZE_2M), mode & 4 != 0);
+                    m.set_checking(mode & 8 != 0);
                     m
                 };
                 let (mut fast, mut reference) = (build(), build());
@@ -1608,6 +1685,20 @@ mod tests {
                                     AccessResult::Ok
                                 );
                             }
+                        }
+                        14 | 15 => {
+                            let a = fast.update(tid, va);
+                            let b = reference.access_reference(&mut oracle, tid, va, AccessKind::Read);
+                            prop_assert_eq!(a, b, "step {step}");
+                            if a == AccessResult::Unmapped {
+                                let ca = fast.alloc_and_map(tid, va, &[0, 1]);
+                                prop_assert_eq!(ca, reference.alloc_and_map(tid, va, &[0, 1]), "step {step}");
+                                prop_assert_eq!(fast.update(tid, va), AccessResult::Ok);
+                                let r = reference.access_reference(&mut oracle, tid, va, AccessKind::Read);
+                                prop_assert_eq!(r, AccessResult::Ok);
+                            }
+                            let w = reference.access_reference(&mut oracle, tid, va, AccessKind::Write);
+                            prop_assert_eq!(w, AccessResult::Ok);
                         }
                         8 => {
                             let ns = (line * 7) as f64 + 0.25;

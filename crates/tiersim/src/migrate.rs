@@ -213,8 +213,9 @@ fn alloc_dst_frame(
 ///
 /// Performs all four `move_pages()` steps, computing their costs, but does
 /// **not** charge the machine clock — callers charge the returned breakdown
-/// to the buckets their mechanism exposes on the critical path. Frame
-/// versions are copied so tests can verify no update is lost.
+/// to the buckets their mechanism exposes on the critical path. On a
+/// machine with the sanitizer armed, frame versions move with the pages
+/// so tests can verify no update is lost; an unarmed machine keeps none.
 ///
 /// With the sanitizer armed ([`Machine::set_checking`]) every call is
 /// bracketed by shadow snapshots: a success must have moved exactly
@@ -370,7 +371,9 @@ fn relocate_range_inner(
         debug_assert_eq!(old_size, eff_size, "split (if any) happened before unmap");
         out.breakdown.unmap_ns += costs.migrate_unmap_page_ns;
         // Step 3: copy contents (versions stand in for data).
-        m.versions.move_range(old_pte.frame(), new_frame, (bytes / PAGE_SIZE_4K) as usize);
+        if m.checking() {
+            m.versions.move_range(old_pte.frame(), new_frame, (bytes / PAGE_SIZE_4K) as usize);
+        }
         let copy_node = best_copy_node(m, src, dst);
         out.breakdown.copy_ns += copy_cost_ns(m, copy_node, src, dst, bytes, copy_threads);
         // Step 4: remap.
@@ -533,7 +536,7 @@ pub fn move_pages_linux(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::{VirtAddr, PAGE_SIZE_2M};
+    use crate::addr::{VirtAddr, PAGE_SIZE_2M, PAGE_SIZE_4K};
     use crate::machine::{AccessKind, MachineConfig};
     use crate::tier::tiny_two_tier;
 
@@ -547,6 +550,7 @@ mod tests {
     #[test]
     fn relocation_moves_pages_and_preserves_versions() {
         let mut m = machine();
+        m.set_checking(true);
         let range = VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M);
         m.prefault_range(range, &[0]).unwrap();
         m.access(0, VirtAddr(0x1000), AccessKind::Write);
@@ -561,6 +565,36 @@ mod tests {
         // Source space is reclaimed.
         assert_eq!(m.allocator(0).used(), 0);
         assert_eq!(m.allocator(1).used(), PAGE_SIZE_2M);
+    }
+
+    #[test]
+    fn versions_are_kept_only_on_armed_machines() {
+        let range = VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M);
+        let run = |armed: bool| {
+            let mut m = machine();
+            m.set_checking(armed);
+            m.prefault_range(range, &[0]).unwrap();
+            for page in [1, 1, 7, 1] {
+                m.access(0, VirtAddr(page * PAGE_SIZE_4K), AccessKind::Write);
+            }
+            m.update(0, VirtAddr(7 * PAGE_SIZE_4K));
+            relocate_range(&mut m, range, 1, 1, false).unwrap();
+            m.access(0, VirtAddr(PAGE_SIZE_4K), AccessKind::Write);
+            m
+        };
+        // Unarmed: no version storage at all (an empty store saves as
+        // its zero component count), and every frame reads 0.
+        let m = run(false);
+        let mut w = obs::wire::Writer::new();
+        m.versions.save(&mut w);
+        assert_eq!(w.into_bytes(), [0], "an unarmed machine allocated version storage");
+        let frame = |m: &Machine, page: u64| m.page_table().translate(VirtAddr(page * PAGE_SIZE_4K)).unwrap().pte.frame();
+        assert_eq!(m.frame_version(frame(&m, 1)), 0);
+        // Armed: every write counts, before and after the move.
+        let m = run(true);
+        assert_eq!(frame(&m, 1).component(), 1);
+        assert_eq!(m.frame_version(frame(&m, 1)), 4);
+        assert_eq!(m.frame_version(frame(&m, 7)), 2);
     }
 
     #[test]

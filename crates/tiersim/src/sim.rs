@@ -8,7 +8,7 @@
 
 use crate::addr::{VaRange, VirtAddr};
 use crate::counters::ComponentCounts;
-use crate::machine::{AccessKind, AccessResult, Machine, MachineStats};
+use crate::machine::{AccessKind, AccessResult, Lane, Machine, MachineStats};
 use crate::tier::ComponentId;
 
 /// The memory interface a workload sees: plain reads and writes plus access
@@ -18,6 +18,13 @@ pub trait MemEnv {
     fn read(&mut self, tid: usize, va: VirtAddr);
     /// Issues a store to `va` on thread `tid`.
     fn write(&mut self, tid: usize, va: VirtAddr);
+    /// Issues a read-modify-write of `va` on thread `tid`: a load and
+    /// then a store. The simulator's environments serve it with one page
+    /// walk; any override must leave the same state as the default.
+    fn update(&mut self, tid: usize, va: VirtAddr) {
+        self.read(tid, va);
+        self.write(tid, va);
+    }
     /// Charges pure compute (think) time to `tid`.
     fn compute(&mut self, tid: usize, ns: f64);
     /// The underlying machine.
@@ -118,14 +125,14 @@ pub trait Workload {
     fn tick(&mut self, env: &mut dyn MemEnv, tid: usize);
 
     /// Runs one round of the access loop: [`ROUND_TICKS`] passes over
-    /// threads `0..threads`, one [`Workload::tick`] each (see
-    /// [`round_ticks`]). `drive_interval` makes one call per round. Workloads
-    /// whose tick body is generic over the environment override this to
-    /// run it against `env` directly, so every access is a static call;
-    /// an override must issue exactly the accesses of the ticks it
-    /// replaces, in the same order.
+    /// threads `0..threads`, one [`Workload::tick`] each on the tick's
+    /// [`TickEnv`] (see [`round_ticks`]). `drive_interval` makes one call
+    /// per round. Workloads whose tick body is generic over the
+    /// environment override this to run it against the `TickEnv`
+    /// directly, so every access is a static call; an override must issue
+    /// exactly the accesses of the ticks it replaces, in the same order.
     fn round(&mut self, env: &mut SimEnv<'_>, threads: usize) {
-        round_ticks(threads, |tid| self.tick(env, tid));
+        round_ticks(env, threads, |t, tid| self.tick(t, tid));
     }
 
     /// Total memory footprint in bytes (simulated scale).
@@ -209,14 +216,15 @@ impl Workload for Box<dyn Workload> {
 /// checks the interval's end only between rounds.
 pub const ROUND_TICKS: usize = 8;
 
-/// Calls `tick(tid)` in the access loop's round order: [`ROUND_TICKS`]
-/// passes over threads `0..threads`. Every [`Workload::round`] runs its
-/// ticks through this, so all of them share one order.
+/// Calls `tick` in the access loop's round order: [`ROUND_TICKS`]
+/// passes over threads `0..threads`, each tick on its own [`TickEnv`].
+/// Every [`Workload::round`] runs its ticks through this, so all of them
+/// share one order.
 #[inline(always)]
-pub fn round_ticks(threads: usize, mut tick: impl FnMut(usize)) {
+pub fn round_ticks(env: &mut SimEnv<'_>, threads: usize, mut tick: impl FnMut(&mut TickEnv<'_>, usize)) {
     for _ in 0..ROUND_TICKS {
         for tid in 0..threads {
-            tick(tid);
+            env.on_thread(tid, |t| tick(t, tid));
         }
     }
 }
@@ -230,44 +238,40 @@ pub struct SimEnv<'a> {
     pub manager: &'a mut dyn MemoryManager,
 }
 
-impl<'a> SimEnv<'a> {
-    /// One access. Forced inline, so a workload's generic `step` gets its
-    /// own copy of `Machine::access` at each `read`/`write` with the kind
-    /// fixed, and no call; the demand-fault path stays out of line.
+impl SimEnv<'_> {
+    /// Runs `f` on thread `tid`'s [`TickEnv`], then writes the thread's
+    /// clock back.
     #[inline(always)]
-    fn do_access(&mut self, tid: usize, va: VirtAddr, kind: AccessKind) {
-        if self.machine.access(tid, va, kind) != AccessResult::Ok {
-            self.fault_in(tid, va, kind);
+    fn on_thread<R>(&mut self, tid: usize, f: impl FnOnce(&mut TickEnv<'_>) -> R) -> R {
+        let lane = self.machine.lane(tid);
+        let mut t = TickEnv { machine: self.machine, manager: self.manager, lane, parked: false };
+        let r = f(&mut t);
+        if !t.parked {
+            t.machine.park(&t.lane);
         }
-    }
-
-    /// Maps the page behind `va` where the manager places it, then
-    /// retries the access.
-    #[cold]
-    #[inline(never)]
-    fn fault_in(&mut self, tid: usize, va: VirtAddr, kind: AccessKind) {
-        let order = self.manager.placement(self.machine, tid, va);
-        self.machine
-            .alloc_and_map(tid, va, &order)
-            .unwrap_or_else(|e| panic!("placement failed for {va:?}: {e}"));
-        let r = self.machine.access(tid, va, kind);
-        debug_assert_eq!(r, AccessResult::Ok, "access succeeds after mapping");
+        r
     }
 }
 
-/// `read` and `write` are forced inline: with a plain `#[inline]` the
+/// Each access is one [`TickEnv`] access. `read`, `write` and `update`
+/// are forced inline here and on `TickEnv`: with a plain `#[inline]` the
 /// compiler kept them out of line, and every workload's `round` paid a
-/// call per access. `scripts/verify.sh` fails if the release `all` calls
-/// either other than through the `dyn MemEnv` vtable.
-impl<'a> MemEnv for SimEnv<'a> {
+/// call per access. `scripts/verify.sh` fails if the release `all`
+/// calls any of them other than through the `dyn MemEnv` vtable.
+impl MemEnv for SimEnv<'_> {
     #[inline(always)]
     fn read(&mut self, tid: usize, va: VirtAddr) {
-        self.do_access(tid, va, AccessKind::Read);
+        self.on_thread(tid, |t| t.read(tid, va));
     }
 
     #[inline(always)]
     fn write(&mut self, tid: usize, va: VirtAddr) {
-        self.do_access(tid, va, AccessKind::Write);
+        self.on_thread(tid, |t| t.write(tid, va));
+    }
+
+    #[inline(always)]
+    fn update(&mut self, tid: usize, va: VirtAddr) {
+        self.on_thread(tid, |t| t.update(tid, va));
     }
 
     #[inline]
@@ -276,6 +280,98 @@ impl<'a> MemEnv for SimEnv<'a> {
     }
 
     fn machine(&mut self) -> &mut Machine {
+        self.machine
+    }
+}
+
+/// The [`MemEnv`] of one thread for one tick, which [`round_ticks`] hands
+/// each tick. It holds the thread's [`Lane`] (its row of the link table
+/// and its open-interval clock) in locals, and the clock goes back to
+/// the machine when the tick ends and before every out-of-line path: a
+/// demand fault, the general access path and [`MemEnv::machine`], after
+/// which the next operation re-reads it.
+pub struct TickEnv<'t> {
+    machine: &'t mut Machine,
+    manager: &'t mut dyn MemoryManager,
+    lane: Lane,
+    /// The clock was written back for [`MemEnv::machine`].
+    parked: bool,
+}
+
+impl TickEnv<'_> {
+    #[inline(always)]
+    fn unpark(&mut self, tid: usize) {
+        debug_assert_eq!(tid, self.lane.tid, "a tick issues accesses on its own thread");
+        if self.parked {
+            self.machine.resume(&mut self.lane);
+            self.parked = false;
+        }
+    }
+
+    #[inline(always)]
+    fn access(&mut self, tid: usize, va: VirtAddr, kind: AccessKind) {
+        self.unpark(tid);
+        if self.machine.lane_access(&mut self.lane, va, kind) != AccessResult::Ok {
+            self.lane = TickEnv::fault_in(self.machine, self.manager, self.lane, va, kind);
+        }
+    }
+
+    /// Maps the page behind `va` where the manager places it, then
+    /// retries the access. It takes the lane by value and no `self`, so
+    /// none of the tick's state has an address and all of it can stay
+    /// in registers.
+    #[cold]
+    #[inline(never)]
+    fn fault_in(
+        machine: &mut Machine,
+        manager: &mut dyn MemoryManager,
+        mut lane: Lane,
+        va: VirtAddr,
+        kind: AccessKind,
+    ) -> Lane {
+        machine.park(&lane);
+        let order = manager.placement(machine, lane.tid, va);
+        machine
+            .alloc_and_map(lane.tid, va, &order)
+            .unwrap_or_else(|e| panic!("placement failed for {va:?}: {e}"));
+        machine.resume(&mut lane);
+        let r = machine.lane_access(&mut lane, va, kind);
+        debug_assert_eq!(r, AccessResult::Ok, "access succeeds after mapping");
+        lane
+    }
+}
+
+impl MemEnv for TickEnv<'_> {
+    #[inline(always)]
+    fn read(&mut self, tid: usize, va: VirtAddr) {
+        self.access(tid, va, AccessKind::Read);
+    }
+
+    #[inline(always)]
+    fn write(&mut self, tid: usize, va: VirtAddr) {
+        self.access(tid, va, AccessKind::Write);
+    }
+
+    #[inline(always)]
+    fn update(&mut self, tid: usize, va: VirtAddr) {
+        self.unpark(tid);
+        if self.machine.lane_update(&mut self.lane, va) != AccessResult::Ok {
+            self.lane = TickEnv::fault_in(self.machine, self.manager, self.lane, va, AccessKind::Read);
+            self.write(tid, va);
+        }
+    }
+
+    #[inline(always)]
+    fn compute(&mut self, tid: usize, ns: f64) {
+        self.unpark(tid);
+        self.lane.t_ns += ns;
+    }
+
+    fn machine(&mut self) -> &mut Machine {
+        if !self.parked {
+            self.machine.park(&self.lane);
+            self.parked = true;
+        }
         self.machine
     }
 }
@@ -797,7 +893,7 @@ mod tests {
 
         fn round(&mut self, env: &mut SimEnv<'_>, threads: usize) {
             self.1.set(self.1.get() + 1);
-            round_ticks(threads, |tid| self.0.tick(env, tid));
+            round_ticks(env, threads, |t, tid| self.0.tick(t, tid));
         }
 
         fn footprint(&self) -> u64 {
@@ -824,6 +920,55 @@ mod tests {
         // and count none.
         assert!(rounds.get() > 0);
         assert_eq!(report.ops_completed, rounds.get() * (ROUND_TICKS * 2) as u64);
+    }
+
+    /// Charges its thread through `MemEnv::machine` between accesses.
+    struct ChargesMachine(Strider);
+
+    impl Workload for ChargesMachine {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+
+        fn setup(&mut self, env: &mut dyn MemEnv) {
+            self.0.setup(env);
+        }
+
+        fn tick(&mut self, env: &mut dyn MemEnv, tid: usize) {
+            env.compute(tid, 3.0);
+            env.machine().compute(tid, 5.0);
+            self.0.tick(env, tid);
+            env.machine().compute(tid, 7.0);
+        }
+
+        fn footprint(&self) -> u64 {
+            self.0.footprint()
+        }
+    }
+
+    #[test]
+    fn a_tick_env_keeps_charges_made_through_the_machine() {
+        // One round on `TickEnv`s against the same ticks on the plain
+        // `SimEnv`: the machine's clock must agree bit for bit.
+        let clocks = |on_tick_env: bool| {
+            let topo = tiny_two_tier(2 * PAGE_SIZE_2M, 8 * PAGE_SIZE_2M);
+            let mut machine = Machine::new(MachineConfig::new(topo, 2));
+            let strider = Strider { range: VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M), cursor: 0, ops: 0 };
+            let mut wl = ChargesMachine(strider);
+            let env = &mut SimEnv { machine: &mut machine, manager: &mut FirstTouchPolicy };
+            wl.setup(env);
+            if on_tick_env {
+                wl.round(env, 2);
+            } else {
+                for _ in 0..ROUND_TICKS {
+                    for tid in 0..2 {
+                        wl.tick(env, tid);
+                    }
+                }
+            }
+            [0, 1].map(|tid| machine.approx_now_ns(tid).to_bits())
+        };
+        assert_eq!(clocks(true), clocks(false));
     }
 
     fn bd(ns: f64) -> crate::clock::TimeBreakdown {

@@ -73,7 +73,12 @@ pub struct Bfs {
     stamps: Vec<u32>,
     epoch: u32,
     frontier: VecDeque<u32>,
-    frontier_head: u64,
+    /// Slots of the simulated frontier ring, fixed at setup.
+    frontier_slots: u64,
+    /// Ring slots of the next pop and, `frontier.len()` after it, of the
+    /// next push.
+    head_slot: u64,
+    tail_slot: u64,
     /// Vertex being expanded: `(vertex, next edge position, end)`.
     current: Option<(u32, u64, u64)>,
     rng: SplitMix64,
@@ -97,7 +102,9 @@ impl Bfs {
             stamps,
             epoch: 0,
             frontier: VecDeque::new(),
-            frontier_head: 0,
+            frontier_slots: 0,
+            head_slot: 0,
+            tail_slot: 0,
             current: None,
             rng,
             settled: 0,
@@ -123,6 +130,12 @@ impl Bfs {
         self.stamps[v as usize] = self.epoch;
         self.frontier.clear();
         self.frontier.push_back(v);
+        self.tail_slot = self.next_slot(self.head_slot);
+    }
+
+    /// The frontier ring slot after `slot`.
+    fn next_slot(&self, slot: u64) -> u64 {
+        if slot + 1 == self.frontier_slots { 0 } else { slot + 1 }
     }
 
     fn visit_addr(&self, v: u32) -> VirtAddr {
@@ -142,12 +155,8 @@ impl Bfs {
                 };
                 env.compute(tid, self.cfg.cpu_ns_per_op);
                 // Pop charges a frontier read.
-                let slots = self.frontier_vma.len() / FRONTIER_BYTES;
-                env.read(
-                    tid,
-                    elem_addr(self.frontier_vma, self.frontier_head % slots, FRONTIER_BYTES),
-                );
-                self.frontier_head += 1;
+                env.read(tid, elem_addr(self.frontier_vma, self.head_slot, FRONTIER_BYTES));
+                self.head_slot = self.next_slot(self.head_slot);
                 self.graph.prefetch_ahead(&self.frontier);
                 // Offset lookups (two 8-byte entries, usually one line).
                 env.read(tid, elem_addr(self.offsets, u as u64, OFFSET_BYTES));
@@ -157,7 +166,6 @@ impl Bfs {
         };
         // Stream a bounded slice of the adjacency list: one access per
         // cache line, plus a visited probe per edge.
-        let slots = self.frontier_vma.len() / FRONTIER_BYTES;
         let stop = (lo + EDGE_BATCH).min(hi);
         // The slice's stamp probes are random host loads; start them all
         // before the loop so they overlap instead of stalling one by one.
@@ -177,8 +185,8 @@ impl Bfs {
             if self.stamps[v as usize] != self.epoch {
                 self.stamps[v as usize] = self.epoch;
                 env.write(tid, self.visit_addr(v));
-                let head = (self.frontier_head + self.frontier.len() as u64) % slots;
-                env.write(tid, elem_addr(self.frontier_vma, head, FRONTIER_BYTES));
+                env.write(tid, elem_addr(self.frontier_vma, self.tail_slot, FRONTIER_BYTES));
+                self.tail_slot = self.next_slot(self.tail_slot);
                 self.frontier.push_back(v);
             }
         }
@@ -203,6 +211,7 @@ impl Workload for Bfs {
         self.neighbors = layout.add(env, "bfs.neighbors", e * NEIGHBOR_BYTES, true);
         self.visited = layout.add(env, "bfs.visited", v * VISITED_BYTES, true);
         self.frontier_vma = layout.add(env, "bfs.frontier", (v * FRONTIER_BYTES).min(64 << 20), true);
+        self.frontier_slots = self.frontier_vma.len() / FRONTIER_BYTES;
         let threads = self.cfg.threads.max(1);
         crate::layout::populate_interleaved(env, &[self.offsets, self.neighbors, self.visited, self.frontier_vma], threads);
         self.start_traversal();
@@ -214,7 +223,7 @@ impl Workload for Bfs {
     }
 
     fn round(&mut self, env: &mut SimEnv<'_>, threads: usize) {
-        round_ticks(threads, |tid| self.step(env, tid));
+        round_ticks(env, threads, |t, tid| self.step(t, tid));
     }
 
     fn footprint(&self) -> u64 {

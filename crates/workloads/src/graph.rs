@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use tiersim::engine::map_items;
 
-use crate::rng::SplitMix64;
+use crate::rng::{cut, SplitMix64};
 
 /// A graph in compressed-sparse-row form.
 #[derive(Debug)]
@@ -97,13 +97,6 @@ const BUCKET_SPLIT_BITS: u32 = 6;
 
 /// Widest source bucket, in bits: a bucket-local source is a `u16`.
 const MAX_BUCKET_BITS: u32 = 16;
-
-/// The integer cut `ceil(t · 2⁵³)`. `unit_f64()` is exactly `m · 2⁻⁵³`
-/// with `m = next_u64() >> 11`, so `unit_f64() < t` holds exactly when
-/// `m < cut(t)`: the float compare becomes an integer one.
-fn cut(t: f64) -> u64 {
-    (t * (1u64 << 53) as f64).ceil() as u64
-}
 
 /// The three quadrant cuts of one R-MAT level, from the same f64
 /// expressions (`A`, `A + B`, `A + B + C`) a float compare would use,

@@ -13,7 +13,7 @@ use tiersim::addr::{VaRange, VirtAddr, PAGE_SIZE_4K};
 use tiersim::sim::{round_ticks, MemEnv, SimEnv, Workload};
 
 use crate::layout::{elem_addr, Layout};
-use crate::rng::SplitMix64;
+use crate::rng::{cut, SplitMix64};
 
 /// How page hotness is distributed over the table.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -65,6 +65,17 @@ impl GupsConfig {
             seed: 0xC0FFEE,
         }
     }
+}
+
+/// The band generator's constants, fixed until the band moves: a round
+/// computes them once for all its ticks.
+struct Band {
+    /// `cut(hot_access_frac)`, the hot/cold coin's integer threshold.
+    hot_cut: u64,
+    start: u64,
+    len: u64,
+    /// `(table length - len).max(1)`.
+    cold_len: u64,
 }
 
 /// The GUPS workload.
@@ -123,37 +134,49 @@ impl Gups {
         self.table
     }
 
-    /// Byte offset of the next update's target within the table.
-    fn pick_target(&mut self, tid: usize) -> u64 {
+    /// The band generator's constants, `None` in Gaussian mode.
+    fn band(&self) -> Option<Band> {
+        (self.cfg.mode == HotsetMode::Band).then(|| Band {
+            hot_cut: cut(self.cfg.hot_access_frac),
+            start: self.band_start,
+            len: self.band_len,
+            cold_len: (self.table.len() - self.band_len).max(1),
+        })
+    }
+
+    /// Byte offset of the next update's target within the table. The
+    /// band path is inlined into every tick; the Gaussian one is not.
+    #[inline(always)]
+    fn pick_target(&mut self, band: Option<&Band>, tid: usize) -> u64 {
+        let Some(b) = band else {
+            return self.gaussian_target(tid);
+        };
         let rng = &mut self.rngs[tid];
-        let len = self.table.len();
-        match self.cfg.mode {
-            HotsetMode::Band => {
-                // A hot update is `band_start + r` with `r` below
-                // `band_len`; a cold one is uniform over the cold
-                // remainder, `r` below `len - band_len`, shifted past the
-                // band when it lands at or after its start. The 80/20
-                // coin is random, so a branch on it would mispredict
-                // about one update in five: `hot` is an all-ones or
-                // all-zeros mask that selects the bound and the offset
-                // instead.
-                let hot = 0u64.wrapping_sub((rng.unit_f64() < self.cfg.hot_access_frac) as u64);
-                let cold_len = (len - self.band_len).max(1);
-                let r = rng.below(self.band_len & hot | cold_len & !hot);
-                let past_band = 0u64.wrapping_sub((r >= self.band_start) as u64);
-                r + (self.band_start & hot | self.band_len & past_band & !hot)
-            }
-            HotsetMode::Gaussian => {
-                let pages = len / PAGE_SIZE_4K;
-                let sigma = (pages as f64 * self.cfg.hot_frac / 2.0).max(1.0);
-                let centre = pages as f64 / 2.0;
-                let mut p = centre + sigma * rng.gaussian();
-                if p < 0.0 || p >= pages as f64 {
-                    p = rng.below(pages) as f64;
-                }
-                (p as u64) * PAGE_SIZE_4K + rng.below(PAGE_SIZE_4K / 8) * 8
-            }
+        // A hot update is `start + r` with `r` below `len`; a cold one is
+        // uniform over the cold remainder, `r` below `cold_len`, shifted
+        // past the band when it lands at or after its start. The 80/20
+        // coin is random, so a branch on it would mispredict about one
+        // update in five: `hot` is an all-ones or all-zeros mask that
+        // selects the bound and the offset instead. The coin compares the
+        // draw's 53-bit mantissa with `hot_cut`, which is exactly
+        // `unit_f64() < hot_access_frac`.
+        let hot = 0u64.wrapping_sub(((rng.next_u64() >> 11) < b.hot_cut) as u64);
+        let r = rng.below(b.len & hot | b.cold_len & !hot);
+        let past_band = 0u64.wrapping_sub((r >= b.start) as u64);
+        r + (b.start & hot | b.len & past_band & !hot)
+    }
+
+    #[inline(never)]
+    fn gaussian_target(&mut self, tid: usize) -> u64 {
+        let rng = &mut self.rngs[tid];
+        let pages = self.table.len() / PAGE_SIZE_4K;
+        let sigma = (pages as f64 * self.cfg.hot_frac / 2.0).max(1.0);
+        let centre = pages as f64 / 2.0;
+        let mut p = centre + sigma * rng.gaussian();
+        if p < 0.0 || p >= pages as f64 {
+            p = rng.below(pages) as f64;
         }
+        (p as u64) * PAGE_SIZE_4K + rng.below(PAGE_SIZE_4K / 8) * 8
     }
 
     fn rotate_band(&mut self) {
@@ -168,9 +191,10 @@ impl Gups {
     /// One tick on thread `tid` (see [`Workload::tick`]), generic over
     /// the environment so [`Workload::round`] issues its accesses as
     /// static calls.
-    fn step<E: MemEnv + ?Sized>(&mut self, env: &mut E, tid: usize) {
+    #[inline(always)]
+    fn step<E: MemEnv + ?Sized>(&mut self, band: Option<&Band>, env: &mut E, tid: usize) {
         env.compute(tid, self.cfg.cpu_ns_per_op);
-        let target_off = self.pick_target(tid);
+        let target_off = self.pick_target(band, tid);
         let rng = &mut self.rngs[tid];
         // Object A: read the index slot for this update.
         let slots = self.index.len() / 8;
@@ -179,9 +203,7 @@ impl Gups {
         // Object B: consult hot-set information.
         env.read(tid, VirtAddr(self.hotinfo.start.0 + rng.below(self.hotinfo.len() / 8) * 8));
         // Object C / table: read-modify-write the target element.
-        let t = VirtAddr(self.table.start.0 + (target_off & !7));
-        env.read(tid, t);
-        env.write(tid, t);
+        env.update(tid, VirtAddr(self.table.start.0 + (target_off & !7)));
         self.ops += 1;
     }
 }
@@ -213,11 +235,13 @@ impl Workload for Gups {
     }
 
     fn tick(&mut self, env: &mut dyn MemEnv, tid: usize) {
-        self.step(env, tid);
+        let band = self.band();
+        self.step(band.as_ref(), env, tid);
     }
 
     fn round(&mut self, env: &mut SimEnv<'_>, threads: usize) {
-        round_ticks(threads, |tid| self.step(env, tid));
+        let band = self.band();
+        round_ticks(env, threads, |t, tid| self.step(band.as_ref(), t, tid));
     }
 
     fn footprint(&self) -> u64 {
@@ -302,7 +326,7 @@ mod tests {
             let before = g.ops;
             g.tick(&mut env, i % 2);
             assert_eq!(g.ops, before + 1);
-            let t = g.pick_target(i % 2);
+            let t = g.pick_target(g.band().as_ref(), i % 2);
             if band.contains(VirtAddr(g.table_range().start.0 + t)) {
                 hot += 1;
             }
@@ -333,7 +357,7 @@ mod tests {
         let mut central = 0;
         let n = 20_000;
         for _ in 0..n {
-            let t = g.pick_target(0);
+            let t = g.pick_target(g.band().as_ref(), 0);
             assert!(t < len);
             if (t as f64 - len as f64 / 2.0).abs() < len as f64 * 0.2 {
                 central += 1;

@@ -69,6 +69,14 @@ impl Zipfian {
     }
 }
 
+/// The integer cut `ceil(t · 2⁵³)`. `unit_f64()` is exactly `m · 2⁻⁵³`
+/// with `m = next_u64() >> 11`, so `unit_f64() < t` holds exactly when
+/// `m < cut(t)`: the float compare becomes an integer one.
+#[inline]
+pub fn cut(t: f64) -> u64 {
+    (t * (1u64 << 53) as f64).ceil() as u64
+}
+
 /// A Fisher-Yates-derived "scatter" permutation: maps rank `r` to a stable
 /// pseudo-random item id so zipfian popularity is spread across the key
 /// space (as YCSB's hashed insertion order does).
@@ -109,6 +117,29 @@ mod tests {
             let x = r.unit_f64();
             assert!((0.0..1.0).contains(&x));
         }
+    }
+
+    #[test]
+    fn integer_coin_matches_unit_f64() {
+        // `unit_f64() < p` and `(next_u64() >> 11) < cut(p)` on the same
+        // draw, at the cut's boundary mantissas and on a random stream.
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        for p in [0.8, 0.2, 0.5, 1.0 / 3.0, ulp, 1.0 - ulp, 0.0, 1.0] {
+            let k = cut(p);
+            for m in [k.saturating_sub(1), k] {
+                if m < 1 << 53 {
+                    assert_eq!((m as f64 * ulp) < p, m < k, "m={m} p={p}");
+                }
+            }
+            let mut a = SplitMix64::new(p.to_bits());
+            let mut b = a.clone();
+            for _ in 0..10_000 {
+                assert_eq!(a.unit_f64() < p, (b.next_u64() >> 11) < k, "p={p}");
+            }
+        }
+        // The paper's 0.8: the boundary mantissas fall on either side.
+        let k = cut(0.8);
+        assert!(((k - 1) as f64 * ulp) < 0.8 && k as f64 * ulp >= 0.8);
     }
 
     #[test]

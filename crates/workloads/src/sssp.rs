@@ -234,7 +234,7 @@ impl Workload for Sssp {
     }
 
     fn round(&mut self, env: &mut SimEnv<'_>, threads: usize) {
-        round_ticks(threads, |tid| self.step(env, tid));
+        round_ticks(env, threads, |t, tid| self.step(t, tid));
     }
 
     fn footprint(&self) -> u64 {

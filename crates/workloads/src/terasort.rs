@@ -242,7 +242,7 @@ impl Workload for Terasort {
     }
 
     fn round(&mut self, env: &mut SimEnv<'_>, threads: usize) {
-        round_ticks(threads, |tid| self.step(env, tid));
+        round_ticks(env, threads, |t, tid| self.step(t, tid));
     }
 
     fn footprint(&self) -> u64 {

@@ -243,7 +243,7 @@ impl Workload for Tpcc {
     }
 
     fn round(&mut self, env: &mut SimEnv<'_>, threads: usize) {
-        round_ticks(threads, |tid| self.step(env, tid));
+        round_ticks(env, threads, |t, tid| self.step(t, tid));
     }
 
     fn footprint(&self) -> u64 {

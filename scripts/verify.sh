@@ -80,12 +80,15 @@ fi
 
 # Codegen gate: every simulated access of a workload's `round` is an
 # inlined copy of the fast path, with no call (DESIGN.md §5e, "A static
-# access loop"). The release `all` must not call `SimEnv`'s
-# `MemEnv::read` or `::write`, directly or through the GOT (how a crate
-# calls another crate's function it cannot inline); the vtable copy
-# behind the `dyn MemEnv` `tick` path is reached through a register and
-# stays allowed.
-echo "==> codegen gate (no call to SimEnv::read/write in release all but through the vtable)"
+# access loop"). The release `all` must not call a `MemEnv::read`,
+# `::write` or `::update` of `SimEnv` or of the per-tick `TickEnv`, nor
+# `Gups::pick_target`, directly or through the GOT (how a crate calls
+# another crate's function it cannot inline). The vtable copies behind
+# the `dyn MemEnv` `tick` and `setup` paths are reached through a
+# register and stay allowed. The gate also fails if it cannot find the
+# `SimEnv` copies, a `TickEnv` or a `Gups` symbol, so a renamed type
+# cannot pass silently.
+echo "==> codegen gate (no call to SimEnv/TickEnv read/write/update or Gups::pick_target in release all)"
 command -v objdump >/dev/null \
     || fail "objdump not found: the codegen gate needs it (binutils) to disassemble the release all"
 all_bin="${CARGO_TARGET_DIR:-target}/release/all"
@@ -94,11 +97,18 @@ all_bin="${CARGO_TARGET_DIR:-target}/release/all"
 calls=$(python3 - "$tmp/all.asm" "$tmp/all.rel" <<'PY'
 import re, sys
 asm, rel = (open(p).read() for p in sys.argv[1:3])
-copies = {int(a, 16) for a in re.findall(
-    r"^([0-9a-f]+) <<tiersim::sim::SimEnv as tiersim::sim::MemEnv>::(?:read|write)>:$", asm, re.M)}
-if len(copies) < 2:
-    print("no <SimEnv as MemEnv>::read/write symbols in the release all; update the gate's pattern")
+def symbols(name):
+    return {int(a, 16) for a in re.findall(r"^([0-9a-f]+) <" + name + r">:$", asm, re.M)}
+env = r"<tiersim::sim::(?:SimEnv|TickEnv) as tiersim::sim::MemEnv>::(?:read|write|update)"
+copies = symbols(env)
+if len(symbols(r"<tiersim::sim::SimEnv as tiersim::sim::MemEnv>::(?:read|write|update)")) < 3:
+    print("no <SimEnv as MemEnv>::read/write/update symbols in the release all; update the gate's pattern")
     sys.exit(1)
+for prefix in ("tiersim::sim::TickEnv", "mtm_workloads::gups::Gups"):
+    if not re.search(r"^[0-9a-f]+ <" + re.escape(prefix) + r"\b", asm, re.M):
+        print(f"no {prefix} symbol in the release all; update the gate's pattern")
+        sys.exit(1)
+copies |= symbols(r"mtm_workloads::gups::Gups::pick_target")
 # A GOT slot reaches a copy when its dynamic relocation names the copy's address.
 slots = {int(slot, 16) for slot, to in re.findall(
     r"^([0-9a-f]+) R_X86_64_RELATIVE +\*ABS\*\+0x([0-9a-f]+)$", rel, re.M) if int(to, 16) in copies}
@@ -108,7 +118,7 @@ print(direct + via_got)
 PY
 ) || fail "codegen gate: $calls"
 [ "$calls" -eq 0 ] \
-    || fail "$calls calls to <SimEnv as MemEnv>::read/write in release all: the static access loop is no longer inlined"
+    || fail "$calls calls to a SimEnv/TickEnv MemEnv access or Gups::pick_target in release all: the static access loop is no longer inlined"
 
 cargo test -q --workspace
 

@@ -249,6 +249,9 @@ fn migration_preserves_data_and_accounting() {
             let dst = *dst;
             let topo = tiny_two_tier(8 * PAGE_SIZE_2M, 8 * PAGE_SIZE_2M);
             let mut m = Machine::new(MachineConfig::new(topo, 1));
+            // Frame versions are the sanitizer's: only an armed machine
+            // counts them.
+            m.set_checking(true);
             let range = VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M);
             m.mmap("p", range, false);
             m.prefault_range(range, &[1 - dst]).unwrap();
