@@ -792,13 +792,25 @@ impl Machine {
                 self.alloc_and_map_quiet(va, order)?;
             }
             // Skip to the end of whatever mapping now covers `va`.
-            let step = match self.pt.translate(va) {
-                Some(t) if t.size == FrameSize::Huge2M => PAGE_SIZE_2M - (va.0 - va.page_2m().0),
-                _ => crate::addr::PAGE_SIZE_4K,
-            };
-            va += step;
+            va = self.pt.translate(va).map_or(va + crate::addr::PAGE_SIZE_4K, |t| t.end(va));
         }
         Ok(())
+    }
+
+    /// The end of the mapping covering `va` if it is settled: mapped,
+    /// ACCESSED and DIRTY, with no slow-mask flag, so a write there only
+    /// charges what [`Machine::reset_measurement`] discards (never, on a
+    /// machine that [keeps every write](Machine::keeps_every_write)).
+    pub fn settled_until(&self, va: VirtAddr) -> Option<VirtAddr> {
+        let t = self.pt.translate(va)?;
+        let done = PTE_ACCESSED | PTE_DIRTY;
+        (t.pte.0 & (done | self.slow) == done).then(|| t.end(va))
+    }
+
+    /// Whether every write takes the general path (Memory Mode, a
+    /// heatmap, the armed sanitizer), so no mapping is ever settled.
+    pub fn keeps_every_write(&self) -> bool {
+        self.slow & PTE_PRESENT != 0
     }
 
     fn alloc_and_map_quiet(&mut self, va: VirtAddr, order: &[ComponentId]) -> Result<(), OutOfMemory> {

@@ -165,6 +165,13 @@ pub struct Translation {
     pub size: FrameSize,
 }
 
+impl Translation {
+    /// The first address past this mapping, for an address `va` it covers.
+    pub(crate) fn end(&self, va: VirtAddr) -> VirtAddr {
+        VirtAddr((va.0 & !(self.size.bytes() - 1)) + self.size.bytes())
+    }
+}
+
 impl PageTable {
     /// Creates an empty page table.
     pub fn new() -> PageTable {

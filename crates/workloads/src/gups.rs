@@ -314,6 +314,23 @@ mod tests {
     }
 
     #[test]
+    fn setup_writes_each_mapping_it_creates_once() {
+        // Population skips settled mappings, so the counters hold one
+        // write per mapping, not one per 4 KB page (5,120 here).
+        let mut g = Gups::new(small_cfg());
+        let m = run_setup(&mut g);
+        let mut mappings = 0;
+        for v in m.page_table().vmas() {
+            m.page_table().for_each_mapped_in(v.range, |_, _, _| mappings += 1);
+        }
+        let counts = m.counters().all();
+        assert_eq!(counts.iter().map(|c| c.loads).sum::<u64>(), 0);
+        assert_eq!(counts.iter().map(|c| c.stores).sum::<u64>(), mappings);
+        assert_eq!(m.stats().alloc_faults, mappings);
+        assert_eq!(mappings, 10, "two index/hot-info huge pages and eight table ones");
+    }
+
+    #[test]
     fn updates_favour_hot_band() {
         let mut g = Gups::new(small_cfg());
         let mut m = run_setup(&mut g);

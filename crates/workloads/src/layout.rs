@@ -4,7 +4,7 @@
 //! alignment and guard gaps, mirroring how a large-memory application's
 //! mappings look to a profiler.
 
-use tiersim::addr::{VaRange, VirtAddr, PAGE_SIZE_2M};
+use tiersim::addr::{VaRange, VirtAddr, PAGE_SIZE_2M, PAGE_SIZE_4K};
 use tiersim::sim::MemEnv;
 
 /// Base address of the first workload VMA.
@@ -40,38 +40,58 @@ impl Layout {
     }
 }
 
-/// Touches one cache line in every 4 KB page of `range` with writes on
-/// `tid`, so the pages get allocated through the active manager's policy
-/// ("first touch").
-pub fn populate(env: &mut dyn MemEnv, range: VaRange, tid: usize) {
-    for page in range.iter_pages_4k() {
-        env.write(tid, page);
+/// Populates every 4 KB page of all `ranges` as if by one write each,
+/// cycling between the ranges page by page and between threads, so
+/// first-touch placement interleaves the data structures instead of
+/// handing whole tables to whichever tier fills first.
+///
+/// Each page's thread is hashed from its position in that order, but a
+/// page whose mapping is [settled](tiersim::machine::Machine::settled_until)
+/// is not written, nor is the rest of that mapping: those writes would
+/// only charge measurement state, so this is valid only in
+/// `Workload::setup`, before `reset_measurement`.
+pub fn populate_interleaved(env: &mut dyn MemEnv, ranges: &[VaRange], threads: usize) {
+    let firsts: Vec<VirtAddr> = ranges.iter().map(|r| r.start.page_4k()).collect();
+    let pages: Vec<u64> = ranges.iter().zip(&firsts).map(|(r, f)| (r.end - *f).div_ceil(PAGE_SIZE_4K)).collect();
+    // Per range, the index of the next page that has to be looked at.
+    let mut next = vec![0u64; ranges.len()];
+    let skips = !env.machine().keeps_every_write();
+    let rounds = pages.iter().copied().max().unwrap_or(0);
+    // Round `k` visits page `k` of each range that long; `n` counts the
+    // visits before the current one.
+    let (mut k, mut n) = (0u64, 0u64);
+    while k < rounds {
+        for i in (0..ranges.len()).filter(|&i| pages[i] > k) {
+            if next[i] == k {
+                let page = firsts[i] + k * PAGE_SIZE_4K;
+                let settled = if skips { env.machine().settled_until(page) } else { None };
+                next[i] = match settled {
+                    Some(end) => (end - firsts[i]) / PAGE_SIZE_4K,
+                    None => {
+                        env.write(visit_thread(n, threads), page);
+                        k + 1
+                    }
+                };
+            }
+            n += 1;
+        }
+        k += 1;
+        if skips {
+            // Jump to the next round with a page to look at, counting the
+            // visits of the rounds in between.
+            let to = (0..ranges.len()).filter(|&i| next[i] < pages[i]).map(|i| next[i]).min().unwrap_or(rounds);
+            n += pages.iter().map(|&p| p.min(to) - p.min(k)).sum::<u64>();
+            k = to;
+        }
     }
 }
 
-/// Touches one cache line in every 4 KB page of all `ranges`, cycling
-/// between the ranges page-by-page and between threads, so first-touch
-/// placement interleaves the data structures instead of handing whole
-/// tables to whichever tier fills first.
-pub fn populate_interleaved(env: &mut dyn MemEnv, ranges: &[VaRange], threads: usize) {
-    let mut iters: Vec<_> = ranges.iter().map(|r| r.iter_pages_4k()).collect();
-    let mut live = iters.len();
-    let mut n = 0u64;
-    while live > 0 {
-        live = 0;
-        for it in &mut iters {
-            if let Some(page) = it.next() {
-                // Hash-based thread assignment: a sequential stride would
-                // resonate with THP chunk boundaries (512 pages per huge
-                // page) and hand every huge-page allocation to one thread.
-                let mut x = n.wrapping_mul(0x9e3779b97f4a7c15);
-                x ^= x >> 31;
-                env.write((x % threads.max(1) as u64) as usize, page);
-                n += 1;
-                live += 1;
-            }
-        }
-    }
+/// The thread of the `n`th page visit, hashed: a sequential stride would
+/// resonate with THP chunk boundaries (512 pages per huge page) and hand
+/// every huge-page allocation to one thread.
+fn visit_thread(n: u64, threads: usize) -> usize {
+    let x = n.wrapping_mul(0x9e3779b97f4a7c15);
+    ((x ^ (x >> 31)) % threads.max(1) as u64) as usize
 }
 
 /// Virtual address of element `idx` in an array of `elem` byte elements
@@ -116,7 +136,7 @@ mod tests {
         let mut env = SimEnv { machine: &mut m, manager: &mut mgr };
         let mut layout = Layout::new();
         let a = layout.add(&mut env, "a", PAGE_SIZE_2M, false);
-        populate(&mut env, a, 0);
+        populate_interleaved(&mut env, &[a], 1);
         assert_eq!(m.page_table().mapped_bytes(), PAGE_SIZE_2M);
     }
 

@@ -150,8 +150,7 @@ impl Tpcc {
         // Warehouse row read; district row read + D_NEXT_O_ID update.
         env.read(tid, elem_addr(self.warehouse, wh, WAREHOUSE_ROW));
         let d = elem_addr(self.district, wh * DISTRICTS_PER_WH + district, DISTRICT_ROW);
-        env.read(tid, d);
-        env.write(tid, d);
+        env.update(tid, d);
         // Customer lookup (NURand-style skew).
         let cust = self.cust_skew.sample(&mut self.rngs[tid]);
         env.read(tid, self.customer_addr(wh, district, cust));
@@ -161,8 +160,7 @@ impl Tpcc {
             env.read(tid, elem_addr(self.items, item, ITEM_ROW));
             let sk_item = self.stock_skew.sample(&mut self.rngs[tid]);
             let s = self.stock_addr(wh, sk_item);
-            env.read(tid, s);
-            env.write(tid, s);
+            env.update(tid, s);
             // Append the order line to the log (ring).
             let slot = self.order_head % (self.orderlog.len() / ORDER_LINE);
             env.write(tid, elem_addr(self.orderlog, slot, ORDER_LINE));
@@ -174,15 +172,12 @@ impl Tpcc {
         let wh = self.pick_warehouse(tid);
         let district = self.rngs[tid].below(DISTRICTS_PER_WH);
         let w = elem_addr(self.warehouse, wh, WAREHOUSE_ROW);
-        env.read(tid, w);
-        env.write(tid, w);
+        env.update(tid, w);
         let d = elem_addr(self.district, wh * DISTRICTS_PER_WH + district, DISTRICT_ROW);
-        env.read(tid, d);
-        env.write(tid, d);
+        env.update(tid, d);
         let cust = self.cust_skew.sample(&mut self.rngs[tid]);
         let c = self.customer_addr(wh, district, cust);
-        env.read(tid, c);
-        env.write(tid, c);
+        env.update(tid, c);
     }
 
     fn order_status<E: MemEnv + ?Sized>(&mut self, env: &mut E, tid: usize) {
@@ -316,8 +311,9 @@ mod tests {
         let counts = env.machine().counters().all();
         let loads: u64 = counts.iter().map(|c| c.loads).sum();
         let stores: u64 = counts.iter().map(|c| c.stores).sum();
-        // Roughly 1:1 R/W as in Table 2 (setup writes excluded would make
-        // this tighter; the mix keeps stores within 2x of loads).
+        // Roughly 1:1 R/W as in Table 2 (1.14 here). The counters also
+        // hold set-up's writes, one per mapping it created: 71 huge pages
+        // beside the mix's ~45 K accesses.
         assert!(stores > 0 && loads > 0);
         let ratio = loads as f64 / stores as f64;
         assert!((0.4..4.0).contains(&ratio), "R/W ratio {ratio}");

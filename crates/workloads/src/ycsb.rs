@@ -121,8 +121,7 @@ impl Ycsb {
         let is_update = self.rngs[tid].unit_f64() < self.cfg.update_frac;
         if is_update {
             // Read-modify-write of the row head.
-            env.read(tid, addr);
-            env.write(tid, addr);
+            env.update(tid, addr);
         } else {
             // Read two cache lines of the row.
             env.read(tid, addr);
