@@ -5,9 +5,9 @@
 //! one `dyn MemEnv` tick at a time. Both must produce the same run, down
 //! to every report field and the telemetry JSON, on a plain machine, a
 //! Memory Mode machine, a heat-tracking machine and a sanitizer-armed
-//! machine (which keeps frame versions) alike. GUPS issues its table
-//! read-modify-write as one `MemEnv::update`; it must also match a tick
-//! path that splits every update into a `read` and a `write`.
+//! machine (which keeps frame versions) alike. GUPS, YCSB and TPC-C issue
+//! their read-modify-writes as `MemEnv::update`; each must also match a
+//! tick path that splits every update into a `read` and a `write`.
 
 use mtm::{MtmConfig, MtmManager};
 use mtm_baselines::hmc::MemoryMode;
@@ -198,15 +198,19 @@ fn paper_workloads_round_matches_tick_with_the_sanitizer_armed() {
     paper_workloads_round_matches_tick_on(Kind::Checked);
 }
 
+/// GUPS's table update, YCSB's (Cassandra's) row update and TPC-C's
+/// (VoltDB's) read-modify-writes are each one `MemEnv::update`.
 #[test]
 fn gups_updates_match_a_read_and_a_write() {
-    for kind in [Kind::Plain, Kind::Checked] {
-        let make = || mtm_workloads::build_paper_workload("GUPS", SCALE, 2).expect("paper workload");
-        assert_eq!(
-            fingerprint(kind, make()),
-            fingerprint(kind, SplitTicks(TickOnly(make()))),
-            "GUPS on a {kind:?} machine: update diverged from read + write"
-        );
+    for name in ["GUPS", "VoltDB", "Cassandra"] {
+        for kind in [Kind::Plain, Kind::Checked] {
+            let make = || mtm_workloads::build_paper_workload(name, SCALE, 2).expect("paper workload");
+            assert_eq!(
+                fingerprint(kind, make()),
+                fingerprint(kind, SplitTicks(TickOnly(make()))),
+                "{name} on a {kind:?} machine: update diverged from read + write"
+            );
+        }
     }
 }
 

@@ -7,8 +7,7 @@
 //! a fixed order, the output is byte-identical for any worker count. The
 //! harness's `runpool` maps whole runs over it, on a pool sized by
 //! `MTM_JOBS` or the host's parallelism. R-MAT graph generation builds
-//! its edge packets (through [`map_items_with`], one pair of temporaries
-//! per worker) and CSR buckets with it on the host's parallelism
+//! its edge packets and CSR buckets with it on the host's parallelism
 //! alone (`available_parallelism`; deliberately no knob, since the graph
 //! does not depend on the worker count).
 //!
@@ -36,22 +35,14 @@ pub fn workers() -> usize {
 /// would break the byte-identical-across-worker-counts guarantee. A
 /// panic in `f` reaches the caller, with its own payload, once every
 /// worker has stopped.
-pub fn map_items<I: Send, T: Send>(workers: usize, items: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
-    map_items_with(workers, items, || (), |_, item| f(item))
-}
-
-/// [`map_items`] with scratch state: each worker builds one `S` with
-/// `init` at its first item and lends it to `f` for every item it maps,
-/// whose result must not depend on what earlier items left there.
-pub fn map_items_with<I: Send, S, T: Send>(
-    workers: usize,
-    items: Vec<I>,
-    init: impl Fn() -> S + Sync,
-    f: impl Fn(&mut S, I) -> T + Sync,
-) -> Vec<T> {
+pub fn map_items<I, T, F>(workers: usize, items: Vec<I>, f: F) -> Vec<T>
+where
+    I: Send,
+    T: Send,
+    F: Fn(I) -> T + Sync,
+{
     if workers <= 1 || items.len() <= 1 {
-        let mut state = None;
-        return items.into_iter().map(|item| f(state.get_or_insert_with(&init), item)).collect();
+        return items.into_iter().map(f).collect();
     }
     let threads = workers.min(items.len());
     // Each item is queued with its own output slot, so a worker writes
@@ -64,15 +55,12 @@ pub fn map_items_with<I: Send, S, T: Send>(
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                scope.spawn(|| {
-                    let mut state = None;
-                    loop {
-                        // A statement of its own, so the guard drops
-                        // before `f` runs: no lock is held across an item.
-                        let next = queue.lock().expect("item queue poisoned").next();
-                        let Some((item, out)) = next else { break };
-                        *out = Some(f(state.get_or_insert_with(&init), item));
-                    }
+                scope.spawn(|| loop {
+                    // A statement of its own, so the guard drops before
+                    // `f` runs: no lock is held across an item.
+                    let next = queue.lock().expect("item queue poisoned").next();
+                    let Some((item, out)) = next else { break };
+                    *out = Some(f(item));
                 })
             })
             .collect();
@@ -109,24 +97,6 @@ mod tests {
         });
         assert_eq!(out.iter().sum::<u64>(), 333 * 332 / 2);
         assert_eq!(hits.load(Ordering::Relaxed), 333);
-    }
-
-    #[test]
-    fn worker_state_is_built_at_most_once_per_worker() {
-        for workers in [1, 2, 4] {
-            let inits = AtomicU64::new(0);
-            let init = || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                Vec::new()
-            };
-            let out = map_items_with(workers, (0..50u64).collect(), init, |seen: &mut Vec<u64>, i| {
-                seen.push(i);
-                i * 2
-            });
-            assert_eq!(out, (0..50).map(|i| i * 2).collect::<Vec<_>>(), "workers={workers}");
-            let built = inits.load(Ordering::Relaxed);
-            assert!((1..=workers as u64).contains(&built), "workers={workers} built {built}");
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use tiersim::engine::{map_items, map_items_with};
+use tiersim::engine::map_items;
 
 use crate::rng::{cut, SplitMix64};
 
@@ -239,62 +239,46 @@ fn fill_avx512(grid: Grid, first: u64, src: &mut [u32], dst: &mut [u32]) {
     fill(grid, first, src, dst)
 }
 
-/// [`fill`] with AVX2: four lanes per 256-bit register, each 64-bit
-/// multiply built from 32-bit ones (`vpmuludq`).
+/// Whether this host runs [`fill_avx512`].
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn fill_avx2(grid: Grid, first: u64, src: &mut [u32], dst: &mut [u32]) {
-    fill(grid, first, src, dst)
+fn avx512_detected() -> bool {
+    is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512dq")
+        && is_x86_feature_detected!("avx512vl")
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn avx512_detected() -> bool {
+    false
 }
 
 /// Which compilation of the lane kernel generates the edges. The edges
-/// are the same under each; only the speed differs, so the host's
+/// are the same under both; only the speed differs, so the host's
 /// features pick it, not a setting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Kernel {
     Portable,
-    Avx2,
     Avx512,
 }
 
 impl Kernel {
-    /// Every compilation, slowest first.
-    const ALL: [Kernel; 3] = [Kernel::Portable, Kernel::Avx2, Kernel::Avx512];
-
-    /// Whether this host has the CPU features the compilation needs.
-    fn runs_here(self) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        return match self {
-            Kernel::Portable => true,
-            Kernel::Avx2 => is_x86_feature_detected!("avx2"),
-            Kernel::Avx512 => {
-                is_x86_feature_detected!("avx512f")
-                    && is_x86_feature_detected!("avx512dq")
-                    && is_x86_feature_detected!("avx512vl")
-            }
-        };
-        #[cfg(not(target_arch = "x86_64"))]
-        return self == Kernel::Portable;
-    }
-
     /// The fastest compilation this host runs.
     fn detect() -> Kernel {
-        Kernel::ALL.into_iter().rev().find(|k| k.runs_here()).unwrap_or(Kernel::Portable)
+        if avx512_detected() {
+            Kernel::Avx512
+        } else {
+            Kernel::Portable
+        }
     }
 
     /// [`fill`] in this compilation (the portable one when the host
-    /// lacks its features).
+    /// lacks AVX-512).
     fn fill(self, grid: Grid, first: u64, src: &mut [u32], dst: &mut [u32]) {
         #[cfg(target_arch = "x86_64")]
-        if self != Kernel::Portable && self.runs_here() {
-            // SAFETY: each `fill_*` needs exactly the features `runs_here`
-            // just detected on this host; its body is safe code.
-            return unsafe {
-                match self {
-                    Kernel::Avx512 => fill_avx512(grid, first, src, dst),
-                    _ => fill_avx2(grid, first, src, dst),
-                }
-            };
+        if self == Kernel::Avx512 && avx512_detected() {
+            // SAFETY: `fill_avx512` needs exactly the features just
+            // detected on this host; its body is safe code.
+            return unsafe { fill_avx512(grid, first, src, dst) };
         }
         fill(grid, first, src, dst)
     }
@@ -334,16 +318,13 @@ struct Packet {
 }
 
 impl Packet {
-    /// Generates `edges` into `temps`, one pair a worker reuses for all
-    /// its packets, and splits them by source bucket.
-    fn generate(kernel: Kernel, grid: Grid, buckets: Buckets, edges: Range<usize>, temps: &mut (Vec<u32>, Vec<u32>)) -> Packet {
+    /// Generates `edges` and splits them by source bucket.
+    fn generate(kernel: Kernel, grid: Grid, buckets: Buckets, edges: Range<usize>) -> Packet {
         let len = edges.len();
-        let (src, dst) = temps;
-        src.resize(len, 0);
-        dst.resize(len, 0);
-        kernel.fill(grid, edges.start as u64, src, dst);
+        let (mut src, mut dst) = (vec![0u32; len], vec![0u32; len]);
+        kernel.fill(grid, edges.start as u64, &mut src, &mut dst);
         let mut starts = vec![0u32; buckets.count + 1];
-        for &s in src.iter() {
+        for &s in &src {
             starts[buckets.of(s) + 1] += 1;
         }
         for b in 1..starts.len() {
@@ -352,7 +333,7 @@ impl Packet {
         let mut cursor = starts.clone();
         let mut packet = Packet { dst: vec![0; len], local_src: vec![0; len], starts };
         let local = (1u32 << buckets.shift) - 1;
-        for (&s, &d) in src.iter().zip(dst.iter()) {
+        for (&s, &d) in src.iter().zip(&dst) {
             let at = &mut cursor[buckets.of(s)];
             packet.dst[*at as usize] = d;
             packet.local_src[*at as usize] = (s & local) as u16;
@@ -432,7 +413,7 @@ fn rmat_on(params: RmatParams, workers: usize, chunk: usize, kernel: Kernel) -> 
     let buckets = Buckets::new(grid);
     let edges = params.edges as usize;
     let ranges = (0..edges).step_by(chunk).map(|lo| lo..(lo + chunk).min(edges)).collect();
-    let packets = map_items_with(workers, ranges, Default::default, |t, r| Packet::generate(kernel, grid, buckets, r, t));
+    let packets = map_items(workers, ranges, |r| Packet::generate(kernel, grid, buckets, r));
     // Both arrays are sized up front from the bucket totals; each bucket
     // then fills only its own disjoint slices of them.
     let mut offsets = vec![0u64; grid.n as usize + 1];
@@ -548,7 +529,10 @@ mod tests {
     /// Every compilation of the lane kernel this host runs, portable
     /// first; prints which ones a test is about to check.
     fn kernels(test: &str) -> Vec<Kernel> {
-        let out: Vec<Kernel> = Kernel::ALL.into_iter().filter(|k| k.runs_here()).collect();
+        let mut out = vec![Kernel::Portable];
+        if Kernel::detect() == Kernel::Avx512 {
+            out.push(Kernel::Avx512);
+        }
         println!("{test}: checking kernels {out:?}");
         out
     }
