@@ -88,9 +88,15 @@ impl Json {
     }
 }
 
-/// Parses a complete JSON document (trailing whitespace allowed).
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so a cap keeps a hostile document from
+/// overflowing the stack; no document this workspace writes comes close.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document (trailing whitespace allowed). A
+/// document nested deeper than [`MAX_DEPTH`] is an `Err`.
 pub fn parse(s: &str) -> Result<Json, String> {
-    let mut p = Parser { src: s, pos: 0 };
+    let mut p = Parser { src: s, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -104,6 +110,8 @@ struct Parser<'a> {
     src: &'a str,
     /// Byte offset into `src`.
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -145,11 +153,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat_lit("true", Json::Bool(true)),
             Some(b'f') => self.eat_lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!("unexpected {:?} at byte {}", other.map(|b| b as char), self.pos)),
         }
+    }
+
+    /// Parses one array or object with `container`, one level deeper.
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -301,6 +320,21 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"\\q\""] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn rejects_nesting_past_the_cap_without_overflowing_the_stack() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let doc = |depth: usize| format!("{}1{}", open.repeat(depth), close.repeat(depth));
+            assert!(parse(&doc(MAX_DEPTH)).is_ok(), "{open} at the cap");
+            let err = parse(&doc(MAX_DEPTH + 1)).expect_err("one past the cap");
+            assert!(err.contains("nesting deeper"), "{err}");
+            // Unterminated, far deeper than any stack would hold frames for.
+            assert!(parse(&open.repeat(1_000_000)).is_err(), "{open} x 1e6");
+        }
+        // Mixed arrays and objects count toward the same cap.
+        let mixed = "[{\"k\":".repeat(MAX_DEPTH / 2) + "[";
+        assert!(parse(&mixed).unwrap_err().contains("nesting deeper"));
     }
 
     #[test]

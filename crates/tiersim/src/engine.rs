@@ -6,9 +6,9 @@
 //! of its item and shared read-only state, and the results come back in
 //! a fixed order, the output is byte-identical for any worker count. The
 //! harness's `runpool` maps whole runs over it, on a pool sized by
-//! `MTM_JOBS` or the host's parallelism. R-MAT graph generation builds
-//! its edge packets and CSR buckets with it on the host's parallelism
-//! alone (`available_parallelism`; deliberately no knob, since the graph
+//! `MTM_JOBS` or the host's parallelism. R-MAT graph generation fills
+//! its per-worker edge stores and builds its CSR buckets with it on the
+//! host's parallelism alone (`available_parallelism`; deliberately no knob, since the graph
 //! does not depend on the worker count).
 //!
 //! Nothing inside a run uses it: the profiler scan, move-set collection
@@ -33,6 +33,9 @@ pub fn workers() -> usize {
 /// `f` must be a pure function of its item and shared read-only state:
 /// items run concurrently in arbitrary order, so any other side effect
 /// would break the byte-identical-across-worker-counts guarantee. A
+/// caller whose items share work through an atomic, as the R-MAT
+/// generator's workers share packets, must itself make what it builds
+/// from the results independent of which item did what. A
 /// panic in `f` reaches the caller, with its own payload, once every
 /// worker has stopped.
 pub fn map_items<I, T, F>(workers: usize, items: Vec<I>, f: F) -> Vec<T>

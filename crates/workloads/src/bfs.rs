@@ -88,8 +88,16 @@ pub struct Bfs {
 
 impl Bfs {
     /// Creates a BFS instance over the (cached) graph.
+    ///
+    /// Panics if the graph has no edge: every traversal starts from a vertex
+    /// with an outgoing edge, and an edgeless graph has none to draw.
     pub fn new(cfg: BfsConfig) -> Bfs {
         let graph = cached_rmat(cfg.graph);
+        assert!(
+            graph.edges() > 0,
+            "Bfs::new: the graph ({:?}) has no edge, so no traversal can start",
+            cfg.graph
+        );
         let stamps = vec![0u32; graph.vertices as usize];
         let rng = SplitMix64::new(cfg.seed);
         Bfs {
@@ -265,6 +273,17 @@ mod tests {
             b.setup(&mut env);
         }
         (b, m)
+    }
+
+    #[test]
+    #[should_panic(expected = "has no edge")]
+    fn an_edgeless_graph_is_rejected() {
+        Bfs::new(BfsConfig {
+            graph: RmatParams { vertices: 64, edges: 0, seed: 9 },
+            threads: 1,
+            cpu_ns_per_op: 0.0,
+            seed: 1,
+        });
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! same graph under different managers.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::mem::MaybeUninit;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use tiersim::engine::map_items;
@@ -81,8 +83,8 @@ const B: f64 = 0.19;
 const C: f64 = 0.19;
 
 /// Edges per work packet: about a million RNG draws at paper-scale depths,
-/// small enough to balance across workers, large enough to amortize the
-/// per-packet allocation.
+/// small enough to balance across workers, large enough to amortize each
+/// packet's per-bucket bookkeeping.
 const CHUNK_EDGES: usize = 1 << 16;
 
 /// Edges one call of the lane kernel generates: eight independent
@@ -308,83 +310,185 @@ impl Buckets {
     }
 }
 
-/// One generation packet, its edges stably split by source bucket:
-/// bucket `b`'s edges are `starts[b]..starts[b + 1]`, in edge order,
-/// stored as a bucket-local source and a destination (6 B per edge).
-struct Packet {
-    dst: Vec<u32>,
+/// One worker's edges of one source bucket, stored as a bucket-local
+/// source and a destination (6 B per edge): the edges of each packet the
+/// worker generated, in the order it took them, its `k`-th packet ending
+/// at `ends[k]`.
+#[derive(Default)]
+struct Store {
     local_src: Vec<u16>,
-    starts: Vec<u32>,
+    dst: Vec<u32>,
+    ends: Vec<usize>,
 }
 
-impl Packet {
-    /// Generates `edges` and splits them by source bucket.
-    fn generate(kernel: Kernel, grid: Grid, buckets: Buckets, edges: Range<usize>) -> Packet {
-        let len = edges.len();
-        let (mut src, mut dst) = (vec![0u32; len], vec![0u32; len]);
-        kernel.fill(grid, edges.start as u64, &mut src, &mut dst);
-        let mut starts = vec![0u32; buckets.count + 1];
-        for &s in &src {
-            starts[buckets.of(s) + 1] += 1;
-        }
-        for b in 1..starts.len() {
-            starts[b] += starts[b - 1];
-        }
-        let mut cursor = starts.clone();
-        let mut packet = Packet { dst: vec![0; len], local_src: vec![0; len], starts };
-        let local = (1u32 << buckets.shift) - 1;
-        for (&s, &d) in src.iter().zip(&dst) {
-            let at = &mut cursor[buckets.of(s)];
-            packet.dst[*at as usize] = d;
-            packet.local_src[*at as usize] = (s & local) as u16;
-            *at += 1;
-        }
-        packet
-    }
-
-    /// Bucket `b`'s edges as parallel (local source, destination) slices.
-    fn bucket(&self, b: usize) -> (&[u16], &[u32]) {
-        let r = self.starts[b] as usize..self.starts[b + 1] as usize;
+impl Store {
+    /// The bucket's edges of the worker's `k`-th packet, as parallel
+    /// (local source, destination) slices.
+    fn segment(&self, k: usize) -> (&[u16], &[u32]) {
+        let start = if k == 0 { 0 } else { self.ends[k - 1] };
+        let r = start..self.ends[k];
         (&self.local_src[r.clone()], &self.dst[r])
     }
 }
 
-/// Bucket `b`'s share of the CSR: `offsets` are the ends of its sources'
-/// lists (global `offsets[lo + 1 ..= hi]`), `neighbors` its lists, whose
-/// first edge is global edge `base`.
-struct BucketOut<'a> {
-    b: usize,
+/// A store's unwritten tail, reserved for one packet's edges.
+struct Tail<'a> {
+    local_src: &'a mut [MaybeUninit<u16>],
+    dst: &'a mut [MaybeUninit<u32>],
+    written: usize,
+}
+
+/// One generation worker: takes packets of `chunk` edges out of `edges`
+/// from `next` until none is left and appends each packet's edges, in
+/// edge order, to its store of their source bucket. Returns the stores
+/// and the packets it took, in order. One pair of endpoint buffers serves
+/// every packet; `share` packets is the guess that sizes the stores.
+fn generate(
+    kernel: Kernel,
+    grid: Grid,
+    buckets: Buckets,
+    edges: usize,
+    chunk: usize,
+    next: &AtomicUsize,
+    share: usize,
+) -> (Vec<Store>, Vec<usize>) {
+    let mut stores: Vec<Store> =
+        std::iter::repeat_with(Store::default).take(buckets.count).collect();
+    let mut taken = Vec::new();
+    let (mut src, mut dst) = (vec![0u32; chunk.min(edges)], vec![0u32; chunk.min(edges)]);
+    let mut counts = vec![0usize; buckets.count];
+    let local = (1u32 << buckets.shift) - 1;
+    loop {
+        // Relaxed: the counter only hands out distinct packet numbers.
+        let packet = next.fetch_add(1, Ordering::Relaxed);
+        let first = packet * chunk;
+        if first >= edges {
+            return (stores, taken);
+        }
+        taken.push(packet);
+        let len = chunk.min(edges - first);
+        let (src, dst) = (&mut src[..len], &mut dst[..len]);
+        kernel.fill(grid, first as u64, src, dst);
+        counts.fill(0);
+        for &s in src.iter() {
+            counts[buckets.of(s)] += 1;
+        }
+        let mut tails: Vec<Tail> = stores
+            .iter_mut()
+            .zip(&counts)
+            .map(|(store, &n)| {
+                // The first packet's share sizes the store for the worker's
+                // expected packets, so a large store seldom regrows.
+                let n = if store.ends.is_empty() { n * share } else { n };
+                store.local_src.reserve(n);
+                store.dst.reserve(n);
+                let (local_src, dst) =
+                    (store.local_src.spare_capacity_mut(), store.dst.spare_capacity_mut());
+                Tail { local_src, dst, written: 0 }
+            })
+            .collect();
+        for (&s, &d) in src.iter().zip(dst.iter()) {
+            let tail = &mut tails[buckets.of(s)];
+            tail.local_src[tail.written].write((s & local) as u16);
+            tail.dst[tail.written].write(d);
+            tail.written += 1;
+        }
+        for (n, tail) in counts.iter_mut().zip(tails) {
+            *n = tail.written;
+        }
+        for (store, &n) in stores.iter_mut().zip(&counts) {
+            let len = store.dst.len() + n;
+            // SAFETY: the scatter above initialised the first `n` slots
+            // past each vector's length, and `reserve` made them capacity.
+            unsafe {
+                store.local_src.set_len(len);
+                store.dst.set_len(len);
+            }
+            store.ends.push(len);
+        }
+    }
+}
+
+/// A graph's edges split by source bucket: `by_bucket[b]` holds bucket
+/// `b`'s store of each worker, and packet `p`'s edges are segment
+/// `owner[p].1` of worker `owner[p].0`'s stores.
+struct Split {
+    by_bucket: Vec<Vec<Store>>,
+    owner: Vec<(usize, usize)>,
+}
+
+/// Generates `edges` edges in `chunk`-edge packets on `workers` threads
+/// into per-bucket stores. Workers take packets from a shared counter, so
+/// one the host slows down holds up no other; which worker took which
+/// packet changes from run to run, but `owner` records it, so the CSR
+/// built from the split does not.
+fn split_edges(
+    kernel: Kernel,
+    grid: Grid,
+    buckets: Buckets,
+    edges: usize,
+    chunk: usize,
+    workers: usize,
+) -> Split {
+    let packets = edges.div_ceil(chunk);
+    let share = packets.div_ceil(workers);
+    let next = AtomicUsize::new(0);
+    let per_worker = map_items(workers, vec![(); workers], |()| {
+        generate(kernel, grid, buckets, edges, chunk, &next, share)
+    });
+    let mut owner = vec![(0, 0); packets];
+    let mut by_bucket: Vec<Vec<Store>> =
+        std::iter::repeat_with(|| Vec::with_capacity(workers)).take(buckets.count).collect();
+    for (w, (stores, taken)) in per_worker.into_iter().enumerate() {
+        for (k, &packet) in taken.iter().enumerate() {
+            owner[packet] = (w, k);
+        }
+        for (bucket, store) in by_bucket.iter_mut().zip(stores) {
+            bucket.push(store);
+        }
+    }
+    Split { by_bucket, owner }
+}
+
+/// One source bucket's share of the CSR and the stores that hold its
+/// edges, one per worker: `offsets` are the ends of its sources' lists
+/// (global `offsets[lo + 1 ..= hi]`), `neighbors` its lists, whose first
+/// edge is global edge `base`.
+struct BucketBuild<'a> {
+    stores: Vec<Store>,
     base: u64,
     offsets: &'a mut [u64],
     neighbors: &'a mut [u32],
 }
 
-impl BucketOut<'_> {
-    /// Counts bucket `b`'s degrees, takes their prefix sum and scatters
-    /// its edges, walking the packets in order so each source keeps its
-    /// neighbors in edge order.
-    fn build(self, packets: &[Packet]) {
-        let b = self.b;
-        let mut cursor = vec![0usize; self.offsets.len()];
-        for p in packets {
-            for &s in p.bucket(b).0 {
-                cursor[s as usize] += 1;
+impl BucketBuild<'_> {
+    /// Counts the bucket's degrees into `offsets` (which arrive zeroed),
+    /// turns them into list starts and scatters its edges with each start
+    /// as the source's cursor, walking the packets in order through
+    /// `owner` so each source keeps its neighbors in edge order; every
+    /// cursor ends at its list's end. The stores are freed on return.
+    fn build(self, owner: &[(usize, usize)]) {
+        for store in &self.stores {
+            for &s in &store.local_src {
+                self.offsets[s as usize] += 1;
             }
         }
         let mut end = 0;
-        for (at, offset) in cursor.iter_mut().zip(self.offsets.iter_mut()) {
-            let degree = *at;
-            *at = end;
+        for offset in self.offsets.iter_mut() {
+            let degree = *offset;
+            *offset = end;
             end += degree;
-            *offset = self.base + end as u64;
         }
-        for p in packets {
-            let (srcs, dsts) = p.bucket(b);
+        for &(w, k) in owner {
+            let (srcs, dsts) = self.stores[w].segment(k);
             for (&s, &d) in srcs.iter().zip(dsts) {
-                let at = &mut cursor[s as usize];
-                self.neighbors[*at] = d;
+                let at = &mut self.offsets[s as usize];
+                self.neighbors[*at as usize] = d;
                 *at += 1;
             }
+        }
+        for offset in self.offsets.iter_mut() {
+            *offset += self.base;
         }
     }
 }
@@ -397,9 +501,9 @@ impl BucketOut<'_> {
 /// `i·levels .. (i+1)·levels` of `SplitMix64::new(seed)`, reached
 /// directly with [`SplitMix64::at`]. Edges are generated in packets on
 /// all host cores, eight at a time by a kernel compiled for the host's
-/// vector width, and each source bucket is then built on its own, so the
-/// graph is identical for any core count or host — the worker count is
-/// deliberately not a knob.
+/// vector width, and each source bucket is then built on its own from its
+/// edges in packet order, so the graph is identical for any core count
+/// or host — the worker count is deliberately not a knob.
 pub fn rmat(params: RmatParams) -> Csr {
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     rmat_on(params, workers, CHUNK_EDGES, Kernel::detect())
@@ -408,30 +512,39 @@ pub fn rmat(params: RmatParams) -> Csr {
 /// [`rmat`] on `workers` threads with `chunk`-edge packets and the
 /// `kernel` compilation; the result depends on none of them.
 fn rmat_on(params: RmatParams, workers: usize, chunk: usize, kernel: Kernel) -> Csr {
-    debug_assert!(chunk <= u32::MAX as usize, "packet edge counts are u32");
     let grid = Grid::new(params);
     let buckets = Buckets::new(grid);
     let edges = params.edges as usize;
-    let ranges = (0..edges).step_by(chunk).map(|lo| lo..(lo + chunk).min(edges)).collect();
-    let packets = map_items(workers, ranges, |r| Packet::generate(kernel, grid, buckets, r));
+    let workers = workers.clamp(1, edges.div_ceil(chunk).max(1));
+    build_csr(grid, buckets, workers, split_edges(kernel, grid, buckets, edges, chunk, workers))
+}
+
+/// Builds the CSR of `split` on `workers` threads: each bucket is built
+/// from its stores, largest first, and its stores are freed as soon as it
+/// is done, so the peak is the stores plus the buckets in flight, not
+/// every edge twice.
+fn build_csr(grid: Grid, buckets: Buckets, workers: usize, split: Split) -> Csr {
+    let Split { by_bucket, owner } = split;
+    let edges = by_bucket.iter().flatten().map(|store| store.dst.len()).sum();
     // Both arrays are sized up front from the bucket totals; each bucket
     // then fills only its own disjoint slices of them.
     let mut offsets = vec![0u64; grid.n as usize + 1];
     let mut neighbors = vec![0u32; edges];
-    let mut outs = Vec::with_capacity(buckets.count);
+    let mut builds = Vec::with_capacity(buckets.count);
     let (mut offsets_rest, mut neighbors_rest) = (&mut offsets[1..], &mut neighbors[..]);
     let mut base = 0u64;
-    for b in 0..buckets.count {
-        let total: usize = packets.iter().map(|p| p.bucket(b).0.len()).sum();
+    for (b, stores) in by_bucket.into_iter().enumerate() {
+        let total: usize = stores.iter().map(|store| store.dst.len()).sum();
         let (offsets, rest) =
             std::mem::take(&mut offsets_rest).split_at_mut(buckets.sources(b, grid.n).len());
         offsets_rest = rest;
         let (neighbors, rest) = std::mem::take(&mut neighbors_rest).split_at_mut(total);
         neighbors_rest = rest;
-        outs.push(BucketOut { b, base, offsets, neighbors });
+        builds.push(BucketBuild { stores, base, offsets, neighbors });
         base += total as u64;
     }
-    map_items(workers, outs, |out| out.build(&packets));
+    builds.sort_by_key(|build| std::cmp::Reverse(build.neighbors.len()));
+    map_items(workers, builds, |build| build.build(&owner));
     Csr { vertices: grid.n, offsets, neighbors }
 }
 
@@ -634,6 +747,53 @@ mod tests {
                 let got = rmat_on(p, workers, 16, kernel);
                 assert_eq!(same_csr(&got, &want), Ok(()), "{kernel:?} workers={workers}");
             }
+        }
+    }
+
+    #[test]
+    fn packet_and_worker_edge_cases_match_reference() {
+        // (what, vertices, edges, chunk): more workers than packets, a
+        // single packet, and one-edge packets, which leave every store
+        // with one segment per packet of its worker.
+        let cases = [
+            ("more workers than packets", 5_000, 700, 333),
+            ("one packet", 5_000, 300, 333),
+            ("one packet, exactly full", 2_048, 512, 512),
+            ("one-edge packets", 3_000, 97, 1),
+        ];
+        let kernels = kernels("packet_and_worker_edge_cases_match_reference");
+        for (what, vertices, edges, chunk) in cases {
+            let p = RmatParams { vertices, edges, seed: edges ^ 0xED6E };
+            let want = rmat_reference(p);
+            for &kernel in &kernels {
+                for workers in [1, 2, 3, 7] {
+                    let got = rmat_on(p, workers, chunk, kernel);
+                    let at = format!("{what}: {kernel:?} workers={workers} chunk={chunk}");
+                    assert_eq!(same_csr(&got, &want), Ok(()), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_bucket_some_worker_never_stores_matches_reference() {
+        // Few edges over many buckets: a bucket holding one edge has it in
+        // one worker's store and none in the others', whichever worker
+        // took which packet, so the build meets empty stores beside full
+        // ones.
+        let p = RmatParams { vertices: 100_000, edges: 120, seed: 5 };
+        let grid = Grid::new(p);
+        let buckets = Buckets::new(grid);
+        let want = rmat_reference(p);
+        for kernel in kernels("a_bucket_some_worker_never_stores_matches_reference") {
+            let split = split_edges(kernel, grid, buckets, 120, 16, 3);
+            let lopsided = split.by_bucket.iter().any(|stores| {
+                let sizes: Vec<usize> = stores.iter().map(|store| store.dst.len()).collect();
+                sizes.contains(&0) && sizes.iter().any(|&n| n > 0)
+            });
+            assert!(lopsided, "every bucket is empty or in every worker's stores");
+            let got = build_csr(grid, buckets, 3, split);
+            assert_eq!(same_csr(&got, &want), Ok(()), "{kernel:?}");
         }
     }
 

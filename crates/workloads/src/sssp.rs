@@ -78,8 +78,16 @@ pub struct Sssp {
 
 impl Sssp {
     /// Creates an SSSP instance over the (cached) graph.
+    ///
+    /// Panics if the graph has no edge: every run starts from a vertex
+    /// with an outgoing edge, and an edgeless graph has none to draw.
     pub fn new(cfg: SsspConfig) -> Sssp {
         let graph = cached_rmat(cfg.graph);
+        assert!(
+            graph.edges() > 0,
+            "Sssp::new: the graph ({:?}) has no edge, so no run can start",
+            cfg.graph
+        );
         let v = graph.vertices as usize;
         let seed = cfg.seed;
         Sssp {
@@ -280,6 +288,17 @@ mod tests {
             s.setup(&mut env);
         }
         (s, m)
+    }
+
+    #[test]
+    #[should_panic(expected = "has no edge")]
+    fn an_edgeless_graph_is_rejected() {
+        Sssp::new(SsspConfig {
+            graph: RmatParams { vertices: 64, edges: 0, seed: 9 },
+            threads: 1,
+            cpu_ns_per_op: 0.0,
+            seed: 1,
+        });
     }
 
     #[test]

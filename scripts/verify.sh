@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification for the whole workspace.
 #
-# Bare `cargo test -q` at the root only runs the root package's ten
-# integration tests and silently skips the ~180 unit tests living in the
-# member crates — always verify with `--workspace`. The quick bench pass
+# Bare `cargo test -q` at the root runs only the root package's own
+# integration tests and silently skips every unit and integration test
+# of the member crates — always verify with `--workspace`. The quick bench pass
 # catches bench bit-rot (the substrate bench compiles and runs end to
 # end) without paying for real statistics.
 #
