@@ -32,16 +32,6 @@ impl MemoryManager for MemoryMode {
     }
 
     fn on_interval(&mut self, _m: &mut Machine, _interval: u64) {}
-
-    /// The manager is stateless (the cache state lives in the machine's
-    /// checkpoint), so its blob is empty.
-    fn save_state(&self) -> Option<Vec<u8>> {
-        Some(Vec::new())
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        obs::wire::Reader::new(bytes).finish()
-    }
 }
 
 #[cfg(test)]

@@ -100,19 +100,6 @@ impl FaultState {
         self.stats
     }
 
-    /// The stream's position, for checkpoints.
-    pub fn stream_state(&self) -> u64 {
-        self.rng.state()
-    }
-
-    /// Moves the stream to `state` with counters `stats`, as captured by
-    /// [`FaultState::stream_state`] and [`FaultState::stats`] from a state
-    /// over the same plan and seed.
-    pub fn resume_at(&mut self, state: u64, stats: FaultStats) {
-        self.rng = SplitMix64::from_state(state);
-        self.stats = stats;
-    }
-
     /// Rewinds the stream to its initial position and clears the
     /// counters (used when a machine resets its measurement epoch so the
     /// measured run sees the same schedule as a fresh machine would).

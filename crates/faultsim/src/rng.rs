@@ -32,18 +32,6 @@ impl SplitMix64 {
         SplitMix64 { state: seed.wrapping_add(k.wrapping_add(1).wrapping_mul(GAMMA)) }
     }
 
-    /// Current internal state, for checkpointing mid-stream.
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
-    /// Rebuilds a generator at an exact mid-stream state captured with
-    /// [`SplitMix64::state`] (unlike [`SplitMix64::new`], no seed scramble
-    /// is applied).
-    pub fn from_state(state: u64) -> SplitMix64 {
-        SplitMix64 { state }
-    }
-
     /// Next raw 64-bit value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -129,18 +117,6 @@ mod tests {
         for _ in 0..256 {
             let v = r.unit_f64();
             assert!((0.0..1.0).contains(&v));
-        }
-    }
-
-    #[test]
-    fn state_round_trip_resumes_mid_stream() {
-        let mut a = SplitMix64::new(77);
-        for _ in 0..13 {
-            a.next_u64();
-        }
-        let mut b = SplitMix64::from_state(a.state());
-        for _ in 0..64 {
-            assert_eq!(a.next_u64(), b.next_u64());
         }
     }
 

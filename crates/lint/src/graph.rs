@@ -51,8 +51,8 @@ const PANIC_ROOT_FILES: &[&str] =
     &["crates/tiersim/src/migrate.rs", "crates/mtm/src/migration.rs"];
 
 /// Further roots of the D8 panic-free closure: the transactional
-/// relocation primitives, the async-migration commit/abort engine, and
-/// checkpoint save/restore. `owner` narrows a common name to one impl.
+/// relocation primitives and the async-migration commit/abort engine.
+/// `owner` narrows a common name to one impl.
 const PANIC_ROOTS: &[(&str, Option<&str>)] = &[
     ("relocate_range", None),
     ("relocate_with_retry", None),
@@ -60,8 +60,6 @@ const PANIC_ROOTS: &[(&str, Option<&str>)] = &[
     ("enqueue_async", Some("MigrationEngine")),
     ("resolve_pending", Some("MigrationEngine")),
     ("drop_migration", Some("MigrationEngine")),
-    ("save_checkpoint", None),
-    ("restore_checkpoint", None),
 ];
 
 /// A lock's identity: `(file, variable)` — the last identifier in the
@@ -759,7 +757,7 @@ impl Workspace {
         out
     }
 
-    /// D8: the transitive closure of the migration/checkpoint roots must
+    /// D8: the transitive closure of the migration roots must
     /// be free of panicking shortcuts.
     pub fn check_panic_paths(&self) -> Vec<Finding> {
         let roots: Vec<usize> = (0..self.fns.len())

@@ -35,10 +35,10 @@
 //!   across crates the textual scopes don't cover.
 //! - **D7 lock-order** — the lock-acquisition order graph must be
 //!   acyclic (a real deadlock detector for the worker-pool code).
-//! - **D8 panic-path** — the transitive closure of the migration /
-//!   checkpoint roots (every non-test fn of `tiersim::migrate` and
-//!   `mtm::migration`, plus the named roots in [`graph`]) must be free of
-//!   `.unwrap()`, `.expect(` and `panic!`-family macros.
+//! - **D8 panic-path** — the transitive closure of the migration roots
+//!   (every non-test fn of `tiersim::migrate` and `mtm::migration`, plus
+//!   the named roots in [`graph`]) must be free of `.unwrap()`,
+//!   `.expect(` and `panic!`-family macros.
 //! - **O1 obs-name** — metric names are declared once in `obs::names`,
 //!   unique, `[a-z0-9_]+`, booked via the consts, and never dead
 //!   (see [`obsnames`]).
@@ -86,7 +86,7 @@ pub enum Rule {
     DeterminismTaint,
     /// D7: cycle in the lock-acquisition order graph.
     LockOrder,
-    /// D8: panicking shortcut reachable from a migration/checkpoint root.
+    /// D8: panicking shortcut reachable from a migration root.
     PanicPath,
     /// O1: metric-name audit violation (duplicate, bad charset, raw
     /// literal booking, or a declared-but-never-booked name).

@@ -13,7 +13,7 @@ use tiersim::machine::Machine;
 use tiersim::sim::{MemoryManager, RegionStats};
 use tiersim::tier::ComponentId;
 
-use crate::admission::{AdmissionKind, AdmissionPolicy};
+use crate::admission::AdmissionPolicy;
 use crate::config::{InitialPlacement, MtmConfig};
 use crate::migration::{MigrationEngine, MigrationStats};
 use crate::policy::{promote_and_demote, slow_first_order, PolicyScratch, PolicyStats};
@@ -176,52 +176,6 @@ impl MemoryManager for MtmManager {
         })
     }
 
-    fn save_state(&self) -> Option<Vec<u8>> {
-        // Stateful admission policies (ping-pong filter, rate limiter)
-        // hold private history that is not serialized; a manager using
-        // one is not checkpointable.
-        match self.cfg.admission {
-            AdmissionKind::Always | AdmissionKind::HotnessDelta => {}
-            AdmissionKind::PingPong | AdmissionKind::RateLimit => return None,
-        }
-        let mut w = obs::wire::Writer::new();
-        w.u64(config_digest(&self.cfg));
-        self.profiler.save(&mut w);
-        self.engine.save(&mut w);
-        let t = &self.policy_totals;
-        for v in [t.promoted, t.promoted_bytes, t.demoted, t.demoted_bytes] {
-            w.varint(v);
-        }
-        Some(w.into_bytes())
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = obs::wire::Reader::new(bytes);
-        let digest = r.u64()?;
-        let ours = config_digest(&self.cfg);
-        if digest != ours {
-            return Err(format!(
-                "checkpoint: MTM config digest mismatch (saved {digest:#018x}, this manager \
-                 {ours:#018x}): thresholds, budgets, ablations or admission policy differ"
-            ));
-        }
-        self.profiler.load(&mut r)?;
-        self.engine.load(&mut r)?;
-        self.policy_totals = PolicyStats {
-            promoted: r.varint()?,
-            promoted_bytes: r.varint()?,
-            demoted: r.varint()?,
-            demoted_bytes: r.varint()?,
-        };
-        r.finish()
-    }
-}
-
-/// Digest of the whole [`MtmConfig`] (its `Debug` text, the run cache's
-/// key idiom). A manager checkpoint restores only into a manager built
-/// from the same configuration; any other would resume a different run.
-fn config_digest(cfg: &MtmConfig) -> u64 {
-    obs::wire::fnv1a(format!("{cfg:?}").as_bytes())
 }
 
 #[cfg(test)]
@@ -229,7 +183,7 @@ mod tests {
     use super::*;
     use tiersim::addr::{VaRange, PAGE_SIZE_2M};
     use tiersim::machine::MachineConfig;
-    use tiersim::sim::{run_scenario, MemEnv, ScenarioProgress, Workload};
+    use tiersim::sim::{run_scenario, MemEnv, Workload};
     use tiersim::tier::tiny_two_tier;
 
     /// A workload hammering the first quarter of its footprint.
@@ -535,85 +489,5 @@ mod tests {
         assert!(mgr.metadata_bytes() > 0);
     }
 
-    #[test]
-    fn manager_checkpoint_round_trips_and_resumes_identically() {
-        // Run a scenario mid-way, checkpoint manager + machine + progress,
-        // restore into fresh objects, then continue both sides in
-        // lockstep: every interval's wall time (carried in the progress
-        // bytes) and the final serialized states must agree bit-for-bit.
-        let mut m_a = machine();
-        let mut mgr_a = MtmManager::new(MtmConfig::default(), 1);
-        let mut wl_a = workload();
-        let mut prog_a = ScenarioProgress::start(&mut m_a, &mut mgr_a, &mut wl_a);
-        for ivl in 0..8 {
-            prog_a.step_interval(&mut m_a, &mut mgr_a, &mut wl_a, ivl);
-        }
-        let mgr_blob = mgr_a.save_state().expect("default MTM config is checkpointable");
-        let machine_blob = m_a.save_state();
-        let progress_bytes = |p: &ScenarioProgress| {
-            let mut w = obs::wire::Writer::new();
-            p.save(&mut w);
-            w.into_bytes()
-        };
-        let prog_blob = progress_bytes(&prog_a);
-        let mut prog_b = ScenarioProgress::load(&mut obs::wire::Reader::new(&prog_blob))
-            .expect("progress restores");
-
-        let mut m_b = machine();
-        m_b.load_state(&machine_blob).expect("machine restores");
-        let mut mgr_b = MtmManager::new(MtmConfig::default(), 1);
-        mgr_b.load_state(&mgr_blob).expect("manager restores");
-        assert_eq!(mgr_b.save_state().unwrap(), mgr_blob, "re-save is byte-identical");
-        let mut wl_b = HotQuarter {
-            range: wl_a.range,
-            rng: tiersim::rng::SplitMix64::from_state(wl_a.rng.state()),
-            ops: wl_a.ops,
-        };
-
-        for ivl in 8..16 {
-            prog_a.step_interval(&mut m_a, &mut mgr_a, &mut wl_a, ivl);
-            prog_b.step_interval(&mut m_b, &mut mgr_b, &mut wl_b, ivl);
-            assert_eq!(progress_bytes(&prog_a), progress_bytes(&prog_b), "interval {ivl}");
-        }
-        assert_eq!(wl_a.ops, wl_b.ops);
-        assert_eq!(mgr_a.save_state().unwrap(), mgr_b.save_state().unwrap());
-        assert_eq!(m_a.save_state(), m_b.save_state());
-    }
-
-    #[test]
-    fn stateful_admission_refuses_checkpoint() {
-        let mut cfg = MtmConfig::default();
-        cfg.admission = crate::admission::AdmissionKind::PingPong;
-        let mgr = MtmManager::new(cfg, 1);
-        assert!(mgr.save_state().is_none());
-    }
-
-    #[test]
-    fn load_state_rejects_admission_mismatch() {
-        let mut cfg = MtmConfig::default();
-        cfg.admission = crate::admission::AdmissionKind::HotnessDelta;
-        let donor = MtmManager::new(cfg, 1);
-        let blob = donor.save_state().unwrap();
-        let mut mgr = MtmManager::new(MtmConfig::default(), 1);
-        let err = mgr.load_state(&blob).unwrap_err();
-        assert!(err.contains("config digest mismatch"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn load_state_rejects_any_config_mismatch() {
-        // Same admission policy, different thresholds and budget: the
-        // resumed run would diverge, so the restore must refuse.
-        let mut m = machine();
-        let mut donor = MtmManager::new(MtmConfig::default(), 1);
-        run_scenario(&mut m, &mut donor, &mut workload(), 3);
-        let blob = donor.save_state().unwrap();
-        let mut cfg = MtmConfig::default();
-        cfg.alpha = 0.9;
-        cfg.promote_bytes /= 4;
-        let err = MtmManager::new(cfg, 1).load_state(&blob).unwrap_err();
-        assert!(err.contains("config digest mismatch"), "unexpected error: {err}");
-        // The same configuration still restores.
-        MtmManager::new(MtmConfig::default(), 1).load_state(&blob).expect("same config restores");
-    }
 }
 

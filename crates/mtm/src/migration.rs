@@ -176,101 +176,6 @@ impl MigrationEngine {
         self.pending.iter().any(|p| p.range.overlaps(range))
     }
 
-    /// Serializes the engine's dynamic state (checkpoint support). The
-    /// retry policy and the copy-thread/async configuration are not
-    /// saved: they come from [`crate::MtmConfig`] when the engine is
-    /// rebuilt at restore time.
-    pub fn save(&self, w: &mut obs::wire::Writer) {
-        w.varint(self.pending.len() as u64);
-        for p in &self.pending {
-            p.range.save(w);
-            match p.src {
-                Some(c) => {
-                    w.bool(true);
-                    w.u16(c);
-                }
-                None => w.bool(false),
-            }
-            w.u16(p.dst);
-            w.u64(p.watch_id);
-            w.u32(p.attempts);
-            w.varint(p.inbound);
-            w.varint(p.ledger);
-            w.bool(p.bounce);
-        }
-        let s = &self.stats;
-        for v in [
-            s.async_clean,
-            s.switched_sync,
-            s.sync_direct,
-            s.dropped,
-            s.dropped_nospace,
-            s.dropped_empty,
-            s.dropped_transient,
-            s.retried,
-            s.aborted,
-            s.deferred,
-            s.bytes,
-            s.enqueued_bytes,
-            s.committed_bytes,
-            s.dropped_bytes,
-        ] {
-            w.varint(v);
-        }
-        w.varint(self.history.len() as u64);
-        for &(at, range) in &self.history {
-            w.varint(at);
-            range.save(w);
-        }
-        w.varint(self.now_interval);
-    }
-
-    /// Restores the dynamic state saved with [`MigrationEngine::save`]
-    /// into an engine freshly built from the same configuration.
-    pub fn load(&mut self, r: &mut obs::wire::Reader) -> Result<(), String> {
-        let count = r.varint()? as usize;
-        let mut pending = Vec::with_capacity(count.min(1 << 16));
-        for _ in 0..count {
-            let range = VaRange::load(r)?;
-            let src = if r.bool()? { Some(r.u16()?) } else { None };
-            pending.push(PendingAsync {
-                range,
-                src,
-                dst: r.u16()?,
-                watch_id: r.u64()?,
-                attempts: r.u32()?,
-                inbound: r.varint()?,
-                ledger: r.varint()?,
-                bounce: r.bool()?,
-            });
-        }
-        self.pending = pending;
-        self.stats = MigrationStats {
-            async_clean: r.varint()?,
-            switched_sync: r.varint()?,
-            sync_direct: r.varint()?,
-            dropped: r.varint()?,
-            dropped_nospace: r.varint()?,
-            dropped_empty: r.varint()?,
-            dropped_transient: r.varint()?,
-            retried: r.varint()?,
-            aborted: r.varint()?,
-            deferred: r.varint()?,
-            bytes: r.varint()?,
-            enqueued_bytes: r.varint()?,
-            committed_bytes: r.varint()?,
-            dropped_bytes: r.varint()?,
-        };
-        self.history.clear();
-        for _ in 0..r.varint()? {
-            let at = r.varint()?;
-            let range = VaRange::load(r)?;
-            self.history.push_back((at, range));
-        }
-        self.now_interval = r.varint()?;
-        Ok(())
-    }
-
     /// Starts migrating `range` to `dst`.
     ///
     /// With async enabled this arms write tracking and defers the move to

@@ -221,60 +221,6 @@ impl AdaptiveProfiler {
         ((budget / (eff_scan * self.cfg.num_scans as f64)) as u64).max(1)
     }
 
-    /// Serializes the profiler's dynamic state (checkpoint support). No
-    /// configuration is saved: it comes from the [`MtmConfig`] the
-    /// profiler is rebuilt with.
-    pub fn save(&self, w: &mut obs::wire::Writer) {
-        self.regions.save(w);
-        w.varint(self.plan.len() as u64);
-        for p in &self.plan {
-            w.u64(p.page.0);
-            w.varint(p.count as u64);
-        }
-        w.f64(self.tau_m_now);
-        w.varint(self.scan_tick);
-        w.u64(self.rng.state());
-        let s = &self.stats;
-        for v in [
-            s.intervals,
-            s.merged,
-            s.split,
-            s.region_count_sum,
-            s.hot_bytes_sum,
-            s.samples_planned,
-            s.last_num_ps,
-        ] {
-            w.varint(v);
-        }
-    }
-
-    /// Restores the dynamic state saved with [`AdaptiveProfiler::save`]
-    /// into a profiler freshly built from the same configuration.
-    pub fn load(&mut self, r: &mut obs::wire::Reader) -> Result<(), String> {
-        self.regions = RegionList::load(r)?;
-        let count = r.varint()? as usize;
-        let mut plan = Vec::with_capacity(count.min(1 << 16));
-        for _ in 0..count {
-            let page = VirtAddr(r.u64()?);
-            let count = r.varint()? as u32;
-            plan.push(PlannedSample { page, count });
-        }
-        self.plan = plan;
-        self.tau_m_now = r.f64()?;
-        self.scan_tick = r.varint()?;
-        self.rng = SplitMix64::from_state(r.u64()?);
-        self.stats = ProfilerStats {
-            intervals: r.varint()?,
-            merged: r.varint()?,
-            split: r.varint()?,
-            region_count_sum: r.varint()?,
-            hot_bytes_sum: r.varint()?,
-            samples_planned: r.varint()?,
-            last_num_ps: r.varint()?,
-        };
-        Ok(())
-    }
-
     /// Finishes the interval: aggregates counts, reforms regions, enforces
     /// the overhead constraint, and plans the next interval.
     pub fn finish_interval(&mut self, m: &mut Machine) {

@@ -416,85 +416,6 @@ impl RegionList {
             && self.regions.iter().all(|r| !r.is_empty() && r.quota >= 1)
     }
 
-    /// Serializes the region set and formation counters (checkpoint
-    /// support).
-    pub fn save(&self, w: &mut obs::wire::Writer) {
-        w.varint(self.nodes as u64);
-        w.varint(self.stats.merged);
-        w.varint(self.stats.split);
-        w.varint(self.regions.len() as u64);
-        for r in &self.regions {
-            r.range.save(w);
-            w.u32(r.quota);
-            w.f64(r.hi);
-            w.f64(r.prev_hi);
-            w.f64(r.whi);
-            w.f64(r.variance);
-            w.f64(r.spread);
-            w.f64(r.sample_max);
-            w.varint(r.node_votes.len() as u64);
-            for &v in &r.node_votes {
-                w.u32(v);
-            }
-            w.u16(r.home_node);
-            w.bool(r.pebs_active);
-            match r.pebs_page {
-                Some(p) => {
-                    w.bool(true);
-                    w.u64(p.0);
-                }
-                None => w.bool(false),
-            }
-            w.u32(r.evidence);
-        }
-    }
-
-    /// Restores a list saved with [`RegionList::save`].
-    pub fn load(r: &mut obs::wire::Reader) -> Result<RegionList, String> {
-        let nodes = r.varint()? as usize;
-        let stats = FormationStats { merged: r.varint()?, split: r.varint()? };
-        let count = r.varint()? as usize;
-        let mut regions = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            let range = VaRange::load(r)?;
-            let quota = r.u32()?;
-            let hi = r.f64()?;
-            let prev_hi = r.f64()?;
-            let whi = r.f64()?;
-            let variance = r.f64()?;
-            let spread = r.f64()?;
-            let sample_max = r.f64()?;
-            let votes = r.varint()? as usize;
-            let mut node_votes = Vec::with_capacity(votes.min(1024));
-            for _ in 0..votes {
-                node_votes.push(r.u32()?);
-            }
-            let home_node = r.u16()?;
-            let pebs_active = r.bool()?;
-            let pebs_page = if r.bool()? { Some(VirtAddr(r.u64()?)) } else { None };
-            let evidence = r.u32()?;
-            regions.push(Region {
-                range,
-                quota,
-                hi,
-                prev_hi,
-                whi,
-                variance,
-                spread,
-                sample_max,
-                node_votes,
-                home_node,
-                pebs_active,
-                pebs_page,
-                evidence,
-            });
-        }
-        let list = RegionList { regions, stats, nodes, spare: Vec::new() };
-        if !list.is_well_formed() {
-            return Err("restored region list is malformed".to_string());
-        }
-        Ok(list)
-    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,8 @@
 //! * [`snapshot`] — [`RunTelemetry`], the per-run export (final counters +
 //!   event ring + per-interval series) serialized to deterministic JSON;
 //! * [`json`] — the hand-rolled writer/parser keeping serialization and
-//!   validation hermetic.
+//!   validation hermetic;
+//! * [`wire`] — the byte encoding the simulator's state digest hashes.
 //!
 //! Recording is deliberately *per run*: a [`Recorder`] lives inside each
 //! simulated machine, so telemetry flows through the harness's
@@ -64,10 +65,6 @@ impl Recorder {
         self.ring.save(w);
     }
 
-    /// Restores a recorder saved with [`Recorder::save`].
-    pub fn load(r: &mut wire::Reader) -> Result<Recorder, String> {
-        Ok(Recorder { reg: Registry::load(r)?, ring: EventRing::load(r)? })
-    }
 }
 
 #[cfg(test)]
@@ -84,34 +81,5 @@ mod tests {
         let ev = r.ring.iter().next().unwrap();
         assert_eq!(ev.interval, 3);
         assert_eq!(ev.kind, EventKind::RegionSplit { split: 2 });
-    }
-
-    #[test]
-    fn recorder_round_trips_through_wire() {
-        let mut r = Recorder::new();
-        r.record(1, 10.0, EventKind::RegionMerge { merged: 4, freed_quota: 8 });
-        r.record(2, 20.5, EventKind::MigrationDropped { reason: "nospace" });
-        r.record(
-            3,
-            40.25,
-            EventKind::AdmissionRejected { bytes: 1 << 21, dst: 2, reason: "pingpong" },
-        );
-        r.reg.counter_add(names::MIGRATIONS, 5);
-        r.reg.gauge_set(names::TAU_M_NOW, 1.5);
-        r.reg.observe(names::MIGRATION_BYTES, 4096);
-        r.reg.observe(names::MIGRATION_BYTES, 0);
-
-        let mut w = wire::Writer::new();
-        r.save(&mut w);
-        let bytes = w.into_bytes();
-        let mut reader = wire::Reader::new(&bytes);
-        let back = Recorder::load(&mut reader).unwrap();
-        reader.finish().unwrap();
-        assert_eq!(back, r);
-
-        // Saving the restored recorder reproduces identical bytes.
-        let mut w2 = wire::Writer::new();
-        back.save(&mut w2);
-        assert_eq!(w2.into_bytes(), bytes);
     }
 }

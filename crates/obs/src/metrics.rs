@@ -207,18 +207,6 @@ impl LogHistogram {
         w.u64(self.max);
     }
 
-    /// Restores a histogram saved with [`LogHistogram::save`].
-    pub fn load(r: &mut crate::wire::Reader) -> Result<LogHistogram, String> {
-        let mut h = LogHistogram::default();
-        for b in h.buckets.iter_mut() {
-            *b = r.varint()?;
-        }
-        h.count = r.varint()?;
-        h.sum = r.varint()?;
-        h.min = r.u64()?;
-        h.max = r.u64()?;
-        Ok(h)
-    }
 }
 
 /// A deterministic per-run metrics registry.
@@ -308,28 +296,6 @@ impl Registry {
         }
     }
 
-    /// Restores a registry saved with [`Registry::save`]. Metric names are
-    /// interned back to `&'static str`; map order is content order, so the
-    /// result is equal to the saved registry regardless of load history.
-    pub fn load(r: &mut crate::wire::Reader) -> Result<Registry, String> {
-        let mut reg = Registry::new();
-        for _ in 0..r.varint()? {
-            let name = crate::wire::intern(&r.str()?);
-            let v = r.varint()?;
-            reg.counters.insert(name, v);
-        }
-        for _ in 0..r.varint()? {
-            let name = crate::wire::intern(&r.str()?);
-            let v = r.f64()?;
-            reg.gauges.insert(name, v);
-        }
-        for _ in 0..r.varint()? {
-            let name = crate::wire::intern(&r.str()?);
-            let h = LogHistogram::load(r)?;
-            reg.hists.insert(name, h);
-        }
-        Ok(reg)
-    }
 }
 
 /// Measures a span of *virtual* time.

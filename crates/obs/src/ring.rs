@@ -161,37 +161,6 @@ impl EventKind {
         }
     }
 
-    /// Restores a kind saved with [`EventKind::save`]. Reason strings are
-    /// interned back to `&'static str`.
-    pub fn load(r: &mut crate::wire::Reader) -> Result<EventKind, String> {
-        Ok(match r.u8()? {
-            0 => EventKind::RegionMerge { merged: r.varint()?, freed_quota: r.varint()? },
-            1 => EventKind::RegionSplit { split: r.varint()? },
-            2 => EventKind::TauMEscalated {
-                tau_m: r.f64()?,
-                regions: r.varint()?,
-                budget: r.varint()?,
-            },
-            3 => EventKind::QuotaRedistributed { freed: r.varint()? },
-            4 => EventKind::PebsZoomSplit { splits: r.varint()? },
-            5 => EventKind::Promotion { bytes: r.varint()?, src: r.u16()?, dst: r.u16()? },
-            6 => EventKind::Demotion { bytes: r.varint()?, src: r.u16()?, dst: r.u16()? },
-            7 => EventKind::AsyncClean { bytes: r.varint()?, dst: r.u16()? },
-            8 => EventKind::SwitchedSync { bytes: r.varint()?, dst: r.u16()? },
-            9 => EventKind::SyncDirect { bytes: r.varint()?, dst: r.u16()? },
-            10 => EventKind::MigrationDropped { reason: crate::wire::intern(&r.str()?) },
-            11 => EventKind::MigrationRetried { retries: r.varint()?, backoff_ns: r.varint()? },
-            12 => EventKind::MigrationAborted { bytes: r.varint()?, dst: r.u16()? },
-            13 => EventKind::MigrationDeferred { bytes: r.varint()?, dst: r.u16()? },
-            14 => EventKind::AdmissionRejected {
-                bytes: r.varint()?,
-                dst: r.u16()?,
-                reason: crate::wire::intern(&r.str()?),
-            },
-            other => return Err(format!("event: unknown kind tag {other}")),
-        })
-    }
-
     /// Appends this kind's payload fields as JSON object members
     /// (`,"k":v` ...) to `out`.
     fn write_json_fields(&self, out: &mut String) {
@@ -346,27 +315,6 @@ impl EventRing {
         }
     }
 
-    /// Restores a ring saved with [`EventRing::save`].
-    pub fn load(r: &mut crate::wire::Reader) -> Result<EventRing, String> {
-        let cap = r.varint()? as usize;
-        if cap == 0 {
-            return Err("event ring: zero capacity".into());
-        }
-        let dropped = r.varint()?;
-        let n = r.varint()? as usize;
-        if n > cap {
-            return Err(format!("event ring: {n} events exceed capacity {cap}"));
-        }
-        let mut ring = EventRing::with_capacity(cap);
-        ring.dropped = dropped;
-        for _ in 0..n {
-            let interval = r.varint()?;
-            let t_ns = r.f64()?;
-            let kind = EventKind::load(r)?;
-            ring.events.push_back(Event { interval, t_ns, kind });
-        }
-        Ok(ring)
-    }
 }
 
 #[cfg(test)]
@@ -428,13 +376,5 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), kinds.len());
-    }
-
-    #[test]
-    fn unassigned_kind_tag_is_an_error() {
-        // 15 is the first tag no kind is saved under.
-        let bytes = [15u8, 1, 0, 0];
-        let err = EventKind::load(&mut crate::wire::Reader::new(&bytes)).unwrap_err();
-        assert!(err.contains("unknown kind tag 15"), "{err}");
     }
 }

@@ -49,51 +49,6 @@ impl IntervalSeries {
         self.wall_ns.is_empty()
     }
 
-    /// Serializes the series (checkpoint support).
-    pub fn save(&self, w: &mut crate::wire::Writer) {
-        w.varint(self.wall_ns.len() as u64);
-        for &v in &self.wall_ns {
-            w.f64(v);
-        }
-        w.varint(self.overhead_pct.len() as u64);
-        for &v in &self.overhead_pct {
-            w.f64(v);
-        }
-        w.varint(self.migrated_bytes.len() as u64);
-        for &v in &self.migrated_bytes {
-            w.varint(v);
-        }
-        w.varint(self.occupancy.len() as u64);
-        for snap in &self.occupancy {
-            w.varint(snap.len() as u64);
-            for &v in snap {
-                w.varint(v);
-            }
-        }
-    }
-
-    /// Restores a series saved with [`IntervalSeries::save`].
-    pub fn load(r: &mut crate::wire::Reader) -> Result<IntervalSeries, String> {
-        let mut s = IntervalSeries::default();
-        for _ in 0..r.varint()? {
-            s.wall_ns.push(r.f64()?);
-        }
-        for _ in 0..r.varint()? {
-            s.overhead_pct.push(r.f64()?);
-        }
-        for _ in 0..r.varint()? {
-            s.migrated_bytes.push(r.varint()?);
-        }
-        for _ in 0..r.varint()? {
-            let n = r.varint()? as usize;
-            let mut snap = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                snap.push(r.varint()?);
-            }
-            s.occupancy.push(snap);
-        }
-        Ok(s)
-    }
 }
 
 /// Everything observable about one simulated run.

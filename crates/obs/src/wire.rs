@@ -1,14 +1,11 @@
-//! Hermetic binary codec for traces and checkpoints.
+//! Hermetic binary encoding, write side only.
 //!
-//! The scenario engine serializes two kinds of artifacts — recorded
-//! access traces and simulation-state checkpoints — and both must be
-//! deterministic down to the byte and readable years later without any
-//! external crate. This module is the single shared encoding layer:
+//! `tiersim::machine::Machine::state_digest` serializes the machine's
+//! dynamic state with [`Writer`] and hashes the bytes with [`fnv1a`]:
 //! fixed-width little-endian scalars, `f64` via IEEE-754 bit patterns
-//! (never decimal round-trips), LEB128 varints with zigzag for signed
-//! deltas, and length-prefixed strings/blobs. Decoding is total: every
-//! read returns `Result` and a truncated or corrupt buffer surfaces a
-//! descriptive error instead of a panic.
+//! (never decimal round-trips), LEB128 varints and length-prefixed
+//! strings/blobs, so equal states encode to equal bytes. Nothing decodes
+//! them.
 
 /// Append-only byte sink for the wire encoding.
 #[derive(Clone, Debug, Default)]
@@ -25,16 +22,6 @@ impl Writer {
     /// Consumes the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Bytes encoded so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Writes one raw byte.
@@ -57,7 +44,7 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Writes an `f64` as its IEEE-754 bit pattern (exact round-trip).
+    /// Writes an `f64` as its IEEE-754 bit pattern.
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
@@ -80,11 +67,6 @@ impl Writer {
         }
     }
 
-    /// Writes a signed value as a zigzag-encoded varint.
-    pub fn zigzag(&mut self, v: i64) {
-        self.varint(((v << 1) ^ (v >> 63)) as u64);
-    }
-
     /// Writes a length-prefixed byte slice.
     pub fn bytes(&mut self, v: &[u8]) {
         self.varint(v.len() as u64);
@@ -97,161 +79,8 @@ impl Writer {
     }
 }
 
-/// Sequential decoder over an encoded buffer.
-#[derive(Clone, Debug)]
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// Creates a reader over `buf`.
-    pub fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Errors unless the whole buffer was consumed.
-    pub fn finish(&self) -> Result<(), String> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(format!("wire: {} trailing bytes", self.buf.len() - self.pos))
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.remaining() < n {
-            return Err(format!(
-                "wire: truncated ({} bytes needed at offset {}, {} left)",
-                n,
-                self.pos,
-                self.remaining()
-            ));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Reads one raw byte.
-    pub fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads exactly `N` bytes into a fixed-size array. `take` already
-    /// bounds-checks, so the conversion is checked rather than panicking:
-    /// restore paths must surface corruption as `Err`, never abort.
-    fn fixed_bytes<const N: usize>(&mut self) -> Result<[u8; N], String> {
-        self.take(N)?
-            .try_into()
-            .map_err(|_| format!("wire: internal length error on {N}-byte field"))
-    }
-
-    /// Reads a fixed-width little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.fixed_bytes()?))
-    }
-
-    /// Reads a fixed-width little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.fixed_bytes()?))
-    }
-
-    /// Reads a fixed-width little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.fixed_bytes()?))
-    }
-
-    /// Reads an `f64` from its IEEE-754 bit pattern.
-    pub fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a bool (rejecting anything but 0 or 1).
-    pub fn bool(&mut self) -> Result<bool, String> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(format!("wire: invalid bool byte {other}")),
-        }
-    }
-
-    /// Reads an unsigned LEB128 varint.
-    pub fn varint(&mut self) -> Result<u64, String> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift == 63 && byte > 1 {
-                return Err("wire: varint overflows u64".into());
-            }
-            v |= ((byte & 0x7f) as u64) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err("wire: varint too long".into());
-            }
-        }
-    }
-
-    /// Reads a zigzag-encoded signed varint.
-    pub fn zigzag(&mut self) -> Result<i64, String> {
-        let v = self.varint()?;
-        Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
-    }
-
-    /// Reads a length-prefixed byte slice.
-    pub fn bytes(&mut self) -> Result<&'a [u8], String> {
-        let n = self.varint()?;
-        if n > self.remaining() as u64 {
-            return Err(format!("wire: blob length {n} exceeds {} remaining", self.remaining()));
-        }
-        self.take(n as usize)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, String> {
-        let b = self.bytes()?;
-        String::from_utf8(b.to_vec()).map_err(|e| format!("wire: invalid utf-8 string: {e}"))
-    }
-}
-
-/// Interns a string, returning a `&'static str` with the same content.
-///
-/// Metric and event-reason names are `&'static str` throughout the
-/// workspace; deserialized state must produce the same static lifetime.
-/// Interning dedupes through a process-wide table so repeated loads never
-/// grow memory beyond the set of distinct names, and every consumer that
-/// orders by name (`BTreeMap<&'static str, _>`) is unaffected because
-/// `str` ordering compares content, not pointer identity.
-pub fn intern(s: &str) -> &'static str {
-    use std::collections::BTreeSet;
-    use std::sync::{Mutex, OnceLock};
-    static TABLE: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
-    // Poison recovery is sound here: the table only ever accumulates
-    // leaked strings, so a panicked inserter cannot leave it in a state
-    // where dedup against the surviving entries is wrong.
-    let mut table = TABLE
-        .get_or_init(|| Mutex::new(BTreeSet::new()))
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    if let Some(&existing) = table.get(s) {
-        return existing;
-    }
-    let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    table.insert(leaked);
-    leaked
-}
-
 /// FNV-1a over a byte string — the workspace's standard cheap stable hash,
-/// used for config digests guarding checkpoint/trace compatibility.
+/// used for state digests.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for &b in bytes {
@@ -264,99 +93,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scalars_round_trip() {
-        let mut w = Writer::new();
-        w.u8(7);
-        w.u16(300);
-        w.u32(70_000);
-        w.u64(u64::MAX - 3);
-        w.f64(-0.1);
-        w.bool(true);
-        w.bool(false);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u16().unwrap(), 300);
-        assert_eq!(r.u32().unwrap(), 70_000);
-        assert_eq!(r.u64().unwrap(), u64::MAX - 3);
-        assert_eq!(r.f64().unwrap().to_bits(), (-0.1f64).to_bits());
-        assert!(r.bool().unwrap());
-        assert!(!r.bool().unwrap());
-        r.finish().unwrap();
-    }
-
-    #[test]
-    fn varints_round_trip_across_magnitudes() {
-        let mut w = Writer::new();
-        let values = [0u64, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX];
-        for &v in &values {
-            w.varint(v);
-        }
-        let signed = [0i64, -1, 1, -64, 64, i64::MIN, i64::MAX];
-        for &v in &signed {
-            w.zigzag(v);
-        }
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        for &v in &values {
-            assert_eq!(r.varint().unwrap(), v);
-        }
-        for &v in &signed {
-            assert_eq!(r.zigzag().unwrap(), v);
-        }
-        r.finish().unwrap();
-    }
-
-    #[test]
-    fn strings_and_blobs_round_trip() {
-        let mut w = Writer::new();
-        w.str("tpcc.orderlog");
-        w.bytes(&[1, 2, 3]);
-        w.str("");
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.str().unwrap(), "tpcc.orderlog");
-        assert_eq!(r.bytes().unwrap(), &[1, 2, 3]);
-        assert_eq!(r.str().unwrap(), "");
-        r.finish().unwrap();
-    }
-
-    #[test]
-    fn truncation_is_an_error_not_a_panic() {
-        let mut w = Writer::new();
-        w.u64(42);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes[..5]);
-        assert!(r.u64().is_err());
-        // Blob length beyond the buffer is rejected up front.
-        let mut w = Writer::new();
-        w.varint(1_000_000);
-        let bytes = w.into_bytes();
-        assert!(Reader::new(&bytes).bytes().is_err());
-    }
-
-    #[test]
-    fn trailing_bytes_fail_finish() {
-        let mut w = Writer::new();
-        w.u8(1);
-        w.u8(2);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        r.u8().unwrap();
-        assert!(r.finish().is_err());
-        r.u8().unwrap();
-        assert!(r.finish().is_ok());
-    }
-
-    #[test]
-    fn intern_dedupes_and_preserves_content() {
-        let a = intern("scenario_test_name_a");
-        let b = intern(&String::from("scenario_test_name_a"));
-        assert!(std::ptr::eq(a, b));
-        assert_eq!(a, "scenario_test_name_a");
-    }
 
     #[test]
     fn fnv1a_is_stable() {

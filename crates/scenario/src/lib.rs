@@ -1,17 +1,8 @@
-//! Trace and checkpoint engine for long-horizon runs (DESIGN.md §5h).
+//! Whole-run differential tests of the simulator; the library is empty.
 //!
-//! Two pieces sharing the [`tiersim::sim::Workload`] trait:
-//!
-//! - [`trace`]: record any workload's access stream to a compact,
-//!   versioned binary trace and replay it bit-identically — the recorded
-//!   run and the replayed run produce byte-identical reports.
-//! - [`checkpoint`]: whole-simulation checkpoints (machine + manager +
-//!   workload + driver progress) so long-horizon runs stop and resume
-//!   with bit-identical continuation. A paper workload checkpoints by
-//!   being replayed from its trace ([`TraceReplayer`]).
-
-pub mod checkpoint;
-pub mod trace;
-
-pub use checkpoint::{restore_checkpoint, save_checkpoint};
-pub use trace::{record_run, TraceRecorder, TraceReplayer};
+//! The tests under `tests/` drive complete scenarios and compare them:
+//! `access_streams.rs` pins each workload's access stream by hash,
+//! `round_matches_tick.rs` holds every workload's `round` to its `tick`,
+//! and `populate.rs` holds set-up's per-mapping population to the
+//! per-page loop. Whole machines compare through
+//! `tiersim::machine::Machine::state_digest`.

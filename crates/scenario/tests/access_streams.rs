@@ -9,7 +9,6 @@
 //! is then a deliberate, reviewed change. The machine is not hashed:
 //! only what the workload issues is.
 
-use mtm_scenario::trace::TraceRecorder;
 use mtm_workloads::graph::RmatParams;
 use mtm_workloads::{
     Bfs, BfsConfig, Gups, GupsConfig, HotsetMode, Sssp, SsspConfig, Terasort, TerasortConfig, Tpcc,
@@ -120,16 +119,13 @@ impl<W: Workload> Workload for Hashed<W> {
     }
 }
 
-/// The stream digest and operation count of a small run of `workload`,
-/// and (from the same run) the FNV-1a of its MTMTRACE recording and that
-/// recording's length in bytes.
-fn stream_digest(workload: impl Workload) -> ((u64, u64), (u64, usize)) {
+/// The stream digest and operation count of a small run of `workload`.
+fn stream_digest(workload: impl Workload) -> (u64, u64) {
     let mut cfg = MachineConfig::new(tiny_two_tier(16 * PAGE_SIZE_2M, 96 * PAGE_SIZE_2M), THREADS);
     cfg.interval_ns = 0.5e6;
-    let mut hashed = Hashed { inner: TraceRecorder::new(workload), digest: Digest::new() };
+    let mut hashed = Hashed { inner: workload, digest: Digest::new() };
     run_scenario(&mut Machine::new(cfg), &mut FirstTouchPolicy, &mut hashed, INTERVALS);
-    let trace = hashed.inner.into_trace().expect("recordable");
-    ((hashed.digest.hash, hashed.digest.ops), (obs::wire::fnv1a(&trace), trace.len()))
+    (hashed.digest.hash, hashed.digest.ops)
 }
 
 fn gups(mode: HotsetMode, rotate_every: Option<u64>) -> Gups {
@@ -148,43 +144,37 @@ fn gups(mode: HotsetMode, rotate_every: Option<u64>) -> Gups {
 #[test]
 fn bfs_access_stream_is_pinned() {
     let bfs = Bfs::new(BfsConfig { graph: GRAPH, threads: THREADS, cpu_ns_per_op: 200.0, seed: 7 });
-    assert_eq!(stream_digest(bfs), ((0x5445_6b9a_412b_407d, 39_535), (0x0b40_3899_6d13_8708, 169_886)));
+    assert_eq!(stream_digest(bfs), (0x5445_6b9a_412b_407d, 39_535));
 }
 
 #[test]
 fn sssp_access_stream_is_pinned() {
     let sssp = Sssp::new(SsspConfig { graph: GRAPH, threads: THREADS, cpu_ns_per_op: 200.0, seed: 7 });
-    assert_eq!(stream_digest(sssp), ((0x764d_76a3_fdb0_9c19, 40_894), (0x5ae0_9f4b_99b9_e5d7, 172_403)));
+    assert_eq!(stream_digest(sssp), (0x764d_76a3_fdb0_9c19, 40_894));
 }
 
 #[test]
 fn gups_band_with_rotation_access_stream_is_pinned() {
-    assert_eq!(
-        stream_digest(gups(HotsetMode::Band, Some(1))),
-        ((0x0834_7f0e_cfa5_7f58, 33_614), (0x235b_5c58_d7e1_19bb, 188_621))
-    );
+    assert_eq!(stream_digest(gups(HotsetMode::Band, Some(1))), (0x0834_7f0e_cfa5_7f58, 33_614));
 }
 
 #[test]
 fn gups_gaussian_access_stream_is_pinned() {
-    assert_eq!(
-        stream_digest(gups(HotsetMode::Gaussian, None)),
-        ((0x3fdf_fa8a_7468_b3ef, 33_614), (0x31e3_0853_829a_8c7a, 188_621))
-    );
+    assert_eq!(stream_digest(gups(HotsetMode::Gaussian, None)), (0x3fdf_fa8a_7468_b3ef, 33_614));
 }
 
 #[test]
 fn ycsb_access_stream_is_pinned() {
     let mut cfg = YcsbConfig::paper(1 << 14, THREADS);
     cfg.cpu_ns_per_op = 200.0;
-    assert_eq!(stream_digest(Ycsb::new(cfg)), ((0x4b3d_baf1_4d3c_4e1a, 32_018), (0xf1ff_bbaa_0867_6233, 188_489)));
+    assert_eq!(stream_digest(Ycsb::new(cfg)), (0x4b3d_baf1_4d3c_4e1a, 32_018));
 }
 
 #[test]
 fn tpcc_access_stream_is_pinned() {
     let mut cfg = TpccConfig::paper(1 << 12, THREADS);
     cfg.cpu_ns_per_op = 200.0;
-    assert_eq!(stream_digest(Tpcc::new(cfg)), ((0x994b_8a5f_316b_7c2b, 22_758), (0x747f_b2fd_d29b_22a0, 100_507)));
+    assert_eq!(stream_digest(Tpcc::new(cfg)), (0x994b_8a5f_316b_7c2b, 22_758));
 }
 
 #[test]
@@ -198,5 +188,5 @@ fn terasort_access_stream_is_pinned() {
         cpu_ns_per_op: 100.0,
         seed: 0x7E4A,
     };
-    assert_eq!(stream_digest(Terasort::new(cfg)), ((0xcfab_8190_bb95_50ff, 40_215), (0x4e30_c669_8a0e_ca75, 165_082)));
+    assert_eq!(stream_digest(Terasort::new(cfg)), (0xcfab_8190_bb95_50ff, 40_215));
 }

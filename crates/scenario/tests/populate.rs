@@ -53,11 +53,11 @@ fn mappings(m: &Machine) -> Vec<u8> {
 
 /// A paper workload whose set-up either runs as written or populates
 /// through [`populate_per_page`], and which keeps what the machine held
-/// when set-up ended: its [`mappings`] and its whole snapshot.
+/// when set-up ended: its [`mappings`] and its whole state digest.
 struct Probe {
     inner: Box<dyn Workload>,
     per_page: bool,
-    after_setup: Option<(Vec<u8>, Vec<u8>)>,
+    after_setup: Option<(Vec<u8>, u64)>,
 }
 
 impl Workload for Probe {
@@ -83,7 +83,7 @@ impl Workload for Probe {
             self.inner.setup(env);
         }
         let m = env.machine();
-        self.after_setup = Some((mappings(m), m.save_state()));
+        self.after_setup = Some((mappings(m), m.state_digest()));
     }
 
     fn tick(&mut self, env: &mut dyn MemEnv, tid: usize) {
@@ -152,7 +152,7 @@ impl Kind {
 
 /// Runs `workload` on a fresh machine of `kind`; returns its report's
 /// fingerprint and what the machine held when set-up ended.
-fn run(workload: &str, kind: Kind, per_page: bool) -> (String, (Vec<u8>, Vec<u8>)) {
+fn run(workload: &str, kind: Kind, per_page: bool) -> (String, (Vec<u8>, u64)) {
     let (mut m, mut mgr) = kind.build();
     let inner = mtm_workloads::build_paper_workload(workload, SCALE, THREADS).expect("paper workload");
     let mut probe = Probe { inner, per_page, after_setup: None };
@@ -162,11 +162,11 @@ fn run(workload: &str, kind: Kind, per_page: bool) -> (String, (Vec<u8>, Vec<u8>
 
 fn check_matches_per_page(workload: &str) {
     for kind in Kind::ALL {
-        let (report, (maps, snapshot)) = run(workload, kind, false);
-        let (want_report, (want_maps, want_snapshot)) = run(workload, kind, true);
+        let (report, (maps, state)) = run(workload, kind, false);
+        let (want_report, (want_maps, want_state)) = run(workload, kind, true);
         assert!(maps == want_maps, "{workload} on {kind:?}: mappings after set-up differ");
         if kind.keeps_every_write() {
-            assert!(snapshot == want_snapshot, "{workload} on {kind:?}: machine after set-up differs");
+            assert_eq!(state, want_state, "{workload} on {kind:?}: machine after set-up differs");
         }
         assert_eq!(report, want_report, "{workload} on {kind:?}: report differs");
     }

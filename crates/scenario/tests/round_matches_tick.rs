@@ -11,7 +11,6 @@
 
 use mtm::{MtmConfig, MtmManager};
 use mtm_baselines::hmc::MemoryMode;
-use mtm_scenario::trace::{record_run, TraceReplayer};
 use tiersim::addr::{VaRange, VirtAddr};
 use tiersim::machine::{Machine, MachineConfig};
 use tiersim::PAGE_SIZE_4K;
@@ -144,7 +143,7 @@ fn manager(kind: Kind) -> Box<dyn MemoryManager> {
 /// Reports carry floats; Debug formatting is exact, so string equality
 /// is bit equality across every field. The heatmap, the Memory Mode
 /// hit ratios and the frame versions are not in the report, so they are
-/// appended (the versions as the machine's whole checkpoint); each must
+/// appended (the versions as the machine's whole state digest); each must
 /// be there on the machine kind that keeps it.
 fn fingerprint(kind: Kind, mut workload: impl Workload) -> String {
     let m = &mut machine(kind);
@@ -157,7 +156,7 @@ fn fingerprint(kind: Kind, mut workload: impl Workload) -> String {
             .any(|f| m.frame_version(tiersim::addr::PhysAddr::new(c, f * PAGE_SIZE_4K)) > 0)
     });
     assert_eq!(written, matches!(kind, Kind::Checked), "{kind:?}: frame versions");
-    let state = obs::wire::fnv1a(&m.save_state());
+    let state = m.state_digest();
     format!("{r:?}\n{}\n{heat:?}\n{hmc:?}\n{state:#x}", r.telemetry.to_json())
 }
 
@@ -211,19 +210,5 @@ fn gups_updates_match_a_read_and_a_write() {
                 "{name} on a {kind:?} machine: update diverged from read + write"
             );
         }
-    }
-}
-
-#[test]
-fn trace_replayer_round_matches_tick() {
-    // Traces of GUPS's rotating hot band and of Cassandra's zipfian rows.
-    for name in ["GUPS", "Cassandra"] {
-        let wl = mtm_workloads::build_paper_workload(name, SCALE, 2).expect("paper workload");
-        let mgr = &mut MtmManager::new(MtmConfig::default(), 1);
-        let (_, trace) =
-            record_run(&mut machine(Kind::Plain), mgr, wl, INTERVALS).expect("recordable");
-        check_round_matches_tick(Kind::Plain, || {
-            Box::new(TraceReplayer::from_bytes(&trace).expect("trace decodes"))
-        });
     }
 }

@@ -181,30 +181,6 @@ impl HwCache {
         w.varint(self.writebacks);
     }
 
-    /// Restores what [`HwCache::save`] wrote into this cache's own line
-    /// array, which must have the saved set count. Nothing is allocated
-    /// from a length in the blob, and a line no probe could have written
-    /// (an alias past the backing PM, or bits without VALID) is an error.
-    pub(crate) fn load(&mut self, r: &mut obs::wire::Reader) -> Result<(), String> {
-        let lines = r.bytes()?;
-        if lines.len() != self.lines.len() {
-            return Err(format!(
-                "checkpoint: Memory Mode cache has {} sets, this machine {}",
-                lines.len(),
-                self.lines.len()
-            ));
-        }
-        if let Some(&bad) = lines.iter().find(|&&l| {
-            (l & LINE_VALID == 0 && l != 0) || u64::from(l >> LINE_ALIAS_SHIFT) >= self.aliases
-        }) {
-            return Err(format!("checkpoint: impossible Memory Mode line {bad:#04x}"));
-        }
-        self.lines.copy_from_slice(lines);
-        self.hits = r.varint()?;
-        self.misses = r.varint()?;
-        self.writebacks = r.varint()?;
-        Ok(())
-    }
 }
 
 /// The cache as it was before one-byte lines: one `u64` word per set
@@ -361,32 +337,5 @@ mod tests {
                 );
             }
         );
-    }
-
-    #[test]
-    fn save_load_round_trips_and_rejects_bad_blobs() {
-        let mut c = HwCache::new(8 * CACHE_LINE, 64 * CACHE_LINE);
-        for b in [0u64, 3, 11, 19, 8, 42] {
-            c.access(PhysAddr::new(2, b * CACHE_LINE), b % 2 == 1);
-        }
-        let mut w = obs::wire::Writer::new();
-        c.save(&mut w);
-        let blob = w.into_bytes();
-
-        let mut d = HwCache::new(8 * CACHE_LINE, 64 * CACHE_LINE);
-        d.load(&mut obs::wire::Reader::new(&blob)).unwrap();
-        assert_eq!(d.lines, c.lines);
-        assert_eq!((d.hits, d.misses, d.writebacks), (c.hits, c.misses, c.writebacks));
-
-        let mut other = HwCache::new(4 * CACHE_LINE, 32 * CACHE_LINE);
-        assert!(other.load(&mut obs::wire::Reader::new(&blob)).unwrap_err().contains("sets"));
-        for cut in 0..blob.len() {
-            let mut e = HwCache::new(8 * CACHE_LINE, 64 * CACHE_LINE);
-            assert!(e.load(&mut obs::wire::Reader::new(&blob[..cut])).is_err(), "cut at {cut}");
-        }
-        // Alias 8 is past a 64-block backing behind 8 sets.
-        let mut bad = blob.clone();
-        bad[1] = (8 << LINE_ALIAS_SHIFT) | LINE_VALID;
-        assert!(d.load(&mut obs::wire::Reader::new(&bad)).unwrap_err().contains("impossible"));
     }
 }

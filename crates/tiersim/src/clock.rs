@@ -204,35 +204,6 @@ impl Clock {
         w.u64(self.intervals_committed);
     }
 
-    /// Restores state saved with [`Clock::save`] into this clock. The
-    /// accumulator shapes (thread and link counts) must match.
-    pub fn load(&mut self, r: &mut obs::wire::Reader) -> Result<(), String> {
-        let threads = r.varint()? as usize;
-        if threads != self.thread_ns.len() {
-            return Err(format!(
-                "clock: thread count mismatch (saved {threads}, have {})",
-                self.thread_ns.len()
-            ));
-        }
-        for t in self.thread_ns.iter_mut() {
-            *t = r.f64()?;
-        }
-        let links = r.varint()? as usize;
-        if links != self.links.len() {
-            return Err(format!(
-                "clock: link count mismatch (saved {links}, have {})",
-                self.links.len()
-            ));
-        }
-        for l in self.links.iter_mut() {
-            l.bytes = r.f64()?;
-        }
-        self.breakdown.app_ns = r.f64()?;
-        self.breakdown.profiling_ns = r.f64()?;
-        self.breakdown.migration_ns = r.f64()?;
-        self.intervals_committed = r.u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -74,7 +74,7 @@ impl Counters {
         self.snapshot.copy_from_slice(&self.counts);
     }
 
-    /// Serializes the counters in the checkpoint layout: component count,
+    /// Serializes the counters: component count,
     /// then loads, stores, window loads and window stores per component
     /// (the window values derived from the snapshot).
     pub fn save(&self, w: &mut obs::wire::Writer) {
@@ -91,32 +91,6 @@ impl Counters {
         }
     }
 
-    /// Restores state saved with [`Counters::save`] into these counters,
-    /// rebuilding the snapshot from the saved window values. The
-    /// component count must match, and no window may exceed its total.
-    pub fn load(&mut self, r: &mut obs::wire::Reader) -> Result<(), String> {
-        let n = r.varint()? as usize;
-        if n != self.counts.len() {
-            return Err(format!(
-                "counters: component count mismatch (saved {n}, have {})",
-                self.counts.len()
-            ));
-        }
-        for field in 0..2 {
-            for c in self.counts.iter_mut() {
-                c[field] = r.varint()?;
-            }
-        }
-        for field in 0..2 {
-            for (c, s) in self.counts.iter().zip(self.snapshot.iter_mut()) {
-                let window = r.varint()?;
-                s[field] = c[field].checked_sub(window).ok_or_else(|| {
-                    format!("counters: window {window} exceeds total {}", c[field])
-                })?;
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -142,46 +116,5 @@ mod tests {
         c.record(0, false);
         assert_eq!(c.window(0).loads, 1);
         assert_eq!(c.component(0).loads, 2);
-    }
-
-    #[test]
-    fn checkpoint_mid_interval_restores_windows() {
-        let mut c = Counters::new(2);
-        for i in 0..7u16 {
-            c.record(i % 2, i % 3 == 0);
-        }
-        c.reset_window();
-        for i in 0..5u16 {
-            c.record(i % 2, i % 2 == 0);
-        }
-        let mut w = obs::wire::Writer::new();
-        c.save(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut d = Counters::new(2);
-        d.load(&mut obs::wire::Reader::new(&bytes)).unwrap();
-        for comp in 0..2 {
-            assert_eq!(d.window(comp), c.window(comp));
-            assert_eq!(d.component(comp), c.component(comp));
-        }
-        // The restored snapshot keeps windows advancing in lockstep.
-        c.record(1, true);
-        d.record(1, true);
-        assert_eq!(d.window(1), c.window(1));
-        c.reset_window();
-        d.reset_window();
-        assert_eq!(d.window(1), ComponentCounts::default());
-    }
-
-    #[test]
-    fn load_rejects_window_above_total() {
-        let mut w = obs::wire::Writer::new();
-        // One component: loads 1, stores 0, window loads 2, window stores 0.
-        for v in [1, 1, 0, 2, 0] {
-            w.varint(v);
-        }
-        let bytes = w.into_bytes();
-        let err = Counters::new(1).load(&mut obs::wire::Reader::new(&bytes)).unwrap_err();
-        assert!(err.contains("exceeds"), "{err}");
     }
 }

@@ -171,10 +171,9 @@ impl FrameAllocator {
     }
 
     /// Serializes the allocator's dynamic state. Free-list order is kept
-    /// verbatim: future allocations pop from these lists, so a resumed run
-    /// hands out the same frames in the same order as the original. The
-    /// capacity is configuration, not state: the machine blob's config
-    /// digest pins it.
+    /// verbatim: future allocations pop from these lists, so two
+    /// allocators serialize alike only if they will hand out the same
+    /// frames in the same order. The capacity is configuration, not state.
     pub fn save(&self, w: &mut obs::wire::Writer) {
         w.u16(self.component);
         w.u64(self.used);
@@ -195,72 +194,6 @@ impl FrameAllocator {
             }
             None => w.bool(false),
         }
-    }
-
-    /// Restores state saved with [`FrameAllocator::save`] into this
-    /// allocator, which keeps its configured capacity. The component id
-    /// must match, and the saved occupancy must fit the capacity. The
-    /// carved range (`0..next_fresh_block`) must be whole blocks within
-    /// the capacity, and every free block, free 4 KB frame and the
-    /// cursor must be an aligned offset inside it.
-    pub fn load(&mut self, r: &mut obs::wire::Reader) -> Result<(), String> {
-        let component = r.u16()?;
-        if component != self.component {
-            return Err(format!(
-                "frame allocator: component mismatch (saved {component}, have {})",
-                self.component
-            ));
-        }
-        let used = r.u64()?;
-        if used > self.capacity {
-            return Err(format!(
-                "frame allocator: component {component} saved {used} B used, over its {} B capacity",
-                self.capacity
-            ));
-        }
-        let next_fresh_block = r.u64()?;
-        if next_fresh_block > self.capacity || next_fresh_block % PAGE_SIZE_2M != 0 {
-            return Err(format!(
-                "frame allocator: component {component} saved next fresh block {next_fresh_block:#x}, \
-                 not a 2 MB block within its {} B capacity",
-                self.capacity
-            ));
-        }
-        let carved = |what: &str, offset: u64, align: u64| {
-            if offset < next_fresh_block && offset % align == 0 {
-                Ok(offset)
-            } else {
-                Err(format!(
-                    "frame allocator: component {component} saved {what} {offset:#x}, \
-                     misaligned or beyond the carved {next_fresh_block:#x} B"
-                ))
-            }
-        };
-        let free_blocks = (0..r.varint()?)
-            .map(|_| carved("free block", r.u64()?, PAGE_SIZE_2M))
-            .collect::<Result<_, _>>()?;
-        let free_small = (0..r.varint()?)
-            .map(|_| carved("free 4 KB frame", r.u64()?, PAGE_SIZE_4K))
-            .collect::<Result<_, _>>()?;
-        let small_cursor = if r.bool()? {
-            let base = carved("cursor block", r.u64()?, PAGE_SIZE_2M)?;
-            let off = r.u64()?;
-            if off >= PAGE_SIZE_2M || off % PAGE_SIZE_4K != 0 {
-                return Err(format!(
-                    "frame allocator: component {component} saved cursor offset {off:#x}, \
-                     misaligned or beyond its 2 MB block"
-                ));
-            }
-            Some((base, off))
-        } else {
-            None
-        };
-        self.used = used;
-        self.next_fresh_block = next_fresh_block;
-        self.free_blocks = free_blocks;
-        self.free_small = free_small;
-        self.small_cursor = small_cursor;
-        Ok(())
     }
 
     /// Frees a previously allocated frame.
@@ -458,8 +391,7 @@ impl VersionStore {
     }
 
     /// Serializes all per-frame versions as one logical vector per
-    /// component, including any trailing zeros from power-of-two growth —
-    /// load reproduces the exact growth state.
+    /// component, including any trailing zeros from power-of-two growth.
     pub fn save(&self, w: &mut obs::wire::Writer) {
         w.varint(self.comps.len() as u64);
         for comp in &self.comps {
@@ -471,35 +403,6 @@ impl VersionStore {
                 }
             }
         }
-    }
-
-    /// Restores a store saved with [`VersionStore::save`]. A frame count
-    /// the rest of the input cannot hold (every version takes at least
-    /// one byte) is an error, not an allocation.
-    pub fn load(r: &mut obs::wire::Reader) -> Result<VersionStore, String> {
-        let mut comps = Vec::new();
-        for _ in 0..r.varint()? {
-            let n = r.varint()?;
-            if n > r.remaining() as u64 {
-                return Err(format!("version store: {n} frames but {} bytes left", r.remaining()));
-            }
-            let n = n as usize;
-            let mut comp = CompVersions {
-                flat: Vec::with_capacity(n),
-                heads: Vec::with_capacity(n.div_ceil(HEAD_STRIDE)),
-            };
-            for i in 0..n {
-                let v = r.varint()?;
-                if i.is_multiple_of(HEAD_STRIDE) {
-                    comp.heads.push(v);
-                    comp.flat.push(0);
-                } else {
-                    comp.flat.push(v);
-                }
-            }
-            comps.push(comp);
-        }
-        Ok(VersionStore { comps })
     }
 }
 
@@ -727,11 +630,7 @@ mod tests {
                             touched.extend([(src, frames), (dst, frames)]);
                         }
                         _ => {
-                            let bytes = saved(|w| dense.save(w));
-                            prop_assert_eq!(&bytes, &saved(|w| flat.save(w)), "step {step}: save");
-                            let mut r = obs::wire::Reader::new(&bytes);
-                            dense = VersionStore::load(&mut r).expect("saved store loads");
-                            prop_assert_eq!(r.remaining(), 0);
+                            prop_assert_eq!(saved(|w| dense.save(w)), saved(|w| flat.save(w)), "step {step}: save");
                         }
                     }
                     for (start, frames) in touched {
@@ -744,85 +643,5 @@ mod tests {
                 prop_assert_eq!(saved(|w| dense.save(w)), saved(|w| flat.save(w)), "final save");
             }
         );
-    }
-
-    /// An allocator record for component 0 of a 4-block allocator, with
-    /// nothing in use.
-    fn allocator_record(
-        next_fresh: u64,
-        blocks: &[u64],
-        small: &[u64],
-        cursor: Option<(u64, u64)>,
-    ) -> Vec<u8> {
-        saved(|w| {
-            w.u16(0);
-            w.u64(0);
-            w.u64(next_fresh);
-            w.varint(blocks.len() as u64);
-            blocks.iter().for_each(|&b| w.u64(b));
-            w.varint(small.len() as u64);
-            small.iter().for_each(|&f| w.u64(f));
-            w.bool(cursor.is_some());
-            if let Some((base, off)) = cursor {
-                w.u64(base);
-                w.u64(off);
-            }
-        })
-    }
-
-    fn load_record(bytes: &[u8]) -> Result<FrameAllocator, String> {
-        let mut a = FrameAllocator::new(0, 4 * PAGE_SIZE_2M);
-        a.load(&mut obs::wire::Reader::new(bytes))?;
-        Ok(a)
-    }
-
-    #[test]
-    fn allocator_load_round_trips_a_mixed_state() {
-        let mut a = FrameAllocator::new(0, 4 * PAGE_SIZE_2M);
-        let huge = a.alloc(FrameSize::Huge2M).unwrap();
-        let small: Vec<PhysAddr> = (0..3).map(|_| a.alloc(FrameSize::Base4K).unwrap()).collect();
-        a.alloc(FrameSize::Huge2M).unwrap();
-        a.free_frame(huge, FrameSize::Huge2M);
-        a.free_frame(small[1], FrameSize::Base4K);
-        let bytes = saved(|w| a.save(w));
-        let b = load_record(&bytes).expect("a saved state loads");
-        assert_eq!(saved(|w| b.save(w)), bytes);
-        // A full component: the carved range is the whole capacity.
-        let full = allocator_record(4 * PAGE_SIZE_2M, &[3 * PAGE_SIZE_2M], &[0x1000], None);
-        assert!(load_record(&full).is_ok());
-    }
-
-    #[test]
-    fn allocator_load_rejects_impossible_offsets() {
-        let block = PAGE_SIZE_2M;
-        let cases = [
-            ("next fresh block beyond capacity", allocator_record(100 * block, &[], &[], None)),
-            ("next fresh block misaligned", allocator_record(block + PAGE_SIZE_4K, &[], &[], None)),
-            ("free block misaligned", allocator_record(2 * block, &[PAGE_SIZE_4K], &[], None)),
-            ("free block never carved", allocator_record(2 * block, &[2 * block], &[], None)),
-            ("free 4 KB frame misaligned", allocator_record(block, &[], &[0x800], None)),
-            ("free 4 KB frame never carved", allocator_record(block, &[], &[block], None)),
-            ("cursor block misaligned", allocator_record(block, &[], &[], Some((0x1000, 0x1000)))),
-            ("cursor block never carved", allocator_record(block, &[], &[], Some((block, 0x1000)))),
-            ("cursor offset misaligned", allocator_record(block, &[], &[], Some((0, 0x10)))),
-            ("cursor offset beyond its block", allocator_record(block, &[], &[], Some((0, block)))),
-        ];
-        for (what, bytes) in cases {
-            let err = load_record(&bytes).map(|_| ()).expect_err(what);
-            assert!(err.contains("component 0"), "{what}: {err}");
-        }
-    }
-
-    #[test]
-    fn version_store_load_rejects_impossible_frame_count() {
-        // One component claiming 2^40 frames in a 7-byte body: the count
-        // must be refused before anything is reserved for it.
-        let bytes = saved(|w| {
-            w.varint(1);
-            w.varint(1 << 40);
-        });
-        assert_eq!(bytes.len(), 7);
-        let err = VersionStore::load(&mut obs::wire::Reader::new(&bytes)).unwrap_err();
-        assert!(err.contains("frames"), "{err}");
     }
 }

@@ -111,26 +111,6 @@ impl HintFaultUnit {
         w.varint(self.poisoned_peak as u64);
     }
 
-    /// Restores a unit saved with [`HintFaultUnit::save`].
-    pub fn load(r: &mut obs::wire::Reader) -> Result<HintFaultUnit, String> {
-        let mut u = HintFaultUnit::new();
-        for _ in 0..r.varint()? {
-            let page = r.u64()?;
-            let at = r.f64()?;
-            u.poisoned_at.insert(page, at);
-        }
-        for _ in 0..r.varint()? {
-            u.faults.push(HintFault {
-                page: VirtAddr(r.u64()?),
-                tid: r.u32()?,
-                node: r.u16()?,
-                latency_ns: r.f64()?,
-            });
-        }
-        u.total_faults = r.varint()?;
-        u.poisoned_peak = r.varint()? as usize;
-        Ok(u)
-    }
 }
 
 #[cfg(test)]

@@ -1035,109 +1035,17 @@ impl Machine {
         self.allocators.iter().map(|a| a.used()).collect()
     }
 
-    // ---------------------------------------------------------------
-    // Checkpoint support: full dynamic-state serialization. The machine
-    // is rebuilt from its configuration at restore time (`Machine::new`)
-    // and `load_state` then overwrites every piece of dynamic state, so
-    // derived structures (the charge table, PEBS programming, packed
-    // side metadata) re-derive from config + restored state instead of
-    // being stored. `checking` is deliberately *not* part of the state:
-    // it is a caller-set execution knob that must not alter simulated
-    // results, and a checkpoint written under one setting restores under
-    // the other.
-
-    /// Digest of every configuration parameter that shapes simulated
-    /// state. A checkpoint written under one configuration refuses to
-    /// load under another: silently restoring dynamic state onto a
-    /// machine with different capacities or costs would diverge.
-    pub fn config_digest(&self) -> u64 {
+    /// FNV-1a of the machine's complete dynamic state: page table,
+    /// allocators, clock, counters, samplers, watches, statistics, the
+    /// Memory Mode caches, the observability recorder and, with a fault
+    /// plan installed, the injection counters. Two machines built from the
+    /// same configuration digest alike only if they were driven alike, so
+    /// a differential test compares whole machines with one number.
+    /// Configuration is not hashed, nor is `checking`: arming the
+    /// sanitizer must not change what the machine simulates.
+    pub fn state_digest(&self) -> u64 {
         let mut w = obs::wire::Writer::new();
-        let t = &self.cfg.topology;
-        w.varint(t.components.len() as u64);
-        for c in &t.components {
-            w.str(&c.name);
-            w.u8(match c.kind {
-                crate::tier::MemKind::Dram => 0,
-                crate::tier::MemKind::Pm => 1,
-            });
-            w.u16(c.home_node);
-            w.u64(c.capacity);
-        }
-        w.u16(t.nodes);
-        for row in &t.links {
-            for l in row {
-                w.f64(l.latency_ns);
-                w.f64(l.bandwidth_gbps);
-                w.f64(l.write_bandwidth_gbps);
-            }
-        }
-        w.varint(self.cfg.threads as u64);
-        for &n in &self.cfg.thread_node {
-            w.u16(n);
-        }
-        w.f64(self.cfg.mlp);
-        let c = &self.cfg.costs;
-        for v in [
-            c.one_scan_ns,
-            c.hint_fault_mult,
-            c.tlb_flush_ns,
-            c.page_fault_ns,
-            c.wp_fault_ns,
-            c.prot_fault_ns,
-            c.migrate_alloc_page_ns,
-            c.migrate_unmap_page_ns,
-            c.migrate_remap_page_ns,
-            c.migrate_pt_region_ns,
-            c.pebs_sample_ns,
-        ] {
-            w.f64(v);
-        }
-        w.u64(self.cfg.pebs.period);
-        w.varint(self.cfg.pebs.monitored.len() as u64);
-        for &m in &self.cfg.pebs.monitored {
-            w.u16(m);
-        }
-        w.varint(self.cfg.pebs.buffer_cap as u64);
-        w.f64(self.cfg.interval_ns);
-        w.bool(self.cfg.hmc_mode);
-        w.bool(self.cfg.track_heat);
-        obs::wire::fnv1a(&w.into_bytes())
-    }
-
-    /// Digest of the fault plan and its seed. A checkpoint of a machine
-    /// with an active plan carries it, and loads only onto a machine
-    /// with the same plan and seed installed.
-    fn fault_digest(&self) -> u64 {
-        let mut w = obs::wire::Writer::new();
-        let p = self.faults.plan();
-        for v in [p.page_busy, p.alloc_fail, p.drop_pebs, p.drop_hint] {
-            w.f64(v);
-        }
-        w.varint(p.bw_windows.len() as u64);
-        for b in &p.bw_windows {
-            w.f64(b.factor);
-            w.u64(b.from);
-            w.u64(b.until);
-        }
-        w.u64(self.faults.seed());
-        obs::wire::fnv1a(&w.into_bytes())
-    }
-
-    /// Serializes the machine's complete dynamic state (page table,
-    /// allocators, clock, counters, samplers, watches, statistics and the
-    /// observability recorder) into a self-describing blob restorable
-    /// with [`Machine::load_state`].
-    ///
-    /// A Memory Mode machine also writes each PM component's DRAM-cache
-    /// lines and counters, and a machine with an active fault plan
-    /// appends its fault stream (a digest of plan and seed, the stream
-    /// position and the injection counters); other machines' blobs do
-    /// not change.
-    pub fn save_state(&self) -> Vec<u8> {
-        let mut w = obs::wire::Writer::new();
-        w.u64(self.config_digest());
         self.pt.save(&mut w);
-        w.varint(self.allocators.len() as u64);
         for a in &self.allocators {
             a.save(&mut w);
         }
@@ -1188,118 +1096,12 @@ impl Machine {
         }
         self.recorder.save(&mut w);
         if self.faults.is_active() {
-            w.u64(self.fault_digest());
-            w.u64(self.faults.stream_state());
             let f = self.faults.stats();
             for v in [f.page_busy, f.alloc_fail, f.pebs_dropped, f.hints_dropped] {
                 w.varint(v);
             }
         }
-        w.into_bytes()
-    }
-
-    /// Restores dynamic state captured by [`Machine::save_state`] into
-    /// this machine, which must be freshly built (`Machine::new`) from a
-    /// configuration whose [`Machine::config_digest`] matches the one
-    /// embedded in the blob, with the saved machine's fault plan and seed
-    /// installed (or none, if it had none).
-    pub fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = obs::wire::Reader::new(bytes);
-        let digest = r.u64()?;
-        if digest != self.config_digest() {
-            return Err(format!(
-                "checkpoint: config digest mismatch (saved {:#018x}, this machine {:#018x})",
-                digest,
-                self.config_digest()
-            ));
-        }
-        self.pt = PageTable::load(&mut r)?;
-        let n = r.varint()? as usize;
-        if n != self.allocators.len() {
-            return Err(format!(
-                "checkpoint: allocator count mismatch (saved {n}, have {})",
-                self.allocators.len()
-            ));
-        }
-        for a in self.allocators.iter_mut() {
-            a.load(&mut r)?;
-        }
-        self.clock.load(&mut r)?;
-        self.counters.load(&mut r)?;
-        self.pebs.load(&mut r)?;
-        self.hints = HintFaultUnit::load(&mut r)?;
-        self.versions = VersionStore::load(&mut r)?;
-        self.stats = MachineStats {
-            alloc_faults: r.varint()?,
-            hint_faults: r.varint()?,
-            prot_faults: r.varint()?,
-            wp_faults: r.varint()?,
-            pte_scans: r.varint()?,
-            tlb_flushes: r.varint()?,
-            pages_migrated: r.varint()?,
-            bytes_migrated: r.varint()?,
-        };
-        self.prot_faults.clear();
-        for _ in 0..r.varint()? {
-            self.prot_faults.push(ProtFault {
-                page: VirtAddr(r.u64()?),
-                tid: r.u32()?,
-                is_write: r.bool()?,
-            });
-        }
-        self.watches.clear();
-        for _ in 0..r.varint()? {
-            self.watches.push(WatchEntry {
-                range: VaRange::load(&mut r)?,
-                dirty: r.bool()?,
-                id: r.u64()?,
-            });
-        }
-        self.watch_bounds = if r.bool()? {
-            Some(VaRange::load(&mut r)?)
-        } else {
-            None
-        };
-        self.next_watch_id = r.u64()?;
-        let heat_len = r.varint()? as usize;
-        self.heat.clear();
-        self.heat.reserve(heat_len);
-        for _ in 0..heat_len {
-            self.heat.push(r.varint()?);
-        }
-        // The digest pinned `hmc_mode` and the topology, so the caches
-        // `Machine::new` built are the ones that were saved.
-        for cached in self.hmc.iter_mut().flatten() {
-            cached.cache.load(&mut r)?;
-        }
-        self.recorder = obs::Recorder::load(&mut r)?;
-        if self.faults.is_active() {
-            let digest = r.u64()?;
-            if digest != self.fault_digest() {
-                return Err(format!(
-                    "checkpoint: fault plan/seed digest mismatch (saved {digest:#018x}, \
-                     this machine {:#018x})",
-                    self.fault_digest()
-                ));
-            }
-            let state = r.u64()?;
-            let stats = faultsim::FaultStats {
-                page_busy: r.varint()?,
-                alloc_fail: r.varint()?,
-                pebs_dropped: r.varint()?,
-                hints_dropped: r.varint()?,
-            };
-            self.faults.resume_at(state, stats);
-        } else if r.remaining() > 0 {
-            return Err("checkpoint: the blob carries a fault stream but this machine has no \
-                        fault plan installed"
-                .to_string());
-        }
-        r.finish()?;
-        if self.checking {
-            self.verify_consistency("checkpoint restore");
-        }
-        Ok(())
+        obs::wire::fnv1a(&w.into_bytes())
     }
 
     /// Hardware-cache hit ratio per PM component (Memory Mode only).
@@ -1892,166 +1694,35 @@ mod tests {
     }
 
     #[test]
-    fn save_state_round_trips_and_resumes_identically() {
-        let build = || {
-            let topo = tiny_two_tier(4 * PAGE_SIZE_2M, 16 * PAGE_SIZE_2M);
-            let mut cfg = MachineConfig::new(topo, 2);
-            cfg.pebs.period = 2;
-            cfg.track_heat = true;
-            cfg.mlp = 1.0;
-            Machine::new(cfg)
-        };
-        let mut m = build();
-        m.mmap("test", VaRange::from_len(VirtAddr(0), 8 * PAGE_SIZE_2M), false);
-        for p in 0..6u64 {
-            m.alloc_and_map(0, VirtAddr(p * 4096), &[0, 1]).unwrap();
-        }
-        m.poison_page(VirtAddr(0x2000));
-        m.protect_page(VirtAddr(0x3000));
-        let watch = m.arm_write_watch(VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M));
-        for i in 0..32u64 {
-            let kind = if i % 3 == 0 { AccessKind::Write } else { AccessKind::Read };
-            m.access((i % 2) as usize, VirtAddr((i % 6) * 4096), kind);
-        }
-        m.record_event(obs::EventKind::Promotion { bytes: 4096, src: 1, dst: 0 });
-        let blob = m.save_state();
-
-        let mut n = build();
-        n.load_state(&blob).unwrap();
-        assert_eq!(n.save_state(), blob, "restored state re-saves byte-identically");
-        assert_eq!(n.stats().alloc_faults, m.stats().alloc_faults);
-        assert_eq!(n.elapsed_ns(), m.elapsed_ns());
-        assert_eq!(n.watch_dirty(watch), m.watch_dirty(watch));
-
-        // Both machines must now evolve in lockstep.
-        for i in 0..16u64 {
-            m.access(0, VirtAddr((i % 6) * 4096), AccessKind::Write);
-            n.access(0, VirtAddr((i % 6) * 4096), AccessKind::Write);
-        }
-        assert_eq!(m.commit_interval(), n.commit_interval());
-        assert_eq!(m.drain_pebs(), n.drain_pebs());
-        assert_eq!(m.drain_hint_faults(), n.drain_hint_faults());
-        assert_eq!(m.drain_prot_faults(), n.drain_prot_faults());
-        assert_eq!(m.save_state(), n.save_state());
-    }
-
-    #[test]
-    fn load_state_rejects_config_mismatch() {
-        let topo = tiny_two_tier(4 * PAGE_SIZE_2M, 16 * PAGE_SIZE_2M);
-        let m = Machine::new(MachineConfig::new(topo, 2));
-        let blob = m.save_state();
-        let other = tiny_two_tier(2 * PAGE_SIZE_2M, 16 * PAGE_SIZE_2M);
-        let mut n = Machine::new(MachineConfig::new(other, 2));
-        let err = n.load_state(&blob).unwrap_err();
-        assert!(err.contains("digest mismatch"), "{err}");
-    }
-
-    #[test]
-    fn load_state_rejects_allocator_used_over_capacity() {
-        let build = || {
-            let topo = tiny_two_tier(4 * PAGE_SIZE_2M, 16 * PAGE_SIZE_2M);
-            Machine::new(MachineConfig::new(topo, 1))
-        };
-        let mut m = build();
-        m.mmap("a", VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M), false);
-        m.alloc_and_map(0, VirtAddr(0), &[0]).unwrap();
-        let mut blob = m.save_state();
-        // Patch component 0's `used` (a little-endian u64 inside its
-        // allocator record) to more than the component holds.
-        let mut w = obs::wire::Writer::new();
-        m.allocators[0].save(&mut w);
-        let record = w.into_bytes();
-        let used = m.allocator(0).used().to_le_bytes();
-        let at = blob.windows(record.len()).position(|win| win == record).expect("record")
-            + record.windows(8).position(|win| win == used).expect("used");
-        blob[at..at + 8].copy_from_slice(&(5 * PAGE_SIZE_2M).to_le_bytes());
-        let err = build().load_state(&blob).unwrap_err();
-        assert!(err.contains("over its"), "{err}");
-    }
-
-    #[test]
-    fn load_state_rejects_next_fresh_block_beyond_capacity() {
-        let build = || {
-            let topo = tiny_two_tier(4 * PAGE_SIZE_2M, 16 * PAGE_SIZE_2M);
-            Machine::new(MachineConfig::new(topo, 1))
-        };
-        let mut m = build();
-        m.mmap("a", VaRange::from_len(VirtAddr(0), PAGE_SIZE_2M), true);
-        m.alloc_and_map(0, VirtAddr(0), &[0]).unwrap();
-        let mut blob = m.save_state();
-        // Component 0's record is its id (u16), `used` (u64), then
-        // `next_fresh_block` (u64): patch the last to 100 blocks.
-        let mut w = obs::wire::Writer::new();
-        m.allocators[0].save(&mut w);
-        let record = w.into_bytes();
-        let at = blob.windows(record.len()).position(|win| win == record).expect("record") + 2 + 8;
-        assert_eq!(blob[at..at + 8], PAGE_SIZE_2M.to_le_bytes(), "one block carved");
-        blob[at..at + 8].copy_from_slice(&(100 * PAGE_SIZE_2M).to_le_bytes());
-        let err = build().load_state(&blob).unwrap_err();
-        assert!(err.contains("next fresh block"), "{err}");
-    }
-
-    /// A fresh Memory Mode machine on the two-tier topology (8 PM blocks
-    /// per DRAM line).
-    fn memory_mode_machine() -> Machine {
-        let topo = tiny_two_tier(2 * PAGE_SIZE_2M, 16 * PAGE_SIZE_2M);
-        let mut cfg = MachineConfig::new(topo, 2);
-        cfg.hmc_mode = true;
-        Machine::new(cfg)
-    }
-
-    /// Issues steps `from..from + n` of a read/write stream that hits,
-    /// misses and writes back, mapping pages into PM on demand.
-    fn drive_memory_mode(m: &mut Machine, from: u64, n: u64) {
-        for i in from..from + n {
-            // Six huge pages (three pairs aliasing in the 4 MB cache),
-            // 1024 lines each.
-            let x = i.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407) >> 40;
-            let va = VirtAddr((x % 6) * PAGE_SIZE_2M + (x >> 8) % 1024 * 64);
-            let kind = if i % 3 == 0 { AccessKind::Write } else { AccessKind::Read };
-            if m.access((i % 2) as usize, va, kind) == AccessResult::Unmapped {
-                m.alloc_and_map((i % 2) as usize, va, &[1]).unwrap();
-                m.access((i % 2) as usize, va, kind);
+    fn state_digest_sees_an_access_a_relocation_and_a_scan() {
+        let huge = VaRange::from_len(VirtAddr(8 * PAGE_SIZE_2M), PAGE_SIZE_2M);
+        let steps: [(&str, &dyn Fn(&mut Machine)); 3] = [
+            ("one access", &|m| assert_eq!(m.access(0, VirtAddr(huge.start.0 + 64), AccessKind::Write), AccessResult::Ok)),
+            ("one 2 MB relocation", &|m| {
+                let out = crate::migrate::relocate_range(m, huge, 1, 1, false).expect("relocates");
+                assert_eq!(out.bytes, PAGE_SIZE_2M);
+            }),
+            ("one PTE scan", &|m| assert!(m.scan_page(VirtAddr(0)).is_some())),
+        ];
+        // Unarmed, and armed so that frame versions are kept too.
+        for checking in [false, true] {
+            let twin = || {
+                let mut m = machine();
+                m.set_checking(checking);
+                m.mmap("huge", huge, true);
+                m.alloc_and_map(0, huge.start, &[0]).unwrap();
+                m.alloc_and_map(1, VirtAddr(0), &[0]).unwrap();
+                m
+            };
+            let (mut a, mut b) = (twin(), twin());
+            for (what, step) in steps {
+                assert_eq!(a.state_digest(), b.state_digest(), "checking {checking}: twins differ before {what}");
+                step(&mut a);
+                assert_ne!(a.state_digest(), b.state_digest(), "checking {checking}: {what} left the digest alone");
+                step(&mut b);
             }
+            assert_eq!(a.state_digest(), b.state_digest(), "checking {checking}: twins differ at the end");
         }
-    }
-
-    #[test]
-    fn memory_mode_save_state_resumes_identically() {
-        let mut m = memory_mode_machine();
-        m.mmap("a", VaRange::from_len(VirtAddr(0), 6 * PAGE_SIZE_2M), true);
-        drive_memory_mode(&mut m, 0, 4000);
-        let blob = m.save_state();
-        let wb = cache_counters(&m);
-        assert!(wb.iter().all(|&(_, h, mi, w)| h > 0 && mi > 0 && w > 0), "{wb:?}");
-
-        let mut n = memory_mode_machine();
-        n.load_state(&blob).unwrap();
-        assert_eq!(n.save_state(), blob, "restored state re-saves byte-identically");
-        assert_eq!(cache_counters(&n), cache_counters(&m));
-        drive_memory_mode(&mut m, 4000, 4000);
-        drive_memory_mode(&mut n, 4000, 4000);
-        assert_eq!(m.commit_interval().to_bits(), n.commit_interval().to_bits());
-        assert_eq!(cache_counters(&n), cache_counters(&m));
-        assert_eq!(m.save_state(), n.save_state());
-    }
-
-    #[test]
-    fn memory_mode_load_state_rejects_short_and_foreign_blobs() {
-        let mut m = memory_mode_machine();
-        m.mmap("a", VaRange::from_len(VirtAddr(0), 6 * PAGE_SIZE_2M), true);
-        drive_memory_mode(&mut m, 0, 500);
-        let blob = m.save_state();
-        // Cut anywhere, including inside the cache lines: always `Err`.
-        for cut in (0..blob.len()).step_by(97).chain([blob.len() - 1]) {
-            assert!(memory_mode_machine().load_state(&blob[..cut]).is_err(), "cut at {cut}");
-        }
-        // A plain machine's blob does not restore into Memory Mode:
-        // `hmc_mode` is part of the config digest.
-        let topo = tiny_two_tier(2 * PAGE_SIZE_2M, 16 * PAGE_SIZE_2M);
-        let plain = Machine::new(MachineConfig::new(topo, 2));
-        let err = memory_mode_machine().load_state(&plain.save_state()).unwrap_err();
-        assert!(err.contains("digest mismatch"), "{err}");
     }
 
     #[test]

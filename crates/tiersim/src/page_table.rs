@@ -405,8 +405,8 @@ impl PageTable {
     /// mapped page in `range` without touching PTE flag bits, in strictly
     /// ascending address order, which falls out of dense index iteration
     /// (no sorting, no hasher bucket order). [`USER_SPACE`] walks the
-    /// whole table. Used by the `MTM_CHECK` sanitizer, checkpoints and
-    /// read-only sweeps, which must observe without perturbing.
+    /// whole table. Used by the `MTM_CHECK` sanitizer, the state digest
+    /// and read-only sweeps, which must observe without perturbing.
     pub fn for_each_mapped_in(
         &self,
         range: VaRange,
@@ -533,65 +533,6 @@ impl PageTable {
             w.bool(size == FrameSize::Huge2M);
             w.u64(pte.0);
         });
-    }
-
-    /// Errors unless a mapping of the given size can be installed at `va`
-    /// (the conditions `map_2m` and `map_4k` assert), so restore rejects
-    /// a corrupted page list instead of panicking.
-    fn check_vacant(&self, va: VirtAddr, huge: bool) -> Result<(), String> {
-        if huge && !va.is_2m_aligned() {
-            return Err(format!("page table: huge mapping at unaligned {va:?}"));
-        }
-        match self.entry(va.pde_index()) {
-            None => Ok(()),
-            Some(PdEntry::Table(leaf)) if !huge && !test_bit(&leaf.present, va.pte_index()) => Ok(()),
-            Some(_) => Err(format!("page table: double map at {va:?}")),
-        }
-    }
-
-    /// Restores a table saved with [`PageTable::save`]. Mapped bytes,
-    /// PDE occupancy and the present bitmaps are re-derived from the
-    /// installed PTEs (the source of truth), so the result passes
-    /// [`PageTable::check_side_metadata`] by construction.
-    pub fn load(r: &mut obs::wire::Reader) -> Result<PageTable, String> {
-        let mut pt = PageTable::new();
-        for _ in 0..r.varint()? {
-            let name = r.str()?;
-            let range = VaRange::load(r)?;
-            let thp = r.bool()?;
-            if range.end.0 > VA_LIMIT || !range.start.is_4k_aligned() || !range.end.is_4k_aligned() {
-                return Err(format!("page table: invalid VMA range {range:?}"));
-            }
-            if pt.vmas.iter().any(|v| v.range.overlaps(range)) {
-                return Err(format!("page table: VMA {range:?} overlaps another"));
-            }
-            pt.mmap(&name, range, thp);
-        }
-        let pages = r.varint()?;
-        let mut prev = 0u64;
-        for _ in 0..pages {
-            let pn = prev
-                .checked_add(r.varint()?)
-                .filter(|&pn| pn < VA_LIMIT >> 12)
-                .ok_or("page table: page number beyond 47-bit user space")?;
-            prev = pn;
-            let huge = r.bool()?;
-            let pte = Pte(r.u64()?);
-            let va = VirtAddr(pn << 12);
-            pt.check_vacant(va, huge)?;
-            if huge {
-                if !pte.present() || !pte.huge() {
-                    return Err(format!("page table: bad huge PTE {:#x} at {va:?}", pte.0));
-                }
-                pt.map_2m(va, pte);
-            } else {
-                if !pte.present() || pte.huge() {
-                    return Err(format!("page table: bad base PTE {:#x} at {va:?}", pte.0));
-                }
-                pt.map_4k(va, pte);
-            }
-        }
-        Ok(pt)
     }
 
     /// Re-derives every packed-metadata word from the PTEs and the slots
@@ -809,39 +750,6 @@ mod tests {
         assert_eq!(walk(VaRange::new(VirtAddr(0), VirtAddr(4 * gb))), all);
         assert_eq!(walk(VaRange::new(VirtAddr(2 * PAGE_SIZE_4K), VirtAddr(3 * gb))), &all[1..2]);
         assert_eq!(pt.valid_pde_bases().len(), 3);
-    }
-
-    #[test]
-    fn save_load_round_trips_canonically() {
-        let mut pt = PageTable::new();
-        pt.mmap("heap", VaRange::from_len(VirtAddr(0), 8 * PAGE_SIZE_2M), true);
-        pt.map_2m(VirtAddr(0), Pte::map(PhysAddr::new(2, 0x20_0000), true));
-        let mut dirty = pte4k(0, 0x3000);
-        dirty.set(PTE_ACCESSED | PTE_DIRTY);
-        pt.map_4k(VirtAddr(3 * PAGE_SIZE_2M), dirty);
-        pt.map_4k(VirtAddr(3 * PAGE_SIZE_2M + PAGE_SIZE_4K), pte4k(1, 0x5000));
-        pt.touch(VirtAddr(4096), true);
-
-        let mut w = obs::wire::Writer::new();
-        pt.save(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = obs::wire::Reader::new(&bytes);
-        let back = PageTable::load(&mut r).unwrap();
-        r.finish().unwrap();
-
-        assert_eq!(back.mapped_bytes(), pt.mapped_bytes());
-        assert_eq!(back.valid_pde_bases(), pt.valid_pde_bases());
-        assert_eq!(back.vmas().len(), 1);
-        assert!(back.check_side_metadata().is_empty());
-        let mut orig = Vec::new();
-        pt.for_each_mapped_in(USER_SPACE, |va, pte, size| orig.push((va, pte, size)));
-        let mut loaded = Vec::new();
-        back.for_each_mapped_in(USER_SPACE, |va, pte, size| loaded.push((va, pte, size)));
-        assert_eq!(orig, loaded);
-        // Canonical: re-saving reproduces identical bytes.
-        let mut w2 = obs::wire::Writer::new();
-        back.save(&mut w2);
-        assert_eq!(w2.into_bytes(), bytes);
     }
 
     #[test]

@@ -145,32 +145,6 @@ impl Pebs {
         }
     }
 
-    /// Restores state saved with [`Pebs::save`] into a freshly configured
-    /// sampler.
-    pub fn load(&mut self, r: &mut obs::wire::Reader) -> Result<(), String> {
-        self.countdown = r.u64()?;
-        if self.countdown == 0 || self.countdown > self.period {
-            return Err(format!("pebs: countdown {} outside 1..={}", self.countdown, self.period));
-        }
-        let n = r.varint()? as usize;
-        self.buffer = Vec::with_capacity(n.min(self.buffer_cap));
-        for _ in 0..n {
-            self.buffer.push(PebsSample {
-                va: VirtAddr(r.u64()?),
-                tid: r.u32()?,
-                component: r.u16()?,
-                is_write: r.bool()?,
-                t_ns: r.f64()?,
-            });
-        }
-        self.dropped = r.varint()?;
-        self.taken = r.varint()?;
-        for slot in self.by_component.iter_mut() {
-            *slot = r.varint()?;
-        }
-        Ok(())
-    }
-
     /// Samples taken per component, as `(component, count)` pairs for
     /// every component that produced at least one sample, ascending.
     pub fn component_counts(&self) -> Vec<(ComponentId, u64)> {
@@ -268,19 +242,6 @@ mod tests {
                     prop_assert_eq!(fast.drain(), slow.samples, "period {period}");
                 }
             );
-        }
-    }
-
-    #[test]
-    fn load_rejects_a_countdown_outside_the_period() {
-        for bad in [0, 5] {
-            let mut w = obs::wire::Writer::new();
-            let mut p = sampler(4);
-            p.countdown = bad;
-            p.save(&mut w);
-            let bytes = w.into_bytes();
-            let mut fresh = sampler(4);
-            assert!(fresh.load(&mut obs::wire::Reader::new(&bytes)).is_err(), "countdown {bad}");
         }
     }
 

@@ -82,20 +82,17 @@ pub trait MemoryManager {
     /// A no-op that no caller reaches; see [`Share`].
     fn set_share(&mut self, _share: Share) {}
 
-    /// Serializes the manager's dynamic state for a checkpoint, or `None`
-    /// when the manager does not support checkpointing (the default).
-    /// A `Some` blob must restore bit-identically via
-    /// [`MemoryManager::load_state`] on a freshly built manager of the
-    /// same configuration.
+    /// Inert: no manager implements it and no caller reaches it. It
+    /// stays only so the out-of-workspace benchmark's delegating manager,
+    /// which forwards this hook, keeps compiling; the benchmark's next
+    /// revision removes it.
     fn save_state(&self) -> Option<Vec<u8>> {
         None
     }
 
-    /// Restores state captured by [`MemoryManager::save_state`] into this
-    /// freshly built manager. The default rejects: managers that return
-    /// `None` from `save_state` cannot be resumed.
+    /// Inert, like [`MemoryManager::save_state`]: always `Err`.
     fn load_state(&mut self, _bytes: &[u8]) -> Result<(), String> {
-        Err(format!("manager {:?} does not support checkpoint restore", self.name()))
+        Err(format!("manager {:?} has no state to load", self.name()))
     }
 }
 
@@ -152,24 +149,10 @@ pub trait Workload {
     fn ops_completed(&self) -> u64 {
         0
     }
-
-    /// Serializes the workload's dynamic state (RNG streams, cursors,
-    /// phase counters) for a checkpoint, or `None` when the workload does
-    /// not support checkpointing (the default).
-    fn save_state(&self) -> Option<Vec<u8>> {
-        None
-    }
-
-    /// Restores state captured by [`Workload::save_state`] into this
-    /// freshly built (and already set-up) workload. The default rejects.
-    fn load_state(&mut self, _bytes: &[u8]) -> Result<(), String> {
-        Err(format!("workload {:?} does not support checkpoint restore", self.name()))
-    }
 }
 
 /// Boxed workloads forward the whole trait, so factory-built workloads
-/// plug into generic wrappers (e.g. the scenario engine's trace
-/// recorder) without re-boxing.
+/// plug into generic wrappers without re-boxing.
 impl Workload for Box<dyn Workload> {
     fn name(&self) -> String {
         (**self).name()
@@ -201,14 +184,6 @@ impl Workload for Box<dyn Workload> {
 
     fn ops_completed(&self) -> u64 {
         (**self).ops_completed()
-    }
-
-    fn save_state(&self) -> Option<Vec<u8>> {
-        (**self).save_state()
-    }
-
-    fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        (**self).load_state(bytes)
     }
 }
 
@@ -534,8 +509,7 @@ fn drive_interval(
 }
 
 /// An in-flight scenario that external drivers advance one interval at a
-/// time, e.g. to checkpoint a run between intervals or to sample its
-/// state as it goes.
+/// time, e.g. to sample its state as it goes.
 /// [`run_scenario`] is exactly `start` + `step_interval` × N + `finish`,
 /// so a single-stepped run is bit-identical to the one-shot path.
 pub struct ScenarioProgress {
@@ -608,87 +582,6 @@ impl ScenarioProgress {
         self.series.occupancy.push(machine.residency());
         self.prev_breakdown = b;
         self.prev_migrated = migrated;
-    }
-
-    /// Serializes the accumulated per-interval traces (checkpoint
-    /// support). Together with [`Machine::save_state`] and the manager's
-    /// and workload's state blobs this captures everything a resumed run
-    /// needs to finish with a byte-identical report.
-    pub fn save(&self, w: &mut obs::wire::Writer) {
-        w.varint(self.window_counts.len() as u64);
-        for snap in &self.window_counts {
-            w.varint(snap.len() as u64);
-            for c in snap {
-                w.varint(c.loads);
-                w.varint(c.stores);
-            }
-        }
-        w.varint(self.interval_ns.len() as u64);
-        for &v in &self.interval_ns {
-            w.f64(v);
-        }
-        w.varint(self.ops_trace.len() as u64);
-        for &v in &self.ops_trace {
-            w.varint(v);
-        }
-        w.varint(self.breakdown_trace.len() as u64);
-        for b in &self.breakdown_trace {
-            w.f64(b.app_ns);
-            w.f64(b.profiling_ns);
-            w.f64(b.migration_ns);
-        }
-        self.series.save(w);
-        w.f64(self.prev_breakdown.app_ns);
-        w.f64(self.prev_breakdown.profiling_ns);
-        w.f64(self.prev_breakdown.migration_ns);
-        w.varint(self.prev_migrated);
-    }
-
-    /// Restores progress saved with [`ScenarioProgress::save`]. The
-    /// machine, manager and workload must be restored separately before
-    /// stepping resumes.
-    pub fn load(r: &mut obs::wire::Reader) -> Result<ScenarioProgress, String> {
-        let mut window_counts = Vec::new();
-        for _ in 0..r.varint()? {
-            let n = r.varint()? as usize;
-            let mut snap = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                snap.push(ComponentCounts { loads: r.varint()?, stores: r.varint()? });
-            }
-            window_counts.push(snap);
-        }
-        let mut interval_ns = Vec::new();
-        for _ in 0..r.varint()? {
-            interval_ns.push(r.f64()?);
-        }
-        let mut ops_trace = Vec::new();
-        for _ in 0..r.varint()? {
-            ops_trace.push(r.varint()?);
-        }
-        let mut breakdown_trace = Vec::new();
-        for _ in 0..r.varint()? {
-            breakdown_trace.push(crate::clock::TimeBreakdown {
-                app_ns: r.f64()?,
-                profiling_ns: r.f64()?,
-                migration_ns: r.f64()?,
-            });
-        }
-        let series = obs::IntervalSeries::load(r)?;
-        let prev_breakdown = crate::clock::TimeBreakdown {
-            app_ns: r.f64()?,
-            profiling_ns: r.f64()?,
-            migration_ns: r.f64()?,
-        };
-        let prev_migrated = r.varint()?;
-        Ok(ScenarioProgress {
-            window_counts,
-            interval_ns,
-            ops_trace,
-            breakdown_trace,
-            series,
-            prev_breakdown,
-            prev_migrated,
-        })
     }
 
     /// Finalizes telemetry and assembles the report.
