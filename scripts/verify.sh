@@ -70,6 +70,14 @@ matrix() {
     done
 }
 
+# The benchmark builds `--offline` against its own mtmbench/Cargo.lock,
+# which records these crates' manifests. A workspace manifest edit that
+# would make the benchmark's run rewrite that lock (dropping a normal
+# dependency it lists, say) fails here, before anything is built.
+echo "==> mtmbench lock file matches the workspace manifests"
+cargo metadata --locked --offline --format-version 1 --manifest-path mtmbench/Cargo.toml >/dev/null \
+    || fail "mtmbench/Cargo.lock would change: a workspace manifest edit reaches the benchmark's lock"
+
 # Every target builds warning-free in release, so a deletion cannot
 # leave a dead import or helper behind. Cargo replays cached warnings, so
 # an incremental build is checked too.
