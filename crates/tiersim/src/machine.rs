@@ -1038,11 +1038,12 @@ impl Machine {
     /// FNV-1a of the machine's complete dynamic state: page table,
     /// allocators, clock, counters, samplers, watches, statistics, the
     /// Memory Mode caches, the observability recorder and, with a fault
-    /// plan installed, the injection counters. Two machines built from the
-    /// same configuration digest alike only if they were driven alike, so
-    /// a differential test compares whole machines with one number.
-    /// Configuration is not hashed, nor is `checking`: arming the
-    /// sanitizer must not change what the machine simulates.
+    /// plan installed, the injection counters. Two machines built alike
+    /// and driven alike digest alike, and any difference in that state
+    /// parts them (hash collisions aside), so a differential test compares
+    /// whole machines with one number. Configuration is not hashed, nor is
+    /// `checking`: arming the sanitizer must not change what the machine
+    /// simulates.
     pub fn state_digest(&self) -> u64 {
         let mut w = obs::wire::Writer::new();
         self.pt.save(&mut w);
